@@ -24,7 +24,6 @@ fn durable_config() -> DurableConfig {
     DurableConfig {
         segment_target_bytes: 64 * 1024 * 1024,
         cache_capacity_bytes: 16 * 1024 * 1024,
-        fsync_each_put: false,
     }
 }
 

@@ -65,6 +65,10 @@ const REQUIRED_INSTRUMENTS: &[&str] = &[
     "proof.sharded_point_bytes",
     "proof.sharded_range_build_nanos",
     "proof.sharded_range_bytes",
+    "proof.multi_build_nanos",
+    "proof.multi_bytes",
+    "proof.sharded_multi_build_nanos",
+    "proof.sharded_multi_bytes",
 ];
 
 /// One measured pass: `puts` writes, `gets` unverified point reads and

@@ -10,6 +10,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::Instant;
 
 use parking_lot::RwLock;
 use spitz_crypto::Hash;
@@ -251,43 +252,70 @@ fn decode_catalog(bytes: &[u8]) -> Option<Vec<(Schema, u32)>> {
     r.is_exhausted().then_some(tables)
 }
 
-/// Proof-layer instruments, resolved once at construction so the verified
-/// read paths never touch the registry maps.
-struct ProofObs {
-    /// Mirror of [`TelemetryHandle::is_enabled`]: lets the hot paths skip
-    /// computing `encoded_len` when nothing records it.
-    enabled: bool,
-    point_build_nanos: Arc<Histogram>,
-    point_bytes: Arc<Histogram>,
-    range_build_nanos: Arc<Histogram>,
-    range_bytes: Arc<Histogram>,
-    multi_build_nanos: Arc<Histogram>,
-    multi_bytes: Arc<Histogram>,
+/// Build-latency and encoded-size histograms of one proof kind.
+pub(crate) struct ProofMeter {
+    build_nanos: Arc<Histogram>,
+    bytes: Arc<Histogram>,
 }
 
-impl ProofObs {
-    fn new(telemetry: &TelemetryHandle) -> Self {
-        ProofObs {
-            enabled: telemetry.is_enabled(),
-            point_build_nanos: telemetry.histogram("proof.point_build_nanos"),
-            point_bytes: telemetry.histogram("proof.point_bytes"),
-            range_build_nanos: telemetry.histogram("proof.range_build_nanos"),
-            range_bytes: telemetry.histogram("proof.range_bytes"),
-            multi_build_nanos: telemetry.histogram("proof.multi_build_nanos"),
-            multi_bytes: telemetry.histogram("proof.multi_bytes"),
+impl ProofMeter {
+    fn new(telemetry: &TelemetryHandle, kind: &str) -> Self {
+        ProofMeter {
+            build_nanos: telemetry.histogram(&format!("proof.{kind}_build_nanos")),
+            bytes: telemetry.histogram(&format!("proof.{kind}_bytes")),
+        }
+    }
+
+    /// Start timing one proof build (`None`, no clock read, when telemetry
+    /// is disabled).
+    pub(crate) fn start(&self) -> Option<Instant> {
+        self.build_nanos.start()
+    }
+
+    /// Record the build latency since [`ProofMeter::start`] and the proof's
+    /// size. `encoded_len` is only evaluated when something records it.
+    pub(crate) fn finish(&self, start: Option<Instant>, encoded_len: impl FnOnce() -> usize) {
+        if start.is_some() {
+            self.build_nanos.finish(start);
+            self.bytes.record(encoded_len() as u64);
         }
     }
 }
 
-/// Everything the background compactor needs to evaluate the trigger and
-/// run a pass without borrowing the owning [`SpitzDb`].
+/// Proof-layer instruments, resolved once at construction so the verified
+/// read paths never touch the registry maps: `proof.<level>point_*`,
+/// `proof.<level>range_*` and `proof.<level>multi_*`, where `level` is empty
+/// for single-ledger proofs and `sharded_` for cross-shard ones.
+pub(crate) struct ProofObs {
+    pub(crate) point: ProofMeter,
+    pub(crate) range: ProofMeter,
+    pub(crate) multi: ProofMeter,
+}
+
+impl ProofObs {
+    pub(crate) fn new(telemetry: &TelemetryHandle, level: &str) -> Self {
+        ProofObs {
+            point: ProofMeter::new(telemetry, &format!("{level}point")),
+            range: ProofMeter::new(telemetry, &format!("{level}range")),
+            multi: ProofMeter::new(telemetry, &format!("{level}multi")),
+        }
+    }
+}
+
+/// The mark-sweep machinery of a durable instance: everything needed to
+/// mark, compact, and evaluate the automatic trigger without borrowing the
+/// owning [`SpitzDb`], so the background compactor thread can share it.
 struct CompactionCtx {
     store: Arc<dyn ChunkStore>,
     ledger: Arc<Ledger>,
     durable: Arc<DurableChunkStore>,
-    trigger: CompactionTrigger,
-    /// Shared with [`SpitzDb::compact_floor`]; see that field's docs.
-    floor: Arc<AtomicU64>,
+    /// Automatic-compaction trigger, `None` when disabled.
+    trigger: Option<CompactionTrigger>,
+    /// Disk-byte watermark below which the automatic trigger skips even the
+    /// stats check. Re-armed after every compaction (and after a pass is
+    /// judged unnecessary) so a hot write path does not re-evaluate the
+    /// trigger on every commit. `u64::MAX` while a triggered pass runs.
+    floor: AtomicU64,
 }
 
 impl CompactionCtx {
@@ -295,34 +323,38 @@ impl CompactionCtx {
     /// footprint crossed the re-armed watermark? One atomic load plus a
     /// stats read — everything heavier happens on the compactor thread.
     fn should_wake(&self) -> bool {
+        let Some(trigger) = self.trigger else {
+            return false;
+        };
         let stored = self.floor.load(Ordering::Relaxed);
         if stored == u64::MAX {
             // A pass claimed the trigger and is still running.
             return false;
         }
-        self.durable.stats().disk_bytes >= stored.max(self.trigger.min_disk_bytes)
+        self.durable.stats().disk_bytes >= stored.max(trigger.min_disk_bytes)
     }
 
     /// Full trigger decision, run on the compactor thread. Compaction
     /// failures are swallowed (the next explicit [`SpitzDb::compact`]
     /// surfaces them) so a GC hiccup never fails a commit.
     fn run_trigger(&self) {
+        let Some(trigger) = self.trigger else {
+            return;
+        };
         let stored = self.floor.load(Ordering::Relaxed);
         if stored == u64::MAX {
             return;
         }
         let stats = self.durable.stats();
-        if stats.disk_bytes < stored.max(self.trigger.min_disk_bytes) {
+        if stats.disk_bytes < stored.max(trigger.min_disk_bytes) {
             return;
         }
         if let Some(amp) = stats.space_amplification() {
-            if amp < self.trigger.max_space_amp {
+            if amp < trigger.max_space_amp {
                 // Mostly-live growth: push the next check out instead of
                 // re-evaluating the trigger on every subsequent commit.
                 self.floor.store(
-                    stats
-                        .disk_bytes
-                        .saturating_add(self.trigger.min_disk_bytes / 2),
+                    stats.disk_bytes.saturating_add(trigger.min_disk_bytes / 2),
                     Ordering::Relaxed,
                 );
                 return;
@@ -345,18 +377,15 @@ impl CompactionCtx {
     /// re-running the mark after every commit).
     fn compact(&self) -> std::result::Result<Option<CompactionReport>, StorageError> {
         let result = self.durable.compact_with(|| self.collect_live());
+        let pad = self.trigger.map_or(0, |t| t.min_disk_bytes / 2);
         self.floor.store(
-            self.durable
-                .stats()
-                .disk_bytes
-                .saturating_add(self.trigger.min_disk_bytes / 2),
+            self.durable.stats().disk_bytes.saturating_add(pad),
             Ordering::Relaxed,
         );
         result
     }
 
-    /// The same mark phase as [`SpitzDb::collect_live`], reachable from the
-    /// compactor thread.
+    /// The GC mark phase; see [`SpitzDb::collect_live`].
     fn collect_live(&self) -> std::result::Result<HashSet<Hash>, StorageError> {
         let mut live = HashSet::new();
         self.ledger.collect_live(&mut live)?;
@@ -368,212 +397,110 @@ impl CompactionCtx {
     }
 }
 
-/// Wake/idle handshake between committing writers and the compactor thread.
+/// Wake/idle handshake between a [`BackgroundWorker`]'s thread and its
+/// callers.
 #[derive(Default)]
-struct CompactorState {
-    /// A writer crossed the watermark since the last trigger evaluation.
+struct WorkerState {
+    /// A caller nudged the worker since its last run.
     pending: bool,
-    /// The compactor thread is currently evaluating the trigger or running
-    /// a pass.
+    /// The worker thread is currently running its job.
     busy: bool,
     /// Drop requested the thread exit.
     shutdown: bool,
 }
 
-struct CompactorShared {
-    state: Mutex<CompactorState>,
-    /// Signalled by writers when `pending` is set and by Drop on shutdown.
+#[derive(Default)]
+struct WorkerShared {
+    state: Mutex<WorkerState>,
+    /// Signalled by [`BackgroundWorker::nudge`] and by shutdown.
     wake: Condvar,
-    /// Signalled by the compactor thread whenever it finishes a trigger
-    /// evaluation; [`Compactor::quiesce`] waits on it.
+    /// Signalled by the worker thread whenever a run finishes;
+    /// [`BackgroundWorker::quiesce`] waits on it.
     idle: Condvar,
 }
 
-/// The background compaction worker: owns the thread that evaluates the
-/// automatic [`CompactionTrigger`] off the committing writers' critical
-/// path.
-struct Compactor {
-    ctx: Arc<CompactionCtx>,
-    shared: Arc<CompactorShared>,
+/// A named thread that runs one job off the commit path: whenever it is
+/// nudged and, when an `interval` is given, whenever that long passes
+/// without a nudge. The compactor (nudged by writers crossing the
+/// watermark) and the scrubber (periodic) are both instances.
+struct BackgroundWorker {
+    shared: Arc<WorkerShared>,
     thread: Option<thread::JoinHandle<()>>,
 }
 
-impl Compactor {
-    fn spawn(ctx: CompactionCtx) -> Compactor {
-        let ctx = Arc::new(ctx);
-        let shared = Arc::new(CompactorShared {
-            state: Mutex::new(CompactorState::default()),
-            wake: Condvar::new(),
-            idle: Condvar::new(),
-        });
-        let thread_ctx = Arc::clone(&ctx);
+impl BackgroundWorker {
+    fn spawn(
+        name: &str,
+        interval: Option<std::time::Duration>,
+        job: impl Fn() + Send + 'static,
+    ) -> BackgroundWorker {
+        let shared = Arc::new(WorkerShared::default());
         let thread_shared = Arc::clone(&shared);
         let thread = thread::Builder::new()
-            .name("spitz-compactor".into())
-            .spawn(move || Self::worker(thread_ctx, thread_shared))
-            .expect("spawn compactor thread");
-        Compactor {
-            ctx,
+            .name(name.into())
+            .spawn(move || Self::run(&thread_shared, interval, job))
+            .expect("spawn background worker thread");
+        BackgroundWorker {
             shared,
             thread: Some(thread),
         }
     }
 
-    fn worker(ctx: Arc<CompactionCtx>, shared: Arc<CompactorShared>) {
+    fn run(shared: &WorkerShared, interval: Option<std::time::Duration>, job: impl Fn()) {
         loop {
-            let mut state = shared.state.lock().expect("compactor state poisoned");
+            let mut state = shared.state.lock().expect("worker state poisoned");
             while !state.pending && !state.shutdown {
-                state = shared.wake.wait(state).expect("compactor state poisoned");
+                match interval {
+                    None => state = shared.wake.wait(state).expect("worker state poisoned"),
+                    Some(interval) => {
+                        let (woken, timeout) = shared
+                            .wake
+                            .wait_timeout(state, interval)
+                            .expect("worker state poisoned");
+                        state = woken;
+                        if timeout.timed_out() {
+                            break;
+                        }
+                    }
+                }
             }
             if state.shutdown {
-                // Skip any still-pending evaluation: the database is being
-                // dropped, so reclaiming space no longer matters.
+                // Skip any still-pending run: the database is being
+                // dropped, so background maintenance no longer matters.
                 return;
             }
             state.pending = false;
             state.busy = true;
             drop(state);
-            ctx.run_trigger();
-            let mut state = shared.state.lock().expect("compactor state poisoned");
+            job();
+            let mut state = shared.state.lock().expect("worker state poisoned");
             state.busy = false;
             shared.idle.notify_all();
         }
     }
 
-    /// Called by writers after publishing a commit: if the watermark is
-    /// crossed, hand the trigger decision to the compactor thread.
-    fn maybe_nudge(&self) {
-        if !self.ctx.should_wake() {
-            return;
-        }
-        let mut state = self.shared.state.lock().expect("compactor state poisoned");
+    /// Ask for a run; nudges arriving while one is already queued coalesce.
+    fn nudge(&self) {
+        let mut state = self.shared.state.lock().expect("worker state poisoned");
         if !state.pending {
             state.pending = true;
             self.shared.wake.notify_one();
         }
     }
 
-    /// Block until the compactor has no queued nudge and no pass in flight,
-    /// so callers observe the effects of every compaction their own writes
-    /// triggered.
+    /// Block until the worker has no queued nudge and no run in flight, so
+    /// callers observe the effects of every run they caused (a newly
+    /// started interval wait is fine).
     fn quiesce(&self) {
-        let mut state = self.shared.state.lock().expect("compactor state poisoned");
+        let mut state = self.shared.state.lock().expect("worker state poisoned");
         while state.pending || state.busy {
-            state = self
-                .shared
-                .idle
-                .wait(state)
-                .expect("compactor state poisoned");
+            state = self.shared.idle.wait(state).expect("worker state poisoned");
         }
     }
 
     fn shutdown(&mut self) {
         {
-            let mut state = self.shared.state.lock().expect("compactor state poisoned");
-            state.shutdown = true;
-            self.shared.wake.notify_one();
-        }
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Wake/idle handshake between callers and the scrubber thread.
-#[derive(Default)]
-struct ScrubberState {
-    /// The scrubber thread is currently running a pass.
-    busy: bool,
-    /// Drop requested the thread exit.
-    shutdown: bool,
-}
-
-struct ScrubberShared {
-    state: Mutex<ScrubberState>,
-    /// Signalled by Drop on shutdown (the periodic wake-ups come from the
-    /// wait timeout).
-    wake: Condvar,
-    /// Signalled by the scrubber thread whenever a pass finishes;
-    /// [`Scrubber::quiesce`] waits on it.
-    idle: Condvar,
-}
-
-/// The background integrity scrubber: a thread that CRC-walks the sealed
-/// segments every interval, entirely off the commit path. Corruption it
-/// finds is quarantined by [`DurableChunkStore::scrub`]; errors never
-/// propagate to writers (the store's health state and telemetry carry the
-/// outcome).
-struct Scrubber {
-    shared: Arc<ScrubberShared>,
-    thread: Option<thread::JoinHandle<()>>,
-}
-
-impl Scrubber {
-    fn spawn(durable: Arc<DurableChunkStore>, interval: std::time::Duration) -> Scrubber {
-        let shared = Arc::new(ScrubberShared {
-            state: Mutex::new(ScrubberState::default()),
-            wake: Condvar::new(),
-            idle: Condvar::new(),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let thread = thread::Builder::new()
-            .name("spitz-scrubber".into())
-            .spawn(move || Self::worker(durable, thread_shared, interval))
-            .expect("spawn scrubber thread");
-        Scrubber {
-            shared,
-            thread: Some(thread),
-        }
-    }
-
-    fn worker(
-        durable: Arc<DurableChunkStore>,
-        shared: Arc<ScrubberShared>,
-        interval: std::time::Duration,
-    ) {
-        loop {
-            {
-                let state = shared.state.lock().expect("scrubber state poisoned");
-                if state.shutdown {
-                    return;
-                }
-                let (state, _timeout) = shared
-                    .wake
-                    .wait_timeout(state, interval)
-                    .expect("scrubber state poisoned");
-                if state.shutdown {
-                    return;
-                }
-            }
-            {
-                let mut state = shared.state.lock().expect("scrubber state poisoned");
-                state.busy = true;
-            }
-            // A pass that errors mid-swap has already raised the store's
-            // health and emitted events; the next interval retries.
-            let _ = durable.scrub();
-            let mut state = shared.state.lock().expect("scrubber state poisoned");
-            state.busy = false;
-            shared.idle.notify_all();
-        }
-    }
-
-    /// Block until no pass is in flight (a newly started interval wait is
-    /// fine — callers only need the effects of passes that already began).
-    fn quiesce(&self) {
-        let mut state = self.shared.state.lock().expect("scrubber state poisoned");
-        while state.busy {
-            state = self
-                .shared
-                .idle
-                .wait(state)
-                .expect("scrubber state poisoned");
-        }
-    }
-
-    fn shutdown(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("scrubber state poisoned");
+            let mut state = self.shared.state.lock().expect("worker state poisoned");
             state.shutdown = true;
             self.shared.wake.notify_one();
         }
@@ -593,23 +520,23 @@ pub struct SpitzDb {
     /// routed through. Shut down (drained + synced) when the db drops.
     pipeline: Option<Arc<CommitPipeline>>,
     /// Present on instances opened over a [`DurableChunkStore`]: the
-    /// concrete handle the compaction entry points need (the trait object
-    /// in `store` cannot run a mark-sweep pass).
-    durable: Option<Arc<DurableChunkStore>>,
-    /// Automatic-compaction trigger, `None` when disabled.
-    compaction: Option<CompactionTrigger>,
-    /// Disk-byte watermark below which the automatic trigger skips even the
-    /// stats check. Re-armed after every compaction (and after a pass is
-    /// judged unnecessary) so a hot write path does not re-evaluate the
-    /// trigger on every commit. Shared with the background compactor.
-    compact_floor: Arc<AtomicU64>,
-    /// Background compaction worker, present when automatic compaction is
-    /// configured on a durable instance. Joined (after a best-effort
-    /// shutdown signal) before the pipeline drains on drop.
-    compactor: Option<Compactor>,
-    /// Background integrity scrubber, present when a scrub interval is
-    /// configured on a durable instance. Joined on drop.
-    scrubber: Option<Scrubber>,
+    /// concrete store handle the compaction entry points need (the trait
+    /// object in `store` cannot run a mark-sweep pass) plus the automatic
+    /// trigger's state. Shared with the background compactor.
+    gc: Option<Arc<CompactionCtx>>,
+    /// Background compaction worker ("spitz-compactor"), present when
+    /// automatic compaction is configured on a durable instance: it
+    /// evaluates the [`CompactionTrigger`] off the committing writers'
+    /// critical path. Joined (after a best-effort shutdown signal) before
+    /// the pipeline drains on drop.
+    compactor: Option<BackgroundWorker>,
+    /// Background integrity scrubber ("spitz-scrubber"), present when a
+    /// scrub interval is configured on a durable instance: it CRC-walks the
+    /// sealed segments every interval, entirely off the commit path.
+    /// Corruption it finds is quarantined by [`DurableChunkStore::scrub`];
+    /// errors never propagate to writers (the store's health state and
+    /// telemetry carry the outcome). Joined on drop.
+    scrubber: Option<BackgroundWorker>,
     /// Telemetry registry shared by every layer of this instance (storage,
     /// pipeline, proofs; the sharded wrapper adds 2PC).
     telemetry: TelemetryHandle,
@@ -725,18 +652,33 @@ impl SpitzDb {
         let mut db = Self::with_store_and_telemetry(store, config, telemetry)?;
         // Keep the concrete handle: compaction needs the segment-level API
         // the `ChunkStore` trait object does not expose.
-        db.durable = Some(Arc::clone(&concrete));
-        if let Some(trigger) = config.compaction {
-            db.compactor = Some(Compactor::spawn(CompactionCtx {
-                store: Arc::clone(&db.store),
-                ledger: Arc::clone(&db.ledger),
-                durable: Arc::clone(&concrete),
-                trigger,
-                floor: Arc::clone(&db.compact_floor),
-            }));
+        let gc = Arc::new(CompactionCtx {
+            store: Arc::clone(&db.store),
+            ledger: Arc::clone(&db.ledger),
+            durable: Arc::clone(&concrete),
+            trigger: config.compaction,
+            floor: AtomicU64::new(0),
+        });
+        if config.compaction.is_some() {
+            let gc = Arc::clone(&gc);
+            db.compactor = Some(BackgroundWorker::spawn(
+                "spitz-compactor",
+                None,
+                move || gc.run_trigger(),
+            ));
         }
+        db.gc = Some(gc);
         if let Some(interval) = config.scrub_interval {
-            db.scrubber = Some(Scrubber::spawn(concrete, interval));
+            db.scrubber = Some(BackgroundWorker::spawn(
+                "spitz-scrubber",
+                Some(interval),
+                move || {
+                    // A pass that errors mid-swap has already raised the
+                    // store's health and emitted events; the next interval
+                    // retries.
+                    let _ = concrete.scrub();
+                },
+            ));
         }
         Ok(db)
     }
@@ -781,16 +723,14 @@ impl SpitzDb {
             config.cc_scheme,
             pipeline.clone(),
         ));
-        let proof_obs = ProofObs::new(&telemetry);
+        let proof_obs = ProofObs::new(&telemetry, "");
         SpitzDb {
             store,
             ledger,
             node,
             tables: RwLock::new(HashMap::new()),
             pipeline,
-            durable: None,
-            compaction: config.compaction,
-            compact_floor: Arc::new(AtomicU64::new(0)),
+            gc: None,
             compactor: None,
             scrubber: None,
             telemetry,
@@ -858,7 +798,7 @@ impl SpitzDb {
     /// The concrete durable store, when this instance was opened over one
     /// (compaction diagnostics, fault-injection tests).
     pub fn durable_store(&self) -> Option<&Arc<DurableChunkStore>> {
-        self.durable.as_ref()
+        self.gc.as_ref().map(|gc| &gc.durable)
     }
 
     /// The GC mark phase: every chunk address this database can still
@@ -872,17 +812,10 @@ impl SpitzDb {
     /// Only meaningful on durable instances; returns an error when called
     /// on an in-memory one.
     pub fn collect_live(&self) -> std::result::Result<HashSet<Hash>, StorageError> {
-        let durable = self
-            .durable
+        self.gc
             .as_ref()
-            .ok_or_else(|| StorageError::KeyNotFound("no durable store to mark".into()))?;
-        let mut live = HashSet::new();
-        self.ledger.collect_live(&mut live)?;
-        for (name, address) in durable.roots() {
-            live.insert(address);
-            crate::staged::collect_staged_references(&self.store, &name, address, &mut live)?;
-        }
-        Ok(live)
+            .ok_or_else(|| StorageError::KeyNotFound("no durable store to mark".into()))?
+            .collect_live()
     }
 
     /// Compact the durable store: mark everything reachable (see
@@ -895,22 +828,10 @@ impl SpitzDb {
     /// them). Returns `Ok(None)` on in-memory instances and when the store
     /// has nothing to compact; errors leave the store exactly as it was.
     pub fn compact(&self) -> Result<Option<CompactionReport>> {
-        let Some(durable) = self.durable.as_ref() else {
-            return Ok(None);
-        };
-        let result = durable.compact_with(|| self.collect_live());
-        // Re-arm the automatic trigger above the post-pass footprint (also
-        // on error, so a failed pass cannot wedge the write path into
-        // retrying the mark on every commit).
-        let pad = self
-            .compaction
-            .map(|t| t.min_disk_bytes / 2)
-            .unwrap_or_default();
-        self.compact_floor.store(
-            durable.stats().disk_bytes.saturating_add(pad),
-            Ordering::Relaxed,
-        );
-        Ok(result?)
+        match &self.gc {
+            Some(gc) => Ok(gc.compact()?),
+            None => Ok(None),
+        }
     }
 
     /// The health of the backing store. [`HealthState::Healthy`] in normal
@@ -927,7 +848,7 @@ impl SpitzDb {
     /// Why the store is degraded or read-only. `None` on non-durable
     /// instances, `Some("")` while healthy.
     pub fn health_reason(&self) -> Option<String> {
-        self.durable.as_ref().map(|d| d.health_reason())
+        self.durable_store().map(|d| d.health_reason())
     }
 
     /// Run one synchronous scrub pass over the durable store's sealed
@@ -936,7 +857,7 @@ impl SpitzDb {
     /// The background scrubber (see [`SpitzConfig::scrub_interval`]) runs
     /// the same pass periodically.
     pub fn scrub(&self) -> Result<Option<ScrubReport>> {
-        let Some(durable) = self.durable.as_ref() else {
+        let Some(durable) = self.durable_store() else {
             return Ok(None);
         };
         Ok(Some(durable.scrub()?))
@@ -947,8 +868,10 @@ impl SpitzDb {
     /// wake the background compactor. The trigger decision itself — and
     /// any resulting mark-sweep pass — runs entirely off this thread.
     fn nudge_compactor(&self) {
-        if let Some(compactor) = &self.compactor {
-            compactor.maybe_nudge();
+        if let (Some(compactor), Some(gc)) = (&self.compactor, &self.gc) {
+            if gc.should_wake() {
+                compactor.nudge();
+            }
         }
     }
 
@@ -1005,14 +928,9 @@ impl SpitzDb {
 
     /// Verified point read: value plus ledger proof.
     pub fn get_verified(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, LedgerProof)> {
-        let timer = self.proof_obs.point_build_nanos.start();
+        let timer = self.proof_obs.point.start();
         let (value, proof) = self.ledger.get_with_proof(key);
-        if self.proof_obs.enabled {
-            self.proof_obs.point_build_nanos.finish(timer);
-            self.proof_obs
-                .point_bytes
-                .record(proof.encoded_len() as u64);
-        }
+        self.proof_obs.point.finish(timer, || proof.encoded_len());
         Ok((value, proof))
     }
 
@@ -1025,14 +943,9 @@ impl SpitzDb {
         &self,
         keys: &[Vec<u8>],
     ) -> Result<(Vec<Option<Vec<u8>>>, LedgerMultiProof)> {
-        let timer = self.proof_obs.multi_build_nanos.start();
+        let timer = self.proof_obs.multi.start();
         let (values, proof) = self.ledger.get_multi_with_proof(keys);
-        if self.proof_obs.enabled {
-            self.proof_obs.multi_build_nanos.finish(timer);
-            self.proof_obs
-                .multi_bytes
-                .record(proof.encoded_len() as u64);
-        }
+        self.proof_obs.multi.finish(timer, || proof.encoded_len());
         Ok((values, proof))
     }
 
@@ -1044,14 +957,9 @@ impl SpitzDb {
     /// Verified range read: entries plus a combined proof from the unified
     /// index traversal.
     pub fn range_verified(&self, start: &[u8], end: &[u8]) -> Result<VerifiedRange> {
-        let timer = self.proof_obs.range_build_nanos.start();
+        let timer = self.proof_obs.range.start();
         let (entries, proof) = self.ledger.range_with_proof(start, end);
-        if self.proof_obs.enabled {
-            self.proof_obs.range_build_nanos.finish(timer);
-            self.proof_obs
-                .range_bytes
-                .record(proof.encoded_len() as u64);
-        }
+        self.proof_obs.range.finish(timer, || proof.encoded_len());
         Ok((entries, proof))
     }
 

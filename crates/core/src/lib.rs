@@ -71,14 +71,5 @@ pub use sharded::{
 pub use snapshot::{ShardedSnapshot, Snapshot};
 pub use spitz_storage::HealthState;
 
-/// Compatibility alias: the consolidated [`proof::Verifier`] replaces the
-/// old `verify::ClientVerifier`.
-pub type ClientVerifier = proof::Verifier;
-
-/// Compatibility module alias for the pre-consolidation `verify` path.
-pub mod verify {
-    pub use crate::proof::Verifier as ClientVerifier;
-}
-
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, DbError>;

@@ -27,6 +27,7 @@ use spitz_crypto::Hash;
 use spitz_index::codec;
 use spitz_ledger::{
     DeferredVerifier, Digest, LedgerMultiProof, LedgerProof, LedgerRangeProof, VerificationReport,
+    VerifiedRange,
 };
 
 use crate::sharded::{shard_for, ShardedDigest};
@@ -51,6 +52,22 @@ pub struct ShardedProof {
 }
 
 impl ShardedProof {
+    /// Chain `shard`'s ledger proof to the root of `cut`. The proof must
+    /// have been built at that shard's leaf of the cut — from a pinned
+    /// snapshot, or from the live ledger with the epoch fence held.
+    pub(crate) fn assemble(cut: &ShardedDigest, shard: usize, ledger_proof: LedgerProof) -> Self {
+        debug_assert_eq!(ledger_proof.digest, cut.shards[shard]);
+        ShardedProof {
+            shard,
+            shard_count: cut.shards.len(),
+            ledger_proof,
+            membership: cut
+                .membership_proof(shard)
+                .expect("shard index is in range"),
+            root: cut.root,
+        }
+    }
+
     /// Bytes a canonical wire encoding of this proof would occupy: shard
     /// index ‖ shard count ‖ ledger proof ‖ audit path ‖ root. The
     /// telemetry layer reports this as the sharded point-proof size.
@@ -154,7 +171,64 @@ pub struct ShardedMultiProof {
     pub groups: Vec<ShardMultiGroup>,
 }
 
+/// A batched read's values, in the order of the keys asked for, and what
+/// proves them.
+pub(crate) type MultiRead<P> = (Vec<Option<Vec<u8>>>, P);
+
+/// The per-shard half of a batched verified read: partition `keys` onto their
+/// shards, have `prove` answer each involved shard's keys with one batched
+/// ledger proof, and put the values back in input order. Returns the values
+/// and the `(shard, proof)` pairs in ascending shard order, ready for
+/// [`ShardedMultiProof::assemble`].
+pub(crate) fn multi_by_shard<E>(
+    shard_count: usize,
+    keys: &[Vec<u8>],
+    mut prove: impl FnMut(usize, &[Vec<u8>]) -> Result<MultiRead<LedgerMultiProof>, E>,
+) -> Result<MultiRead<Vec<(usize, LedgerMultiProof)>>, E> {
+    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
+    for (i, key) in keys.iter().enumerate() {
+        parts[shard_for(key, shard_count)].push(i);
+    }
+    let mut values: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
+    let mut proofs = Vec::new();
+    for (shard, positions) in parts.iter().enumerate() {
+        if positions.is_empty() {
+            continue;
+        }
+        let shard_keys: Vec<Vec<u8>> = positions.iter().map(|&i| keys[i].clone()).collect();
+        let (shard_values, proof) = prove(shard, &shard_keys)?;
+        for (&position, value) in positions.iter().zip(shard_values) {
+            values[position] = value;
+        }
+        proofs.push((shard, proof));
+    }
+    Ok((values, proofs))
+}
+
 impl ShardedMultiProof {
+    /// Chain each involved shard's batched ledger proof to the root of
+    /// `cut` (same contract as [`ShardedProof::assemble`]).
+    pub(crate) fn assemble(cut: &ShardedDigest, proofs: Vec<(usize, LedgerMultiProof)>) -> Self {
+        let groups = proofs
+            .into_iter()
+            .map(|(shard, ledger_proof)| {
+                debug_assert_eq!(ledger_proof.digest, cut.shards[shard]);
+                ShardMultiGroup {
+                    shard,
+                    ledger_proof,
+                    membership: cut
+                        .membership_proof(shard)
+                        .expect("shard index is in range"),
+                }
+            })
+            .collect();
+        ShardedMultiProof {
+            shard_count: cut.shards.len(),
+            root: cut.root,
+            groups,
+        }
+    }
+
     /// Bytes a canonical wire encoding of this proof would occupy: shard
     /// count ‖ root ‖ group count ‖ per-group (shard ‖ ledger multi proof ‖
     /// audit path). The telemetry layer reports this as the sharded
@@ -285,6 +359,30 @@ pub struct ShardedRangeProof {
 }
 
 impl ShardedRangeProof {
+    /// Merge every shard's verified range (in shard order) into one result
+    /// in key order, its proofs chained to the root of `cut` (same contract
+    /// as [`ShardedProof::assemble`]).
+    pub(crate) fn assemble(cut: &ShardedDigest, parts: Vec<VerifiedRange>) -> ShardedVerifiedRange {
+        debug_assert_eq!(parts.len(), cut.shards.len());
+        let mut merged = Vec::new();
+        let mut shards = Vec::with_capacity(parts.len());
+        for (entries, proof) in parts {
+            debug_assert_eq!(proof.digest, cut.shards[shards.len()]);
+            merged.extend(entries);
+            shards.push(proof);
+        }
+        merged.sort_by(|a, b| a.0.cmp(&b.0));
+        (
+            merged,
+            ShardedRangeProof {
+                shard_count: cut.shards.len(),
+                epoch: cut.epoch,
+                root: cut.root,
+                shards,
+            },
+        )
+    }
+
     /// Bytes a canonical wire encoding of this proof would occupy: shard
     /// count ‖ epoch ‖ root ‖ per-shard range proofs. The telemetry layer
     /// reports this as the sharded range-proof size.

@@ -43,6 +43,12 @@
 //!   [`ShardedDb::snapshot`] pins such a cut as a
 //!   [`crate::snapshot::ShardedSnapshot`] for repeatable verified reads,
 //!   including verified cross-shard ranges ([`ShardedRangeProof`]).
+//! * **One verified-read path**: take a cut, then prove. The one-shot
+//!   [`ShardedDb::get_verified`] / [`ShardedDb::get_multi_verified`] /
+//!   [`ShardedDb::range_verified`] read the live ledgers under the fence,
+//!   a [`ShardedSnapshot`] reads its pinned ones, and both hand the
+//!   per-shard ledger proofs to the same `assemble` constructors in
+//!   [`crate::proof`].
 
 use std::path::Path;
 use std::sync::Arc;
@@ -50,14 +56,16 @@ use std::sync::Arc;
 use spitz_crypto::merkle::{AuditProof, MerkleTree};
 use spitz_crypto::Hash;
 use spitz_ledger::{CommitPipeline, Digest, Ledger};
-use spitz_obs::{Counter, Histogram, TelemetryHandle, TelemetrySnapshot};
+use spitz_obs::{Counter, TelemetryHandle, TelemetrySnapshot};
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, CompactionReport, DurableConfig};
 use spitz_txn::TwoPhaseCoordinator;
 use spitz_txn::{CcScheme, Participant, PreparedApply, PreparedGlobal, TimestampOracle};
 
 pub use crate::proof::{ShardMultiGroup, ShardedMultiProof, ShardedProof, ShardedRangeProof};
 
-use crate::db::{SpitzConfig, SpitzDb};
+use crate::proof::multi_by_shard;
+
+use crate::db::{ProofObs, SpitzConfig, SpitzDb};
 use crate::error::DbError;
 use crate::snapshot::ShardedSnapshot;
 use crate::staged::{StagedEntry, StagedLog};
@@ -357,15 +365,8 @@ fn encode_member(shard: usize, shards: usize, kind_tag: u8) -> Vec<u8> {
 /// Sharded-layer instruments: cross-shard proof sizes/latencies and
 /// decision-log truncations, resolved once at construction.
 struct ShardedObs {
-    /// Mirror of [`TelemetryHandle::is_enabled`]: lets the proof paths skip
-    /// computing `encoded_len` when nothing records it.
-    enabled: bool,
-    point_build_nanos: Arc<Histogram>,
-    point_bytes: Arc<Histogram>,
-    range_build_nanos: Arc<Histogram>,
-    range_bytes: Arc<Histogram>,
-    multi_build_nanos: Arc<Histogram>,
-    multi_bytes: Arc<Histogram>,
+    /// `proof.sharded_{point,range,multi}_{build_nanos,bytes}`.
+    proofs: ProofObs,
     /// Commit-decision log entries removed after their batch fully settled
     /// (the decision no longer protects anything).
     decision_truncations: Arc<Counter>,
@@ -374,13 +375,7 @@ struct ShardedObs {
 impl ShardedObs {
     fn new(telemetry: &TelemetryHandle) -> Self {
         ShardedObs {
-            enabled: telemetry.is_enabled(),
-            point_build_nanos: telemetry.histogram("proof.sharded_point_build_nanos"),
-            point_bytes: telemetry.histogram("proof.sharded_point_bytes"),
-            range_build_nanos: telemetry.histogram("proof.sharded_range_build_nanos"),
-            range_bytes: telemetry.histogram("proof.sharded_range_bytes"),
-            multi_build_nanos: telemetry.histogram("proof.sharded_multi_build_nanos"),
-            multi_bytes: telemetry.histogram("proof.sharded_multi_bytes"),
+            proofs: ProofObs::new(telemetry, "sharded_"),
             decision_truncations: telemetry.counter("twopc.decision_truncations"),
         }
     }
@@ -861,49 +856,40 @@ impl ShardedDb {
         self.shards[self.route(key)].get(key)
     }
 
+    /// The per-shard digests of the cut a live read was served from: a shard
+    /// the read proved against contributes its proof-time digest, every
+    /// other shard its current one. The caller holds the epoch fence
+    /// exclusively — no commit is in flight, so together they are one
+    /// consistent cut.
+    fn cut_leaves(&self, proved: impl Fn(usize) -> Option<Digest>) -> Vec<Digest> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(i, db)| proved(i).unwrap_or_else(|| db.digest()))
+            .collect()
+    }
+
     /// Verified point read: the value plus a [`ShardedProof`] chaining the
     /// shard's ledger proof up to the cross-shard root of a fenced
     /// consistent cut.
     ///
     /// Each call takes the epoch fence exclusively (the price of a
-    /// consistent cut per read). Read-heavy workloads should pin a
-    /// [`ShardedDb::snapshot`] once and serve many `get_verified` calls
-    /// from it instead — one fence, repeatable reads, same proofs.
+    /// consistent cut per read) while it reads the live ledgers; hashing
+    /// the cut up to the cross-shard root happens after the fence is
+    /// released. Read-heavy workloads should pin a [`ShardedDb::snapshot`]
+    /// once and serve many `get_verified` calls from it instead — one
+    /// fence, repeatable reads, same proofs.
     pub fn get_verified(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, ShardedProof)> {
-        let timer = self.obs.point_build_nanos.start();
-        let _cut = self.fence.write();
+        let timer = self.obs.proofs.point.start();
         let shard = self.route(key);
-        let (value, ledger_proof) = self.shards[shard].get_verified(key)?;
-        // Under the exclusive fence no commit is in flight, so the serving
-        // shard's proof-time digest and the other shards' digests form one
-        // consistent cut.
-        let digests: Vec<Digest> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, db)| {
-                if i == shard {
-                    ledger_proof.digest
-                } else {
-                    db.digest()
-                }
-            })
-            .collect();
-        let combined = ShardedDigest::over(digests);
-        let membership = combined
-            .membership_proof(shard)
-            .expect("shard index is in range");
-        let proof = ShardedProof {
-            shard,
-            shard_count: self.shards.len(),
-            ledger_proof,
-            membership,
-            root: combined.root,
+        let (value, ledger_proof, leaves) = {
+            let _cut = self.fence.write();
+            let (value, ledger_proof) = self.shards[shard].get_verified(key)?;
+            let leaves = self.cut_leaves(|i| (i == shard).then_some(ledger_proof.digest));
+            (value, ledger_proof, leaves)
         };
-        if self.obs.enabled {
-            self.obs.point_build_nanos.finish(timer);
-            self.obs.point_bytes.record(proof.encoded_len() as u64);
-        }
+        let proof = ShardedProof::assemble(&ShardedDigest::over(leaves), shard, ledger_proof);
+        self.obs.proofs.point.finish(timer, || proof.encoded_len());
         Ok((value, proof))
     }
 
@@ -917,64 +903,20 @@ impl ShardedDb {
         &self,
         keys: &[Vec<u8>],
     ) -> Result<(Vec<Option<Vec<u8>>>, ShardedMultiProof)> {
-        let timer = self.obs.multi_build_nanos.start();
-        let _cut = self.fence.write();
-        // Partition the keys onto their shards, remembering each key's
-        // position so the values come back in input order.
-        let shard_count = self.shards.len();
-        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        for (i, key) in keys.iter().enumerate() {
-            parts[shard_for(key, shard_count)].push(i);
-        }
-        let mut values: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        let mut shard_proofs: Vec<Option<spitz_ledger::LedgerMultiProof>> =
-            (0..shard_count).map(|_| None).collect();
-        for (shard, positions) in parts.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let shard_keys: Vec<Vec<u8>> = positions.iter().map(|&i| keys[i].clone()).collect();
-            let (shard_values, proof) = self.shards[shard].get_multi_verified(&shard_keys)?;
-            for (&position, value) in positions.iter().zip(shard_values) {
-                values[position] = value;
-            }
-            shard_proofs[shard] = Some(proof);
-        }
-        // Under the exclusive fence no commit is in flight, so the serving
-        // shards' proof-time digests and the idle shards' digests form one
-        // consistent cut.
-        let digests: Vec<Digest> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, db)| match &shard_proofs[i] {
-                Some(proof) => proof.digest,
-                None => db.digest(),
-            })
-            .collect();
-        let combined = ShardedDigest::over(digests);
-        let groups = shard_proofs
-            .into_iter()
-            .enumerate()
-            .filter_map(|(shard, proof)| {
-                proof.map(|ledger_proof| ShardMultiGroup {
-                    shard,
-                    ledger_proof,
-                    membership: combined
-                        .membership_proof(shard)
-                        .expect("shard index is in range"),
-                })
-            })
-            .collect();
-        let proof = ShardedMultiProof {
-            shard_count,
-            root: combined.root,
-            groups,
+        let timer = self.obs.proofs.multi.start();
+        let (values, proofs, leaves) = {
+            let _cut = self.fence.write();
+            let (values, proofs) = multi_by_shard(self.shards.len(), keys, |shard, keys| {
+                self.shards[shard].get_multi_verified(keys)
+            })?;
+            let leaves = self.cut_leaves(|i| {
+                let proved = proofs.iter().find(|(shard, _)| *shard == i);
+                proved.map(|(_, proof)| proof.digest)
+            });
+            (values, proofs, leaves)
         };
-        if self.obs.enabled {
-            self.obs.multi_build_nanos.finish(timer);
-            self.obs.multi_bytes.record(proof.encoded_len() as u64);
-        }
+        let proof = ShardedMultiProof::assemble(&ShardedDigest::over(leaves), proofs);
+        self.obs.proofs.multi.finish(timer, || proof.encoded_len());
         Ok((values, proof))
     }
 
@@ -1003,28 +945,19 @@ impl ShardedDb {
         start: &[u8],
         end: &[u8],
     ) -> Result<crate::proof::ShardedVerifiedRange> {
-        let timer = self.obs.range_build_nanos.start();
-        let _cut = self.fence.write();
-        let mut merged = Vec::new();
-        let mut parts = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (entries, proof) = shard.range_verified(start, end)?;
-            merged.extend(entries);
-            parts.push(proof);
-        }
-        merged.sort_by(|a, b| a.0.cmp(&b.0));
-        let combined = ShardedDigest::over(parts.iter().map(|p| p.digest).collect());
-        let proof = ShardedRangeProof {
-            shard_count: self.shards.len(),
-            epoch: combined.epoch,
-            root: combined.root,
-            shards: parts,
+        let timer = self.obs.proofs.range.start();
+        let parts = {
+            let _cut = self.fence.write();
+            self.shards
+                .iter()
+                .map(|shard| shard.range_verified(start, end))
+                .collect::<Result<Vec<_>>>()?
         };
-        if self.obs.enabled {
-            self.obs.range_build_nanos.finish(timer);
-            self.obs.range_bytes.record(proof.encoded_len() as u64);
-        }
-        Ok((merged, proof))
+        // A range proof reveals every shard's digest: the proofs are the cut.
+        let cut = ShardedDigest::over(parts.iter().map(|(_, proof)| proof.digest).collect());
+        let (entries, proof) = ShardedRangeProof::assemble(&cut, parts);
+        self.obs.proofs.range.finish(timer, || proof.encoded_len());
+        Ok((entries, proof))
     }
 
     /// Pin a fenced consistent cut as a [`ShardedSnapshot`]: all shard

@@ -12,11 +12,18 @@
 //! write stream: writers keep committing while a snapshot holder scans, and
 //! node sharing between index versions makes the pinned instance cheap (the
 //! checkout reuses every unchanged node of the live index).
+//!
+//! Cross-shard proofs are assembled by the `assemble` constructors in
+//! [`crate::proof`], the same ones the sharded database's one-shot
+//! `*_verified` reads call, so a one-shot read, a snapshot read and a served
+//! read of one cut are byte-for-byte the same proof.
+
+use std::convert::Infallible;
 
 use spitz_ledger::{Digest, LedgerMultiProof, LedgerProof, LedgerSnapshot, VerifiedRange};
 
 use crate::proof::{
-    ShardMultiGroup, ShardedMultiProof, ShardedProof, ShardedRangeProof, ShardedVerifiedRange,
+    multi_by_shard, ShardedMultiProof, ShardedProof, ShardedRangeProof, ShardedVerifiedRange,
 };
 use crate::sharded::{shard_for, ShardedDigest};
 use crate::Result;
@@ -145,19 +152,9 @@ impl ShardedSnapshot {
     pub fn get_verified(&self, key: &[u8]) -> (Option<Vec<u8>>, ShardedProof) {
         let shard = shard_for(key, self.shards.len());
         let (value, ledger_proof) = self.shards[shard].get_verified(key);
-        let membership = self
-            .digest
-            .membership_proof(shard)
-            .expect("shard index is in range");
         (
             value,
-            ShardedProof {
-                shard,
-                shard_count: self.shards.len(),
-                ledger_proof,
-                membership,
-                root: self.digest.root,
-            },
+            ShardedProof::assemble(&self.digest, shard, ledger_proof),
         )
     }
 
@@ -169,39 +166,10 @@ impl ShardedSnapshot {
         &self,
         keys: &[Vec<u8>],
     ) -> (Vec<Option<Vec<u8>>>, ShardedMultiProof) {
-        let shard_count = self.shards.len();
-        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        for (i, key) in keys.iter().enumerate() {
-            parts[shard_for(key, shard_count)].push(i);
-        }
-        let mut values: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        let mut groups = Vec::new();
-        for (shard, positions) in parts.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let shard_keys: Vec<Vec<u8>> = positions.iter().map(|&i| keys[i].clone()).collect();
-            let (shard_values, ledger_proof) = self.shards[shard].get_multi_verified(&shard_keys);
-            for (&position, value) in positions.iter().zip(shard_values) {
-                values[position] = value;
-            }
-            groups.push(ShardMultiGroup {
-                shard,
-                ledger_proof,
-                membership: self
-                    .digest
-                    .membership_proof(shard)
-                    .expect("shard index is in range"),
-            });
-        }
-        (
-            values,
-            ShardedMultiProof {
-                shard_count,
-                root: self.digest.root,
-                groups,
-            },
-        )
+        let Ok((values, proofs)) = multi_by_shard(self.shards.len(), keys, |shard, keys| {
+            Ok::<_, Infallible>(self.shards[shard].get_multi_verified(keys))
+        });
+        (values, ShardedMultiProof::assemble(&self.digest, proofs))
     }
 
     /// Verified cross-shard range read over `start <= key < end`.
@@ -212,23 +180,12 @@ impl ShardedSnapshot {
     /// root. [`ShardedRangeProof::verify`] re-checks all of it client-side:
     /// nothing forged, nothing omitted, no shard withheld.
     pub fn range_verified(&self, start: &[u8], end: &[u8]) -> Result<ShardedVerifiedRange> {
-        let mut merged = Vec::new();
-        let mut parts = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (entries, proof) = shard.range_verified(start, end);
-            merged.extend(entries);
-            parts.push(proof);
-        }
-        merged.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok((
-            merged,
-            ShardedRangeProof {
-                shard_count: self.shards.len(),
-                epoch: self.digest.epoch,
-                root: self.digest.root,
-                shards: parts,
-            },
-        ))
+        let parts = self
+            .shards
+            .iter()
+            .map(|shard| shard.range_verified(start, end))
+            .collect();
+        Ok(ShardedRangeProof::assemble(&self.digest, parts))
     }
 }
 

@@ -52,12 +52,9 @@ pub mod skiplist;
 pub use bplus::BPlusTree;
 pub use inverted::InvertedIndex;
 pub use mbt::MerkleBucketTree;
-pub use mpt::{BranchMemo, MerklePatriciaTrie};
+pub use mpt::MerklePatriciaTrie;
 pub use pos_tree::PosTree;
 pub use proof::{IndexProof, MultiProof};
 pub use radix::RadixTree;
-pub use siri::{
-    collect_reachable, node_children, node_chunk_kind, prove_from_nodes, prove_multi_from_nodes,
-    verify_multi_proof, SiriIndex, SiriKind,
-};
+pub use siri::{collect_reachable, node_children, verify_multi_proof, SiriIndex, SiriKind};
 pub use skiplist::SkipList;

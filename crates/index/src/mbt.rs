@@ -328,8 +328,7 @@ impl MerkleBucketTree {
 }
 
 /// Per-level child indices for a bucket, from the top level downwards —
-/// the fixed descent [`MerkleBucketTree::verify_proof`] and the proof
-/// builders share.
+/// the fixed descent the point and multi-key proof verifiers share.
 fn child_indices_for(bucket_index: usize) -> Vec<usize> {
     let mut level_count = 0usize;
     let mut size = NUM_BUCKETS;
@@ -345,39 +344,6 @@ fn child_indices_for(bucket_index: usize) -> Vec<usize> {
     }
     child_indices.reverse();
     child_indices
-}
-
-/// Build a point-lookup proof reading node payloads through `fetch` — the
-/// same top-down bucket path as [`MerkleBucketTree::get_with_proof`], so
-/// proof bytes are identical whether built from the live tree or from the
-/// server's proof-node cache.
-pub(crate) fn build_proof_with(
-    fetch: &dyn Fn(&Hash) -> Option<Vec<u8>>,
-    root: Hash,
-    key: &[u8],
-) -> Option<(Option<Vec<u8>>, IndexProof)> {
-    let mut proof = IndexProof::empty();
-    if root.is_zero() {
-        return Some((None, proof));
-    }
-    let mut current = fetch(&root)?;
-    proof.push_node(current.clone());
-    for child_index in child_indices_for(bucket_of(key)) {
-        let children = decode_internal(&current)?;
-        let child = children.get(child_index).copied()?;
-        if child.is_zero() {
-            // Empty subtree: the bucket does not exist, proven absence.
-            return Some((None, proof));
-        }
-        current = fetch(&child)?;
-        proof.push_node(current.clone());
-    }
-    let entries = decode_bucket(&current)?;
-    let value = entries
-        .iter()
-        .find(|(k, _)| k.as_slice() == key)
-        .map(|(_, v)| v.clone());
-    Some((value, proof))
 }
 
 /// Verify a batched multi-key proof: replay each key's fixed bucket path

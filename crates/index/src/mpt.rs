@@ -196,7 +196,9 @@ pub struct MerklePatriciaTrie {
     len: usize,
     /// Caches branch subtree folds across inserts and proofs (see
     /// [`BranchMemo`]); purely an accelerator, never observable in output.
-    memo: BranchMemo,
+    /// Shared with every [`SiriIndex::checkout`] of this trie, so a pinned
+    /// version proves against the tables the live trie already folded.
+    memo: Arc<BranchMemo>,
 }
 
 /// Abstraction over "where node payloads come from" so that the same lookup
@@ -214,17 +216,6 @@ impl NodeSource for StoreSource<'_> {
             .get_kind(hash, ChunkKind::MptNode)
             .ok()
             .map(|c| c.data().to_vec())
-    }
-}
-
-/// Adapter letting any payload-fetch closure act as a [`NodeSource`]; this
-/// is how the server's proof-node cache reuses the exact proof builders the
-/// in-process path uses (guaranteeing byte-identical proofs).
-struct FnSource<'a>(&'a dyn Fn(&Hash) -> Option<Vec<u8>>);
-
-impl NodeSource for FnSource<'_> {
-    fn payload(&self, hash: &Hash) -> Option<Vec<u8>> {
-        (self.0)(hash)
     }
 }
 
@@ -289,17 +280,25 @@ impl MerklePatriciaTrie {
             store,
             root: Hash::ZERO,
             len: 0,
-            memo: BranchMemo::new(),
+            memo: Arc::default(),
         }
     }
 
     /// Open the trie at an existing root, recomputing the entry count.
     pub fn open(store: Arc<dyn ChunkStore>, root: Hash) -> Option<Self> {
+        Self::open_with_memo(store, root, Arc::default())
+    }
+
+    fn open_with_memo(
+        store: Arc<dyn ChunkStore>,
+        root: Hash,
+        memo: Arc<BranchMemo>,
+    ) -> Option<Self> {
         let mut trie = MerklePatriciaTrie {
             store,
             root,
             len: 0,
-            memo: BranchMemo::new(),
+            memo,
         };
         if root.is_zero() {
             return Some(trie);
@@ -809,39 +808,17 @@ fn region_from_table(slots: &[Hash; 16], table: &RegionTable, lo: usize, level: 
 /// simply misses. Bounded (~16 MiB); on overflow the map is cleared
 /// wholesale (entries are cheap to rebuild — one subtree fold).
 ///
-/// Shared by the live trie's proof builders *and* its insert path (which
+/// Shared by the trie's proof builders *and* its insert path (which
 /// maintains tables incrementally, refolding only the changed slot's
-/// spine), and held per-root by the server's proof-node cache.
-pub struct BranchMemo {
+/// spine), and by every checkout of the trie.
+#[derive(Default)]
+struct BranchMemo {
     map: Mutex<HashMap<Hash, Arc<RegionTable>>>,
 }
 
 impl BranchMemo {
     /// Entry cap: ~512 bytes per entry → at most ~16 MiB per memo.
     const CAP: usize = 1 << 15;
-
-    /// Create an empty memo.
-    pub fn new() -> Self {
-        BranchMemo {
-            map: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Drop every entry (the server calls this on epoch advance together
-    /// with its proof-node cache, keeping the pair's memory bounded).
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
-
-    /// Number of memoized branches (telemetry / tests).
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// True when no branch is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
 
     fn lookup(&self, commitment: &Hash) -> Option<Arc<RegionTable>> {
         self.lock().get(commitment).cloned()
@@ -859,12 +836,6 @@ impl BranchMemo {
         // A panic while holding the lock leaves only a cache behind; the
         // data is content-addressed, so a poisoned map is still valid.
         self.map.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl Default for BranchMemo {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -897,12 +868,12 @@ fn emit_siblings(
 
 /// Recursively encode the proof step for the node at `hash`, descending
 /// along every pending key, recording resolved values into `values`.
-/// `memo` (when given) caches branch subtree tables across proofs.
+/// `memo` caches branch subtree tables across proofs.
 fn encode_step<S: NodeSource>(
     source: &S,
     hash: &Hash,
     pendings: &[Pending<'_>],
-    memo: Option<&BranchMemo>,
+    memo: &BranchMemo,
     out: &mut Vec<u8>,
     values: &mut [Option<Vec<u8>>],
 ) -> Result<(), ()> {
@@ -992,16 +963,11 @@ fn encode_step<S: NodeSource>(
                     encode_step(source, child, &group, memo, out, values)?;
                 }
             }
-            let table = match memo.and_then(|m| m.lookup(hash)) {
-                Some(table) => table,
-                None => {
-                    let table = Arc::new(build_region_table(&slots));
-                    if let Some(m) = memo {
-                        m.remember(*hash, Arc::clone(&table));
-                    }
-                    table
-                }
-            };
+            let table = memo.lookup(hash).unwrap_or_else(|| {
+                let table = Arc::new(build_region_table(&slots));
+                memo.remember(*hash, Arc::clone(&table));
+                table
+            });
             emit_siblings(&slots, &on_path, &table, 0, SMT16_LEVELS, out);
         }
     }
@@ -1179,15 +1145,16 @@ fn verify_blob(root: Hash, items: &[(Vec<u8>, Option<Vec<u8>>)], blob: &[u8]) ->
         .all(|(got, (_, claimed))| got == claimed)
 }
 
-/// Build the compact multi-key proof blob from an arbitrary payload source.
-/// Returns the per-key values and the blob; `None` when a node on some path
-/// cannot be resolved.
+/// Build the compact multi-key proof blob. Returns the per-key values and
+/// the blob; `None` when a node on some path cannot be resolved. `memo`
+/// only caches subtree folds — it never changes a proof byte (table entries
+/// equal the recursive fold results exactly).
 #[allow(clippy::type_complexity)]
 fn build_blob<S: NodeSource>(
     source: &S,
     root: Hash,
     keys: &[Vec<u8>],
-    memo: Option<&BranchMemo>,
+    memo: &BranchMemo,
 ) -> Option<(Vec<Option<Vec<u8>>>, Vec<u8>)> {
     let nibbles: Vec<Vec<u8>> = keys.iter().map(|k| to_nibbles(k)).collect();
     let pendings: Vec<Pending<'_>> = nibbles
@@ -1199,43 +1166,6 @@ fn build_blob<S: NodeSource>(
     let mut blob = Vec::new();
     encode_step(source, &root, &pendings, memo, &mut blob, &mut values).ok()?;
     Some((values, blob))
-}
-
-/// Build a single-key compact proof reading node payloads through `fetch`.
-/// Shared by the in-process [`SiriIndex::get_with_proof`] path and the
-/// server's proof-node cache, so both produce byte-identical proofs. The
-/// optional `memo` only caches subtree folds — it never changes a proof
-/// byte (table entries equal the recursive fold results exactly).
-pub(crate) fn build_proof_with(
-    fetch: &dyn Fn(&Hash) -> Option<Vec<u8>>,
-    root: Hash,
-    key: &[u8],
-    memo: Option<&BranchMemo>,
-) -> Option<(Option<Vec<u8>>, IndexProof)> {
-    if root.is_zero() {
-        return Some((None, IndexProof::empty()));
-    }
-    let keys = [key.to_vec()];
-    let (mut values, blob) = build_blob(&FnSource(fetch), root, &keys, memo)?;
-    Some((values.pop().flatten(), IndexProof { nodes: vec![blob] }))
-}
-
-/// Build a batched multi-key compact proof reading node payloads through
-/// `fetch`; see [`build_proof_with`].
-pub(crate) fn build_multi_with(
-    fetch: &dyn Fn(&Hash) -> Option<Vec<u8>>,
-    root: Hash,
-    keys: &[Vec<u8>],
-    memo: Option<&BranchMemo>,
-) -> Option<(Vec<Option<Vec<u8>>>, MultiProof)> {
-    if keys.is_empty() {
-        return Some((Vec::new(), MultiProof::empty()));
-    }
-    if root.is_zero() {
-        return Some((vec![None; keys.len()], MultiProof::empty()));
-    }
-    let (values, blob) = build_blob(&FnSource(fetch), root, keys, memo)?;
-    Some((values, MultiProof { nodes: vec![blob] }))
 }
 
 impl SiriIndex for MerklePatriciaTrie {
@@ -1278,27 +1208,18 @@ impl SiriIndex for MerklePatriciaTrie {
     }
 
     fn get_with_proof(&self, key: &[u8]) -> (Option<Vec<u8>>, IndexProof) {
-        let store = Arc::clone(&self.store);
-        let fetch = move |hash: &Hash| {
-            store
-                .get_kind(hash, ChunkKind::MptNode)
-                .ok()
-                .map(|c| c.data().to_vec())
-        };
-        build_proof_with(&fetch, self.root, key, Some(&self.memo))
-            .unwrap_or((None, IndexProof::empty()))
+        let (mut values, proof) = self.multi_get_with_proof(&[key.to_vec()]);
+        (values.pop().flatten(), IndexProof { nodes: proof.nodes })
     }
 
     fn multi_get_with_proof(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, MultiProof) {
-        let store = Arc::clone(&self.store);
-        let fetch = move |hash: &Hash| {
-            store
-                .get_kind(hash, ChunkKind::MptNode)
-                .ok()
-                .map(|c| c.data().to_vec())
-        };
-        build_multi_with(&fetch, self.root, keys, Some(&self.memo))
-            .unwrap_or_else(|| (vec![None; keys.len()], MultiProof::empty()))
+        if keys.is_empty() || self.root.is_zero() {
+            return (vec![None; keys.len()], MultiProof::empty());
+        }
+        match build_blob(&StoreSource(&self.store), self.root, keys, &self.memo) {
+            Some((values, blob)) => (values, MultiProof { nodes: vec![blob] }),
+            None => (vec![None; keys.len()], MultiProof::empty()),
+        }
     }
 
     fn range(&self, start: &[u8], end: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -1312,8 +1233,10 @@ impl SiriIndex for MerklePatriciaTrie {
     }
 
     fn checkout(&self, root: Hash) -> Option<Box<dyn SiriIndex>> {
-        MerklePatriciaTrie::open(Arc::clone(&self.store), root)
-            .map(|t| Box::new(t) as Box<dyn SiriIndex>)
+        // Sharing the memo keeps reads of the pinned version fold-free; its
+        // entries are keyed by branch commitment, so they fit any version.
+        let trie = Self::open_with_memo(Arc::clone(&self.store), root, Arc::clone(&self.memo))?;
+        Some(Box::new(trie))
     }
 }
 
@@ -1816,46 +1739,59 @@ mod tests {
         }
     }
 
-    /// Proofs built through a warm [`BranchMemo`] must be byte-identical to
-    /// proofs built with no memo at all — the memo is a pure accelerator.
+    /// Proofs built through a cold [`BranchMemo`] (tables folded from
+    /// scratch by [`build_region_table`]), a warm one, and the trie's own
+    /// memo (tables maintained incrementally by the insert path) must all be
+    /// byte-identical — the memo is a pure accelerator.
     #[test]
     fn memoized_proofs_are_byte_identical() {
         let mut trie = new_trie();
         for i in 0..500u32 {
             trie.insert(key(i), value(i));
         }
-        let store = Arc::clone(&trie.store);
-        let fetch = move |hash: &Hash| {
-            store
-                .get_kind(hash, ChunkKind::MptNode)
-                .ok()
-                .map(|c| c.data().to_vec())
-        };
-        let cold = BranchMemo::new();
-        assert!(cold.is_empty());
+        let source = StoreSource(&trie.store);
+        let cold = BranchMemo::default();
         for i in (0..500u32).step_by(17) {
-            let k = key(i);
-            let (bare_value, bare) = build_proof_with(&fetch, trie.root(), &k, None).unwrap();
-            // Twice through the same memo: the second pass hits warm tables.
-            for _ in 0..2 {
-                let (memo_value, memoized) =
-                    build_proof_with(&fetch, trie.root(), &k, Some(&cold)).unwrap();
-                assert_eq!(bare_value, memo_value);
-                assert_eq!(bare.nodes, memoized.nodes, "key {i}");
-            }
-            // The trie's own memo (warmed by the insert path) as well.
-            let (trie_value, from_trie) = trie.get_with_proof(&k);
-            assert_eq!(bare_value, trie_value);
-            assert_eq!(bare.nodes, from_trie.nodes, "key {i}");
+            let keys = [key(i)];
+            let (fresh_values, fresh) = build_blob(&source, trie.root(), &keys, &cold).unwrap();
+            // The second pass through the same memo hits warm tables.
+            let (warm_values, warm) = build_blob(&source, trie.root(), &keys, &cold).unwrap();
+            assert_eq!(fresh_values, warm_values);
+            assert_eq!(fresh, warm, "key {i}");
+            let (trie_value, from_trie) = trie.get_with_proof(&keys[0]);
+            assert_eq!(fresh_values[0], trie_value);
+            assert_eq!(vec![fresh], from_trie.nodes, "key {i}");
         }
-        assert!(!cold.is_empty());
         let keys: Vec<Vec<u8>> = (0..64u32).map(key).collect();
-        let (bare_values, bare_multi) = build_multi_with(&fetch, trie.root(), &keys, None).unwrap();
-        let (memo_values, memo_multi) =
-            build_multi_with(&fetch, trie.root(), &keys, Some(&cold)).unwrap();
-        assert_eq!(bare_values, memo_values);
-        assert_eq!(bare_multi.nodes, memo_multi.nodes);
-        cold.clear();
-        assert!(cold.is_empty());
+        let (fresh_values, fresh) =
+            build_blob(&source, trie.root(), &keys, &BranchMemo::default()).unwrap();
+        let (trie_values, from_trie) = trie.multi_get_with_proof(&keys);
+        assert_eq!(fresh_values, trie_values);
+        assert_eq!(vec![fresh], from_trie.nodes);
+    }
+
+    /// A checkout shares the parent's memo: no cold refold on the pinned
+    /// read path.
+    #[test]
+    fn checkout_shares_memo() {
+        let mut trie = new_trie();
+        for i in 0..100u32 {
+            trie.insert(key(i), value(i));
+        }
+        let old_root = trie.root();
+        trie.insert(key(100), value(100));
+        let memoized = trie.memo.map.lock().unwrap().len();
+        assert!(memoized > 0);
+
+        let head = trie.checkout(trie.root()).unwrap();
+        assert_eq!(head.len(), 101);
+        let (_, pinned) = head.get_with_proof(&key(7));
+        assert_eq!(pinned.nodes, trie.get_with_proof(&key(7)).1.nodes);
+        // Proving through the checkout found every table already folded.
+        assert_eq!(trie.memo.map.lock().unwrap().len(), memoized);
+
+        let old = trie.checkout(old_root).unwrap();
+        assert_eq!(old.len(), 100);
+        assert_eq!(old.get(&key(100)), None);
     }
 }

@@ -444,46 +444,6 @@ fn load_node(store: &Arc<dyn ChunkStore>, hash: &Hash) -> Option<Node> {
     Node::decode(chunk.data())
 }
 
-/// Build a point-lookup proof reading node payloads through `fetch` — the
-/// same root-to-leaf descent as [`PosTree::get_with_proof`], so the proof
-/// bytes are identical whether built from the live tree or from a node
-/// cache (the server's proof-node cache relies on this).
-pub(crate) fn build_proof_with(
-    fetch: &dyn Fn(&Hash) -> Option<Vec<u8>>,
-    root: Hash,
-    key: &[u8],
-) -> Option<(Option<Vec<u8>>, IndexProof)> {
-    let mut proof = IndexProof::empty();
-    if root.is_zero() {
-        return Some((None, proof));
-    }
-    let mut hash = root;
-    loop {
-        let payload = fetch(&hash)?;
-        let node = Node::decode(&payload)?;
-        proof.push_node(payload);
-        match node {
-            Node::Leaf(entries) => {
-                let value = entries
-                    .iter()
-                    .find(|(k, _)| k.as_slice() == key)
-                    .map(|(_, v)| v.clone());
-                return Some((value, proof));
-            }
-            Node::Internal(_, children) => {
-                if children.is_empty() {
-                    return None;
-                }
-                let idx = match children.binary_search_by(|c| c.max_key.as_slice().cmp(key)) {
-                    Ok(i) => i,
-                    Err(i) => i.min(children.len() - 1),
-                };
-                hash = children[idx].hash;
-            }
-        }
-    }
-}
-
 /// Verify a batched multi-key proof: replay each key's root-to-leaf descent
 /// over the revealed node set. Every revealed node must be consumed by at
 /// least one key's walk — a spliced-in payload that no walk touches is

@@ -189,63 +189,6 @@ pub fn node_chunk_kind(kind: SiriKind) -> ChunkKind {
     }
 }
 
-/// Build a point-lookup proof for `key` against `root` reading node
-/// payloads through `fetch` instead of an index instance.
-///
-/// This is the *same* code path [`SiriIndex::get_with_proof`] uses, so the
-/// produced proof is byte-identical to an in-process proof for the same
-/// root — the invariant the server's proof-node cache (and the
-/// remote-equals-local tests) rely on. Returns `None` when a payload on the
-/// path cannot be resolved; callers fall back to the full read path.
-///
-/// `memo` optionally caches MPT branch subtree folds across calls (see
-/// [`crate::mpt::BranchMemo`]); it is a pure accelerator — proofs are
-/// byte-identical with or without it — and is ignored by the other kinds.
-pub fn prove_from_nodes(
-    kind: SiriKind,
-    root: Hash,
-    key: &[u8],
-    fetch: &dyn Fn(&Hash) -> Option<Vec<u8>>,
-    memo: Option<&crate::mpt::BranchMemo>,
-) -> Option<(Option<Vec<u8>>, IndexProof)> {
-    match kind {
-        SiriKind::PosTree => crate::pos_tree::build_proof_with(fetch, root, key),
-        SiriKind::MerklePatriciaTrie => crate::mpt::build_proof_with(fetch, root, key, memo),
-        SiriKind::MerkleBucketTree => crate::mbt::build_proof_with(fetch, root, key),
-    }
-}
-
-/// Batched sibling of [`prove_from_nodes`], byte-identical to
-/// [`SiriIndex::multi_get_with_proof`] for the same root and keys.
-pub fn prove_multi_from_nodes(
-    kind: SiriKind,
-    root: Hash,
-    keys: &[Vec<u8>],
-    fetch: &dyn Fn(&Hash) -> Option<Vec<u8>>,
-    memo: Option<&crate::mpt::BranchMemo>,
-) -> Option<(Vec<Option<Vec<u8>>>, MultiProof)> {
-    match kind {
-        SiriKind::MerklePatriciaTrie => crate::mpt::build_multi_with(fetch, root, keys, memo),
-        SiriKind::PosTree | SiriKind::MerkleBucketTree => {
-            // Mirror the trait's default implementation exactly: per-key
-            // proofs de-duplicated in first-use order.
-            let mut values = Vec::with_capacity(keys.len());
-            let mut nodes: Vec<Vec<u8>> = Vec::new();
-            let mut seen: HashSet<Hash> = HashSet::new();
-            for key in keys {
-                let (value, proof) = prove_from_nodes(kind, root, key, fetch, None)?;
-                values.push(value);
-                for node in proof.nodes {
-                    if seen.insert(hash_index_node(&node)) {
-                        nodes.push(node);
-                    }
-                }
-            }
-            Some((values, MultiProof { nodes }))
-        }
-    }
-}
-
 /// Verify a **complete** range proof produced by an index of the given
 /// kind: the claimed entries must be *exactly* the contiguous set of
 /// entries with `start <= key < end` under the trusted root — nothing

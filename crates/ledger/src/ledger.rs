@@ -675,12 +675,7 @@ impl Ledger {
     pub fn snapshot(&self) -> Result<LedgerSnapshot, StorageError> {
         let inner = self.inner.read();
         let digest = digest_of(&inner, self.kind);
-        let height = inner.journal.len() as u64;
-        let journal_proof = if height == 0 {
-            None
-        } else {
-            inner.journal.prove(height - 1)
-        };
+        let journal_proof = head_journal_proof(&inner);
         let index = inner
             .index
             .checkout(digest.index_root)
@@ -748,26 +743,7 @@ impl Ledger {
     /// Verified point read: value plus the proof obtained from the same
     /// index traversal.
     pub fn get_with_proof(&self, key: &[u8]) -> (Option<Vec<u8>>, LedgerProof) {
-        let inner = self.inner.read();
-        let (value, index_proof) = inner.index.get_with_proof(key);
-        let height = inner.journal.len() as u64;
-        let journal_proof = if height == 0 {
-            None
-        } else {
-            inner.journal.prove(height - 1)
-        };
-        // The digest must come from the same lock scope as the proof, or a
-        // concurrent writer could move the root between the two.
-        let digest = digest_of(&inner, self.kind);
-        drop(inner);
-        (
-            value,
-            LedgerProof {
-                index_proof,
-                digest,
-                journal_proof,
-            },
-        )
+        live_view(&self.inner.read(), self.kind).get_with_proof(key)
     }
 
     /// Batched verified point read: all keys are resolved against one
@@ -778,24 +754,7 @@ impl Ledger {
         &self,
         keys: &[Vec<u8>],
     ) -> (Vec<Option<Vec<u8>>>, LedgerMultiProof) {
-        let inner = self.inner.read();
-        let (values, index_proof) = inner.index.multi_get_with_proof(keys);
-        let height = inner.journal.len() as u64;
-        let journal_proof = if height == 0 {
-            None
-        } else {
-            inner.journal.prove(height - 1)
-        };
-        let digest = digest_of(&inner, self.kind);
-        drop(inner);
-        (
-            values,
-            LedgerMultiProof {
-                index_proof,
-                digest,
-                journal_proof,
-            },
-        )
+        live_view(&self.inner.read(), self.kind).get_multi_with_proof(keys)
     }
 
     /// Unverified range read over `start <= key < end`.
@@ -806,19 +765,7 @@ impl Ledger {
     /// Verified range read: the proofs of the resultant records are returned
     /// simultaneously with the scan, using the unified index.
     pub fn range_with_proof(&self, start: &[u8], end: &[u8]) -> VerifiedRange {
-        let inner = self.inner.read();
-        let (entries, index_proof) = inner.index.range_with_proof(start, end);
-        let digest = digest_of(&inner, self.kind);
-        drop(inner);
-        (
-            entries,
-            LedgerRangeProof {
-                start: start.to_vec(),
-                end: end.to_vec(),
-                index_proof,
-                digest,
-            },
-        )
+        live_view(&self.inner.read(), self.kind).range_with_proof(start, end)
     }
 
     /// The block at `height`, if sealed.
@@ -879,6 +826,78 @@ fn digest_of(inner: &LedgerInner, kind: SiriKind) -> Digest {
     }
 }
 
+/// Journal inclusion proof of a ledger's head block (`None` while empty).
+fn head_journal_proof(inner: &LedgerInner) -> Option<JournalProof> {
+    let height = inner.journal.len() as u64;
+    height.checked_sub(1).and_then(|h| inner.journal.prove(h))
+}
+
+/// One ledger state to read from: a digest, the index instance at that
+/// digest's root, and the journal inclusion proof of the digest's head
+/// block. Every verified read — against the live ledger (under its read
+/// lock) or a pinned [`LedgerSnapshot`] — is built here, so a value and its
+/// proof always come out of one traversal of one index against one digest.
+struct LedgerView<'a, J> {
+    digest: Digest,
+    index: &'a dyn SiriIndex,
+    /// Produces the journal proof. Only point and multi proofs carry one, so
+    /// a range read never pays for building (or cloning) it.
+    journal_proof: J,
+}
+
+/// The live ledger's current state. The digest and the index come from the
+/// same lock scope, or a concurrent writer could move the root between the
+/// two.
+fn live_view(
+    inner: &LedgerInner,
+    kind: SiriKind,
+) -> LedgerView<'_, impl FnOnce() -> Option<JournalProof> + '_> {
+    LedgerView {
+        digest: digest_of(inner, kind),
+        index: inner.index.as_ref(),
+        journal_proof: move || head_journal_proof(inner),
+    }
+}
+
+impl<J: FnOnce() -> Option<JournalProof>> LedgerView<'_, J> {
+    fn get_with_proof(self, key: &[u8]) -> (Option<Vec<u8>>, LedgerProof) {
+        let (value, index_proof) = self.index.get_with_proof(key);
+        (
+            value,
+            LedgerProof {
+                index_proof,
+                digest: self.digest,
+                journal_proof: (self.journal_proof)(),
+            },
+        )
+    }
+
+    fn get_multi_with_proof(self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerMultiProof) {
+        let (values, index_proof) = self.index.multi_get_with_proof(keys);
+        (
+            values,
+            LedgerMultiProof {
+                index_proof,
+                digest: self.digest,
+                journal_proof: (self.journal_proof)(),
+            },
+        )
+    }
+
+    fn range_with_proof(self, start: &[u8], end: &[u8]) -> VerifiedRange {
+        let (entries, index_proof) = self.index.range_with_proof(start, end);
+        (
+            entries,
+            LedgerRangeProof {
+                start: start.to_vec(),
+                end: end.to_vec(),
+                index_proof,
+                digest: self.digest,
+            },
+        )
+    }
+}
+
 /// A pinned, immutable view of a ledger at one digest: the unit of the
 /// snapshot read path. All reads are served from the checked-out index
 /// instance (node sharing makes the checkout cheap for the POS-Tree), and
@@ -913,18 +932,18 @@ impl LedgerSnapshot {
         self.index.get(key)
     }
 
+    fn view(&self) -> LedgerView<'_, impl FnOnce() -> Option<JournalProof> + '_> {
+        LedgerView {
+            digest: self.digest,
+            index: self.index.as_ref(),
+            journal_proof: || self.journal_proof.clone(),
+        }
+    }
+
     /// Verified point read: the proof is anchored at the pinned digest, so
     /// a client holding that digest verifies without further round trips.
     pub fn get_with_proof(&self, key: &[u8]) -> (Option<Vec<u8>>, LedgerProof) {
-        let (value, index_proof) = self.index.get_with_proof(key);
-        (
-            value,
-            LedgerProof {
-                index_proof,
-                digest: self.digest,
-                journal_proof: self.journal_proof.clone(),
-            },
-        )
+        self.view().get_with_proof(key)
     }
 
     /// Batched verified point read against the pinned state: one
@@ -933,15 +952,7 @@ impl LedgerSnapshot {
         &self,
         keys: &[Vec<u8>],
     ) -> (Vec<Option<Vec<u8>>>, LedgerMultiProof) {
-        let (values, index_proof) = self.index.multi_get_with_proof(keys);
-        (
-            values,
-            LedgerMultiProof {
-                index_proof,
-                digest: self.digest,
-                journal_proof: self.journal_proof.clone(),
-            },
-        )
+        self.view().get_multi_with_proof(keys)
     }
 
     /// Unverified range read against the pinned state.
@@ -952,16 +963,7 @@ impl LedgerSnapshot {
     /// Verified range read against the pinned state, with a complete range
     /// proof anchored at the pinned digest.
     pub fn range_with_proof(&self, start: &[u8], end: &[u8]) -> VerifiedRange {
-        let (entries, index_proof) = self.index.range_with_proof(start, end);
-        (
-            entries,
-            LedgerRangeProof {
-                start: start.to_vec(),
-                end: end.to_vec(),
-                index_proof,
-                digest: self.digest,
-            },
-        )
+        self.view().range_with_proof(start, end)
     }
 }
 

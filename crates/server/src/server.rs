@@ -16,7 +16,7 @@
 //! subscriptions are failed with `ShuttingDown`, and every thread is
 //! joined before [`SpitzServer::shutdown`] returns.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -24,16 +24,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use spitz_core::db::SpitzDb;
-use spitz_core::proof::{ShardMultiGroup, ShardedMultiProof, ShardedProof};
 use spitz_core::sharded::ShardedDb;
 use spitz_core::DbError;
-use spitz_crypto::Hash;
 use spitz_index::codec::{self, Reader};
-use spitz_index::{
-    node_chunk_kind, prove_from_nodes, prove_multi_from_nodes, BranchMemo, SiriKind,
-};
-use spitz_ledger::{JournalProof, LedgerMultiProof, LedgerProof};
 use spitz_obs::{Counter, Gauge, Histogram, TelemetryHandle};
 use spitz_storage::HealthState;
 
@@ -145,130 +138,6 @@ impl ServerObs {
     }
 }
 
-/// Bound on cached node payloads within one epoch; past it the cache
-/// serves hits but stops admitting new nodes until the next invalidation.
-const PROOF_CACHE_MAX_NODES: usize = 1 << 16;
-
-/// Per-shard proof metadata learned from a full engine read at the cached
-/// root. The journal proof is a pure function of the shard's digest, so
-/// once harvested it can be spliced into every cache-served proof for that
-/// (root, shard) pair without changing a byte of the output.
-#[derive(Clone)]
-struct ShardAux {
-    journal_proof: Option<JournalProof>,
-}
-
-/// Root-scoped cache metadata: which cross-shard root the cache is valid
-/// for, plus the per-shard [`ShardAux`] harvested at that root.
-struct CacheMeta {
-    root: Hash,
-    aux: Vec<Option<ShardAux>>,
-}
-
-/// Server-side proof-node cache.
-///
-/// Verified reads rebuild their proofs from individual index-node payloads
-/// (via [`prove_from_nodes`] — the same code path the engine itself uses,
-/// so cache-served proofs are **byte-identical** to in-process proofs for
-/// the same root). Node payloads are content-addressed — the map key *is*
-/// the node's commitment — so a cached entry can never go stale in the
-/// correctness sense; the cache is nonetheless invalidated wholesale
-/// whenever the cross-shard root advances, which bounds memory and keeps
-/// the working set aligned with the live epoch.
-struct ProofCache {
-    nodes: Mutex<HashMap<Hash, Arc<Vec<u8>>>>,
-    meta: Mutex<CacheMeta>,
-    /// Memoized MPT branch subtree folds (see [`spitz_index::BranchMemo`]):
-    /// rebuilding a proof from cached node payloads still refolds every
-    /// branch's sparse subtree without it. Content-addressed like `nodes`,
-    /// and cleared together with them on epoch advance.
-    branch_memo: BranchMemo,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    invalidations: Arc<Counter>,
-}
-
-impl ProofCache {
-    fn new(handle: &TelemetryHandle, shard_count: usize) -> ProofCache {
-        ProofCache {
-            nodes: Mutex::new(HashMap::new()),
-            meta: Mutex::new(CacheMeta {
-                root: Hash::ZERO,
-                aux: vec![None; shard_count],
-            }),
-            branch_memo: BranchMemo::new(),
-            hits: handle.counter("server.proof_cache.hits"),
-            misses: handle.counter("server.proof_cache.misses"),
-            invalidations: handle.counter("server.proof_cache.invalidations"),
-        }
-    }
-
-    /// Advance the cache to the consistent cut's root, clearing everything
-    /// when the epoch moved since the last request.
-    fn sync_root(&self, root: Hash, shard_count: usize) {
-        let mut meta = lock(&self.meta);
-        if meta.root != root {
-            if meta.root != Hash::ZERO {
-                self.invalidations.inc();
-            }
-            meta.root = root;
-            meta.aux = vec![None; shard_count];
-            lock(&self.nodes).clear();
-            self.branch_memo.clear();
-        }
-    }
-
-    /// The harvested aux for `shard`, provided the cache still sits at
-    /// `root`. `None` sends the caller down the full engine read (which
-    /// harvests).
-    fn aux(&self, root: Hash, shard: usize) -> Option<ShardAux> {
-        let meta = lock(&self.meta);
-        if meta.root == root {
-            meta.aux.get(shard).cloned().flatten()
-        } else {
-            None
-        }
-    }
-
-    /// Record the journal proof a full engine read produced for `shard`,
-    /// if the cache still sits at the root that read was served at.
-    fn harvest(&self, root: Hash, shard: usize, journal_proof: &Option<JournalProof>) {
-        let mut meta = lock(&self.meta);
-        if meta.root == root {
-            if let Some(slot @ None) = meta.aux.get_mut(shard) {
-                *slot = Some(ShardAux {
-                    journal_proof: journal_proof.clone(),
-                });
-            }
-        }
-    }
-}
-
-/// A read-through node fetcher over the cache for one shard: hits come
-/// from the map, misses fall through to the shard's chunk store (checked
-/// against the node kind the SIRI structure stores) and are admitted.
-fn cache_fetch<'a>(
-    cache: &'a ProofCache,
-    shard_db: &'a Arc<SpitzDb>,
-    kind: SiriKind,
-) -> impl Fn(&Hash) -> Option<Vec<u8>> + 'a {
-    let chunk_kind = node_chunk_kind(kind);
-    move |hash: &Hash| {
-        if let Some(payload) = lock(&cache.nodes).get(hash).cloned() {
-            cache.hits.inc();
-            return Some(payload.as_ref().clone());
-        }
-        let chunk = shard_db.store().get_kind(hash, chunk_kind).ok()?;
-        cache.misses.inc();
-        let payload = chunk.data().to_vec();
-        let mut nodes = lock(&cache.nodes);
-        if nodes.len() < PROOF_CACHE_MAX_NODES {
-            nodes.insert(*hash, Arc::new(payload.clone()));
-        }
-        Some(payload)
-    }
-}
-
 /// A digest subscription parked until the cross-shard epoch matures.
 struct Subscription {
     writer: Arc<Mutex<TcpStream>>,
@@ -371,7 +240,6 @@ struct Shared {
     active: AtomicUsize,
     obs: ServerObs,
     subs: SubRegistry,
-    proof_cache: ProofCache,
 }
 
 /// Lock a std mutex, shrugging off poisoning: a panicking worker must not
@@ -421,7 +289,6 @@ impl SpitzServer {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let obs = ServerObs::new(db.telemetry_handle());
-        let proof_cache = ProofCache::new(db.telemetry_handle(), db.shard_count());
         let shared = Arc::new(Shared {
             db,
             config,
@@ -429,7 +296,6 @@ impl SpitzServer {
             active: AtomicUsize::new(0),
             obs,
             subs: SubRegistry::new(),
-            proof_cache,
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -706,135 +572,6 @@ fn db_error_frame(request_id: u64, e: &DbError) -> Vec<u8> {
     encode_error(request_id, code, &message)
 }
 
-/// Serve a verified point read through the proof-node cache.
-///
-/// Takes one consistent cut, then rebuilds the proof from cached node
-/// payloads — byte-identical to what `ShardedDb::get_verified` would
-/// return at the same cut, because [`prove_from_nodes`] *is* the engine's
-/// proof builder. Falls back to the full engine read (harvesting the
-/// shard's journal proof for subsequent hits) whenever the cache has no
-/// aux for the shard yet or a node on the path cannot be resolved.
-fn cached_get_verified(
-    shared: &Shared,
-    key: &[u8],
-) -> Result<(Option<Vec<u8>>, ShardedProof), DbError> {
-    let db = &shared.db;
-    let cache = &shared.proof_cache;
-    let cut = db.digest();
-    cache.sync_root(cut.root, db.shard_count());
-    let shard = db.route(key);
-    let digest = cut.shards[shard];
-    let Some(aux) = cache.aux(cut.root, shard) else {
-        let (value, proof) = db.get_verified(key)?;
-        if proof.root == cut.root {
-            cache.harvest(cut.root, shard, &proof.ledger_proof.journal_proof);
-        }
-        return Ok((value, proof));
-    };
-    let fetch = cache_fetch(cache, db.shard(shard), digest.index_kind);
-    let Some((value, index_proof)) = prove_from_nodes(
-        digest.index_kind,
-        digest.index_root,
-        key,
-        &fetch,
-        Some(&cache.branch_memo),
-    ) else {
-        return db.get_verified(key);
-    };
-    let membership = cut
-        .membership_proof(shard)
-        .expect("shard index is in range");
-    Ok((
-        value,
-        ShardedProof {
-            shard,
-            shard_count: db.shard_count(),
-            ledger_proof: LedgerProof {
-                index_proof,
-                digest,
-                journal_proof: aux.journal_proof,
-            },
-            membership,
-            root: cut.root,
-        },
-    ))
-}
-
-/// Serve a batched verified read through the proof-node cache: one
-/// consistent cut, one [`ShardedMultiProof`] whose per-shard groups are
-/// rebuilt via [`prove_multi_from_nodes`] — byte-identical to
-/// `ShardedDb::get_multi_verified` at the same cut. Any shard the cache
-/// cannot serve sends the whole batch down the full engine read, which
-/// harvests every involved shard's aux for next time.
-#[allow(clippy::type_complexity)]
-fn cached_get_multi_verified(
-    shared: &Shared,
-    keys: &[Vec<u8>],
-) -> Result<(Vec<Option<Vec<u8>>>, ShardedMultiProof), DbError> {
-    let db = &shared.db;
-    let cache = &shared.proof_cache;
-    let cut = db.digest();
-    cache.sync_root(cut.root, db.shard_count());
-    let shard_count = db.shard_count();
-    let full_read = || -> Result<(Vec<Option<Vec<u8>>>, ShardedMultiProof), DbError> {
-        let (values, proof) = db.get_multi_verified(keys)?;
-        if proof.root == cut.root {
-            for group in &proof.groups {
-                cache.harvest(cut.root, group.shard, &group.ledger_proof.journal_proof);
-            }
-        }
-        Ok((values, proof))
-    };
-    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-    for (i, key) in keys.iter().enumerate() {
-        parts[db.route(key)].push(i);
-    }
-    let mut values: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-    let mut groups = Vec::new();
-    for (shard, positions) in parts.iter().enumerate() {
-        if positions.is_empty() {
-            continue;
-        }
-        let Some(aux) = cache.aux(cut.root, shard) else {
-            return full_read();
-        };
-        let digest = cut.shards[shard];
-        let shard_keys: Vec<Vec<u8>> = positions.iter().map(|&i| keys[i].clone()).collect();
-        let fetch = cache_fetch(cache, db.shard(shard), digest.index_kind);
-        let Some((shard_values, index_proof)) = prove_multi_from_nodes(
-            digest.index_kind,
-            digest.index_root,
-            &shard_keys,
-            &fetch,
-            Some(&cache.branch_memo),
-        ) else {
-            return full_read();
-        };
-        for (&position, value) in positions.iter().zip(shard_values) {
-            values[position] = value;
-        }
-        groups.push(ShardMultiGroup {
-            shard,
-            ledger_proof: LedgerMultiProof {
-                index_proof,
-                digest,
-                journal_proof: aux.journal_proof,
-            },
-            membership: cut
-                .membership_proof(shard)
-                .expect("shard index is in range"),
-        });
-    }
-    Ok((
-        values,
-        ShardedMultiProof {
-            shard_count,
-            root: cut.root,
-            groups,
-        },
-    ))
-}
-
 /// Execute one request. `None` means the response is deferred (a parked
 /// digest subscription); otherwise the returned frame is the response.
 fn handle_request(
@@ -908,7 +645,7 @@ fn handle_request(
                 Err(e) => Some(db_error_frame(item.request_id, &e)),
             }
         }
-        op::GET_VERIFIED => match cached_get_verified(shared, &item.payload) {
+        op::GET_VERIFIED => match db.get_verified(&item.payload) {
             Ok((value, proof)) => {
                 let mut payload = vec![u8::from(value.is_some())];
                 codec::put_bytes(&mut payload, value.as_deref().unwrap_or_default());
@@ -928,7 +665,7 @@ fn handle_request(
             if keys.is_empty() {
                 return bad("empty batch");
             }
-            match cached_get_multi_verified(shared, &keys) {
+            match db.get_multi_verified(&keys) {
                 Ok((values, proof)) => {
                     let mut payload = protocol::encode_optional_values(&values);
                     payload.extend_from_slice(&proof.encode());

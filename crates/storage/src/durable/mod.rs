@@ -99,9 +99,8 @@
 //! statistics are atomics, the read cache has its own mutex, and cold reads
 //! take the inner lock only briefly (shared) to resolve an address before
 //! reading through a per-segment handle. Steady-state `fsync` calls
-//! ([`ChunkStore::sync`], `fsync_each_put`) go through dedicated file
-//! handles held outside every lock, so they stall neither readers nor the
-//! cache. The one exception is the rotation fsync of a segment being
+//! ([`ChunkStore::sync`]) go through dedicated file handles held outside
+//! every lock, so they stall neither readers nor the cache. The one exception is the rotation fsync of a segment being
 //! sealed: it runs under the writer lock *before* the successor segment is
 //! created, because nothing may be appended after a sealed segment until
 //! that segment is durable (a crash must only ever tear the *last*
@@ -189,12 +188,6 @@ pub struct DurableConfig {
     pub segment_target_bytes: u64,
     /// Byte budget of the read-through chunk cache; 0 disables caching.
     pub cache_capacity_bytes: usize,
-    /// `fsync` the active segment after every put (safest, slowest). With
-    /// the default `false`, durability is up to the OS page cache until
-    /// [`ChunkStore::sync`], [`DurableChunkStore::flush`] or drop — or up
-    /// to the commit pipeline's `DurabilityPolicy` when one is driving the
-    /// store.
-    pub fsync_each_put: bool,
 }
 
 impl Default for DurableConfig {
@@ -202,7 +195,6 @@ impl Default for DurableConfig {
         DurableConfig {
             segment_target_bytes: 64 * 1024 * 1024,
             cache_capacity_bytes: 16 * 1024 * 1024,
-            fsync_each_put: false,
         }
     }
 }
@@ -1429,12 +1421,10 @@ impl ChunkStore for DurableChunkStore {
             .logical_bytes
             .fetch_add(chunk.storage_size() as u64, Ordering::Relaxed);
 
-        // Whether a rotation happened (its manifest rewrite), and the
-        // segment to fsync under `fsync_each_put` — handled after the lock
-        // is dropped so the steady-state put path never fsyncs under a
-        // lock readers need.
+        // Whether a rotation happened: its manifest rewrite is handled
+        // after the lock is dropped, so it never runs under a lock readers
+        // need.
         let mut rotated = false;
-        let mut fsync_target: Option<Arc<Segment>> = None;
         {
             let mut inner = self.inner.write();
             let mut revived = false;
@@ -1496,18 +1486,12 @@ impl ChunkStore for DurableChunkStore {
                     Arc::clone(&self.io),
                 )?));
                 rotated = true;
-            } else if self.config.fsync_each_put {
-                fsync_target = Some(active);
             }
         }
         self.cache.lock().insert(address, Arc::new(chunk));
 
         if rotated {
             self.write_manifest()?;
-        }
-        if let Some(active) = fsync_target {
-            self.retry_transient(|| active.sync())
-                .inspect_err(|e| self.note_write_failure(e, "per-put fsync"))?;
         }
         Ok(address)
     }
@@ -1744,7 +1728,6 @@ mod tests {
         DurableConfig {
             segment_target_bytes: 4 * 1024,
             cache_capacity_bytes: 0,
-            fsync_each_put: false,
         }
     }
 

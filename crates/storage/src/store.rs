@@ -9,6 +9,7 @@
 //! Figure 1.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -197,6 +198,9 @@ pub trait ChunkStore: Send + Sync {
 #[derive(Debug, Default)]
 pub struct InMemoryChunkStore {
     inner: RwLock<StoreInner>,
+    /// [`StoreStats::reads`], counted outside `inner` so concurrent readers
+    /// share the read lock instead of serialising on the write lock.
+    reads: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -245,9 +249,9 @@ impl ChunkStore for InMemoryChunkStore {
     }
 
     fn get(&self, address: &Hash) -> Result<Arc<Chunk>> {
-        let mut inner = self.inner.write();
-        inner.stats.reads += 1;
-        inner
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .read()
             .chunks
             .get(address)
             .cloned()
@@ -260,6 +264,7 @@ impl ChunkStore for InMemoryChunkStore {
 
     fn stats(&self) -> StoreStats {
         let mut stats = self.inner.read().stats;
+        stats.reads = self.reads.load(Ordering::Relaxed);
         // Memory is the device, and nothing unreachable is ever retained
         // past a process lifetime — physical bytes are both quantities.
         stats.disk_bytes = stats.physical_bytes;
@@ -593,6 +598,38 @@ mod tests {
         let store = InMemoryChunkStore::shared();
         let addr = ChunkStore::put(&store, blob(b"arc"));
         assert_eq!(store.get(&addr).unwrap().data(), b"arc");
+    }
+
+    #[test]
+    fn gets_share_the_read_lock_and_count_exactly() {
+        let store = InMemoryChunkStore::shared();
+        let addr = store.put(blob(b"x"));
+        // While another reader holds the store's lock shared, gets must
+        // still complete: counting a read takes no exclusive lock.
+        let held = store.inner.read();
+        let (done, finished) = std::sync::mpsc::channel();
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                let store = Arc::clone(&store);
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..100 {
+                        store.get(&addr).unwrap();
+                    }
+                    done.send(()).unwrap();
+                })
+            })
+            .collect();
+        for _ in 0..4 {
+            finished
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("a get blocked behind another reader");
+        }
+        drop(held);
+        for reader in readers {
+            reader.join().unwrap();
+        }
+        assert_eq!(store.stats().reads, 400);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use spitz::storage::chunk::{Chunk, ChunkKind};
 use spitz::storage::durable::format::root_record_len;
 use spitz::storage::durable::DurableConfig;
 use spitz::storage::{ChunkStore, DurableChunkStore, StorageError};
-use spitz::{ClientVerifier, SpitzDb};
+use spitz::{SpitzDb, Verifier};
 
 mod common;
 use common::{segment_files, TempDir};
@@ -34,7 +34,7 @@ fn blob(data: &[u8]) -> Chunk {
 #[test]
 fn reopened_spitzdb_reproduces_digest_chain_and_proofs() {
     let dir = TempDir::new("db-reopen");
-    let mut client = ClientVerifier::new();
+    let mut client = Verifier::new();
 
     let (digest, records_root, block0, stats) = {
         let db = SpitzDb::open(dir.path()).unwrap();
@@ -116,7 +116,6 @@ fn torn_tail_record_is_dropped_and_the_rest_survives() {
     let config = DurableConfig {
         segment_target_bytes: 1024 * 1024, // keep everything in one segment
         cache_capacity_bytes: 0,
-        fsync_each_put: false,
     };
 
     let addresses: Vec<_> = {
@@ -205,7 +204,6 @@ fn crash_before_root_record_recovers_to_previous_root() {
     let config = DurableConfig {
         segment_target_bytes: 1024 * 1024,
         cache_capacity_bytes: 0,
-        fsync_each_put: false,
     };
     let (digest1, digest2, segment, len) = two_block_history(dir.path(), config);
 
@@ -245,7 +243,6 @@ fn torn_root_record_recovers_to_previous_root_under_every_policy() {
         let config = DurableConfig {
             segment_target_bytes: 1024 * 1024,
             cache_capacity_bytes: 0,
-            fsync_each_put: false,
         };
         let (digest1, _digest2, segment, len) = two_block_history(dir.path(), config);
 
@@ -359,7 +356,6 @@ fn stats_and_roots_survive_segment_rotation() {
     let config = DurableConfig {
         segment_target_bytes: 2048, // force frequent rotation
         cache_capacity_bytes: 4096,
-        fsync_each_put: false,
     };
 
     let (stats, segments) = {

@@ -3,7 +3,7 @@
 //! comparison systems, and tampering detection end to end.
 
 use spitz::baseline::{ImmutableKvs, NonIntrusiveVdb, QldbBaseline};
-use spitz::{ClientVerifier, ColumnType, Record, Schema, SpitzDb, Value};
+use spitz::{ColumnType, Record, Schema, SpitzDb, Value, Verifier};
 
 fn record(i: usize) -> (Vec<u8>, Vec<u8>) {
     (
@@ -15,7 +15,7 @@ fn record(i: usize) -> (Vec<u8>, Vec<u8>) {
 #[test]
 fn spitz_end_to_end_write_read_verify() {
     let db = SpitzDb::in_memory();
-    let mut client = ClientVerifier::new();
+    let mut client = Verifier::new();
 
     for batch in (0..2_000).map(record).collect::<Vec<_>>().chunks(100) {
         let digest = db.put_batch(batch.to_vec()).unwrap();
@@ -94,7 +94,7 @@ fn all_systems_return_identical_data_for_the_same_workload() {
 fn tampering_with_any_layer_is_detected() {
     let db = SpitzDb::in_memory();
     db.put_batch((0..200).map(record).collect()).unwrap();
-    let mut client = ClientVerifier::new();
+    let mut client = Verifier::new();
     client.observe_digest(db.digest());
 
     let (k, _) = record(42);

@@ -92,9 +92,8 @@ fn remote_verified_reads_match_in_process_proof_for_proof() {
 }
 
 /// Batched acceptance property: the `BatchVerifiedGet` frame ships the
-/// same `ShardedMultiProof` bytes the in-process engine produces, both on
-/// the cold (engine fallback) path and on the warm (proof-node cache)
-/// path, and the remote decode satisfies the in-process pin.
+/// same `ShardedMultiProof` bytes the in-process engine produces, and the
+/// remote decode satisfies the in-process pin.
 #[test]
 fn remote_batched_reads_match_in_process_proof_for_proof() {
     let server = serve_in_memory(3);
@@ -114,9 +113,8 @@ fn remote_batched_reads_match_in_process_proof_for_proof() {
     let mut local = Verifier::new();
     assert!(local.observe_sharded(&db.digest()));
 
-    // Twice: the first batch is served off the engine (cold cache), the
-    // second off the proof-node cache. Both must be byte-identical to the
-    // in-process proof at the same cut.
+    // Twice: a repeated batch at the same cut must reproduce the same
+    // bytes as the in-process proof.
     for round in 0..2 {
         let (local_values, local_proof) = db.get_multi_verified(&keys).expect("in-process batch");
         let (remote_values, remote_proof) = client.get_verified_batch(&keys).expect("served batch");
@@ -137,10 +135,7 @@ fn remote_batched_reads_match_in_process_proof_for_proof() {
         assert!(local.verify_sharded_multi(&items, &remote_proof));
     }
 
-    // The cache warmed up and is invalidated by the next epoch advance.
-    let telemetry = client.telemetry_json().unwrap();
-    assert!(telemetry.contains("server.proof_cache.hits"));
-    assert!(telemetry.contains("server.proof_cache.misses"));
+    // The next epoch advance moves served proofs to the new root.
     client.put(&key(1000), b"advance the epoch").unwrap();
     let (_, moved_proof) = client.get_verified_batch(&keys).expect("post-write batch");
     assert_ne!(moved_proof.root, local.pinned_sharded_root().unwrap());
@@ -150,6 +145,90 @@ fn remote_batched_reads_match_in_process_proof_for_proof() {
     let values = light.get_batch(&keys).expect("verified batch");
     assert_eq!(values[0], Some(b"batch-v10".to_vec()));
     assert_eq!(values[16], None);
+}
+
+/// One verified-read path: at a quiesced cut, the one-shot `ShardedDb`
+/// reads, a pinned `ShardedSnapshot` and the served `SpitzClient` must
+/// return byte-identical proofs — for present keys, absent keys, a 16-key
+/// batch and a cross-shard range, under every SIRI kind and shard count —
+/// and all of them must verify against one `Verifier` pin.
+#[test]
+fn live_snapshot_and_served_reads_are_byte_identical() {
+    use spitz::core::db::SpitzConfig;
+    use spitz::index::SiriKind;
+
+    for siri in [
+        SiriKind::PosTree,
+        SiriKind::MerklePatriciaTrie,
+        SiriKind::MerkleBucketTree,
+    ] {
+        for shards in [1, 3, 4] {
+            let case = format!("{} x {shards} shards", siri.name());
+            let spitz = SpitzConfig {
+                siri,
+                ..SpitzConfig::default()
+            };
+            let config = ShardedConfig::default()
+                .with_shards(shards)
+                .with_spitz(spitz);
+            let db = Arc::new(ShardedDb::with_config(config));
+            db.put_batch((0..48).map(|i| (key(i), vec![i as u8; 9])).collect())
+                .unwrap();
+            for i in 48..60 {
+                db.put(&key(i), format!("single-{i}").as_bytes()).unwrap();
+            }
+            let server = SpitzServer::start(Arc::clone(&db), ServerConfig::default()).unwrap();
+            let mut client = SpitzClient::connect(server.local_addr()).expect("connect");
+            let snapshot = db.snapshot().unwrap();
+            let mut pin = Verifier::new();
+            assert!(pin.observe_sharded(&db.digest()), "{case}");
+
+            for k in [
+                key(0),
+                key(17),
+                key(59),
+                b"wire/absent".to_vec(),
+                Vec::new(),
+            ] {
+                let (value, live) = db.get_verified(&k).unwrap();
+                let (pinned_value, pinned) = snapshot.get_verified(&k);
+                let (served_value, served) = client.get_verified(&k).unwrap();
+                assert_eq!(pinned_value, value, "{case} {k:?}");
+                assert_eq!(served_value, value, "{case} {k:?}");
+                assert_eq!(pinned.encode(), live.encode(), "{case} {k:?}");
+                assert_eq!(served.encode(), live.encode(), "{case} {k:?}");
+                assert!(
+                    pin.verify_sharded_read(&k, value.as_deref(), &served),
+                    "{case} {k:?}"
+                );
+            }
+
+            let mut batch: Vec<Vec<u8>> = (20..34).map(key).collect();
+            batch.push(b"wire/absent".to_vec());
+            batch.push(key(20));
+            assert_eq!(batch.len(), 16);
+            let (values, live) = db.get_multi_verified(&batch).unwrap();
+            let (pinned_values, pinned) = snapshot.get_multi_verified(&batch);
+            let (served_values, served) = client.get_verified_batch(&batch).unwrap();
+            assert_eq!(pinned_values, values, "{case}");
+            assert_eq!(served_values, values, "{case}");
+            assert_eq!(pinned.encode(), live.encode(), "{case}");
+            assert_eq!(served.encode(), live.encode(), "{case}");
+            let items: Vec<_> = batch.iter().cloned().zip(values).collect();
+            assert!(pin.verify_sharded_multi(&items, &served), "{case}");
+
+            let (start, end) = (key(5), key(45));
+            let (entries, live) = db.range_verified(&start, &end).unwrap();
+            let (pinned_entries, pinned) = snapshot.range_verified(&start, &end).unwrap();
+            let (served_entries, served) = client.range_verified(&start, &end).unwrap();
+            assert_eq!(entries.len(), 40, "{case}");
+            assert_eq!(pinned_entries, entries, "{case}");
+            assert_eq!(served_entries, entries, "{case}");
+            assert_eq!(pinned.encode(), live.encode(), "{case}");
+            assert_eq!(served.encode(), live.encode(), "{case}");
+            assert!(pin.verify_sharded_range(&entries, &served), "{case}");
+        }
+    }
 }
 
 #[test]

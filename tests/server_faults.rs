@@ -504,7 +504,10 @@ fn faulted_store_degrades_remote_service_without_deadlock() {
                         "served proof must verify in degraded mode"
                     );
                     reads_ok.fetch_add(1, Ordering::Relaxed);
-                    match client.put(&key(1000 + i), b"nope") {
+                    // One key range per hammer: two writers racing on one
+                    // key would (rightly) see a `Conflict` from the
+                    // concurrency control before the store's `ReadOnly`.
+                    match client.put(&key(1000 + 100 * w + i), b"nope") {
                         Err(ClientError::Server {
                             code: ErrorCode::ReadOnly,
                             ..

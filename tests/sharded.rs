@@ -289,9 +289,9 @@ fn soak(db: &ShardedDb, writers: u32, ops: u32) {
 
 /// The consistent-cut acceptance test: writers continuously commit
 /// cross-shard 2PC batches that write the *same* sequence number to two
-/// keys on *different* shards. Any digest, snapshot or published head taken
-/// concurrently must reflect each batch entirely or not at all — a torn cut
-/// would show the two marks disagreeing.
+/// keys on *different* shards. Any digest, snapshot, one-shot verified read
+/// or published head taken concurrently must reflect each batch entirely or
+/// not at all — a torn cut would show the two marks disagreeing.
 #[test]
 fn digest_is_a_consistent_cut_under_concurrent_writers() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -335,6 +335,41 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
             })
         };
 
+        // Hammers: one-shot verified reads, each proving from its own
+        // fenced cut while the batches commit. Every proof must verify
+        // against its own cut; two reads that land in the same cut must
+        // agree; and since cuts only move forward, the mark read second
+        // can never be behind the mark read first.
+        let hammers: Vec<_> = (0..2)
+            .map(|_| {
+                let (db, stop) = (&db, &stop);
+                let (mark_a, mark_b) = (mark_a.clone(), mark_b.clone());
+                scope.spawn(move || {
+                    let seq = |v: &Option<Vec<u8>>| {
+                        u64::from_be_bytes(v.as_deref().unwrap().try_into().unwrap())
+                    };
+                    let mut reads = 0u32;
+                    while !stop.load(Ordering::Relaxed) || reads < 20 {
+                        let (va, pa) = db.get_verified(&mark_a).unwrap();
+                        let (vb, pb) = db.get_verified(&mark_b).unwrap();
+                        assert!(pa.verify(&mark_a, va.as_deref()));
+                        assert!(pb.verify(&mark_b, vb.as_deref()));
+                        assert!(seq(&vb) >= seq(&va), "a later cut went backwards");
+                        if pa.root == pb.root {
+                            assert_eq!(va, vb, "one-shot reads of one cut are torn");
+                        }
+                        let both = [mark_a.clone(), mark_b.clone()];
+                        let (values, proof) = db.get_multi_verified(&both).unwrap();
+                        assert_eq!(values[0], values[1], "batched cut is torn");
+                        let items: Vec<_> = both.iter().cloned().zip(values).collect();
+                        assert!(proof.verify(&items));
+                        reads += 1;
+                    }
+                    reads
+                })
+            })
+            .collect();
+
         // Checker: repeatedly pin a snapshot and read both marks through
         // the verified snapshot path. A torn cut shows different sequence
         // numbers; a fenced cut never does.
@@ -372,6 +407,9 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
         }
         stop.store(true, Ordering::Relaxed);
         let published = writer.join().unwrap();
+        for hammer in hammers {
+            assert!(hammer.join().unwrap() >= 20);
+        }
 
         // Every digest returned by put_batch (and published to the head
         // root) is a fenced epoch: internally consistent, with the batch's

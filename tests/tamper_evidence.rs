@@ -11,7 +11,7 @@ use spitz::ledger::block::records_merkle_root;
 use spitz::ledger::Block;
 use spitz::storage::durable::format::{crc32, RECORD_OVERHEAD, SEGMENT_HEADER_LEN};
 use spitz::storage::{ChunkStore, DurableChunkStore};
-use spitz::{ClientVerifier, SpitzDb};
+use spitz::{SpitzDb, Verifier};
 
 mod common;
 use common::{segment_files, TempDir};
@@ -33,7 +33,7 @@ fn populated_db() -> SpitzDb {
 #[test]
 fn corrupting_one_byte_of_a_committed_block_is_detected() {
     let db = populated_db();
-    let mut client = ClientVerifier::new();
+    let mut client = Verifier::new();
     assert!(client.observe_digest(db.digest()));
 
     let honest = db.ledger().block(0).expect("block 0 was committed");
