@@ -73,7 +73,7 @@ fn siri_ablation(records: usize) {
 /// [`MultiProof`]: spitz_index::MultiProof
 fn proof_size_ablation(records: usize, budget: Option<&str>) -> bool {
     let mut table = FigureTable::new(
-        format!("Ablation: proof sizes in bytes ({records} records)"),
+        format!("Proof sizes: bytes per proof ({records} records)"),
         "Metric",
         vec!["POS-Tree", "MPT", "MBT"],
     );

@@ -48,19 +48,21 @@ impl FigureTable {
         &self.rows
     }
 
-    /// Render the table as aligned text.
+    /// Render the table as a Markdown heading and pipe table (the form
+    /// BASELINES.md keeps; `ci/paper-figures.sh` regenerates that file from
+    /// the binaries' output).
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.title));
-        out.push_str(&format!("{:>16}", self.x_label));
+        let mut out = format!("### {}\n\n| {} |", self.title, self.x_label);
         for series in &self.series {
-            out.push_str(&format!(" {series:>22}"));
+            out.push_str(&format!(" {series} |"));
         }
+        out.push_str("\n|---|");
+        out.push_str(&"---:|".repeat(self.series.len()));
         out.push('\n');
         for (x, values) in &self.rows {
-            out.push_str(&format!("{x:>16}"));
+            out.push_str(&format!("| {x} |"));
             for value in values {
-                out.push_str(&format!(" {value:>22.2}"));
+                out.push_str(&format!(" {value:.2} |"));
             }
             out.push('\n');
         }
@@ -94,11 +96,14 @@ mod tests {
         table.add_row("10000", vec![120.5, 80.25]);
         table.add_row("20000", vec![110.0, 70.0]);
         let text = table.render();
-        assert!(text.contains("Figure X"));
-        assert!(text.contains("Spitz"));
-        assert!(text.contains("Baseline"));
-        assert!(text.contains("120.50"));
-        assert!(text.contains("20000"));
+        assert_eq!(
+            text,
+            "### Figure X\n\n\
+             | #Records | Spitz | Baseline |\n\
+             |---|---:|---:|\n\
+             | 10000 | 120.50 | 80.25 |\n\
+             | 20000 | 110.00 | 70.00 |\n"
+        );
         assert_eq!(table.rows().len(), 2);
     }
 

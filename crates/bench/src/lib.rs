@@ -12,21 +12,17 @@
 //!   non-intrusive composition).
 //!
 //! The binaries (`fig1_storage`, `fig6_basic_ops`, `fig7_range`,
-//! `fig8_nonintrusive`, `ablations`) print the same series the paper plots;
-//! the Criterion benches cover the same code paths at a smaller scale for
-//! regression tracking.
+//! `fig8_nonintrusive`, `ablations`) print the same series the paper plots,
+//! as Markdown tables; `ci/paper-figures.sh` runs all five and its output
+//! is BASELINES.md. Performance claims are measured by the `benchmark/`
+//! crate, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod harness;
 pub mod systems;
-pub mod util;
 pub mod workload;
 
-pub use chaos::{
-    run_2pc_schedule, run_kv_schedule, run_scrub_schedule, run_server_schedule, ScheduleReport,
-};
 pub use harness::{measure_throughput, FigureTable};
 pub use workload::{KeyValueWorkload, WikiWorkload, WorkloadConfig};

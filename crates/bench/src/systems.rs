@@ -15,16 +15,6 @@ pub fn load_spitz(workload: &KeyValueWorkload) -> SpitzDb {
     db
 }
 
-/// Load a durable (on-disk) Spitz instance at `path` with the workload,
-/// batched the same way as [`load_spitz`].
-pub fn load_spitz_durable(workload: &KeyValueWorkload, path: &std::path::Path) -> SpitzDb {
-    let db = SpitzDb::open(path).expect("open durable spitz");
-    for batch in workload.records.chunks(256) {
-        db.put_batch(batch.to_vec()).expect("load");
-    }
-    db
-}
-
 /// Load the immutable KVS with the workload.
 pub fn load_kvs(workload: &KeyValueWorkload) -> ImmutableKvs {
     let kvs = ImmutableKvs::new();
@@ -65,20 +55,12 @@ mod tests {
         let kvs = load_kvs(&workload);
         let qldb = load_qldb(&workload);
         let non_intrusive = load_nonintrusive(&workload);
-        let dir = crate::util::TempDir::new("systems-agree");
-        let durable = load_spitz_durable(&workload, dir.path());
 
         for (key, value) in workload.records.iter().step_by(37) {
             assert_eq!(spitz.get(key).unwrap().as_ref(), Some(value));
             assert_eq!(kvs.get(key).as_ref(), Some(value));
             assert_eq!(qldb.get(key).as_ref(), Some(value));
             assert_eq!(non_intrusive.get(key).as_ref(), Some(value));
-            assert_eq!(durable.get(key).unwrap().as_ref(), Some(value));
         }
-        assert_eq!(
-            durable.digest(),
-            spitz.digest(),
-            "the durable backend must reproduce the in-memory digest"
-        );
     }
 }

@@ -8,7 +8,7 @@
 //! point/range proofs with their wire sizes — then prints the text
 //! exposition from a single deployment-wide snapshot. The same snapshot
 //! also renders as JSON (`render_json()`), which is what a scrape
-//! endpoint would serve; `fig_obs --smoke` validates that form in CI.
+//! endpoint would serve; `tests/end_to_end.rs` validates that form.
 
 use spitz::{ShardedConfig, ShardedDb, Verifier};
 

@@ -5,7 +5,7 @@
 //! compaction crash point must reopen to byte-identical state.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use spitz::core::db::CompactionTrigger;
 use spitz::core::sharded::{ShardedConfig, ShardedDb};
@@ -59,8 +59,33 @@ fn compaction_reclaims_garbage_and_preserves_digests_and_pinned_proofs() {
 
     let pre = db.digest();
     let before = db.storage_stats();
-    let report = db
-        .compact()
+    // Compact with a reader racing the pass: the sweep never blocks
+    // readers, and every read it serves meanwhile verifies.
+    let done = AtomicBool::new(false);
+    let reading = Barrier::new(2);
+    let report = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut client = Verifier::new();
+            assert!(client.observe_digest(pre));
+            reading.wait();
+            let mut reads = 0u32;
+            while reads == 0 || !done.load(Ordering::Relaxed) {
+                let k = key(reads % 50);
+                let (value, proof) = db.get_verified(&k).expect("read during compaction");
+                assert!(
+                    client.verify_read(&k, value.as_deref(), &proof),
+                    "verified read failed during compaction"
+                );
+                reads += 1;
+            }
+        });
+        reading.wait();
+        let report = db.compact();
+        done.store(true, Ordering::Relaxed);
+        reader.join().expect("reader thread");
+        report
+    });
+    let report = report
         .unwrap()
         .expect("multiple sealed segments to compact");
     assert!(report.chunks_dropped > 0, "overwrites must leave garbage");

@@ -36,8 +36,7 @@ fn reopened_spitzdb_reproduces_digest_chain_and_proofs() {
     let dir = TempDir::new("db-reopen");
     let mut client = Verifier::new();
 
-    let (digest, records_root, block0, stats) = {
-        let db = SpitzDb::open(dir.path()).unwrap();
+    let load = |db: &SpitzDb| {
         let writes: Vec<_> = (0..300u32)
             .map(|i| {
                 (
@@ -49,6 +48,10 @@ fn reopened_spitzdb_reproduces_digest_chain_and_proofs() {
         db.put_batch(writes).unwrap();
         db.put(b"acct/00007", b"balance=updated").unwrap();
         db.put(b"audit/log", b"entry-1").unwrap();
+    };
+    let (digest, records_root, block0, stats) = {
+        let db = SpitzDb::open(dir.path()).unwrap();
+        load(&db);
         // A deterministic dedup event: the identical chunk stored twice.
         let probe = db.store().put(blob(b"dedup-probe"));
         assert_eq!(db.store().put(blob(b"dedup-probe")), probe);
@@ -61,6 +64,12 @@ fn reopened_spitzdb_reproduces_digest_chain_and_proofs() {
         )
     };
     assert!(stats.dedup_hits > 0, "identical chunks must deduplicate");
+
+    // The backend is not part of the digest: an in-memory twin fed the same
+    // writes lands on the same one.
+    let twin = SpitzDb::in_memory();
+    load(&twin);
+    assert_eq!(twin.digest(), digest);
 
     // Reopen from the same path: everything a verifying client pins must be
     // byte-identical.
@@ -273,53 +282,65 @@ fn torn_root_record_recovers_to_previous_root_under_every_policy() {
 
 /// N writer threads × M puts through the group-commit pipeline must yield
 /// exactly N·M records with a verifiable digest and a clean chain, and the
-/// whole history must survive a drain + reopen byte-identically.
+/// whole history must survive a drain + reopen byte-identically — under
+/// every durability policy.
 #[test]
 fn concurrent_pipeline_writers_commit_every_record_exactly_once() {
     const WRITERS: u32 = 4;
     const PUTS: u32 = 30;
-    let dir = TempDir::new("pipeline-concurrency");
-    let config = SpitzConfig::default().with_durability(DurabilityPolicy::grouped_default());
+    for policy in [
+        DurabilityPolicy::Strict,
+        DurabilityPolicy::grouped_default(),
+        DurabilityPolicy::Os,
+    ] {
+        let case = policy.name();
+        let dir = TempDir::new("pipeline-concurrency");
+        let config = SpitzConfig::default().with_durability(policy);
 
-    let digest = {
-        let db = SpitzDb::open_with_config(dir.path(), config).unwrap();
-        std::thread::scope(|scope| {
+        let digest = {
+            let db = SpitzDb::open_with_config(dir.path(), config).unwrap();
+            std::thread::scope(|scope| {
+                for writer in 0..WRITERS {
+                    let db = &db;
+                    scope.spawn(move || {
+                        for i in 0..PUTS {
+                            let key = format!("writer-{writer:02}/key-{i:04}");
+                            let value = format!("value-{writer}-{i}");
+                            db.put(key.as_bytes(), value.as_bytes()).unwrap();
+                        }
+                    });
+                }
+            });
+
+            assert_eq!(db.ledger().len() as u32, WRITERS * PUTS, "{case}");
             for writer in 0..WRITERS {
-                let db = &db;
-                scope.spawn(move || {
-                    for i in 0..PUTS {
-                        let key = format!("writer-{writer:02}/key-{i:04}");
-                        let value = format!("value-{writer}-{i}");
-                        db.put(key.as_bytes(), value.as_bytes()).unwrap();
-                    }
-                });
+                for i in 0..PUTS {
+                    let key = format!("writer-{writer:02}/key-{i:04}");
+                    assert_eq!(
+                        db.get(key.as_bytes()).unwrap(),
+                        Some(format!("value-{writer}-{i}").into_bytes()),
+                        "{case}"
+                    );
+                }
             }
-        });
+            assert_eq!(db.ledger().audit_chain(), None, "{case}");
+            let pipeline = db.pipeline().expect("durable db commits via pipeline");
+            assert_eq!(pipeline.stats().commits, (WRITERS * PUTS) as u64, "{case}");
 
-        assert_eq!(db.ledger().len() as u32, WRITERS * PUTS);
-        for writer in 0..WRITERS {
-            for i in 0..PUTS {
-                let key = format!("writer-{writer:02}/key-{i:04}");
-                assert_eq!(
-                    db.get(key.as_bytes()).unwrap(),
-                    Some(format!("value-{writer}-{i}").into_bytes())
-                );
-            }
-        }
-        assert_eq!(db.ledger().audit_chain(), None);
-        let pipeline = db.pipeline().expect("durable db commits via pipeline");
-        assert_eq!(pipeline.stats().commits, (WRITERS * PUTS) as u64);
+            // A verified read proves the coalesced blocks still chain cleanly.
+            let (value, proof) = db.get_verified(b"writer-00/key-0000").unwrap();
+            assert!(
+                proof.verify(b"writer-00/key-0000", value.as_deref()),
+                "{case}"
+            );
+            db.digest()
+        }; // drop: drain + final fsync + manifest
 
-        // A verified read proves the coalesced blocks still chain cleanly.
-        let (value, proof) = db.get_verified(b"writer-00/key-0000").unwrap();
-        assert!(proof.verify(b"writer-00/key-0000", value.as_deref()));
-        db.digest()
-    }; // drop: drain + final fsync + manifest
-
-    let db = SpitzDb::open(dir.path()).unwrap();
-    assert_eq!(db.digest(), digest);
-    assert_eq!(db.ledger().len() as u32, WRITERS * PUTS);
-    assert_eq!(db.ledger().audit_chain(), None);
+        let db = SpitzDb::open(dir.path()).unwrap();
+        assert_eq!(db.digest(), digest, "{case}");
+        assert_eq!(db.ledger().len() as u32, WRITERS * PUTS, "{case}");
+        assert_eq!(db.ledger().audit_chain(), None, "{case}");
+    }
 }
 
 /// `flush()` makes grouped commits durable on demand: after a flush, a

@@ -1,9 +1,18 @@
 //! Cross-crate integration tests: the full write → ledger → proof → client
 //! verification pipeline, system-equivalence between Spitz and the
-//! comparison systems, and tampering detection end to end.
+//! comparison systems, tampering detection end to end, and the telemetry
+//! exposition: a mixed workload over every instrumented layer must surface
+//! every instrument those layers register — the one required-instrument
+//! list in the repository — and a database opened with telemetry off must
+//! serve verified reads while recording nothing.
 
 use spitz::baseline::{ImmutableKvs, NonIntrusiveVdb, QldbBaseline};
-use spitz::{ColumnType, Record, Schema, SpitzDb, Value, Verifier};
+use spitz::{
+    ColumnType, Record, Schema, ShardedConfig, ShardedDb, SpitzConfig, SpitzDb, Value, Verifier,
+};
+
+mod common;
+use common::TempDir;
 
 fn record(i: usize) -> (Vec<u8>, Vec<u8>) {
     (
@@ -176,4 +185,135 @@ fn storage_deduplication_bounds_ledger_growth() {
     // Both retain all history (immutable), but dedup keeps repeated content
     // from being stored twice.
     assert!(u.dedup_hits > 0);
+}
+
+/// Every instrument the storage, commit-pipeline, 2PC and proof layers
+/// register at construction. A name missing from a snapshot means a
+/// layer's wiring was silently dropped.
+const REQUIRED: &[&str] = &[
+    // storage
+    "storage.append_nanos",
+    "storage.read_nanos",
+    "storage.fsync_nanos",
+    "storage.cache.hits",
+    "storage.cache.misses",
+    "storage.compactions",
+    "storage.space_amplification",
+    // commit pipeline
+    "pipeline.commits",
+    "pipeline.flushes",
+    "pipeline.syncs",
+    "pipeline.policy.strict.flushes",
+    "pipeline.group_size",
+    "pipeline.flush_nanos",
+    "pipeline.queue_depth",
+    // 2PC
+    "twopc.prepares",
+    "twopc.commits",
+    "twopc.aborts",
+    "twopc.recovered",
+    "twopc.in_doubt",
+    "twopc.decision_truncations",
+    // proof layer
+    "proof.point_build_nanos",
+    "proof.point_bytes",
+    "proof.range_build_nanos",
+    "proof.range_bytes",
+    "proof.sharded_point_build_nanos",
+    "proof.sharded_point_bytes",
+    "proof.sharded_range_build_nanos",
+    "proof.sharded_range_bytes",
+    "proof.multi_build_nanos",
+    "proof.multi_bytes",
+    "proof.sharded_multi_build_nanos",
+    "proof.sharded_multi_bytes",
+];
+
+#[test]
+fn mixed_workload_exposes_every_required_instrument() {
+    let dir = TempDir::new("telemetry-exposition");
+    let config = ShardedConfig::default().with_shards(2);
+    let db = ShardedDb::open(dir.path(), config).expect("open sharded db");
+
+    // Storage + pipeline: single-key puts through each shard's pipeline.
+    for i in 0..200u32 {
+        let key = format!("key-{i:05}");
+        let value = format!("value-{i:010}");
+        db.put(key.as_bytes(), value.as_bytes()).expect("put");
+    }
+    // 2PC: cross-shard batches (16 hashed keys land on both shards).
+    for batch in 0..8u32 {
+        let writes: Vec<(Vec<u8>, Vec<u8>)> = (0..16u32)
+            .map(|i| {
+                (
+                    format!("batch-{batch:02}-{i:02}").into_bytes(),
+                    format!("cross-shard-{batch}-{i}").into_bytes(),
+                )
+            })
+            .collect();
+        db.put_batch(writes).expect("cross-shard batch");
+    }
+    // Proof layer: sharded point proofs (which also build per-shard ledger
+    // proofs) and sharded range proofs.
+    for i in 0..40u32 {
+        let key = format!("key-{:05}", i * 5);
+        let (value, proof) = db.get_verified(key.as_bytes()).expect("get_verified");
+        assert!(proof.verify(key.as_bytes(), value.as_deref()));
+    }
+    for _ in 0..4 {
+        let (entries, proof) = db
+            .range_verified(b"key-00050", b"key-00090")
+            .expect("range_verified");
+        assert!(proof.verify(&entries));
+    }
+    db.flush().expect("flush");
+
+    let snapshot = db.telemetry();
+    let names = snapshot.instrument_names();
+    for required in REQUIRED {
+        assert!(
+            names.iter().any(|name| name == required),
+            "telemetry snapshot is missing instrument {required}"
+        );
+    }
+    // The workload must actually have moved the needle in every layer.
+    assert!(snapshot.histogram("storage.append_nanos").unwrap().count > 0);
+    assert!(snapshot.counter("pipeline.commits").unwrap() > 0);
+    assert!(snapshot.counter("twopc.prepares").unwrap() > 0);
+    assert!(snapshot.counter("twopc.commits").unwrap() > 0);
+    assert!(snapshot.histogram("proof.point_bytes").unwrap().count > 0);
+    let sharded_ranges = snapshot.histogram("proof.sharded_range_bytes").unwrap();
+    assert!(sharded_ranges.count > 0);
+
+    // What a scrape endpoint would serve: every number is finite (Rust
+    // prints the non-finite floats as `NaN` and `inf`).
+    let json = snapshot.render_json();
+    for token in [":NaN", ":inf", ":-inf"] {
+        assert!(!json.contains(token), "non-finite value in exposition");
+    }
+}
+
+#[test]
+fn disabled_telemetry_serves_verified_reads_and_records_nothing() {
+    let dir = TempDir::new("telemetry-off");
+    let config = SpitzConfig::default().with_telemetry(false);
+    let db = SpitzDb::open_with_config(dir.path(), config).expect("open durable db");
+    for i in 0..50u32 {
+        let key = format!("key-{i:05}");
+        db.put(key.as_bytes(), b"value").expect("put");
+    }
+    for i in 0..50u32 {
+        let key = format!("key-{i:05}");
+        let (value, proof) = db.get_verified(key.as_bytes()).expect("get_verified");
+        assert_eq!(value.as_deref(), Some(&b"value"[..]));
+        assert!(proof.verify(key.as_bytes(), value.as_deref()));
+    }
+    db.flush().expect("flush");
+
+    let snapshot = db.telemetry();
+    assert!(snapshot.counters.iter().all(|(_, v)| *v == 0));
+    assert!(snapshot.gauges.iter().all(|(_, v)| *v == 0));
+    assert!(snapshot.float_gauges.iter().all(|(_, v)| v.is_none()));
+    assert!(snapshot.histograms.iter().all(|h| h.count == 0));
+    assert!(snapshot.events.is_empty());
 }

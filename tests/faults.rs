@@ -4,8 +4,9 @@
 //! scrub and compaction passes until their decision resolves, and
 //! [`ShardedDb::recover`] races the background scrubber/compactor safely.
 //!
-//! The long seeded chaos soak at the bottom is `#[ignore]`d; CI's soak
-//! step runs it explicitly with `--ignored`.
+//! The seeded chaos schedules of `tests/chaos` run from the bottom of this
+//! file: nine fixed seeds in every test run, and a 240-seed soak that is
+//! `#[ignore]`d; CI's soak step runs it explicitly with `--ignored`.
 
 use std::sync::Arc;
 
@@ -16,6 +17,7 @@ use spitz::core::{DbError, HealthState};
 use spitz::storage::{DurableConfig, IoErrorKind, WriteOutcome};
 use spitz_faults::FaultInjector;
 
+mod chaos;
 mod common;
 use common::TempDir;
 
@@ -293,21 +295,45 @@ fn recover_races_scrub_and_compact_after_coordinator_crash() {
     }
 }
 
-/// Long seeded chaos soak over all three schedule families. Excluded from
+/// Run schedule `i` of a seeded chaos sweep: the four families of
+/// `tests/chaos` take turns, and the seed is printed *before* the run so a
+/// panicking schedule leaves it on the last line of output. Returns the
+/// number of faults the schedule injected.
+fn run_chaos_schedule(i: u64, seed: u64) -> u64 {
+    type Family = (&'static str, fn(u64) -> chaos::ScheduleReport);
+    const FAMILIES: [Family; 4] = [
+        ("kv", chaos::run_kv_schedule),
+        ("scrub", chaos::run_scrub_schedule),
+        ("2pc", chaos::run_2pc_schedule),
+        ("serve", chaos::run_server_schedule),
+    ];
+    let (name, run) = FAMILIES[(i % 4) as usize];
+    println!("schedule {i:>3}: family={name:<5} seed={seed:#x}");
+    let report = run(seed);
+    println!(
+        "              ops={} faults={} acked={} health={:?}",
+        report.ops, report.faults_injected, report.acknowledged, report.final_health
+    );
+    report.faults_injected
+}
+
+/// Tier-1 chaos: nine fixed-seed schedules over all four families
+/// (full-stack KV faults, silent corruption + scrub, cross-shard 2PC
+/// failures, served-stack client storms). Every invariant is asserted
+/// inside the schedules.
+#[test]
+fn chaos_smoke() {
+    let injected: u64 = (0..9).map(|i| run_chaos_schedule(i, 0xC0FFEE + i)).sum();
+    assert!(injected > 0, "the smoke must actually inject faults");
+}
+
+/// Long seeded chaos soak over all four schedule families. Excluded from
 /// the default test run; CI's soak step runs it with `--ignored`.
 #[test]
 #[ignore = "long chaos soak; run explicitly with --ignored"]
 fn chaos_soak() {
-    let mut injected = 0;
-    for i in 0..240u64 {
-        let seed = 0x50AC_0000 + i;
-        println!("soak schedule {i}: seed={seed:#x}");
-        let report = match i % 3 {
-            0 => spitz_bench::chaos::run_kv_schedule(seed),
-            1 => spitz_bench::chaos::run_scrub_schedule(seed),
-            _ => spitz_bench::chaos::run_2pc_schedule(seed),
-        };
-        injected += report.faults_injected;
-    }
+    let injected: u64 = (0..240)
+        .map(|i| run_chaos_schedule(i, 0x50AC_0000 + i))
+        .sum();
     assert!(injected > 0, "the soak must actually inject faults");
 }

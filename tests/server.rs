@@ -425,12 +425,18 @@ fn admin_endpoints_serve_health_scrub_compact_telemetry() {
 
     let json = client.telemetry_json().unwrap();
     assert!(json.trim_start().starts_with('{'));
+    // Quoted, so the `server.connections` gauge is not satisfied by the
+    // `server.connections_total` counter.
     for instrument in [
         "server.requests",
+        "server.connections",
         "server.connections_total",
         "server.bytes_written",
     ] {
-        assert!(json.contains(instrument), "telemetry missing {instrument}");
+        assert!(
+            json.contains(&format!("\"{instrument}\":")),
+            "telemetry missing {instrument}"
+        );
     }
 }
 

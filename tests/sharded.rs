@@ -200,7 +200,8 @@ fn durable_sharded_db_reopens_to_the_identical_digest() {
 }
 
 /// The soak body: `writers` threads issue `ops` mixed single-key and
-/// cross-shard batches each against 4 shards, retrying on conflicts.
+/// multi-key (cross-shard, given more than one shard) batches each,
+/// retrying on conflicts.
 /// Asserts termination (no deadlock), a serializable outcome per key (the
 /// final value of every key is the value of its last committed write), and
 /// digest/head consistency after a full-stop flush.
@@ -261,6 +262,11 @@ fn soak(db: &ShardedDb, writers: u32, ops: u32) {
         per_key.entry(k).or_default().push(v);
     }
     assert!(!per_key.is_empty());
+    // Every record landed on exactly one shard.
+    let landed: usize = (0..db.shard_count())
+        .map(|s| db.shard(s).ledger().len())
+        .sum();
+    assert_eq!(landed, per_key.len());
     for (key, values) in &per_key {
         let stored = db.get(key).unwrap().expect("committed key must exist");
         assert!(
@@ -425,8 +431,11 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
 
 #[test]
 fn concurrency_soak_short() {
-    let db = ShardedDb::in_memory(4);
-    soak(&db, 4, 40);
+    for shards in [1, 2, 4] {
+        for writers in [1, 4] {
+            soak(&ShardedDb::in_memory(shards), writers, 40);
+        }
+    }
 }
 
 #[test]
