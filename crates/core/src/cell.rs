@@ -1,4 +1,4 @@
-//! Universal keys, cells and the virtual cell store.
+//! Universal keys: how a cell of the paper's virtual cell store is named.
 //!
 //! "Built on top of ForkBase is a virtual cell store, as opposed to row or
 //! column store in traditional databases. The system maps each cell to a
@@ -11,7 +11,6 @@
 //! versions of one cell are adjacent and ordered by time.
 
 use spitz_crypto::{sha256, Hash};
-use spitz_storage::{Chunk, ChunkKind, ChunkStore};
 
 use crate::error::DbError;
 use crate::Result;
@@ -108,94 +107,9 @@ impl UniversalKey {
     }
 }
 
-/// A cell: a universal key plus the value bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cell {
-    /// The cell's universal key.
-    pub key: UniversalKey,
-    /// The cell value.
-    pub value: Vec<u8>,
-}
-
-impl Cell {
-    /// Create a cell, computing the value hash.
-    pub fn new(
-        column_id: u32,
-        primary_key: impl Into<Vec<u8>>,
-        timestamp: u64,
-        value: Vec<u8>,
-    ) -> Self {
-        let key = UniversalKey::new(column_id, primary_key, timestamp, &value);
-        Cell { key, value }
-    }
-
-    /// True when the stored value still matches the hash in the key.
-    pub fn verify_integrity(&self) -> bool {
-        sha256(&self.value) == self.key.value_hash
-    }
-}
-
-/// The virtual cell store: cells persisted as content-addressed chunks in
-/// the ForkBase-like store, addressed by the hash of their value.
-pub struct CellStore<S> {
-    store: S,
-}
-
-impl<S: ChunkStore> CellStore<S> {
-    /// Create a cell store over a chunk store.
-    pub fn new(store: S) -> Self {
-        CellStore { store }
-    }
-
-    /// The underlying chunk store.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-
-    /// Persist a cell. Returns the chunk address of the stored cell.
-    /// Panics on a storage failure; the write path uses
-    /// [`CellStore::try_put`].
-    ///
-    /// Layout: `encoded key || value || value_len (u32)`. The trailing length
-    /// lets the decoder recover the variable-length key without a prefix.
-    pub fn put(&self, cell: &Cell) -> Hash {
-        self.try_put(cell)
-            .expect("persisting a cell chunk failed; use try_put to handle it")
-    }
-
-    /// Fallible variant of [`CellStore::put`]: a storage failure (disk full
-    /// while appending the cell chunk) surfaces as an error instead of a
-    /// panic.
-    pub fn try_put(&self, cell: &Cell) -> Result<Hash> {
-        let mut payload = cell.key.encode();
-        payload.extend_from_slice(&cell.value);
-        payload.extend_from_slice(&(cell.value.len() as u32).to_be_bytes());
-        Ok(self.store.try_put(Chunk::new(ChunkKind::Cell, payload))?)
-    }
-
-    /// Load a cell by its chunk address.
-    pub fn get(&self, address: &Hash) -> Result<Cell> {
-        let chunk = self.store.get_kind(address, ChunkKind::Cell)?;
-        let data = chunk.data();
-        if data.len() < 4 {
-            return Err(DbError::Storage(format!("corrupt cell chunk {address}")));
-        }
-        let value_len =
-            u32::from_be_bytes(data[data.len() - 4..].try_into().expect("4 bytes")) as usize;
-        let key_len = data
-            .len()
-            .checked_sub(4 + value_len)
-            .ok_or_else(|| DbError::Storage(format!("corrupt cell chunk {address}")))?;
-        let key = UniversalKey::decode(&data[..key_len])?;
-        let value = data[key_len..key_len + value_len].to_vec();
-        Ok(Cell { key, value })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spitz_storage::InMemoryChunkStore;
 
     #[test]
     fn universal_key_roundtrip() {
@@ -223,40 +137,5 @@ mod tests {
         assert!(encoded.starts_with(&UniversalKey::column_prefix(3)));
         assert!(encoded.starts_with(&UniversalKey::cell_prefix(3, b"pk")));
         assert!(!encoded.starts_with(&UniversalKey::cell_prefix(3, b"other")));
-    }
-
-    #[test]
-    fn cell_integrity_check() {
-        let mut cell = Cell::new(1, b"pk".to_vec(), 1, b"value".to_vec());
-        assert!(cell.verify_integrity());
-        cell.value = b"tampered".to_vec();
-        assert!(!cell.verify_integrity());
-    }
-
-    #[test]
-    fn cell_store_roundtrip() {
-        let cells = CellStore::new(InMemoryChunkStore::new());
-        let cell = Cell::new(
-            2,
-            b"patient-9".to_vec(),
-            77,
-            b"blood pressure 120/80".to_vec(),
-        );
-        let address = cells.put(&cell);
-        let loaded = cells.get(&address).unwrap();
-        assert_eq!(loaded, cell);
-        assert!(loaded.verify_integrity());
-    }
-
-    #[test]
-    fn identical_cells_deduplicate() {
-        let store = InMemoryChunkStore::new();
-        let cells = CellStore::new(&store);
-        let cell = Cell::new(1, b"k".to_vec(), 5, b"v".to_vec());
-        let a1 = cells.put(&cell);
-        let before = store.stats().physical_bytes;
-        let a2 = cells.put(&cell);
-        assert_eq!(a1, a2);
-        assert_eq!(store.stats().physical_bytes, before);
     }
 }

@@ -13,10 +13,8 @@ use std::sync::Arc;
 use spitz_ledger::{CommitPipeline, Digest, Ledger, LedgerProof, LedgerRangeProof, VerifiedRange};
 use spitz_txn::{CcScheme, IsolationLevel, MvccStore, TimestampOracle, TransactionManager};
 
-use crate::cell::{Cell, CellStore};
 use crate::error::DbError;
 use crate::Result;
-use spitz_storage::ChunkStore;
 
 /// A client request, as accepted by the request handler.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,7 +180,6 @@ impl RequestHandler {
 /// One processor node of the control layer.
 pub struct ProcessorNode {
     auditor: Auditor,
-    cells: CellStore<Arc<dyn ChunkStore>>,
     oracle: Arc<TimestampOracle>,
     manager: TransactionManager,
     /// When present, commits are routed through the group-commit pipeline
@@ -192,16 +189,15 @@ pub struct ProcessorNode {
 }
 
 impl ProcessorNode {
-    /// Create a processor node over a shared chunk store and ledger,
-    /// committing inline (no pipeline).
-    pub fn new(store: Arc<dyn ChunkStore>, ledger: Arc<Ledger>, scheme: CcScheme) -> Self {
-        Self::with_pipeline(store, ledger, scheme, None)
+    /// Create a processor node over a ledger, committing inline (no
+    /// pipeline).
+    pub fn new(ledger: Arc<Ledger>, scheme: CcScheme) -> Self {
+        Self::with_pipeline(ledger, scheme, None)
     }
 
     /// Create a processor node that routes commits through `pipeline` when
     /// one is given.
     pub fn with_pipeline(
-        store: Arc<dyn ChunkStore>,
         ledger: Arc<Ledger>,
         scheme: CcScheme,
         pipeline: Option<Arc<CommitPipeline>>,
@@ -209,7 +205,6 @@ impl ProcessorNode {
         let oracle = Arc::new(TimestampOracle::new());
         ProcessorNode {
             auditor: Auditor::new(ledger),
-            cells: CellStore::new(store),
             oracle: Arc::clone(&oracle),
             manager: TransactionManager::new(Arc::new(MvccStore::new()), oracle, scheme),
             pipeline,
@@ -269,32 +264,23 @@ impl ProcessorNode {
     }
 
     /// The write path of Section 5.1: run the writes through the local
-    /// transaction manager (MVCC versions), persist cells, and have the
-    /// auditor record the block in the ledger (via the group-commit
-    /// pipeline when one is configured).
+    /// transaction manager (MVCC versions) and have the auditor record the
+    /// block in the ledger (via the group-commit pipeline when one is
+    /// configured). The ledger index holds the values; nothing else is
+    /// persisted per write.
     ///
     /// If the ledger commit fails (e.g. disk full in a durable store), the
     /// ledger rolls its own index back and the error is returned — the
     /// failed writes are not readable, since the read path serves from the
-    /// ledger index. The MVCC versions and cell chunks written before the
-    /// failure remain: the cells are unreferenced content-addressed chunks
-    /// (harmless until segment GC collects them) and a retried commit
-    /// simply writes newer MVCC versions, though explicit transactions may
-    /// conflict against the orphaned versions until then.
+    /// ledger index. The MVCC versions written before the failure remain:
+    /// a retried commit simply writes newer ones, though explicit
+    /// transactions may conflict against the orphaned versions until then.
     fn commit_writes(&self, writes: Vec<(Vec<u8>, Vec<u8>)>, statement: &str) -> Result<Response> {
         let mut txn = self.manager.begin(IsolationLevel::Serializable);
         for (key, value) in &writes {
             self.manager.write(&mut txn, key, value.clone())?;
         }
-        let commit_ts = self.manager.commit(&mut txn)?;
-
-        // Persist one cell per write in the virtual cell store. A failed
-        // cell put aborts the commit before the ledger moves: the MVCC
-        // versions written above are orphans a retry overwrites.
-        for (key, value) in &writes {
-            let cell = Cell::new(0, key.clone(), commit_ts, value.clone());
-            self.cells.try_put(&cell)?;
-        }
+        self.manager.commit(&mut txn)?;
 
         let digest = match &self.pipeline {
             Some(pipeline) => pipeline.commit(writes, statement).map_err(DbError::from)?,
@@ -311,9 +297,8 @@ mod tests {
     use spitz_storage::InMemoryChunkStore;
 
     fn node() -> Arc<ProcessorNode> {
-        let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
-        let ledger = Arc::new(Ledger::new(Arc::clone(&store)));
-        Arc::new(ProcessorNode::new(store, ledger, CcScheme::Occ))
+        let ledger = Arc::new(Ledger::new(InMemoryChunkStore::shared()));
+        Arc::new(ProcessorNode::new(ledger, CcScheme::Occ))
     }
 
     #[test]

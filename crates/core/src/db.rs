@@ -718,7 +718,6 @@ impl SpitzDb {
             )
         });
         let node = Arc::new(ProcessorNode::with_pipeline(
-            Arc::clone(&store),
             Arc::clone(&ledger),
             config.cc_scheme,
             pipeline.clone(),

@@ -4,10 +4,10 @@
 //! substrates in the sibling crates:
 //!
 //! * a **storage layer**: the ForkBase-like chunk store
-//!   (`spitz-storage`), the virtual [cell store](cell::CellStore) with
-//!   [universal keys](cell::UniversalKey), and the unified
-//!   [`spitz_ledger::Ledger`] whose SIRI index serves both queries and
-//!   verification;
+//!   (`spitz-storage`), the [universal keys](cell::UniversalKey) that name
+//!   the cells of the paper's virtual cell store, and the unified
+//!   [`spitz_ledger::Ledger`] whose SIRI index holds them and serves both
+//!   queries and verification;
 //! * a **control layer**: [processor nodes](control::ProcessorNode) made of a
 //!   request handler, an [auditor](control::Auditor) that talks to the
 //!   ledger, and a transaction manager from `spitz-txn`;
@@ -58,7 +58,7 @@ pub mod sharded;
 pub mod snapshot;
 pub mod staged;
 
-pub use cell::{Cell, CellStore, UniversalKey};
+pub use cell::UniversalKey;
 pub use control::{Auditor, ProcessorNode, Request, RequestHandler, Response};
 pub use db::{CompactionTrigger, SpitzConfig, SpitzDb, CATALOG_ROOT};
 pub use error::DbError;

@@ -7,10 +7,12 @@
 //! tree over the bucket hashes provides the digest and the proofs.
 //!
 //! The bucket layout makes point updates cheap (rewrite one bucket plus a
-//! short path) but, because buckets are ordered by *hash* rather than by
-//! key, range queries must scan every bucket — the weakness the paper's
-//! SIRI analysis attributes to hash-partitioned structures, and one of the
-//! effects the `ablation_siri` benchmark shows.
+//! short path), and a batch ([`SiriIndex::try_apply`]) rewrites each touched
+//! bucket and each interior node above a touched bucket once; but, because
+//! buckets are ordered by *hash* rather than by key, range queries must scan
+//! every bucket — the weakness the paper's SIRI analysis attributes to
+//! hash-partitioned structures, and one of the effects the `ablation_siri`
+//! benchmark shows.
 
 use std::sync::Arc;
 
@@ -19,7 +21,7 @@ use spitz_storage::{Chunk, ChunkKind, ChunkStore, StorageError};
 
 use crate::codec::{put_bytes, put_u32, Reader};
 use crate::proof::{hash_index_node, IndexProof, MultiProof};
-use crate::siri::{SiriIndex, SiriKind};
+use crate::siri::{sorted_batch, NodeTally, SiriIndex, SiriKind};
 
 /// Number of leaf buckets. Fixed for the lifetime of a tree (as in Fabric).
 const NUM_BUCKETS: usize = 4096;
@@ -35,6 +37,7 @@ pub struct MerkleBucketTree {
     /// entry — the root.
     levels: Vec<Vec<Hash>>,
     len: usize,
+    written: NodeTally,
 }
 
 fn bucket_of(key: &[u8]) -> usize {
@@ -109,6 +112,7 @@ impl MerkleBucketTree {
             store,
             levels: Vec::new(),
             len: 0,
+            written: NodeTally::default(),
         };
         tree.rebuild_all_levels(vec![Hash::ZERO; NUM_BUCKETS]);
         tree
@@ -153,6 +157,7 @@ impl MerkleBucketTree {
             store,
             levels: top_down,
             len,
+            written: NodeTally::default(),
         })
     }
 
@@ -179,24 +184,10 @@ impl MerkleBucketTree {
         if children.iter().all(|h| h.is_zero()) {
             return Ok(Hash::ZERO);
         }
-        self.store
-            .try_put(Chunk::new(ChunkKind::IndexNode, encode_internal(children)))
-    }
-
-    /// Recompute the internal-node path above `bucket_index` after the bucket
-    /// hash changed.
-    fn update_path(&mut self, bucket_index: usize) -> Result<(), StorageError> {
-        let mut index = bucket_index;
-        for level in 0..self.levels.len() - 1 {
-            let group_index = index / TREE_FANOUT;
-            let start = group_index * TREE_FANOUT;
-            let end = (start + TREE_FANOUT).min(self.levels[level].len());
-            let group: Vec<Hash> = self.levels[level][start..end].to_vec();
-            let parent = self.internal_hash(&group)?;
-            self.levels[level + 1][group_index] = parent;
-            index = group_index;
-        }
-        Ok(())
+        self.written.put(
+            &self.store,
+            Chunk::new(ChunkKind::IndexNode, encode_internal(children)),
+        )
     }
 
     fn load_bucket(&self, bucket_index: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -457,33 +448,70 @@ impl SiriIndex for MerkleBucketTree {
         self.len
     }
 
-    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StorageError> {
-        let bucket_index = bucket_of(&key);
-        let mut entries = self.load_bucket(bucket_index);
-        let inserted_new = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key.as_slice()))
-        {
-            Ok(i) => {
-                entries[i].1 = value;
-                false
+    fn try_apply(&mut self, writes: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<bool>, StorageError> {
+        let (batch, order) = sorted_batch(writes);
+        let mut by_bucket: Vec<_> = batch
+            .into_iter()
+            .enumerate()
+            .map(|(i, write)| (bucket_of(&write.0), i, write))
+            .collect();
+        // Stable: within a bucket the writes stay in key order.
+        by_bucket.sort_by_key(|write| write.0);
+
+        // Rewrite each touched bucket once. `changed` holds the new hashes
+        // of the level being built, ascending by position; the cached
+        // levels are not touched until every node of the new version is
+        // stored, so a failed put leaves the tree exactly as it was.
+        let mut is_new = vec![false; by_bucket.len()];
+        let mut changed: Vec<(usize, Hash)> = Vec::new();
+        let mut by_bucket = by_bucket.into_iter().peekable();
+        while let Some(&(bucket_index, _, _)) = by_bucket.peek() {
+            let mut entries = self.load_bucket(bucket_index);
+            while let Some((_, i, (key, value))) = by_bucket.next_if(|w| w.0 == bucket_index) {
+                match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
+                    Ok(at) => entries[at].1 = value,
+                    Err(at) => {
+                        entries.insert(at, (key, value));
+                        is_new[i] = true;
+                    }
+                }
             }
-            Err(i) => {
-                entries.insert(i, (key, value));
-                true
-            }
-        };
-        // Persist the bucket before mutating any in-memory level, so a
-        // failed put leaves the tree at its previous root. A failure inside
-        // `update_path` can leave the cached levels stale; callers recover
-        // by checking out the previous root (the ledger's rollback path).
-        let hash = self
-            .store
-            .try_put(Chunk::new(ChunkKind::IndexNode, encode_bucket(&entries)))?;
-        self.levels[0][bucket_index] = hash;
-        self.update_path(bucket_index)?;
-        if inserted_new {
-            self.len += 1;
+            let bucket = Chunk::new(ChunkKind::IndexNode, encode_bucket(&entries));
+            changed.push((bucket_index, self.written.put(&self.store, bucket)?));
         }
-        Ok(())
+
+        // Then each interior node above a touched bucket, once per level.
+        let mut pending = Vec::with_capacity(self.levels.len());
+        for level in 0..self.levels.len() - 1 {
+            let below = &self.levels[level];
+            let mut parents = Vec::new();
+            let mut rest = changed.as_slice();
+            while let Some(&(position, _)) = rest.first() {
+                let group_index = position / TREE_FANOUT;
+                let start = group_index * TREE_FANOUT;
+                let mut group = below[start..(start + TREE_FANOUT).min(below.len())].to_vec();
+                let same = rest.partition_point(|(p, _)| p / TREE_FANOUT == group_index);
+                for &(p, hash) in &rest[..same] {
+                    group[p - start] = hash;
+                }
+                parents.push((group_index, self.internal_hash(&group)?));
+                rest = &rest[same..];
+            }
+            pending.push(std::mem::replace(&mut changed, parents));
+        }
+        pending.push(changed);
+
+        for (level, changes) in self.levels.iter_mut().zip(pending) {
+            for (position, hash) in changes {
+                level[position] = hash;
+            }
+        }
+        self.len += is_new.iter().filter(|&&new| new).count();
+        Ok(order.flags(&is_new))
+    }
+
+    fn node_writes(&self) -> (u64, u64) {
+        self.written.get()
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {

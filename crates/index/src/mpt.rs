@@ -55,7 +55,7 @@ use spitz_storage::{
 
 use crate::codec::{put_bytes, put_hash, Reader};
 use crate::proof::{IndexProof, MultiProof};
-use crate::siri::{SiriIndex, SiriKind};
+use crate::siri::{sorted_batch, NodeTally, SiriIndex, SiriKind};
 
 /// Proof-step tag: leaf node, path and value revealed.
 const STEP_LEAF: u8 = 0x00;
@@ -199,6 +199,32 @@ pub struct MerklePatriciaTrie {
     /// Shared with every [`SiriIndex::checkout`] of this trie, so a pinned
     /// version proves against the tables the live trie already folded.
     memo: Arc<BranchMemo>,
+    written: NodeTally,
+}
+
+/// A trie position a batch is applied to: nothing there yet, a stored node,
+/// or a node the apply itself made (the tail of a split extension) that is
+/// persisted only in its final form.
+enum Slot {
+    Empty,
+    Stored(Hash),
+    Unsaved(MptNode),
+}
+
+/// One entry on its way down the trie: the nibbles still to be consumed,
+/// its value, and where to record that the key was new — `None` for an
+/// entry the trie already held (an overwritten key, or a resident leaf
+/// being re-homed under a new branch).
+struct Item<'a> {
+    rest: &'a [u8],
+    value: Vec<u8>,
+    flag: Option<usize>,
+}
+
+fn strip(items: &mut [Item<'_>], nibbles: usize) {
+    for item in items {
+        item.rest = &item.rest[nibbles..];
+    }
 }
 
 /// Abstraction over "where node payloads come from" so that the same lookup
@@ -281,6 +307,7 @@ impl MerklePatriciaTrie {
             root: Hash::ZERO,
             len: 0,
             memo: Arc::default(),
+            written: NodeTally::default(),
         }
     }
 
@@ -299,6 +326,7 @@ impl MerklePatriciaTrie {
             root,
             len: 0,
             memo,
+            written: NodeTally::default(),
         };
         if root.is_zero() {
             return Some(trie);
@@ -313,24 +341,36 @@ impl MerklePatriciaTrie {
     }
 
     fn save(&self, node: &MptNode) -> Result<Hash, StorageError> {
-        self.store
-            .try_put(Chunk::new(ChunkKind::MptNode, node.encode()))
+        self.written
+            .put(&self.store, Chunk::new(ChunkKind::MptNode, node.encode()))
+    }
+
+    /// `child` behind an extension over `path`, or `child` itself when the
+    /// path is empty.
+    fn save_behind(&self, path: &[u8], child: Hash) -> Result<Hash, StorageError> {
+        if path.is_empty() {
+            return Ok(child);
+        }
+        self.save(&MptNode::Extension {
+            path: path.to_vec(),
+            child,
+        })
     }
 
     /// Persist a branch node, maintaining its sparse-subtree [`RegionTable`]
     /// incrementally instead of refolding from scratch.
     ///
-    /// `reuse` names the branch being replaced: `Some((old, Some(nib)))`
-    /// when exactly slot `nib` changed (memo hit → copy the old table and
-    /// recompute only the 4-entry spine), `Some((old, None))` when only the
-    /// branch value changed (children identical → the old table is the new
-    /// table), `None` for a freshly created branch. The commitment is then
+    /// `reuse` names the branch being replaced and the bitmap of its slots
+    /// that changed: exactly one (memo hit → copy the old table and
+    /// recompute only the 4-entry spine), none (only the branch value
+    /// changed → the old table is the new table) or several (refold);
+    /// `None` for a freshly created branch. The commitment is then
     /// one hash over `(bitmap, table root, value hash)` and is seeded into
     /// the chunk via [`Chunk::with_address`], skipping the store's own
     /// subtree refold.
     fn save_branch(
         &self,
-        reuse: Option<(Hash, Option<usize>)>,
+        reuse: Option<(Hash, u16)>,
         children: Box<[Option<Hash>; 16]>,
         value: Option<Vec<u8>>,
     ) -> Result<Hash, StorageError> {
@@ -342,12 +382,14 @@ impl MerklePatriciaTrie {
                 slots[i] = *h;
             }
         }
-        let reused = reuse.and_then(|(old, nib)| self.memo.lookup(&old).map(|t| (t, nib)));
+        let reused = reuse
+            .filter(|(_, changed)| changed.count_ones() <= 1)
+            .and_then(|(old, changed)| self.memo.lookup(&old).map(|t| (t, changed)));
         let table = match reused {
-            Some((table, None)) => table,
-            Some((table, Some(nib))) => {
+            Some((table, 0)) => table,
+            Some((table, changed)) => {
                 let mut fresh = *table;
-                refresh_region_spine(&mut fresh, &slots, nib);
+                refresh_region_spine(&mut fresh, &slots, changed.trailing_zeros() as usize);
                 Arc::new(fresh)
             }
             None => Arc::new(build_region_table(&slots)),
@@ -359,11 +401,10 @@ impl MerklePatriciaTrie {
         let commitment = mpt_branch_commitment(bitmap, &table[14], &value_part);
         self.memo.remember(commitment, table);
         let node = MptNode::Branch { children, value };
-        self.store.try_put(Chunk::with_address(
-            ChunkKind::MptNode,
-            node.encode(),
-            commitment,
-        ))
+        self.written.put(
+            &self.store,
+            Chunk::with_address(ChunkKind::MptNode, node.encode(), commitment),
+        )
     }
 
     fn load(&self, hash: &Hash) -> Option<MptNode> {
@@ -371,139 +412,130 @@ impl MerklePatriciaTrie {
         MptNode::decode(chunk.data())
     }
 
-    /// Recursive insert; returns the hash of the replacement node and whether
-    /// a new key was added. A storage failure while persisting any node
-    /// aborts the insert with the trie root untouched.
-    fn insert_rec(
+    /// Apply a sorted, duplicate-free batch to the subtrie at `at` in one
+    /// descent, returning the hash of its replacement. Every node of the
+    /// new version is persisted once, in its final form; `is_new[flag]` is
+    /// set for each item that lands where the trie held nothing.
+    fn apply(
         &self,
-        node: Option<Hash>,
-        path: &[u8],
-        value: &[u8],
-    ) -> Result<(Hash, bool), StorageError> {
-        let Some(hash) = node else {
-            return Ok((
-                self.save(&MptNode::Leaf {
-                    path: path.to_vec(),
-                    value: value.to_vec(),
-                })?,
-                true,
-            ));
+        at: Slot,
+        mut items: Vec<Item<'_>>,
+        is_new: &mut [bool],
+    ) -> Result<Hash, StorageError> {
+        let (node, stored) = match at {
+            Slot::Empty => return self.build(items, is_new),
+            Slot::Stored(hash) if items.is_empty() => return Ok(hash),
+            Slot::Unsaved(node) if items.is_empty() => return self.save(&node),
+            Slot::Stored(hash) => (
+                self.load(&hash).expect("mpt node missing from store"),
+                Some(hash),
+            ),
+            Slot::Unsaved(node) => (node, None),
         };
-        let node = self.load(&hash).expect("mpt node missing from store");
         match node {
-            MptNode::Leaf {
-                path: lpath,
-                value: lvalue,
-            } => {
-                if lpath == path {
-                    return Ok((
-                        self.save(&MptNode::Leaf {
-                            path: lpath,
-                            value: value.to_vec(),
-                        })?,
-                        false,
-                    ));
+            MptNode::Leaf { path, value } => {
+                // The resident entry joins the batch, unless the batch
+                // overwrites it; either way nothing new lands at its path.
+                // (Rebound so the items may borrow this node's path.)
+                let mut items: Vec<Item<'_>> = items;
+                match items.binary_search_by(|item| item.rest.cmp(&path)) {
+                    Ok(i) => items[i].flag = None,
+                    Err(i) => items.insert(
+                        i,
+                        Item {
+                            rest: &path,
+                            value,
+                            flag: None,
+                        },
+                    ),
                 }
-                let cp = common_prefix(&lpath, path);
-                let mut children: [Option<Hash>; 16] = Default::default();
-                let mut branch_value = None;
-
-                let lrem = &lpath[cp..];
-                if lrem.is_empty() {
-                    branch_value = Some(lvalue);
-                } else {
-                    children[lrem[0] as usize] = Some(self.save(&MptNode::Leaf {
-                        path: lrem[1..].to_vec(),
-                        value: lvalue,
-                    })?);
-                }
-                let prem = &path[cp..];
-                let mut branch_value2 = branch_value;
-                if prem.is_empty() {
-                    branch_value2 = Some(value.to_vec());
-                } else {
-                    children[prem[0] as usize] = Some(self.save(&MptNode::Leaf {
-                        path: prem[1..].to_vec(),
-                        value: value.to_vec(),
-                    })?);
-                }
-                let branch = self.save_branch(None, Box::new(children), branch_value2)?;
-                let result = if cp > 0 {
-                    self.save(&MptNode::Extension {
-                        path: path[..cp].to_vec(),
-                        child: branch,
-                    })?
-                } else {
-                    branch
-                };
-                Ok((result, true))
+                self.build(items, is_new)
             }
-            MptNode::Extension { path: epath, child } => {
-                let cp = common_prefix(&epath, path);
-                if cp == epath.len() {
-                    let (new_child, added) = self.insert_rec(Some(child), &path[cp..], value)?;
-                    return Ok((
-                        self.save(&MptNode::Extension {
-                            path: epath,
-                            child: new_child,
-                        })?,
-                        added,
-                    ));
+            MptNode::Extension { path, child } => {
+                // Sorted items: the shortest agreement with `path` is at an end.
+                let cp = common_prefix(&path, items[0].rest)
+                    .min(common_prefix(&path, items[items.len() - 1].rest));
+                strip(&mut items, cp);
+                if cp == path.len() {
+                    let child = self.apply(Slot::Stored(child), items, is_new)?;
+                    return self.save(&MptNode::Extension { path, child });
                 }
-                // Split the extension at the divergence point.
-                let mut children: [Option<Hash>; 16] = Default::default();
-                let mut branch_value = None;
-                let erem = &epath[cp..];
-                let echild = if erem.len() > 1 {
-                    self.save(&MptNode::Extension {
-                        path: erem[1..].to_vec(),
+                // Split at the divergence: the tail of the extension becomes
+                // one child of a new branch.
+                let mut children: [Slot; 16] = std::array::from_fn(|_| Slot::Empty);
+                children[path[cp] as usize] = if path.len() - cp > 1 {
+                    Slot::Unsaved(MptNode::Extension {
+                        path: path[cp + 1..].to_vec(),
                         child,
-                    })?
+                    })
                 } else {
-                    child
+                    Slot::Stored(child)
                 };
-                children[erem[0] as usize] = Some(echild);
-
-                let prem = &path[cp..];
-                if prem.is_empty() {
-                    branch_value = Some(value.to_vec());
-                } else {
-                    children[prem[0] as usize] = Some(self.save(&MptNode::Leaf {
-                        path: prem[1..].to_vec(),
-                        value: value.to_vec(),
-                    })?);
-                }
-                let branch = self.save_branch(None, Box::new(children), branch_value)?;
-                let result = if cp > 0 {
-                    self.save(&MptNode::Extension {
-                        path: path[..cp].to_vec(),
-                        child: branch,
-                    })?
-                } else {
-                    branch
-                };
-                Ok((result, true))
+                let branch = self.apply_branch(None, children, None, items, is_new)?;
+                self.save_behind(&path[..cp], branch)
             }
-            MptNode::Branch {
-                mut children,
-                value: bvalue,
-            } => {
-                if path.is_empty() {
-                    let added = bvalue.is_none();
-                    return Ok((
-                        self.save_branch(Some((hash, None)), children, Some(value.to_vec()))?,
-                        added,
-                    ));
-                }
-                let idx = path[0] as usize;
-                let (new_child, added) = self.insert_rec(children[idx], &path[1..], value)?;
-                children[idx] = Some(new_child);
-                Ok((
-                    self.save_branch(Some((hash, Some(idx))), children, bvalue)?,
-                    added,
-                ))
+            MptNode::Branch { children, value } => {
+                let children = children.map(|child| child.map_or(Slot::Empty, Slot::Stored));
+                self.apply_branch(stored, children, value, items, is_new)
             }
         }
+    }
+
+    /// The canonical subtrie of `items` alone (sorted, at least one).
+    fn build(&self, mut items: Vec<Item<'_>>, is_new: &mut [bool]) -> Result<Hash, StorageError> {
+        if items.len() == 1 {
+            let item = items.pop().expect("one item");
+            if let Some(flag) = item.flag {
+                is_new[flag] = true;
+            }
+            return self.save(&MptNode::Leaf {
+                path: item.rest.to_vec(),
+                value: item.value,
+            });
+        }
+        let shared = items[0].rest;
+        let cp = common_prefix(shared, items[items.len() - 1].rest);
+        strip(&mut items, cp);
+        let children = std::array::from_fn(|_| Slot::Empty);
+        let branch = self.apply_branch(None, children, None, items, is_new)?;
+        self.save_behind(&shared[..cp], branch)
+    }
+
+    /// Distribute `items` over a branch's value and child slots, recurse
+    /// into the touched slots and persist the branch once. `replaces` is
+    /// the stored branch this one supersedes, if any.
+    fn apply_branch(
+        &self,
+        replaces: Option<Hash>,
+        children: [Slot; 16],
+        mut value: Option<Vec<u8>>,
+        items: Vec<Item<'_>>,
+        is_new: &mut [bool],
+    ) -> Result<Hash, StorageError> {
+        let mut items = items.into_iter().peekable();
+        if let Some(item) = items.next_if(|item| item.rest.is_empty()) {
+            if let (None, Some(flag)) = (&value, item.flag) {
+                is_new[flag] = true;
+            }
+            value = Some(item.value);
+        }
+        let mut hashes: Box<[Option<Hash>; 16]> = Box::default();
+        let mut changed: u16 = 0;
+        for (nibble, slot) in children.into_iter().enumerate() {
+            let mut part = Vec::new();
+            while let Some(mut item) = items.next_if(|item| item.rest[0] as usize == nibble) {
+                item.rest = &item.rest[1..];
+                part.push(item);
+            }
+            if !part.is_empty() {
+                changed |= 1 << nibble;
+            }
+            hashes[nibble] = match slot {
+                Slot::Empty if part.is_empty() => None,
+                slot => Some(self.apply(slot, part, is_new)?),
+            };
+        }
+        self.save_branch(replaces.map(|old| (old, changed)), hashes, value)
     }
 
     /// In-order traversal; calls `emit(key_nibbles, value)` for every entry
@@ -1181,19 +1213,37 @@ impl SiriIndex for MerklePatriciaTrie {
         self.len
     }
 
-    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StorageError> {
-        let nibbles = to_nibbles(&key);
-        let root = if self.root.is_zero() {
-            None
-        } else {
-            Some(self.root)
-        };
-        let (new_root, added) = self.insert_rec(root, &nibbles, &value)?;
-        self.root = new_root;
-        if added {
-            self.len += 1;
+    fn try_apply(&mut self, writes: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<bool>, StorageError> {
+        let (batch, order) = sorted_batch(writes);
+        if batch.is_empty() {
+            return Ok(Vec::new());
         }
-        Ok(())
+        // Nibble order is byte order, so the batch is sorted for the descent.
+        let paths: Vec<Vec<u8>> = batch.iter().map(|(key, _)| to_nibbles(key)).collect();
+        let items = batch
+            .into_iter()
+            .zip(&paths)
+            .enumerate()
+            .map(|(i, ((_, value), path))| Item {
+                rest: path,
+                value,
+                flag: Some(i),
+            })
+            .collect();
+        let at = if self.root.is_zero() {
+            Slot::Empty
+        } else {
+            Slot::Stored(self.root)
+        };
+        let mut is_new = vec![false; paths.len()];
+        // Published only once the whole new version is stored.
+        self.root = self.apply(at, items, &mut is_new)?;
+        self.len += is_new.iter().filter(|&&new| new).count();
+        Ok(order.flags(&is_new))
+    }
+
+    fn node_writes(&self) -> (u64, u64) {
+        self.written.get()
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {

@@ -14,6 +14,13 @@
 //! structural invariance, node-level deduplication across versions, ordered
 //! range scans, and Merkle proofs that are produced by the same traversal
 //! that answers the query.
+//!
+//! Writes arrive as sorted batches ([`SiriIndex::try_apply`]): one descent
+//! partitions the batch over the children of each internal node, rewrites
+//! only the touched subtrees and re-splits each touched node once. The
+//! ledger stores one index instance *per block*, and one such pass per
+//! block writes exactly that instance's new nodes — the path shared by a
+//! block's keys is written once, not once per key.
 
 use std::sync::Arc;
 
@@ -22,7 +29,7 @@ use spitz_storage::{Chunk, ChunkKind, ChunkStore, StorageError};
 
 use crate::codec::{put_bytes, put_hash, put_u32, put_u64, Reader};
 use crate::proof::{hash_index_node, IndexProof, MultiProof};
-use crate::siri::{SiriIndex, SiriKind};
+use crate::siri::{sorted_batch, IndexEntries, NodeTally, SiriIndex, SiriKind};
 
 /// Expected (average) number of entries per node.
 const AVG_FANOUT: u64 = 16;
@@ -155,6 +162,7 @@ pub struct PosTree {
     store: Arc<dyn ChunkStore>,
     root: Hash,
     len: usize,
+    written: NodeTally,
 }
 
 impl PosTree {
@@ -164,6 +172,7 @@ impl PosTree {
             store,
             root: Hash::ZERO,
             len: 0,
+            written: NodeTally::default(),
         }
     }
 
@@ -171,15 +180,16 @@ impl PosTree {
     /// not present in the store.
     pub fn open(store: Arc<dyn ChunkStore>, root: Hash) -> Option<Self> {
         if root.is_zero() {
-            return Some(PosTree {
-                store,
-                root,
-                len: 0,
-            });
+            return Some(PosTree::new(store));
         }
         let node = load_node(&store, &root)?;
         let len = node.count() as usize;
-        Some(PosTree { store, root, len })
+        Some(PosTree {
+            store,
+            root,
+            len,
+            written: NodeTally::default(),
+        })
     }
 
     /// The backing chunk store.
@@ -242,8 +252,8 @@ impl PosTree {
         let payload = node.encode();
         let count = node.count();
         let hash = self
-            .store
-            .try_put(Chunk::new(ChunkKind::IndexNode, payload))?;
+            .written
+            .put(&self.store, Chunk::new(ChunkKind::IndexNode, payload))?;
         Ok((hash, count))
     }
 
@@ -304,36 +314,51 @@ impl PosTree {
         })
     }
 
-    /// Recursive insert; returns the replacement children for the node at
-    /// `hash` and whether a brand-new key was added.
-    fn insert_rec(
+    /// One copy-on-write pass over the subtree at `hash` for a sorted,
+    /// duplicate-free `batch`: returns the replacement children for that
+    /// node and its level, pushing onto `is_new`, in batch order, whether
+    /// each key was absent. Only subtrees the batch touches are loaded, and
+    /// every touched node is re-split and persisted once.
+    fn apply_rec(
         &self,
         hash: &Hash,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<(Vec<ChildRef>, bool), StorageError> {
+        batch: IndexEntries,
+        is_new: &mut Vec<bool>,
+    ) -> Result<(Vec<ChildRef>, u8), StorageError> {
         let node = load_node(&self.store, hash).expect("pos-tree node missing from store");
         match node {
-            Node::Leaf(mut entries) => {
-                let mut inserted_new = false;
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => entries[i].1 = value.to_vec(),
-                    Err(i) => {
-                        entries.insert(i, (key.to_vec(), value.to_vec()));
-                        inserted_new = true;
+            Node::Leaf(entries) => {
+                let mut merged = Vec::with_capacity(entries.len() + batch.len());
+                let mut old = entries.into_iter().peekable();
+                for (key, value) in batch {
+                    while let Some(entry) = old.next_if(|(k, _)| *k < key) {
+                        merged.push(entry);
+                    }
+                    is_new.push(old.next_if(|(k, _)| *k == key).is_none());
+                    merged.push((key, value));
+                }
+                merged.extend(old);
+                Ok((self.persist_leaf_runs(merged)?, 0))
+            }
+            Node::Internal(level, children) => {
+                // Child `i` covers the keys in (max_key[i-1], max_key[i]];
+                // the last child also takes everything above its max.
+                let last = children.len() - 1;
+                let mut batch = batch.into_iter().peekable();
+                let mut spliced = Vec::with_capacity(children.len() + 1);
+                for (i, child) in children.into_iter().enumerate() {
+                    let mut part = Vec::new();
+                    while let Some(write) = batch.next_if(|(k, _)| i == last || *k <= child.max_key)
+                    {
+                        part.push(write);
+                    }
+                    if part.is_empty() {
+                        spliced.push(child);
+                    } else {
+                        spliced.extend(self.apply_rec(&child.hash, part, is_new)?.0);
                     }
                 }
-                Ok((self.persist_leaf_runs(entries)?, inserted_new))
-            }
-            Node::Internal(level, mut children) => {
-                let idx = match children.binary_search_by(|c| c.max_key.as_slice().cmp(key)) {
-                    Ok(i) => i,
-                    Err(i) => i.min(children.len() - 1),
-                };
-                let (replacements, inserted_new) =
-                    self.insert_rec(&children[idx].hash, key, value)?;
-                children.splice(idx..idx + 1, replacements);
-                Ok((self.persist_internal_runs(level, children)?, inserted_new))
+                Ok((self.persist_internal_runs(level, spliced)?, level))
             }
         }
     }
@@ -567,25 +592,27 @@ impl SiriIndex for PosTree {
         self.len
     }
 
-    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StorageError> {
-        if self.root.is_zero() {
-            let refs = self.persist_leaf_runs(vec![(key, value)])?;
-            self.root = self.collapse(refs, 1)?;
-            self.len = 1;
-            return Ok(());
+    fn try_apply(&mut self, writes: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<bool>, StorageError> {
+        let (batch, order) = sorted_batch(writes);
+        if batch.is_empty() {
+            return Ok(Vec::new());
         }
-        let (refs, inserted_new) = self.insert_rec(&self.root.clone(), &key, &value)?;
-        // Determine the level above the returned refs: reload one ref to see.
-        let level_above = match load_node(&self.store, &refs[0].hash) {
-            Some(Node::Leaf(_)) => 1,
-            Some(Node::Internal(level, _)) => level + 1,
-            None => 1,
+        let mut is_new = Vec::with_capacity(batch.len());
+        let (refs, level) = if self.root.is_zero() {
+            is_new.resize(batch.len(), true);
+            (self.persist_leaf_runs(batch)?, 0)
+        } else {
+            self.apply_rec(&self.root, batch, &mut is_new)?
         };
-        self.root = self.collapse(refs, level_above)?;
-        if inserted_new {
-            self.len += 1;
-        }
-        Ok(())
+        // Nothing is published until every node of the new version is
+        // stored: a failure above leaves root and len as they were.
+        self.root = self.collapse(refs, level + 1)?;
+        self.len += is_new.iter().filter(|&&new| new).count();
+        Ok(order.flags(&is_new))
+    }
+
+    fn node_writes(&self) -> (u64, u64) {
+        self.written.get()
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {

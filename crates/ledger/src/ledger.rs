@@ -123,6 +123,18 @@ pub type VerifiedRange = (Vec<(Vec<u8>, Vec<u8>)>, LedgerRangeProof);
 /// provenance statement recorded with each of them.
 pub type CommitGroup = (Vec<(Vec<u8>, Vec<u8>)>, String);
 
+/// What sealing one block wrote, as reported by
+/// [`Ledger::try_append_groups`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockCost {
+    /// Key/value writes applied (over all of the block's groups).
+    pub writes: usize,
+    /// Index nodes the block's one apply put.
+    pub index_nodes_written: u64,
+    /// Their size, in the store's `physical_bytes` units.
+    pub index_bytes_written: u64,
+}
+
 /// Proof returned with a verified range read: a single combined index proof
 /// covering every returned entry (the "unified index" benefit of Section
 /// 6.2.2). The proof carries the queried bounds, and verification is
@@ -419,11 +431,7 @@ impl Ledger {
     /// Create a ledger with a specific SIRI index (used by the
     /// `ablation_siri` benchmark).
     pub fn with_kind(store: Arc<dyn ChunkStore>, kind: SiriKind) -> Self {
-        let index: Box<dyn SiriIndex> = match kind {
-            SiriKind::PosTree => Box::new(PosTree::new(Arc::clone(&store))),
-            SiriKind::MerklePatriciaTrie => Box::new(MerklePatriciaTrie::new(Arc::clone(&store))),
-            SiriKind::MerkleBucketTree => Box::new(MerkleBucketTree::new(Arc::clone(&store))),
-        };
+        let index = open_index(&store, kind, Hash::ZERO).expect("the empty index always opens");
         Ledger {
             store,
             kind,
@@ -496,17 +504,8 @@ impl Ledger {
         let head = blocks.last().expect("chain walk found at least the head");
         let index_root = head.header.index_root;
         let timestamp = head.header.timestamp;
-        let index: Option<Box<dyn SiriIndex>> = match kind {
-            SiriKind::PosTree => PosTree::open(Arc::clone(&store), index_root)
-                .map(|t| Box::new(t) as Box<dyn SiriIndex>),
-            SiriKind::MerklePatriciaTrie => {
-                MerklePatriciaTrie::open(Arc::clone(&store), index_root)
-                    .map(|t| Box::new(t) as Box<dyn SiriIndex>)
-            }
-            SiriKind::MerkleBucketTree => MerkleBucketTree::open(Arc::clone(&store), index_root)
-                .map(|t| Box::new(t) as Box<dyn SiriIndex>),
-        };
-        let index = index.ok_or(StorageError::ChunkNotFound(index_root))?;
+        let index =
+            open_index(&store, kind, index_root).ok_or(StorageError::ChunkNotFound(index_root))?;
 
         Ok(Ledger {
             store,
@@ -566,6 +565,7 @@ impl Ledger {
         statement: &str,
     ) -> Result<Digest, StorageError> {
         self.try_append_groups(vec![(writes, statement.to_string())])
+            .map(|(digest, _)| digest)
     }
 
     /// Seal several commit groups — each a batch of writes with its own
@@ -574,43 +574,54 @@ impl Ledger {
     /// committers coalesce into a single block (one index-root update, one
     /// block chunk, one head-root publication) instead of one block each.
     ///
+    /// All the groups' writes reach the index as one batch
+    /// ([`SiriIndex::try_apply`]): the block's index instance is the only
+    /// one written, and the returned [`BlockCost`] says what it cost.
+    ///
     /// On an error the block is not sealed, no journal/chain state
-    /// advances, and the live index is rolled back to the pre-append root
-    /// (the failed groups' writes are not readable). Retrying the same
-    /// writes is safe: identical chunks deduplicate, so a successful retry
+    /// advances, and the failed groups' writes are not readable: a failed
+    /// index apply publishes nothing, and a failed block persist rolls the
+    /// live index back to the pre-append root. Retrying the same writes is
+    /// safe: identical chunks deduplicate, so a successful retry
     /// reproduces the block a non-failing commit would have sealed.
-    pub fn try_append_groups(&self, groups: Vec<CommitGroup>) -> Result<Digest, StorageError> {
+    pub fn try_append_groups(
+        &self,
+        groups: Vec<CommitGroup>,
+    ) -> Result<(Digest, BlockCost), StorageError> {
         let mut inner = self.inner.write();
         let prev_index_root = inner.index.root();
-        inner.timestamp += 1;
-        let timestamp = inner.timestamp;
+        let timestamp = inner.timestamp + 1;
 
-        let mut records = Vec::with_capacity(groups.iter().map(|(w, _)| w.len()).sum());
-        for (writes, statement) in groups {
-            for (key, value) in writes {
-                let op = if inner.index.get(&key).is_some() {
-                    WriteOp::Update
-                } else {
-                    WriteOp::Insert
-                };
+        let total = groups.iter().map(|(w, _)| w.len()).sum();
+        let mut records = Vec::with_capacity(total);
+        let mut writes = Vec::with_capacity(total);
+        for (group, statement) in groups {
+            for (key, value) in group {
                 records.push(TxnRecord {
-                    op,
+                    op: WriteOp::Update,
                     key: key.clone(),
                     value_hash: spitz_crypto::sha256(&value),
                     statement: statement.clone(),
                 });
-                // Index-node puts route through `try_put`: disk full while
-                // persisting an index node is an error with a rollback, not
-                // a panic inside the committer.
-                if let Err(error) = inner.index.try_insert(key, value) {
-                    if let Some(previous) = inner.index.checkout(prev_index_root) {
-                        inner.index = previous;
-                    }
-                    inner.timestamp -= 1;
-                    return Err(error);
-                }
+                writes.push((key, value));
             }
         }
+        // Index-node puts route through `try_put`: disk full while
+        // persisting an index node is an error, not a panic inside the
+        // committer, and the apply publishes nothing unless it completes.
+        let (nodes_before, bytes_before) = inner.index.node_writes();
+        let was_new = inner.index.try_apply(writes)?;
+        let (nodes_after, bytes_after) = inner.index.node_writes();
+        for (record, new) in records.iter_mut().zip(was_new) {
+            if new {
+                record.op = WriteOp::Insert;
+            }
+        }
+        let cost = BlockCost {
+            writes: total,
+            index_nodes_written: nodes_after - nodes_before,
+            index_bytes_written: bytes_after - bytes_before,
+        };
 
         let height = inner.journal.len() as u64;
         let prev_hash = if height == 0 {
@@ -649,16 +660,16 @@ impl Ledger {
                 if let Some(previous) = inner.index.checkout(prev_index_root) {
                     inner.index = previous;
                 }
-                inner.timestamp -= 1;
                 return Err(error);
             }
         };
         inner.head_chunk = chunk_address;
+        inner.timestamp = timestamp;
 
         inner.journal.append(block.hash());
         inner.blocks.push(block);
         drop(inner);
-        Ok(self.digest())
+        Ok((self.digest(), cost))
     }
 
     /// The current database digest.
@@ -807,6 +818,21 @@ impl Ledger {
 }
 
 /// The digest implied by a ledger's locked inner state.
+/// An index of `kind` over `store` at `root` ([`Hash::ZERO`]: empty);
+/// `None` when the store does not hold the root node.
+fn open_index(
+    store: &Arc<dyn ChunkStore>,
+    kind: SiriKind,
+    root: Hash,
+) -> Option<Box<dyn SiriIndex>> {
+    let store = Arc::clone(store);
+    Some(match kind {
+        SiriKind::PosTree => Box::new(PosTree::open(store, root)?),
+        SiriKind::MerklePatriciaTrie => Box::new(MerklePatriciaTrie::open(store, root)?),
+        SiriKind::MerkleBucketTree => Box::new(MerkleBucketTree::open(store, root)?),
+    })
+}
+
 fn digest_of(inner: &LedgerInner, kind: SiriKind) -> Digest {
     let height = inner.journal.len() as u64;
     let (block_height, block_hash) = if height == 0 {
@@ -1226,77 +1252,121 @@ mod tests {
         assert_eq!(reread.digest(), digest2);
     }
 
+    /// The per-key fold `try_append_groups` ran before it applied a block
+    /// as one batch — a `get` and an insert per key — kept here as the
+    /// reference: the batched ledger must reproduce its digest chain block
+    /// by block, so every proof byte is unchanged.
     #[test]
-    fn failed_append_rolls_back_and_retry_reproduces_the_block() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        /// Forwards to an in-memory store but fails `try_put` of block
-        /// chunks while the switch is on (a disk-full stand-in).
-        struct FailingBlockStore {
-            inner: InMemoryChunkStore,
-            fail: AtomicBool,
-        }
-
-        impl ChunkStore for FailingBlockStore {
-            fn put(&self, chunk: spitz_storage::Chunk) -> Hash {
-                self.inner.put(chunk)
-            }
-            fn try_put(&self, chunk: spitz_storage::Chunk) -> Result<Hash, StorageError> {
-                if chunk.kind() == ChunkKind::Block && self.fail.load(Ordering::Relaxed) {
-                    return Err(StorageError::io_synthetic(
-                        spitz_storage::IoErrorKind::NoSpace,
-                        "append",
-                        "simulated disk full",
-                    ));
+    fn batched_append_reproduces_the_per_key_digest_chain() {
+        let statement = |s: &str| s.to_string();
+        // Loads, single puts, a coalesced group of groups, cross-group and
+        // in-group duplicates, updates of loaded keys, an empty group.
+        let blocks: Vec<Vec<CommitGroup>> = vec![
+            vec![((0..300).map(kv).collect(), statement("load"))],
+            vec![(vec![kv(7)], statement("PUT"))],
+            vec![(vec![(kv(7).0, b"again".to_vec())], statement("PUT"))],
+            vec![
+                ((290..330).map(kv).collect(), statement("batch a")),
+                (
+                    vec![kv(1000), (kv(1000).0, b"twice".to_vec()), kv(295)],
+                    statement("batch b"),
+                ),
+                (Vec::new(), statement("empty")),
+                (vec![(kv(1000).0, b"thrice".to_vec())], statement("batch c")),
+            ],
+            vec![(
+                (0..64).rev().map(|i| kv(5 * i)).collect(),
+                statement("mixed"),
+            )],
+        ];
+        for kind in [
+            SiriKind::PosTree,
+            SiriKind::MerklePatriciaTrie,
+            SiriKind::MerkleBucketTree,
+        ] {
+            let ledger = Ledger::with_kind(InMemoryChunkStore::shared(), kind);
+            let reference_store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
+            let mut index = open_index(&reference_store, kind, Hash::ZERO).unwrap();
+            let mut journal = Journal::new();
+            let mut prev_hash = Hash::ZERO;
+            for (height, groups) in blocks.iter().enumerate() {
+                let mut records = Vec::new();
+                for (writes, statement) in groups {
+                    for (key, value) in writes {
+                        let op = if index.get(key).is_some() {
+                            WriteOp::Update
+                        } else {
+                            WriteOp::Insert
+                        };
+                        records.push(TxnRecord {
+                            op,
+                            key: key.clone(),
+                            value_hash: spitz_crypto::sha256(value),
+                            statement: statement.clone(),
+                        });
+                        index.try_insert(key.clone(), value.clone()).unwrap();
+                    }
                 }
-                Ok(self.inner.put(chunk))
+                let writes = records.len();
+                let height = height as u64;
+                let block = Block::new(height, prev_hash, index.root(), height + 1, records);
+                prev_hash = block.hash();
+                journal.append(prev_hash);
+                let expected = Digest {
+                    block_height: height,
+                    block_hash: prev_hash,
+                    index_root: index.root(),
+                    journal_root: journal.root(),
+                    index_kind: kind,
+                };
+                let (digest, cost) = ledger.try_append_groups(groups.clone()).unwrap();
+                assert_eq!(digest, expected, "{} block {height}", kind.name());
+                assert_eq!(cost.writes, writes);
+                assert_eq!(ledger.len(), index.len());
             }
-            fn get(&self, address: &Hash) -> Result<Arc<spitz_storage::Chunk>, StorageError> {
-                self.inner.get(address)
-            }
-            fn contains(&self, address: &Hash) -> bool {
-                self.inner.contains(address)
-            }
-            fn stats(&self) -> spitz_storage::StoreStats {
-                self.inner.stats()
-            }
-            fn audit(&self) -> Vec<Hash> {
-                self.inner.audit()
-            }
-            fn set_root(&self, name: &str, hash: Hash) {
-                self.inner.set_root(name, hash)
-            }
-            fn root(&self, name: &str) -> Option<Hash> {
-                self.inner.root(name)
+            assert_eq!(ledger.audit_chain(), None);
+        }
+    }
+
+    /// What `try_append_groups` reports is what the store saw: the block's
+    /// index nodes, each once, plus the block chunk.
+    #[test]
+    fn block_cost_agrees_with_the_store() {
+        for kind in [SiriKind::PosTree, SiriKind::MerkleBucketTree] {
+            let store = InMemoryChunkStore::shared();
+            let ledger = Ledger::with_kind(Arc::clone(&store) as Arc<dyn ChunkStore>, kind);
+            ledger.append_block((0..5000).map(|i| kv(2 * i)).collect(), "load");
+            let adjacent: Vec<_> = (0..64).map(|j| kv(4001 + 2 * j)).collect();
+            let mixed: Vec<_> = [10, 2500, 6200, 9998]
+                .into_iter()
+                .map(|i| (kv(i).0, b"updated".to_vec()))
+                .chain((10_000..10_004).map(kv))
+                .collect();
+            for batch in [adjacent, mixed] {
+                let before = store.stats();
+                let blocks_before = store.count_kind(ChunkKind::Block);
+                let (_, cost) = ledger
+                    .try_append_groups(vec![(batch, "PUT BATCH".to_string())])
+                    .unwrap();
+                let after = store.stats();
+                assert_eq!(store.count_kind(ChunkKind::Block), blocks_before + 1);
+                assert_eq!(
+                    cost.index_nodes_written,
+                    after.chunk_count - before.chunk_count - 1,
+                    "{}",
+                    kind.name()
+                );
+                let head = store.root(LEDGER_HEAD_ROOT).expect("head published");
+                let block_bytes = store.get(&head).unwrap().storage_size() as u64;
+                assert_eq!(
+                    cost.index_bytes_written,
+                    after.physical_bytes - before.physical_bytes - block_bytes,
+                    "{}",
+                    kind.name()
+                );
+                assert_eq!(after.dedup_hits, before.dedup_hits, "{}", kind.name());
             }
         }
-
-        let store = Arc::new(FailingBlockStore {
-            inner: InMemoryChunkStore::new(),
-            fail: AtomicBool::new(false),
-        });
-        let ledger = Ledger::new(store.clone() as Arc<dyn ChunkStore>);
-        let good = ledger.append_block(vec![kv(1)], "PUT");
-
-        store.fail.store(true, Ordering::Relaxed);
-        let err = ledger.try_append_block(vec![kv(2)], "PUT");
-        assert!(matches!(err, Err(StorageError::Io(_))));
-        // The failed write is not readable and nothing advanced.
-        assert_eq!(ledger.get(&kv(2).0), None, "failed write must roll back");
-        assert_eq!(ledger.digest(), good);
-        assert_eq!(ledger.height(), 1);
-
-        // Retrying after the fault clears reproduces the exact block a
-        // non-failing commit would have sealed.
-        store.fail.store(false, Ordering::Relaxed);
-        let retried = ledger.try_append_block(vec![kv(2)], "PUT").unwrap();
-        assert_eq!(retried.block_height, 1);
-        assert_eq!(ledger.get(&kv(2).0), Some(kv(2).1));
-        assert_eq!(ledger.audit_chain(), None);
-
-        // And the whole chain still reopens cleanly.
-        let reopened = Ledger::open(store as Arc<dyn ChunkStore>).unwrap();
-        assert_eq!(reopened.digest(), retried);
     }
 
     #[test]

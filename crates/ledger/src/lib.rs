@@ -34,7 +34,7 @@ pub use block::{Block, BlockHeader, TxnRecord, WriteOp};
 pub use deferred::{DeferredVerifier, VerificationReport};
 pub use journal::{Journal, JournalProof};
 pub use ledger::{
-    CommitGroup, Digest, Ledger, LedgerMultiProof, LedgerProof, LedgerRangeProof, LedgerSnapshot,
-    VerifiedRange, LEDGER_HEAD_ROOT,
+    BlockCost, CommitGroup, Digest, Ledger, LedgerMultiProof, LedgerProof, LedgerRangeProof,
+    LedgerSnapshot, VerifiedRange, LEDGER_HEAD_ROOT,
 };
 pub use pipeline::{CommitPipeline, DurabilityPolicy, PipelineStats};

@@ -164,6 +164,12 @@ struct PipelineObs {
     group_size: Arc<spitz_obs::Histogram>,
     flush_nanos: Arc<spitz_obs::Histogram>,
     queue_depth: Arc<spitz_obs::Gauge>,
+    /// What each sealed block cost ([`crate::ledger::BlockCost`]): writes
+    /// applied, index nodes put and their bytes. Nodes per write well below
+    /// the tree height means the block's keys shared their paths.
+    block_writes: Arc<spitz_obs::Histogram>,
+    index_nodes_written: Arc<spitz_obs::Histogram>,
+    index_bytes_written: Arc<spitz_obs::Histogram>,
 }
 
 impl PipelineObs {
@@ -177,6 +183,9 @@ impl PipelineObs {
             group_size: telemetry.histogram("pipeline.group_size"),
             flush_nanos: telemetry.histogram("pipeline.flush_nanos"),
             queue_depth: telemetry.gauge("pipeline.queue_depth"),
+            block_writes: telemetry.histogram("ledger.block_writes"),
+            index_nodes_written: telemetry.histogram("ledger.index_nodes_written"),
+            index_bytes_written: telemetry.histogram("ledger.index_bytes_written"),
         }
     }
 }
@@ -501,7 +510,18 @@ fn committer_loop(ledger: Arc<Ledger>, shared: Arc<Shared>, policy: DurabilityPo
             // committer thread that would leave all present and future
             // callers parked forever.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ledger.try_append_groups(groups)
+                ledger.try_append_groups(groups).map(|(digest, cost)| {
+                    shared.obs.block_writes.record(cost.writes as u64);
+                    shared
+                        .obs
+                        .index_nodes_written
+                        .record(cost.index_nodes_written);
+                    shared
+                        .obs
+                        .index_bytes_written
+                        .record(cost.index_bytes_written);
+                    digest
+                })
             }))
             .unwrap_or_else(|panic| {
                 let reason = panic

@@ -30,7 +30,7 @@ fn key(i: u32) -> Vec<u8> {
 }
 
 /// One commit epoch: overwrite all `n` keys (previous versions become
-/// garbage — superseded index nodes and dead cell chunks).
+/// garbage — superseded index nodes).
 fn epoch(db: &SpitzDb, e: u32, n: u32) {
     let writes: Vec<_> = (0..n)
         .map(|i| (key(i), format!("epoch-{e}-value-{i}").into_bytes()))
@@ -251,11 +251,14 @@ fn sharded_compaction_keeps_staged_batches_and_the_cross_shard_digest() {
     let pre;
     {
         let db = ShardedDb::open(dir.path(), config).unwrap();
+        // Single puts: each rewrites one index path, so eight epochs leave
+        // every shard sealed segments of superseded nodes to compact (a
+        // batch per epoch writes one path set and would not fill one).
         for e in 0..8 {
-            let batch: Vec<_> = (0..45)
-                .map(|i| (key(i), format!("epoch-{e}-value-{i}").into_bytes()))
-                .collect();
-            db.put_batch(batch).unwrap();
+            for i in 0..45 {
+                let value = format!("epoch-{e}-value-{i}");
+                db.put(&key(i), value.as_bytes()).unwrap();
+            }
         }
         // An in-doubt cross-shard batch with a durable commit decision:
         // its staged chunks are garbage to everything except the 2PC logs,
@@ -357,14 +360,25 @@ fn soak_disk_stays_within_twice_live_bytes_under_concurrent_readers() {
         })
     };
 
+    // Single puts, so every write leaves a superseded index path behind
+    // and the automatic trigger has garbage to collect all the way through
+    // (a batch per epoch writes one path set and barely trips it).
     for e in 1..EPOCHS {
-        epoch(&db, e, KEYS);
+        for i in 0..KEYS {
+            let value = format!("epoch-{e}-value-{i}");
+            db.put(&key(i), value.as_bytes()).unwrap();
+        }
     }
     stop.store(true, Ordering::Relaxed);
     let rounds = reader.join().expect("reader thread must not panic");
     assert!(rounds > 0, "the reader must have raced the writers");
 
     db.flush().unwrap();
+    let automatic = db.telemetry().counter("storage.compactions").unwrap();
+    assert!(
+        automatic >= 10,
+        "the automatic trigger must keep firing during the soak, fired {automatic} times"
+    );
     db.compact().unwrap();
     let stats = db.storage_stats();
     assert!(stats.live_bytes > 0);

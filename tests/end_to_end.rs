@@ -207,6 +207,10 @@ const REQUIRED: &[&str] = &[
     "pipeline.group_size",
     "pipeline.flush_nanos",
     "pipeline.queue_depth",
+    // ledger: what each sealed block cost
+    "ledger.block_writes",
+    "ledger.index_nodes_written",
+    "ledger.index_bytes_written",
     // 2PC
     "twopc.prepares",
     "twopc.commits",
@@ -242,6 +246,7 @@ fn mixed_workload_exposes_every_required_instrument() {
         db.put(key.as_bytes(), value.as_bytes()).expect("put");
     }
     // 2PC: cross-shard batches (16 hashed keys land on both shards).
+    let before_batches = db.telemetry();
     for batch in 0..8u32 {
         let writes: Vec<(Vec<u8>, Vec<u8>)> = (0..16u32)
             .map(|i| {
@@ -253,6 +258,31 @@ fn mixed_workload_exposes_every_required_instrument() {
             .collect();
         db.put_batch(writes).expect("cross-shard batch");
     }
+    // Each shard's part of a batch is one block and one index apply, so
+    // its keys share their paths: index nodes written per key stay below
+    // the tree height, which is what every key cost when applied alone.
+    let after_batches = db.telemetry();
+    let batch_sum = |name: &str| {
+        after_batches.histogram(name).unwrap().sum - before_batches.histogram(name).unwrap().sum
+    };
+    let height = (0..2)
+        .map(|shard| {
+            let (_, proof) = db.shard(shard).ledger().get_with_proof(b"batch-00-00");
+            proof.index_proof.len() as u64
+        })
+        .min()
+        .unwrap();
+    assert_eq!(batch_sum("ledger.block_writes"), 8 * 16);
+    assert!(
+        height >= 2,
+        "the shards' trees must have grown past one node"
+    );
+    assert!(
+        batch_sum("ledger.index_nodes_written") < height * batch_sum("ledger.block_writes"),
+        "{} nodes for {} batched keys in trees of height {height}",
+        batch_sum("ledger.index_nodes_written"),
+        batch_sum("ledger.block_writes"),
+    );
     // Proof layer: sharded point proofs (which also build per-shard ledger
     // proofs) and sharded range proofs.
     for i in 0..40u32 {
@@ -279,6 +309,13 @@ fn mixed_workload_exposes_every_required_instrument() {
     // The workload must actually have moved the needle in every layer.
     assert!(snapshot.histogram("storage.append_nanos").unwrap().count > 0);
     assert!(snapshot.counter("pipeline.commits").unwrap() > 0);
+    assert!(
+        snapshot
+            .histogram("ledger.index_bytes_written")
+            .unwrap()
+            .sum
+            > 0
+    );
     assert!(snapshot.counter("twopc.prepares").unwrap() > 0);
     assert!(snapshot.counter("twopc.commits").unwrap() > 0);
     assert!(snapshot.histogram("proof.point_bytes").unwrap().count > 0);

@@ -316,13 +316,16 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
     .unwrap();
 
     let stop = AtomicBool::new(false);
+    // Set once the writer has a batch through: the checker's cuts take a
+    // few milliseconds in a release build and must not all predate it.
+    let wrote = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // Writer: atomic cross-shard batches bumping both marks together,
         // plus unrelated single-key noise on every shard.
         let writer = {
             let db = &db;
             let (mark_a, mark_b) = (mark_a.clone(), mark_b.clone());
-            let stop = &stop;
+            let (stop, wrote) = (&stop, &wrote);
             scope.spawn(move || {
                 let mut seq = 1u64;
                 let mut published = Vec::new();
@@ -334,6 +337,7 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
                         ])
                         .unwrap();
                     published.push(digest);
+                    wrote.store(true, Ordering::Relaxed);
                     db.put(format!("noise-{seq}").as_bytes(), b"x").unwrap();
                     seq += 1;
                 }
@@ -382,7 +386,7 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
         let mut cuts = 0u32;
         let mut last_epoch = 0u64;
         let mut client = spitz::Verifier::new();
-        while cuts < 40 {
+        while cuts < 40 || !wrote.load(Ordering::Relaxed) {
             let snapshot = db.snapshot().unwrap();
             assert!(snapshot.digest().verify());
             // Snapshot epochs come from the 2PC timestamp oracle: strictly
