@@ -85,11 +85,9 @@ impl Sha256 {
         }
 
         // Compress full blocks straight from the input.
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        while let Some((block, rest)) = input.split_first_chunk::<64>() {
+            self.compress(block);
+            input = rest;
         }
 
         // Stash the tail.
@@ -103,19 +101,17 @@ impl Sha256 {
     pub fn finalize(mut self) -> Hash {
         let bit_len = self.total_len.wrapping_mul(8);
 
-        // Append the 0x80 terminator.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        // Pad with zeros until the message length is congruent to 56 mod 64.
+        // The 0x80 terminator, zeros until the message length is congruent
+        // to 56 mod 64, then the bit length: at most 64 + 8 bytes.
         let pad_len = if self.buffer_len < 56 {
             56 - self.buffer_len
         } else {
             120 - self.buffer_len
         };
-        let mut tail = Vec::with_capacity(pad_len + 8);
-        tail.extend_from_slice(&pad[..pad_len]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
-        self.update_without_count(&tail);
+        let mut tail = [0u8; 72];
+        tail[0] = 0x80;
+        tail[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&tail[..pad_len + 8]);
 
         debug_assert_eq!(self.buffer_len, 0, "padding must end on a block boundary");
 
@@ -131,14 +127,6 @@ impl Sha256 {
         let mut h = Sha256::new();
         h.update(data);
         h.finalize()
-    }
-
-    /// `update` that does not advance the message length counter; only used
-    /// internally for the final padding bytes.
-    fn update_without_count(&mut self, data: &[u8]) {
-        let saved = self.total_len;
-        self.update(data);
-        self.total_len = saved;
     }
 
     /// The SHA-256 compression function applied to one 64-byte block.

@@ -10,10 +10,10 @@
 //!
 //! This implementation makes the split decision from a per-entry key hash
 //! (a simplification of ForkBase's rolling hash over the serialized entry
-//! stream; see DESIGN.md). The properties the paper relies on are preserved:
-//! structural invariance, node-level deduplication across versions, ordered
-//! range scans, and Merkle proofs that are produced by the same traversal
-//! that answers the query.
+//! stream). The properties the paper relies on are preserved: structural
+//! invariance, node-level deduplication across versions, ordered range
+//! scans, and Merkle proofs that are produced by the same traversal that
+//! answers the query.
 //!
 //! Writes arrive as sorted batches ([`SiriIndex::try_apply`]): one descent
 //! partitions the batch over the children of each internal node, rewrites
@@ -21,18 +21,69 @@
 //! ledger stores one index instance *per block*, and one such pass per
 //! block writes exactly that instance's new nodes — the path shared by a
 //! block's keys is written once, not once per key.
+//!
+//! # Node geometry: why the average node holds 8 entries
+//!
+//! A key ends a node with probability `1 / AVG_FANOUT`, so node lengths are
+//! geometric with mean `F = AVG_FANOUT` — but the node a *given key* sits
+//! in is not an average node. A key is `L` times as likely to fall into a
+//! node of `L` entries as into a node of one, and the size-biased mean of
+//! a geometric length is `2F - 1`: 31 entries at `F = 16`, 15 at `F = 8`.
+//! That node is what every step of a point proof reveals and what every
+//! put rewrites, values and all, so halving `F` takes a third off both
+//! (the tree gets one or two levels deeper; the nodes get more than
+//! proportionally smaller). Measured by `benchmark/` on the default 4-shard
+//! database with 128-byte values (medians of ten alternating pairs, seeds
+//! 1–10, fan-out 16 → 8; node encodings are unchanged, so a store written
+//! at 16 is read as it is and re-split node by node as it is written):
+//!
+//! | workload | `wire_bytes_per_op` | `stored_bytes_per_user_byte` | `ops_per_s` |
+//! |---|---:|---:|---:|
+//! | `point_verified` | 17 707 → 11 622 | 3.116 → 3.012 | 7 570 → 9 965 |
+//! | `served_mixed` | 23 648 → 15 748 | 15.98 → 13.27 | 3 612 → 4 548 |
+//! | `ingest_durable` | 137.7 → 137.7 | 29.92 → 21.37 | 1 904 → 2 170 |
+//! | `scan_verified` | 175 666 → 101 064 | 3.116 → 3.012 | 1 564 → 1 504 |
+//!
+//! A point proof falls from ~7.9 KB to ~5.4 KB over 6 nodes instead of 4,
+//! a served put from ~7.85 KB of rewritten path to ~4.9 KB. Smaller still
+//! was measured and not taken: at 6 and 4 the durable store's in-memory
+//! chunk index, which grows with the chunk count, costs +31 % and +38 %
+//! peak memory on `ingest_durable` (+18 % at 8), and at 4 a 500-entry scan
+//! is a third slower (at 8 it fetches 62 leaves where it fetched 31, which
+//! alone costs 12 %; 4 % once its proof stops repeating the answer).
+//! The next step in this direction is not a smaller constant but a Merkle
+//! tree inside each node (ROADMAP item 3).
+//!
+//! # What a range proof carries
+//!
+//! A scan of `[start, end)` reveals the root, every internal node it
+//! descends through and every leaf that straddles `start` or `end`. A leaf
+//! that lies wholly inside the range is **not** revealed: all of its
+//! entries are in the answer already, and shipping the node as well sent
+//! every returned key and value twice (210 proof bytes per 141-byte entry;
+//! ~60 now). This loses nothing. The leaf's parent is revealed and commits
+//! to the leaf's content address and entry count, so the verifier takes
+//! the next `count` claimed entries, checks they lie in the range, encodes
+//! them as a leaf and requires the hash of that encoding to be the address
+//! the parent holds — the same binding a revealed payload has, computed
+//! from the bytes the client is about to use. Nodes above leaf level are
+//! never rebuilt, the descent consumes the revealed nodes strictly in scan
+//! order, and anything left over — a spliced, repeated or reordered node,
+//! or a covered leaf revealed anyway — is a rejection, as are claimed
+//! entries no leaf accounts for (see [`PosTree::verify_range_proof`]).
 
 use std::sync::Arc;
 
-use spitz_crypto::{sha256, Hash};
+use spitz_crypto::{Hash, Sha256};
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, StorageError};
 
 use crate::codec::{put_bytes, put_hash, put_u32, put_u64, Reader};
 use crate::proof::{hash_index_node, IndexProof, MultiProof};
 use crate::siri::{sorted_batch, IndexEntries, NodeTally, SiriIndex, SiriKind};
 
-/// Expected (average) number of entries per node.
-const AVG_FANOUT: u64 = 16;
+/// Expected (average) number of entries per node, at every level; see the
+/// module docs for why it is 8.
+const AVG_FANOUT: u64 = 8;
 /// Hard cap on entries per node; runs longer than this are force-split.
 const MAX_NODE_ENTRIES: usize = 1024;
 
@@ -52,33 +103,37 @@ struct ChildRef {
 enum Node {
     /// Level 0: sorted key/value entries.
     Leaf(Vec<(Vec<u8>, Vec<u8>)>),
-    /// Level >= 1: sorted child references.
+    /// Level >= 1: sorted child references. The children of a level-1 node
+    /// are leaves.
     Internal(u8, Vec<ChildRef>),
+}
+
+/// The encoding of a leaf holding `entries`.
+fn encode_leaf(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+    let mut out = vec![0u8];
+    put_u32(&mut out, entries.len() as u32);
+    for (k, v) in entries {
+        put_bytes(&mut out, k);
+        put_bytes(&mut out, v);
+    }
+    out
 }
 
 impl Node {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
         match self {
-            Node::Leaf(entries) => {
-                out.push(0u8);
-                put_u32(&mut out, entries.len() as u32);
-                for (k, v) in entries {
-                    put_bytes(&mut out, k);
-                    put_bytes(&mut out, v);
-                }
-            }
+            Node::Leaf(entries) => encode_leaf(entries),
             Node::Internal(level, children) => {
-                out.push(*level);
+                let mut out = vec![*level];
                 put_u32(&mut out, children.len() as u32);
                 for child in children {
                     put_bytes(&mut out, &child.max_key);
                     put_hash(&mut out, &child.hash);
                     put_u64(&mut out, child.count);
                 }
+                out
             }
         }
-        out
     }
 
     fn decode(data: &[u8]) -> Option<Node> {
@@ -140,21 +195,62 @@ impl Node {
     }
 }
 
-/// Content-defined split decision: an entry with this key ends a node at the
-/// given level. Seeded per level so that leaf and internal splits are
-/// independent.
+/// The child of an internal node a lookup of `key` descends into: child
+/// `i` covers the keys in `(max_key[i-1], max_key[i]]` and the last child
+/// also takes everything above its max. `None` for a node without children.
+fn child_for<'a>(children: &'a [ChildRef], key: &[u8]) -> Option<&'a ChildRef> {
+    let idx = children.partition_point(|c| c.max_key.as_slice() < key);
+    children.get(idx).or(children.last())
+}
+
+/// The value a leaf's entries hold for `key`.
+fn value_of<'a>(entries: &'a [(Vec<u8>, Vec<u8>)], key: &[u8]) -> Option<&'a [u8]> {
+    entries
+        .iter()
+        .find(|(k, _)| k.as_slice() == key)
+        .map(|(_, v)| v.as_slice())
+}
+
+fn in_range(key: &[u8], start: &[u8], end: &[u8]) -> bool {
+    key >= start && key < end
+}
+
+/// The children of an internal node whose key span `(lower, max_key]` can
+/// hold a key of `[start, end)`, each with that exclusive lower bound
+/// (`min_key` for the first child: the bound the node itself inherited).
+/// Range scans and their verifier descend exactly these.
+fn overlapping<'a>(
+    children: &'a [ChildRef],
+    min_key: Option<&'a [u8]>,
+    start: &'a [u8],
+    end: &'a [u8],
+) -> impl Iterator<Item = (&'a ChildRef, Option<&'a [u8]>)> {
+    children
+        .iter()
+        .enumerate()
+        .map(move |(i, child)| match i {
+            0 => (child, min_key),
+            _ => (child, Some(children[i - 1].max_key.as_slice())),
+        })
+        .filter(move |(child, lower)| {
+            child.max_key.as_slice() >= start && lower.is_none_or(|lower| lower < end)
+        })
+}
+
 /// Child node addresses of an encoded Pos-Tree node (empty for a leaf);
 /// `None` when the payload does not decode as a Pos-Tree node.
 pub(crate) fn node_children(payload: &[u8]) -> Option<Vec<Hash>> {
     Node::decode(payload).map(Node::children)
 }
 
+/// Content-defined split decision: an entry with this key ends a node at the
+/// given level. Seeded per level so that leaf and internal splits are
+/// independent.
 fn is_boundary(key: &[u8], level: u8) -> bool {
-    let mut data = Vec::with_capacity(key.len() + 2);
-    data.push(0xB0);
-    data.push(level);
-    data.extend_from_slice(key);
-    sha256(&data).prefix_u64().is_multiple_of(AVG_FANOUT)
+    let mut hasher = Sha256::new();
+    hasher.update(&[0xB0, level]);
+    hasher.update(key);
+    hasher.finalize().prefix_u64().is_multiple_of(AVG_FANOUT)
 }
 
 /// The Pattern-Oriented-Split Tree.
@@ -197,35 +293,47 @@ impl PosTree {
         &self.store
     }
 
-    /// Verify a point-lookup proof against a trusted root digest.
+    /// Verify a point-lookup proof against a trusted root digest: the
+    /// revealed nodes must be exactly the lookup's own descent — the first
+    /// hashes to the root, each next one is the child the key's search
+    /// picks in the one before, and the last is the leaf that decides the
+    /// claim. A path to any other leaf proves nothing about `key`.
     pub fn verify_proof(root: Hash, key: &[u8], value: Option<&[u8]>, proof: &IndexProof) -> bool {
         if root.is_zero() {
             return value.is_none();
         }
-        if !proof.verify_chain(root) {
-            return false;
+        let mut expected = root;
+        let mut nodes = proof.nodes.iter();
+        while let Some(payload) = nodes.next() {
+            if hash_index_node(payload) != expected {
+                return false;
+            }
+            match Node::decode(payload) {
+                Some(Node::Leaf(entries)) => {
+                    return value_of(&entries, key) == value && nodes.next().is_none()
+                }
+                Some(Node::Internal(_, children)) => match child_for(&children, key) {
+                    Some(child) => expected = child.hash,
+                    None => return false,
+                },
+                None => return false,
+            }
         }
-        let Some(last) = proof.nodes.last() else {
-            return false;
-        };
-        let Some(Node::Leaf(entries)) = Node::decode(last) else {
-            return false;
-        };
-        let found = entries.iter().find(|(k, _)| k.as_slice() == key);
-        match (found, value) {
-            (Some((_, v)), Some(expected)) => v.as_slice() == expected,
-            (None, None) => true,
-            _ => false,
-        }
+        false
     }
 
     /// Verify a **complete** range proof: the claimed entries must be
     /// exactly the tree's contents in `start <= key < end`. The verifier
-    /// re-runs the same pruned descent the server's scan performed, using
-    /// the revealed nodes as its node source: any child whose key span
-    /// overlaps the range must be revealed (else the proof is rejected for
-    /// omission), and the entries collected from the revealed leaves must
-    /// equal the claimed entries byte for byte.
+    /// re-runs the pruned descent the server's scan performed, over the
+    /// revealed nodes in the order the scan visited them: every child whose
+    /// key span overlaps the range must be accounted for, either revealed
+    /// (the root, every internal node, every leaf that straddles `start`
+    /// or `end`) or — a leaf wholly inside the range — rebuilt from the
+    /// next `count` claimed entries and matched against the child hash its
+    /// parent commits to. The proof is rejected when a needed node is
+    /// missing, when a node is revealed that the descent does not consume
+    /// next (spliced, duplicated, reordered, or a covered leaf shipped
+    /// anyway), or when the claimed entries are not used up exactly.
     pub fn verify_range_proof(
         root: Hash,
         start: &[u8],
@@ -234,18 +342,17 @@ impl PosTree {
         proof: &IndexProof,
     ) -> bool {
         if root.is_zero() || start >= end {
-            return entries.is_empty();
+            return entries.is_empty() && proof.is_empty();
         }
-        let nodes: std::collections::HashMap<Hash, &[u8]> = proof
-            .nodes
-            .iter()
-            .map(|n| (crate::proof::hash_index_node(n), n.as_slice()))
-            .collect();
-        let mut collected = Vec::new();
-        if !collect_range(&nodes, &root, start, end, None, &mut collected) {
-            return false;
-        }
-        collected == entries
+        let mut replay = RangeReplay {
+            start,
+            end,
+            nodes: &proof.nodes,
+            hashes: proof.nodes.iter().map(|n| hash_index_node(n)).collect(),
+            next: 0,
+            claimed: entries,
+        };
+        replay.walk(&root, None) && replay.next == proof.nodes.len() && replay.claimed.is_empty()
     }
 
     fn save_node(&self, node: &Node) -> Result<(Hash, u64), StorageError> {
@@ -363,36 +470,35 @@ impl PosTree {
         }
     }
 
+    /// Walk from the root to the leaf whose span holds `key` and return its
+    /// entries. Nodes are decoded where the store holds them; a payload is
+    /// copied only into a proof.
     fn find_leaf(
         &self,
         key: &[u8],
-        proof: Option<&mut IndexProof>,
+        mut proof: Option<&mut IndexProof>,
     ) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
         if self.root.is_zero() {
             return None;
         }
-        let mut proof = proof;
         let mut hash = self.root;
         loop {
             let chunk = self.store.get(&hash).ok()?;
-            let payload = chunk.data().to_vec();
-            let node = Node::decode(&payload)?;
+            let node = Node::decode(chunk.data())?;
             if let Some(p) = proof.as_deref_mut() {
-                p.push_node(payload);
+                p.push_node(chunk.data().to_vec());
             }
             match node {
                 Node::Leaf(entries) => return Some(entries),
-                Node::Internal(_, children) => {
-                    let idx = match children.binary_search_by(|c| c.max_key.as_slice().cmp(key)) {
-                        Ok(i) => i,
-                        Err(i) => i.min(children.len() - 1),
-                    };
-                    hash = children[idx].hash;
-                }
+                Node::Internal(_, children) => hash = child_for(&children, key)?.hash,
             }
         }
     }
 
+    /// Collect the entries of `[start, end)` under `hash` in key order. With
+    /// a proof, every visited node is revealed except the leaves that lie
+    /// wholly inside the range: their entries are all in `out` already, and
+    /// the verifier rebuilds them from there.
     fn range_rec(
         &self,
         hash: &Hash,
@@ -405,34 +511,21 @@ impl PosTree {
         let Ok(chunk) = self.store.get(hash) else {
             return;
         };
-        let payload = chunk.data().to_vec();
-        let Some(node) = Node::decode(&payload) else {
+        let Some(node) = Node::decode(chunk.data()) else {
             return;
         };
-        if let Some(p) = proof.as_deref_mut() {
-            p.push_node(payload);
+        let covered = matches!(&node, Node::Leaf(entries)
+            if *hash != self.root && entries.iter().all(|(k, _)| in_range(k, start, end)));
+        if let (false, Some(p)) = (covered, proof.as_deref_mut()) {
+            p.push_node(chunk.data().to_vec());
         }
         match node {
             Node::Leaf(entries) => {
-                for (k, v) in entries {
-                    if k.as_slice() >= start && k.as_slice() < end {
-                        out.push((k, v));
-                    }
-                }
+                out.extend(entries.into_iter().filter(|(k, _)| in_range(k, start, end)))
             }
             Node::Internal(_, children) => {
-                let mut prev_max: Option<Vec<u8>> = min_key.map(|k| k.to_vec());
-                for child in children {
-                    // The child covers keys in (prev_max, child.max_key].
-                    let covers_start = child.max_key.as_slice() >= start;
-                    let covers_end = match &prev_max {
-                        Some(p) => p.as_slice() < end,
-                        None => true,
-                    };
-                    if covers_start && covers_end {
-                        self.range_rec(&child.hash, start, end, prev_max.as_deref(), out, proof);
-                    }
-                    prev_max = Some(child.max_key.clone());
+                for (child, lower) in overlapping(&children, min_key, start, end) {
+                    self.range_rec(&child.hash, start, end, lower, out, proof);
                 }
             }
         }
@@ -507,75 +600,86 @@ pub(crate) fn verify_multi_proof(
                 return false;
             };
             used[idx] = true;
-            let Some(node) = Node::decode(payload) else {
-                return false;
-            };
-            match node {
-                Node::Leaf(entries) => {
-                    let found = entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-                    if found != claim.as_ref() {
-                        return false;
-                    }
-                    break;
-                }
-                Node::Internal(_, children) => {
-                    if children.is_empty() {
-                        return false;
-                    }
-                    let idx = match children.binary_search_by(|c| c.max_key.as_slice().cmp(key)) {
-                        Ok(i) => i,
-                        Err(i) => i.min(children.len() - 1),
-                    };
-                    hash = children[idx].hash;
-                }
+            match Node::decode(payload) {
+                Some(Node::Leaf(entries)) if value_of(&entries, key) == claim.as_deref() => break,
+                Some(Node::Internal(_, children)) => match child_for(&children, key) {
+                    Some(child) => hash = child.hash,
+                    None => return false,
+                },
+                _ => return false,
             }
         }
     }
     used.iter().all(|&u| u)
 }
 
-/// Client-side replay of [`PosTree::range_rec`] over the revealed proof
-/// nodes: descend every child whose span `(prev_max, max_key]` overlaps
-/// `[start, end)`, failing if a needed node was not revealed, and collect
-/// the in-range leaf entries in key order.
-fn collect_range(
-    nodes: &std::collections::HashMap<Hash, &[u8]>,
-    hash: &Hash,
-    start: &[u8],
-    end: &[u8],
-    min_key: Option<&[u8]>,
-    out: &mut Vec<(Vec<u8>, Vec<u8>)>,
-) -> bool {
-    let Some(payload) = nodes.get(hash) else {
-        return false;
-    };
-    let Some(node) = Node::decode(payload) else {
-        return false;
-    };
-    match node {
-        Node::Leaf(entries) => {
-            for (k, v) in entries {
-                if k.as_slice() >= start && k.as_slice() < end {
-                    out.push((k, v));
-                }
-            }
-            true
+/// Client-side replay of [`PosTree::range_rec`]: the same descent, fed by
+/// the revealed nodes in scan order and by the claimed entries.
+struct RangeReplay<'a> {
+    start: &'a [u8],
+    end: &'a [u8],
+    /// The revealed node payloads and their addresses, in the order the
+    /// scan visited them; `next` is the first one not yet consumed.
+    nodes: &'a [Vec<u8>],
+    hashes: Vec<Hash>,
+    next: usize,
+    /// The claimed entries not yet accounted for by a leaf.
+    claimed: &'a [(Vec<u8>, Vec<u8>)],
+}
+
+impl<'a> RangeReplay<'a> {
+    /// Take the next `count` claimed entries, if there are that many.
+    fn claim(&mut self, count: usize) -> Option<&'a [(Vec<u8>, Vec<u8>)]> {
+        let (run, rest) = self.claimed.split_at_checked(count)?;
+        self.claimed = rest;
+        Some(run)
+    }
+
+    /// Descend into the node at `hash`, which must be the next revealed one.
+    fn walk(&mut self, hash: &Hash, min_key: Option<&[u8]>) -> bool {
+        if self.hashes.get(self.next) != Some(hash) {
+            return false;
         }
-        Node::Internal(_, children) => {
-            let mut prev_max: Option<Vec<u8>> = min_key.map(|k| k.to_vec());
-            for child in children {
-                let covers_start = child.max_key.as_slice() >= start;
-                let covers_end = prev_max.as_deref().map(|p| p < end).unwrap_or(true);
-                if covers_start
-                    && covers_end
-                    && !collect_range(nodes, &child.hash, start, end, prev_max.as_deref(), out)
-                {
-                    return false;
-                }
-                prev_max = Some(child.max_key);
+        let Some(node) = Node::decode(&self.nodes[self.next]) else {
+            return false;
+        };
+        let is_root = self.next == 0;
+        self.next += 1;
+        match node {
+            Node::Leaf(entries) => {
+                let inside: Vec<_> = entries
+                    .iter()
+                    .filter(|(k, _)| in_range(k, self.start, self.end))
+                    .collect();
+                // A leaf wholly inside the range travels in the answer
+                // only; revealing it as well is not the canonical proof.
+                (is_root || inside.len() < entries.len())
+                    && self
+                        .claim(inside.len())
+                        .is_some_and(|run| run.iter().eq(inside))
             }
-            true
+            Node::Internal(level, children) => {
+                overlapping(&children, min_key, self.start, self.end).all(|(child, lower)| {
+                    let revealed = self.hashes.get(self.next) == Some(&child.hash);
+                    if level == 1 && !revealed {
+                        self.rebuild(child)
+                    } else {
+                        self.walk(&child.hash, lower)
+                    }
+                })
+            }
         }
+    }
+
+    /// Account for a leaf the proof does not reveal: the next `count`
+    /// claimed entries must all lie in the range and encode to the very
+    /// leaf the parent's child hash commits to.
+    fn rebuild(&mut self, leaf: &ChildRef) -> bool {
+        let Some(run) = usize::try_from(leaf.count).ok().and_then(|n| self.claim(n)) else {
+            return false;
+        };
+        run.iter().all(|(k, _)| in_range(k, self.start, self.end))
+            && hash_index_node(&encode_leaf(run)) == leaf.hash
     }
 }
 
@@ -617,26 +721,21 @@ impl SiriIndex for PosTree {
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let leaf = self.find_leaf(key, None)?;
-        leaf.iter()
-            .find(|(k, _)| k.as_slice() == key)
-            .map(|(_, v)| v.clone())
+        value_of(&leaf, key).map(<[u8]>::to_vec)
     }
 
     fn get_with_proof(&self, key: &[u8]) -> (Option<Vec<u8>>, IndexProof) {
         let mut proof = IndexProof::empty();
-        let value = self.find_leaf(key, Some(&mut proof)).and_then(|leaf| {
-            leaf.iter()
-                .find(|(k, _)| k.as_slice() == key)
-                .map(|(_, v)| v.clone())
-        });
+        let value = self
+            .find_leaf(key, Some(&mut proof))
+            .and_then(|leaf| value_of(&leaf, key).map(<[u8]>::to_vec));
         (value, proof)
     }
 
     fn range(&self, start: &[u8], end: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
         if !self.root.is_zero() && start < end {
-            let mut no_proof: Option<&mut IndexProof> = None;
-            self.range_rec(&self.root, start, end, None, &mut out, &mut no_proof);
+            self.range_rec(&self.root, start, end, None, &mut out, &mut None);
         }
         out
     }
@@ -645,8 +744,14 @@ impl SiriIndex for PosTree {
         let mut out = Vec::new();
         let mut proof = IndexProof::empty();
         if !self.root.is_zero() && start < end {
-            let mut with_proof: Option<&mut IndexProof> = Some(&mut proof);
-            self.range_rec(&self.root, start, end, None, &mut out, &mut with_proof);
+            self.range_rec(
+                &self.root,
+                start,
+                end,
+                None,
+                &mut out,
+                &mut Some(&mut proof),
+            );
         }
         (out, proof)
     }
@@ -674,6 +779,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
+    use spitz_crypto::sha256;
     use spitz_storage::InMemoryChunkStore;
 
     fn new_tree() -> PosTree {
@@ -686,6 +792,28 @@ mod tests {
 
     fn value(i: u32) -> Vec<u8> {
         format!("value-{i}").into_bytes()
+    }
+
+    impl PosTree {
+        /// Every node a scan of `[start, end)` visits, covered leaves
+        /// included: what a range proof carried before they were omitted.
+        fn collect_visited(
+            &self,
+            hash: &Hash,
+            start: &[u8],
+            end: &[u8],
+            min_key: Option<&[u8]>,
+            visited: &mut IndexProof,
+        ) {
+            let payload = self.store.get(hash).unwrap().data().to_vec();
+            let node = Node::decode(&payload).unwrap();
+            visited.push_node(payload);
+            if let Node::Internal(_, children) = node {
+                for (child, lower) in overlapping(&children, min_key, start, end) {
+                    self.collect_visited(&child.hash, start, end, lower, visited);
+                }
+            }
+        }
     }
 
     #[test]
@@ -887,6 +1015,213 @@ mod tests {
             &entries,
             &proof
         ));
+    }
+
+    /// A proof is the key's own descent: a path to the neighbouring leaf,
+    /// which really does not hold the key, is not a proof of its absence.
+    #[test]
+    fn a_path_to_another_leaf_proves_nothing_about_the_key() {
+        let mut tree = new_tree();
+        for i in 0..300u32 {
+            tree.insert(key(i), value(i));
+        }
+        let root = tree.root();
+        let (_, own) = tree.get_with_proof(&key(123));
+        let other = (0..300u32)
+            .map(|i| tree.get_with_proof(&key(i)).1)
+            .find(|proof| proof.nodes.last() != own.nodes.last())
+            .expect("300 keys fill more than one leaf");
+        assert!(!PosTree::verify_proof(root, &key(123), None, &other));
+        // Nor does a proof that runs on past the deciding leaf.
+        let mut padded = own.clone();
+        padded.push_node(other.nodes.last().unwrap().clone());
+        assert!(!PosTree::verify_proof(
+            root,
+            &key(123),
+            Some(&value(123)),
+            &padded
+        ));
+    }
+
+    /// Against a non-empty tree a proof is the whole descent or nothing:
+    /// no nodes, a path cut short of its leaf, a path that does not start
+    /// at the root and a path with a broken link all fail, for a present
+    /// key and for an absent one.
+    #[test]
+    fn an_empty_truncated_or_unrooted_point_proof_is_rejected() {
+        let mut tree = new_tree();
+        for i in 0..300u32 {
+            tree.insert(key(i), value(i));
+        }
+        let root = tree.root();
+        for (k, claim) in [(key(123), Some(value(123))), (key(123_456), None)] {
+            let (found, proof) = tree.get_with_proof(&k);
+            assert_eq!(found, claim);
+            assert!(proof.len() >= 3, "300 keys make a tree of three levels");
+            let verify = |nodes: &[Vec<u8>], claim: Option<&[u8]>| {
+                let nodes = nodes.to_vec();
+                PosTree::verify_proof(root, &k, claim, &IndexProof { nodes })
+            };
+            assert!(verify(&proof.nodes, claim.as_deref()));
+            // Cut anywhere before the leaf, down to no nodes at all: neither
+            // the honest claim nor a claim of absence passes.
+            for cut in 0..proof.len() {
+                assert!(!verify(&proof.nodes[..cut], claim.as_deref()), "{cut}");
+                assert!(!verify(&proof.nodes[..cut], None), "cut {cut}");
+            }
+            // The first node must hash to the trusted root.
+            assert!(!verify(&proof.nodes[1..], claim.as_deref()));
+            assert!(!PosTree::verify_proof(
+                sha256(b"another root"),
+                &k,
+                claim.as_deref(),
+                &proof
+            ));
+            // Every later node must be the child the one before points at.
+            let mut unlinked = proof.nodes.clone();
+            unlinked.remove(1);
+            assert!(!verify(&unlinked, claim.as_deref()));
+            let mut swapped = proof.nodes.clone();
+            swapped[1] = Node::Leaf(vec![(k.clone(), b"planted".to_vec())]).encode();
+            assert!(!verify(&swapped, Some(b"planted")));
+        }
+    }
+
+    #[test]
+    fn multi_proof_is_the_first_use_union_of_the_keys_paths() {
+        let mut tree = new_tree();
+        for i in 0..2000u32 {
+            tree.insert(key(i), value(i));
+        }
+        let keys: Vec<Vec<u8>> = [7u32, 8, 9, 1500, 8, 400_000]
+            .into_iter()
+            .map(key)
+            .collect();
+        let (values, multi) = tree.multi_get_with_proof(&keys);
+        let mut union: Vec<Vec<u8>> = Vec::new();
+        for (k, v) in keys.iter().zip(&values) {
+            let (value, proof) = tree.get_with_proof(k);
+            assert_eq!(*v, value);
+            for node in proof.nodes {
+                if !union.contains(&node) {
+                    union.push(node);
+                }
+            }
+        }
+        assert_eq!(multi.nodes, union);
+        let items: Vec<_> = keys.into_iter().zip(values).collect();
+        assert!(verify_multi_proof(tree.root(), &items, &multi));
+    }
+
+    /// The covered leaves of a scan travel in the answer only; the proof
+    /// must be exactly the nodes the scan keeps, in the order it met them.
+    #[test]
+    fn range_proofs_omit_covered_leaves_and_are_canonical() {
+        let mut tree = new_tree();
+        for i in 0..3000u32 {
+            tree.insert(key(i), vec![i as u8; 128]);
+        }
+        let root = tree.root();
+        let (start, end) = (key(1000), key(1500));
+        let (entries, proof) = tree.range_with_proof(&start, &end);
+        assert_eq!(entries, tree.range(&start, &end));
+        assert!(PosTree::verify_range_proof(
+            root, &start, &end, &entries, &proof
+        ));
+        let leaves: Vec<_> = proof
+            .nodes
+            .iter()
+            .filter(|n| matches!(Node::decode(n), Some(Node::Leaf(_))))
+            .collect();
+        assert!(leaves.len() <= 2, "only a leaf astride a bound is revealed");
+        let answer: usize = entries.iter().map(|(k, v)| k.len() + v.len()).sum();
+        assert!(proof.encoded_len() < answer / 3, "{}", proof.encoded_len());
+
+        // The previous form of the proof (every visited node) is refused.
+        let mut every_node = IndexProof::empty();
+        tree.collect_visited(&root, &start, &end, None, &mut every_node);
+        assert!(every_node.len() > proof.len());
+        assert!(!PosTree::verify_range_proof(
+            root,
+            &start,
+            &end,
+            &entries,
+            &every_node
+        ));
+        // So is the honest node set in another order, or with a stranger.
+        let mut reordered = proof.clone();
+        reordered.nodes.swap(1, 2);
+        let mut spliced = proof.clone();
+        spliced.push_node(Node::Leaf(vec![(key(9), value(9))]).encode());
+        for bad in [&reordered, &spliced, &IndexProof::empty()] {
+            assert!(!PosTree::verify_range_proof(
+                root, &start, &end, &entries, bad
+            ));
+        }
+        // Entries exchanged inside a rebuilt leaf, or across two of them.
+        for i in 100..130 {
+            let mut swapped = entries.clone();
+            swapped.swap(i, i + 1);
+            assert!(!PosTree::verify_range_proof(
+                root, &start, &end, &swapped, &proof
+            ));
+        }
+        // A leaf astride `start` cannot pass as covered by claiming all of
+        // it: what stands in for a leaf must itself lie in the range.
+        let astride = proof
+            .nodes
+            .iter()
+            .position(|n| matches!(Node::decode(n), Some(Node::Leaf(_))))
+            .unwrap();
+        let Some(Node::Leaf(mut overclaimed)) = Node::decode(&proof.nodes[astride]) else {
+            unreachable!()
+        };
+        assert!(overclaimed[0].0 < start && overclaimed.last().unwrap().0 >= start);
+        overclaimed.retain(|(k, _)| *k < start);
+        overclaimed.extend(entries.iter().cloned());
+        let mut hidden = proof.clone();
+        hidden.nodes.remove(astride);
+        assert!(!PosTree::verify_range_proof(
+            root,
+            &start,
+            &end,
+            &overclaimed,
+            &hidden
+        ));
+        // An empty tree or range has an empty answer and an empty proof.
+        assert!(PosTree::verify_range_proof(
+            root,
+            &end,
+            &start,
+            &[],
+            &IndexProof::empty()
+        ));
+        assert!(!PosTree::verify_range_proof(
+            root,
+            &end,
+            &start,
+            &[],
+            &proof
+        ));
+    }
+
+    /// The budget the node geometry is held to: a single-key update of a
+    /// 5 000-key tree with 128-byte values rewrites one root-to-leaf path,
+    /// and with an average of 16 entries a node that path was ~7.2 KB.
+    #[test]
+    fn a_single_key_update_writes_a_short_path() {
+        let mut tree = new_tree();
+        tree.try_apply((0..5000u32).map(|i| (key(i), vec![i as u8; 128])).collect())
+            .unwrap();
+        let (_, before) = tree.node_writes();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut targets: Vec<u32> = (0..5000).collect();
+        targets.shuffle(&mut rng);
+        for &i in &targets[..200] {
+            tree.insert(key(i), vec![!(i as u8); 128]);
+        }
+        let mean = (tree.node_writes().1 - before) / 200;
+        assert!(mean <= 5200, "mean bytes per single-key update: {mean}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! terminal node. The index-specific part — how to find a child hash inside
 //! a node — lives with each index; the common carrying structure lives here.
 
-use spitz_crypto::{sha256, Hash};
+use spitz_crypto::{Hash, Sha256};
 
 use crate::codec;
 
@@ -88,37 +88,6 @@ impl IndexProof {
     /// overhead is in these terms.
     pub fn size_bytes(&self) -> usize {
         self.nodes.iter().map(|n| n.len()).sum()
-    }
-
-    /// Hash of the i-th revealed node under the index node addressing scheme
-    /// (chunk kind tag for index nodes followed by the payload).
-    pub fn node_hash(&self, i: usize) -> Option<Hash> {
-        self.nodes.get(i).map(|n| hash_index_node(n))
-    }
-
-    /// Check the chain condition: node 0 hashes to `root`, and every later
-    /// node's hash appears inside at least one earlier node (so the revealed
-    /// set forms a connected sub-DAG rooted at the trusted digest). Each
-    /// index additionally checks the terminal node contents; this helper
-    /// gives the generic structural check and also covers range proofs where
-    /// several leaves hang off shared interior nodes.
-    pub fn verify_chain(&self, root: Hash) -> bool {
-        if self.nodes.is_empty() {
-            return false;
-        }
-        if hash_index_node(&self.nodes[0]) != root {
-            return false;
-        }
-        for i in 1..self.nodes.len() {
-            let child_hash = hash_index_node(&self.nodes[i]);
-            let referenced = self.nodes[..i]
-                .iter()
-                .any(|parent| contains_subslice(parent, child_hash.as_bytes()));
-            if !referenced {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -213,21 +182,10 @@ impl MultiProof {
 /// Hash an index node payload exactly as the chunk store addresses it
 /// (`ChunkKind::IndexNode` tag = 2, then payload).
 pub fn hash_index_node(payload: &[u8]) -> Hash {
-    let mut data = Vec::with_capacity(payload.len() + 1);
-    data.push(2u8);
-    data.extend_from_slice(payload);
-    sha256(&data)
-}
-
-/// True when `haystack` contains `needle` as a contiguous subslice.
-pub fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
-    if needle.is_empty() {
-        return true;
-    }
-    if haystack.len() < needle.len() {
-        return false;
-    }
-    haystack.windows(needle.len()).any(|w| w == needle)
+    let mut hasher = Sha256::new();
+    hasher.update(&[2u8]);
+    hasher.update(payload);
+    hasher.finalize()
 }
 
 #[cfg(test)]
@@ -243,37 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_chain_accepts_valid_parent_child_links() {
-        let leaf = b"leaf payload".to_vec();
-        let leaf_hash = hash_index_node(&leaf);
-        let mut parent = b"parent:".to_vec();
-        parent.extend_from_slice(leaf_hash.as_bytes());
-        let root = hash_index_node(&parent);
-
-        let proof = IndexProof {
-            nodes: vec![parent, leaf],
-        };
-        assert!(proof.verify_chain(root));
-        assert!(!proof.verify_chain(sha256(b"wrong root")));
-    }
-
-    #[test]
-    fn verify_chain_rejects_broken_links() {
-        let leaf = b"leaf payload".to_vec();
-        let parent = b"parent without child hash".to_vec();
-        let root = hash_index_node(&parent);
-        let proof = IndexProof {
-            nodes: vec![parent, leaf],
-        };
-        assert!(!proof.verify_chain(root));
-    }
-
-    #[test]
-    fn empty_proof_never_verifies() {
-        assert!(!IndexProof::empty().verify_chain(sha256(b"anything")));
-    }
-
-    #[test]
     fn size_accounting() {
         let mut proof = IndexProof::empty();
         proof.push_node(vec![0u8; 10]);
@@ -281,13 +208,5 @@ mod tests {
         assert_eq!(proof.len(), 2);
         assert_eq!(proof.size_bytes(), 32);
         assert!(!proof.is_empty());
-    }
-
-    #[test]
-    fn subslice_search() {
-        assert!(contains_subslice(b"abcdef", b"cde"));
-        assert!(contains_subslice(b"abcdef", b""));
-        assert!(!contains_subslice(b"abcdef", b"xyz"));
-        assert!(!contains_subslice(b"ab", b"abc"));
     }
 }

@@ -234,3 +234,201 @@ fn mutated_shard_range_response_is_rejected_by_the_merge() {
     narrowed.shards[1] = narrow.shards[1].clone();
     assert!(!narrowed.verify(&entries));
 }
+
+/// A POS-tree range proof reveals the root, the internal nodes and the
+/// leaves that straddle a bound; a leaf wholly inside the range travels in
+/// the answer only and the verifier rebuilds it from there. Against an
+/// honest 500-entry answer every tampering below — of the answer, or of
+/// the revealed node list — must be refused, over one shard and over four.
+#[test]
+fn pos_range_proofs_bind_the_answer_that_stands_in_for_covered_leaves() {
+    use spitz::core::proof::ShardedRangeProof;
+    type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+    fn key(i: usize) -> Vec<u8> {
+        format!("scan/{i:06}").into_bytes()
+    }
+    fn is_leaf(node: &[u8]) -> bool {
+        node[0] == 0
+    }
+
+    for shards in [1usize, 4] {
+        let db = spitz::ShardedDb::in_memory(shards);
+        db.put_batch((0..2000).map(|i| (key(i), vec![i as u8; 128])).collect())
+            .unwrap();
+        let snapshot = db.snapshot().unwrap();
+        let mut pin = Verifier::new();
+        assert!(pin.observe_sharded(&db.digest()));
+
+        let (honest, proof) = snapshot.range_verified(&key(700), &key(1200)).unwrap();
+        assert_eq!(honest.len(), 500);
+        assert!(pin.verify_sharded_range(&honest, &proof), "{shards} shards");
+        // The proof no longer repeats the answer: well under half of it.
+        let answer_bytes: usize = honest.iter().map(|(k, v)| k.len() + v.len()).sum();
+        assert!(proof.encoded_len() < answer_bytes / 2, "{shards} shards");
+
+        // The victim shard, the positions of its entries in the merged
+        // answer, and the leaf (and that leaf's parent) each one lives in.
+        let victim = db.route(&honest[250].0);
+        let mine: Vec<usize> = (0..honest.len())
+            .filter(|&i| db.route(&honest[i].0) == victim)
+            .collect();
+        let path_of = |i: usize| {
+            let (_, point) = snapshot.get_verified(&honest[i].0);
+            point.ledger_proof.index_proof.nodes
+        };
+        let revealed = &proof.shards[victim].index_proof.nodes;
+        assert!(!is_leaf(&revealed[0]), "the victim's root is internal");
+        let covered = |i: usize| !revealed.contains(path_of(i).last().unwrap());
+        // Two neighbours inside one covered leaf, and two on either side of
+        // a boundary between two covered leaves, away from the bounds.
+        let middle = mine.len() / 4..3 * mine.len() / 4;
+        let pair = |same_leaf: bool| {
+            middle
+                .clone()
+                .map(|j| (mine[j], mine[j + 1]))
+                .find(|&(a, b)| {
+                    covered(a)
+                        && covered(b)
+                        && (path_of(a).last() == path_of(b).last()) == same_leaf
+                })
+                .expect("a 125-entry part has both kinds of neighbours")
+        };
+        let (inside_a, inside_b) = pair(true);
+        let (last_of_leaf, first_of_next) = pair(false);
+
+        type Tamper<'a> = Box<dyn Fn(&mut Entries, &mut ShardedRangeProof) + 'a>;
+        let cases: Vec<(&str, Tamper)> = vec![
+            (
+                "an in-range entry dropped from a covered leaf",
+                Box::new(|entries, _| drop(entries.remove(inside_a))),
+            ),
+            (
+                "two adjacent entries swapped",
+                Box::new(|entries, _| entries.swap(inside_a, inside_b)),
+            ),
+            (
+                "an entry moved across a covered-leaf boundary",
+                Box::new(|entries, _| entries.swap(last_of_leaf, first_of_next)),
+            ),
+            (
+                "a value bit flipped in a covered leaf",
+                Box::new(|entries, _| entries[inside_a].1[77] ^= 0x10),
+            ),
+            (
+                "an extra in-range entry claimed",
+                Box::new(|entries, _| {
+                    // A key just above a real one that lands on the victim.
+                    let mut extra = entries[inside_a].clone();
+                    extra.0.push(0);
+                    while db.route(&extra.0) != victim {
+                        *extra.0.last_mut().unwrap() += 1;
+                    }
+                    entries.insert(inside_a + 1, extra);
+                }),
+            ),
+            (
+                "a straddling leaf omitted",
+                Box::new(|_, proof| {
+                    let nodes = &mut proof.shards[victim].index_proof.nodes;
+                    let leaf = nodes
+                        .iter()
+                        .position(|n| is_leaf(n))
+                        .expect("a revealed leaf");
+                    nodes.remove(leaf);
+                }),
+            ),
+            (
+                "an internal node omitted",
+                Box::new(|_, proof| {
+                    let nodes = &mut proof.shards[victim].index_proof.nodes;
+                    let inner = 1 + nodes[1..]
+                        .iter()
+                        .position(|n| !is_leaf(n))
+                        .expect("depth > 2");
+                    nodes.remove(inner);
+                }),
+            ),
+            (
+                "a revealed node repeated",
+                Box::new(|_, proof| {
+                    let nodes = &mut proof.shards[victim].index_proof.nodes;
+                    nodes.push(nodes.last().unwrap().clone());
+                }),
+            ),
+        ];
+        for (name, tamper) in &cases {
+            let (mut entries, mut tampered) = (honest.clone(), proof.clone());
+            tamper(&mut entries, &mut tampered);
+            assert!(!tampered.verify(&entries), "{shards} shards: {name}");
+            // The merge refuses an unsorted answer before any shard sees
+            // it; the victim's own verifier must refuse its part as well.
+            let part: Entries = entries
+                .iter()
+                .filter(|(k, _)| db.route(k) == victim)
+                .cloned()
+                .collect();
+            assert!(
+                !tampered.shards[victim].verify(&part),
+                "{shards} shards: {name} (the shard's verifier)"
+            );
+        }
+
+        // A covered leaf revealed as well, wherever it is put: at the place
+        // the scan would have met it only the canonical-form rule objects.
+        let leaf = path_of(first_of_next).pop().unwrap();
+        for at in 1..=revealed.len() {
+            let mut padded = proof.clone();
+            padded.shards[victim]
+                .index_proof
+                .nodes
+                .insert(at, leaf.clone());
+            assert!(
+                !padded.verify(&honest),
+                "{shards} shards: a covered leaf also revealed, as node {at}"
+            );
+        }
+
+        // Honest answers of every shape are accepted: nothing in range, a
+        // range inside one leaf, the whole tree.
+        let (a, b) = (&honest[inside_a].0, &honest[inside_b].0);
+        let mut gap = a.clone();
+        gap.push(0);
+        for (name, start, end, want) in [
+            (
+                "empty: above every key",
+                b"zzz".to_vec(),
+                b"zzzz".to_vec(),
+                0,
+            ),
+            (
+                "empty: between two neighbours",
+                gap,
+                honest[inside_a + 1].0.clone(),
+                0,
+            ),
+            ("inside one leaf", a.clone(), b.clone(), inside_b - inside_a),
+            ("the whole tree", Vec::new(), vec![0xff], 2000),
+        ] {
+            let (entries, proof) = snapshot.range_verified(&start, &end).unwrap();
+            assert_eq!(entries.len(), want, "{shards} shards: {name}");
+            assert!(
+                pin.verify_sharded_range(&entries, &proof),
+                "{shards} shards: {name}"
+            );
+        }
+
+        // A tree whose root is a leaf: the root is always revealed.
+        let small = spitz::ShardedDb::in_memory(shards);
+        small
+            .put_batch((0..3).map(|i| (key(i), vec![7; 16])).collect())
+            .unwrap();
+        let (entries, proof) = small.range_verified(&key(0), &key(9)).unwrap();
+        assert_eq!(entries.len(), 3);
+        assert!(proof.verify(&entries), "{shards} shards: root is a leaf");
+        assert!(
+            !proof.verify(&entries[..2]),
+            "{shards} shards: root is a leaf"
+        );
+    }
+}
