@@ -18,7 +18,6 @@
 use parking_lot::RwLock;
 use spitz_crypto::{sha256, AuditProof, Hash, MerkleTree};
 use spitz_index::BPlusTree;
-use spitz_ledger::{Journal, JournalProof};
 
 /// Number of records collected into one ledger block.
 const BLOCK_CAPACITY: usize = 256;
@@ -44,9 +43,10 @@ pub struct QldbProof {
     pub record_proof: AuditProof,
     /// Root of the record's block.
     pub block_root: Hash,
-    /// Journal-level inclusion proof of the block.
-    pub journal_proof: JournalProof,
-    /// Journal root (the baseline's digest).
+    /// Audit path of the block root in the journal: the block's
+    /// inclusion proof, which the baseline's digest does not imply.
+    pub journal_path: AuditProof,
+    /// Root of the journal (the baseline's digest).
     pub journal_root: Hash,
 }
 
@@ -56,8 +56,8 @@ impl QldbProof {
         let leaf = encode_leaf(key, value);
         self.record_proof.verify(self.block_root, &leaf)
             && self
-                .journal_proof
-                .verify(self.journal_root, self.block_root)
+                .journal_path
+                .verify(self.journal_root, self.block_root.as_bytes())
     }
 }
 
@@ -79,8 +79,8 @@ struct QldbInner {
     open_leaves: Vec<Vec<u8>>,
     /// Sealed blocks.
     blocks: Vec<SealedBlock>,
-    /// Journal over sealed block roots.
-    journal: Journal,
+    /// The journal over sealed block roots: one RFC 6962 leaf per block.
+    journal: MerkleTree,
     /// Monotonic sequence number for history-view keys.
     sequence: u64,
 }
@@ -105,7 +105,7 @@ impl QldbBaseline {
                 history: BPlusTree::new(),
                 open_leaves: Vec::new(),
                 blocks: Vec::new(),
-                journal: Journal::new(),
+                journal: MerkleTree::new(),
                 sequence: 0,
             }),
         }
@@ -144,7 +144,7 @@ impl QldbBaseline {
         let leaves = std::mem::take(&mut inner.open_leaves);
         let tree = MerkleTree::from_leaves(leaves.iter().map(|l| l.as_slice()));
         let root = tree.root();
-        inner.journal.append(root);
+        inner.journal.push(root.as_bytes());
         inner.blocks.push(SealedBlock { leaves, root });
     }
 
@@ -201,11 +201,11 @@ impl QldbBaseline {
         // baseline stores only the block root in its journal.
         let tree = MerkleTree::from_leaves(block.leaves.iter().map(|l| l.as_slice()));
         let record_proof = tree.audit_proof(location.offset)?;
-        let journal_proof = inner.journal.prove(location.block as u64)?;
+        let journal_path = inner.journal.audit_proof(location.block)?;
         Some(QldbProof {
             record_proof,
             block_root: block.root,
-            journal_proof,
+            journal_path,
             journal_root: inner.journal.root(),
         })
     }

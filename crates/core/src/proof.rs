@@ -22,6 +22,8 @@
 //!   server can neither forge an entry, omit an entry, nor withhold a whole
 //!   shard's contribution.
 
+use std::collections::BTreeMap;
+
 use spitz_crypto::merkle::AuditProof;
 use spitz_crypto::Hash;
 use spitz_index::codec;
@@ -314,24 +316,25 @@ impl ShardedMultiProof {
         if self.shard_count == 0 {
             return false;
         }
-        // Partition the claimed items onto their shards in input order.
-        #[allow(clippy::type_complexity)]
-        let mut parts: Vec<Vec<(Vec<u8>, Option<Vec<u8>>)>> = vec![Vec::new(); self.shard_count];
+        // Partition the claimed items onto their shards in input order —
+        // keyed by shard, so the declared shard count sizes nothing.
+        type Claim = (Vec<u8>, Option<Vec<u8>>);
+        let mut parts: BTreeMap<usize, Vec<Claim>> = BTreeMap::new();
         for (key, value) in items {
-            parts[shard_for(key, self.shard_count)].push((key.clone(), value.clone()));
+            parts
+                .entry(shard_for(key, self.shard_count))
+                .or_default()
+                .push((key.clone(), value.clone()));
         }
         // The groups must be exactly the non-empty shards, ascending.
-        let expected: Vec<usize> = (0..self.shard_count)
-            .filter(|&s| !parts[s].is_empty())
-            .collect();
-        if self.groups.len() != expected.len() {
+        if self.groups.len() != parts.len() {
             return false;
         }
-        self.groups.iter().zip(expected).all(|(group, shard)| {
+        self.groups.iter().zip(parts).all(|(group, (shard, part))| {
             group.shard == shard
                 && group.membership.leaf_index == shard
                 && group.membership.tree_size == self.shard_count
-                && group.ledger_proof.verify(&parts[shard])
+                && group.ledger_proof.verify(&part)
                 && group
                     .membership
                     .verify(self.root, &group.ledger_proof.digest.encode())

@@ -4,7 +4,8 @@
 //! leaves are hashed with a `0x00` domain prefix, interior nodes with `0x01`,
 //! and the root over `n` leaves splits at the largest power of two smaller
 //! than `n`. This is the structure QLDB-like ledgers build over their journal
-//! and is what the Spitz baseline and the journal hash chain use.
+//! and is what the Spitz ledger's journal of block hashes, the QLDB baseline
+//! and the cross-shard digest use.
 //!
 //! Two proof types are provided:
 //!
@@ -19,19 +20,23 @@ use crate::{leaf_hash, node_hash, sha256};
 
 /// An append-only binary Merkle tree over byte-string leaves.
 ///
-/// The tree stores the leaf hashes and recomputes interior hashes on demand
-/// with memoization per level. Appending is O(1); computing a root or a proof
-/// is O(n) worst case but typically touches only O(log n) fresh nodes because
-/// completed subtree roots are cached.
+/// The tree keeps one vector per level of *complete, aligned* subtree
+/// roots: `levels[0]` holds the leaf hashes and `levels[k][i]` the root over
+/// leaves `[i·2^k, (i+1)·2^k)`, about `2n` hashes in all. An append merges
+/// the complete pairs it finishes upward, amortised O(1) node hashes. Every
+/// left subtree of the RFC 6962 split is such a complete subtree, so it is a
+/// lookup; only the right spine of a tree (or of a historical prefix) is
+/// folded on demand. A root, an audit proof and a consistency proof are
+/// therefore O(log n), at the current size or any historical one.
 #[derive(Debug, Clone, Default)]
 pub struct MerkleTree {
-    leaves: Vec<Hash>,
+    levels: Vec<Vec<Hash>>,
 }
 
 impl MerkleTree {
     /// Create an empty tree.
     pub fn new() -> Self {
-        MerkleTree { leaves: Vec::new() }
+        MerkleTree::default()
     }
 
     /// Build a tree from an iterator of leaf byte strings.
@@ -48,77 +53,100 @@ impl MerkleTree {
 
     /// Build a tree from already-hashed leaves.
     pub fn from_leaf_hashes(leaves: Vec<Hash>) -> Self {
-        MerkleTree { leaves }
+        let mut tree = MerkleTree::new();
+        for leaf in leaves {
+            tree.push_leaf_hash(leaf);
+        }
+        tree
     }
 
     /// Append a leaf (raw bytes; the tree applies the leaf domain hash).
     /// Returns the index of the appended leaf.
     pub fn push(&mut self, data: &[u8]) -> usize {
-        self.leaves.push(leaf_hash(data));
-        self.leaves.len() - 1
+        self.push_leaf_hash(leaf_hash(data))
     }
 
-    /// Append an already-hashed leaf.
+    /// Append an already-hashed leaf, then the root of every complete
+    /// subtree it finishes.
     pub fn push_leaf_hash(&mut self, hash: Hash) -> usize {
-        self.leaves.push(hash);
-        self.leaves.len() - 1
+        let index = self.len();
+        let mut node = hash;
+        for level in 0.. {
+            if self.levels.len() == level {
+                self.levels.push(Vec::new());
+            }
+            let nodes = &mut self.levels[level];
+            nodes.push(node);
+            if nodes.len() % 2 == 1 {
+                break;
+            }
+            node = node_hash(&nodes[nodes.len() - 2], &node);
+        }
+        index
     }
 
     /// Number of leaves.
     pub fn len(&self) -> usize {
-        self.leaves.len()
+        self.levels.first().map_or(0, Vec::len)
     }
 
     /// True when the tree has no leaves.
     pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
+        self.len() == 0
     }
 
     /// The leaf hash at `index`, if present.
     pub fn leaf(&self, index: usize) -> Option<Hash> {
-        self.leaves.get(index).copied()
+        self.levels.first()?.get(index).copied()
     }
 
     /// Root hash of the whole tree. The root of an empty tree is the hash of
     /// the empty string, matching RFC 6962.
     pub fn root(&self) -> Hash {
-        self.subtree_root(0, self.leaves.len())
+        self.subtree_root(0, self.len())
     }
 
     /// Root hash of the tree restricted to its first `size` leaves, i.e. the
     /// historical root after `size` appends.
     pub fn root_at(&self, size: usize) -> Option<Hash> {
-        if size > self.leaves.len() {
+        if size > self.len() {
             return None;
         }
         Some(self.subtree_root(0, size))
     }
 
-    /// Merkle root over `leaves[start..end)`.
+    /// Merkle root over leaves `[start, end)`, where `start` is a multiple
+    /// of the largest power of two not above `end - start` — true of every
+    /// range the RFC 6962 recursion visits. A power-of-two range is then a
+    /// complete, aligned subtree and is looked up; any other range is its
+    /// complete left part plus a recursion into the (at most half as long)
+    /// rest: O(log n) node hashes.
     fn subtree_root(&self, start: usize, end: usize) -> Hash {
         let n = end - start;
-        match n {
-            0 => sha256(b""),
-            1 => self.leaves[start],
-            _ => {
-                let k = largest_power_of_two_below(n);
-                let left = self.subtree_root(start, start + k);
-                let right = self.subtree_root(start + k, end);
-                node_hash(&left, &right)
-            }
+        if n == 0 {
+            return sha256(b"");
         }
+        if n.is_power_of_two() {
+            let level = n.trailing_zeros() as usize;
+            return self.levels[level][start >> level];
+        }
+        let k = largest_power_of_two_below(n);
+        node_hash(
+            &self.subtree_root(start, start + k),
+            &self.subtree_root(start + k, end),
+        )
     }
 
     /// Produce an audit (inclusion) proof for the leaf at `index` within the
     /// current tree. Returns `None` when the index is out of range.
     pub fn audit_proof(&self, index: usize) -> Option<AuditProof> {
-        self.audit_proof_at(index, self.leaves.len())
+        self.audit_proof_at(index, self.len())
     }
 
     /// Audit proof for `index` within the historical tree of `tree_size`
     /// leaves.
     pub fn audit_proof_at(&self, index: usize, tree_size: usize) -> Option<AuditProof> {
-        if index >= tree_size || tree_size > self.leaves.len() {
+        if index >= tree_size || tree_size > self.len() {
             return None;
         }
         let mut path = Vec::new();
@@ -148,7 +176,7 @@ impl MerkleTree {
     /// Produce a consistency proof showing that the historical tree of
     /// `old_size` leaves is a prefix of the current tree.
     pub fn consistency_proof(&self, old_size: usize) -> Option<ConsistencyProof> {
-        self.consistency_proof_between(old_size, self.leaves.len())
+        self.consistency_proof_between(old_size, self.len())
     }
 
     /// Consistency proof between two historical sizes, `old_size <= new_size`.
@@ -157,7 +185,7 @@ impl MerkleTree {
         old_size: usize,
         new_size: usize,
     ) -> Option<ConsistencyProof> {
-        if old_size == 0 || old_size > new_size || new_size > self.leaves.len() {
+        if old_size == 0 || old_size > new_size || new_size > self.len() {
             return None;
         }
         let mut path = Vec::new();
@@ -463,6 +491,7 @@ fn largest_power_of_two_below(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     fn leaves(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("leaf-{i}").into_bytes()).collect()
@@ -514,7 +543,12 @@ mod tests {
     fn audit_proof_out_of_range() {
         let (tree, _) = tree_of(4);
         assert!(tree.audit_proof(4).is_none());
+        assert!(tree.audit_proof(100).is_none());
         assert!(tree.audit_proof_at(1, 5).is_none());
+        let empty = MerkleTree::new();
+        assert!(empty.audit_proof(0).is_none());
+        assert!(empty.root_at(1).is_none());
+        assert!(empty.leaf(0).is_none());
     }
 
     #[test]
@@ -561,10 +595,114 @@ mod tests {
     #[test]
     fn appending_changes_root() {
         let mut tree = MerkleTree::new();
-        tree.push(b"a");
-        let r1 = tree.root();
-        tree.push(b"b");
-        assert_ne!(r1, tree.root());
+        let mut seen = HashSet::from([tree.root()]);
+        for leaf in leaves(300) {
+            tree.push(&leaf);
+            assert!(seen.insert(tree.root()), "size {}", tree.len());
+        }
+    }
+
+    /// The recursive RFC 6962 definitions (§2.1: `MTH`, `PATH`, `SUBPROOF`)
+    /// over the leaf hashes alone — the batch rebuild the cached tree must
+    /// reproduce. `MTH` is memoised on its range so that checking every
+    /// proof at every size stays cheap; the recursion is the RFC's.
+    struct Reference<'a> {
+        leaves: &'a [Hash],
+        memo: HashMap<(usize, usize), Hash>,
+    }
+
+    impl Reference<'_> {
+        fn mth(&mut self, start: usize, end: usize) -> Hash {
+            if let Some(hash) = self.memo.get(&(start, end)) {
+                return *hash;
+            }
+            let hash = match end - start {
+                0 => sha256(b""),
+                1 => self.leaves[start],
+                n => {
+                    let k = largest_power_of_two_below(n);
+                    let left = self.mth(start, start + k);
+                    node_hash(&left, &self.mth(start + k, end))
+                }
+            };
+            self.memo.insert((start, end), hash);
+            hash
+        }
+
+        fn path(&mut self, m: usize, start: usize, end: usize) -> Vec<Hash> {
+            let n = end - start;
+            if n <= 1 {
+                return Vec::new();
+            }
+            let k = largest_power_of_two_below(n);
+            let (mut path, sibling) = if m < k {
+                (self.path(m, start, start + k), (start + k, end))
+            } else {
+                (self.path(m - k, start + k, end), (start, start + k))
+            };
+            path.push(self.mth(sibling.0, sibling.1));
+            path
+        }
+
+        fn subproof(&mut self, m: usize, start: usize, end: usize, complete: bool) -> Vec<Hash> {
+            let n = end - start;
+            if m == n {
+                return if complete {
+                    Vec::new()
+                } else {
+                    vec![self.mth(start, end)]
+                };
+            }
+            let k = largest_power_of_two_below(n);
+            let (mut path, sibling) = if m <= k {
+                (
+                    self.subproof(m, start, start + k, complete),
+                    (start + k, end),
+                )
+            } else {
+                (
+                    self.subproof(m - k, start + k, end, false),
+                    (start, start + k),
+                )
+            };
+            path.push(self.mth(sibling.0, sibling.1));
+            path
+        }
+    }
+
+    #[test]
+    fn cached_levels_match_the_recursive_definition_at_every_size() {
+        const MAX: usize = 300;
+        let data = leaves(MAX);
+        let hashes: Vec<Hash> = data.iter().map(|d| leaf_hash(d)).collect();
+        let mut reference = Reference {
+            leaves: &hashes,
+            memo: HashMap::new(),
+        };
+        let full = MerkleTree::from_leaf_hashes(hashes.clone());
+        let mut grown = MerkleTree::new();
+        for size in 0..=MAX {
+            let root = reference.mth(0, size);
+            assert_eq!(grown.root(), root, "incremental root, size {size}");
+            assert_eq!(
+                full.root_at(size),
+                Some(root),
+                "historical root, size {size}"
+            );
+            for m in 0..size {
+                let proof = full.audit_proof_at(m, size).unwrap();
+                assert_eq!(proof.path, reference.path(m, 0, size), "PATH({m}, {size})");
+            }
+            for old in 1..=size {
+                let proof = full.consistency_proof_between(old, size).unwrap();
+                let want = reference.subproof(old, 0, size, true);
+                assert_eq!(proof.path, want, "PROOF({old}, {size})");
+            }
+            if let Some(leaf) = data.get(size) {
+                assert_eq!(grown.push(leaf), size);
+            }
+        }
+        assert_eq!(grown.root(), full.root());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! hash-partitioned structures, and one of the effects the `ablation_siri`
 //! benchmark shows.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use spitz_crypto::{sha256, Hash};
@@ -61,6 +62,11 @@ fn decode_bucket(data: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
         return None;
     }
     let count = r.u32()? as usize;
+    // Each entry takes at least its two length prefixes: a count the
+    // payload cannot hold is refused before it sizes a `Vec`.
+    if count > r.remaining() / 8 {
+        return None;
+    }
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let k = r.bytes()?.to_vec();
@@ -236,10 +242,12 @@ impl MerkleBucketTree {
     }
 
     /// Verify a point-lookup proof: follow the fixed bucket path through the
-    /// revealed internal nodes and check the bucket contents.
+    /// revealed internal nodes and check the bucket contents. The path is
+    /// the whole proof: an empty tree has an empty proof, and a node past
+    /// the bucket is refused.
     pub fn verify_proof(root: Hash, key: &[u8], value: Option<&[u8]>, proof: &IndexProof) -> bool {
         if root.is_zero() {
-            return value.is_none();
+            return value.is_none() && proof.is_empty();
         }
         if proof.nodes.is_empty() {
             return false;
@@ -275,6 +283,9 @@ impl MerkleBucketTree {
         let Some(entries) = decode_bucket(&current) else {
             return false;
         };
+        if node_iter.next().is_some() {
+            return false;
+        }
         let found = entries.iter().find(|(k, _)| k.as_slice() == key);
         match (found, value) {
             (Some((_, v)), Some(expected)) => v.as_slice() == expected,
@@ -287,9 +298,11 @@ impl MerkleBucketTree {
     /// not by key, so any bucket can hold part of any range — a complete
     /// proof therefore reveals the entire bucket tree (the hash-partitioned
     /// weakness the paper's SIRI analysis calls out). The verifier re-walks
-    /// the revealed internal nodes from the root, failing if any non-empty
-    /// subtree was withheld, and checks that the claimed entries are exactly
-    /// the revealed buckets' contents restricted to `start <= key < end`.
+    /// the tree from the root level by level, in the prover's order,
+    /// consuming the revealed nodes one per non-empty child it meets and
+    /// requiring nothing to be left over; then it checks that the claimed
+    /// entries are exactly the revealed buckets' contents restricted to
+    /// `start <= key < end`. An empty tree or range has an empty proof.
     pub fn verify_range_proof(
         root: Hash,
         start: &[u8],
@@ -298,15 +311,35 @@ impl MerkleBucketTree {
         proof: &IndexProof,
     ) -> bool {
         if root.is_zero() || start >= end {
-            return entries.is_empty();
+            return entries.is_empty() && proof.is_empty();
         }
-        let nodes: std::collections::HashMap<Hash, &[u8]> = proof
-            .nodes
-            .iter()
-            .map(|n| (hash_index_node(n), n.as_slice()))
-            .collect();
+        let mut revealed = proof.nodes.iter();
+        let mut level = vec![root];
         let mut all = Vec::new();
-        if !collect_buckets(&nodes, &root, &mut all) {
+        // The internal levels, root first, then (depth 0) the buckets. No
+        // two non-empty nodes of a tree are equal (a key lives in one
+        // bucket), so each hash the walk meets is the next revealed node's.
+        for depth in (0..=child_indices_for(0).len()).rev() {
+            let mut below = Vec::new();
+            for hash in level {
+                let Some(payload) = revealed.next().filter(|n| hash_index_node(n) == hash) else {
+                    return false;
+                };
+                if depth > 0 {
+                    let Some(children) = decode_internal(payload) else {
+                        return false;
+                    };
+                    below.extend(children.into_iter().filter(|c| !c.is_zero()));
+                } else {
+                    let Some(bucket) = decode_bucket(payload) else {
+                        return false;
+                    };
+                    all.extend(bucket);
+                }
+            }
+            level = below;
+        }
+        if revealed.next().is_some() {
             return false;
         }
         let mut in_range: Vec<(Vec<u8>, Vec<u8>)> = all
@@ -351,7 +384,7 @@ pub(crate) fn verify_multi_proof(
     if root.is_zero() {
         return items.iter().all(|(_, v)| v.is_none()) && proof.is_empty();
     }
-    let map: std::collections::HashMap<Hash, (usize, &[u8])> = proof
+    let map: HashMap<Hash, (usize, &[u8])> = proof
         .nodes
         .iter()
         .enumerate()
@@ -397,38 +430,6 @@ pub(crate) fn verify_multi_proof(
         }
     }
     used.iter().all(|&u| u)
-}
-
-/// Walk the revealed bucket tree from `hash`, collecting every bucket
-/// entry. `false` when a referenced non-empty node was not revealed or a
-/// payload fails to decode.
-fn collect_buckets(
-    nodes: &std::collections::HashMap<Hash, &[u8]>,
-    hash: &Hash,
-    out: &mut Vec<(Vec<u8>, Vec<u8>)>,
-) -> bool {
-    let Some(payload) = nodes.get(hash) else {
-        return false;
-    };
-    match payload.first() {
-        Some(1) => {
-            let Some(children) = decode_internal(payload) else {
-                return false;
-            };
-            children
-                .iter()
-                .filter(|c| !c.is_zero())
-                .all(|c| collect_buckets(nodes, c, out))
-        }
-        Some(0) => {
-            let Some(entries) = decode_bucket(payload) else {
-                return false;
-            };
-            out.extend(entries);
-            true
-        }
-        _ => false,
-    }
 }
 
 impl SiriIndex for MerkleBucketTree {
@@ -551,15 +552,12 @@ impl SiriIndex for MerkleBucketTree {
             return (entries, proof);
         }
         // Completeness over hash-partitioned buckets requires revealing the
-        // whole tree: every non-empty internal node (top-down) and bucket.
-        let mut seen_nodes = std::collections::HashSet::new();
-        let depth = self.levels.len();
-        for level in (0..depth).rev() {
-            for hash in &self.levels[level] {
-                if !hash.is_zero() && seen_nodes.insert(*hash) {
-                    if let Ok(chunk) = self.store.get_kind(hash, ChunkKind::IndexNode) {
-                        proof.push_node(chunk.data().to_vec());
-                    }
+        // whole tree: every non-empty internal node (top-down) and bucket,
+        // level by level — the order the verifier consumes them in.
+        for level in self.levels.iter().rev() {
+            for hash in level.iter().filter(|h| !h.is_zero()) {
+                if let Ok(chunk) = self.store.get_kind(hash, ChunkKind::IndexNode) {
+                    proof.push_node(chunk.data().to_vec());
                 }
             }
         }
@@ -669,6 +667,41 @@ mod tests {
             sha256(b"x"),
             &key(42),
             v.as_deref(),
+            &proof
+        ));
+    }
+
+    /// A point proof is exactly the key's path: a node past the bucket, or
+    /// any node against the empty tree, is refused.
+    #[test]
+    fn point_proof_is_exactly_the_path() {
+        let mut tree = new_tree();
+        for i in 0..200u32 {
+            tree.insert(key(i), value(i));
+        }
+        let root = tree.root();
+        let (v, proof) = tree.get_with_proof(&key(42));
+        let mut padded = proof.clone();
+        padded.push_node(proof.nodes.last().unwrap().clone());
+        assert!(!MerkleBucketTree::verify_proof(
+            root,
+            &key(42),
+            v.as_deref(),
+            &padded
+        ));
+
+        let (none, empty) = new_tree().get_with_proof(&key(42));
+        assert!(none.is_none() && empty.is_empty());
+        assert!(MerkleBucketTree::verify_proof(
+            Hash::ZERO,
+            &key(42),
+            None,
+            &empty
+        ));
+        assert!(!MerkleBucketTree::verify_proof(
+            Hash::ZERO,
+            &key(42),
+            None,
             &proof
         ));
     }

@@ -140,6 +140,11 @@ impl Node {
         let mut r = Reader::new(data);
         let level = r.u8()?;
         let count = r.u32()? as usize;
+        // A leaf entry or a child reference takes at least 8 bytes, so a
+        // count the payload cannot hold is refused before it sizes a `Vec`.
+        if count > r.remaining() / 8 {
+            return None;
+        }
         if level == 0 {
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {

@@ -8,21 +8,24 @@
 //! Concretely a [`Ledger`] owns one mutable SIRI index plus a journal of
 //! blocks; every committed batch of writes is applied to the index, the new
 //! index root is sealed into a [`Block`], and the block hash is appended to
-//! the [`Journal`]. Because the index nodes are content addressed in the
-//! shared chunk store, the per-block index instances share every unchanged
-//! node — the ledger grows with the *change volume*, not with the database
-//! size.
+//! the journal — an RFC 6962 [`MerkleTree`] over every block hash. Because
+//! the index nodes are content addressed in the shared chunk store, the
+//! per-block index instances share every unchanged node — the ledger grows
+//! with the *change volume*, not with the database size.
 //!
-//! Queries go straight to the index; when verification is requested the same
-//! traversal emits the Merkle path, which is returned together with the
-//! current [`Digest`]. Clients verify locally by recomputing the digest from
-//! the proof (Section 5.3).
+//! The head block hash and the journal root are computed once per sealed
+//! block and carried in every [`Digest`]. Queries go straight to the index;
+//! when verification is requested the same traversal emits the Merkle path,
+//! which is returned together with the current digest. Clients verify
+//! locally by recomputing the digest's index root from the proof (Section
+//! 5.3); the block hash and journal root are fields of the digest the client
+//! already pinned, so a read proof carries nothing for them.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use spitz_crypto::Hash;
+use spitz_crypto::{leaf_hash, Hash, MerkleTree};
 use spitz_index::codec;
 use spitz_index::siri::{collect_reachable, verify_proof, verify_range_proof, SiriIndex, SiriKind};
 use spitz_index::{
@@ -31,7 +34,6 @@ use spitz_index::{
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, StorageError};
 
 use crate::block::{Block, TxnRecord, WriteOp};
-use crate::journal::{Journal, JournalProof};
 
 /// Root-pointer name under which the ledger stores the chunk address of its
 /// latest block (the durable equivalent of a git `HEAD` ref).
@@ -47,7 +49,8 @@ pub struct Digest {
     pub block_hash: Hash,
     /// Root of the ledger index after the latest block.
     pub index_root: Hash,
-    /// Merkle root of the journal (over all block hashes).
+    /// RFC 6962 Merkle root of the journal over all block hashes
+    /// ([`Hash::ZERO`] for an empty ledger).
     pub journal_root: Hash,
     /// Which SIRI structure the ledger uses (needed to verify index proofs).
     pub index_kind: SiriKind,
@@ -110,8 +113,6 @@ pub struct LedgerProof {
     pub index_proof: IndexProof,
     /// The digest the proof was generated against.
     pub digest: Digest,
-    /// Journal inclusion proof for the latest block.
-    pub journal_proof: Option<JournalProof>,
 }
 
 /// Result of a verified range scan: the entries in key order plus the single
@@ -155,32 +156,17 @@ pub struct LedgerRangeProof {
 
 impl LedgerProof {
     /// Bytes a canonical wire encoding of this proof would occupy
-    /// (index proof ‖ digest ‖ optional journal proof). The telemetry
-    /// layer reports this per proof kind.
+    /// (index proof ‖ digest). The telemetry layer reports this per proof
+    /// kind.
     pub fn encoded_len(&self) -> usize {
-        self.index_proof.encoded_len()
-            + Digest::ENCODED_LEN
-            + 1
-            + self
-                .journal_proof
-                .as_ref()
-                .map(|p| p.encoded_len())
-                .unwrap_or(0)
+        self.index_proof.encoded_len() + Digest::ENCODED_LEN
     }
 
     /// Append the canonical wire encoding (exactly
-    /// [`LedgerProof::encoded_len`] bytes): index proof ‖ digest ‖ journal
-    /// presence tag (0/1) ‖ optional journal proof.
+    /// [`LedgerProof::encoded_len`] bytes): index proof ‖ digest.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         self.index_proof.encode_into(out);
         out.extend_from_slice(&self.digest.encode());
-        match &self.journal_proof {
-            Some(proof) => {
-                out.push(1);
-                proof.encode_into(out);
-            }
-            None => out.push(0),
-        }
     }
 
     /// The canonical wire encoding as a fresh buffer.
@@ -195,37 +181,23 @@ impl LedgerProof {
     pub fn decode(r: &mut codec::Reader<'_>) -> Option<LedgerProof> {
         let index_proof = IndexProof::decode(r)?;
         let digest = Digest::decode(r.take(Digest::ENCODED_LEN)?)?;
-        let journal_proof = match r.u8()? {
-            0 => None,
-            1 => Some(JournalProof::decode(r)?),
-            _ => return None,
-        };
         Some(LedgerProof {
             index_proof,
             digest,
-            journal_proof,
         })
     }
 
     /// Client-side verification: recompute the index root from the proof and
-    /// compare against the digest, then check the digest's internal
-    /// consistency (journal inclusion of the block).
+    /// compare against the digest. Whether the digest itself is trusted is
+    /// the pin's business ([`Digest`] equality, or its cross-shard leaf).
     pub fn verify(&self, key: &[u8], value: Option<&[u8]>) -> bool {
-        if !verify_proof(
+        verify_proof(
             self.digest.index_kind,
             self.digest.index_root,
             key,
             value,
             &self.index_proof,
-        ) {
-            return false;
-        }
-        match &self.journal_proof {
-            Some(journal_proof) => {
-                journal_proof.verify(self.digest.journal_root, self.digest.block_hash)
-            }
-            None => true,
-        }
+        )
     }
 }
 
@@ -239,37 +211,20 @@ pub struct LedgerMultiProof {
     pub index_proof: MultiProof,
     /// The digest the proof was generated against.
     pub digest: Digest,
-    /// Journal inclusion proof for the latest block.
-    pub journal_proof: Option<JournalProof>,
 }
 
 impl LedgerMultiProof {
     /// Bytes a canonical wire encoding of this proof would occupy
-    /// (multi proof ‖ digest ‖ optional journal proof).
+    /// (multi proof ‖ digest).
     pub fn encoded_len(&self) -> usize {
-        self.index_proof.encoded_len()
-            + Digest::ENCODED_LEN
-            + 1
-            + self
-                .journal_proof
-                .as_ref()
-                .map(|p| p.encoded_len())
-                .unwrap_or(0)
+        self.index_proof.encoded_len() + Digest::ENCODED_LEN
     }
 
     /// Append the canonical wire encoding (exactly
-    /// [`LedgerMultiProof::encoded_len`] bytes): multi proof ‖ digest ‖
-    /// journal presence tag (0/1) ‖ optional journal proof.
+    /// [`LedgerMultiProof::encoded_len`] bytes): multi proof ‖ digest.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         self.index_proof.encode_into(out);
         out.extend_from_slice(&self.digest.encode());
-        match &self.journal_proof {
-            Some(proof) => {
-                out.push(1);
-                proof.encode_into(out);
-            }
-            None => out.push(0),
-        }
     }
 
     /// The canonical wire encoding as a fresh buffer.
@@ -285,36 +240,21 @@ impl LedgerMultiProof {
     pub fn decode(r: &mut codec::Reader<'_>) -> Option<LedgerMultiProof> {
         let index_proof = MultiProof::decode(r)?;
         let digest = Digest::decode(r.take(Digest::ENCODED_LEN)?)?;
-        let journal_proof = match r.u8()? {
-            0 => None,
-            1 => Some(JournalProof::decode(r)?),
-            _ => return None,
-        };
         Some(LedgerMultiProof {
             index_proof,
             digest,
-            journal_proof,
         })
     }
 
     /// Client-side verification of the whole batch: every (key, claimed
-    /// value) pair must check out against the digest's index root, and the
-    /// digest's head block must be included in its journal root.
+    /// value) pair must check out against the digest's index root.
     pub fn verify(&self, items: &[(Vec<u8>, Option<Vec<u8>>)]) -> bool {
-        if !verify_multi_proof(
+        verify_multi_proof(
             self.digest.index_kind,
             self.digest.index_root,
             items,
             &self.index_proof,
-        ) {
-            return false;
-        }
-        match &self.journal_proof {
-            Some(journal_proof) => {
-                journal_proof.verify(self.digest.journal_root, self.digest.block_hash)
-            }
-            None => true,
-        }
+        )
     }
 }
 
@@ -379,7 +319,12 @@ impl LedgerRangeProof {
 
 struct LedgerInner {
     index: Box<dyn SiriIndex>,
-    journal: Journal,
+    /// The journal: one RFC 6962 leaf per sealed block, its block hash.
+    journal: MerkleTree,
+    /// Hash of the latest block and root of `journal`, computed once per
+    /// sealed block ([`Hash::ZERO`] for both while the ledger is empty).
+    head_hash: Hash,
+    journal_root: Hash,
     blocks: Vec<Block>,
     timestamp: u64,
     /// Chunk address of the latest persisted block ([`Hash::ZERO`] before
@@ -437,7 +382,9 @@ impl Ledger {
             kind,
             inner: RwLock::new(LedgerInner {
                 index,
-                journal: Journal::new(),
+                journal: MerkleTree::new(),
+                head_hash: Hash::ZERO,
+                journal_root: Hash::ZERO,
                 blocks: Vec::new(),
                 timestamp: 0,
                 head_chunk: Hash::ZERO,
@@ -451,7 +398,7 @@ impl Ledger {
     /// Equivalent to [`Ledger::new`] when the store holds no ledger yet;
     /// otherwise the block chain is walked back from the stored head
     /// pointer, every block is re-verified (records root and `prev_hash`
-    /// linkage), the journal Merkle tree is rebuilt, and the live index is
+    /// linkage), the journal is rebuilt, and the live index is
     /// reopened at the head block's index root — reproducing the exact
     /// digest the ledger had when the store was last written.
     pub fn open(store: Arc<dyn ChunkStore>) -> Result<Self, StorageError> {
@@ -486,7 +433,7 @@ impl Ledger {
         chain.reverse();
 
         // Re-verify what the chain claims before trusting it.
-        let mut journal = Journal::new();
+        let mut journal = MerkleTree::new();
         let mut blocks = Vec::with_capacity(chain.len());
         let mut prev_hash = Hash::ZERO;
         for (height, (address, block)) in chain.into_iter().enumerate() {
@@ -497,7 +444,7 @@ impl Ledger {
                 return Err(StorageError::CorruptChunk(address));
             }
             prev_hash = block.hash();
-            journal.append(prev_hash);
+            journal.push(prev_hash.as_bytes());
             blocks.push(block);
         }
 
@@ -512,7 +459,9 @@ impl Ledger {
             kind,
             inner: RwLock::new(LedgerInner {
                 index,
+                journal_root: journal.root(),
                 journal,
+                head_hash: prev_hash,
                 blocks,
                 timestamp,
                 head_chunk,
@@ -624,16 +573,8 @@ impl Ledger {
         };
 
         let height = inner.journal.len() as u64;
-        let prev_hash = if height == 0 {
-            Hash::ZERO
-        } else {
-            inner
-                .journal
-                .block_hash(height - 1)
-                .expect("previous block exists")
-        };
         let index_root = inner.index.root();
-        let block = Block::new(height, prev_hash, index_root, timestamp, records);
+        let block = Block::new(height, inner.head_hash, index_root, timestamp, records);
 
         // Persist the block as a chunk and advance the durable head pointer
         // so the chain can be recovered by `Ledger::open`, *before* any
@@ -666,7 +607,10 @@ impl Ledger {
         inner.head_chunk = chunk_address;
         inner.timestamp = timestamp;
 
-        inner.journal.append(block.hash());
+        let hash = block.hash();
+        inner.journal.push(hash.as_bytes());
+        inner.journal_root = inner.journal.root();
+        inner.head_hash = hash;
         inner.blocks.push(block);
         drop(inner);
         Ok((self.digest(), cost))
@@ -677,16 +621,14 @@ impl Ledger {
         digest_of(&self.inner.read(), self.kind)
     }
 
-    /// Pin the current state as a [`LedgerSnapshot`]: the digest, a
-    /// checked-out index instance at that digest's root and the journal
-    /// inclusion proof of the head block are all captured under one lock,
-    /// so repeated reads against the snapshot stay mutually consistent (and
-    /// verifiable against the pinned digest) while writers move the live
-    /// ledger forward.
+    /// Pin the current state as a [`LedgerSnapshot`]: the digest and a
+    /// checked-out index instance at that digest's root are captured under
+    /// one lock, so repeated reads against the snapshot stay mutually
+    /// consistent (and verifiable against the pinned digest) while writers
+    /// move the live ledger forward.
     pub fn snapshot(&self) -> Result<LedgerSnapshot, StorageError> {
         let inner = self.inner.read();
         let digest = digest_of(&inner, self.kind);
-        let journal_proof = head_journal_proof(&inner);
         let index = inner
             .index
             .checkout(digest.index_root)
@@ -701,7 +643,6 @@ impl Ledger {
         Ok(LedgerSnapshot {
             digest,
             index,
-            journal_proof,
             _pin: pin,
         })
     }
@@ -799,25 +740,26 @@ impl Ledger {
     }
 
     /// Audit the whole chain: recompute every block hash, check the
-    /// `prev_hash` linkage and the record roots. Returns the height of the
-    /// first inconsistent block, or `None` when the chain is sound.
+    /// `prev_hash` linkage, the record roots and each block's journal leaf.
+    /// Returns the height of the first inconsistent block, or `None` when
+    /// the chain is sound.
     pub fn audit_chain(&self) -> Option<u64> {
         let inner = self.inner.read();
         let mut prev = Hash::ZERO;
         for (i, block) in inner.blocks.iter().enumerate() {
+            let hash = block.hash();
             if block.header.prev_hash != prev
                 || !block.verify_records()
-                || inner.journal.block_hash(i as u64) != Some(block.hash())
+                || inner.journal.leaf(i) != Some(leaf_hash(hash.as_bytes()))
             {
                 return Some(i as u64);
             }
-            prev = block.hash();
+            prev = hash;
         }
         None
     }
 }
 
-/// The digest implied by a ledger's locked inner state.
 /// An index of `kind` over `store` at `root` ([`Hash::ZERO`]: empty);
 /// `None` when the store does not hold the root node.
 fn open_index(
@@ -833,59 +775,39 @@ fn open_index(
     })
 }
 
+/// The digest implied by a ledger's locked inner state: no hashing, every
+/// field was computed when its block was sealed.
 fn digest_of(inner: &LedgerInner, kind: SiriKind) -> Digest {
-    let height = inner.journal.len() as u64;
-    let (block_height, block_hash) = if height == 0 {
-        (0, Hash::ZERO)
-    } else {
-        (
-            height - 1,
-            inner.journal.block_hash(height - 1).expect("block exists"),
-        )
-    };
     Digest {
-        block_height,
-        block_hash,
+        block_height: (inner.journal.len() as u64).saturating_sub(1),
+        block_hash: inner.head_hash,
         index_root: inner.index.root(),
-        journal_root: inner.journal.root(),
+        journal_root: inner.journal_root,
         index_kind: kind,
     }
 }
 
-/// Journal inclusion proof of a ledger's head block (`None` while empty).
-fn head_journal_proof(inner: &LedgerInner) -> Option<JournalProof> {
-    let height = inner.journal.len() as u64;
-    height.checked_sub(1).and_then(|h| inner.journal.prove(h))
-}
-
-/// One ledger state to read from: a digest, the index instance at that
-/// digest's root, and the journal inclusion proof of the digest's head
-/// block. Every verified read — against the live ledger (under its read
-/// lock) or a pinned [`LedgerSnapshot`] — is built here, so a value and its
-/// proof always come out of one traversal of one index against one digest.
-struct LedgerView<'a, J> {
+/// One ledger state to read from: a digest and the index instance at that
+/// digest's root. Every verified read — against the live ledger (under its
+/// read lock) or a pinned [`LedgerSnapshot`] — is built here, so a value and
+/// its proof always come out of one traversal of one index against one
+/// digest.
+struct LedgerView<'a> {
     digest: Digest,
     index: &'a dyn SiriIndex,
-    /// Produces the journal proof. Only point and multi proofs carry one, so
-    /// a range read never pays for building (or cloning) it.
-    journal_proof: J,
 }
 
 /// The live ledger's current state. The digest and the index come from the
 /// same lock scope, or a concurrent writer could move the root between the
 /// two.
-fn live_view(
-    inner: &LedgerInner,
-    kind: SiriKind,
-) -> LedgerView<'_, impl FnOnce() -> Option<JournalProof> + '_> {
+fn live_view(inner: &LedgerInner, kind: SiriKind) -> LedgerView<'_> {
     LedgerView {
         digest: digest_of(inner, kind),
         index: inner.index.as_ref(),
-        journal_proof: move || head_journal_proof(inner),
     }
 }
 
-impl<J: FnOnce() -> Option<JournalProof>> LedgerView<'_, J> {
+impl LedgerView<'_> {
     fn get_with_proof(self, key: &[u8]) -> (Option<Vec<u8>>, LedgerProof) {
         let (value, index_proof) = self.index.get_with_proof(key);
         (
@@ -893,7 +815,6 @@ impl<J: FnOnce() -> Option<JournalProof>> LedgerView<'_, J> {
             LedgerProof {
                 index_proof,
                 digest: self.digest,
-                journal_proof: (self.journal_proof)(),
             },
         )
     }
@@ -905,7 +826,6 @@ impl<J: FnOnce() -> Option<JournalProof>> LedgerView<'_, J> {
             LedgerMultiProof {
                 index_proof,
                 digest: self.digest,
-                journal_proof: (self.journal_proof)(),
             },
         )
     }
@@ -931,7 +851,6 @@ impl<J: FnOnce() -> Option<JournalProof>> LedgerView<'_, J> {
 pub struct LedgerSnapshot {
     digest: Digest,
     index: Box<dyn SiriIndex>,
-    journal_proof: Option<JournalProof>,
     /// Keeps the snapshot's index root registered as a GC root for as long
     /// as the snapshot lives (see [`Ledger::collect_live`]).
     _pin: SnapshotPin,
@@ -958,11 +877,10 @@ impl LedgerSnapshot {
         self.index.get(key)
     }
 
-    fn view(&self) -> LedgerView<'_, impl FnOnce() -> Option<JournalProof> + '_> {
+    fn view(&self) -> LedgerView<'_> {
         LedgerView {
             digest: self.digest,
             index: self.index.as_ref(),
-            journal_proof: || self.journal_proof.clone(),
         }
     }
 
@@ -1252,6 +1170,27 @@ mod tests {
         assert_eq!(reread.digest(), digest2);
     }
 
+    /// The journal is rebuilt from the chain, not stored: a reopened
+    /// 1 000-block ledger has the live ledger's journal root — the RFC 6962
+    /// root over its block hashes — and both chains audit clean.
+    #[test]
+    fn reopened_journal_of_a_thousand_blocks_has_the_live_root() {
+        let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
+        let live = Ledger::new(Arc::clone(&store));
+        for i in 0..1000u32 {
+            live.append_block(vec![kv(i % 97)], "put");
+        }
+        let block_hashes: Vec<Hash> = (0..1000).map(|h| live.block(h).unwrap().hash()).collect();
+        let rebuilt = MerkleTree::from_leaves(block_hashes.iter().map(|h| h.as_bytes().as_slice()));
+        assert_eq!(live.digest().journal_root, rebuilt.root());
+
+        let reopened = Ledger::open(store).unwrap();
+        assert_eq!(reopened.digest().journal_root, live.digest().journal_root);
+        assert_eq!(reopened.digest(), live.digest());
+        assert_eq!(live.audit_chain(), None);
+        assert_eq!(reopened.audit_chain(), None);
+    }
+
     /// The per-key fold `try_append_groups` ran before it applied a block
     /// as one batch — a `get` and an insert per key — kept here as the
     /// reference: the batched ledger must reproduce its digest chain block
@@ -1287,7 +1226,7 @@ mod tests {
             let ledger = Ledger::with_kind(InMemoryChunkStore::shared(), kind);
             let reference_store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
             let mut index = open_index(&reference_store, kind, Hash::ZERO).unwrap();
-            let mut journal = Journal::new();
+            let mut journal = MerkleTree::new();
             let mut prev_hash = Hash::ZERO;
             for (height, groups) in blocks.iter().enumerate() {
                 let mut records = Vec::new();
@@ -1311,7 +1250,7 @@ mod tests {
                 let height = height as u64;
                 let block = Block::new(height, prev_hash, index.root(), height + 1, records);
                 prev_hash = block.hash();
-                journal.append(prev_hash);
+                journal.push(prev_hash.as_bytes());
                 let expected = Digest {
                     block_height: height,
                     block_hash: prev_hash,

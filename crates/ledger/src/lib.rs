@@ -10,11 +10,11 @@
 //! The crate provides:
 //!
 //! * [`block`] — block and transaction-record types plus the hash chain.
-//! * [`journal`] — an append-only journal with an incrementally maintained
-//!   Merkle tree over block hashes (inclusion + consistency proofs).
 //! * [`ledger`] — the unified ledger: a SIRI index instance per block with
 //!   node sharing between consecutive blocks, point/range queries whose
 //!   proofs ride along the traversal, and digests for client verification.
+//!   Its journal — the RFC 6962 [`spitz_crypto::MerkleTree`] over every
+//!   block hash — is folded into each digest's `journal_root`.
 //! * [`deferred`] — the deferred (batched, asynchronous-style) verification
 //!   scheme described in Section 5.3.
 //! * [`pipeline`] — the group-commit pipeline: concurrent committers are
@@ -26,13 +26,11 @@
 
 pub mod block;
 pub mod deferred;
-pub mod journal;
 pub mod ledger;
 pub mod pipeline;
 
 pub use block::{Block, BlockHeader, TxnRecord, WriteOp};
 pub use deferred::{DeferredVerifier, VerificationReport};
-pub use journal::{Journal, JournalProof};
 pub use ledger::{
     BlockCost, CommitGroup, Digest, Ledger, LedgerMultiProof, LedgerProof, LedgerRangeProof,
     LedgerSnapshot, VerifiedRange, LEDGER_HEAD_ROOT,

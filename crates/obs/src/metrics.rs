@@ -250,11 +250,23 @@ impl Histogram {
 
     /// `(p50, p95, p99)` from one shared capture.
     pub fn quantiles(&self) -> Option<(u64, u64, u64)> {
+        Self::quantiles_of(&self.capture())
+    }
+
+    /// The observation count and `(p50, p95, p99)` from one shared capture,
+    /// so the two always describe the same observations: the quantiles are
+    /// `None` exactly when the count is 0. (The `count` counter, read on its
+    /// own, may run ahead of or behind a concurrent capture.)
+    pub(crate) fn count_and_quantiles(&self) -> (u64, Option<(u64, u64, u64)>) {
         let snap = self.capture();
+        (snap.iter().sum(), Self::quantiles_of(&snap))
+    }
+
+    fn quantiles_of(snap: &[u64; BUCKETS]) -> Option<(u64, u64, u64)> {
         Some((
-            Self::quantile_of(&snap, 0.50)?,
-            Self::quantile_of(&snap, 0.95)?,
-            Self::quantile_of(&snap, 0.99)?,
+            Self::quantile_of(snap, 0.50)?,
+            Self::quantile_of(snap, 0.95)?,
+            Self::quantile_of(snap, 0.99)?,
         ))
     }
 

@@ -122,10 +122,11 @@ impl Registry {
             .unwrap()
             .iter()
             .map(|(name, h)| {
-                let (p50, p95, p99) = h.quantiles().unwrap_or((0, 0, 0));
+                let (count, quantiles) = h.count_and_quantiles();
+                let (p50, p95, p99) = quantiles.unwrap_or((0, 0, 0));
                 HistogramSnapshot {
                     name: name.clone(),
-                    count: h.count(),
+                    count,
                     sum: h.sum(),
                     p50,
                     p95,
@@ -155,7 +156,7 @@ impl Default for Registry {
 pub struct HistogramSnapshot {
     /// Instrument name.
     pub name: String,
-    /// Observations recorded.
+    /// Observations recorded, from the same capture as the quantiles.
     pub count: u64,
     /// Sum of observations (wrapping).
     pub sum: u64,

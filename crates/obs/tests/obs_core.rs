@@ -131,8 +131,18 @@ fn snapshots_stay_internally_consistent_under_concurrent_updates() {
     let hist = telemetry.histogram("t.snap");
     let counter = telemetry.counter("t.snap.count");
     let stop = Arc::new(AtomicBool::new(false));
+    /// Stops the writers when the reader is done — or when an assertion
+    /// unwinds out of it, so a failure is reported instead of `scope`
+    /// waiting forever on writers that never see the flag.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 
     std::thread::scope(|scope| {
+        let _stop_writers = StopOnDrop(&stop);
         for t in 0..4u64 {
             let hist = Arc::clone(&hist);
             let counter = Arc::clone(&counter);
@@ -160,7 +170,6 @@ fn snapshots_stay_internally_consistent_under_concurrent_updates() {
             // The JSON rendering never emits NaN even mid-update.
             assert!(!snap.render_json().contains("NaN"));
         }
-        stop.store(true, Ordering::Relaxed);
     });
 
     // After writers stop, a final snapshot agrees with the live counter.

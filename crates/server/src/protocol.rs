@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! u32 BE  body length (not counting these 4 bytes)
-//! u8      protocol version (currently 2)
+//! u8      protocol version (currently 3)
 //! u8      opcode
 //! u64 BE  request id (echoed verbatim in the response)
 //! ...     opcode-specific payload
@@ -30,7 +30,9 @@ use spitz_index::codec::{self, Reader};
 /// POS-tree range proof carries (leaves wholly inside the range travel in
 /// the answer only): a version-1 peer would read such a proof as tampering,
 /// so the two versions refuse each other at the frame header instead.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// Version 3 dropped the journal proof (and its presence tag) from every
+/// point and multi proof: the digest they carry already pins the journal.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Hard cap on a frame body. Anything larger is rejected from the header
 /// alone — the body is never read or allocated.

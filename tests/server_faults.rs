@@ -383,30 +383,35 @@ fn runt_frames_and_bad_versions_are_typed_fatal() {
 }
 
 /// A version-1 client would read a version-2 POS-tree range proof (covered
-/// leaves travel in the answer only) as tampering, so its range request is
-/// refused with the typed version error and the connection closed — the
-/// server never answers it with a proof it cannot check.
+/// leaves travel in the answer only) as tampering, and a version-2 client
+/// would read a version-3 point proof (no journal proof) as truncated, so
+/// an older peer's request is refused with the typed version error and the
+/// connection closed — the server never answers it with a proof it cannot
+/// check.
 #[test]
 fn version_1_range_request_is_refused_not_answered() {
     let server = serve_in_memory(2, ServerConfig::default());
-    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
     let mut payload = Vec::new();
     spitz::index::codec::put_bytes(&mut payload, b"a");
     payload.extend_from_slice(b"z");
-    let mut frame = protocol::encode_frame(op::RANGE_VERIFIED, 7, &payload);
-    assert_eq!(frame[4], 2, "this build speaks version 2");
-    frame[4] = 1;
-    sock.write_all(&frame).unwrap();
+    let range = protocol::encode_frame(op::RANGE_VERIFIED, 7, &payload);
+    let point = protocol::encode_frame(op::GET_VERIFIED, 8, b"a");
+    for (mut frame, old) in [(range, 1), (point, 2)] {
+        assert_eq!(frame[4], 3, "this build speaks version 3");
+        frame[4] = old;
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        sock.write_all(&frame).unwrap();
 
-    let (opcode, _, payload) = read_raw_frame(&mut sock).expect("error frame");
-    assert_eq!(opcode, op::ERROR);
-    assert_eq!(
-        protocol::decode_error(&payload).unwrap().0,
-        ErrorCode::UnsupportedVersion
-    );
-    let mut rest = Vec::new();
-    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    assert_eq!(sock.read_to_end(&mut rest).unwrap_or(0), 0);
+        let (opcode, _, payload) = read_raw_frame(&mut sock).expect("error frame");
+        assert_eq!(opcode, op::ERROR);
+        assert_eq!(
+            protocol::decode_error(&payload).unwrap().0,
+            ErrorCode::UnsupportedVersion
+        );
+        let mut rest = Vec::new();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(sock.read_to_end(&mut rest).unwrap_or(0), 0);
+    }
 }
 
 /// A connection that goes quiet mid-frame is closed on the idle clock;

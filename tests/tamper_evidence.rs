@@ -432,3 +432,202 @@ fn pos_range_proofs_bind_the_answer_that_stands_in_for_covered_leaves() {
         );
     }
 }
+
+/// A sharded database of `records` keys under one SIRI kind, every value
+/// `fill` repeated, loaded in one batch plus a few single puts so each
+/// shard's ledger has several blocks.
+fn kind_db(
+    siri: spitz::index::SiriKind,
+    shards: usize,
+    records: usize,
+    fill: u8,
+) -> spitz::ShardedDb {
+    use spitz::core::db::SpitzConfig;
+    use spitz::core::sharded::ShardedConfig;
+
+    let spitz = SpitzConfig {
+        siri,
+        ..SpitzConfig::default()
+    };
+    let db = spitz::ShardedDb::with_config(
+        ShardedConfig::default()
+            .with_shards(shards)
+            .with_spitz(spitz),
+    );
+    let key = |i: usize| format!("kind/{i:04}").into_bytes();
+    let split = records.saturating_sub(4);
+    if split > 0 {
+        db.put_batch((0..split).map(|i| (key(i), vec![fill; 8])).collect())
+            .unwrap();
+    }
+    for i in split..records {
+        db.put(&key(i), &[fill; 8]).unwrap();
+    }
+    db
+}
+
+/// An MBT range proof reveals the whole bucket tree — buckets partition by
+/// hash, so any bucket may hold part of any range — level by level from the
+/// root, each distinct node once. The verifier consumes that list in that
+/// order, each node exactly once, with nothing left over: every forgery of
+/// the victim shard's node list below is refused over one shard and over
+/// four, and an empty tree or an empty range takes only an empty proof.
+#[test]
+fn mbt_range_proofs_are_consumed_in_order_exactly_once() {
+    use spitz::core::proof::ShardedRangeProof;
+    use spitz::index::SiriKind::MerkleBucketTree as Mbt;
+    type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+    let (start, end) = (b"kind/0100".to_vec(), b"kind/0200".to_vec());
+    for shards in [1usize, 4] {
+        let db = kind_db(Mbt, shards, 300, 7);
+        let (honest, proof) = db.range_verified(&start, &end).unwrap();
+        assert_eq!(honest.len(), 100);
+        assert!(proof.verify(&honest), "{shards} shards");
+        let victim = db.route(&honest[0].0);
+        let part: Entries = honest
+            .iter()
+            .filter(|(k, _)| db.route(k) == victim)
+            .cloned()
+            .collect();
+        let nodes = proof.shards[victim].index_proof.nodes.clone();
+        // Root, two levels of internal nodes, then the buckets.
+        assert!(nodes.len() > 4, "{shards} shards: {} nodes", nodes.len());
+        // A node of another tree: the same keys under other values.
+        let other = kind_db(Mbt, shards, 300, 8);
+        let (_, foreign) = other.range_verified(&start, &end).unwrap();
+        let stranger = foreign.shards[victim].index_proof.nodes.last().unwrap();
+        assert!(!nodes.contains(stranger));
+
+        let middle = nodes.len() / 2;
+        let last = nodes.len() - 1;
+        type Tamper<'a> = Box<dyn Fn(&mut Vec<Vec<u8>>) + 'a>;
+        let cases: Vec<(&str, Tamper)> = vec![
+            ("an empty proof", Box::new(|n| n.clear())),
+            ("a truncated proof", Box::new(|n| drop(n.pop()))),
+            ("an unrooted proof", Box::new(|n| drop(n.remove(0)))),
+            (
+                "another tree's proof",
+                Box::new(|n| *n = foreign.shards[victim].index_proof.nodes.clone()),
+            ),
+            (
+                "a spliced node, in the middle",
+                Box::new(|n| n.insert(middle, stranger.clone())),
+            ),
+            (
+                "a spliced node, at the end",
+                Box::new(|n| n.push(stranger.clone())),
+            ),
+            (
+                "a repeated node, in place",
+                Box::new(|n| n.insert(middle, n[middle].clone())),
+            ),
+            (
+                "a repeated node, at the end",
+                Box::new(|n| n.push(n[0].clone())),
+            ),
+            (
+                "two buckets reordered",
+                Box::new(|n| n.swap(last - 1, last)),
+            ),
+            (
+                "an internal node and a bucket reordered",
+                Box::new(|n| n.swap(1, last)),
+            ),
+        ];
+        for (name, tamper) in &cases {
+            let mut tampered: ShardedRangeProof = proof.clone();
+            tamper(&mut tampered.shards[victim].index_proof.nodes);
+            assert!(!tampered.verify(&honest), "{shards} shards: {name}");
+            assert!(
+                !tampered.shards[victim].verify(&part),
+                "{shards} shards: {name} (the shard's verifier)"
+            );
+        }
+
+        // An empty range and an empty tree take an empty proof and nothing
+        // else: the honest proofs verify, the same proofs padded do not.
+        let empty_db = kind_db(Mbt, shards, 0, 7);
+        for (name, db, start, end) in [
+            ("an empty range", &db, &end, &start),
+            ("an empty tree", &empty_db, &start, &end),
+        ] {
+            let (entries, proof) = db.range_verified(start, end).unwrap();
+            assert!(entries.is_empty(), "{shards} shards: {name}");
+            assert!(proof.shards.iter().all(|p| p.index_proof.is_empty()));
+            assert!(proof.verify(&entries), "{shards} shards: {name}");
+            let mut padded = proof.clone();
+            padded.shards[victim].index_proof.nodes = vec![nodes[0].clone()];
+            assert!(!padded.verify(&entries), "{shards} shards: {name}, padded");
+        }
+    }
+}
+
+/// Every bit of a served point or batched proof is bound: each single-bit
+/// flip of an accepted encoding fails to decode, fails verification against
+/// the pinned cross-shard root, or decodes to the very proof that was sent
+/// — for every SIRI kind, over one shard and over four, for present and
+/// absent keys.
+#[test]
+fn every_bit_of_a_point_or_batch_proof_is_bound() {
+    use spitz::core::proof::{ShardedMultiProof, ShardedProof};
+    use spitz::index::SiriKind;
+
+    /// Call `check` with every single-bit flip of `honest`.
+    fn each_flip(honest: &[u8], mut check: impl FnMut(usize, &[u8])) {
+        let mut bent = honest.to_vec();
+        for bit in 0..honest.len() * 8 {
+            bent[bit / 8] ^= 1 << (bit % 8);
+            check(bit, &bent);
+            bent[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    for siri in [
+        SiriKind::PosTree,
+        SiriKind::MerklePatriciaTrie,
+        SiriKind::MerkleBucketTree,
+    ] {
+        for shards in [1usize, 4] {
+            let case = format!("{} x {shards} shards", siri.name());
+            let db = kind_db(siri, shards, 64, 7);
+            let mut pin = Verifier::new();
+            assert!(pin.observe_sharded(&db.digest()), "{case}");
+
+            for key in [b"kind/0017".to_vec(), b"kind/absent".to_vec()] {
+                let (value, proof) = db.get_verified(&key).unwrap();
+                assert!(pin.verify_sharded_read(&key, value.as_deref(), &proof));
+                let honest = proof.encode();
+                each_flip(&honest, |bit, bent| {
+                    if let Some(bent) = ShardedProof::decode(bent) {
+                        assert!(
+                            !pin.verify_sharded_read(&key, value.as_deref(), &bent)
+                                || bent.encode() == honest,
+                            "{case}: point proof of {key:?}, bit {bit} of {}",
+                            honest.len() * 8
+                        );
+                    }
+                });
+            }
+
+            let keys = vec![
+                b"kind/0003".to_vec(),
+                b"kind/0040".to_vec(),
+                b"kind/absent".to_vec(),
+            ];
+            let (values, proof) = db.get_multi_verified(&keys).unwrap();
+            let items: Vec<_> = keys.into_iter().zip(values).collect();
+            assert!(pin.verify_sharded_multi(&items, &proof), "{case}");
+            let honest = proof.encode();
+            each_flip(&honest, |bit, bent| {
+                if let Some(bent) = ShardedMultiProof::decode(bent) {
+                    assert!(
+                        !pin.verify_sharded_multi(&items, &bent) || bent.encode() == honest,
+                        "{case}: multi proof, bit {bit} of {}",
+                        honest.len() * 8
+                    );
+                }
+            });
+        }
+    }
+}
