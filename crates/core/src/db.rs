@@ -566,9 +566,10 @@ impl SpitzDb {
         let raw = InMemoryChunkStore::shared();
         let store: Arc<dyn ChunkStore> = raw;
         let ledger = Arc::new(Ledger::with_kind(Arc::clone(&store), config.siri));
-        // Purely in-memory instances commit inline: there is no fsync to
-        // amortize, so the pipeline's thread hop would be pure overhead on
-        // the hot path the paper's figures measure.
+        // Purely in-memory instances commit without a pipeline: there is
+        // no fsync to amortize, and even its idle path (which seals on the
+        // caller's thread) would add a lock and a policy check to the hot
+        // path the paper's figures measure.
         Self::assemble(store, ledger, config, false, telemetry)
     }
 

@@ -35,7 +35,8 @@
 //! proportionally smaller). Measured by `benchmark/` on the default 4-shard
 //! database with 128-byte values (medians of ten alternating pairs, seeds
 //! 1–10, fan-out 16 → 8; node encodings are unchanged, so a store written
-//! at 16 is read as it is and re-split node by node as it is written):
+//! at 16 is read as it is, and a rewritten node keeps its old boundaries —
+//! see `is_boundary`):
 //!
 //! | workload | `wire_bytes_per_op` | `stored_bytes_per_user_byte` | `ops_per_s` |
 //! |---|---:|---:|---:|
@@ -251,11 +252,51 @@ pub(crate) fn node_children(payload: &[u8]) -> Option<Vec<Hash>> {
 /// Content-defined split decision: an entry with this key ends a node at the
 /// given level. Seeded per level so that leaf and internal splits are
 /// independent.
+///
+/// Every stored node is cut by [`split_runs`], which ends a node at its
+/// first boundary, so **no non-last entry of a stored node is a boundary at
+/// its level**. A re-split leans on that invariant and hashes only the
+/// entries whose answer it does not already know: new keys, a node's old
+/// last entry, and a rewritten child whose `max_key` moved. (A store
+/// written under another split rule, such as an older fan-out, keeps its
+/// old node boundaries where they differ; its nodes stay valid and
+/// searchable.)
 fn is_boundary(key: &[u8], level: u8) -> bool {
+    #[cfg(test)]
+    tests::BOUNDARY_TESTS.with(|calls| calls.set(calls.get() + 1));
     let mut hasher = Sha256::new();
     hasher.update(&[0xB0, level]);
     hasher.update(key);
     hasher.finalize().prefix_u64().is_multiple_of(AVG_FANOUT)
+}
+
+/// Cut `items` into runs, each ending at a content-defined boundary at
+/// `level` (or at `MAX_NODE_ENTRIES`); the last item closes the last run
+/// whatever it is, so it is never tested. `settled[i]` marks item `i` as
+/// known not to be a boundary at this level (see [`is_boundary`]), which
+/// skips its hash; items past the end of `settled` are tested.
+fn split_runs<T>(
+    items: Vec<T>,
+    settled: &[bool],
+    level: u8,
+    key: impl Fn(&T) -> &[u8],
+) -> Vec<Vec<T>> {
+    let total = items.len();
+    let mut runs = Vec::new();
+    let mut current = Vec::new();
+    for (i, item) in items.into_iter().enumerate() {
+        let ends = i + 1 < total
+            && (current.len() + 1 >= MAX_NODE_ENTRIES
+                || (!settled.get(i).copied().unwrap_or(false) && is_boundary(key(&item), level)));
+        current.push(item);
+        if ends {
+            runs.push(std::mem::take(&mut current));
+        }
+    }
+    if !current.is_empty() {
+        runs.push(current);
+    }
+    runs
 }
 
 /// The Pattern-Oriented-Split Tree.
@@ -369,51 +410,31 @@ impl PosTree {
         Ok((hash, count))
     }
 
-    /// Split a freshly modified node's entries at content-defined boundaries
-    /// and persist the resulting nodes, returning their child references.
+    /// Split a freshly modified leaf's entries at content-defined
+    /// boundaries and persist the resulting nodes, returning their child
+    /// references; `settled` as in [`split_runs`].
     fn persist_leaf_runs(
         &self,
         entries: Vec<(Vec<u8>, Vec<u8>)>,
+        settled: &[bool],
     ) -> Result<Vec<ChildRef>, StorageError> {
-        let mut out = Vec::new();
-        let mut current: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let total = entries.len();
-        for (i, (k, v)) in entries.into_iter().enumerate() {
-            let boundary = is_boundary(&k, 0);
-            current.push((k, v));
-            let force = current.len() >= MAX_NODE_ENTRIES;
-            let last = i + 1 == total;
-            if (boundary || force) && !last {
-                out.push(self.child_ref_for(Node::Leaf(std::mem::take(&mut current)))?);
-            }
-        }
-        if !current.is_empty() {
-            out.push(self.child_ref_for(Node::Leaf(current))?);
-        }
-        Ok(out)
+        split_runs(entries, settled, 0, |(k, _)| k)
+            .into_iter()
+            .map(|run| self.child_ref_for(Node::Leaf(run)))
+            .collect()
     }
 
+    /// [`Self::persist_leaf_runs`] for the children of a level-`level` node.
     fn persist_internal_runs(
         &self,
         level: u8,
         children: Vec<ChildRef>,
+        settled: &[bool],
     ) -> Result<Vec<ChildRef>, StorageError> {
-        let mut out = Vec::new();
-        let mut current: Vec<ChildRef> = Vec::new();
-        let total = children.len();
-        for (i, child) in children.into_iter().enumerate() {
-            let boundary = is_boundary(&child.max_key, level);
-            current.push(child);
-            let force = current.len() >= MAX_NODE_ENTRIES;
-            let last = i + 1 == total;
-            if (boundary || force) && !last {
-                out.push(self.child_ref_for(Node::Internal(level, std::mem::take(&mut current)))?);
-            }
-        }
-        if !current.is_empty() {
-            out.push(self.child_ref_for(Node::Internal(level, current))?);
-        }
-        Ok(out)
+        split_runs(children, settled, level, |c| &c.max_key)
+            .into_iter()
+            .map(|run| self.child_ref_for(Node::Internal(level, run)))
+            .collect()
     }
 
     fn child_ref_for(&self, node: Node) -> Result<ChildRef, StorageError> {
@@ -440,24 +461,37 @@ impl PosTree {
         let node = load_node(&self.store, hash).expect("pos-tree node missing from store");
         match node {
             Node::Leaf(entries) => {
+                // Only the old last entry and inserted keys can be
+                // boundaries; an updated key keeps its entry's status.
+                let old_last = entries.len().saturating_sub(1);
                 let mut merged = Vec::with_capacity(entries.len() + batch.len());
-                let mut old = entries.into_iter().peekable();
+                let mut settled = Vec::with_capacity(entries.len() + batch.len());
+                let mut old = entries.into_iter().enumerate().peekable();
                 for (key, value) in batch {
-                    while let Some(entry) = old.next_if(|(k, _)| *k < key) {
+                    while let Some((i, entry)) = old.next_if(|(_, (k, _))| *k < key) {
+                        settled.push(i != old_last);
                         merged.push(entry);
                     }
-                    is_new.push(old.next_if(|(k, _)| *k == key).is_none());
+                    let replaced = old.next_if(|(_, (k, _))| *k == key);
+                    is_new.push(replaced.is_none());
+                    settled.push(replaced.is_some_and(|(i, _)| i != old_last));
                     merged.push((key, value));
                 }
-                merged.extend(old);
-                Ok((self.persist_leaf_runs(merged)?, 0))
+                for (i, entry) in old {
+                    settled.push(i != old_last);
+                    merged.push(entry);
+                }
+                Ok((self.persist_leaf_runs(merged, &settled)?, 0))
             }
             Node::Internal(level, children) => {
                 // Child `i` covers the keys in (max_key[i-1], max_key[i]];
-                // the last child also takes everything above its max.
+                // the last child also takes everything above its max. A
+                // non-last child is settled, and so is the replacement that
+                // still ends at its max key.
                 let last = children.len() - 1;
                 let mut batch = batch.into_iter().peekable();
                 let mut spliced = Vec::with_capacity(children.len() + 1);
+                let mut settled = Vec::with_capacity(children.len() + 1);
                 for (i, child) in children.into_iter().enumerate() {
                     let mut part = Vec::new();
                     while let Some(write) = batch.next_if(|(k, _)| i == last || *k <= child.max_key)
@@ -465,12 +499,16 @@ impl PosTree {
                         part.push(write);
                     }
                     if part.is_empty() {
+                        settled.push(i != last);
                         spliced.push(child);
                     } else {
-                        spliced.extend(self.apply_rec(&child.hash, part, is_new)?.0);
+                        for new in self.apply_rec(&child.hash, part, is_new)?.0 {
+                            settled.push(i != last && new.max_key == child.max_key);
+                            spliced.push(new);
+                        }
                     }
                 }
-                Ok((self.persist_internal_runs(level, spliced)?, level))
+                Ok((self.persist_internal_runs(level, spliced, &settled)?, level))
             }
         }
     }
@@ -709,7 +747,7 @@ impl SiriIndex for PosTree {
         let mut is_new = Vec::with_capacity(batch.len());
         let (refs, level) = if self.root.is_zero() {
             is_new.resize(batch.len(), true);
-            (self.persist_leaf_runs(batch)?, 0)
+            (self.persist_leaf_runs(batch, &[])?, 0)
         } else {
             self.apply_rec(&self.root, batch, &mut is_new)?
         };
@@ -771,7 +809,7 @@ impl PosTree {
     /// internal levels until one node remains.
     fn collapse(&self, mut refs: Vec<ChildRef>, mut level: u8) -> Result<Hash, StorageError> {
         while refs.len() > 1 {
-            refs = self.persist_internal_runs(level, refs)?;
+            refs = self.persist_internal_runs(level, refs, &[])?;
             level += 1;
         }
         Ok(refs.pop().map(|r| r.hash).unwrap_or(Hash::ZERO))
@@ -786,6 +824,13 @@ mod tests {
     use rand::SeedableRng;
     use spitz_crypto::sha256;
     use spitz_storage::InMemoryChunkStore;
+    use std::cell::Cell;
+    use std::collections::BTreeMap;
+
+    thread_local! {
+        /// `is_boundary` calls made on this thread.
+        pub(super) static BOUNDARY_TESTS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn new_tree() -> PosTree {
         PosTree::new(InMemoryChunkStore::shared())
@@ -1257,5 +1302,68 @@ mod tests {
             "depth should stay logarithmic, got {}",
             proof.len()
         );
+    }
+
+    /// Skipping the boundary test for settled entries must not change a
+    /// single node: every so often the incrementally written tree is the
+    /// tree bulk-built from its key set.
+    #[test]
+    fn incremental_batches_build_the_bulk_built_tree() {
+        use rand::Rng;
+        for seed in 1..=3u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut tree = new_tree();
+            let mut model = BTreeMap::new();
+            let mut ids = Vec::new();
+            let mut batches = 0u32;
+            while model.len() < 20_000 {
+                let writes: Vec<_> = (0..rng.gen_range(1..=32usize))
+                    .map(|_| {
+                        let id = if !ids.is_empty() && rng.gen_bool(0.3) {
+                            ids[rng.gen_range(0..ids.len())]
+                        } else {
+                            let id = rng.gen_range(0..1_000_000u32);
+                            ids.push(id);
+                            id
+                        };
+                        (key(id), format!("v{batches}-{id}").into_bytes())
+                    })
+                    .collect();
+                model.extend(writes.iter().cloned());
+                tree.try_apply(writes).unwrap();
+                batches += 1;
+                if batches.is_multiple_of(100) || model.len() >= 20_000 {
+                    let mut bulk = new_tree();
+                    bulk.try_apply(model.clone().into_iter().collect()).unwrap();
+                    assert_eq!(tree.root(), bulk.root(), "seed {seed}, batch {batches}");
+                    assert_eq!(tree.len(), model.len());
+                }
+            }
+        }
+    }
+
+    /// A one-key update re-decides no boundary; a one-key insert tests at
+    /// most the new key's entry at each level, plus one for a new root.
+    #[test]
+    fn single_key_writes_hash_only_the_boundaries_that_can_move() {
+        let mut tree = new_tree();
+        tree.try_apply((0..5000u32).map(|i| (key(2 * i), value(i))).collect())
+            .unwrap();
+        let calls = |tree: &mut PosTree, k: Vec<u8>| {
+            BOUNDARY_TESTS.with(|c| c.set(0));
+            tree.insert(k, b"new".to_vec());
+            BOUNDARY_TESTS.with(Cell::get)
+        };
+        for i in (0..5000u32).step_by(37).chain([0, 4999]) {
+            assert_eq!(calls(&mut tree, key(2 * i)), 0, "update of key {i}");
+        }
+        for i in (0..5000u32).step_by(41).chain([4999, 6000]) {
+            let made = calls(&mut tree, key(2 * i + 1));
+            let levels = tree.get_with_proof(&key(2 * i + 1)).1.len() as u64;
+            assert!(
+                made <= levels + 1,
+                "insert {i}: {made} tests, {levels} levels"
+            );
+        }
     }
 }

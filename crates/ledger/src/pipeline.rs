@@ -3,25 +3,30 @@
 //!
 //! Without the pipeline every `SpitzDb::put` seals its own ledger block and
 //! pays the full durability ceremony (an `fsync` per commit in strict
-//! setups). The [`CommitPipeline`] runs a background *committer* thread:
-//! callers enqueue their writes, park on a ticket, and the committer drains
-//! everything queued into **one** sealed block per flush (one index-root
-//! update, one block chunk, one head-root record in the storage log — see
-//! `spitz_storage::durable` for the log-embedded root publication that
-//! replaced the per-commit manifest rewrite). Every caller of the flush
-//! wakes with the same published [`Digest`].
+//! setups). A commit that finds the [`CommitPipeline`] idle — nothing
+//! queued, no block being sealed — seals its block on the caller's own
+//! thread: there is nothing to coalesce it with, and a hop to another
+//! thread and back would cost two scheduler wake-ups. Commits that arrive
+//! while a block is being sealed enqueue their writes and park on a ticket,
+//! and a background *committer* thread drains everything queued into
+//! **one** sealed block per flush (one index-root update, one block chunk,
+//! one head-root record in the storage log — see `spitz_storage::durable`
+//! for the log-embedded root publication that replaced the per-commit
+//! manifest rewrite). Every caller of the flush wakes with the same
+//! published [`Digest`]. The committer also times the `Grouped` fsync
+//! deadline and runs the shutdown drain.
 //!
 //! When a commit additionally waits for stable storage is governed by a
 //! [`DurabilityPolicy`]:
 //!
-//! * [`DurabilityPolicy::Strict`] — the committer fsyncs after every flush,
-//!   before acknowledging. An acknowledged commit survives any crash.
-//!   Concurrent callers still share that fsync (classic group commit).
+//! * [`DurabilityPolicy::Strict`] — every flush is fsynced before it is
+//!   acknowledged. An acknowledged commit survives any crash. Concurrent
+//!   callers still share that fsync (classic group commit).
 //! * [`DurabilityPolicy::Grouped`] — commits are acknowledged at
-//!   *publication* (block sealed, root record appended); the committer
-//!   fsyncs at least every `max_writes` commits or `max_delay` of wall
-//!   clock. A crash loses at most that window, and recovery lands on the
-//!   last fsynced root with the chain intact.
+//!   *publication* (block sealed, root record appended) and fsynced at
+//!   least every `max_writes` commits or `max_delay` of wall clock. A crash
+//!   loses at most that window, and recovery lands on the last fsynced
+//!   root with the chain intact.
 //! * [`DurabilityPolicy::Os`] — never fsync from the pipeline; the OS page
 //!   cache decides (fastest, weakest).
 //!
@@ -49,7 +54,10 @@ pub enum DurabilityPolicy {
     Strict,
     /// Acknowledge at publication and `fsync` at least every `max_writes`
     /// commits or `max_delay`, whichever comes first. A crash loses at most
-    /// that window.
+    /// that window. The commit that reaches `max_writes`, or is sealed
+    /// after the deadline has passed, waits for that fsync before it is
+    /// acknowledged; a deadline that passes with no commit to carry it is
+    /// met by the committer thread.
     Grouped {
         /// Longest time an acknowledged commit may sit unfsynced.
         max_delay: Duration,
@@ -129,9 +137,26 @@ struct Pending {
 #[derive(Default)]
 struct PipelineState {
     queue: Vec<Pending>,
-    /// The committer has drained a batch it has not finished acknowledging.
+    /// A block is being sealed — by a caller on its own thread or by the
+    /// committer — or the committer is syncing. Whoever set it clears it.
     in_flight: bool,
     shutdown: bool,
+    /// Commits acknowledged but not yet fsynced (Grouped only), and the
+    /// wall-clock deadline by which they must be.
+    unsynced: usize,
+    sync_deadline: Option<Instant>,
+}
+
+impl PipelineState {
+    /// Nothing queued, nothing in flight, not shut down: the caller may
+    /// act on its own thread.
+    fn idle(&self) -> bool {
+        self.queue.is_empty() && !self.in_flight && !self.shutdown
+    }
+
+    fn sync_due(&self, now: Instant) -> bool {
+        self.sync_deadline.is_some_and(|deadline| now >= deadline)
+    }
 }
 
 /// Counters the pipeline exposes for benches and tests.
@@ -141,7 +166,7 @@ pub struct PipelineStats {
     pub commits: u64,
     /// Blocks sealed (each coalesces ≥ 1 commit).
     pub flushes: u64,
-    /// `fsync` calls issued by the committer.
+    /// `fsync` calls issued by the pipeline.
     pub syncs: u64,
 }
 
@@ -191,17 +216,151 @@ impl PipelineObs {
 }
 
 struct Shared {
+    ledger: Arc<Ledger>,
+    policy: DurabilityPolicy,
     state: Mutex<PipelineState>,
-    /// Signals the committer that work (or shutdown) is pending.
+    /// Signals the committer that work, a sync deadline or shutdown is
+    /// pending.
     work: Condvar,
     stats: AtomicPipelineStats,
     obs: PipelineObs,
 }
 
-/// Background group-commit pipeline over a [`Ledger`].
+impl Shared {
+    fn count_commit(&self) {
+        self.stats
+            .commits
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.obs.commits.inc();
+    }
+
+    /// Seal `groups` into one block (none: just read the digest) and apply
+    /// the durability policy before anyone is acknowledged. `force` (a
+    /// flush barrier or shutdown) demands an fsync. The caller holds
+    /// `in_flight`.
+    fn flush(&self, groups: Vec<CommitGroup>, force: bool) -> Result<Digest, StorageError> {
+        let commits = groups.len();
+        let digest = if commits == 0 {
+            self.ledger.digest()
+        } else {
+            self.seal(groups)?
+        };
+        self.settle(commits, force)?;
+        Ok(digest)
+    }
+
+    /// Seal `groups` into one block. Panics that escape the append (index
+    /// writes route through `try_put`, but a corrupt node read or a bug in
+    /// an index implementation can still unwind) are contained: a poisoned
+    /// commit must surface as an error to every caller it carries, never
+    /// as a dead committer thread that would leave all present and future
+    /// callers parked forever, nor as a caller that never releases
+    /// `in_flight`.
+    fn seal(&self, groups: Vec<CommitGroup>) -> Result<Digest, StorageError> {
+        self.stats
+            .flushes
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.obs.flushes.inc();
+        self.obs.policy_flushes.inc();
+        self.obs.group_size.record(groups.len() as u64);
+        let flush_start = self.obs.flush_nanos.start();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.ledger.try_append_groups(groups).map(|(digest, cost)| {
+                self.obs.block_writes.record(cost.writes as u64);
+                self.obs
+                    .index_nodes_written
+                    .record(cost.index_nodes_written);
+                self.obs
+                    .index_bytes_written
+                    .record(cost.index_bytes_written);
+                digest
+            })
+        }))
+        .unwrap_or_else(|panic| {
+            let reason = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "commit panicked".to_string());
+            Err(StorageError::io_synthetic(
+                spitz_storage::IoErrorKind::Other,
+                "commit",
+                format!("commit aborted: {reason}"),
+            ))
+        });
+        self.obs.flush_nanos.finish(flush_start);
+        result
+    }
+
+    /// Count `commits` just sealed against the policy and fsync if it
+    /// says so.
+    fn settle(&self, commits: usize, force: bool) -> Result<(), StorageError> {
+        let need_sync = match self.policy {
+            DurabilityPolicy::Strict => commits > 0 || force,
+            DurabilityPolicy::Os => force,
+            DurabilityPolicy::Grouped {
+                max_delay,
+                max_writes,
+            } => {
+                let now = Instant::now();
+                let mut state = lock(&self.state);
+                state.unsynced += commits;
+                if state.unsynced > 0 && state.sync_deadline.is_none() {
+                    state.sync_deadline = Some(now + max_delay);
+                    // The committer times the deadline in case no later
+                    // commit arrives to meet it.
+                    self.work.notify_one();
+                }
+                force || state.unsynced >= max_writes || state.sync_due(now)
+            }
+        };
+        if need_sync {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// `fsync` the store and retire the commits it covers.
+    fn sync(&self) -> Result<(), StorageError> {
+        let covered = lock(&self.state).unsynced;
+        self.ledger.store().sync()?;
+        self.stats
+            .syncs
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.obs.syncs.inc();
+        let mut state = lock(&self.state);
+        // Subtract rather than zero: a commit counted once the fsync had
+        // started is not covered by it.
+        state.unsynced -= covered;
+        if state.unsynced == 0 {
+            state.sync_deadline = None;
+        }
+        Ok(())
+    }
+
+    /// Clear `in_flight` after a caller-thread commit, and hand the
+    /// committer whatever arrived meanwhile: queued commits, a shutdown
+    /// waiting for this seal, or a sync deadline that passed during it.
+    fn release(&self) {
+        let mut state = lock(&self.state);
+        state.in_flight = false;
+        if !state.queue.is_empty() || state.shutdown || state.sync_due(Instant::now()) {
+            self.work.notify_one();
+        }
+    }
+}
+
+/// Releases `in_flight` when a caller-thread commit ends, however it ends.
+struct InlineCommit<'a>(&'a Shared);
+
+impl Drop for InlineCommit<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+/// Group-commit pipeline over a [`Ledger`].
 pub struct CommitPipeline {
-    policy: DurabilityPolicy,
-    ledger: Arc<Ledger>,
     shared: Arc<Shared>,
     committer: Mutex<Option<JoinHandle<()>>>,
 }
@@ -234,6 +393,8 @@ impl CommitPipeline {
         telemetry: TelemetryHandle,
     ) -> Arc<CommitPipeline> {
         let shared = Arc::new(Shared {
+            ledger,
+            policy,
             state: Mutex::new(PipelineState::default()),
             work: Condvar::new(),
             stats: AtomicPipelineStats::default(),
@@ -241,15 +402,12 @@ impl CommitPipeline {
         });
         let committer = {
             let shared = Arc::clone(&shared);
-            let ledger = Arc::clone(&ledger);
             std::thread::Builder::new()
                 .name("spitz-committer".into())
-                .spawn(move || committer_loop(ledger, shared, policy))
+                .spawn(move || committer_loop(shared))
                 .expect("spawn committer thread")
         };
         Arc::new(CommitPipeline {
-            policy,
-            ledger,
             shared,
             committer: Mutex::new(Some(committer)),
         })
@@ -257,7 +415,7 @@ impl CommitPipeline {
 
     /// The policy the pipeline was built with.
     pub fn policy(&self) -> DurabilityPolicy {
-        self.policy
+        self.shared.policy
     }
 
     /// Counters since creation.
@@ -271,9 +429,10 @@ impl CommitPipeline {
     }
 
     /// Commit a batch of writes, blocking until it is published (and, under
-    /// [`DurabilityPolicy::Strict`], durable). Concurrent callers are
-    /// coalesced into one sealed block; every caller of that block receives
-    /// the same digest.
+    /// [`DurabilityPolicy::Strict`], durable). On an idle pipeline the block
+    /// is sealed on the calling thread; concurrent callers are coalesced
+    /// into one sealed block, and every caller of that block receives the
+    /// same digest.
     ///
     /// # Errors
     ///
@@ -289,7 +448,21 @@ impl CommitPipeline {
         writes: Vec<(Vec<u8>, Vec<u8>)>,
         statement: &str,
     ) -> Result<Digest, StorageError> {
-        self.enqueue(writes, statement, false, false).wait()
+        let mut state = lock(&self.shared.state);
+        if !state.idle() {
+            drop(state);
+            return self.enqueue(writes, statement, false, false).wait();
+        }
+        state.in_flight = true;
+        drop(state);
+        self.shared.count_commit();
+        let _release = InlineCommit(&self.shared);
+        let groups = if writes.is_empty() {
+            Vec::new()
+        } else {
+            vec![(writes, statement.to_string())]
+        };
+        self.shared.flush(groups, false)
     }
 
     /// Drain every queued commit and force an `fsync`, regardless of
@@ -320,8 +493,8 @@ impl CommitPipeline {
             // Holding the state lock keeps a commit from slipping in between
             // the idleness check and the digest read.
             let state = lock(&self.shared.state);
-            if state.queue.is_empty() && !state.in_flight && !state.shutdown {
-                return Ok(self.ledger.digest());
+            if state.idle() {
+                return Ok(self.shared.ledger.digest());
             }
         }
         self.enqueue(Vec::new(), "FENCE", true, false).wait()
@@ -340,11 +513,7 @@ impl CommitPipeline {
             ticket.fulfill(Err(StorageError::Closed));
         } else {
             if !barrier {
-                self.shared
-                    .stats
-                    .commits
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.shared.obs.commits.inc();
+                self.shared.count_commit();
             }
             state.queue.push(Pending {
                 writes,
@@ -353,14 +522,18 @@ impl CommitPipeline {
                 sync,
             });
             self.shared.obs.queue_depth.set(state.queue.len() as i64);
-            self.shared.work.notify_one();
+            // Whoever holds `in_flight` hands the queue on when done.
+            if !state.in_flight {
+                self.shared.work.notify_one();
+            }
         }
         drop(state);
         FlushWait(ticket)
     }
 
     /// Drain the queue, fsync outstanding work and stop the committer
-    /// thread. Further commits fail with [`StorageError::Closed`].
+    /// thread. A commit already being sealed on a caller's thread finishes
+    /// first; further commits fail with [`StorageError::Closed`].
     /// Idempotent; also invoked on drop.
     pub fn shutdown(&self) {
         {
@@ -383,7 +556,7 @@ impl Drop for CommitPipeline {
 impl std::fmt::Debug for CommitPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CommitPipeline")
-            .field("policy", &self.policy)
+            .field("policy", &self.shared.policy)
             .field("stats", &self.stats())
             .finish()
     }
@@ -408,81 +581,65 @@ fn sync_retry_delay(policy: DurabilityPolicy) -> Duration {
 }
 
 /// The committer: drain → seal one block → apply the durability policy →
-/// wake the batch.
-fn committer_loop(ledger: Arc<Ledger>, shared: Arc<Shared>, policy: DurabilityPolicy) {
-    use std::sync::atomic::Ordering::Relaxed;
-
-    let store = Arc::clone(ledger.store());
-    // Commits acknowledged but not yet fsynced (Grouped only), and the
-    // wall-clock deadline by which they must be.
-    let mut unsynced: usize = 0;
-    let mut sync_deadline: Option<Instant> = None;
-
+/// wake the batch. It takes the queue only while no caller is sealing on
+/// its own thread.
+fn committer_loop(shared: Arc<Shared>) {
     loop {
         // Wait for work, a shutdown, or (Grouped) a sync deadline.
-        let (batch, shutting_down) = {
+        let (mut batch, shutting_down) = {
             let mut state = lock(&shared.state);
-            // Every ticket of the previous batch has been fulfilled.
-            state.in_flight = false;
             loop {
-                if !state.queue.is_empty() || state.shutdown {
-                    state.in_flight = !state.queue.is_empty();
+                let now = Instant::now();
+                if !state.in_flight
+                    && (!state.queue.is_empty() || state.shutdown || state.sync_due(now))
+                {
+                    state.in_flight = true;
                     break (std::mem::take(&mut state.queue), state.shutdown);
                 }
-                match sync_deadline {
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break (Vec::new(), false);
-                        }
-                        let (guard, _) = shared
+                // Time the deadline even while a caller seals; once it has
+                // passed, that caller's release wakes us.
+                state = match state.sync_deadline {
+                    Some(deadline) if now < deadline => {
+                        shared
                             .work
                             .wait_timeout(state, deadline - now)
-                            .unwrap_or_else(|poison| poison.into_inner());
-                        state = guard;
+                            .unwrap_or_else(|poison| poison.into_inner())
+                            .0
                     }
-                    None => state = wait(&shared.work, state),
-                }
+                    _ => wait(&shared.work, state),
+                };
             }
         };
 
-        // Deadline-only wakeup, or shutdown (which always takes a final
-        // sync, so even Os-policy work is on disk after a clean exit).
-        if !batch.is_empty() {
-            shared.obs.queue_depth.set(0);
-        }
         if batch.is_empty() {
-            if unsynced > 0 || shutting_down {
-                match store.sync() {
-                    Ok(()) => {
-                        shared.stats.syncs.fetch_add(1, Relaxed);
-                        shared.obs.syncs.inc();
-                        unsynced = 0;
-                        sync_deadline = None;
-                    }
-                    Err(_) if !shutting_down => {
-                        // Keep the unsynced count and retry after a delay:
-                        // resetting it here would silently void the
-                        // bounded-loss guarantee. A flush() barrier (or the
-                        // next batch's forced sync) surfaces the error to a
-                        // caller.
-                        sync_deadline = Some(Instant::now() + sync_retry_delay(policy));
-                    }
-                    // Shutting down: best effort; the store's drop-time
-                    // flush retries once more.
-                    Err(_) => {}
+            // Deadline-only wakeup, or shutdown (which always takes a final
+            // sync, so even Os-policy work is on disk after a clean exit).
+            match shared.sync() {
+                Ok(()) => {}
+                Err(_) if !shutting_down => {
+                    // Keep the unsynced count and retry after a delay:
+                    // resetting it here would silently void the
+                    // bounded-loss guarantee. A flush() barrier (or the
+                    // next batch's forced sync) surfaces the error to a
+                    // caller.
+                    lock(&shared.state).sync_deadline =
+                        Some(Instant::now() + sync_retry_delay(shared.policy));
                 }
+                // Shutting down: best effort; the store's drop-time flush
+                // retries once more.
+                Err(_) => {}
             }
+            lock(&shared.state).in_flight = false;
             if shutting_down {
                 return;
             }
             continue;
         }
+        shared.obs.queue_depth.set(0);
 
         // Seal every queued commit into one block. The payloads are moved
         // out of the pendings (only the tickets are needed afterwards), so
         // coalescing copies no write bytes.
-        let mut batch = batch;
         let groups: Vec<CommitGroup> = batch
             .iter_mut()
             .filter(|p| !p.writes.is_empty())
@@ -493,90 +650,16 @@ fn committer_loop(ledger: Arc<Ledger>, shared: Arc<Shared>, policy: DurabilityPo
                 )
             })
             .collect();
-        let commits = groups.len();
-        let wants_sync = batch.iter().any(|p| p.sync);
-        let result = if commits == 0 {
-            Ok(ledger.digest())
-        } else {
-            shared.stats.flushes.fetch_add(1, Relaxed);
-            shared.obs.flushes.inc();
-            shared.obs.policy_flushes.inc();
-            shared.obs.group_size.record(commits as u64);
-            let flush_start = shared.obs.flush_nanos.start();
-            // Contain panics that escape the append (index writes route
-            // through `try_put` now, but a corrupt node read or a bug in an
-            // index implementation can still unwind): a poisoned commit
-            // must surface as an error on every ticket, never as a dead
-            // committer thread that would leave all present and future
-            // callers parked forever.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ledger.try_append_groups(groups).map(|(digest, cost)| {
-                    shared.obs.block_writes.record(cost.writes as u64);
-                    shared
-                        .obs
-                        .index_nodes_written
-                        .record(cost.index_nodes_written);
-                    shared
-                        .obs
-                        .index_bytes_written
-                        .record(cost.index_bytes_written);
-                    digest
-                })
-            }))
-            .unwrap_or_else(|panic| {
-                let reason = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "commit panicked".to_string());
-                Err(StorageError::io_synthetic(
-                    spitz_storage::IoErrorKind::Other,
-                    "commit",
-                    format!("commit aborted: {reason}"),
-                ))
-            });
-            shared.obs.flush_nanos.finish(flush_start);
-            result
-        };
+        let force = shutting_down || batch.iter().any(|p| p.sync);
+        let result = shared.flush(groups, force);
 
-        // Apply the durability policy before acknowledging.
-        let result = result.and_then(|digest| {
-            let force = wants_sync || shutting_down;
-            let need_sync = match policy {
-                DurabilityPolicy::Strict => commits > 0 || force,
-                DurabilityPolicy::Os => force,
-                DurabilityPolicy::Grouped {
-                    max_delay,
-                    max_writes,
-                } => {
-                    unsynced += commits;
-                    if unsynced > 0 && sync_deadline.is_none() {
-                        sync_deadline = Some(Instant::now() + max_delay);
-                    }
-                    force
-                        || unsynced >= max_writes
-                        || sync_deadline.map(|d| Instant::now() >= d).unwrap_or(false)
-                }
-            };
-            if need_sync {
-                store.sync()?;
-                shared.stats.syncs.fetch_add(1, Relaxed);
-                shared.obs.syncs.inc();
-                unsynced = 0;
-                sync_deadline = None;
-            }
-            Ok(digest)
-        });
-
+        // Free the pipeline before waking the batch, so a woken caller's
+        // next commit finds it idle.
+        lock(&shared.state).in_flight = false;
         for pending in batch {
             pending.ticket.fulfill(result.clone());
         }
         if shutting_down {
-            // Reject anything that raced in after the drain.
-            let stragglers = std::mem::take(&mut lock(&shared.state).queue);
-            for pending in stragglers {
-                pending.ticket.fulfill(Err(StorageError::Closed));
-            }
             return;
         }
     }
@@ -585,7 +668,9 @@ fn committer_loop(ledger: Arc<Ledger>, shared: Arc<Shared>, policy: DurabilityPo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spitz_storage::InMemoryChunkStore;
+    use spitz_crypto::Hash;
+    use spitz_storage::{Chunk, InMemoryChunkStore, StoreStats};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn kv(i: u32) -> (Vec<u8>, Vec<u8>) {
         (
@@ -598,6 +683,150 @@ mod tests {
         let ledger = Arc::new(Ledger::new(InMemoryChunkStore::shared()));
         let pipeline = CommitPipeline::new(Arc::clone(&ledger), policy);
         (ledger, pipeline)
+    }
+
+    /// An in-memory store that logs each put and sync with the thread that
+    /// made it, can hold a put while `hold` is locked, and can panic in
+    /// the next put.
+    #[derive(Default)]
+    struct Probe {
+        inner: InMemoryChunkStore,
+        log: Mutex<Vec<(&'static str, Option<String>)>>,
+        hold: Mutex<()>,
+        panic_next: AtomicBool,
+    }
+
+    impl Probe {
+        fn record(&self, event: &'static str) {
+            let thread = std::thread::current().name().map(str::to_string);
+            lock(&self.log).push((event, thread));
+        }
+    }
+
+    impl ChunkStore for Probe {
+        fn put(&self, chunk: Chunk) -> Hash {
+            self.record("put");
+            drop(lock(&self.hold));
+            if self.panic_next.swap(false, Ordering::SeqCst) {
+                panic!("probe put");
+            }
+            self.inner.put(chunk)
+        }
+        fn get(&self, address: &Hash) -> Result<Arc<Chunk>, StorageError> {
+            self.inner.get(address)
+        }
+        fn contains(&self, address: &Hash) -> bool {
+            self.inner.contains(address)
+        }
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
+        fn audit(&self) -> Vec<Hash> {
+            self.inner.audit()
+        }
+        fn set_root(&self, name: &str, hash: Hash) {
+            self.inner.set_root(name, hash)
+        }
+        fn root(&self, name: &str) -> Option<Hash> {
+            self.inner.root(name)
+        }
+        fn sync(&self) -> Result<(), StorageError> {
+            self.record("sync");
+            Ok(())
+        }
+    }
+
+    fn probed(policy: DurabilityPolicy) -> (Arc<Probe>, Arc<Ledger>, Arc<CommitPipeline>) {
+        let probe = Arc::new(Probe::default());
+        let ledger = Arc::new(Ledger::new(Arc::clone(&probe) as Arc<dyn ChunkStore>));
+        let pipeline = CommitPipeline::new(Arc::clone(&ledger), policy);
+        lock(&probe.log).clear();
+        (probe, ledger, pipeline)
+    }
+
+    /// Poll `done` for up to ten seconds.
+    fn eventually(what: &str, done: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < give_up, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn an_idle_pipeline_commits_on_the_callers_thread() {
+        let (probe, _ledger, pipeline) = probed(DurabilityPolicy::Strict);
+        let caller = std::thread::current().name().map(str::to_string);
+        pipeline.commit(vec![kv(1)], "PUT").unwrap();
+        let log = lock(&probe.log).clone();
+        assert!(log.iter().any(|(event, _)| *event == "sync"), "{log:?}");
+        assert!(log.iter().all(|(_, thread)| *thread == caller), "{log:?}");
+        assert_eq!(pipeline.stats().syncs, 1);
+    }
+
+    #[test]
+    fn a_panic_in_a_callers_seal_is_an_error_and_frees_the_pipeline() {
+        let (probe, ledger, pipeline) = probed(DurabilityPolicy::Strict);
+        probe.panic_next.store(true, Ordering::SeqCst);
+        let failed = pipeline.commit(vec![kv(1)], "PUT");
+        assert!(
+            matches!(&failed, Err(e) if e.to_string().contains("probe put")),
+            "{failed:?}"
+        );
+        assert!(lock(&pipeline.shared.state).idle(), "in_flight released");
+        let digest = pipeline.commit(vec![kv(2)], "PUT").unwrap();
+        assert_eq!(digest.block_height, 0);
+        assert_eq!(ledger.get(&kv(1).0), None);
+        assert_eq!(ledger.get(&kv(2).0), Some(kv(2).1));
+        assert_eq!(ledger.audit_chain(), None);
+    }
+
+    #[test]
+    fn the_committer_meets_the_deadline_of_a_lone_inline_commit() {
+        let policy = DurabilityPolicy::Grouped {
+            max_delay: Duration::from_millis(5),
+            max_writes: 1000,
+        };
+        let (probe, _ledger, pipeline) = probed(policy);
+        // A barrier round trip first, so the committer is already waiting
+        // with no deadline when the inline commit arms one.
+        pipeline.flush().unwrap();
+        lock(&probe.log).clear();
+        let before = pipeline.stats().syncs;
+        pipeline.commit(vec![kv(1)], "PUT").unwrap();
+        eventually("the deadline sync", || pipeline.stats().syncs > before);
+        let log = lock(&probe.log).clone();
+        let (_, syncer) = log.iter().find(|(event, _)| *event == "sync").unwrap();
+        assert_eq!(syncer.as_deref(), Some("spitz-committer"), "{log:?}");
+        assert_eq!(lock(&pipeline.shared.state).unsynced, 0);
+    }
+
+    #[test]
+    fn shutdown_waits_for_an_inline_seal_before_its_final_sync() {
+        let (probe, ledger, pipeline) = probed(DurabilityPolicy::Os);
+        let held = lock(&probe.hold);
+        std::thread::scope(|scope| {
+            let sealing = scope.spawn(|| pipeline.commit(vec![kv(1)], "PUT"));
+            eventually("the inline seal", || !lock(&probe.log).is_empty());
+            let closing = scope.spawn(|| pipeline.shutdown());
+            eventually("shutdown", || lock(&pipeline.shared.state).shutdown);
+            assert!(
+                matches!(
+                    pipeline.commit(vec![kv(2)], "PUT"),
+                    Err(StorageError::Closed)
+                ),
+                "a commit after shutdown is refused"
+            );
+            assert_eq!(pipeline.stats().syncs, 0, "no sync while the seal is held");
+            drop(held);
+            assert_eq!(sealing.join().unwrap().unwrap().block_height, 0);
+            closing.join().unwrap();
+        });
+        let log = lock(&probe.log).clone();
+        assert_eq!(log.last().map(|(event, _)| *event), Some("sync"), "{log:?}");
+        assert_eq!(pipeline.stats().syncs, 1);
+        assert_eq!(ledger.get(&kv(1).0), Some(kv(1).1));
+        assert_eq!(ledger.get(&kv(2).0), None);
     }
 
     #[test]
@@ -638,8 +867,8 @@ mod tests {
         let stats = pipeline.stats();
         assert_eq!(stats.commits, (THREADS * PUTS) as u64);
         assert!(
-            stats.flushes <= stats.commits,
-            "flushes must not exceed commits"
+            stats.flushes < stats.commits,
+            "commits that overlap a seal must share a block: {stats:?}"
         );
     }
 
