@@ -1,9 +1,10 @@
 //! The `SpitzDb` facade: the public API of the Spitz verifiable database.
 //!
-//! `SpitzDb` owns a chunk store, the unified ledger, a processor node and a
-//! typed table layer (schemas, records, inverted indexes for the analytical
-//! path). It exposes the operations the paper's evaluation measures:
-//! point/range reads and writes, each with and without verification.
+//! `SpitzDb` owns a chunk store, the unified ledger (behind a group-commit
+//! pipeline on durable instances) and a typed table layer (schemas, records,
+//! inverted indexes for the analytical path). It exposes the operations the
+//! paper's evaluation measures: point/range reads and writes, each with and
+//! without verification. Every write is one ledger commit.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -27,7 +28,6 @@ use spitz_storage::{
 use spitz_txn::CcScheme;
 
 use crate::cell::UniversalKey;
-use crate::control::{ProcessorNode, Request, Response};
 use crate::error::DbError;
 use crate::schema::{ColumnDef, ColumnType, Record, Schema, Value};
 use crate::snapshot::Snapshot;
@@ -72,7 +72,9 @@ impl Default for CompactionTrigger {
 pub struct SpitzConfig {
     /// SIRI structure used by the ledger.
     pub siri: spitz_index::SiriKind,
-    /// Concurrency-control scheme for serializable transactions.
+    /// Concurrency-control scheme of a `spitz_txn::TransactionManager`.
+    /// `SpitzDb` does not read it: a put is a ledger commit, and
+    /// cross-shard batches always use MVCC + 2PL participants.
     pub cc_scheme: CcScheme,
     /// Durability policy of the commit pipeline that durable instances
     /// route writes through (see [`DurabilityPolicy`] for the trade-offs).
@@ -514,7 +516,6 @@ impl BackgroundWorker {
 pub struct SpitzDb {
     store: Arc<dyn ChunkStore>,
     ledger: Arc<Ledger>,
-    node: Arc<ProcessorNode>,
     tables: RwLock<HashMap<String, Table>>,
     /// Present on durable instances: the group-commit pipeline writes are
     /// routed through. Shut down (drained + synced) when the db drops.
@@ -546,7 +547,7 @@ pub struct SpitzDb {
 
 impl SpitzDb {
     /// Create an in-memory instance with the default configuration (POS-Tree
-    /// ledger, MVCC + OCC) — the configuration evaluated in the paper.
+    /// ledger, inline commits) — the configuration evaluated in the paper.
     pub fn in_memory() -> Self {
         Self::with_config(SpitzConfig::default())
     }
@@ -718,16 +719,10 @@ impl SpitzDb {
                 telemetry.clone(),
             )
         });
-        let node = Arc::new(ProcessorNode::with_pipeline(
-            Arc::clone(&ledger),
-            config.cc_scheme,
-            pipeline.clone(),
-        ));
         let proof_obs = ProofObs::new(&telemetry, "");
         SpitzDb {
             store,
             ledger,
-            node,
             tables: RwLock::new(HashMap::new()),
             pipeline,
             gc: None,
@@ -736,11 +731,6 @@ impl SpitzDb {
             telemetry,
             proof_obs,
         }
-    }
-
-    /// The processor node (control-layer access for advanced callers).
-    pub fn processor(&self) -> &Arc<ProcessorNode> {
-        &self.node
     }
 
     /// The group-commit pipeline, present on durable instances.
@@ -898,27 +888,30 @@ impl SpitzDb {
 
     /// Write one key/value pair (sealed as its own ledger block).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<Digest> {
-        match self.node.handle(Request::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        })? {
-            Response::Committed(digest) => {
-                self.nudge_compactor();
-                Ok(digest)
-            }
-            _ => Err(DbError::BadRequest("unexpected response".into())),
-        }
+        self.commit(vec![(key.to_vec(), value.to_vec())], "PUT")
     }
 
     /// Write a batch atomically as one ledger block.
     pub fn put_batch(&self, writes: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Digest> {
-        match self.node.handle(Request::PutBatch { writes })? {
-            Response::Committed(digest) => {
-                self.nudge_compactor();
-                Ok(digest)
-            }
-            _ => Err(DbError::BadRequest("unexpected response".into())),
-        }
+        self.commit(writes, "PUT BATCH")
+    }
+
+    /// The one write path (Section 5.1): seal `writes` into the ledger as
+    /// one block labelled `statement` — through the group-commit pipeline
+    /// when one exists, inline otherwise — and return the new digest. A
+    /// failed seal (disk full, read-only store) leaves nothing readable:
+    /// the ledger rolls its index back before the error surfaces.
+    pub(crate) fn commit(
+        &self,
+        writes: Vec<(Vec<u8>, Vec<u8>)>,
+        statement: &str,
+    ) -> Result<Digest> {
+        let digest = match &self.pipeline {
+            Some(pipeline) => pipeline.commit(writes, statement)?,
+            None => self.ledger.try_append_block(writes, statement)?,
+        };
+        self.nudge_compactor();
+        Ok(digest)
     }
 
     /// Unverified point read.

@@ -11,7 +11,11 @@ pub enum DbError {
     /// unrecoverable corruption): reads keep serving, writes fail fast.
     /// The payload is the store's reason.
     ReadOnly(String),
-    /// A transaction conflict that the caller should retry.
+    /// A transaction conflict that the caller should retry. Only a
+    /// cross-shard `put_batch` returns it: its 2PC participants take no-wait
+    /// locks, so the loser of two overlapping batches aborts. A single put
+    /// or single-shard batch is one ledger commit and never conflicts; on a
+    /// read-only store it returns [`DbError::ReadOnly`].
     TxnConflict(String),
     /// The request referenced a column or table not present in the schema.
     UnknownColumn(String),
@@ -22,7 +26,9 @@ pub enum DbError {
         /// The expected column type name.
         expected: &'static str,
     },
-    /// A request could not be parsed.
+    /// Malformed input: an undecodable universal key or typed value, or a
+    /// shard store whose membership record does not match the layout it is
+    /// opened with.
     BadRequest(String),
     /// Verification of a proof failed — evidence of tampering.
     VerificationFailed(String),

@@ -8,9 +8,10 @@
 //!   the cells of the paper's virtual cell store, and the unified
 //!   [`spitz_ledger::Ledger`] whose SIRI index holds them and serves both
 //!   queries and verification;
-//! * a **control layer**: [processor nodes](control::ProcessorNode) made of a
-//!   request handler, an [auditor](control::Auditor) that talks to the
-//!   ledger, and a transaction manager from `spitz-txn`;
+//! * a **write path** that is one ledger commit per put or batch, routed
+//!   through the ledger's group-commit pipeline on durable instances, with
+//!   two-phase commit over `spitz-txn` participants for batches that span
+//!   the shards of a [`ShardedDb`];
 //! * a **snapshot read path**: [`snapshot::Snapshot`] /
 //!   [`snapshot::ShardedSnapshot`] pin a (consistent-cut) digest once and
 //!   serve repeatable verified reads against that pin;
@@ -49,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod control;
 pub mod db;
 pub mod error;
 pub mod proof;
@@ -59,7 +59,6 @@ pub mod snapshot;
 pub mod staged;
 
 pub use cell::UniversalKey;
-pub use control::{Auditor, ProcessorNode, Request, RequestHandler, Response};
 pub use db::{CompactionTrigger, SpitzConfig, SpitzDb, CATALOG_ROOT};
 pub use error::DbError;
 pub use proof::{ShardMultiGroup, ShardedMultiProof, ShardedProof, ShardedRangeProof, Verifier};

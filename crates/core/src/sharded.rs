@@ -1,11 +1,11 @@
 //! Multi-shard Spitz: N independent ledgers behind one keyspace, with
 //! two-phase commit for cross-shard writes and a cross-shard digest.
 //!
-//! This is the paper's processor-node control layer (Section 5.2) promoted
-//! from a simulation over bare MVCC stores to the real storage stack: "the
-//! solution is to add distributed transactions to each node, and follow the
-//! two-phase commit (2PC) protocol to coordinate each transaction so that
-//! transactions committed by different nodes can be made serializable."
+//! This is the paper's multi-node deployment (Section 5.2) over the real
+//! storage stack: "the solution is to add distributed transactions to each
+//! node, and follow the two-phase commit (2PC) protocol to coordinate each
+//! transaction so that transactions committed by different nodes can be
+//! made serializable."
 //! Concretely:
 //!
 //! * **One shard = one processor node.** Each shard owns a full [`SpitzDb`]
@@ -23,10 +23,10 @@
 //!   (no-wait locks, so distributed deadlock is impossible), durably
 //!   *stages* its part in its own chunk store, and votes. Only when every
 //!   shard votes yes do the prepared writes flow into each shard's ledger
-//!   (via that shard's commit pipeline); on any no-vote — conflict, disk
-//!   full, crash injection — every shard aborts and nothing becomes
-//!   visible. A coordinator crash between prepare and commit is resolved by
-//!   [`ShardedDb::recover`] with presumed abort.
+//!   (through the same one-commit write path a single put takes); on any
+//!   no-vote — conflict, disk full, crash injection — every shard aborts
+//!   and nothing becomes visible. A coordinator crash between prepare and
+//!   commit is resolved by [`ShardedDb::recover`] with presumed abort.
 //! * **The cross-shard digest** ([`ShardedDigest`]) is a small Merkle tree
 //!   (RFC 6962 shape, from `spitz_crypto::merkle`) whose leaves are the
 //!   per-shard [`Digest`]s. A client pins the single root and can verify a
@@ -55,7 +55,7 @@ use std::sync::Arc;
 
 use spitz_crypto::merkle::{AuditProof, MerkleTree};
 use spitz_crypto::Hash;
-use spitz_ledger::{CommitPipeline, Digest, Ledger};
+use spitz_ledger::Digest;
 use spitz_obs::{Counter, TelemetryHandle, TelemetrySnapshot};
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, CompactionReport, DurableConfig};
 use spitz_txn::TwoPhaseCoordinator;
@@ -243,31 +243,15 @@ impl PreparedBatch {
     }
 }
 
-/// The sink wiring one shard's 2PC participant to that shard's ledger:
-/// prepared writes are durably staged in the shard's chunk store at phase 1
-/// (and recorded in the shard's [`StagedLog`], so a restarted process can
-/// find them again) and sealed into the shard's ledger (through its commit
-/// pipeline, when one exists) at phase 2.
+/// The sink wiring one shard's 2PC participant to that shard's
+/// [`SpitzDb`]: prepared writes are durably staged in the shard's chunk
+/// store at phase 1 (and recorded in the shard's [`StagedLog`], so a
+/// restarted process can find them again) and sealed by the shard's one
+/// write path, [`SpitzDb::commit`], at phase 2.
 struct ShardSink {
     shard: usize,
-    store: Arc<dyn ChunkStore>,
-    ledger: Arc<Ledger>,
-    pipeline: Option<Arc<CommitPipeline>>,
+    db: Arc<SpitzDb>,
     staged: Arc<StagedLog>,
-}
-
-impl ShardSink {
-    fn commit_writes(
-        &self,
-        writes: Vec<(Vec<u8>, Vec<u8>)>,
-        statement: &str,
-    ) -> std::result::Result<(), String> {
-        match &self.pipeline {
-            Some(pipeline) => pipeline.commit(writes, statement).map(|_| ()),
-            None => self.ledger.try_append_block(writes, statement).map(|_| ()),
-        }
-        .map_err(|e| e.to_string())
-    }
 }
 
 impl PreparedApply for ShardSink {
@@ -286,7 +270,7 @@ impl PreparedApply for ShardSink {
             ChunkKind::Meta,
             encode_staged(global_txn_id, self.shard, writes),
         );
-        let address = self.store.try_put(chunk).map_err(|e| e.to_string())?;
+        let address = self.db.store().try_put(chunk).map_err(|e| e.to_string())?;
         // Record the staged batch in the shard's durable log so a restart
         // can still find (and resolve) it. Failing this is a No vote too.
         self.staged
@@ -300,7 +284,9 @@ impl PreparedApply for ShardSink {
         writes: Vec<(Vec<u8>, Vec<u8>)>,
         statement: &str,
     ) -> std::result::Result<(), String> {
-        self.commit_writes(writes, statement)?;
+        self.db
+            .commit(writes, statement)
+            .map_err(|e| e.to_string())?;
         // The batch is sealed in the ledger; drop it from the staged log.
         // A failure here is deliberately ignored: the entry would be
         // re-applied by a later recovery pass, which re-seals the same
@@ -559,9 +545,7 @@ impl ShardedDb {
             .map(|(i, db)| {
                 let sink = ShardSink {
                     shard: i,
-                    store: Arc::clone(db.store()),
-                    ledger: Arc::clone(db.ledger()),
-                    pipeline: db.pipeline().cloned(),
+                    db: Arc::clone(db),
                     staged: Arc::clone(&staged_logs[i]),
                 };
                 Arc::new(Participant::with_apply(
@@ -801,14 +785,7 @@ impl ShardedDb {
                     let Some((_, _, writes)) = decode_staged(chunk.data()) else {
                         continue;
                     };
-                    let db = &self.shards[shard];
-                    let applied = match db.pipeline() {
-                        Some(pipeline) => pipeline.commit(writes, "PUT BATCH (redo)").map(|_| ()),
-                        None => db
-                            .ledger()
-                            .try_append_block(writes, "PUT BATCH (redo)")
-                            .map(|_| ()),
-                    };
+                    let applied = self.shards[shard].commit(writes, "PUT BATCH (redo)");
                     if applied.is_ok() {
                         let _ = self.staged_logs[shard].remove(global_txn_id);
                     }

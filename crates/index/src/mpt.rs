@@ -227,16 +227,11 @@ fn strip(items: &mut [Item<'_>], nibbles: usize) {
     }
 }
 
-/// Abstraction over "where node payloads come from" so that the same lookup
-/// code serves both the live trie (chunk store) and client-side proof
-/// verification (a map of revealed payloads).
-trait NodeSource {
-    fn payload(&self, hash: &Hash) -> Option<Vec<u8>>;
-}
-
+/// Where the prover's lookups and proof builders read node payloads from:
+/// the trie's chunk store.
 struct StoreSource<'a>(&'a Arc<dyn ChunkStore>);
 
-impl NodeSource for StoreSource<'_> {
+impl StoreSource<'_> {
     fn payload(&self, hash: &Hash) -> Option<Vec<u8>> {
         self.0
             .get_kind(hash, ChunkKind::MptNode)
@@ -245,20 +240,12 @@ impl NodeSource for StoreSource<'_> {
     }
 }
 
-struct ProofSource(HashMap<Hash, Vec<u8>>);
-
-impl NodeSource for ProofSource {
-    fn payload(&self, hash: &Hash) -> Option<Vec<u8>> {
-        self.0.get(hash).cloned()
-    }
-}
-
 /// Walk a trie from `root` looking for the value at `nibbles`.
 ///
-/// Returns `Err(())` when a needed node cannot be resolved (incomplete
-/// proof / corrupt store), `Ok(None)` for a proven absence.
-fn lookup<S: NodeSource>(
-    source: &S,
+/// Returns `Err(())` when a needed node cannot be resolved (a corrupt
+/// store), `Ok(None)` for a proven absence.
+fn lookup(
+    source: &StoreSource<'_>,
     root: Hash,
     nibbles: &[u8],
     mut visit: impl FnMut(&[u8]),
@@ -645,10 +632,13 @@ impl MerklePatriciaTrie {
 
     /// Verify a **complete** range proof. The MPT's range scan is an
     /// in-order walk of the whole trie (the SIRI weakness the paper's
-    /// ablation quantifies), so the proof reveals every node; the verifier
-    /// re-walks the revealed nodes from the root — failing if any referenced
-    /// node was withheld — and checks that the claimed entries are exactly
-    /// the collected entries restricted to `start <= key < end`.
+    /// ablation quantifies), so the proof reveals every node, in walk order.
+    /// The verifier re-walks the trie from the root, taking each node it
+    /// meets from the front of the proof and checking its commitment, and
+    /// accepts only when that walk consumed every revealed node exactly
+    /// once — a withheld, extra, duplicated or undecodable node all fail —
+    /// and the claimed entries are exactly the collected entries restricted
+    /// to `start <= key < end`.
     pub fn verify_range_proof(
         root: Hash,
         start: &[u8],
@@ -657,20 +647,13 @@ impl MerklePatriciaTrie {
         proof: &IndexProof,
     ) -> bool {
         if root.is_zero() || start >= end {
-            return entries.is_empty();
+            return entries.is_empty() && proof.is_empty();
         }
-        // Range proofs still reveal whole payloads (the scan is a full
-        // in-order walk); the map is keyed by the sparse-branch commitment
-        // because that is what child pointers — and the root — now are.
-        let source = ProofSource(
-            proof
-                .nodes
-                .iter()
-                .filter_map(|n| mpt_commitment(n).map(|h| (h, n.clone())))
-                .collect(),
-        );
+        let mut revealed = proof.nodes.iter();
         let mut all = Vec::new();
-        if collect_entries(&source, &root, &mut Vec::new(), &mut all).is_err() {
+        if collect_entries(&mut revealed, &root, &mut Vec::new(), &mut all).is_err()
+            || revealed.next().is_some()
+        {
             return false;
         }
         let mut in_range: Vec<(Vec<u8>, Vec<u8>)> = all
@@ -682,18 +665,21 @@ impl MerklePatriciaTrie {
     }
 }
 
-/// Walk every node reachable from `hash` through `source`, collecting all
-/// `(key, value)` entries. `Err(())` when a referenced node cannot be
-/// resolved — for proof verification that means the server withheld part of
-/// the trie.
-fn collect_entries<S: NodeSource>(
-    source: &S,
+/// Walk every node reachable from `hash` in the prover's order, taking each
+/// one from the front of `revealed`, and collect all `(key, value)` entries.
+/// `Err(())` when the next revealed node is missing, is not the one whose
+/// commitment the parent names, or does not decode.
+fn collect_entries(
+    revealed: &mut std::slice::Iter<'_, Vec<u8>>,
     hash: &Hash,
     prefix: &mut Vec<u8>,
     out: &mut Vec<(Vec<u8>, Vec<u8>)>,
 ) -> Result<(), ()> {
-    let payload = source.payload(hash).ok_or(())?;
-    let node = MptNode::decode(&payload).ok_or(())?;
+    let payload = revealed.next().ok_or(())?;
+    if mpt_commitment(payload) != Some(*hash) {
+        return Err(());
+    }
+    let node = MptNode::decode(payload).ok_or(())?;
     match node {
         MptNode::Leaf { path, value } => {
             let depth = path.len();
@@ -704,7 +690,7 @@ fn collect_entries<S: NodeSource>(
         MptNode::Extension { path, child } => {
             let depth = path.len();
             prefix.extend_from_slice(&path);
-            collect_entries(source, &child, prefix, out)?;
+            collect_entries(revealed, &child, prefix, out)?;
             prefix.truncate(prefix.len() - depth);
         }
         MptNode::Branch { children, value } => {
@@ -714,7 +700,7 @@ fn collect_entries<S: NodeSource>(
             for (i, child) in children.iter().enumerate() {
                 if let Some(child) = child {
                     prefix.push(i as u8);
-                    collect_entries(source, child, prefix, out)?;
+                    collect_entries(revealed, child, prefix, out)?;
                     prefix.pop();
                 }
             }
@@ -901,8 +887,8 @@ fn emit_siblings(
 /// Recursively encode the proof step for the node at `hash`, descending
 /// along every pending key, recording resolved values into `values`.
 /// `memo` caches branch subtree tables across proofs.
-fn encode_step<S: NodeSource>(
-    source: &S,
+fn encode_step(
+    source: &StoreSource<'_>,
     hash: &Hash,
     pendings: &[Pending<'_>],
     memo: &BranchMemo,
@@ -1182,8 +1168,8 @@ fn verify_blob(root: Hash, items: &[(Vec<u8>, Option<Vec<u8>>)], blob: &[u8]) ->
 /// only caches subtree folds — it never changes a proof byte (table entries
 /// equal the recursive fold results exactly).
 #[allow(clippy::type_complexity)]
-fn build_blob<S: NodeSource>(
-    source: &S,
+fn build_blob(
+    source: &StoreSource<'_>,
     root: Hash,
     keys: &[Vec<u8>],
     memo: &BranchMemo,
@@ -1454,6 +1440,47 @@ mod tests {
             &truncated,
             &proof
         ));
+
+        // Every revealed node is consumed exactly once: padding fails.
+        let verifies = |nodes: Vec<Vec<u8>>| {
+            let mut padded = IndexProof::empty();
+            for node in nodes {
+                padded.push_node(node);
+            }
+            MerklePatriciaTrie::verify_range_proof(trie.root(), &start, &end, &entries, &padded)
+        };
+        assert!(verifies(proof.nodes.clone()));
+
+        // An extra node that is a valid trie node from another trie.
+        let mut other = new_trie();
+        other.insert(b"elsewhere".to_vec(), b"x".to_vec());
+        let (_, foreign) = other.range_with_proof(b"a", b"z");
+        let mut extra = proof.nodes.clone();
+        extra.extend(foreign.nodes);
+        assert!(!verifies(extra));
+
+        // A revealed node repeated, at the end or next to itself.
+        let mut duplicated = proof.nodes.clone();
+        duplicated.push(proof.nodes[3].clone());
+        assert!(!verifies(duplicated));
+        let mut doubled = proof.nodes.clone();
+        doubled.insert(3, proof.nodes[3].clone());
+        assert!(!verifies(doubled));
+
+        // Bytes that decode to no node, appended or in the middle.
+        let mut garbage = proof.nodes.clone();
+        garbage.push(vec![0xff; 7]);
+        assert!(!verifies(garbage));
+        let mut inserted = proof.nodes.clone();
+        inserted.insert(1, vec![0xff; 7]);
+        assert!(!verifies(inserted));
+
+        // An empty trie proves an empty range only with an empty proof.
+        let empty_range = |p: &IndexProof| {
+            MerklePatriciaTrie::verify_range_proof(Hash::ZERO, &start, &end, &[], p)
+        };
+        assert!(empty_range(&IndexProof::empty()));
+        assert!(!empty_range(&proof));
     }
 
     #[test]

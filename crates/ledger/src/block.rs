@@ -75,7 +75,8 @@ pub struct BlockHeader {
     pub records_root: Hash,
     /// Root of the ledger's SIRI index instance after applying this block.
     pub index_root: Hash,
-    /// Logical commit timestamp assigned by the transaction manager.
+    /// Logical commit timestamp: the ledger's own counter, one more than
+    /// the previous block's.
     pub timestamp: u64,
     /// Number of transaction records in the block.
     pub record_count: u32,

@@ -1,13 +1,8 @@
-//! Typed objects layered over chunks: chunked blobs and small maps.
+//! Chunked blobs layered over chunks.
 //!
 //! A [`VBlob`] stores a byte string of arbitrary size as a list of
 //! content-defined chunks referenced by a meta node, so that successive
 //! versions of a mostly-unchanged value share almost all physical chunks.
-//! A [`VMap`] is a small, immutable, content-addressed map used for object
-//! metadata (for example a page id → blob root mapping in the Figure 1
-//! workload).
-
-use std::collections::BTreeMap;
 
 use spitz_crypto::Hash;
 
@@ -132,99 +127,6 @@ fn decode_meta(data: &[u8]) -> Option<(Vec<(Hash, u32)>, u64)> {
     Some((entries, len))
 }
 
-/// A small immutable map from byte-string keys to chunk addresses, itself
-/// stored as a single content-addressed chunk.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VMap {
-    entries: BTreeMap<Vec<u8>, Hash>,
-}
-
-impl VMap {
-    /// Create an empty map.
-    pub fn new() -> Self {
-        VMap::default()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the map has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Look up a key.
-    pub fn get(&self, key: &[u8]) -> Option<Hash> {
-        self.entries.get(key).copied()
-    }
-
-    /// Return a new map with `key` bound to `value` (persistent update).
-    pub fn with(&self, key: impl Into<Vec<u8>>, value: Hash) -> VMap {
-        let mut entries = self.entries.clone();
-        entries.insert(key.into(), value);
-        VMap { entries }
-    }
-
-    /// Return a new map with `key` removed.
-    pub fn without(&self, key: &[u8]) -> VMap {
-        let mut entries = self.entries.clone();
-        entries.remove(key);
-        VMap { entries }
-    }
-
-    /// Iterate over entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], Hash)> {
-        self.entries.iter().map(|(k, v)| (k.as_slice(), *v))
-    }
-
-    /// Persist the map as a meta chunk and return its address.
-    pub fn save<S: ChunkStore + ?Sized>(&self, store: &S) -> Hash {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.entries.len() as u32).to_be_bytes());
-        for (k, v) in &self.entries {
-            out.extend_from_slice(&(k.len() as u32).to_be_bytes());
-            out.extend_from_slice(k);
-            out.extend_from_slice(v.as_bytes());
-        }
-        store.put(Chunk::new(ChunkKind::Meta, out))
-    }
-
-    /// Load a map previously saved with [`VMap::save`].
-    pub fn load<S: ChunkStore + ?Sized>(store: &S, address: &Hash) -> Result<VMap> {
-        let chunk = store.get_kind(address, ChunkKind::Meta)?;
-        let data = chunk.data();
-        if data.len() < 4 {
-            return Err(StorageError::CorruptChunk(*address));
-        }
-        let count = u32::from_be_bytes(data[0..4].try_into().expect("4 bytes")) as usize;
-        let mut entries = BTreeMap::new();
-        let mut offset = 4;
-        for _ in 0..count {
-            if offset + 4 > data.len() {
-                return Err(StorageError::CorruptChunk(*address));
-            }
-            let klen =
-                u32::from_be_bytes(data[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-            offset += 4;
-            if offset + klen + 32 > data.len() {
-                return Err(StorageError::CorruptChunk(*address));
-            }
-            let key = data[offset..offset + klen].to_vec();
-            offset += klen;
-            let mut hash_bytes = [0u8; 32];
-            hash_bytes.copy_from_slice(&data[offset..offset + 32]);
-            offset += 32;
-            entries.insert(key, Hash::from_bytes(hash_bytes));
-        }
-        if offset != data.len() {
-            return Err(StorageError::CorruptChunk(*address));
-        }
-        Ok(VMap { entries })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,46 +215,5 @@ mod tests {
             VBlob::load(&store, &addr),
             Err(StorageError::CorruptChunk(_))
         ));
-    }
-
-    #[test]
-    fn vmap_roundtrip() {
-        let store = InMemoryChunkStore::new();
-        let mut map = VMap::new();
-        assert!(map.is_empty());
-        for i in 0..20u8 {
-            map = map.with(vec![i], spitz_crypto::sha256(&[i]));
-        }
-        assert_eq!(map.len(), 20);
-        let addr = map.save(&store);
-        let loaded = VMap::load(&store, &addr).unwrap();
-        assert_eq!(loaded, map);
-        assert_eq!(loaded.get(&[7]), Some(spitz_crypto::sha256(&[7])));
-        assert_eq!(loaded.get(&[99]), None);
-    }
-
-    #[test]
-    fn vmap_persistent_updates_do_not_mutate_original() {
-        let base = VMap::new().with(b"a".to_vec(), spitz_crypto::sha256(b"1"));
-        let derived = base.with(b"b".to_vec(), spitz_crypto::sha256(b"2"));
-        let removed = derived.without(b"a");
-        assert_eq!(base.len(), 1);
-        assert_eq!(derived.len(), 2);
-        assert_eq!(removed.len(), 1);
-        assert!(removed.get(b"a").is_none());
-        assert!(base.get(b"a").is_some());
-    }
-
-    #[test]
-    fn identical_vmaps_have_identical_addresses() {
-        let store = InMemoryChunkStore::new();
-        let m1 = VMap::new()
-            .with(b"x".to_vec(), spitz_crypto::sha256(b"1"))
-            .with(b"y".to_vec(), spitz_crypto::sha256(b"2"));
-        // Insert in the opposite order — address must not depend on it.
-        let m2 = VMap::new()
-            .with(b"y".to_vec(), spitz_crypto::sha256(b"2"))
-            .with(b"x".to_vec(), spitz_crypto::sha256(b"1"));
-        assert_eq!(m1.save(&store), m2.save(&store));
     }
 }

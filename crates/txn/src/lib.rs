@@ -9,8 +9,7 @@
 //!
 //! This crate provides those building blocks:
 //!
-//! * [`timestamp`] — a monotonic [`timestamp::TimestampOracle`] and a
-//!   [`timestamp::HybridLogicalClock`].
+//! * [`timestamp`] — a monotonic [`timestamp::TimestampOracle`].
 //! * [`mvcc`] — a multi-version key/value store with snapshot reads.
 //! * [`manager`] — transactions, isolation levels and the three MVCC
 //!   validators (OCC, timestamp ordering, two-phase locking).
@@ -27,5 +26,5 @@ pub mod twopc;
 
 pub use manager::{CcScheme, IsolationLevel, Transaction, TransactionManager, TxnError};
 pub use mvcc::MvccStore;
-pub use timestamp::{HybridLogicalClock, HybridTimestamp, TimestampOracle};
+pub use timestamp::TimestampOracle;
 pub use twopc::{Participant, PreparedApply, PreparedGlobal, TwoPhaseCoordinator, Vote};

@@ -3,11 +3,9 @@
 //! Serializable ordering in Spitz relies on transaction timestamps. The
 //! paper discusses two options: a central timestamp oracle (simple but a
 //! potential bottleneck) and hybrid logical clocks allocated per node (no
-//! central service, still serializable). Both are provided here.
+//! central service, still serializable). The oracle is what Spitz uses.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 
 /// A central, strictly monotonic timestamp allocator (the "Timestamp Oracle"
 /// of Percolator-style systems).
@@ -43,81 +41,6 @@ impl TimestampOracle {
     pub fn advance_past(&self, seen: u64) {
         self.next
             .fetch_max(seen.saturating_add(1), Ordering::SeqCst);
-    }
-}
-
-/// A hybrid logical clock timestamp: a physical component and a logical
-/// counter for events within the same physical tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HybridTimestamp {
-    /// Physical component (monotonic tick supplied by the caller or an
-    /// internal counter in tests).
-    pub physical: u64,
-    /// Logical counter disambiguating events in the same physical tick.
-    pub logical: u32,
-    /// Node that issued the timestamp; breaks ties deterministically.
-    pub node_id: u16,
-}
-
-impl HybridTimestamp {
-    /// Pack the timestamp into a single ordered `u64`-pair-like value usable
-    /// as an MVCC version number (physical dominates, then logical, then
-    /// node). The packing keeps ordering but loses the top bits of very
-    /// large physical values, which is acceptable for in-process clocks.
-    pub fn as_u64(&self) -> u64 {
-        (self.physical << 24) | ((self.logical as u64 & 0xffff) << 8) | (self.node_id as u64 & 0xff)
-    }
-}
-
-/// Per-node hybrid logical clock.
-#[derive(Debug)]
-pub struct HybridLogicalClock {
-    node_id: u16,
-    inner: Mutex<(u64, u32)>,
-    physical_source: AtomicU64,
-}
-
-impl HybridLogicalClock {
-    /// Create a clock for `node_id`.
-    pub fn new(node_id: u16) -> Self {
-        HybridLogicalClock {
-            node_id,
-            inner: Mutex::new((0, 0)),
-            physical_source: AtomicU64::new(1),
-        }
-    }
-
-    /// Advance the internal physical source (stands in for reading the wall
-    /// clock; tests and the simulator drive it explicitly).
-    fn physical_now(&self) -> u64 {
-        self.physical_source.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Produce a timestamp for a local event (transaction begin/commit).
-    pub fn now(&self) -> HybridTimestamp {
-        let physical = self.physical_now();
-        let mut inner = self.inner.lock();
-        if physical > inner.0 {
-            *inner = (physical, 0);
-        } else {
-            inner.1 += 1;
-        }
-        HybridTimestamp {
-            physical: inner.0,
-            logical: inner.1,
-            node_id: self.node_id,
-        }
-    }
-
-    /// Merge a timestamp received from another node, guaranteeing that
-    /// subsequently issued local timestamps sort after it.
-    pub fn observe(&self, remote: HybridTimestamp) {
-        let mut inner = self.inner.lock();
-        if remote.physical > inner.0 {
-            *inner = (remote.physical, remote.logical);
-        } else if remote.physical == inner.0 && remote.logical > inner.1 {
-            inner.1 = remote.logical;
-        }
     }
 }
 
@@ -168,46 +91,5 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), n, "timestamps must be unique");
-    }
-
-    #[test]
-    fn hlc_is_monotonic_and_orders_after_observed() {
-        let clock = HybridLogicalClock::new(1);
-        let mut last = clock.now();
-        for _ in 0..100 {
-            let ts = clock.now();
-            assert!(ts > last);
-            last = ts;
-        }
-
-        let remote = HybridTimestamp {
-            physical: last.physical + 1000,
-            logical: 5,
-            node_id: 2,
-        };
-        clock.observe(remote);
-        let after = clock.now();
-        assert!(after > remote || after.physical >= remote.physical);
-    }
-
-    #[test]
-    fn hybrid_timestamp_packing_preserves_order() {
-        let a = HybridTimestamp {
-            physical: 1,
-            logical: 0,
-            node_id: 3,
-        };
-        let b = HybridTimestamp {
-            physical: 1,
-            logical: 1,
-            node_id: 2,
-        };
-        let c = HybridTimestamp {
-            physical: 2,
-            logical: 0,
-            node_id: 1,
-        };
-        assert!(a.as_u64() < b.as_u64());
-        assert!(b.as_u64() < c.as_u64());
     }
 }
