@@ -7,7 +7,7 @@
 //! materialized to indexed views for fast query processing."
 //!
 //! The decisive difference from Spitz (Section 6.2.1/6.2.2): the ledger and
-//! the query index are *separate* structures. A read is fast (B+-tree view),
+//! the query index are *separate* structures. A read is fast (B-tree view),
 //! but a verified read must go back to the ledger and fetch the proof for
 //! each record individually: locate the record's block, re-derive the
 //! record-level Merkle path inside that block, and combine it with the
@@ -15,9 +15,11 @@
 //! record pays the per-record proof cost, which is why the verified-range
 //! gap in Figure 7 is so much larger than the point-read gap in Figure 6(a).
 
+use std::collections::BTreeMap;
+use std::ops::Bound;
+
 use parking_lot::RwLock;
 use spitz_crypto::{sha256, AuditProof, Hash, MerkleTree};
-use spitz_index::BPlusTree;
 
 /// Number of records collected into one ledger block.
 const BLOCK_CAPACITY: usize = 256;
@@ -71,10 +73,10 @@ fn encode_leaf(key: &[u8], value: &[u8]) -> Vec<u8> {
 
 struct QldbInner {
     /// Materialized indexed view: key → (value, location of latest version).
-    view: BPlusTree<(Vec<u8>, RecordLocation)>,
+    view: BTreeMap<Vec<u8>, (Vec<u8>, RecordLocation)>,
     /// History view: one entry per record version (a second indexed view the
     /// baseline must maintain on every write).
-    history: BPlusTree<RecordLocation>,
+    history: BTreeMap<Vec<u8>, RecordLocation>,
     /// Open block accumulating new records.
     open_leaves: Vec<Vec<u8>>,
     /// Sealed blocks.
@@ -83,6 +85,21 @@ struct QldbInner {
     journal: MerkleTree,
     /// Monotonic sequence number for history-view keys.
     sequence: u64,
+}
+
+impl QldbInner {
+    /// View entries with `start <= key < end`; empty when `start >= end`.
+    fn view_range<'a>(
+        &'a self,
+        start: &'a [u8],
+        end: &'a [u8],
+    ) -> impl Iterator<Item = (&'a Vec<u8>, &'a (Vec<u8>, RecordLocation))> {
+        // `BTreeMap::range` panics on a reversed range; `[start, start)` is
+        // simply empty.
+        let end = end.max(start);
+        self.view
+            .range::<[u8], _>((Bound::Included(start), Bound::Excluded(end)))
+    }
 }
 
 /// The QLDB-like baseline system.
@@ -101,8 +118,8 @@ impl QldbBaseline {
     pub fn new() -> Self {
         QldbBaseline {
             inner: RwLock::new(QldbInner {
-                view: BPlusTree::new(),
-                history: BPlusTree::new(),
+                view: BTreeMap::new(),
+                history: BTreeMap::new(),
                 open_leaves: Vec::new(),
                 blocks: Vec::new(),
                 journal: MerkleTree::new(),
@@ -124,7 +141,7 @@ impl QldbBaseline {
 
         // Maintain the indexed views (the cost the paper attributes to the
         // baseline's writes).
-        inner.view.insert(key, (value.to_vec(), location));
+        inner.view.insert(key.to_vec(), (value.to_vec(), location));
         let seq = inner.sequence;
         inner.sequence += 1;
         let mut history_key = key.to_vec();
@@ -163,10 +180,8 @@ impl QldbBaseline {
     pub fn range(&self, start: &[u8], end: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.inner
             .read()
-            .view
-            .range(start, end)
-            .into_iter()
-            .map(|(k, (v, _))| (k, v))
+            .view_range(start, end)
+            .map(|(k, (v, _))| (k.clone(), v.clone()))
             .collect()
     }
 
@@ -186,11 +201,9 @@ impl QldbBaseline {
     pub fn range_verified(&self, start: &[u8], end: &[u8]) -> Vec<(Vec<u8>, Vec<u8>, QldbProof)> {
         let inner = self.inner.read();
         inner
-            .view
-            .range(start, end)
-            .into_iter()
+            .view_range(start, end)
             .filter_map(|(k, (v, location))| {
-                Self::prove_location(&inner, location).map(|proof| (k, v, proof))
+                Self::prove_location(&inner, *location).map(|proof| (k.clone(), v.clone(), proof))
             })
             .collect()
     }
@@ -261,6 +274,8 @@ mod tests {
         assert_eq!(db.get(b"key-000123"), Some(b"value-123".to_vec()));
         assert_eq!(db.get(b"missing"), None);
         assert_eq!(db.range(b"key-000100", b"key-000200").len(), 100);
+        assert!(db.range(b"key-000200", b"key-000100").is_empty());
+        assert!(db.range_verified(b"key-000200", b"key-000100").is_empty());
         assert!(db.block_count() >= 3);
     }
 

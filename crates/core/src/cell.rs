@@ -6,7 +6,7 @@
 //! the hash of its value." (Section 5)
 //!
 //! The encoding of a [`UniversalKey`] is order preserving on
-//! `(column id, primary key, timestamp)`, so a B+-tree or SIRI range scan
+//! `(column id, primary key, timestamp)`, so a SIRI range scan
 //! over one column's primary keys is a contiguous key range, and all
 //! versions of one cell are adjacent and ordered by time.
 

@@ -24,8 +24,20 @@ pub enum ColumnType {
     Bytes,
 }
 
-/// A typed value stored in a cell.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+impl ColumnType {
+    /// The type's name in [`DbError::TypeMismatch`].
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            ColumnType::Integer => "integer",
+            ColumnType::Text => "text",
+            ColumnType::Bytes => "bytes",
+        }
+    }
+}
+
+/// A typed value stored in a cell. Values of one type order naturally
+/// (integers numerically), which is the order of a column's inverted index.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Value {
     /// Integer value.
     Integer(i64),
@@ -140,11 +152,7 @@ impl Schema {
             if value.column_type() != def.column_type {
                 return Err(DbError::TypeMismatch {
                     column: name.clone(),
-                    expected: match def.column_type {
-                        ColumnType::Integer => "integer",
-                        ColumnType::Text => "text",
-                        ColumnType::Bytes => "bytes",
-                    },
+                    expected: def.column_type.name(),
                 });
             }
         }

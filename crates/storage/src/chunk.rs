@@ -17,7 +17,7 @@ pub enum ChunkKind {
     /// A meta node listing the chunk hashes (and sizes) that make up a larger
     /// blob object.
     Meta,
-    /// A serialized index node (POS-Tree / MPT / MBT / B+-tree page).
+    /// A serialized index node (POS-Tree / MPT / MBT).
     IndexNode,
     /// A commit object in the version manager: points at a root hash and at
     /// parent commits.

@@ -82,6 +82,8 @@ fn main() {
         .query_eq("orders", "status", &Value::Text("refunded".into()))
         .unwrap();
     println!("refunded orders: {}", refunded.len());
+    // Every seventh of orders 0..200 is refunded.
+    assert_eq!(refunded.len(), 29);
 
     // ------------------------------------------------------------------
     // The auditor verifies what the merchant reports.

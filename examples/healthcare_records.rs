@@ -71,6 +71,8 @@ fn main() {
         .query_int_range("patients", "lab_glucose", 126, 200)
         .unwrap();
     println!("patients with elevated glucose (>=126): {}", elevated.len());
+    // Glucose is 90 + i % 60 for patients 0..50, so 126..=139 are elevated.
+    assert_eq!(elevated.len(), 14);
 
     // Point-in-time provenance: the pre-recoding ledger version can still be
     // opened and shows the ICD-9 data.

@@ -5,7 +5,7 @@
 //!
 //! * [`crypto`] — SHA-256, hashes, Merkle trees ([`spitz_crypto`]).
 //! * [`storage`] — the ForkBase-like deduplicating store ([`spitz_storage`]).
-//! * [`index`] — SIRI indexes, B+-tree, inverted indexes ([`spitz_index`]).
+//! * [`index`] — SIRI indexes ([`spitz_index`]).
 //! * [`ledger`] — the tamper-evident unified ledger ([`spitz_ledger`]).
 //! * [`txn`] — timestamps, MVCC and concurrency control ([`spitz_txn`]).
 //! * [`obs`] — the telemetry layer: metrics registry, latency histograms

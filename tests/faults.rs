@@ -400,6 +400,74 @@ fn failed_append_soak() {
     }
 }
 
+/// A typed insert whose ledger commit fails leaves no trace in the table
+/// layer: a new key stays absent from `get_record` and every query, an
+/// updated key keeps serving its last committed version, and once the
+/// store recovers the same inserts go through.
+#[test]
+fn failed_insert_record_is_not_indexed() {
+    use spitz::{ColumnType, Record, Schema, Value};
+
+    let failpoint = FailpointStore::new(InMemoryChunkStore::shared() as Arc<dyn ChunkStore>);
+    let db = SpitzDb::with_store(
+        Arc::clone(&failpoint) as Arc<dyn ChunkStore>,
+        SpitzConfig::default(),
+    )
+    .expect("open over the failpoint store");
+    db.create_table(Schema::new(
+        "items",
+        vec![("name", ColumnType::Text), ("stock", ColumnType::Integer)],
+    ))
+    .unwrap();
+    let item = |pk: &str, name: &str, stock: i64| {
+        Record::new(pk)
+            .with("name", Value::Text(name.into()))
+            .with("stock", Value::Integer(stock))
+    };
+    let committed = item("kept", "widget", 10);
+    db.insert_record("items", &committed).unwrap();
+    let digest = db.digest();
+
+    failpoint.arm(0, FailMode::Error);
+    db.insert_record("items", &item("fresh", "gadget", 20))
+        .expect_err("a new key's commit fails");
+    db.insert_record("items", &item("kept", "widget-v2", 30))
+        .expect_err("an update's commit fails");
+    failpoint.disarm();
+    assert!(failpoint.injected_failures() > 0);
+    assert_eq!(db.digest(), digest, "a failed insert moved the digest");
+
+    assert_eq!(db.get_record("items", "fresh").unwrap(), None);
+    assert_eq!(db.get_record("items", "kept").unwrap(), Some(committed));
+    for name in ["gadget", "widget-v2"] {
+        let hits = db.query_eq("items", "name", &Value::Text(name.into()));
+        assert!(hits.unwrap().is_empty(), "{name} was never committed");
+    }
+    assert!(db
+        .query_int_range("items", "stock", 11, 100)
+        .unwrap()
+        .is_empty());
+    assert_eq!(
+        db.query_int_range("items", "stock", i64::MIN, i64::MAX)
+            .unwrap(),
+        vec!["kept".to_string()]
+    );
+
+    // The recovered store takes the same inserts.
+    db.insert_record("items", &item("fresh", "gadget", 20))
+        .unwrap();
+    db.insert_record("items", &item("kept", "widget-v2", 30))
+        .unwrap();
+    assert_eq!(
+        db.get_record("items", "kept").unwrap(),
+        Some(item("kept", "widget-v2", 30))
+    );
+    assert_eq!(
+        db.query_int_range("items", "stock", 11, 100).unwrap(),
+        vec!["fresh".to_string(), "kept".to_string()]
+    );
+}
+
 /// Run schedule `i` of a seeded chaos sweep: the four families of
 /// `tests/chaos` take turns, and the seed is printed *before* the run so a
 /// panicking schedule leaves it on the last line of output. Returns the

@@ -1,16 +1,86 @@
 //! Property-based tests over the core invariants of the reproduction:
 //! Merkle proof soundness, SIRI structural invariance and node sharing,
-//! storage round-trips, and MVCC snapshot semantics.
+//! storage round-trips, MVCC snapshot semantics, and the typed table layer
+//! against a naive model.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use spitz::crypto::merkle::MerkleTree;
 use spitz::crypto::sha256;
 use spitz::index::codec::{self, Reader};
 use spitz::index::siri::SiriIndex;
-use spitz::index::PosTree;
+use spitz::index::{PosTree, SiriKind};
 use spitz::storage::{ChunkStore, Chunker, ChunkerConfig, InMemoryChunkStore, VBlob};
 use spitz::txn::MvccStore;
-use spitz::{Ledger, ShardedDb, SpitzDb};
+use spitz::{
+    ColumnType, DurabilityPolicy, Ledger, Record, Schema, ShardedDb, SpitzConfig, SpitzDb, Value,
+};
+
+mod common;
+use common::TempDir;
+
+/// Text values that share prefixes with each other (and the empty string).
+const TEXT_PREFIXES: [&str; 4] = ["", "icd", "icd10/", "icd10/E11"];
+
+/// Integer values at the edges of the order: the extremes, around zero,
+/// small negatives, and anything.
+fn model_integer(choice: u8, payload: i64) -> i64 {
+    match choice {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => -1,
+        3 => 0,
+        4 => payload % 100 - 100,
+        _ => payload,
+    }
+}
+
+/// `db`'s typed reads and queries over table `t` equal a naive scan of
+/// `versions`, every committed record in commit order.
+fn assert_table_matches_model(db: &SpitzDb, versions: &[Record], context: &str) {
+    let latest: BTreeMap<&String, &Record> = versions.iter().map(|r| (&r.primary_key, r)).collect();
+    for (pk, record) in &latest {
+        let got = db.get_record("t", pk).unwrap();
+        assert_eq!(got.as_ref(), Some(*record), "{context}: get_record({pk})");
+    }
+    assert_eq!(db.get_record("t", "absent").unwrap(), None, "{context}");
+
+    // Each query lists, sorted, the keys that held a matching value in
+    // some version.
+    let scan = |hit: &dyn Fn(&Record) -> bool| -> Vec<String> {
+        let keys: BTreeSet<&String> = versions
+            .iter()
+            .filter(|r| hit(r))
+            .map(|r| &r.primary_key)
+            .collect();
+        keys.into_iter().cloned().collect()
+    };
+    let mut texts: BTreeSet<Value> = versions.iter().map(|r| r.values["name"].clone()).collect();
+    texts.insert(Value::Text("icd10/E11.9-never-written".into()));
+    for text in &texts {
+        let got = db.query_eq("t", "name", text).unwrap();
+        assert_eq!(
+            got,
+            scan(&|r| r.get("name") == Some(text)),
+            "{context}: = {text:?}"
+        );
+    }
+    let mut bounds: BTreeSet<i64> = [i64::MIN, i64::MAX, -1, 0, 1].into();
+    for r in versions.iter().take(8) {
+        if let Some(Value::Integer(n)) = r.get("n") {
+            bounds.extend([*n, n.saturating_add(1)]);
+        }
+    }
+    for &low in &bounds {
+        for &high in &bounds {
+            let got = db.query_int_range("t", "n", low, high).unwrap();
+            let expected =
+                scan(&|r| matches!(r.get("n"), Some(Value::Integer(n)) if (low..high).contains(n)));
+            assert_eq!(got, expected, "{context}: n in {low}..{high}");
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -329,6 +399,53 @@ proptest! {
                 smuggled.sort_by(|a, b| a.0.cmp(&b.0));
                 prop_assert!(!proof.verify(&smuggled));
             }
+        }
+    }
+}
+
+// Each case opens and reopens one durable store per index kind, and those
+// fsyncs dominate its time, so this property runs fewer cases than the
+// in-memory ones above.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The typed table layer against a model, for every index kind: after
+    /// random `insert_record`s (repeated primary keys, integers at the
+    /// edges of `i64`, texts sharing prefixes), `get_record`, `query_eq`
+    /// and `query_int_range` equal a naive scan of the committed versions,
+    /// both live and after the durable store is reopened.
+    #[test]
+    fn table_queries_match_a_naive_scan(
+        inserts in proptest::collection::vec(
+            (0u8..6, 0u8..6, any::<i64>(), (0usize..4, "[ab]{0,2}")),
+            1..40,
+        ),
+    ) {
+        let versions: Vec<Record> = inserts
+            .iter()
+            .map(|(pk, choice, payload, (prefix, suffix))| {
+                Record::new(format!("pk-{pk}"))
+                    .with("name", Value::Text(format!("{}{suffix}", TEXT_PREFIXES[*prefix])))
+                    .with("n", Value::Integer(model_integer(*choice, *payload)))
+            })
+            .collect();
+        for kind in [SiriKind::PosTree, SiriKind::MerklePatriciaTrie, SiriKind::MerkleBucketTree] {
+            let dir = TempDir::new("table-model");
+            let config = SpitzConfig { siri: kind, ..SpitzConfig::default() }
+                .with_durability(DurabilityPolicy::Os);
+            let db = SpitzDb::open_with_config(dir.path(), config).unwrap();
+            db.create_table(Schema::new(
+                "t",
+                vec![("name", ColumnType::Text), ("n", ColumnType::Integer)],
+            ))
+            .unwrap();
+            for record in &versions {
+                db.insert_record("t", record).unwrap();
+            }
+            assert_table_matches_model(&db, &versions, &format!("{} live", kind.name()));
+            drop(db);
+            let db = SpitzDb::open_with_config(dir.path(), config).unwrap();
+            assert_table_matches_model(&db, &versions, &format!("{} reopened", kind.name()));
         }
     }
 
