@@ -1049,8 +1049,11 @@ impl SpitzDb {
 
     /// Insert (or append a new version of) a record: one cell per column,
     /// one ledger block for the whole record. The indexes learn the record
-    /// only once its block has committed, so a failed insert leaves no
-    /// trace in `get_record` or the queries.
+    /// only once its block is in the ledger, so an insert whose append
+    /// failed leaves no trace in `get_record` or the queries. An insert
+    /// whose block was published but not fsynced (a Strict commit error,
+    /// see [`CommitPipeline::commit`]) is indexed and still returns the
+    /// error, so the table layer keeps agreeing with the ledger.
     pub fn insert_record(&self, table: &str, record: &Record) -> Result<Digest> {
         let mut tables = self.tables.write();
         let t = tables
@@ -1077,7 +1080,14 @@ impl SpitzDb {
         }
         drop(tables);
 
-        let digest = self.put_batch(writes)?;
+        // Every cell key carries the fresh timestamp, so the first one is in
+        // the ledger exactly when this block landed.
+        let probe = writes.first().map(|(ukey, _)| ukey.clone());
+        let result = self.put_batch(writes);
+        let landed = result.is_ok() || probe.is_some_and(|ukey| self.ledger.get(&ukey).is_some());
+        if !landed {
+            return result;
+        }
         if let Some(t) = self.tables.write().get_mut(table) {
             for (position, value) in cells {
                 t.index(
@@ -1088,7 +1098,7 @@ impl SpitzDb {
                 );
             }
         }
-        Ok(digest)
+        result
     }
 
     /// Read back the latest version of a record.

@@ -11,16 +11,19 @@
 //! file: nine fixed seeds in every test run, and a 240-seed soak that is
 //! `#[ignore]`d; CI's soak step runs it explicitly with `--ignored`.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use spitz::core::db::{SpitzConfig, SpitzDb};
 use spitz::core::proof::Verifier;
 use spitz::core::sharded::{ShardedConfig, ShardedDb};
 use spitz::core::{DbError, HealthState};
+use spitz::crypto::Hash;
 use spitz::index::SiriKind;
-use spitz::ledger::Ledger;
+use spitz::ledger::{DurabilityPolicy, Ledger};
 use spitz::storage::{
-    ChunkStore, DurableConfig, InMemoryChunkStore, IoErrorKind, StorageError, WriteOutcome,
+    Chunk, ChunkStore, DurableConfig, InMemoryChunkStore, IoErrorKind, StorageError, StoreStats,
+    WriteOutcome,
 };
 use spitz_faults::{FailMode, FailpointStore, FaultInjector, SeededRng};
 
@@ -466,6 +469,112 @@ fn failed_insert_record_is_not_indexed() {
         db.query_int_range("items", "stock", 11, 100).unwrap(),
         vec!["fresh".to_string(), "kept".to_string()]
     );
+}
+
+/// An in-memory store whose `sync` fails while `fail_sync` is set: a
+/// Strict commit then publishes its block and still reports an error.
+#[derive(Default)]
+struct SyncFailStore {
+    inner: InMemoryChunkStore,
+    fail_sync: AtomicBool,
+}
+
+impl ChunkStore for SyncFailStore {
+    fn put(&self, chunk: Chunk) -> Hash {
+        self.inner.put(chunk)
+    }
+    fn get(&self, address: &Hash) -> Result<Arc<Chunk>, StorageError> {
+        self.inner.get(address)
+    }
+    fn contains(&self, address: &Hash) -> bool {
+        self.inner.contains(address)
+    }
+    fn stats(&self) -> StoreStats {
+        self.inner.stats()
+    }
+    fn audit(&self) -> Vec<Hash> {
+        self.inner.audit()
+    }
+    fn set_root(&self, name: &str, hash: Hash) {
+        self.inner.set_root(name, hash)
+    }
+    fn root(&self, name: &str) -> Option<Hash> {
+        self.inner.root(name)
+    }
+    fn sync(&self) -> Result<(), StorageError> {
+        if self.fail_sync.load(Ordering::SeqCst) {
+            return Err(StorageError::io_synthetic(
+                IoErrorKind::Other,
+                "fsync",
+                "injected fsync failure",
+            ));
+        }
+        self.inner.sync()
+    }
+}
+
+/// A typed insert whose Strict commit fails only at the fsync has its
+/// block published in the ledger, so the table layer indexes it too:
+/// `get_record` and the queries agree with the ledger before and after a
+/// reopen.
+#[test]
+fn insert_record_whose_fsync_fails_is_indexed() {
+    use spitz::{ColumnType, Record, Schema, Value};
+
+    let store = Arc::new(SyncFailStore::default());
+    let open = || {
+        SpitzDb::with_store(
+            Arc::clone(&store) as Arc<dyn ChunkStore>,
+            SpitzConfig::default().with_durability(DurabilityPolicy::Strict),
+        )
+        .expect("open over the sync-failing store")
+    };
+    let item = |pk: &str, name: &str, stock: i64| {
+        Record::new(pk)
+            .with("name", Value::Text(name.into()))
+            .with("stock", Value::Integer(stock))
+    };
+    let check = |db: &SpitzDb, context: &str| {
+        for pk in ["fresh", "kept"] {
+            let expected = item(pk, &format!("{pk}-v2"), 30);
+            assert_eq!(
+                db.get_record("items", pk).unwrap(),
+                Some(expected),
+                "{context}"
+            );
+        }
+        assert_eq!(
+            db.query_eq("items", "name", &Value::Text("fresh-v2".into()))
+                .unwrap(),
+            vec!["fresh".to_string()],
+            "{context}"
+        );
+        assert_eq!(
+            db.query_int_range("items", "stock", 11, 100).unwrap(),
+            vec!["fresh".to_string(), "kept".to_string()],
+            "{context}"
+        );
+    };
+
+    let db = open();
+    db.create_table(Schema::new(
+        "items",
+        vec![("name", ColumnType::Text), ("stock", ColumnType::Integer)],
+    ))
+    .unwrap();
+    db.insert_record("items", &item("kept", "kept-v1", 10))
+        .unwrap();
+
+    store.fail_sync.store(true, Ordering::SeqCst);
+    db.insert_record("items", &item("fresh", "fresh-v2", 30))
+        .expect_err("a new key's fsync fails");
+    db.insert_record("items", &item("kept", "kept-v2", 30))
+        .expect_err("an update's fsync fails");
+    store.fail_sync.store(false, Ordering::SeqCst);
+    check(&db, "live");
+
+    drop(db);
+    check(&open(), "reopened");
 }
 
 /// Run schedule `i` of a seeded chaos sweep: the four families of

@@ -401,6 +401,19 @@ proptest! {
             }
         }
     }
+
+    /// The content-defined chunker is deterministic and lossless: the split
+    /// chunks reassemble to the original input, and splitting again yields
+    /// identical cut points.
+    #[test]
+    fn chunker_split_reassembles(data in proptest::collection::vec(any::<u8>(), 0..50_000)) {
+        let chunker = Chunker::with_defaults();
+        let chunks = chunker.split(&data);
+        let reassembled: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
+        prop_assert_eq!(reassembled, data.clone());
+        prop_assert!(chunks.iter().all(|c| !c.is_empty()));
+        prop_assert_eq!(chunker.cut_points(&data), chunker.cut_points(&data));
+    }
 }
 
 // Each case opens and reopens one durable store per index kind, and those
@@ -447,18 +460,5 @@ proptest! {
             let db = SpitzDb::open_with_config(dir.path(), config).unwrap();
             assert_table_matches_model(&db, &versions, &format!("{} reopened", kind.name()));
         }
-    }
-
-    /// The content-defined chunker is deterministic and lossless: the split
-    /// chunks reassemble to the original input, and splitting again yields
-    /// identical cut points.
-    #[test]
-    fn chunker_split_reassembles(data in proptest::collection::vec(any::<u8>(), 0..50_000)) {
-        let chunker = Chunker::with_defaults();
-        let chunks = chunker.split(&data);
-        let reassembled: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        prop_assert_eq!(reassembled, data.clone());
-        prop_assert!(chunks.iter().all(|c| !c.is_empty()));
-        prop_assert_eq!(chunker.cut_points(&data), chunker.cut_points(&data));
     }
 }
