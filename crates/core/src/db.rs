@@ -8,9 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::RwLock;
@@ -36,35 +34,6 @@ use crate::Result;
 /// reopened database still knows its tables.
 pub const CATALOG_ROOT: &str = "spitz/catalog";
 
-/// When the storage engine should compact itself.
-///
-/// Compaction is a mark-sweep pass over a durable instance's segment files:
-/// chunks unreachable from the database's named roots (superseded index
-/// nodes, orphaned cells, rolled-back writes) are dropped by rewriting the
-/// live survivors into fresh segments. The pass costs a full reachability
-/// walk, so the trigger is deliberately coarse: never before
-/// `min_disk_bytes` are on disk, and only while the measured
-/// space amplification (disk bytes ÷ live bytes) exceeds `max_space_amp`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactionTrigger {
-    /// Do not compact while the store's segment files hold fewer total
-    /// bytes than this — small stores are not worth a mark pass.
-    pub min_disk_bytes: u64,
-    /// Compact when `disk_bytes / live_bytes` exceeds this ratio (2.0 =
-    /// "at most half the disk is garbage"). Before the first mark pass the
-    /// live size is unknown and the size floor alone decides.
-    pub max_space_amp: f64,
-}
-
-impl Default for CompactionTrigger {
-    fn default() -> Self {
-        CompactionTrigger {
-            min_disk_bytes: 64 << 20,
-            max_space_amp: 2.0,
-        }
-    }
-}
-
 /// Configuration for a Spitz instance.
 #[derive(Debug, Clone, Copy)]
 pub struct SpitzConfig {
@@ -79,20 +48,6 @@ pub struct SpitzConfig {
     /// Purely in-memory instances ([`SpitzDb::in_memory`] /
     /// [`SpitzDb::with_config`]) commit inline and ignore this field.
     pub durability: DurabilityPolicy,
-    /// Automatic segment-compaction trigger for durable instances. `None`
-    /// (the default) disables automatic compaction; [`SpitzDb::compact`]
-    /// always works explicitly. When set, the write paths only perform a
-    /// cheap watermark check and hand the actual trigger decision (and any
-    /// resulting mark-sweep pass) to a background compactor thread, so a
-    /// committing writer never pays for a compaction inline.
-    pub compaction: Option<CompactionTrigger>,
-    /// Background-scrub interval for durable instances. `None` (the
-    /// default) disables the scrubber thread; [`SpitzDb::scrub`] always
-    /// works explicitly. When set, a dedicated thread walks the sealed
-    /// segments every interval verifying every record CRC off the hot
-    /// path, and quarantines any corrupt segment it finds (salvaging the
-    /// intact chunks — see [`DurableChunkStore::scrub`]).
-    pub scrub_interval: Option<std::time::Duration>,
     /// Record telemetry (counters, latency histograms, event ring) for this
     /// instance. Enabled by default: every instrument is a relaxed atomic
     /// update, cheap enough for the hot paths the paper's figures measure.
@@ -107,8 +62,6 @@ impl Default for SpitzConfig {
             siri: spitz_index::SiriKind::PosTree,
             cc_scheme: CcScheme::Occ,
             durability: DurabilityPolicy::Strict,
-            compaction: None,
-            scrub_interval: None,
             telemetry: true,
         }
     }
@@ -118,18 +71,6 @@ impl SpitzConfig {
     /// This configuration with a different durability policy.
     pub fn with_durability(mut self, durability: DurabilityPolicy) -> Self {
         self.durability = durability;
-        self
-    }
-
-    /// This configuration with automatic compaction governed by `trigger`.
-    pub fn with_compaction(mut self, trigger: CompactionTrigger) -> Self {
-        self.compaction = Some(trigger);
-        self
-    }
-
-    /// This configuration with a background scrub pass every `interval`.
-    pub fn with_scrub_interval(mut self, interval: std::time::Duration) -> Self {
-        self.scrub_interval = Some(interval);
         self
     }
 
@@ -250,11 +191,20 @@ fn decode_catalog(bytes: &[u8]) -> Option<Vec<(Schema, u32)>> {
     let bytes = bytes.strip_prefix(CATALOG_MAGIC)?;
     let mut r = spitz_index::codec::Reader::new(bytes);
     let table_count = r.u32()? as usize;
+    // A table takes at least 12 bytes (name length, column base, column
+    // count) and a column at least 5 (name length, type tag): a count the
+    // payload cannot hold is refused before it sizes a `Vec`.
+    if table_count > r.remaining() / 12 {
+        return None;
+    }
     let mut tables = Vec::with_capacity(table_count);
     for _ in 0..table_count {
         let table = String::from_utf8(r.bytes()?.to_vec()).ok()?;
         let column_base = r.u32()?;
         let column_count = r.u32()? as usize;
+        if column_count > r.remaining() / 5 {
+            return None;
+        }
         let mut columns = Vec::with_capacity(column_count);
         for _ in 0..column_count {
             let name = String::from_utf8(r.bytes()?.to_vec()).ok()?;
@@ -321,214 +271,6 @@ impl ProofObs {
     }
 }
 
-/// The mark-sweep machinery of a durable instance: everything needed to
-/// mark, compact, and evaluate the automatic trigger without borrowing the
-/// owning [`SpitzDb`], so the background compactor thread can share it.
-struct CompactionCtx {
-    store: Arc<dyn ChunkStore>,
-    ledger: Arc<Ledger>,
-    durable: Arc<DurableChunkStore>,
-    /// Automatic-compaction trigger, `None` when disabled.
-    trigger: Option<CompactionTrigger>,
-    /// Disk-byte watermark below which the automatic trigger skips even the
-    /// stats check. Re-armed after every compaction (and after a pass is
-    /// judged unnecessary) so a hot write path does not re-evaluate the
-    /// trigger on every commit. `u64::MAX` while a triggered pass runs.
-    floor: AtomicU64,
-}
-
-impl CompactionCtx {
-    /// The cheap inline check a committing writer performs: has the disk
-    /// footprint crossed the re-armed watermark? One atomic load plus a
-    /// stats read — everything heavier happens on the compactor thread.
-    fn should_wake(&self) -> bool {
-        let Some(trigger) = self.trigger else {
-            return false;
-        };
-        let stored = self.floor.load(Ordering::Relaxed);
-        if stored == u64::MAX {
-            // A pass claimed the trigger and is still running.
-            return false;
-        }
-        self.durable.stats().disk_bytes >= stored.max(trigger.min_disk_bytes)
-    }
-
-    /// Full trigger decision, run on the compactor thread. Compaction
-    /// failures are swallowed (the next explicit [`SpitzDb::compact`]
-    /// surfaces them) so a GC hiccup never fails a commit.
-    fn run_trigger(&self) {
-        let Some(trigger) = self.trigger else {
-            return;
-        };
-        let stored = self.floor.load(Ordering::Relaxed);
-        if stored == u64::MAX {
-            return;
-        }
-        let stats = self.durable.stats();
-        if stats.disk_bytes < stored.max(trigger.min_disk_bytes) {
-            return;
-        }
-        if let Some(amp) = stats.space_amplification() {
-            if amp < trigger.max_space_amp {
-                // Mostly-live growth: push the next check out instead of
-                // re-evaluating the trigger on every subsequent commit.
-                self.floor.store(
-                    stats.disk_bytes.saturating_add(trigger.min_disk_bytes / 2),
-                    Ordering::Relaxed,
-                );
-                return;
-            }
-        }
-        // Claim the trigger for the duration of the (long) pass; `compact`
-        // re-arms the floor whether the pass succeeds or fails.
-        if self
-            .floor
-            .compare_exchange(stored, u64::MAX, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        let _ = self.compact();
-    }
-
-    /// Mark, sweep, and re-arm the watermark above the post-pass footprint
-    /// (also on error, so a failed pass cannot wedge the trigger into
-    /// re-running the mark after every commit).
-    fn compact(&self) -> std::result::Result<Option<CompactionReport>, StorageError> {
-        let result = self.durable.compact_with(|| self.collect_live());
-        let pad = self.trigger.map_or(0, |t| t.min_disk_bytes / 2);
-        self.floor.store(
-            self.durable.stats().disk_bytes.saturating_add(pad),
-            Ordering::Relaxed,
-        );
-        result
-    }
-
-    /// The GC mark phase; see [`SpitzDb::collect_live`].
-    fn collect_live(&self) -> std::result::Result<HashSet<Hash>, StorageError> {
-        let mut live = HashSet::new();
-        self.ledger.collect_live(&mut live)?;
-        for (name, address) in self.durable.roots() {
-            live.insert(address);
-            crate::staged::collect_staged_references(&self.store, &name, address, &mut live)?;
-        }
-        Ok(live)
-    }
-}
-
-/// Wake/idle handshake between a [`BackgroundWorker`]'s thread and its
-/// callers.
-#[derive(Default)]
-struct WorkerState {
-    /// A caller nudged the worker since its last run.
-    pending: bool,
-    /// The worker thread is currently running its job.
-    busy: bool,
-    /// Drop requested the thread exit.
-    shutdown: bool,
-}
-
-#[derive(Default)]
-struct WorkerShared {
-    state: Mutex<WorkerState>,
-    /// Signalled by [`BackgroundWorker::nudge`] and by shutdown.
-    wake: Condvar,
-    /// Signalled by the worker thread whenever a run finishes;
-    /// [`BackgroundWorker::quiesce`] waits on it.
-    idle: Condvar,
-}
-
-/// A named thread that runs one job off the commit path: whenever it is
-/// nudged and, when an `interval` is given, whenever that long passes
-/// without a nudge. The compactor (nudged by writers crossing the
-/// watermark) and the scrubber (periodic) are both instances.
-struct BackgroundWorker {
-    shared: Arc<WorkerShared>,
-    thread: Option<thread::JoinHandle<()>>,
-}
-
-impl BackgroundWorker {
-    fn spawn(
-        name: &str,
-        interval: Option<std::time::Duration>,
-        job: impl Fn() + Send + 'static,
-    ) -> BackgroundWorker {
-        let shared = Arc::new(WorkerShared::default());
-        let thread_shared = Arc::clone(&shared);
-        let thread = thread::Builder::new()
-            .name(name.into())
-            .spawn(move || Self::run(&thread_shared, interval, job))
-            .expect("spawn background worker thread");
-        BackgroundWorker {
-            shared,
-            thread: Some(thread),
-        }
-    }
-
-    fn run(shared: &WorkerShared, interval: Option<std::time::Duration>, job: impl Fn()) {
-        loop {
-            let mut state = shared.state.lock().expect("worker state poisoned");
-            while !state.pending && !state.shutdown {
-                match interval {
-                    None => state = shared.wake.wait(state).expect("worker state poisoned"),
-                    Some(interval) => {
-                        let (woken, timeout) = shared
-                            .wake
-                            .wait_timeout(state, interval)
-                            .expect("worker state poisoned");
-                        state = woken;
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                }
-            }
-            if state.shutdown {
-                // Skip any still-pending run: the database is being
-                // dropped, so background maintenance no longer matters.
-                return;
-            }
-            state.pending = false;
-            state.busy = true;
-            drop(state);
-            job();
-            let mut state = shared.state.lock().expect("worker state poisoned");
-            state.busy = false;
-            shared.idle.notify_all();
-        }
-    }
-
-    /// Ask for a run; nudges arriving while one is already queued coalesce.
-    fn nudge(&self) {
-        let mut state = self.shared.state.lock().expect("worker state poisoned");
-        if !state.pending {
-            state.pending = true;
-            self.shared.wake.notify_one();
-        }
-    }
-
-    /// Block until the worker has no queued nudge and no run in flight, so
-    /// callers observe the effects of every run they caused (a newly
-    /// started interval wait is fine).
-    fn quiesce(&self) {
-        let mut state = self.shared.state.lock().expect("worker state poisoned");
-        while state.pending || state.busy {
-            state = self.shared.idle.wait(state).expect("worker state poisoned");
-        }
-    }
-
-    fn shutdown(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("worker state poisoned");
-            state.shutdown = true;
-            self.shared.wake.notify_one();
-        }
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
 /// The Spitz verifiable database.
 pub struct SpitzDb {
     store: Arc<dyn ChunkStore>,
@@ -538,23 +280,9 @@ pub struct SpitzDb {
     /// routed through. Shut down (drained + synced) when the db drops.
     pipeline: Option<Arc<CommitPipeline>>,
     /// Present on instances opened over a [`DurableChunkStore`]: the
-    /// concrete store handle the compaction entry points need (the trait
-    /// object in `store` cannot run a mark-sweep pass) plus the automatic
-    /// trigger's state. Shared with the background compactor.
-    gc: Option<Arc<CompactionCtx>>,
-    /// Background compaction worker ("spitz-compactor"), present when
-    /// automatic compaction is configured on a durable instance: it
-    /// evaluates the [`CompactionTrigger`] off the committing writers'
-    /// critical path. Joined (after a best-effort shutdown signal) before
-    /// the pipeline drains on drop.
-    compactor: Option<BackgroundWorker>,
-    /// Background integrity scrubber ("spitz-scrubber"), present when a
-    /// scrub interval is configured on a durable instance: it CRC-walks the
-    /// sealed segments every interval, entirely off the commit path.
-    /// Corruption it finds is quarantined by [`DurableChunkStore::scrub`];
-    /// errors never propagate to writers (the store's health state and
-    /// telemetry carry the outcome). Joined on drop.
-    scrubber: Option<BackgroundWorker>,
+    /// concrete store handle that compaction and scrub need (the trait
+    /// object in `store` cannot run a mark-sweep pass).
+    durable: Option<Arc<DurableChunkStore>>,
     /// Telemetry registry shared by every layer of this instance (storage,
     /// pipeline, proofs; the sharded wrapper adds 2PC).
     telemetry: TelemetryHandle,
@@ -669,36 +397,7 @@ impl SpitzDb {
         )?);
         let store: Arc<dyn ChunkStore> = Arc::clone(&concrete) as Arc<dyn ChunkStore>;
         let mut db = Self::with_store_and_telemetry(store, config, telemetry)?;
-        // Keep the concrete handle: compaction needs the segment-level API
-        // the `ChunkStore` trait object does not expose.
-        let gc = Arc::new(CompactionCtx {
-            store: Arc::clone(&db.store),
-            ledger: Arc::clone(&db.ledger),
-            durable: Arc::clone(&concrete),
-            trigger: config.compaction,
-            floor: AtomicU64::new(0),
-        });
-        if config.compaction.is_some() {
-            let gc = Arc::clone(&gc);
-            db.compactor = Some(BackgroundWorker::spawn(
-                "spitz-compactor",
-                None,
-                move || gc.run_trigger(),
-            ));
-        }
-        db.gc = Some(gc);
-        if let Some(interval) = config.scrub_interval {
-            db.scrubber = Some(BackgroundWorker::spawn(
-                "spitz-scrubber",
-                Some(interval),
-                move || {
-                    // A pass that errors mid-swap has already raised the
-                    // store's health and emitted events; the next interval
-                    // retries.
-                    let _ = concrete.scrub();
-                },
-            ));
-        }
+        db.durable = Some(concrete);
         Ok(db)
     }
 
@@ -742,9 +441,7 @@ impl SpitzDb {
             ledger,
             tables: RwLock::new(HashMap::new()),
             pipeline,
-            gc: None,
-            compactor: None,
-            scrubber: None,
+            durable: None,
             telemetry,
             proof_obs,
         }
@@ -756,20 +453,11 @@ impl SpitzDb {
     }
 
     /// Drain the commit pipeline (if any) and force everything written so
-    /// far onto stable storage, regardless of the durability policy. Also
-    /// waits out any automatic compaction the flushed writes triggered, so
-    /// storage statistics read after a flush reflect every pass those
-    /// writes caused.
+    /// far onto stable storage, regardless of the durability policy.
     pub fn flush(&self) -> Result<()> {
         match &self.pipeline {
             Some(pipeline) => pipeline.flush()?,
             None => self.store.sync()?,
-        }
-        if let Some(compactor) = &self.compactor {
-            compactor.quiesce();
-        }
-        if let Some(scrubber) = &self.scrubber {
-            scrubber.quiesce();
         }
         Ok(())
     }
@@ -805,7 +493,7 @@ impl SpitzDb {
     /// The concrete durable store, when this instance was opened over one
     /// (compaction diagnostics, fault-injection tests).
     pub fn durable_store(&self) -> Option<&Arc<DurableChunkStore>> {
-        self.gc.as_ref().map(|gc| &gc.durable)
+        self.durable.as_ref()
     }
 
     /// The GC mark phase: every chunk address this database can still
@@ -819,10 +507,17 @@ impl SpitzDb {
     /// Only meaningful on durable instances; returns an error when called
     /// on an in-memory one.
     pub fn collect_live(&self) -> std::result::Result<HashSet<Hash>, StorageError> {
-        self.gc
+        let durable = self
+            .durable
             .as_ref()
-            .ok_or_else(|| StorageError::KeyNotFound("no durable store to mark".into()))?
-            .collect_live()
+            .ok_or_else(|| StorageError::KeyNotFound("no durable store to mark".into()))?;
+        let mut live = HashSet::new();
+        self.ledger.collect_live(&mut live)?;
+        for (name, address) in durable.roots() {
+            live.insert(address);
+            crate::staged::collect_staged_references(&self.store, &name, address, &mut live)?;
+        }
+        Ok(live)
     }
 
     /// Compact the durable store: mark everything reachable (see
@@ -835,8 +530,8 @@ impl SpitzDb {
     /// them). Returns `Ok(None)` on in-memory instances and when the store
     /// has nothing to compact; errors leave the store exactly as it was.
     pub fn compact(&self) -> Result<Option<CompactionReport>> {
-        match &self.gc {
-            Some(gc) => Ok(gc.compact()?),
+        match &self.durable {
+            Some(durable) => Ok(durable.compact_with(|| self.collect_live())?),
             None => Ok(None),
         }
     }
@@ -861,25 +556,11 @@ impl SpitzDb {
     /// Run one synchronous scrub pass over the durable store's sealed
     /// segments: verify every record CRC and quarantine (with salvage) any
     /// corrupt segment found. Returns `Ok(None)` on in-memory instances.
-    /// The background scrubber (see [`SpitzConfig::scrub_interval`]) runs
-    /// the same pass periodically.
     pub fn scrub(&self) -> Result<Option<ScrubReport>> {
         let Some(durable) = self.durable_store() else {
             return Ok(None);
         };
         Ok(Some(durable.scrub()?))
-    }
-
-    /// Post-commit hook on the write paths: when automatic compaction is
-    /// configured, perform the cheap watermark check and (only if crossed)
-    /// wake the background compactor. The trigger decision itself — and
-    /// any resulting mark-sweep pass — runs entirely off this thread.
-    fn nudge_compactor(&self) {
-        if let (Some(compactor), Some(gc)) = (&self.compactor, &self.gc) {
-            if gc.should_wake() {
-                compactor.nudge();
-            }
-        }
     }
 
     /// The current database digest (what clients pin).
@@ -923,12 +604,10 @@ impl SpitzDb {
         writes: Vec<(Vec<u8>, Vec<u8>)>,
         statement: &str,
     ) -> Result<Digest> {
-        let digest = match &self.pipeline {
-            Some(pipeline) => pipeline.commit(writes, statement)?,
-            None => self.ledger.try_append_block(writes, statement)?,
-        };
-        self.nudge_compactor();
-        Ok(digest)
+        match &self.pipeline {
+            Some(pipeline) => Ok(pipeline.commit(writes, statement)?),
+            None => Ok(self.ledger.try_append_block(writes, statement)?),
+        }
     }
 
     /// Unverified point read.
@@ -1177,16 +856,9 @@ impl SpitzDb {
 
 impl Drop for SpitzDb {
     fn drop(&mut self) {
-        // Stop the background compactor first so no pass races the pipeline
-        // drain below; then drain queued commits, fsync outstanding work and
-        // join the committer thread before the store closes, so a clean exit
-        // never loses acknowledged writes under any durability policy.
-        if let Some(compactor) = &mut self.compactor {
-            compactor.shutdown();
-        }
-        if let Some(scrubber) = &mut self.scrubber {
-            scrubber.shutdown();
-        }
+        // Drain queued commits, fsync outstanding work and join the
+        // committer thread before the store closes, so a clean exit never
+        // loses acknowledged writes under any durability policy.
         if let Some(pipeline) = &self.pipeline {
             pipeline.shutdown();
         }
@@ -1308,6 +980,42 @@ mod tests {
         assert_eq!(db.query_int_range("t", "n", 0, 10).unwrap(), vec!["pk"]);
         assert!(db.query_int_range("t", "n", 10, 0).unwrap().is_empty());
         assert!(db.query_int_range("t", "n", 5, 5).unwrap().is_empty());
+    }
+
+    #[test]
+    fn decode_catalog_refuses_counts_the_payload_cannot_hold() {
+        use spitz_index::codec::{put_bytes, put_u32};
+        let mut tables = CATALOG_MAGIC.to_vec();
+        put_u32(&mut tables, u32::MAX);
+        assert!(decode_catalog(&tables).is_none());
+
+        let mut columns = CATALOG_MAGIC.to_vec();
+        put_u32(&mut columns, 1);
+        put_bytes(&mut columns, b"t");
+        put_u32(&mut columns, 0);
+        put_u32(&mut columns, u32::MAX);
+        assert!(decode_catalog(&columns).is_none());
+    }
+
+    #[test]
+    fn a_catalog_with_a_hostile_table_count_fails_the_open() {
+        let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
+        {
+            let db = SpitzDb::with_store(Arc::clone(&store), SpitzConfig::default()).unwrap();
+            db.create_table(Schema::new("t", vec![("n", ColumnType::Integer)]))
+                .unwrap();
+        }
+        let address = store.root(CATALOG_ROOT).expect("catalog published");
+        let mut bytes = store.get(&address).unwrap().data().to_vec();
+        let count = CATALOG_MAGIC.len();
+        bytes[count..count + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        let patched = store.put(Chunk::new(ChunkKind::Meta, bytes));
+        store.set_root(CATALOG_ROOT, patched);
+
+        let reopened = SpitzDb::with_store(store, SpitzConfig::default());
+        assert!(
+            matches!(reopened, Err(DbError::Storage(reason)) if reason.contains("corrupt catalog"))
+        );
     }
 
     #[test]

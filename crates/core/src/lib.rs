@@ -59,7 +59,7 @@ pub mod snapshot;
 pub mod staged;
 
 pub use cell::UniversalKey;
-pub use db::{CompactionTrigger, SpitzConfig, SpitzDb, CATALOG_ROOT};
+pub use db::{SpitzConfig, SpitzDb, CATALOG_ROOT};
 pub use error::DbError;
 pub use proof::{ShardMultiGroup, ShardedMultiProof, ShardedProof, ShardedRangeProof, Verifier};
 pub use schema::{ColumnType, Record, Schema, Value};

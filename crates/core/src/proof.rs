@@ -492,6 +492,15 @@ impl ShardedRangeProof {
             .zip(split.iter())
             .all(|(proof, part)| proof.verify(part))
     }
+
+    /// True when every shard's proof is over exactly the requested
+    /// `[start, end)`. [`ShardedRangeProof::verify`] proves the entries
+    /// complete for the bounds the proof itself carries; a client binds
+    /// those bounds to its own request with this check, or a server could
+    /// answer a narrower range with a proof that verifies.
+    pub fn answers(&self, start: &[u8], end: &[u8]) -> bool {
+        !self.shards.is_empty() && self.shards.iter().all(|p| p.start == start && p.end == end)
+    }
 }
 
 /// Result of a verified sharded range read: the merged entries in key
@@ -648,7 +657,9 @@ impl Verifier {
 
     /// Verification of a merged sharded range read. The proof reveals every
     /// shard digest, so it can also *advance* the pin the way a digest
-    /// observation does (never rewind it).
+    /// observation does (never rewind it). The range proven is the one the
+    /// proof carries: check [`ShardedRangeProof::answers`] against the
+    /// request as well.
     pub fn verify_sharded_range(
         &mut self,
         entries: &[(Vec<u8>, Vec<u8>)],

@@ -94,7 +94,7 @@ pub struct ShardedConfig {
     /// Number of shards (independent ledgers). Must be at least 1.
     pub shards: usize,
     /// Per-shard Spitz configuration (SIRI kind, CC scheme, durability,
-    /// compaction trigger).
+    /// telemetry).
     pub spitz: SpitzConfig,
     /// Per-shard storage tuning (segment size, cache budget, fsync
     /// policy). Only [`ShardedDb::open`] uses it; in-memory and
@@ -328,6 +328,11 @@ fn decode_staged(bytes: &[u8]) -> Option<StagedBatch> {
     let global_txn_id = r.u64()?;
     let shard = r.u32()? as usize;
     let count = r.u32()? as usize;
+    // Each write takes at least its two length prefixes: a count the
+    // payload cannot hold is refused before it sizes a `Vec`.
+    if count > r.remaining() / 8 {
+        return None;
+    }
     let mut writes = Vec::with_capacity(count);
     for _ in 0..count {
         let key = r.bytes()?.to_vec();
@@ -1071,6 +1076,14 @@ mod tests {
             format!("key-{i:05}").into_bytes(),
             format!("value-{i}").into_bytes(),
         )
+    }
+
+    #[test]
+    fn decode_staged_refuses_a_count_the_payload_cannot_hold() {
+        let mut bytes = encode_staged(7, 1, &[]);
+        let count = bytes.len() - 4;
+        bytes[count..].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(decode_staged(&bytes).is_none());
     }
 
     #[test]

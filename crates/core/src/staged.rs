@@ -185,6 +185,11 @@ fn decode_list(magic: &[u8], bytes: &[u8]) -> Option<Vec<StagedEntry>> {
     let bytes = bytes.strip_prefix(magic)?;
     let mut r = spitz_index::codec::Reader::new(bytes);
     let count = r.u32()? as usize;
+    // Each entry is a u64 and a hash, 40 bytes: a count the payload cannot
+    // hold is refused before it sizes a `Vec`.
+    if count > r.remaining() / 40 {
+        return None;
+    }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         out.push(StagedEntry {
@@ -260,6 +265,30 @@ mod tests {
         // A non-2PC root is ignored, even with a bogus address.
         collect_staged_references(&store, "spitz/catalog", Hash::ZERO, &mut live).unwrap();
         assert_eq!(live.len(), 1);
+    }
+
+    #[test]
+    fn decode_list_refuses_a_count_the_payload_cannot_hold() {
+        let mut bytes = STAGED_MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert!(decode_list(STAGED_MAGIC, &bytes).is_none());
+    }
+
+    #[test]
+    fn a_staged_log_with_a_hostile_count_is_a_corrupt_chunk() {
+        let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
+        let log = StagedLog::staged(Arc::clone(&store));
+        log.add(1, spitz_crypto::sha256(b"staged writes")).unwrap();
+        let address = store.root(STAGED_ROOT).expect("staged root published");
+        let mut bytes = store.get(&address).unwrap().data().to_vec();
+        let count = STAGED_MAGIC.len();
+        bytes[count..count + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        let patched = store.put(Chunk::new(ChunkKind::Meta, bytes));
+        store.set_root(STAGED_ROOT, patched);
+        assert!(matches!(
+            log.entries(),
+            Err(StorageError::CorruptChunk(at)) if at == patched
+        ));
     }
 
     #[test]

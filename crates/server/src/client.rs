@@ -452,10 +452,11 @@ impl LightClient {
     }
 
     /// Verified range read over `start <= key < end`; completeness and
-    /// ordering are proven, and the pin advances to the proof's cut.
+    /// ordering are proven for exactly the requested bounds, and the pin
+    /// advances to the proof's cut.
     pub fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let (entries, proof) = self.client.range_verified(start, end)?;
-        if !self.verifier.verify_sharded_range(&entries, &proof) {
+        if !proof.answers(start, end) || !self.verifier.verify_sharded_range(&entries, &proof) {
             return Err(ClientError::Verification(
                 "range proof rejected against pinned root".to_string(),
             ));

@@ -1123,8 +1123,9 @@ impl DurableChunkStore {
     }
 
     /// Verify the CRC of every record in every *sealed* segment — the
-    /// integrity pass the background scrubber runs off the hot path — and
-    /// excise any segment found corrupt.
+    /// integrity pass that `SpitzDb::scrub` and the server's `SCRUB` opcode
+    /// run on request, off the hot path — and excise any segment found
+    /// corrupt.
     ///
     /// A corrupt segment is **quarantined**, not abandoned: every indexed
     /// chunk still living in it is re-read record by record (the per-record

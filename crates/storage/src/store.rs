@@ -85,26 +85,13 @@ impl StoreStats {
         }
     }
 
-    /// Bytes on the device that no root can reach: the compactor's fodder.
+    /// Bytes on the device that no root can reach: what compaction reclaims.
     /// Zero until a mark pass has established `live_bytes`.
     pub fn dead_bytes(&self) -> u64 {
         if self.live_bytes == 0 {
             0
         } else {
             self.disk_bytes.saturating_sub(self.live_bytes)
-        }
-    }
-
-    /// Ratio of device bytes to live bytes (≥ 1.0 in steady state).
-    ///
-    /// `None` until a mark pass has measured `live_bytes`: before that the
-    /// ratio has no denominator, and returning a made-up `1.0` (as this
-    /// used to) hid real amplification from dashboards and triggers.
-    pub fn space_amplification(&self) -> Option<f64> {
-        if self.live_bytes == 0 {
-            None
-        } else {
-            Some(self.disk_bytes as f64 / self.live_bytes as f64)
         }
     }
 }
@@ -521,15 +508,13 @@ mod tests {
     fn space_accounting_fields_and_ratios() {
         let store = InMemoryChunkStore::new();
         let empty = store.stats();
-        // No live-byte measurement yet: the ratio must say so, not fake 1.0.
-        assert_eq!(empty.space_amplification(), None);
+        // No live-byte measurement yet: nothing is known to be dead.
         assert_eq!(empty.dead_bytes(), 0);
 
         store.put(blob(b"hello"));
         let stats = store.stats();
         assert_eq!(stats.disk_bytes, stats.physical_bytes);
         assert_eq!(stats.live_bytes, stats.physical_bytes);
-        assert_eq!(stats.space_amplification(), Some(1.0));
         assert_eq!(stats.dead_bytes(), 0);
 
         let skewed = StoreStats {
@@ -538,7 +523,6 @@ mod tests {
             ..StoreStats::default()
         };
         assert_eq!(skewed.dead_bytes(), 200);
-        assert!((skewed.space_amplification().unwrap() - 3.0).abs() < 1e-9);
     }
 
     #[test]

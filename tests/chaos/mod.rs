@@ -151,8 +151,9 @@ fn kv_rates(seed: u64) -> FaultRates {
 }
 
 /// `got` is acceptable for a key iff it matches the last acknowledged
-/// value, or the single value a *failed* commit may still have published
-/// (fsync-only failures publish; append failures roll back).
+/// value, or the single value a *failed* commit may still have published:
+/// the publication contract of the "fsync failure" row in `spitz_faults`'
+/// failure-mode matrix.
 fn acceptable(got: Option<&[u8]>, acked: Option<&Vec<u8>>, maybe: Option<&Vec<u8>>) -> bool {
     match got {
         None => acked.is_none(),
@@ -163,9 +164,10 @@ fn acceptable(got: Option<&[u8]>, acked: Option<&Vec<u8>>, maybe: Option<&Vec<u8
     }
 }
 
-/// Failed writes per key since its last acknowledged one. The served
-/// schedule's clients keep writing after the store goes read-only, so a key
-/// can collect several, and any one of them may be the one that published.
+/// Failed writes per key since its last acknowledged one, each of which may
+/// be visible (the "fsync failure" row of `spitz_faults`' failure-mode
+/// matrix). The served schedule's clients keep writing after the store goes
+/// read-only, so a key can collect several.
 type Maybe = HashMap<Vec<u8>, Vec<Vec<u8>>>;
 
 /// [`acceptable`] over every candidate of a [`Maybe`] entry.

@@ -2,7 +2,8 @@
 //! flip a live database read-only (verified reads keep serving, writes
 //! fail fast with the typed error), in-doubt 2PC staged batches survive
 //! scrub and compaction passes until their decision resolves,
-//! [`ShardedDb::recover`] races the background scrubber/compactor safely,
+//! [`ShardedDb::recover`] races concurrent scrub and compaction passes
+//! safely, an explicit scrub quarantines a silently bit-flipped segment,
 //! and a block append that fails at any of its store writes is invisible
 //! and reproducible on retry (seeded cases in every run, more under the
 //! `#[ignore]`d soak).
@@ -126,14 +127,12 @@ fn torn_write_goes_read_only_and_reopen_recovers() {
         .expect("writable again");
 }
 
-/// PR-8 follow-up: with `scrub_interval` configured, the background
-/// scrubber thread must find a silently bit-flipped sealed segment and
-/// quarantine it on its own cadence — the test never calls `scrub()`.
+/// A silently bit-flipped sealed segment is invisible to every write and
+/// to the cached read path; one explicit `scrub()` finds it and
+/// quarantines it.
 #[test]
-fn periodic_scrub_quarantines_bitflip_without_explicit_scrub() {
-    use std::time::{Duration, Instant};
-
-    let dir = TempDir::new("faults-periodic-scrub");
+fn explicit_scrub_quarantines_silent_bitflip() {
+    let dir = TempDir::new("faults-explicit-scrub");
     let injector = Arc::new(FaultInjector::new(0x5C12B));
     // A silent bit flip in an early chunk record (a put appends an index
     // node, the block and the head-root record; append 4 is the second
@@ -151,37 +150,29 @@ fn periodic_scrub_quarantines_bitflip_without_explicit_scrub() {
     );
     let db = SpitzDb::open_with_io(
         dir.path(),
-        SpitzConfig::default().with_scrub_interval(Duration::from_millis(25)),
+        SpitzConfig::default(),
         DurableConfig {
             segment_target_bytes: 2 * 1024,
             ..DurableConfig::default()
         },
         injector.handle(),
     )
-    .expect("open with scrubber");
+    .expect("open");
 
     // Enough writes that the damaged record's segment seals and rotates
-    // out of the active position (scrub only walks sealed segments). A
-    // fast scrub tick may quarantine the segment while this loop is still
-    // running, flipping the store read-only mid-loop — that is the
-    // behavior under test, not a failure.
+    // out of the active position (scrub only walks sealed segments).
     for i in 0..60 {
-        match db.put(&key(i), &value(i)) {
-            Ok(_) => {}
-            Err(DbError::ReadOnly(_)) => break,
-            Err(other) => panic!("unexpected write error: {other}"),
-        }
+        db.put(&key(i), &value(i))
+            .expect("the flip is silent: every write succeeds");
     }
+    assert_eq!(db.health(), HealthState::Healthy);
 
-    // No explicit scrub() anywhere: wait for the background cadence.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while db.health() == HealthState::Healthy {
-        assert!(
-            Instant::now() < deadline,
-            "background scrubber never flagged the corrupt segment"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let report = db.scrub().expect("scrub pass").expect("durable instance");
+    assert!(
+        !report.quarantined_segments.is_empty(),
+        "scrub must flag the corrupt segment: {report:?}"
+    );
+    assert_ne!(db.health(), HealthState::Healthy);
 
     let quarantined = std::fs::read_dir(dir.path().join("quarantine"))
         .map(|entries| entries.count())

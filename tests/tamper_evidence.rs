@@ -563,30 +563,101 @@ fn mbt_range_proofs_are_consumed_in_order_exactly_once() {
     }
 }
 
-/// Every bit of a served point or batched proof is bound: each single-bit
-/// flip of an accepted encoding fails to decode, fails verification against
-/// the pinned cross-shard root, or decodes to the very proof that was sent
-/// — for every SIRI kind, over one shard and over four, for present and
-/// absent keys.
+/// A cross-shard range proof proves its entries complete for the bounds it
+/// carries, so a client accepts it only if those are the bounds it asked
+/// for. Each forgery below is a different range's honest proof: it
+/// verifies on its own, and is refused once bound to the request — for
+/// every SIRI kind, over one shard and over four.
 #[test]
-fn every_bit_of_a_point_or_batch_proof_is_bound() {
-    use spitz::core::proof::{ShardedMultiProof, ShardedProof};
+fn range_proofs_answer_only_the_requested_bounds() {
+    use spitz::core::proof::ShardedRangeProof;
     use spitz::index::SiriKind;
 
-    /// Call `check` with every single-bit flip of `honest`.
-    fn each_flip(honest: &[u8], mut check: impl FnMut(usize, &[u8])) {
+    let (start, end) = (b"kind/0020".as_slice(), b"kind/0023".as_slice());
+    for siri in [
+        SiriKind::PosTree,
+        SiriKind::MerklePatriciaTrie,
+        SiriKind::MerkleBucketTree,
+    ] {
+        for shards in [1usize, 4] {
+            let case = format!("{} x {shards} shards", siri.name());
+            let db = kind_db(siri, shards, 64, 7);
+            let digest = db.digest();
+            let accepts = |entries: &[(Vec<u8>, Vec<u8>)], proof: &ShardedRangeProof| {
+                let mut client = Verifier::new();
+                assert!(client.observe_sharded(&digest));
+                proof.answers(start, end) && client.verify_sharded_range(entries, proof)
+            };
+            let (honest, proof) = db.range_verified(start, end).unwrap();
+            assert_eq!(honest.len(), 3, "{case}");
+            assert!(accepts(&honest, &proof), "{case}: the honest answer");
+
+            for (name, from, to) in [
+                ("an empty answer", start, start),
+                ("a truncated answer", start, b"kind/0022".as_slice()),
+                (
+                    "a shifted answer",
+                    b"kind/0021".as_slice(),
+                    b"kind/0024".as_slice(),
+                ),
+                (
+                    "the same entries under wider bounds",
+                    b"kind/002 ".as_slice(),
+                    end,
+                ),
+            ] {
+                let (entries, forged) = db.range_verified(from, to).unwrap();
+                assert!(forged.verify(&entries), "{case}: {name} verifies alone");
+                assert!(!accepts(&entries, &forged), "{case}: {name}");
+            }
+
+            let mut unrooted = proof.clone();
+            unrooted.shards.clear();
+            assert!(!accepts(&honest, &unrooted), "{case}: no shard parts");
+
+            if shards > 1 {
+                let (_, narrow) = db.range_verified(start, b"kind/0022").unwrap();
+                let mut spliced = proof.clone();
+                spliced.shards[1] = narrow.shards[1].clone();
+                assert!(!accepts(&honest, &spliced), "{case}: a spliced shard part");
+            }
+        }
+    }
+}
+
+/// Every bit of a served point, batched or range proof is bound: each
+/// single-bit flip of an accepted encoding fails to decode, fails
+/// verification against the pinned cross-shard root, or decodes to the
+/// very proof that was sent — for every SIRI kind, over one shard and over
+/// four, for present and absent keys and for a 3-key cross-shard range.
+/// A range proof is accepted only if it answers the requested bounds and
+/// verifies for a fresh client pinned at the honest digest (a range proof
+/// may advance a pin). Point and batch proofs are swept bit by bit, and so
+/// is the POS-tree range proof (~6 s in a debug build on two x86-64
+/// cores). A full sweep of the MPT and MBT range proofs (4-6 KB and
+/// 40-60 KB, each flip re-hashing the whole proof) would take ~2 min and
+/// ~45 min there, so they
+/// are swept at every 23rd and every 509th bit (~4 s each). Both strides
+/// are odd, so every bit position of a byte is hit.
+#[test]
+fn every_bit_of_a_point_or_batch_proof_is_bound() {
+    use spitz::core::proof::{ShardedMultiProof, ShardedProof, ShardedRangeProof};
+    use spitz::index::SiriKind;
+
+    /// Call `check` with every `stride`-th single-bit flip of `honest`.
+    fn each_flip(honest: &[u8], stride: usize, mut check: impl FnMut(usize, &[u8])) {
         let mut bent = honest.to_vec();
-        for bit in 0..honest.len() * 8 {
+        for bit in (0..honest.len() * 8).step_by(stride) {
             bent[bit / 8] ^= 1 << (bit % 8);
             check(bit, &bent);
             bent[bit / 8] ^= 1 << (bit % 8);
         }
     }
 
-    for siri in [
-        SiriKind::PosTree,
-        SiriKind::MerklePatriciaTrie,
-        SiriKind::MerkleBucketTree,
+    for (siri, range_stride) in [
+        (SiriKind::PosTree, 1),
+        (SiriKind::MerklePatriciaTrie, 23),
+        (SiriKind::MerkleBucketTree, 509),
     ] {
         for shards in [1usize, 4] {
             let case = format!("{} x {shards} shards", siri.name());
@@ -598,7 +669,7 @@ fn every_bit_of_a_point_or_batch_proof_is_bound() {
                 let (value, proof) = db.get_verified(&key).unwrap();
                 assert!(pin.verify_sharded_read(&key, value.as_deref(), &proof));
                 let honest = proof.encode();
-                each_flip(&honest, |bit, bent| {
+                each_flip(&honest, 1, |bit, bent| {
                     if let Some(bent) = ShardedProof::decode(bent) {
                         assert!(
                             !pin.verify_sharded_read(&key, value.as_deref(), &bent)
@@ -619,11 +690,32 @@ fn every_bit_of_a_point_or_batch_proof_is_bound() {
             let items: Vec<_> = keys.into_iter().zip(values).collect();
             assert!(pin.verify_sharded_multi(&items, &proof), "{case}");
             let honest = proof.encode();
-            each_flip(&honest, |bit, bent| {
+            each_flip(&honest, 1, |bit, bent| {
                 if let Some(bent) = ShardedMultiProof::decode(bent) {
                     assert!(
                         !pin.verify_sharded_multi(&items, &bent) || bent.encode() == honest,
                         "{case}: multi proof, bit {bit} of {}",
+                        honest.len() * 8
+                    );
+                }
+            });
+
+            let digest = db.digest();
+            let (start, end) = (b"kind/0020", b"kind/0023");
+            let (entries, proof) = db.range_verified(start, end).unwrap();
+            assert_eq!(entries.len(), 3, "{case}");
+            assert!(proof.answers(start, end), "{case}");
+            assert!(pin.verify_sharded_range(&entries, &proof), "{case}");
+            let honest = proof.encode();
+            each_flip(&honest, range_stride, |bit, bent| {
+                if let Some(bent) = ShardedRangeProof::decode(bent) {
+                    let mut client = Verifier::new();
+                    assert!(client.observe_sharded(&digest));
+                    let accepted =
+                        bent.answers(start, end) && client.verify_sharded_range(&entries, &bent);
+                    assert!(
+                        !accepted || bent.encode() == honest,
+                        "{case}: range proof, bit {bit} of {}",
                         honest.len() * 8
                     );
                 }
