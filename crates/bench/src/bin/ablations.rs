@@ -63,8 +63,9 @@ fn siri_ablation(records: usize) {
 
 /// Proof-size ablation (and the CI regression gate): mean single-key
 /// proof bytes per SIRI structure, plus the batched-proof comparison the
-/// proof-engineering work targets — a 16-adjacent-key [`MultiProof`]
-/// (shared upper-tree nodes) against independent single-key proofs, each
+/// proof-engineering work targets — a 16-adjacent-key batched
+/// [`LedgerProof`] (shared upper-tree nodes) against independent
+/// single-key proofs, each
 /// the mean of 64 windows of adjacent keys — and the proof bytes a
 /// 500-entry scan carries per entry, the answer itself excluded.
 ///
@@ -72,7 +73,7 @@ fn siri_ablation(records: usize) {
 /// checked-in ceiling file and the batched<4×singles property is
 /// asserted; any violation fails the process.
 ///
-/// [`MultiProof`]: spitz_index::MultiProof
+/// [`LedgerProof`]: spitz_ledger::LedgerProof
 fn proof_size_ablation(records: usize, budget: Option<&str>) -> bool {
     let mut table = FigureTable::new(
         format!("Proof sizes: bytes per proof ({records} records)"),
@@ -154,7 +155,7 @@ fn proof_size_ablation(records: usize, budget: Option<&str>) -> bool {
         for keys in &windows {
             let (values, multi) = ledger.get_multi_with_proof(keys);
             let items: Vec<(Vec<u8>, Option<Vec<u8>>)> = keys.iter().cloned().zip(values).collect();
-            assert!(multi.verify(&items));
+            assert!(multi.verify_batch(&items));
             multi16 += multi.encoded_len();
             let singles: Vec<usize> = keys
                 .iter()
@@ -199,9 +200,12 @@ fn proof_size_ablation(records: usize, budget: Option<&str>) -> bool {
         ("mbt_point_bytes", point_row[2]),
         ("mpt_index_point_bytes", index_row[1]),
         ("mpt_dense_point_bytes", dense_row[1]),
-        ("mpt_multi16_bytes", multi_row[1]),
         ("pos_multi16_bytes", multi_row[0]),
+        ("mpt_multi16_bytes", multi_row[1]),
+        ("mbt_multi16_bytes", multi_row[2]),
         ("pos_range500_bytes_per_entry", range_row[0]),
+        ("mpt_range500_bytes_per_entry", range_row[1]),
+        ("mbt_range500_bytes_per_entry", range_row[2]),
     ];
     let text = std::fs::read_to_string(budget_path)
         .unwrap_or_else(|e| panic!("cannot read proof-size budget {budget_path}: {e}"));

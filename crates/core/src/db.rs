@@ -13,9 +13,7 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 use spitz_crypto::Hash;
-use spitz_ledger::{
-    CommitPipeline, Digest, DurabilityPolicy, Ledger, LedgerMultiProof, LedgerProof, VerifiedRange,
-};
+use spitz_ledger::{CommitPipeline, Digest, DurabilityPolicy, Ledger, LedgerProof, VerifiedRange};
 use spitz_obs::{Histogram, TelemetryHandle, TelemetrySnapshot};
 use spitz_storage::{
     real_io, Chunk, ChunkKind, ChunkStore, CompactionReport, DurableChunkStore, DurableConfig,
@@ -190,21 +188,14 @@ fn encode_catalog(tables: &[(&Schema, u32)]) -> Vec<u8> {
 fn decode_catalog(bytes: &[u8]) -> Option<Vec<(Schema, u32)>> {
     let bytes = bytes.strip_prefix(CATALOG_MAGIC)?;
     let mut r = spitz_index::codec::Reader::new(bytes);
-    let table_count = r.u32()? as usize;
     // A table takes at least 12 bytes (name length, column base, column
-    // count) and a column at least 5 (name length, type tag): a count the
-    // payload cannot hold is refused before it sizes a `Vec`.
-    if table_count > r.remaining() / 12 {
-        return None;
-    }
+    // count) and a column at least 5 (name length, type tag).
+    let table_count = r.count(12)?;
     let mut tables = Vec::with_capacity(table_count);
     for _ in 0..table_count {
         let table = String::from_utf8(r.bytes()?.to_vec()).ok()?;
         let column_base = r.u32()?;
-        let column_count = r.u32()? as usize;
-        if column_count > r.remaining() / 5 {
-            return None;
-        }
+        let column_count = r.count(5)?;
         let mut columns = Vec::with_capacity(column_count);
         for _ in 0..column_count {
             let name = String::from_utf8(r.bytes()?.to_vec()).ok()?;
@@ -625,13 +616,13 @@ impl SpitzDb {
 
     /// Batched verified point read: all keys are resolved against one
     /// consistent ledger state and covered by a single
-    /// [`LedgerMultiProof`] that shares the keys' common upper-tree nodes,
+    /// [`LedgerProof`] that shares the keys' common upper-tree nodes,
     /// so a k-key batch costs less on the wire than k independent
     /// [`SpitzDb::get_verified`] calls.
     pub fn get_multi_verified(
         &self,
         keys: &[Vec<u8>],
-    ) -> Result<(Vec<Option<Vec<u8>>>, LedgerMultiProof)> {
+    ) -> Result<(Vec<Option<Vec<u8>>>, LedgerProof)> {
         let timer = self.proof_obs.multi.start();
         let (values, proof) = self.ledger.get_multi_with_proof(keys);
         self.proof_obs.multi.finish(timer, || proof.encoded_len());

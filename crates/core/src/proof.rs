@@ -28,8 +28,7 @@ use spitz_crypto::merkle::AuditProof;
 use spitz_crypto::Hash;
 use spitz_index::codec;
 use spitz_ledger::{
-    DeferredVerifier, Digest, LedgerMultiProof, LedgerProof, LedgerRangeProof, VerificationReport,
-    VerifiedRange,
+    DeferredVerifier, Digest, LedgerProof, LedgerRangeProof, VerificationReport, VerifiedRange,
 };
 
 use crate::sharded::{shard_for, ShardedDigest};
@@ -149,7 +148,7 @@ pub struct ShardMultiGroup {
     /// Index of the shard this group proves against.
     pub shard: usize,
     /// The shard's batched ledger proof; its embedded digest is the leaf.
-    pub ledger_proof: LedgerMultiProof,
+    pub ledger_proof: LedgerProof,
     /// Audit path from the shard digest leaf to the cross-shard root.
     pub membership: AuditProof,
 }
@@ -160,7 +159,7 @@ pub struct ShardMultiGroup {
 /// of the keys contribute nothing — the proof only reveals the digests of
 /// the shards actually read, each chained to the single cross-shard root by
 /// its audit path. Keys sharing a shard share that shard's upper-tree
-/// nodes through the group's [`LedgerMultiProof`].
+/// nodes through the group's batched [`LedgerProof`].
 #[derive(Debug, Clone)]
 pub struct ShardedMultiProof {
     /// Total shard count (needed to recompute the routing).
@@ -185,8 +184,8 @@ pub(crate) type MultiRead<P> = (Vec<Option<Vec<u8>>>, P);
 pub(crate) fn multi_by_shard<E>(
     shard_count: usize,
     keys: &[Vec<u8>],
-    mut prove: impl FnMut(usize, &[Vec<u8>]) -> Result<MultiRead<LedgerMultiProof>, E>,
-) -> Result<MultiRead<Vec<(usize, LedgerMultiProof)>>, E> {
+    mut prove: impl FnMut(usize, &[Vec<u8>]) -> Result<MultiRead<LedgerProof>, E>,
+) -> Result<MultiRead<Vec<(usize, LedgerProof)>>, E> {
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
     for (i, key) in keys.iter().enumerate() {
         parts[shard_for(key, shard_count)].push(i);
@@ -210,7 +209,7 @@ pub(crate) fn multi_by_shard<E>(
 impl ShardedMultiProof {
     /// Chain each involved shard's batched ledger proof to the root of
     /// `cut` (same contract as [`ShardedProof::assemble`]).
-    pub(crate) fn assemble(cut: &ShardedDigest, proofs: Vec<(usize, LedgerMultiProof)>) -> Self {
+    pub(crate) fn assemble(cut: &ShardedDigest, proofs: Vec<(usize, LedgerProof)>) -> Self {
         let groups = proofs
             .into_iter()
             .map(|(shard, ledger_proof)| {
@@ -232,7 +231,7 @@ impl ShardedMultiProof {
     }
 
     /// Bytes a canonical wire encoding of this proof would occupy: shard
-    /// count ‖ root ‖ group count ‖ per-group (shard ‖ ledger multi proof ‖
+    /// count ‖ root ‖ group count ‖ per-group (shard ‖ ledger proof ‖
     /// audit path). The telemetry layer reports this as the sharded
     /// multi-proof size.
     pub fn encoded_len(&self) -> usize {
@@ -283,14 +282,11 @@ impl ShardedMultiProof {
     pub fn decode_from(r: &mut codec::Reader<'_>) -> Option<ShardedMultiProof> {
         let shard_count = r.u32()? as usize;
         let root = r.hash()?;
-        let count = r.u32()? as usize;
-        if count > r.remaining() {
-            return None;
-        }
+        let count = r.count(1)?;
         let mut groups = Vec::new();
         for _ in 0..count {
             let shard = r.u32()? as usize;
-            let ledger_proof = LedgerMultiProof::decode(r)?;
+            let ledger_proof = LedgerProof::decode(r)?;
             let (membership, consumed) = AuditProof::decode_prefix(r.rest())?;
             r.take(consumed)?;
             groups.push(ShardMultiGroup {
@@ -334,7 +330,7 @@ impl ShardedMultiProof {
             group.shard == shard
                 && group.membership.leaf_index == shard
                 && group.membership.tree_size == self.shard_count
-                && group.ledger_proof.verify(&part)
+                && group.ledger_proof.verify_batch(&part)
                 && group
                     .membership
                     .verify(self.root, &group.ledger_proof.digest.encode())
@@ -431,10 +427,7 @@ impl ShardedRangeProof {
         let shard_count = r.u32()? as usize;
         let epoch = r.u64()?;
         let root = r.hash()?;
-        let count = r.u32()? as usize;
-        if count > r.remaining() {
-            return None;
-        }
+        let count = r.count(1)?;
         let mut shards = Vec::new();
         for _ in 0..count {
             shards.push(LedgerRangeProof::decode(&mut r)?);

@@ -327,12 +327,8 @@ fn decode_staged(bytes: &[u8]) -> Option<StagedBatch> {
     let mut r = spitz_index::codec::Reader::new(bytes);
     let global_txn_id = r.u64()?;
     let shard = r.u32()? as usize;
-    let count = r.u32()? as usize;
-    // Each write takes at least its two length prefixes: a count the
-    // payload cannot hold is refused before it sizes a `Vec`.
-    if count > r.remaining() / 8 {
-        return None;
-    }
+    // Each write takes at least its two length prefixes.
+    let count = r.count(8)?;
     let mut writes = Vec::with_capacity(count);
     for _ in 0..count {
         let key = r.bytes()?.to_vec();
@@ -877,7 +873,7 @@ impl ShardedDb {
 
     /// Batched verified point read: every key is resolved against one
     /// fenced consistent cut, keys sharing a shard share one
-    /// [`spitz_ledger::LedgerMultiProof`] (and its upper-tree nodes), and
+    /// batched [`spitz_ledger::LedgerProof`] (and its upper-tree nodes), and
     /// the whole batch chains to a single cross-shard root through one
     /// audit path per involved shard. The `i`-th returned value answers
     /// `keys[i]`.

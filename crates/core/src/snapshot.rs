@@ -20,7 +20,7 @@
 
 use std::convert::Infallible;
 
-use spitz_ledger::{Digest, LedgerMultiProof, LedgerProof, LedgerSnapshot, VerifiedRange};
+use spitz_ledger::{Digest, LedgerProof, LedgerSnapshot, VerifiedRange};
 
 use crate::proof::{
     multi_by_shard, ShardedMultiProof, ShardedProof, ShardedRangeProof, ShardedVerifiedRange,
@@ -69,10 +69,10 @@ impl Snapshot {
         self.inner.get_with_proof(key)
     }
 
-    /// Batched verified point read: one [`LedgerMultiProof`] anchored at
+    /// Batched verified point read: one [`LedgerProof`] anchored at
     /// the pinned digest covers all keys, sharing their common upper-tree
     /// nodes.
-    pub fn get_multi_verified(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerMultiProof) {
+    pub fn get_multi_verified(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerProof) {
         self.inner.get_multi_with_proof(keys)
     }
 
@@ -159,7 +159,7 @@ impl ShardedSnapshot {
     }
 
     /// Batched verified point read against the pinned cut: keys sharing a
-    /// shard share one [`LedgerMultiProof`], every group chains to the
+    /// shard share one batched [`LedgerProof`], every group chains to the
     /// pinned cross-shard root, and the `i`-th returned value answers
     /// `keys[i]`.
     pub fn get_multi_verified(

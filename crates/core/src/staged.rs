@@ -184,12 +184,8 @@ fn encode_list(magic: &[u8], list: &[StagedEntry]) -> Vec<u8> {
 fn decode_list(magic: &[u8], bytes: &[u8]) -> Option<Vec<StagedEntry>> {
     let bytes = bytes.strip_prefix(magic)?;
     let mut r = spitz_index::codec::Reader::new(bytes);
-    let count = r.u32()? as usize;
-    // Each entry is a u64 and a hash, 40 bytes: a count the payload cannot
-    // hold is refused before it sizes a `Vec`.
-    if count > r.remaining() / 40 {
-        return None;
-    }
+    // Each entry is a u64 and a hash, 40 bytes.
+    let count = r.count(40)?;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         out.push(StagedEntry {

@@ -62,6 +62,16 @@ impl<'a> Reader<'a> {
         Some(value)
     }
 
+    /// Read a `u32` entry count and refuse one the remaining input cannot
+    /// hold when every entry takes at least `min_entry_len` bytes. Decoders
+    /// size a `Vec` from the count, so a hostile count is turned away here,
+    /// before it can force a large allocation.
+    pub fn count(&mut self, min_entry_len: usize) -> Option<usize> {
+        let count = self.u32()? as usize;
+        let needed = count.checked_mul(min_entry_len)?;
+        (needed <= self.remaining()).then_some(count)
+    }
+
     /// Read a `u64`.
     pub fn u64(&mut self) -> Option<u64> {
         let end = self.pos.checked_add(8)?;
@@ -162,6 +172,29 @@ mod tests {
         assert_eq!(r.u32(), None);
         assert_eq!(r.hash(), None);
         assert_eq!(r.u64(), None);
+    }
+
+    #[test]
+    fn count_refuses_what_the_input_cannot_hold() {
+        let counted = |count: u32, payload: usize| {
+            let mut out = Vec::new();
+            put_u32(&mut out, count);
+            out.resize(4 + payload, 0);
+            out
+        };
+        // Past the payload: 3 entries of 8 bytes need 24, 23 are there.
+        assert_eq!(Reader::new(&counted(3, 23)).count(8), None);
+        // An exact fit, and entries of no size.
+        let input = counted(3, 24);
+        let mut r = Reader::new(&input);
+        assert_eq!(r.count(8), Some(3));
+        assert_eq!(r.remaining(), 24);
+        assert_eq!(Reader::new(&counted(7, 0)).count(0), Some(7));
+        // A count whose byte size overflows `usize` is refused, not wrapped.
+        assert_eq!(Reader::new(&counted(u32::MAX, 16)).count(usize::MAX), None);
+        assert_eq!(Reader::new(&counted(2, 16)).count(usize::MAX / 2 + 1), None);
+        // No count at all.
+        assert_eq!(Reader::new(&[0u8; 3]).count(1), None);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use spitz_crypto::{sha256, Hash};
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, StorageError};
 
 use crate::codec::{put_bytes, put_u32, Reader};
-use crate::proof::{hash_index_node, IndexProof, MultiProof};
+use crate::proof::{hash_index_node, IndexProof};
 use crate::siri::{sorted_batch, NodeTally, SiriIndex, SiriKind};
 
 /// Number of leaf buckets. Fixed for the lifetime of a tree (as in Fabric).
@@ -61,12 +61,8 @@ fn decode_bucket(data: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
     if r.u8()? != 0 {
         return None;
     }
-    let count = r.u32()? as usize;
-    // Each entry takes at least its two length prefixes: a count the
-    // payload cannot hold is refused before it sizes a `Vec`.
-    if count > r.remaining() / 8 {
-        return None;
-    }
+    // Each entry takes at least its two length prefixes.
+    let count = r.count(8)?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let k = r.bytes()?.to_vec();
@@ -376,7 +372,7 @@ fn child_indices_for(bucket_index: usize) -> Vec<usize> {
 pub(crate) fn verify_multi_proof(
     root: Hash,
     items: &[(Vec<u8>, Option<Vec<u8>>)],
-    proof: &MultiProof,
+    proof: &IndexProof,
 ) -> bool {
     if items.is_empty() {
         return proof.is_empty();

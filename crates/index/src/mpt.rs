@@ -36,7 +36,14 @@
 //! hash) or 2 (value present, revealed in full — required whenever a proven
 //! key terminates at the branch). A full branch descent costs ~4 sibling
 //! hashes instead of 15 child hashes, and the same blob proves any number of
-//! keys at once by sharing every common upper step ([`MultiProof`]).
+//! keys at once by sharing every common upper step (the batched
+//! [`IndexProof`] carries that one blob).
+//!
+//! Every node — leaf, extension or branch — is saved as its payload, and
+//! the store computes its address, the commitment, from that payload: the
+//! one address rule for MPT nodes. A proof builder folds each branch's
+//! sparse subtree afresh from its child slots; nothing is cached between
+//! writes or proofs.
 //!
 //! The verifier recomputes the commitment bottom-up and rejects: pruned
 //! extensions whose path any proven key still matches (hiding a present
@@ -44,8 +51,7 @@
 //! value), `vtag = 2` when none does (non-canonical), lying bitmaps (the
 //! subtree fold breaks), and trailing bytes.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use spitz_crypto::{smt16_empty, smt16_node, Hash, SMT16_LEVELS};
 use spitz_storage::{
@@ -54,7 +60,7 @@ use spitz_storage::{
 };
 
 use crate::codec::{put_bytes, put_hash, Reader};
-use crate::proof::{IndexProof, MultiProof};
+use crate::proof::IndexProof;
 use crate::siri::{sorted_batch, NodeTally, SiriIndex, SiriKind};
 
 /// Proof-step tag: leaf node, path and value revealed.
@@ -194,11 +200,6 @@ pub struct MerklePatriciaTrie {
     store: Arc<dyn ChunkStore>,
     root: Hash,
     len: usize,
-    /// Caches branch subtree folds across inserts and proofs (see
-    /// [`BranchMemo`]); purely an accelerator, never observable in output.
-    /// Shared with every [`SiriIndex::checkout`] of this trie, so a pinned
-    /// version proves against the tables the live trie already folded.
-    memo: Arc<BranchMemo>,
     written: NodeTally,
 }
 
@@ -293,26 +294,16 @@ impl MerklePatriciaTrie {
             store,
             root: Hash::ZERO,
             len: 0,
-            memo: Arc::default(),
             written: NodeTally::default(),
         }
     }
 
     /// Open the trie at an existing root, recomputing the entry count.
     pub fn open(store: Arc<dyn ChunkStore>, root: Hash) -> Option<Self> {
-        Self::open_with_memo(store, root, Arc::default())
-    }
-
-    fn open_with_memo(
-        store: Arc<dyn ChunkStore>,
-        root: Hash,
-        memo: Arc<BranchMemo>,
-    ) -> Option<Self> {
         let mut trie = MerklePatriciaTrie {
             store,
             root,
             len: 0,
-            memo,
             written: NodeTally::default(),
         };
         if root.is_zero() {
@@ -344,56 +335,6 @@ impl MerklePatriciaTrie {
         })
     }
 
-    /// Persist a branch node, maintaining its sparse-subtree [`RegionTable`]
-    /// incrementally instead of refolding from scratch.
-    ///
-    /// `reuse` names the branch being replaced and the bitmap of its slots
-    /// that changed: exactly one (memo hit → copy the old table and
-    /// recompute only the 4-entry spine), none (only the branch value
-    /// changed → the old table is the new table) or several (refold);
-    /// `None` for a freshly created branch. The commitment is then
-    /// one hash over `(bitmap, table root, value hash)` and is seeded into
-    /// the chunk via [`Chunk::with_address`], skipping the store's own
-    /// subtree refold.
-    fn save_branch(
-        &self,
-        reuse: Option<(Hash, u16)>,
-        children: Box<[Option<Hash>; 16]>,
-        value: Option<Vec<u8>>,
-    ) -> Result<Hash, StorageError> {
-        let mut bitmap: u16 = 0;
-        let mut slots = [Hash::ZERO; 16];
-        for (i, child) in children.iter().enumerate() {
-            if let Some(h) = child {
-                bitmap |= 1 << i;
-                slots[i] = *h;
-            }
-        }
-        let reused = reuse
-            .filter(|(_, changed)| changed.count_ones() <= 1)
-            .and_then(|(old, changed)| self.memo.lookup(&old).map(|t| (t, changed)));
-        let table = match reused {
-            Some((table, 0)) => table,
-            Some((table, changed)) => {
-                let mut fresh = *table;
-                refresh_region_spine(&mut fresh, &slots, changed.trailing_zeros() as usize);
-                Arc::new(fresh)
-            }
-            None => Arc::new(build_region_table(&slots)),
-        };
-        let value_part = match &value {
-            Some(v) => mpt_value_hash(v),
-            None => Hash::ZERO,
-        };
-        let commitment = mpt_branch_commitment(bitmap, &table[14], &value_part);
-        self.memo.remember(commitment, table);
-        let node = MptNode::Branch { children, value };
-        self.written.put(
-            &self.store,
-            Chunk::with_address(ChunkKind::MptNode, node.encode(), commitment),
-        )
-    }
-
     fn load(&self, hash: &Hash) -> Option<MptNode> {
         let chunk = self.store.get_kind(hash, ChunkKind::MptNode).ok()?;
         MptNode::decode(chunk.data())
@@ -409,15 +350,12 @@ impl MerklePatriciaTrie {
         mut items: Vec<Item<'_>>,
         is_new: &mut [bool],
     ) -> Result<Hash, StorageError> {
-        let (node, stored) = match at {
+        let node = match at {
             Slot::Empty => return self.build(items, is_new),
             Slot::Stored(hash) if items.is_empty() => return Ok(hash),
             Slot::Unsaved(node) if items.is_empty() => return self.save(&node),
-            Slot::Stored(hash) => (
-                self.load(&hash).expect("mpt node missing from store"),
-                Some(hash),
-            ),
-            Slot::Unsaved(node) => (node, None),
+            Slot::Stored(hash) => self.load(&hash).expect("mpt node missing from store"),
+            Slot::Unsaved(node) => node,
         };
         match node {
             MptNode::Leaf { path, value } => {
@@ -458,12 +396,12 @@ impl MerklePatriciaTrie {
                 } else {
                     Slot::Stored(child)
                 };
-                let branch = self.apply_branch(None, children, None, items, is_new)?;
+                let branch = self.apply_branch(children, None, items, is_new)?;
                 self.save_behind(&path[..cp], branch)
             }
             MptNode::Branch { children, value } => {
                 let children = children.map(|child| child.map_or(Slot::Empty, Slot::Stored));
-                self.apply_branch(stored, children, value, items, is_new)
+                self.apply_branch(children, value, items, is_new)
             }
         }
     }
@@ -484,16 +422,14 @@ impl MerklePatriciaTrie {
         let cp = common_prefix(shared, items[items.len() - 1].rest);
         strip(&mut items, cp);
         let children = std::array::from_fn(|_| Slot::Empty);
-        let branch = self.apply_branch(None, children, None, items, is_new)?;
+        let branch = self.apply_branch(children, None, items, is_new)?;
         self.save_behind(&shared[..cp], branch)
     }
 
     /// Distribute `items` over a branch's value and child slots, recurse
-    /// into the touched slots and persist the branch once. `replaces` is
-    /// the stored branch this one supersedes, if any.
+    /// into the touched slots and persist the branch once.
     fn apply_branch(
         &self,
-        replaces: Option<Hash>,
         children: [Slot; 16],
         mut value: Option<Vec<u8>>,
         items: Vec<Item<'_>>,
@@ -507,22 +443,21 @@ impl MerklePatriciaTrie {
             value = Some(item.value);
         }
         let mut hashes: Box<[Option<Hash>; 16]> = Box::default();
-        let mut changed: u16 = 0;
         for (nibble, slot) in children.into_iter().enumerate() {
             let mut part = Vec::new();
             while let Some(mut item) = items.next_if(|item| item.rest[0] as usize == nibble) {
                 item.rest = &item.rest[1..];
                 part.push(item);
             }
-            if !part.is_empty() {
-                changed |= 1 << nibble;
-            }
             hashes[nibble] = match slot {
                 Slot::Empty if part.is_empty() => None,
                 slot => Some(self.apply(slot, part, is_new)?),
             };
         }
-        self.save_branch(replaces.map(|old| (old, changed)), hashes, value)
+        self.save(&MptNode::Branch {
+            children: hashes,
+            value,
+        })
     }
 
     /// In-order traversal; calls `emit(key_nibbles, value)` for every entry
@@ -597,18 +532,13 @@ impl MerklePatriciaTrie {
         out
     }
 
-    /// Verify a point-lookup proof: decode the compact trie-shaped blob,
-    /// recompute the sparse-branch commitment bottom-up, and check both the
-    /// root and the claimed value (or absence).
+    /// Verify a point-lookup proof: the one-key case of
+    /// [`MerklePatriciaTrie::verify_multi_proof`]. It decodes the compact
+    /// trie-shaped blob, recomputes the sparse-branch commitment bottom-up,
+    /// and checks both the root and the claimed value (or absence).
     pub fn verify_proof(root: Hash, key: &[u8], value: Option<&[u8]>, proof: &IndexProof) -> bool {
-        if root.is_zero() {
-            return value.is_none() && proof.is_empty();
-        }
-        if proof.nodes.len() != 1 {
-            return false;
-        }
         let items = [(key.to_vec(), value.map(|v| v.to_vec()))];
-        verify_blob(root, &items, &proof.nodes[0])
+        Self::verify_multi_proof(root, &items, proof)
     }
 
     /// Verify a batched multi-key proof: one compact blob proving every
@@ -616,7 +546,7 @@ impl MerklePatriciaTrie {
     pub fn verify_multi_proof(
         root: Hash,
         items: &[(Vec<u8>, Option<Vec<u8>>)],
-        proof: &MultiProof,
+        proof: &IndexProof,
     ) -> bool {
         if items.is_empty() {
             return proof.is_empty();
@@ -717,40 +647,20 @@ struct Pending<'a> {
     rest: &'a [u8],
 }
 
-/// Sparse-subtree root of the slot region `[lo, lo + 2^level)`.
-///
-/// Reference implementation: the proof builders use a precomputed
-/// [`RegionTable`] instead (see [`region_from_table`]), which holds the same
-/// values without refolding — equivalence is asserted in tests.
-#[cfg_attr(not(test), allow(dead_code))]
-fn region_root(slots: &[Hash; 16], lo: usize, level: usize) -> Hash {
-    let width = 1usize << level;
-    if slots[lo..lo + width].iter().all(Hash::is_zero) {
-        return smt16_empty(level);
-    }
-    if level == 0 {
-        return slots[lo];
-    }
-    smt16_node(
-        &region_root(slots, lo, level - 1),
-        &region_root(slots, lo + width / 2, level - 1),
-    )
-}
-
 /// Every interior hash of a branch's 16-slot sparse subtree, laid out
 /// level-major: `[0..8)` the eight level-1 pair nodes, `[8..12)` the four
 /// level-2 nodes, `[12..14)` the two level-3 nodes, `[14]` the subtree root.
 /// Level-0 regions are the slots themselves and are not stored.
 ///
-/// Entry values equal [`region_root`] of the corresponding region exactly
-/// (empty regions hold the [`smt16_empty`] constants, which *are* the folds
-/// of zero slots), so substituting table entries for recursive folds changes
-/// no proof byte.
+/// Entry values equal the recursive sparse-subtree fold of the
+/// corresponding region exactly (empty regions hold the [`smt16_empty`]
+/// constants, which *are* the folds of zero slots); a test checks every
+/// region against that fold.
 type RegionTable = [Hash; 15];
 
 /// Fold the full table bottom-up. Empty regions take the precomputed
-/// constant instead of hashing, mirroring [`region_root`]'s shortcut, so a
-/// near-empty branch costs only its occupied spine.
+/// constant instead of hashing, so a near-empty branch costs only its
+/// occupied spine.
 fn build_region_table(slots: &[Hash; 16]) -> RegionTable {
     let mut occ: u16 = 0;
     for (i, slot) in slots.iter().enumerate() {
@@ -788,23 +698,7 @@ fn build_region_table(slots: &[Hash; 16]) -> RegionTable {
     table
 }
 
-/// Recompute only the four table entries on slot `nib`'s spine after that
-/// slot changed — the incremental counterpart of [`build_region_table`] used
-/// by the insert path. The slot must be occupied after the change (inserts
-/// never clear slots), so no empty shortcut applies on the spine.
-fn refresh_region_spine(table: &mut RegionTable, slots: &[Hash; 16], nib: usize) {
-    debug_assert!(!slots[nib].is_zero());
-    let j = nib >> 1;
-    table[j] = smt16_node(&slots[2 * j], &slots[2 * j + 1]);
-    let j = nib >> 2;
-    table[8 + j] = smt16_node(&table[2 * j], &table[2 * j + 1]);
-    let j = nib >> 3;
-    table[12 + j] = smt16_node(&table[8 + 2 * j], &table[8 + 2 * j + 1]);
-    table[14] = smt16_node(&table[12], &table[13]);
-}
-
-/// Look up the root of region `[lo, lo + 2^level)` in the table —
-/// constant-time replacement for [`region_root`].
+/// Look up the root of region `[lo, lo + 2^level)` in the table.
 fn region_from_table(slots: &[Hash; 16], table: &RegionTable, lo: usize, level: usize) -> Hash {
     match level {
         0 => slots[lo],
@@ -812,48 +706,6 @@ fn region_from_table(slots: &[Hash; 16], table: &RegionTable, lo: usize, level: 
         2 => table[8 + lo / 4],
         3 => table[12 + lo / 8],
         _ => table[14],
-    }
-}
-
-/// Content-addressed memo of branch region tables (every interior hash of
-/// a branch's 16-slot sparse subtree), keyed by the branch's *commitment*.
-///
-/// Building one proof step over a branch refolds its sparse subtree from
-/// scratch — dozens of SHA-256 compressions that dominate the verified-read
-/// path once proofs themselves are compact. Because the key is the
-/// commitment (which binds bitmap, subtree root, and value hash), an entry
-/// can never go stale: a changed branch has a different commitment and
-/// simply misses. Bounded (~16 MiB); on overflow the map is cleared
-/// wholesale (entries are cheap to rebuild — one subtree fold).
-///
-/// Shared by the trie's proof builders *and* its insert path (which
-/// maintains tables incrementally, refolding only the changed slot's
-/// spine), and by every checkout of the trie.
-#[derive(Default)]
-struct BranchMemo {
-    map: Mutex<HashMap<Hash, Arc<RegionTable>>>,
-}
-
-impl BranchMemo {
-    /// Entry cap: ~512 bytes per entry → at most ~16 MiB per memo.
-    const CAP: usize = 1 << 15;
-
-    fn lookup(&self, commitment: &Hash) -> Option<Arc<RegionTable>> {
-        self.lock().get(commitment).cloned()
-    }
-
-    fn remember(&self, commitment: Hash, table: Arc<RegionTable>) {
-        let mut map = self.lock();
-        if map.len() >= Self::CAP {
-            map.clear();
-        }
-        map.insert(commitment, table);
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Hash, Arc<RegionTable>>> {
-        // A panic while holding the lock leaves only a cache behind; the
-        // data is content-addressed, so a poisoned map is still valid.
-        self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -886,12 +738,10 @@ fn emit_siblings(
 
 /// Recursively encode the proof step for the node at `hash`, descending
 /// along every pending key, recording resolved values into `values`.
-/// `memo` caches branch subtree tables across proofs.
 fn encode_step(
     source: &StoreSource<'_>,
     hash: &Hash,
     pendings: &[Pending<'_>],
-    memo: &BranchMemo,
     out: &mut Vec<u8>,
     values: &mut [Option<Vec<u8>>],
 ) -> Result<(), ()> {
@@ -926,7 +776,7 @@ fn encode_step(
             } else {
                 out.push(STEP_EXT);
                 put_bytes(out, &path);
-                encode_step(source, &child, &descend, memo, out, values)?;
+                encode_step(source, &child, &descend, out, values)?;
             }
         }
         MptNode::Branch { children, value } => {
@@ -978,14 +828,10 @@ fn encode_step(
                             rest: &p.rest[1..],
                         })
                         .collect();
-                    encode_step(source, child, &group, memo, out, values)?;
+                    encode_step(source, child, &group, out, values)?;
                 }
             }
-            let table = memo.lookup(hash).unwrap_or_else(|| {
-                let table = Arc::new(build_region_table(&slots));
-                memo.remember(*hash, Arc::clone(&table));
-                table
-            });
+            let table = build_region_table(&slots);
             emit_siblings(&slots, &on_path, &table, 0, SMT16_LEVELS, out);
         }
     }
@@ -1164,15 +1010,12 @@ fn verify_blob(root: Hash, items: &[(Vec<u8>, Option<Vec<u8>>)], blob: &[u8]) ->
 }
 
 /// Build the compact multi-key proof blob. Returns the per-key values and
-/// the blob; `None` when a node on some path cannot be resolved. `memo`
-/// only caches subtree folds — it never changes a proof byte (table entries
-/// equal the recursive fold results exactly).
+/// the blob; `None` when a node on some path cannot be resolved.
 #[allow(clippy::type_complexity)]
 fn build_blob(
     source: &StoreSource<'_>,
     root: Hash,
     keys: &[Vec<u8>],
-    memo: &BranchMemo,
 ) -> Option<(Vec<Option<Vec<u8>>>, Vec<u8>)> {
     let nibbles: Vec<Vec<u8>> = keys.iter().map(|k| to_nibbles(k)).collect();
     let pendings: Vec<Pending<'_>> = nibbles
@@ -1182,7 +1025,7 @@ fn build_blob(
         .collect();
     let mut values: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
     let mut blob = Vec::new();
-    encode_step(source, &root, &pendings, memo, &mut blob, &mut values).ok()?;
+    encode_step(source, &root, &pendings, &mut blob, &mut values).ok()?;
     Some((values, blob))
 }
 
@@ -1245,16 +1088,16 @@ impl SiriIndex for MerklePatriciaTrie {
 
     fn get_with_proof(&self, key: &[u8]) -> (Option<Vec<u8>>, IndexProof) {
         let (mut values, proof) = self.multi_get_with_proof(&[key.to_vec()]);
-        (values.pop().flatten(), IndexProof { nodes: proof.nodes })
+        (values.pop().flatten(), proof)
     }
 
-    fn multi_get_with_proof(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, MultiProof) {
+    fn multi_get_with_proof(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, IndexProof) {
         if keys.is_empty() || self.root.is_zero() {
-            return (vec![None; keys.len()], MultiProof::empty());
+            return (vec![None; keys.len()], IndexProof::empty());
         }
-        match build_blob(&StoreSource(&self.store), self.root, keys, &self.memo) {
-            Some((values, blob)) => (values, MultiProof { nodes: vec![blob] }),
-            None => (vec![None; keys.len()], MultiProof::empty()),
+        match build_blob(&StoreSource(&self.store), self.root, keys) {
+            Some((values, blob)) => (values, IndexProof { nodes: vec![blob] }),
+            None => (vec![None; keys.len()], IndexProof::empty()),
         }
     }
 
@@ -1269,9 +1112,7 @@ impl SiriIndex for MerklePatriciaTrie {
     }
 
     fn checkout(&self, root: Hash) -> Option<Box<dyn SiriIndex>> {
-        // Sharing the memo keeps reads of the pinned version fold-free; its
-        // entries are keyed by branch commitment, so they fit any version.
-        let trie = Self::open_with_memo(Arc::clone(&self.store), root, Arc::clone(&self.memo))?;
+        let trie = Self::open(Arc::clone(&self.store), root)?;
         Some(Box::new(trie))
     }
 }
@@ -1706,7 +1547,7 @@ mod tests {
         for i in 0..blob.len() {
             let mut tampered = blob.clone();
             tampered[i] ^= 0x01;
-            let bad = MultiProof {
+            let bad = IndexProof {
                 nodes: vec![tampered],
             };
             assert!(
@@ -1716,19 +1557,19 @@ mod tests {
         }
         // Truncation and trailing garbage are rejected.
         for cut in 1..blob.len() {
-            let bad = MultiProof {
+            let bad = IndexProof {
                 nodes: vec![blob[..cut].to_vec()],
             };
             assert!(!MerklePatriciaTrie::verify_multi_proof(root, &items, &bad));
         }
         let mut extended = blob.clone();
         extended.push(0);
-        let bad = MultiProof {
+        let bad = IndexProof {
             nodes: vec![extended],
         };
         assert!(!MerklePatriciaTrie::verify_multi_proof(root, &items, &bad));
         // A second spliced-in node is rejected outright.
-        let bad = MultiProof {
+        let bad = IndexProof {
             nodes: vec![blob.clone(), blob.clone()],
         };
         assert!(!MerklePatriciaTrie::verify_multi_proof(root, &items, &bad));
@@ -1746,6 +1587,21 @@ mod tests {
         assert_eq!(old.len(), 1);
         assert_eq!(old.get(b"a"), Some(b"1".to_vec()));
         assert_eq!(old.get(b"b"), None);
+
+        // A checkout of the head proves byte-identically to the live trie.
+        for i in 0..100u32 {
+            trie.insert(key(i), value(i));
+        }
+        let head = trie.checkout(trie.root()).unwrap();
+        assert_eq!(head.len(), 102);
+        for k in [key(7), b"a".to_vec(), b"absent".to_vec()] {
+            assert_eq!(head.get_with_proof(&k), trie.get_with_proof(&k));
+        }
+        let keys: Vec<Vec<u8>> = (0..16u32).map(|i| key(5 * i)).collect();
+        assert_eq!(
+            head.multi_get_with_proof(&keys),
+            trie.multi_get_with_proof(&keys)
+        );
     }
 
     #[test]
@@ -1764,11 +1620,28 @@ mod tests {
         assert!(trie.range(b"a", b"z").is_empty());
     }
 
+    /// Sparse-subtree root of the slot region `[lo, lo + 2^level)`.
+    ///
+    /// The reference the proof builders' [`RegionTable`] is checked against.
+    fn region_root(slots: &[Hash; 16], lo: usize, level: usize) -> Hash {
+        let width = 1usize << level;
+        if slots[lo..lo + width].iter().all(Hash::is_zero) {
+            return smt16_empty(level);
+        }
+        if level == 0 {
+            return slots[lo];
+        }
+        smt16_node(
+            &region_root(slots, lo, level - 1),
+            &region_root(slots, lo + width / 2, level - 1),
+        )
+    }
+
     /// The precomputed [`RegionTable`] must hold exactly the values the
     /// recursive [`region_root`] fold produces for every region at every
     /// level, including the smt16 root, across sparse/dense/empty slot
-    /// patterns — that equality is what makes memoized proofs byte-identical
-    /// to fresh ones.
+    /// patterns — that equality is what lets a proof step emit table
+    /// entries as sibling hashes.
     #[test]
     fn region_table_matches_recursive_fold() {
         let patterns: &[&[usize]] = &[
@@ -1799,76 +1672,6 @@ mod tests {
                 }
             }
             assert_eq!(table[14], spitz_crypto::smt16_root(&slots));
-
-            // The incremental spine refresh must agree with a full rebuild
-            // after any single slot changes.
-            for nib in 0..16 {
-                let mut changed = slots;
-                changed[nib] = sha256(format!("changed-{nib}").as_bytes());
-                let mut refreshed = table;
-                refresh_region_spine(&mut refreshed, &changed, nib);
-                assert_eq!(
-                    refreshed,
-                    build_region_table(&changed),
-                    "pattern {occupied:?}, refreshed slot {nib}"
-                );
-            }
         }
-    }
-
-    /// Proofs built through a cold [`BranchMemo`] (tables folded from
-    /// scratch by [`build_region_table`]), a warm one, and the trie's own
-    /// memo (tables maintained incrementally by the insert path) must all be
-    /// byte-identical — the memo is a pure accelerator.
-    #[test]
-    fn memoized_proofs_are_byte_identical() {
-        let mut trie = new_trie();
-        for i in 0..500u32 {
-            trie.insert(key(i), value(i));
-        }
-        let source = StoreSource(&trie.store);
-        let cold = BranchMemo::default();
-        for i in (0..500u32).step_by(17) {
-            let keys = [key(i)];
-            let (fresh_values, fresh) = build_blob(&source, trie.root(), &keys, &cold).unwrap();
-            // The second pass through the same memo hits warm tables.
-            let (warm_values, warm) = build_blob(&source, trie.root(), &keys, &cold).unwrap();
-            assert_eq!(fresh_values, warm_values);
-            assert_eq!(fresh, warm, "key {i}");
-            let (trie_value, from_trie) = trie.get_with_proof(&keys[0]);
-            assert_eq!(fresh_values[0], trie_value);
-            assert_eq!(vec![fresh], from_trie.nodes, "key {i}");
-        }
-        let keys: Vec<Vec<u8>> = (0..64u32).map(key).collect();
-        let (fresh_values, fresh) =
-            build_blob(&source, trie.root(), &keys, &BranchMemo::default()).unwrap();
-        let (trie_values, from_trie) = trie.multi_get_with_proof(&keys);
-        assert_eq!(fresh_values, trie_values);
-        assert_eq!(vec![fresh], from_trie.nodes);
-    }
-
-    /// A checkout shares the parent's memo: no cold refold on the pinned
-    /// read path.
-    #[test]
-    fn checkout_shares_memo() {
-        let mut trie = new_trie();
-        for i in 0..100u32 {
-            trie.insert(key(i), value(i));
-        }
-        let old_root = trie.root();
-        trie.insert(key(100), value(100));
-        let memoized = trie.memo.map.lock().unwrap().len();
-        assert!(memoized > 0);
-
-        let head = trie.checkout(trie.root()).unwrap();
-        assert_eq!(head.len(), 101);
-        let (_, pinned) = head.get_with_proof(&key(7));
-        assert_eq!(pinned.nodes, trie.get_with_proof(&key(7)).1.nodes);
-        // Proving through the checkout found every table already folded.
-        assert_eq!(trie.memo.map.lock().unwrap().len(), memoized);
-
-        let old = trie.checkout(old_root).unwrap();
-        assert_eq!(old.len(), 100);
-        assert_eq!(old.get(&key(100)), None);
     }
 }

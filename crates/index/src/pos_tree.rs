@@ -79,7 +79,7 @@ use spitz_crypto::{Hash, Sha256};
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, StorageError};
 
 use crate::codec::{put_bytes, put_hash, put_u32, put_u64, Reader};
-use crate::proof::{hash_index_node, IndexProof, MultiProof};
+use crate::proof::{hash_index_node, IndexProof};
 use crate::siri::{sorted_batch, IndexEntries, NodeTally, SiriIndex, SiriKind};
 
 /// Expected (average) number of entries per node, at every level; see the
@@ -140,12 +140,8 @@ impl Node {
     fn decode(data: &[u8]) -> Option<Node> {
         let mut r = Reader::new(data);
         let level = r.u8()?;
-        let count = r.u32()? as usize;
-        // A leaf entry or a child reference takes at least 8 bytes, so a
-        // count the payload cannot hold is refused before it sizes a `Vec`.
-        if count > r.remaining() / 8 {
-            return None;
-        }
+        // A leaf entry or a child reference takes at least 8 bytes.
+        let count = r.count(8)?;
         if level == 0 {
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
@@ -612,7 +608,7 @@ fn load_node(store: &Arc<dyn ChunkStore>, hash: &Hash) -> Option<Node> {
 pub(crate) fn verify_multi_proof(
     root: Hash,
     items: &[(Vec<u8>, Option<Vec<u8>>)],
-    proof: &MultiProof,
+    proof: &IndexProof,
 ) -> bool {
     if items.is_empty() {
         return proof.is_empty();

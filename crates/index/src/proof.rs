@@ -13,10 +13,33 @@ use spitz_crypto::{Hash, Sha256};
 
 use crate::codec;
 
-/// A path proof: the serialized node payloads from the root down.
+/// The one proof carrier of the index layer: serialized node payloads
+/// with one wire encoding. What the nodes are depends on the read and the
+/// index family:
+///
+/// * **Point read** — the payloads on the key's root-to-leaf path, root
+///   first (POS-Tree, MBT), or one trie-shaped blob (MPT, see
+///   `crates/index/src/mpt.rs`).
+/// * **Batched read** ([`SiriIndex::multi_get_with_proof`]) — for the
+///   POS-Tree and MBT, the de-duplicated union of every key's path, in
+///   first-use order, so shared upper nodes appear once; for the MPT, one
+///   blob holding the shared sub-trie of all the lookup paths.
+/// * **Range read** ([`SiriIndex::range_with_proof`]) — the nodes the scan
+///   visited, in scan order.
+///
+/// The verifiers ([`verify_proof`], [`verify_multi_proof`],
+/// [`verify_range_proof`]) reject proofs carrying nodes their replay does
+/// not consume, so spliced-in payloads fail even when every individual
+/// path still verifies.
+///
+/// [`SiriIndex::multi_get_with_proof`]: crate::siri::SiriIndex::multi_get_with_proof
+/// [`SiriIndex::range_with_proof`]: crate::siri::SiriIndex::range_with_proof
+/// [`verify_proof`]: crate::siri::verify_proof
+/// [`verify_multi_proof`]: crate::siri::verify_multi_proof
+/// [`verify_range_proof`]: crate::siri::verify_range_proof
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IndexProof {
-    /// Serialized node payloads, root first.
+    /// Serialized node payloads; the type docs say what they hold per read.
     pub nodes: Vec<Vec<u8>>,
 }
 
@@ -57,11 +80,8 @@ impl IndexProof {
     /// allocation happens, so a hostile count cannot force a large
     /// allocation.
     pub fn decode(r: &mut codec::Reader<'_>) -> Option<IndexProof> {
-        let count = r.u32()? as usize;
         // Every node costs at least its 4-byte length prefix.
-        if count > r.remaining() / 4 {
-            return None;
-        }
+        let count = r.count(4)?;
         let mut nodes = Vec::with_capacity(count);
         for _ in 0..count {
             nodes.push(r.bytes()?.to_vec());
@@ -91,93 +111,9 @@ impl IndexProof {
     }
 }
 
-/// A batched multi-key proof: proves `k` keys against one root while
-/// sharing the nodes of the upper tree between keys.
-///
-/// The carrier is the same node-list shape as [`IndexProof`] (and uses the
-/// identical wire encoding), but the contents differ per index family:
-///
-/// * **POS-Tree / MBT** — the de-duplicated union of every key's root-to-
-///   leaf path payloads, in first-use order. Shared upper nodes appear
-///   once no matter how many keys traverse them.
-/// * **MPT** — a single compact *trie-shaped* blob: the shared sub-trie of
-///   all k lookup paths, encoded recursively with sparse-branch sibling
-///   hashes (see `crates/index/src/mpt.rs`). `nodes` holds exactly that
-///   one blob.
-///
-/// Verification is dispatched through
-/// [`verify_multi_proof`](crate::siri::verify_multi_proof) and rejects
-/// proofs carrying nodes no key's walk consumes, so spliced-in payloads
-/// fail even when every individual path still verifies.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MultiProof {
-    /// Serialized proof nodes; see the type docs for the per-kind contents.
-    pub nodes: Vec<Vec<u8>>,
-}
-
-impl MultiProof {
-    /// An empty proof (all-absent lookups against an empty index).
-    pub fn empty() -> Self {
-        MultiProof { nodes: Vec::new() }
-    }
-
-    /// Bytes of the canonical wire encoding: node count plus a
-    /// length-prefixed payload per node (same framing as [`IndexProof`]).
-    pub fn encoded_len(&self) -> usize {
-        4 + self.nodes.iter().map(|node| 4 + node.len()).sum::<usize>()
-    }
-
-    /// Append the canonical wire encoding (exactly
-    /// [`MultiProof::encoded_len`] bytes).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        codec::put_u32(out, self.nodes.len() as u32);
-        for node in &self.nodes {
-            codec::put_bytes(out, node);
-        }
-    }
-
-    /// The canonical wire encoding as a fresh buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Decode a proof previously written by [`MultiProof::encode_into`].
-    /// Allocation-bounded exactly like [`IndexProof::decode`].
-    pub fn decode(r: &mut codec::Reader<'_>) -> Option<MultiProof> {
-        let count = r.u32()? as usize;
-        if count > r.remaining() / 4 {
-            return None;
-        }
-        let mut nodes = Vec::with_capacity(count);
-        for _ in 0..count {
-            nodes.push(r.bytes()?.to_vec());
-        }
-        Some(MultiProof { nodes })
-    }
-
-    /// Append a node payload.
-    pub fn push_node(&mut self, payload: Vec<u8>) {
-        self.nodes.push(payload);
-    }
-
-    /// Number of proof nodes carried.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the proof carries no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Total payload bytes (the proof-overhead number the benchmarks
-    /// report).
-    pub fn size_bytes(&self) -> usize {
-        self.nodes.iter().map(|n| n.len()).sum()
-    }
-}
+/// The pre-merge name of a batched read's proof, kept as an alias of
+/// [`IndexProof`] only because the benchmark adapter names it.
+pub type MultiProof = IndexProof;
 
 /// Hash an index node payload exactly as the chunk store addresses it
 /// (`ChunkKind::IndexNode` tag = 2, then payload).

@@ -28,7 +28,7 @@ use spitz_storage::{Chunk, ChunkStore, StorageError};
 use crate::mbt::MerkleBucketTree;
 use crate::mpt::MerklePatriciaTrie;
 use crate::pos_tree::PosTree;
-use crate::proof::{hash_index_node, IndexProof, MultiProof};
+use crate::proof::{hash_index_node, IndexProof};
 
 /// Identifies a concrete SIRI implementation, e.g. inside proofs handed to
 /// clients so they know which verification routine to run.
@@ -138,12 +138,12 @@ pub trait SiriIndex: Send + Sync {
     /// absent).
     fn get_with_proof(&self, key: &[u8]) -> (Option<Vec<u8>>, IndexProof);
 
-    /// Batched point lookups returning one [`MultiProof`] covering every
+    /// Batched point lookups returning one [`IndexProof`] covering every
     /// key against the current root. The default implementation proves each
     /// key independently and de-duplicates the revealed nodes (shared upper
     /// nodes appear once); the MPT overrides it with a compact trie-shaped
     /// encoding. Values are returned in input-key order.
-    fn multi_get_with_proof(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, MultiProof) {
+    fn multi_get_with_proof(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, IndexProof) {
         let mut values = Vec::with_capacity(keys.len());
         let mut nodes: Vec<Vec<u8>> = Vec::new();
         let mut seen: HashSet<Hash> = HashSet::new();
@@ -156,7 +156,7 @@ pub trait SiriIndex: Send + Sync {
                 }
             }
         }
-        (values, MultiProof { nodes })
+        (values, IndexProof { nodes })
     }
 
     /// All entries with `start <= key < end`, in key order.
@@ -266,7 +266,7 @@ pub fn verify_multi_proof(
     kind: SiriKind,
     root: Hash,
     items: &[(Vec<u8>, Option<Vec<u8>>)],
-    proof: &MultiProof,
+    proof: &IndexProof,
 ) -> bool {
     match kind {
         SiriKind::PosTree => crate::pos_tree::verify_multi_proof(root, items, proof),

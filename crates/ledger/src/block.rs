@@ -7,6 +7,7 @@
 //! the database digest.
 
 use spitz_crypto::{sha256, Hash, Sha256};
+use spitz_index::codec::Reader;
 
 /// The kind of modification a transaction record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,26 +161,22 @@ impl Block {
     /// Parse a block back out of its [`Block::encode`] form. Returns `None`
     /// on any framing violation (truncation, trailing bytes, bad tags).
     pub fn decode(bytes: &[u8]) -> Option<Block> {
-        let mut cursor = Cursor(bytes);
-        let height = u64::from_be_bytes(cursor.take(8)?.try_into().ok()?);
-        let prev_hash = cursor.take_hash()?;
-        let records_root = cursor.take_hash()?;
-        let index_root = cursor.take_hash()?;
-        let timestamp = u64::from_be_bytes(cursor.take(8)?.try_into().ok()?);
-        let record_count = u32::from_be_bytes(cursor.take(4)?.try_into().ok()?);
-        // Cap the pre-allocation by what the remaining bytes could possibly
-        // hold (a record is at least 41 bytes), so a forged count in an
-        // untrusted chunk cannot force a huge allocation before the framing
-        // check rejects it.
-        let max_plausible = cursor.0.len() / 41;
-        let mut records = Vec::with_capacity((record_count as usize).min(max_plausible));
+        let mut r = Reader::new(bytes);
+        let height = r.u64()?;
+        let prev_hash = r.hash()?;
+        let records_root = r.hash()?;
+        let index_root = r.hash()?;
+        let timestamp = r.u64()?;
+        // A record is at least 41 bytes (tag, two length prefixes, value
+        // hash), so a forged count in an untrusted chunk is refused before
+        // it sizes a `Vec`.
+        let record_count = r.count(41)?;
+        let mut records = Vec::with_capacity(record_count);
         for _ in 0..record_count {
-            let op = WriteOp::from_tag(cursor.take(1)?[0])?;
-            let key_len = u32::from_be_bytes(cursor.take(4)?.try_into().ok()?) as usize;
-            let key = cursor.take(key_len)?.to_vec();
-            let value_hash = cursor.take_hash()?;
-            let stmt_len = u32::from_be_bytes(cursor.take(4)?.try_into().ok()?) as usize;
-            let statement = String::from_utf8(cursor.take(stmt_len)?.to_vec()).ok()?;
+            let op = WriteOp::from_tag(r.u8()?)?;
+            let key = r.bytes()?.to_vec();
+            let value_hash = r.hash()?;
+            let statement = String::from_utf8(r.bytes()?.to_vec()).ok()?;
             records.push(TxnRecord {
                 op,
                 key,
@@ -187,7 +184,7 @@ impl Block {
                 statement,
             });
         }
-        if !cursor.0.is_empty() {
+        if !r.is_exhausted() {
             return None;
         }
         Some(Block {
@@ -197,26 +194,10 @@ impl Block {
                 records_root,
                 index_root,
                 timestamp,
-                record_count,
+                record_count: record_count as u32,
             },
             records,
         })
-    }
-}
-
-/// Minimal byte cursor for [`Block::decode`].
-struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let (head, tail) = (self.0.get(..n)?, self.0.get(n..)?);
-        self.0 = tail;
-        Some(head)
-    }
-
-    fn take_hash(&mut self) -> Option<Hash> {
-        let bytes: [u8; 32] = self.take(32)?.try_into().ok()?;
-        Some(Hash::from_bytes(bytes))
     }
 }
 

@@ -28,9 +28,7 @@ use parking_lot::{Mutex, RwLock};
 use spitz_crypto::{leaf_hash, Hash, MerkleTree};
 use spitz_index::codec;
 use spitz_index::siri::{collect_reachable, verify_proof, verify_range_proof, SiriIndex, SiriKind};
-use spitz_index::{
-    verify_multi_proof, IndexProof, MerkleBucketTree, MerklePatriciaTrie, MultiProof, PosTree,
-};
+use spitz_index::{verify_multi_proof, IndexProof, MerkleBucketTree, MerklePatriciaTrie, PosTree};
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, StorageError};
 
 use crate::block::{Block, TxnRecord, WriteOp};
@@ -106,10 +104,13 @@ impl Digest {
     }
 }
 
-/// Proof returned with a verified point read.
+/// Proof returned with a verified point read, or with a batched one: one
+/// [`IndexProof`] covering every queried key against a single digest.
+/// Upper-tree nodes shared by a batch's Merkle paths appear once, so a
+/// k-key batch is strictly cheaper on the wire than k point proofs.
 #[derive(Debug, Clone)]
 pub struct LedgerProof {
-    /// Merkle path through the ledger index for the queried key.
+    /// Merkle path (or paths, for a batch) through the ledger index.
     pub index_proof: IndexProof,
     /// The digest the proof was generated against.
     pub digest: Digest,
@@ -199,56 +200,11 @@ impl LedgerProof {
             &self.index_proof,
         )
     }
-}
 
-/// Proof returned with a batched verified point read: one [`MultiProof`]
-/// covering every queried key against a single digest. Upper-tree nodes
-/// shared by the keys' Merkle paths appear once, so a k-key batch is
-/// strictly cheaper on the wire than k independent [`LedgerProof`]s.
-#[derive(Debug, Clone)]
-pub struct LedgerMultiProof {
-    /// Combined Merkle paths for all queried keys.
-    pub index_proof: MultiProof,
-    /// The digest the proof was generated against.
-    pub digest: Digest,
-}
-
-impl LedgerMultiProof {
-    /// Bytes a canonical wire encoding of this proof would occupy
-    /// (multi proof ‖ digest).
-    pub fn encoded_len(&self) -> usize {
-        self.index_proof.encoded_len() + Digest::ENCODED_LEN
-    }
-
-    /// Append the canonical wire encoding (exactly
-    /// [`LedgerMultiProof::encoded_len`] bytes): multi proof ‖ digest.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.index_proof.encode_into(out);
-        out.extend_from_slice(&self.digest.encode());
-    }
-
-    /// The canonical wire encoding as a fresh buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Decode a proof previously written by
-    /// [`LedgerMultiProof::encode_into`]. Returns `None` on truncated or
-    /// malformed input.
-    pub fn decode(r: &mut codec::Reader<'_>) -> Option<LedgerMultiProof> {
-        let index_proof = MultiProof::decode(r)?;
-        let digest = Digest::decode(r.take(Digest::ENCODED_LEN)?)?;
-        Some(LedgerMultiProof {
-            index_proof,
-            digest,
-        })
-    }
-
-    /// Client-side verification of the whole batch: every (key, claimed
-    /// value) pair must check out against the digest's index root.
-    pub fn verify(&self, items: &[(Vec<u8>, Option<Vec<u8>>)]) -> bool {
+    /// Client-side verification of a batched read: every (key, claimed
+    /// value) pair must check out against the digest's index root, and
+    /// every node the proof carries must be consumed by some key's walk.
+    pub fn verify_batch(&self, items: &[(Vec<u8>, Option<Vec<u8>>)]) -> bool {
         verify_multi_proof(
             self.digest.index_kind,
             self.digest.index_root,
@@ -699,13 +655,10 @@ impl Ledger {
     }
 
     /// Batched verified point read: all keys are resolved against one
-    /// consistent index instance and covered by a single [`MultiProof`],
+    /// consistent index instance and covered by a single [`IndexProof`],
     /// sharing upper-tree nodes between the keys' Merkle paths. The `i`-th
     /// returned value answers `keys[i]`.
-    pub fn get_multi_with_proof(
-        &self,
-        keys: &[Vec<u8>],
-    ) -> (Vec<Option<Vec<u8>>>, LedgerMultiProof) {
+    pub fn get_multi_with_proof(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerProof) {
         live_view(&self.inner.read(), self.kind).get_multi_with_proof(keys)
     }
 
@@ -819,11 +772,11 @@ impl LedgerView<'_> {
         )
     }
 
-    fn get_multi_with_proof(self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerMultiProof) {
+    fn get_multi_with_proof(self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerProof) {
         let (values, index_proof) = self.index.multi_get_with_proof(keys);
         (
             values,
-            LedgerMultiProof {
+            LedgerProof {
                 index_proof,
                 digest: self.digest,
             },
@@ -891,11 +844,8 @@ impl LedgerSnapshot {
     }
 
     /// Batched verified point read against the pinned state: one
-    /// [`MultiProof`] anchored at the pinned digest covers all keys.
-    pub fn get_multi_with_proof(
-        &self,
-        keys: &[Vec<u8>],
-    ) -> (Vec<Option<Vec<u8>>>, LedgerMultiProof) {
+    /// [`IndexProof`] anchored at the pinned digest covers all keys.
+    pub fn get_multi_with_proof(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerProof) {
         self.view().get_multi_with_proof(keys)
     }
 
@@ -1380,34 +1330,34 @@ mod tests {
             assert_eq!(values[9], Some(kv(0).1), "{}", kind.name());
 
             let items: Vec<_> = keys.iter().cloned().zip(values.clone()).collect();
-            assert!(proof.verify(&items), "{}", kind.name());
+            assert!(proof.verify_batch(&items), "{}", kind.name());
 
             // Forged value, forged absence, and wrong key all fail.
             let mut forged = items.clone();
             forged[0].1 = Some(b"forged".to_vec());
-            assert!(!proof.verify(&forged), "{}", kind.name());
+            assert!(!proof.verify_batch(&forged), "{}", kind.name());
             let mut absent = items.clone();
             absent[1].1 = None;
-            assert!(!proof.verify(&absent), "{}", kind.name());
+            assert!(!proof.verify_batch(&absent), "{}", kind.name());
             let mut conjured = items.clone();
             conjured[8].1 = Some(b"conjured".to_vec());
-            assert!(!proof.verify(&conjured), "{}", kind.name());
+            assert!(!proof.verify_batch(&conjured), "{}", kind.name());
 
             // The batch round-trips the wire encoding byte-identically.
             let encoded = proof.encode();
             assert_eq!(encoded.len(), proof.encoded_len(), "{}", kind.name());
             let mut r = codec::Reader::new(&encoded);
-            let decoded = LedgerMultiProof::decode(&mut r).unwrap();
+            let decoded = LedgerProof::decode(&mut r).unwrap();
             assert!(r.is_exhausted(), "{}", kind.name());
             assert_eq!(decoded.encode(), encoded, "{}", kind.name());
-            assert!(decoded.verify(&items), "{}", kind.name());
+            assert!(decoded.verify_batch(&items), "{}", kind.name());
 
             // A batch against the empty ledger proves all-absent.
             let fresh = Ledger::with_kind(InMemoryChunkStore::shared(), kind);
             let (values, proof) = fresh.get_multi_with_proof(&keys);
             assert!(values.iter().all(Option::is_none), "{}", kind.name());
             let items: Vec<_> = keys.iter().cloned().zip(values).collect();
-            assert!(proof.verify(&items), "{}", kind.name());
+            assert!(proof.verify_batch(&items), "{}", kind.name());
 
             // Snapshots pin batched proofs at the snapshot digest.
             let snapshot = ledger.snapshot().unwrap();
@@ -1416,7 +1366,7 @@ mod tests {
             let (values, proof) = snapshot.get_multi_with_proof(&keys);
             assert_eq!(proof.digest, pinned, "{}", kind.name());
             let items: Vec<_> = keys.iter().cloned().zip(values).collect();
-            assert!(proof.verify(&items), "{}", kind.name());
+            assert!(proof.verify_batch(&items), "{}", kind.name());
         }
     }
 

@@ -337,10 +337,10 @@ impl SpitzClient {
         let mut r = Reader::new(&reply);
         let overall = health_from_byte(r.u8().ok_or_else(|| bad("empty health reply"))?)
             .ok_or_else(|| bad("bad health byte"))?;
-        let count = r.u32().ok_or_else(|| bad("missing shard count"))? as usize;
-        if count > r.remaining() / 5 {
-            return Err(bad("shard count past payload"));
-        }
+        // A shard takes at least its state byte and reason length prefix.
+        let count = r
+            .count(5)
+            .ok_or_else(|| bad("missing shard count, or one past the payload"))?;
         let mut shards = Vec::with_capacity(count);
         for _ in 0..count {
             let state = health_from_byte(r.u8().ok_or_else(|| bad("missing shard state"))?)

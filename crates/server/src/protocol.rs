@@ -267,10 +267,7 @@ pub fn encode_entries(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
 /// bytes actually present (each entry needs at least its two length
 /// prefixes, 8 bytes).
 pub fn decode_entries(r: &mut Reader<'_>) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
-    let count = r.u32()? as usize;
-    if count > r.remaining() / 8 {
-        return None;
-    }
+    let count = r.count(8)?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let k = r.bytes()?.to_vec();
@@ -294,10 +291,7 @@ pub fn encode_keys(keys: &[Vec<u8>]) -> Vec<u8> {
 /// Decode a key list from `r`, bounding the up-front reservation by the
 /// bytes actually present (each key needs at least its length prefix).
 pub fn decode_keys(r: &mut Reader<'_>) -> Option<Vec<Vec<u8>>> {
-    let count = r.u32()? as usize;
-    if count > r.remaining() / 4 {
-        return None;
-    }
+    let count = r.count(4)?;
     let mut keys = Vec::with_capacity(count);
     for _ in 0..count {
         keys.push(r.bytes()?.to_vec());
@@ -327,10 +321,7 @@ pub fn encode_optional_values(values: &[Option<Vec<u8>>]) -> Vec<u8> {
 /// reservation by the bytes actually present (each entry needs at least its
 /// presence byte).
 pub fn decode_optional_values(r: &mut Reader<'_>) -> Option<Vec<Option<Vec<u8>>>> {
-    let count = r.u32()? as usize;
-    if count > r.remaining() {
-        return None;
-    }
+    let count = r.count(1)?;
     let mut values = Vec::with_capacity(count);
     for _ in 0..count {
         values.push(match r.u8()? {

@@ -35,37 +35,33 @@ use crate::protocol::{
     RESPONSE_BIT,
 };
 
+/// Requests a connection may have queued (accepted but not yet executing);
+/// past it, each further request is answered `Busy`.
+const QUEUE_DEPTH: usize = 32;
+
+/// Worker threads per connection. More than one is what makes pipelined
+/// completion genuinely out of order.
+const WORKERS_PER_CONNECTION: usize = 2;
+
+/// Socket read poll tick: how often a blocked reader re-checks the
+/// shutdown flag and the idle clock.
+const READ_TICK: Duration = Duration::from_millis(25);
+
 /// Tuning for a [`SpitzServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Connections past this limit are answered with a `Busy` error frame
     /// and closed without being served.
     pub max_connections: usize,
-    /// Per-connection bound on queued (accepted but not yet executing)
-    /// requests; a full queue answers `Busy` per request.
-    pub queue_depth: usize,
-    /// Worker threads per connection. More than one is what makes
-    /// pipelined completion genuinely out of order.
-    pub workers_per_connection: usize,
-    /// Socket read poll tick: how often a blocked reader re-checks the
-    /// shutdown flag and the idle clock.
-    pub read_timeout: Duration,
     /// A connection with no bytes received for this long is closed.
     pub idle_timeout: Duration,
-    /// Per-server frame cap; clamped to the protocol-wide
-    /// [`MAX_FRAME_LEN`].
-    pub max_frame_len: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             max_connections: 64,
-            queue_depth: 32,
-            workers_per_connection: 2,
-            read_timeout: Duration::from_millis(25),
             idle_timeout: Duration::from_secs(30),
-            max_frame_len: MAX_FRAME_LEN,
         }
     }
 }
@@ -77,32 +73,10 @@ impl ServerConfig {
         self
     }
 
-    /// Cap the per-connection request queue.
-    pub fn with_queue_depth(mut self, n: usize) -> Self {
-        self.queue_depth = n;
-        self
-    }
-
-    /// Set the per-connection worker pool size.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers_per_connection = n;
-        self
-    }
-
     /// Set the idle-connection timeout.
     pub fn with_idle_timeout(mut self, d: Duration) -> Self {
         self.idle_timeout = d;
         self
-    }
-
-    /// Lower the frame cap below the protocol-wide maximum.
-    pub fn with_max_frame_len(mut self, n: usize) -> Self {
-        self.max_frame_len = n;
-        self
-    }
-
-    fn effective_frame_cap(&self) -> usize {
-        self.max_frame_len.min(MAX_FRAME_LEN)
     }
 }
 
@@ -184,22 +158,20 @@ struct WorkItem {
 struct WorkQueue {
     inner: Mutex<(VecDeque<WorkItem>, bool)>,
     cond: Condvar,
-    depth: usize,
 }
 
 impl WorkQueue {
-    fn new(depth: usize) -> WorkQueue {
+    fn new() -> WorkQueue {
         WorkQueue {
             inner: Mutex::new((VecDeque::new(), false)),
             cond: Condvar::new(),
-            depth: depth.max(1),
         }
     }
 
     /// False when the queue is at capacity (the item is dropped).
     fn push(&self, item: WorkItem) -> bool {
         let mut guard = lock(&self.inner);
-        if guard.1 || guard.0.len() >= self.depth {
+        if guard.1 || guard.0.len() >= QUEUE_DEPTH {
             return false;
         }
         guard.0.push_back(item);
@@ -384,12 +356,28 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Arc<Mutex<Vec<
             .name("spitz-conn".into())
             .spawn(move || serve_connection(stream, conn_shared));
         match spawned {
-            Ok(handle) => lock(&conns).push(handle),
+            Ok(handle) => {
+                let mut conns = lock(&conns);
+                reap_finished(&mut conns);
+                conns.push(handle);
+            }
             Err(_) => {
                 let left = shared.active.fetch_sub(1, Ordering::AcqRel) - 1;
                 shared.obs.connections.set(left as i64);
             }
         }
+    }
+}
+
+/// Join the threads of connections that have already closed, so a
+/// long-running server holds a handle only per live connection.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let (finished, live) = conns
+        .drain(..)
+        .partition(|h: &JoinHandle<()>| h.is_finished());
+    *conns = live;
+    for handle in finished {
+        let _ = handle.join();
     }
 }
 
@@ -405,7 +393,7 @@ enum Fill {
     Shutdown,
 }
 
-/// Read exactly `buf.len()` bytes, polling at the configured read tick so
+/// Read exactly `buf.len()` bytes, polling at [`READ_TICK`] so
 /// shutdown and idleness are noticed while blocked.
 fn fill(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared, last: &mut Instant) -> Fill {
     let mut pos = 0;
@@ -439,11 +427,11 @@ fn fill(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared, last: &mut Inst
 
 fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TICK));
     if let Ok(write_half) = stream.try_clone() {
         let writer = Arc::new(Mutex::new(write_half));
-        let queue = Arc::new(WorkQueue::new(shared.config.queue_depth));
-        let workers: Vec<JoinHandle<()>> = (0..shared.config.workers_per_connection.max(1))
+        let queue = Arc::new(WorkQueue::new());
+        let workers: Vec<JoinHandle<()>> = (0..WORKERS_PER_CONNECTION)
             .map(|_| {
                 let queue = Arc::clone(&queue);
                 let writer = Arc::clone(&writer);
@@ -472,7 +460,6 @@ fn reader_loop(
     writer: &Arc<Mutex<TcpStream>>,
     queue: &Arc<WorkQueue>,
 ) {
-    let cap = shared.config.effective_frame_cap();
     let mut last = Instant::now();
     loop {
         let mut len_prefix = [0u8; 4];
@@ -484,7 +471,7 @@ fn reader_loop(
         // Validate the declared length before allocating a single body
         // byte; an oversized or runt header is fatal to the connection
         // because the stream can no longer be framed.
-        let header_error = if len > cap {
+        let header_error = if len > MAX_FRAME_LEN {
             Some(protocol::ProtocolError::TooLarge(len))
         } else if len < MIN_BODY_LEN {
             Some(protocol::ProtocolError::BadFrame)
@@ -837,5 +824,36 @@ fn watcher_loop(shared: Arc<Shared>) {
                 "server is draining",
             ),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The acceptor joins a closed connection's thread when it accepts the
+    /// next one, instead of keeping one handle per connection ever served
+    /// until shutdown.
+    #[test]
+    fn closed_connections_are_reaped() {
+        let db = Arc::new(ShardedDb::in_memory(1));
+        let server = SpitzServer::start(db, ServerConfig::default()).expect("start server");
+        let ping = encode_frame(op::PING, 1, b"hi");
+        for _ in 0..64 {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            stream.write_all(&ping).unwrap();
+            let mut reply = [0u8; 4];
+            stream.read_exact(&mut reply).unwrap();
+            drop(stream);
+            // Served: the connection thread has let go of its slot.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while server.shared.active.load(Ordering::Acquire) > 0 {
+                assert!(Instant::now() < deadline, "connection never closed");
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert_eq!(server.shared.obs.connections_total.get(), 64);
+        let held = lock(&server.conns).len();
+        assert!(held <= 2, "{held} connection handles held for 64 closed");
     }
 }

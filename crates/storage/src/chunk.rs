@@ -81,11 +81,11 @@ impl ChunkKind {
 pub struct Chunk {
     kind: ChunkKind,
     data: Bytes,
-    /// Lazily computed (or caller-seeded) content address. MPT-node
-    /// addresses fold a sparse-Merkle subtree per branch, so computing an
-    /// address is not free; caching it makes repeated `address()` calls
-    /// (put → dedup → stats) cost one computation, and lets write paths
-    /// that already know the commitment skip it entirely.
+    /// The content address, computed from kind and payload on first use.
+    /// There is one address rule and no way to seed it: MPT-node addresses
+    /// fold a sparse-Merkle subtree per branch, so computing one is not
+    /// free, and caching it makes repeated `address()` calls (put → dedup
+    /// → stats) cost one computation.
     address: std::sync::OnceLock<Hash>,
 }
 
@@ -105,26 +105,6 @@ impl Chunk {
             data: data.into(),
             address: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Create a chunk whose content address the caller has already
-    /// computed (e.g. an MPT branch commitment maintained incrementally).
-    /// The address MUST equal what [`Chunk::address`] would compute —
-    /// debug builds assert it; a wrong address in release would break
-    /// content addressing.
-    pub fn with_address(kind: ChunkKind, data: impl Into<Bytes>, address: Hash) -> Self {
-        let chunk = Chunk {
-            kind,
-            data: data.into(),
-            address: std::sync::OnceLock::new(),
-        };
-        debug_assert_eq!(
-            address,
-            chunk.compute_address(),
-            "Chunk::with_address seeded with a wrong address"
-        );
-        let _ = chunk.address.set(address);
-        chunk
     }
 
     /// The chunk's role in the DAG.

@@ -343,16 +343,16 @@ fn saturated_queue_answers_typed_busy() {
     for i in 0..800 {
         db.put(&key(i), &[0x5A; 64]).unwrap();
     }
-    let config = ServerConfig::default().with_queue_depth(1).with_workers(1);
-    let server = SpitzServer::start(db, config).expect("start server");
+    let server = SpitzServer::start(db, ServerConfig::default()).expect("start server");
     let mut client = SpitzClient::connect(server.local_addr()).expect("connect");
 
-    // Range proofs over 800 keys are slow enough that a 1-deep queue
-    // cannot absorb 50 pipelined requests.
+    // Range proofs over 800 keys are slow enough that the 32-deep queue
+    // and its two workers cannot absorb 200 pipelined requests.
+    const SENT: usize = 200;
     let mut range_payload = Vec::new();
     spitz::index::codec::put_bytes(&mut range_payload, b"wire/");
     range_payload.extend_from_slice(b"wire/~");
-    let ids: Vec<u64> = (0..50)
+    let ids: Vec<u64> = (0..SENT)
         .map(|_| {
             client
                 .send_request(op::RANGE_VERIFIED, &range_payload)
@@ -375,9 +375,9 @@ fn saturated_queue_answers_typed_busy() {
             Err(other) => panic!("unexpected failure: {other}"),
         }
     }
-    assert_eq!(served + busy, 50, "every request must be answered");
+    assert_eq!(served + busy, SENT, "every request must be answered");
     assert!(served >= 1, "the server must still make progress");
-    assert!(busy >= 1, "a 1-deep queue must shed load as typed Busy");
+    assert!(busy >= 1, "a full queue must shed load as typed Busy");
 }
 
 /// Admin and observability endpoints over the wire, against a durable

@@ -149,133 +149,171 @@ fn decoder_fuzz_mutated_proofs_never_verify() {
 }
 
 /// Satellite: mutated *batched* proofs, mirroring the single-proof
-/// guarantees above for [`ShardedMultiProof`]. Every shared-node splice,
-/// duplication, reorder, truncation, and bit flip in a group's node
-/// carrier is rejected; claim-level forgeries (forged value, conjured
-/// presence, claimed absence) are rejected; and seeded wire-level mutants
-/// either fail to decode or fail verification.
+/// guarantees above for [`ShardedMultiProof`], for every index kind: the
+/// same carrier serves point and batched reads, and holds a de-duplicated
+/// union of paths (POS-tree, MBT) or one trie-shaped blob (MPT). Every
+/// shared-node splice, duplication, truncation, bit flip, emptied carrier
+/// and foreign node in a group's carrier is rejected; claim-level
+/// forgeries (forged value, conjured presence, claimed absence) are
+/// rejected; and seeded wire-level mutants either fail to decode or fail
+/// verification.
 #[test]
 fn mutated_multi_proofs_never_verify() {
-    let db = ShardedDb::in_memory(3);
-    for i in 0..48 {
-        db.put(&key(i), format!("mv{i}").as_bytes()).unwrap();
-    }
-    let mut keys: Vec<Vec<u8>> = (8..24).map(key).collect();
-    keys.push(b"torture/absent".to_vec());
-    let (values, proof) = db.get_multi_verified(&keys).unwrap();
-    let items: Vec<(Vec<u8>, Option<Vec<u8>>)> =
-        keys.iter().cloned().zip(values.iter().cloned()).collect();
-    assert!(proof.verify(&items));
+    use spitz::core::db::SpitzConfig;
+    use spitz::index::SiriKind;
 
-    // Claim-level forgeries against the honest proof.
-    let mut forged = items.clone();
-    forged[3].1 = Some(b"forged".to_vec());
-    assert!(!proof.verify(&forged), "forged value must be refused");
-    let mut hidden = items.clone();
-    hidden[3].1 = None;
-    assert!(!proof.verify(&hidden), "claimed absence must be refused");
-    let mut conjured = items.clone();
-    conjured[16].1 = Some(b"conjured".to_vec());
-    assert!(
-        !proof.verify(&conjured),
-        "conjured presence must be refused"
-    );
+    for siri in [
+        SiriKind::PosTree,
+        SiriKind::MerklePatriciaTrie,
+        SiriKind::MerkleBucketTree,
+    ] {
+        let kind = siri.name();
+        let config = ShardedConfig::default()
+            .with_shards(3)
+            .with_spitz(SpitzConfig {
+                siri,
+                ..SpitzConfig::default()
+            });
+        let db = ShardedDb::with_config(config);
+        for i in 0..48 {
+            db.put(&key(i), format!("mv{i}").as_bytes()).unwrap();
+        }
+        let mut keys: Vec<Vec<u8>> = (8..24).map(key).collect();
+        keys.push(b"torture/absent".to_vec());
+        let (values, proof) = db.get_multi_verified(&keys).unwrap();
+        let items: Vec<(Vec<u8>, Option<Vec<u8>>)> =
+            keys.iter().cloned().zip(values.iter().cloned()).collect();
+        assert!(proof.verify(&items), "{kind}");
 
-    // Structured shared-node attacks against every group's node carrier:
-    // splice the root node out, duplicate a node, overwrite a needed node
-    // with a copy of another, truncate a payload, flip a bit inside one.
-    // (A pure *reorder* of the union carrier is benign malleability — the
-    // node set and the proven claims are unchanged — so it is not in this
-    // list; the wire fuzz below still checks reordered mutants bind.)
-    let honest = proof.encode();
-    let mut rejected = 0;
-    for g in 0..proof.groups.len() {
-        for attack in 0..5 {
-            let mut mutant = proof.clone();
-            let nodes = &mut mutant.groups[g].ledger_proof.index_proof.nodes;
-            assert!(!nodes.is_empty(), "groups with keys reveal nodes");
-            match attack {
+        // Claim-level forgeries against the honest proof.
+        let mut forged = items.clone();
+        forged[3].1 = Some(b"forged".to_vec());
+        assert!(
+            !proof.verify(&forged),
+            "{kind}: forged value must be refused"
+        );
+        let mut hidden = items.clone();
+        hidden[3].1 = None;
+        assert!(
+            !proof.verify(&hidden),
+            "{kind}: claimed absence must be refused"
+        );
+        let mut conjured = items.clone();
+        conjured[16].1 = Some(b"conjured".to_vec());
+        assert!(
+            !proof.verify(&conjured),
+            "{kind}: conjured presence must be refused"
+        );
+
+        // Structured shared-node attacks against every group's node
+        // carrier: splice the root node out, duplicate a node, overwrite a
+        // needed node with a copy of another, truncate a payload, flip a
+        // bit inside one, empty the carrier, splice in another group's
+        // first node. (A pure *reorder* of a union carrier is benign
+        // malleability — the node set and the proven claims are unchanged
+        // — so it is not in this list; the wire fuzz below still checks
+        // reordered mutants bind.)
+        assert!(proof.groups.len() >= 2, "{kind}: the batch spans shards");
+        let honest = proof.encode();
+        let mut rejected = 0;
+        for g in 0..proof.groups.len() {
+            let foreign = proof.groups[(g + 1) % proof.groups.len()]
+                .ledger_proof
+                .index_proof
+                .nodes[0]
+                .clone();
+            for attack in 0..7 {
+                let mut mutant = proof.clone();
+                let nodes = &mut mutant.groups[g].ledger_proof.index_proof.nodes;
+                assert!(!nodes.is_empty(), "{kind}: groups with keys reveal nodes");
+                match attack {
+                    0 => {
+                        nodes.remove(0);
+                    }
+                    1 => {
+                        let node = nodes[0].clone();
+                        nodes.push(node);
+                    }
+                    2 => {
+                        if nodes.len() >= 2 {
+                            let last = nodes.len() - 1;
+                            nodes[last] = nodes[0].clone();
+                        } else {
+                            nodes[0].reverse();
+                        }
+                    }
+                    3 => {
+                        let len = nodes[0].len();
+                        nodes[0].truncate(len / 2);
+                    }
+                    4 => {
+                        nodes[0][0] ^= 0x01;
+                    }
+                    5 => nodes.clear(),
+                    _ => nodes.push(foreign.clone()),
+                }
+                if mutant.encode() == honest {
+                    continue;
+                }
+                assert!(
+                    !mutant.verify(&items),
+                    "{kind}: group {g} node attack {attack} must be rejected"
+                );
+                rejected += 1;
+            }
+        }
+        assert!(
+            rejected >= proof.groups.len() * 6,
+            "{kind}: the node attacks must actually mutate the proofs"
+        );
+
+        // Seeded wire-level mutants of the canonical encoding.
+        let mut rng = SeededRng::new(0x3417_1BAD);
+        let mut decoded_mutants = 0;
+        for _ in 0..600 {
+            let mut mutant = honest.clone();
+            match rng.below(3) {
                 0 => {
-                    nodes.remove(0);
+                    let idx = rng.below(mutant.len() as u64) as usize;
+                    mutant[idx] ^= 1 << rng.below(8);
                 }
                 1 => {
-                    let node = nodes[0].clone();
-                    nodes.push(node);
-                }
-                2 => {
-                    if nodes.len() >= 2 {
-                        let last = nodes.len() - 1;
-                        nodes[last] = nodes[0].clone();
-                    } else {
-                        nodes[0].reverse();
-                    }
-                }
-                3 => {
-                    let len = nodes[0].len();
-                    nodes[0].truncate(len / 2);
+                    let cut = rng.below(mutant.len() as u64) as usize;
+                    mutant.truncate(cut);
                 }
                 _ => {
-                    nodes[0][0] ^= 0x01;
+                    let extra = rng.below(16) as usize + 1;
+                    let garbage = rng.bytes(extra);
+                    mutant.extend_from_slice(&garbage);
                 }
             }
-            if mutant.encode() == honest {
+            if mutant == honest {
                 continue;
             }
-            assert!(
-                !mutant.verify(&items),
-                "group {g} node attack {attack} must be rejected"
-            );
-            rejected += 1;
+            if let Some(decoded) = ShardedMultiProof::decode(&mutant) {
+                decoded_mutants += 1;
+                if decoded.verify(&items) {
+                    // Only cryptographically inert bytes may survive a
+                    // flip; the binding must hold: same root, and still no
+                    // acceptance of altered claims under the mutant.
+                    assert_eq!(
+                        decoded.root, proof.root,
+                        "{kind}: root confusion must not verify"
+                    );
+                    let mut still_forged = items.clone();
+                    still_forged[5].1 = Some(b"still forged".to_vec());
+                    assert!(
+                        !decoded.verify(&still_forged),
+                        "{kind}: a verifying mutant must still bind the honest values"
+                    );
+                }
+            }
         }
+        assert!(
+            decoded_mutants > 0,
+            "{kind}: no mutant even decoded — fuzz is toothless"
+        );
     }
-    assert!(
-        rejected >= proof.groups.len() * 4,
-        "the node attacks must actually mutate the proofs"
-    );
-
-    // Seeded wire-level mutants of the canonical encoding.
-    let mut rng = SeededRng::new(0x3417_1BAD);
-    let mut decoded_mutants = 0;
-    for _ in 0..600 {
-        let mut mutant = honest.clone();
-        match rng.below(3) {
-            0 => {
-                let idx = rng.below(mutant.len() as u64) as usize;
-                mutant[idx] ^= 1 << rng.below(8);
-            }
-            1 => {
-                let cut = rng.below(mutant.len() as u64) as usize;
-                mutant.truncate(cut);
-            }
-            _ => {
-                let extra = rng.below(16) as usize + 1;
-                let garbage = rng.bytes(extra);
-                mutant.extend_from_slice(&garbage);
-            }
-        }
-        if mutant == honest {
-            continue;
-        }
-        if let Some(decoded) = ShardedMultiProof::decode(&mutant) {
-            decoded_mutants += 1;
-            if decoded.verify(&items) {
-                // Only cryptographically inert bytes may survive a flip;
-                // the binding must hold: same root, and still no
-                // acceptance of altered claims under the mutant.
-                assert_eq!(decoded.root, proof.root, "root confusion must not verify");
-                let mut still_forged = items.clone();
-                still_forged[5].1 = Some(b"still forged".to_vec());
-                assert!(
-                    !decoded.verify(&still_forged),
-                    "a verifying mutant must still bind the honest values"
-                );
-            }
-        }
-    }
-    assert!(
-        decoded_mutants > 0,
-        "no mutant even decoded — fuzz is toothless"
-    );
 }
 
 /// Seeded garbage streams and bit-flipped frames against the live
