@@ -9,11 +9,30 @@
 //! `(column id, primary key, timestamp)`, so a SIRI range scan
 //! over one column's primary keys is a contiguous key range, and all
 //! versions of one cell are adjacent and ordered by time.
+//!
+//! Beside each cell a typed record also writes one *index cell*, in the
+//! same block and with an empty value:
+//!
+//! ```text
+//! column_prefix(INDEX_COLUMN_ID) | column id | order-preserving value | primary key
+//! ```
+//!
+//! Integers encode as `(v ^ i64::MIN)` big-endian; text and bytes escape
+//! `0x00` as `0x00 0xFF` and end with `0x00 0x01`, so no value's encoding
+//! is a prefix of another's and byte order is value order. An equality or
+//! range query over a column is then one contiguous key range, answered
+//! by the ledger itself. The column id [`INDEX_COLUMN_ID`] is reserved for
+//! these cells: no table column ever takes it.
 
 use spitz_crypto::{sha256, Hash};
 
 use crate::error::DbError;
+use crate::schema::Value;
 use crate::Result;
+
+/// The column id under which every index cell lives; no table column
+/// takes it.
+pub const INDEX_COLUMN_ID: u32 = u32::MAX;
 
 /// The universal key identifying one cell version.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -107,6 +126,43 @@ impl UniversalKey {
     }
 }
 
+/// The key prefix shared by the index cells of every record whose column
+/// `column_id` holds `value`; an index cell's key is this prefix followed
+/// by the record's primary key.
+pub(crate) fn index_prefix(column_id: u32, value: &Value) -> Vec<u8> {
+    let mut out = UniversalKey::column_prefix(INDEX_COLUMN_ID);
+    out.extend_from_slice(&column_id.to_be_bytes());
+    let bytes = match value {
+        Value::Integer(v) => {
+            out.extend_from_slice(&(v ^ i64::MIN).to_be_bytes());
+            return out;
+        }
+        Value::Text(text) => text.as_bytes(),
+        Value::Bytes(bytes) => bytes,
+    };
+    for &byte in bytes {
+        out.push(byte);
+        if byte == 0x00 {
+            out.push(0xFF);
+        }
+    }
+    out.extend_from_slice(&[0x00, 0x01]);
+    out
+}
+
+/// The smallest key above every key that starts with `prefix` (empty when
+/// `prefix` is all `0xFF`): the exclusive end of a prefix scan.
+pub(crate) fn prefix_end(prefix: &[u8]) -> Vec<u8> {
+    let mut end = prefix.to_vec();
+    while end.last() == Some(&0xFF) {
+        end.pop();
+    }
+    if let Some(last) = end.last_mut() {
+        *last += 1;
+    }
+    end
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,5 +193,27 @@ mod tests {
         assert!(encoded.starts_with(&UniversalKey::column_prefix(3)));
         assert!(encoded.starts_with(&UniversalKey::cell_prefix(3, b"pk")));
         assert!(!encoded.starts_with(&UniversalKey::cell_prefix(3, b"other")));
+        assert!(encoded.as_slice() < prefix_end(&UniversalKey::cell_prefix(3, b"pk")).as_slice());
+        assert_eq!(prefix_end(&[1, 0xFF, 0xFF]), vec![2]);
+    }
+
+    #[test]
+    fn index_prefixes_order_like_their_values_and_never_nest() {
+        let ints = [i64::MIN, -1, 0, 1, i64::MAX];
+        for pair in ints.windows(2) {
+            let (a, b) = (Value::Integer(pair[0]), Value::Integer(pair[1]));
+            assert!(index_prefix(0, &a) < index_prefix(0, &b));
+        }
+        let texts = ["", "a\0", "a", "a\0b", "icd", "icd10/"];
+        let mut sorted = texts.map(|t| Value::Text(t.into()));
+        sorted.sort();
+        for pair in sorted.windows(2) {
+            let (a, b) = (index_prefix(0, &pair[0]), index_prefix(0, &pair[1]));
+            assert!(a < b, "{:?} < {:?}", pair[0], pair[1]);
+            assert!(!b.starts_with(&a), "{:?} nests in {:?}", pair[0], pair[1]);
+        }
+        // Every index cell sorts after every table cell.
+        let last_cell = UniversalKey::new(INDEX_COLUMN_ID - 1, b"pk".to_vec(), u64::MAX, b"v");
+        assert!(last_cell.encode() < index_prefix(0, &Value::Integer(i64::MIN)));
     }
 }

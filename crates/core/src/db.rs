@@ -1,17 +1,19 @@
 //! The `SpitzDb` facade: the public API of the Spitz verifiable database.
 //!
 //! `SpitzDb` owns a chunk store, the unified ledger (behind a group-commit
-//! pipeline on durable instances) and a typed table layer (schemas, records,
-//! inverted indexes for the analytical path). It exposes the operations the
-//! paper's evaluation measures: point/range reads and writes, each with and
-//! without verification. Every write is one ledger commit.
+//! pipeline on durable instances) and a typed table layer. It exposes the
+//! operations the paper's evaluation measures: point/range reads and
+//! writes, each with and without verification. Every write is one ledger
+//! commit. The table layer keeps no data of its own: a record is its cells
+//! plus one index cell per column (see [`crate::cell`]), written in one
+//! block, and every typed read and query is a ledger range read.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use spitz_crypto::Hash;
 use spitz_ledger::{CommitPipeline, Digest, DurabilityPolicy, Ledger, LedgerProof, VerifiedRange};
 use spitz_obs::{Histogram, TelemetryHandle, TelemetrySnapshot};
@@ -21,7 +23,7 @@ use spitz_storage::{
 };
 use spitz_txn::CcScheme;
 
-use crate::cell::UniversalKey;
+use crate::cell::{index_prefix, prefix_end, UniversalKey};
 use crate::error::DbError;
 use crate::schema::{ColumnDef, ColumnType, Record, Schema, Value};
 use crate::snapshot::Snapshot;
@@ -89,75 +91,48 @@ impl SpitzConfig {
     }
 }
 
-/// Inverted index of one column: cell value → primary keys that ever held it.
-type InvertedIndex = BTreeMap<Value, BTreeSet<String>>;
-
-/// Typed table state, held in memory, outside every proof, and rebuilt from
-/// the ledger on open: the schema, one inverted index per column and the
-/// primary map from primary key to the record's latest timestamp. The
-/// paper's §5 containers (skip lists, radix trees, a B+-tree) are the
-/// standard library's B-tree here, which on 100 000 records (2-core x86-64
-/// Linux) built in 54–75 ms instead of 91–97 ms, held 28.8 MB of heap
-/// instead of 31.2 MB, and answered equality and range lookups within noise
-/// of them.
+/// A typed table. Its records live only in the ledger; the table holds
+/// what names them.
 struct Table {
     schema: Schema,
     /// First universal-key column id of this table. Column ids are
     /// allocated globally (`base + position`), so two tables never share a
-    /// universal-key range — which is what lets the catalog rebuild scan
-    /// each table's cells unambiguously.
+    /// universal-key range.
     column_base: u32,
-    /// One inverted index per column, by schema position.
-    inverted: Vec<InvertedIndex>,
-    primary: HashMap<Vec<u8>, u64>,
-    next_timestamp: u64,
+    /// Lower bound of the next version timestamp this process hands out.
+    /// A version's timestamp comes from the ledger (one above the record's
+    /// newest); this counter only keeps concurrent inserts of one key apart.
+    next: Mutex<u64>,
 }
 
 impl Table {
-    /// Fresh table state for a schema: one empty inverted index per column.
-    fn empty(schema: Schema, column_base: u32) -> Table {
+    fn new(schema: Schema, column_base: u32) -> Table {
         Table {
-            inverted: vec![InvertedIndex::new(); schema.columns.len()],
             schema,
             column_base,
-            primary: HashMap::new(),
-            next_timestamp: 1,
+            next: Mutex::new(1),
         }
     }
 
-    /// Index one committed cell: the `column`-th column of `primary_key`
-    /// holds `value` as of `timestamp`. The primary map keeps the newest
-    /// timestamp whatever order cells arrive in, and new records are
-    /// stamped after every timestamp seen.
-    fn index(&mut self, column: usize, value: Value, primary_key: &[u8], timestamp: u64) {
-        self.inverted[column]
-            .entry(value)
-            .or_default()
-            .insert(String::from_utf8_lossy(primary_key).into_owned());
-        let latest = self
-            .primary
-            .entry(primary_key.to_vec())
-            .or_insert(timestamp);
-        *latest = (*latest).max(timestamp);
-        self.next_timestamp = self.next_timestamp.max(timestamp + 1);
-    }
-
-    /// The inverted index of a named column, which must hold `column_type`
-    /// values.
-    fn column_index(&self, column: &str, column_type: ColumnType) -> Result<&InvertedIndex> {
-        let position = self.schema.column_id(column)? as usize;
-        let expected = self.schema.columns[position].column_type;
+    /// The universal-key column id of a named column, which must hold
+    /// `column_type` values.
+    fn column_id(&self, column: &str, column_type: ColumnType) -> Result<u32> {
+        let position = self.schema.column_id(column)?;
+        let expected = self.schema.columns[position as usize].column_type;
         if expected != column_type {
             return Err(DbError::TypeMismatch {
                 column: column.to_string(),
                 expected: expected.name(),
             });
         }
-        Ok(&self.inverted[position])
+        Ok(self.column_base + position)
     }
 }
 
-const CATALOG_MAGIC: &[u8] = b"spitz-catalog\0";
+const CATALOG_MAGIC: &[u8] = b"spitz-catalog-v2\0";
+
+/// Magic of the catalog written before records carried index cells.
+const CATALOG_MAGIC_V1: &[u8] = b"spitz-catalog\0";
 
 /// Payload of the catalog chunk: magic ‖ table count ‖ per table (name,
 /// column base, column count, per column (name, type tag)). Uses the shared
@@ -184,7 +159,8 @@ fn encode_catalog(tables: &[(&Schema, u32)]) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_catalog`]: `(schema, column_base)` per table. `None`
-/// for malformed bytes.
+/// for malformed bytes, including a table whose column range reaches the
+/// reserved [`INDEX_COLUMN_ID`](crate::cell::INDEX_COLUMN_ID).
 fn decode_catalog(bytes: &[u8]) -> Option<Vec<(Schema, u32)>> {
     let bytes = bytes.strip_prefix(CATALOG_MAGIC)?;
     let mut r = spitz_index::codec::Reader::new(bytes);
@@ -196,6 +172,7 @@ fn decode_catalog(bytes: &[u8]) -> Option<Vec<(Schema, u32)>> {
         let table = String::from_utf8(r.bytes()?.to_vec()).ok()?;
         let column_base = r.u32()?;
         let column_count = r.count(5)?;
+        column_base.checked_add(u32::try_from(column_count).ok()?)?;
         let mut columns = Vec::with_capacity(column_count);
         for _ in 0..column_count {
             let name = String::from_utf8(r.bytes()?.to_vec()).ok()?;
@@ -266,7 +243,7 @@ impl ProofObs {
 pub struct SpitzDb {
     store: Arc<dyn ChunkStore>,
     ledger: Arc<Ledger>,
-    tables: RwLock<HashMap<String, Table>>,
+    tables: RwLock<HashMap<String, Arc<Table>>>,
     /// Present on durable instances: the group-commit pipeline writes are
     /// routed through. Shut down (drained + synced) when the db drops.
     pipeline: Option<Arc<CommitPipeline>>,
@@ -318,9 +295,8 @@ impl SpitzDb {
     /// recovers the identical digest, chain head and records roots, and
     /// keeps serving verifying Merkle proofs. The typed-table catalog of
     /// [`SpitzDb::create_table`] is persisted under the [`CATALOG_ROOT`]
-    /// named root and rebuilt (schemas plus analytical indexes, by scanning
-    /// the ledger's universal-key ranges) on reopen.
-    /// Writes are routed through a group-commit pipeline with
+    /// named root; reopening reads that one chunk, since records and their
+    /// index cells are in the ledger. Writes are routed through a group-commit pipeline with
     /// the default [`DurabilityPolicy::Strict`] — every acknowledged commit
     /// is fsynced; pick `Grouped` via [`SpitzDb::open_with_config`] to
     /// amortize the fsync across commits instead.
@@ -644,177 +620,164 @@ impl SpitzDb {
     }
 
     // ------------------------------------------------------------------
-    // Typed table API (HTAP path: records, cells, inverted indexes)
+    // Typed table API (HTAP path: records as cells, queries as index ranges)
     // ------------------------------------------------------------------
 
-    /// Create a table from a schema. Every column gets an in-memory
-    /// inverted index from cell value to the primary keys that held it,
-    /// which serves [`SpitzDb::query_eq`] and [`SpitzDb::query_int_range`].
-    /// The schema is persisted under the [`CATALOG_ROOT`] named root, so it
-    /// survives [`SpitzDb::open`]. Each table gets its own globally
-    /// allocated universal-key column-id range, so no two tables' cells ever
-    /// share a key prefix.
+    /// Create a table from a schema, persisted under the [`CATALOG_ROOT`]
+    /// named root so it survives [`SpitzDb::open`]. The table gets its own
+    /// globally allocated universal-key column-id range, so no two tables'
+    /// cells ever share a key prefix. Creating a table that exists with the
+    /// identical schema is a no-op; another schema under an existing name,
+    /// or a column range that would reach the reserved
+    /// [`INDEX_COLUMN_ID`](crate::cell::INDEX_COLUMN_ID), is a
+    /// [`DbError::BadRequest`].
     pub fn create_table(&self, schema: Schema) -> Result<()> {
         // The tables lock is held across the catalog publication: two
         // concurrent `create_table` calls must not race the read-encode-
         // publish cycle, or the later root write could durably drop the
         // earlier table.
         let mut tables = self.tables.write();
+        if let Some(existing) = tables.get(&schema.table) {
+            if existing.schema == schema {
+                return Ok(());
+            }
+            return Err(DbError::BadRequest(format!(
+                "table {} exists with another schema",
+                schema.table
+            )));
+        }
         let column_base = tables
             .values()
             .map(|t| t.column_base + t.schema.columns.len() as u32)
             .max()
             .unwrap_or(0);
-        tables.insert(schema.table.clone(), Table::empty(schema, column_base));
-        let catalog: Vec<(&Schema, u32)> = tables
+        u32::try_from(schema.columns.len())
+            .ok()
+            .and_then(|count| column_base.checked_add(count))
+            .ok_or_else(|| {
+                DbError::BadRequest(format!("no column ids left for table {}", schema.table))
+            })?;
+        let table = Table::new(schema, column_base);
+        let mut catalog: Vec<(&Schema, u32)> = tables
             .values()
             .map(|t| (&t.schema, t.column_base))
             .collect();
+        catalog.push((&table.schema, column_base));
         let payload = encode_catalog(&catalog);
         let address = self.store.try_put(Chunk::new(ChunkKind::Meta, payload))?;
         self.store.try_set_root(CATALOG_ROOT, address)?;
+        tables.insert(table.schema.table.clone(), Arc::new(table));
         Ok(())
     }
 
-    /// Reload the persisted table catalog (if any) and rebuild each table's
-    /// analytical state — inverted indexes, primary map and the next record
-    /// timestamp — by scanning the ledger's universal-key ranges.
+    /// Load the persisted table catalog, if any. A catalog written before
+    /// records carried index cells is refused: its tables' queries would
+    /// miss every record.
     fn reload_catalog(&self) -> Result<()> {
         let Some(address) = self.store.root(CATALOG_ROOT) else {
             return Ok(());
         };
         let chunk = self.store.get_kind(&address, ChunkKind::Meta)?;
-        let catalog = decode_catalog(chunk.data())
-            .ok_or_else(|| DbError::Storage(format!("corrupt catalog chunk {address}")))?;
+        let catalog = decode_catalog(chunk.data()).ok_or_else(|| {
+            DbError::Storage(if chunk.data().starts_with(CATALOG_MAGIC_V1) {
+                format!("catalog chunk {address} predates index cells")
+            } else {
+                format!("corrupt catalog chunk {address}")
+            })
+        })?;
         let mut tables = self.tables.write();
         for (schema, column_base) in catalog {
-            let mut table = Table::empty(schema, column_base);
-            self.rebuild_table(&mut table);
-            tables.insert(table.schema.table.clone(), table);
+            let table = Table::new(schema, column_base);
+            tables.insert(table.schema.table.clone(), Arc::new(table));
         }
         Ok(())
     }
 
-    /// Rebuild one table's in-memory indexes from the ledger: every cell
-    /// version in the table's own column-id range is replayed through
-    /// [`Table::index`].
-    fn rebuild_table(&self, table: &mut Table) {
-        for position in 0..table.schema.columns.len() {
-            let column_type = table.schema.columns[position].column_type;
-            let id = table.column_base + position as u32;
-            let start = UniversalKey::column_prefix(id);
-            let end = UniversalKey::column_prefix(id + 1);
-            for (ukey, encoded) in self.ledger.range(&start, &end) {
-                let (Ok(decoded), Ok(value)) =
-                    (UniversalKey::decode(&ukey), Value::decode(&encoded))
-                else {
-                    continue;
-                };
-                if value.column_type() == column_type {
-                    table.index(position, value, &decoded.primary_key, decoded.timestamp);
-                }
-            }
-        }
-    }
-
-    /// Insert (or append a new version of) a record: one cell per column,
-    /// one ledger block for the whole record. The indexes learn the record
-    /// only once its block is in the ledger, so an insert whose append
-    /// failed leaves no trace in `get_record` or the queries. An insert
-    /// whose block was published but not fsynced (a Strict commit error,
-    /// see [`CommitPipeline::commit`]) is indexed and still returns the
-    /// error, so the table layer keeps agreeing with the ledger.
-    pub fn insert_record(&self, table: &str, record: &Record) -> Result<Digest> {
-        let mut tables = self.tables.write();
-        let t = tables
-            .get_mut(table)
-            .ok_or_else(|| DbError::UnknownColumn(format!("table {table}")))?;
-        t.schema.validate(record)?;
-
-        let timestamp = t.next_timestamp;
-        t.next_timestamp += 1;
-
-        let mut cells = Vec::with_capacity(record.values.len());
-        let mut writes = Vec::with_capacity(record.values.len());
-        for (column, value) in &record.values {
-            let position = t.schema.column_id(column)?;
-            let encoded = value.encode();
-            let ukey = UniversalKey::new(
-                t.column_base + position,
-                record.primary_key.as_bytes().to_vec(),
-                timestamp,
-                &encoded,
-            );
-            cells.push((position as usize, value));
-            writes.push((ukey.encode(), encoded));
-        }
-        drop(tables);
-
-        // Every cell key carries the fresh timestamp, so the first one is in
-        // the ledger exactly when this block landed.
-        let probe = writes.first().map(|(ukey, _)| ukey.clone());
-        let result = self.put_batch(writes);
-        let landed = result.is_ok() || probe.is_some_and(|ukey| self.ledger.get(&ukey).is_some());
-        if !landed {
-            return result;
-        }
-        if let Some(t) = self.tables.write().get_mut(table) {
-            for (position, value) in cells {
-                t.index(
-                    position,
-                    value.clone(),
-                    record.primary_key.as_bytes(),
-                    timestamp,
-                );
-            }
-        }
-        result
-    }
-
-    /// Read back the latest version of a record.
-    pub fn get_record(&self, table: &str, primary_key: &str) -> Result<Option<Record>> {
-        let tables = self.tables.read();
-        let t = tables
+    /// The named table.
+    fn table(&self, table: &str) -> Result<Arc<Table>> {
+        self.tables
+            .read()
             .get(table)
-            .ok_or_else(|| DbError::UnknownColumn(format!("table {table}")))?;
-        let Some(&timestamp) = t.primary.get(primary_key.as_bytes()) else {
-            return Ok(None);
-        };
-        let mut record = Record::new(primary_key);
+            .cloned()
+            .ok_or_else(|| DbError::UnknownColumn(format!("table {table}")))
+    }
+
+    /// The newest version of a record, read from its own cells: its
+    /// timestamp and the columns written at that timestamp.
+    fn latest_version(&self, t: &Table, primary_key: &str) -> Result<Option<(u64, Record)>> {
+        let mut latest: Option<(u64, Record)> = None;
         for (position, column) in t.schema.columns.iter().enumerate() {
-            let column_id = t.column_base + position as u32;
-            // The value hash is unknown at lookup time, so scan the cell's
-            // key range (all versions) and take the one at `timestamp`.
-            let prefix = UniversalKey::cell_prefix(column_id, primary_key.as_bytes());
-            let mut end = prefix.clone();
-            end.extend_from_slice(&(timestamp + 1).to_be_bytes());
-            let mut start = prefix.clone();
-            start.extend_from_slice(&timestamp.to_be_bytes());
-            for (ukey, encoded) in self.ledger.range(&start, &end) {
-                let decoded = UniversalKey::decode(&ukey)?;
-                if decoded.timestamp == timestamp {
+            let prefix =
+                UniversalKey::cell_prefix(t.column_base + position as u32, primary_key.as_bytes());
+            for (ukey, encoded) in self.ledger.range(&prefix, &prefix_end(&prefix)) {
+                let cell = UniversalKey::decode(&ukey)?;
+                if cell.primary_key != primary_key.as_bytes() {
+                    continue;
+                }
+                let (timestamp, record) =
+                    latest.get_or_insert_with(|| (cell.timestamp, Record::new(primary_key)));
+                if cell.timestamp > *timestamp {
+                    *timestamp = cell.timestamp;
+                    record.values.clear();
+                }
+                if cell.timestamp == *timestamp {
                     record
                         .values
                         .insert(column.name.clone(), Value::decode(&encoded)?);
                 }
             }
         }
-        Ok(Some(record))
+        Ok(latest)
+    }
+
+    /// Insert (or append a new version of) a record as one ledger block:
+    /// one cell per column, and beside each one index cell that
+    /// [`SpitzDb::query_eq`] and [`SpitzDb::query_int_range`] read. The
+    /// version's timestamp is one above the record's newest in the ledger,
+    /// so a failed insert or a reopen never reorders versions.
+    pub fn insert_record(&self, table: &str, record: &Record) -> Result<Digest> {
+        let t = self.table(table)?;
+        t.schema.validate(record)?;
+        let primary_key = record.primary_key.as_bytes();
+        let after_newest = self
+            .latest_version(&t, &record.primary_key)?
+            .map_or(0, |(timestamp, _)| timestamp.saturating_add(1));
+        let timestamp = {
+            let mut next = t.next.lock();
+            let timestamp = after_newest.max(*next);
+            *next = timestamp.saturating_add(1);
+            timestamp
+        };
+
+        let mut writes = Vec::with_capacity(2 * record.values.len());
+        for (column, value) in &record.values {
+            let column_id = t.column_base + t.schema.column_id(column)?;
+            let encoded = value.encode();
+            let ukey = UniversalKey::new(column_id, primary_key, timestamp, &encoded);
+            writes.push((ukey.encode(), encoded));
+            let mut index_key = index_prefix(column_id, value);
+            index_key.extend_from_slice(primary_key);
+            writes.push((index_key, Vec::new()));
+        }
+        self.put_batch(writes)
+    }
+
+    /// Read back the latest version of a record.
+    pub fn get_record(&self, table: &str, primary_key: &str) -> Result<Option<Record>> {
+        let t = self.table(table)?;
+        Ok(self
+            .latest_version(&t, primary_key)?
+            .map(|(_, record)| record))
     }
 
     /// Analytical lookup: primary keys (sorted) of records whose `column`
-    /// equals `value` in some version, served from the inverted index. A
-    /// `value` of another type than the column's is a
+    /// equals `value` in some version, read as one range of the column's
+    /// index cells. A `value` of another type than the column's is a
     /// [`DbError::TypeMismatch`].
     pub fn query_eq(&self, table: &str, column: &str, value: &Value) -> Result<Vec<String>> {
-        let tables = self.tables.read();
-        let t = tables
-            .get(table)
-            .ok_or_else(|| DbError::UnknownColumn(format!("table {table}")))?;
-        let index = t.column_index(column, value.column_type())?;
-        Ok(index
-            .get(value)
-            .map_or_else(Vec::new, |keys| keys.iter().cloned().collect()))
+        let t = self.table(table)?;
+        let prefix = index_prefix(t.column_id(column, value.column_type())?, value);
+        Ok(self.indexed_keys(&prefix, &prefix_end(&prefix)))
     }
 
     /// Analytical range lookup over an integer column, e.g. "all items with
@@ -828,20 +791,31 @@ impl SpitzDb {
         low: i64,
         high: i64,
     ) -> Result<Vec<String>> {
-        let tables = self.tables.read();
-        let t = tables
-            .get(table)
-            .ok_or_else(|| DbError::UnknownColumn(format!("table {table}")))?;
-        let index = t.column_index(column, ColumnType::Integer)?;
+        let t = self.table(table)?;
+        let column_id = t.column_id(column, ColumnType::Integer)?;
         if low >= high {
-            // `BTreeMap::range` panics on a reversed range.
             return Ok(Vec::new());
         }
-        let keys: BTreeSet<&String> = index
-            .range(Value::Integer(low)..Value::Integer(high))
-            .flat_map(|(_, keys)| keys)
+        let start = index_prefix(column_id, &Value::Integer(low));
+        let end = index_prefix(column_id, &Value::Integer(high));
+        Ok(self.indexed_keys(&start, &end))
+    }
+
+    /// The primary keys, sorted and deduplicated, of the index cells in
+    /// `start..end`. Each key's primary key follows its first `start.len()`
+    /// bytes: `start` is the index prefix of one value, or of an integer,
+    /// whose encoding has a fixed width.
+    fn indexed_keys(&self, start: &[u8], end: &[u8]) -> Vec<String> {
+        let keys: BTreeSet<String> = self
+            .ledger
+            .range(start, end)
+            .into_iter()
+            .filter_map(|(key, _)| {
+                let primary_key = key.get(start.len()..)?;
+                Some(String::from_utf8_lossy(primary_key).into_owned())
+            })
             .collect();
-        Ok(keys.into_iter().cloned().collect())
+        keys.into_iter().collect()
     }
 }
 
@@ -1006,6 +980,54 @@ mod tests {
         let reopened = SpitzDb::with_store(store, SpitzConfig::default());
         assert!(
             matches!(reopened, Err(DbError::Storage(reason)) if reason.contains("corrupt catalog"))
+        );
+    }
+
+    #[test]
+    fn a_catalog_from_before_index_cells_fails_the_open_typed() {
+        let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
+        let schema = Schema::new("t", vec![("n", ColumnType::Integer)]);
+        let mut bytes = CATALOG_MAGIC_V1.to_vec();
+        bytes.extend_from_slice(&encode_catalog(&[(&schema, 0)])[CATALOG_MAGIC.len()..]);
+        store.set_root(CATALOG_ROOT, store.put(Chunk::new(ChunkKind::Meta, bytes)));
+
+        let reopened = SpitzDb::with_store(store, SpitzConfig::default());
+        assert!(
+            matches!(reopened, Err(DbError::Storage(reason)) if reason.contains("predates index cells"))
+        );
+    }
+
+    #[test]
+    fn no_table_column_reaches_the_reserved_index_column_id() {
+        let schema = |table: &str, columns: &[&'static str]| {
+            Schema::new(
+                table,
+                columns.iter().map(|c| (*c, ColumnType::Integer)).collect(),
+            )
+        };
+        let last = crate::cell::INDEX_COLUMN_ID - 1;
+        assert!(decode_catalog(&encode_catalog(&[(&schema("t", &["a"]), last)])).is_some());
+        assert!(decode_catalog(&encode_catalog(&[(&schema("t", &["a", "b"]), last)])).is_none());
+
+        // `create_table` allocates under the same bound.
+        let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
+        let catalog = encode_catalog(&[(&schema("t", &["a"]), last - 1)]);
+        store.set_root(
+            CATALOG_ROOT,
+            store.put(Chunk::new(ChunkKind::Meta, catalog)),
+        );
+        let db = SpitzDb::with_store(store, SpitzConfig::default()).unwrap();
+        assert!(matches!(
+            db.create_table(schema("u", &["a", "b"])),
+            Err(DbError::BadRequest(_))
+        ));
+        assert!(db.get_record("u", "pk").is_err());
+        db.create_table(schema("v", &["a"])).unwrap();
+        db.insert_record("v", &Record::new("pk").with("a", Value::Integer(1)))
+            .unwrap();
+        assert_eq!(
+            db.query_int_range("v", "a", 0, 2).unwrap(),
+            vec!["pk".to_string()]
         );
     }
 

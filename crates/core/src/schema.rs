@@ -36,7 +36,8 @@ impl ColumnType {
 }
 
 /// A typed value stored in a cell. Values of one type order naturally
-/// (integers numerically), which is the order of a column's inverted index.
+/// (integers numerically); a column's index cells encode them so that key
+/// order is this order (see [`crate::cell`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Value {
     /// Integer value.

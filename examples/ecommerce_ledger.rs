@@ -76,8 +76,8 @@ fn main() {
         db.digest().block_height + 1
     );
 
-    // Weakly isolated analytics: status report straight from the inverted
-    // index, no serializable transaction needed.
+    // Weakly isolated analytics: status report straight from the status
+    // column's index cells, no serializable transaction needed.
     let refunded = db
         .query_eq("orders", "status", &Value::Text("refunded".into()))
         .unwrap();

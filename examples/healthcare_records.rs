@@ -1,10 +1,11 @@
 //! Healthcare analytics scenario from the paper's introduction: patient
 //! records are append-only, coding standards change over time (ICD-9 →
 //! ICD-10), historical versions must stay queryable, and analytical queries
-//! run over the typed table layer with inverted indexes.
+//! run over the typed table layer, whose index cells live in the ledger.
 //!
 //! Run with: `cargo run --example healthcare_records`
 
+use spitz::core::UniversalKey;
 use spitz::{ColumnType, Record, Schema, SpitzDb, Value};
 
 fn main() {
@@ -60,7 +61,7 @@ fn main() {
         Some(&Value::Text("icd10/E11.9".into()))
     );
 
-    // Analytical queries over the inverted indexes.
+    // Analytical queries: each one is a range read over index cells.
     let diabetic = db
         .query_eq("patients", "diagnosis", &Value::Text("icd10/E11.9".into()))
         .unwrap();
@@ -75,9 +76,13 @@ fn main() {
     assert_eq!(elevated.len(), 14);
 
     // Point-in-time provenance: the pre-recoding ledger version can still be
-    // opened and shows the ICD-9 data.
+    // opened and shows the ICD-9 data: the cells of the table's three
+    // columns, ids 0..3 (the only table, so its column range starts at 0).
     let historical = db.ledger().checkout(digest_icd9.block_height).unwrap();
-    let historical_entries = historical.range(&[], &[0xff; 16]);
+    let historical_entries = historical.range(
+        &UniversalKey::column_prefix(0),
+        &UniversalKey::column_prefix(3),
+    );
     println!(
         "historical ledger version at block #{} still holds {} cells",
         digest_icd9.block_height,

@@ -403,10 +403,9 @@ fn stats_and_roots_survive_segment_rotation() {
 }
 
 /// The typed-table catalog survives a reopen: schemas come back from the
-/// `spitz/catalog` root chunk, and the analytical state (inverted indexes,
-/// primary keys, record timestamps) is rebuilt from the ledger's
-/// universal-key ranges — so typed reads, analytical queries and further
-/// inserts all keep working across a restart.
+/// `spitz/catalog` root chunk, and records, index cells and version
+/// timestamps are read from the ledger — so typed reads, analytical
+/// queries and further inserts all keep working across a restart.
 #[test]
 fn typed_table_catalog_survives_reopen() {
     use spitz::{ColumnType, Record, Schema, Value};
@@ -445,7 +444,7 @@ fn typed_table_catalog_survives_reopen() {
     let record = db.get_record("items", "item-012").unwrap().unwrap();
     assert_eq!(record.get("stock"), Some(&Value::Integer(12)));
 
-    // Analytical queries over the rebuilt inverted indexes.
+    // Analytical queries over the index cells.
     let low = db.query_int_range("items", "stock", 0, 5).unwrap();
     assert_eq!(low.len(), 5);
     assert!(low.contains(&"item-004".to_string()));
@@ -454,7 +453,7 @@ fn typed_table_catalog_survives_reopen() {
         .unwrap();
     assert_eq!(named, vec!["item-012".to_string()]);
 
-    // Inserts keep working after the rebuild (timestamps resume).
+    // Inserts keep working after the reopen (timestamps resume).
     db.insert_record(
         "items",
         &Record::new("item-new")
@@ -478,8 +477,8 @@ fn typed_table_catalog_survives_reopen() {
 }
 
 /// Two tables whose columns share positions (and types) must stay separate
-/// across a reopen: column ids are allocated globally per table, so the
-/// catalog rebuild must not leak one table's cells into another's indexes.
+/// across a reopen: column ids are allocated globally per table, so one
+/// table's cells never show up in another's reads or queries.
 #[test]
 fn catalog_rebuild_keeps_tables_separate() {
     use spitz::{ColumnType, Record, Schema, Value};
@@ -524,4 +523,225 @@ fn catalog_rebuild_keeps_tables_separate() {
     assert!(db.get_record("cities", "u1").unwrap().is_none());
     let user = db.get_record("users", "u1").unwrap().unwrap();
     assert_eq!(user.get("name"), Some(&Value::Text("ada".into())));
+}
+
+/// Creating a table again after a reopen must not strand its records: the
+/// identical schema is a no-op, and another schema under the same name is
+/// refused.
+#[test]
+fn recreating_a_table_keeps_its_records() {
+    use spitz::core::DbError;
+    use spitz::{ColumnType, Record, Schema, Value};
+
+    let dir = TempDir::new("table-recreate");
+    let schema = Schema::new("t", vec![("n", ColumnType::Integer)]);
+    let record = Record::new("pk").with("n", Value::Integer(1));
+    {
+        let db = SpitzDb::open(dir.path()).unwrap();
+        db.create_table(schema.clone()).unwrap();
+        db.insert_record("t", &record).unwrap();
+    }
+    let check = |db: &SpitzDb| {
+        assert_eq!(db.get_record("t", "pk").unwrap(), Some(record.clone()));
+        assert_eq!(
+            db.query_eq("t", "n", &Value::Integer(1)).unwrap(),
+            vec!["pk".to_string()]
+        );
+    };
+
+    let db = SpitzDb::open(dir.path()).unwrap();
+    db.create_table(schema.clone()).unwrap();
+    check(&db);
+    assert!(matches!(
+        db.create_table(Schema::new("t", vec![("n", ColumnType::Text)])),
+        Err(DbError::BadRequest(_))
+    ));
+    check(&db);
+    drop(db);
+    check(&SpitzDb::open(dir.path()).unwrap());
+}
+
+/// Typed reads and queries are a function of the ledger: cells written
+/// around the table layer (a record it never inserted, a newer version of
+/// one it did) give the same answers before and after a reopen, and the
+/// next insert is stamped above the newest version in the ledger.
+#[test]
+fn table_answers_are_a_function_of_the_ledger() {
+    use spitz::core::UniversalKey;
+    use spitz::{ColumnType, Record, Schema, Value};
+
+    let dir = TempDir::new("table-ledger-answers");
+    let answers = |db: &SpitzDb| {
+        (
+            db.get_record("t", "ghost").unwrap(),
+            db.get_record("t", "pk").unwrap(),
+            db.query_eq("t", "n", &Value::Integer(5)).unwrap(),
+            db.query_int_range("t", "n", i64::MIN, i64::MAX).unwrap(),
+        )
+    };
+    let n = |pk: &str, n: i64| Record::new(pk).with("n", Value::Integer(n));
+
+    let db = SpitzDb::open(dir.path()).unwrap();
+    db.create_table(Schema::new("t", vec![("n", ColumnType::Integer)]))
+        .unwrap();
+    db.insert_record("t", &n("pk", 5)).unwrap();
+    for (pk, value, timestamp) in [("ghost", 7, 1), ("pk", 9, 99)] {
+        let encoded = Value::Integer(value).encode();
+        let cell = UniversalKey::new(0, pk.as_bytes(), timestamp, &encoded);
+        db.put(&cell.encode(), &encoded).unwrap();
+    }
+    let live = answers(&db);
+    assert_eq!(live.0, Some(n("ghost", 7)));
+    assert_eq!(live.1, Some(n("pk", 9)), "the newest cell is the record");
+    assert_eq!(live.2, vec!["pk".to_string()]);
+    drop(db);
+
+    let db = SpitzDb::open(dir.path()).unwrap();
+    assert_eq!(answers(&db), live);
+    db.insert_record("t", &n("pk", 11)).unwrap();
+    assert_eq!(db.get_record("t", "pk").unwrap(), Some(n("pk", 11)));
+}
+
+/// Concurrent inserts of one key get distinct timestamps, and the record
+/// read back is one complete version that some writer wrote.
+#[test]
+fn concurrent_inserts_of_one_key_get_distinct_timestamps() {
+    use std::collections::BTreeSet;
+
+    use spitz::core::UniversalKey;
+    use spitz::{ColumnType, Record, Schema, Value};
+
+    const WRITERS: i64 = 4;
+    const INSERTS: i64 = 25;
+    let store: Arc<dyn ChunkStore> = spitz::storage::InMemoryChunkStore::shared();
+    let db = SpitzDb::with_store(store, SpitzConfig::default()).unwrap();
+    db.create_table(Schema::new(
+        "t",
+        vec![
+            ("writer", ColumnType::Integer),
+            ("seq", ColumnType::Integer),
+        ],
+    ))
+    .unwrap();
+    let version = |writer: i64, seq: i64| {
+        Record::new("pk")
+            .with("writer", Value::Integer(writer))
+            .with("seq", Value::Integer(seq))
+    };
+    let start = std::sync::Barrier::new(WRITERS as usize);
+    std::thread::scope(|scope| {
+        for writer in 0..WRITERS {
+            let (db, version, start) = (&db, &version, &start);
+            scope.spawn(move || {
+                start.wait();
+                for seq in 0..INSERTS {
+                    db.insert_record("t", &version(writer, seq)).unwrap();
+                }
+            });
+        }
+    });
+
+    for column in 0..2u32 {
+        let cells = db
+            .range(
+                &UniversalKey::column_prefix(column),
+                &UniversalKey::column_prefix(column + 1),
+            )
+            .unwrap();
+        let timestamps: BTreeSet<u64> = cells
+            .iter()
+            .map(|(key, _)| UniversalKey::decode(key).unwrap().timestamp)
+            .collect();
+        assert_eq!(cells.len() as i64, WRITERS * INSERTS, "column {column}");
+        assert_eq!(timestamps.len(), cells.len(), "column {column}");
+    }
+    let latest = db.get_record("t", "pk").unwrap().unwrap();
+    let written = |r: &Record| {
+        matches!(
+            (r.get("writer"), r.get("seq")),
+            (Some(Value::Integer(w)), Some(Value::Integer(s)))
+                if (0..WRITERS).contains(w) && (0..INSERTS).contains(s) && r.values.len() == 2
+        )
+    };
+    assert!(written(&latest), "{latest:?}");
+}
+
+/// A store that counts chunk reads.
+struct CountingStore {
+    inner: Arc<dyn ChunkStore>,
+    gets: std::sync::atomic::AtomicUsize,
+}
+
+impl CountingStore {
+    fn gets(&self) -> usize {
+        self.gets.load(std::sync::atomic::Ordering::SeqCst)
+    }
+}
+
+impl ChunkStore for CountingStore {
+    fn put(&self, chunk: Chunk) -> spitz::Hash {
+        self.inner.put(chunk)
+    }
+    fn get(&self, address: &spitz::Hash) -> Result<Arc<Chunk>, StorageError> {
+        self.gets.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.inner.get(address)
+    }
+    fn contains(&self, address: &spitz::Hash) -> bool {
+        self.inner.contains(address)
+    }
+    fn stats(&self) -> spitz::storage::StoreStats {
+        self.inner.stats()
+    }
+    fn audit(&self) -> Vec<spitz::Hash> {
+        self.inner.audit()
+    }
+    fn set_root(&self, name: &str, hash: spitz::Hash) {
+        self.inner.set_root(name, hash)
+    }
+    fn root(&self, name: &str) -> Option<spitz::Hash> {
+        self.inner.root(name)
+    }
+}
+
+/// Opening a database with tables reads the ledger and the catalog chunk,
+/// however many records the tables hold: no table history is replayed.
+#[test]
+fn open_reads_the_catalog_chunk_and_no_table_history() {
+    use spitz::{ColumnType, Ledger, Record, Schema, Value};
+
+    for records in [10, 1_000] {
+        let store = Arc::new(CountingStore {
+            inner: spitz::storage::InMemoryChunkStore::shared(),
+            gets: Default::default(),
+        });
+        let config = SpitzConfig::default();
+        let open = || SpitzDb::with_store(Arc::clone(&store) as Arc<dyn ChunkStore>, config);
+        {
+            let db = open().unwrap();
+            db.create_table(Schema::new(
+                "t",
+                vec![("name", ColumnType::Text), ("n", ColumnType::Integer)],
+            ))
+            .unwrap();
+            for i in 0..records {
+                let record = Record::new(format!("pk-{i:04}"))
+                    .with("name", Value::Text(format!("name-{}", i % 7)))
+                    .with("n", Value::Integer(i));
+                db.insert_record("t", &record).unwrap();
+            }
+        }
+
+        let before = store.gets();
+        let ledger =
+            Ledger::open_with_kind(Arc::clone(&store) as Arc<dyn ChunkStore>, config.siri).unwrap();
+        let ledger_gets = store.gets() - before;
+        drop(ledger);
+
+        let before = store.gets();
+        let db = open().unwrap();
+        let db_gets = store.gets() - before;
+        assert_eq!(db_gets, ledger_gets + 1, "{records} records");
+        assert_eq!(db.query_int_range("t", "n", 0, 5).unwrap().len(), 5);
+        assert!(ledger_gets > 0);
+    }
 }

@@ -462,6 +462,37 @@ fn failed_insert_record_is_not_indexed() {
     );
 }
 
+/// A failed insert leaves no timestamp behind that outlives the process:
+/// after a reopen, the next update of the same key is its newest version.
+#[test]
+fn failed_insert_then_reopen_keeps_the_next_update_newest() {
+    use spitz::{ColumnType, Record, Schema, Value};
+
+    let failpoint = FailpointStore::new(InMemoryChunkStore::shared() as Arc<dyn ChunkStore>);
+    let open = || {
+        SpitzDb::with_store(
+            Arc::clone(&failpoint) as Arc<dyn ChunkStore>,
+            SpitzConfig::default(),
+        )
+        .expect("open over the failpoint store")
+    };
+    let item = |stock: i64| Record::new("kept").with("stock", Value::Integer(stock));
+    let db = open();
+    db.create_table(Schema::new("items", vec![("stock", ColumnType::Integer)]))
+        .unwrap();
+    db.insert_record("items", &item(10)).unwrap();
+    failpoint.arm(0, FailMode::Error);
+    db.insert_record("items", &item(20))
+        .expect_err("the update's commit fails");
+    failpoint.disarm();
+    drop(db);
+
+    let db = open();
+    assert_eq!(db.get_record("items", "kept").unwrap(), Some(item(10)));
+    db.insert_record("items", &item(30)).unwrap();
+    assert_eq!(db.get_record("items", "kept").unwrap(), Some(item(30)));
+}
+
 /// An in-memory store whose `sync` fails while `fail_sync` is set: a
 /// Strict commit then publishes its block and still reports an error.
 #[derive(Default)]
