@@ -48,13 +48,13 @@ fn main() {
             std::hint::black_box(kvs.range(&ranges[i].0, &ranges[i].1));
         });
         let spitz_scan = measure_throughput(ranges.len(), |i| {
-            std::hint::black_box(spitz.range(&ranges[i].0, &ranges[i].1).unwrap());
+            std::hint::black_box(spitz.range_unverified(&ranges[i].0, &ranges[i].1).unwrap());
         });
         let mut client = Verifier::new();
-        client.observe_digest(spitz.digest());
+        assert!(client.observe_sharded(&spitz.digest()));
         let spitz_scan_verify = measure_throughput(ranges.len(), |i| {
             let (entries, proof) = spitz.range_verified(&ranges[i].0, &ranges[i].1).unwrap();
-            assert!(client.verify_range(&entries, &proof));
+            assert!(client.verify_sharded_range(&entries, &proof));
         });
         let qldb_scan = measure_throughput(ranges.len(), |i| {
             std::hint::black_box(qldb.range(&ranges[i].0, &ranges[i].1));

@@ -58,10 +58,10 @@ fn main() {
             std::hint::black_box(spitz.get(&keys[i]).unwrap());
         });
         let mut client = Verifier::new();
-        client.observe_digest(spitz.digest());
+        assert!(client.observe_sharded(&spitz.digest()));
         let spitz_read_verify = measure_throughput(keys.len(), |i| {
             let (value, proof) = spitz.get_verified(&keys[i]).unwrap();
-            assert!(client.verify_read(&keys[i], value.as_deref(), &proof));
+            assert!(client.verify_sharded_read(&keys[i], value.as_deref(), &proof));
         });
         let ni_read = measure_throughput(keys.len(), |i| {
             std::hint::black_box(non_intrusive.get(&keys[i]));
@@ -79,10 +79,10 @@ fn main() {
             spitz.put(&writes[i].0, &writes[i].1).unwrap();
         });
         let mut client = Verifier::new();
-        client.observe_digest(spitz.digest());
+        assert!(client.observe_sharded(&spitz.digest()));
         let spitz_write_verify = measure_throughput(writes.len(), |i| {
-            let digest = spitz.put(&writes[i].0, &writes[i].1).unwrap();
-            assert!(client.observe_digest(digest));
+            spitz.put(&writes[i].0, &writes[i].1).unwrap();
+            assert!(client.observe_sharded(&spitz.digest()));
         });
         let ni_write = measure_throughput(writes.len(), |i| {
             non_intrusive.put(&writes[i].0, &writes[i].1);

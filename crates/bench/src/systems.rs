@@ -1,14 +1,14 @@
 //! Helpers that load the same workload into every evaluated system.
 
 use spitz_baseline::{ImmutableKvs, NonIntrusiveVdb, QldbBaseline};
-use spitz_core::db::SpitzDb;
+use spitz_core::ShardedDb;
 
 use crate::workload::KeyValueWorkload;
 
-/// Load a Spitz instance with the workload (one block per batch of 256
-/// writes, mirroring the baseline's block capacity).
-pub fn load_spitz(workload: &KeyValueWorkload) -> SpitzDb {
-    let db = SpitzDb::in_memory();
+/// Load a one-shard Spitz instance with the workload (one block per batch
+/// of 256 writes, mirroring the baseline's block capacity).
+pub fn load_spitz(workload: &KeyValueWorkload) -> ShardedDb {
+    let db = ShardedDb::in_memory(1);
     for batch in workload.records.chunks(256) {
         db.put_batch(batch.to_vec()).expect("load");
     }

@@ -21,7 +21,7 @@
 //! `0x00` as `0x00 0xFF` and end with `0x00 0x01`, so no value's encoding
 //! is a prefix of another's and byte order is value order. An equality or
 //! range query over a column is then one contiguous key range, answered
-//! by the ledger itself. The column id [`INDEX_COLUMN_ID`] is reserved for
+//! by the ledger itself. The column id `INDEX_COLUMN_ID` (`u32::MAX`) is reserved for
 //! these cells: no table column ever takes it.
 
 use spitz_crypto::{sha256, Hash};
@@ -32,7 +32,7 @@ use crate::Result;
 
 /// The column id under which every index cell lives; no table column
 /// takes it.
-pub const INDEX_COLUMN_ID: u32 = u32::MAX;
+pub(crate) const INDEX_COLUMN_ID: u32 = u32::MAX;
 
 /// The universal key identifying one cell version.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]

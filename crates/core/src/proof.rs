@@ -1,21 +1,20 @@
-//! The one proof layer of Spitz: every verified read — point or range,
-//! single-node or sharded — funnels through the types in this module and is
-//! checked by the single [`Verifier`] entry point.
+//! The one proof layer of Spitz: every verified read — point, batched or
+//! range — funnels through the types in this module and is checked by the
+//! single [`Verifier`] entry point.
 //!
 //! Section 5.3 of the paper: "Clients can use the digest of the ledger to
 //! perform verification locally. … To verify the correctness of the results,
 //! clients can recalculate the digest with the received proof and compare it
 //! with the previous digest saved locally." The [`Verifier`] is that client:
-//! it pins the latest digest it has seen (a [`Digest`] for a single ledger,
-//! a [`ShardedDigest`] root for a sharded deployment), verifies read and
+//! it pins the latest [`ShardedDigest`] root it has seen, verifies read and
 //! range proofs against the pin, and refuses digests that rewind history.
 //!
-//! Proof types:
+//! Proof types (each carries per-shard `spitz_ledger` proofs):
 //!
-//! * [`LedgerProof`] / [`LedgerRangeProof`] (re-exported from
-//!   `spitz_ledger`) — single-ledger point and complete range proofs.
 //! * [`ShardedProof`] — a point proof chained through its shard-digest leaf
 //!   to the single cross-shard Merkle root.
+//! * [`ShardedMultiProof`] — a batched point proof: one batched ledger
+//!   proof per shard read, each chained to the same root.
 //! * [`ShardedRangeProof`] — a complete cross-shard range proof: one
 //!   complete per-shard range proof for **every** shard, bound together by
 //!   recomputing the cross-shard root from the revealed shard digests, so a
@@ -27,9 +26,7 @@ use std::collections::BTreeMap;
 use spitz_crypto::merkle::AuditProof;
 use spitz_crypto::Hash;
 use spitz_index::codec;
-use spitz_ledger::{
-    DeferredVerifier, Digest, LedgerProof, LedgerRangeProof, VerificationReport, VerifiedRange,
-};
+use spitz_ledger::{LedgerProof, LedgerRangeProof, VerifiedRange};
 
 use crate::sharded::{shard_for, ShardedDigest};
 
@@ -79,7 +76,7 @@ impl ShardedProof {
     /// Append the canonical wire encoding (exactly
     /// [`ShardedProof::encoded_len`] bytes): shard index ‖ shard count ‖
     /// ledger proof ‖ audit path ‖ cross-shard root.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         codec::put_u32(out, self.shard as u32);
         codec::put_u32(out, self.shard_count as u32);
         self.ledger_proof.encode_into(out);
@@ -109,7 +106,7 @@ impl ShardedProof {
 
     /// Decode a proof from a reader positioned at its first byte, leaving
     /// the reader just past it.
-    pub fn decode_from(r: &mut codec::Reader<'_>) -> Option<ShardedProof> {
+    fn decode_from(r: &mut codec::Reader<'_>) -> Option<ShardedProof> {
         let shard = r.u32()? as usize;
         let shard_count = r.u32()? as usize;
         let ledger_proof = LedgerProof::decode(r)?;
@@ -246,7 +243,7 @@ impl ShardedMultiProof {
 
     /// Append the canonical wire encoding (exactly
     /// [`ShardedMultiProof::encoded_len`] bytes).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         codec::put_u32(out, self.shard_count as u32);
         codec::put_hash(out, &self.root);
         codec::put_u32(out, self.groups.len() as u32);
@@ -279,7 +276,7 @@ impl ShardedMultiProof {
 
     /// Decode a proof from a reader positioned at its first byte, leaving
     /// the reader just past it.
-    pub fn decode_from(r: &mut codec::Reader<'_>) -> Option<ShardedMultiProof> {
+    fn decode_from(r: &mut codec::Reader<'_>) -> Option<ShardedMultiProof> {
         let shard_count = r.u32()? as usize;
         let root = r.hash()?;
         let count = r.count(1)?;
@@ -399,7 +396,7 @@ impl ShardedRangeProof {
     /// Append the canonical wire encoding (exactly
     /// [`ShardedRangeProof::encoded_len`] bytes): shard count ‖ epoch ‖
     /// root ‖ per-shard proof count ‖ per-shard range proofs.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         codec::put_u32(out, self.shard_count as u32);
         codec::put_u64(out, self.epoch);
         codec::put_hash(out, &self.root);
@@ -498,9 +495,9 @@ impl ShardedRangeProof {
 
 /// Result of a verified sharded range read: the merged entries in key
 /// order plus the single [`ShardedRangeProof`] covering all of them.
-pub type ShardedVerifiedRange = (Vec<(Vec<u8>, Vec<u8>)>, ShardedRangeProof);
+pub(crate) type ShardedVerifiedRange = (Vec<(Vec<u8>, Vec<u8>)>, ShardedRangeProof);
 
-/// A sharded pin: the cross-shard root a client trusts, with the commit
+/// A pin: the cross-shard root a client trusts, with the commit
 /// epoch used to order successive pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ShardedPin {
@@ -508,20 +505,18 @@ struct ShardedPin {
     root: Hash,
 }
 
-/// The single client-side verification entry point.
+/// The single client-side verification entry point, with one pin.
 ///
-/// One `Verifier` serves every Spitz deployment shape: pin a [`Digest`]
-/// (single ledger) with [`Verifier::observe_digest`] and/or a
-/// [`ShardedDigest`] with [`Verifier::observe_sharded`], then verify point
-/// reads, complete range reads, sharded reads and sharded ranges against
-/// the pins. Digest observations only move forward — an attempt to present
-/// an older state (a rollback) or a different state at the same height (a
-/// fork) is refused.
+/// A client pins the cross-shard root of a [`ShardedDigest`] with
+/// [`Verifier::observe_sharded`] (a one-shard database has a one-leaf
+/// digest), then verifies point reads, batched reads and complete range
+/// reads against that pin. The pin only moves forward: an attempt to
+/// present an older state (a rollback) or a different state at the same
+/// epoch (a fork) is refused, and a proof whose root differs from the pin
+/// never verifies a point or batched read.
 #[derive(Default)]
 pub struct Verifier {
-    pinned: Option<Digest>,
-    pinned_sharded: Option<ShardedPin>,
-    deferred: DeferredVerifier,
+    pinned: Option<ShardedPin>,
 }
 
 impl Verifier {
@@ -530,37 +525,9 @@ impl Verifier {
         Verifier::default()
     }
 
-    /// The single-ledger digest currently pinned, if any.
-    pub fn pinned_digest(&self) -> Option<Digest> {
-        self.pinned
-    }
-
     /// The cross-shard root currently pinned, if any.
     pub fn pinned_sharded_root(&self) -> Option<Hash> {
-        self.pinned_sharded.map(|p| p.root)
-    }
-
-    /// Observe a fresh digest from the server. Returns `false` (and refuses
-    /// to move the pin) when the new digest would rewind history — a
-    /// tampering signal.
-    pub fn observe_digest(&mut self, digest: Digest) -> bool {
-        match self.pinned {
-            None => {
-                self.pinned = Some(digest);
-                true
-            }
-            Some(previous) => {
-                let moves_forward = digest.block_height >= previous.block_height;
-                let same_point = digest.block_height == previous.block_height
-                    && digest.block_hash != previous.block_hash;
-                if moves_forward && !same_point {
-                    self.pinned = Some(digest);
-                    true
-                } else {
-                    false
-                }
-            }
-        }
+        self.pinned.map(|p| p.root)
     }
 
     /// Observe a fresh cross-shard digest. The digest must be internally
@@ -570,9 +537,9 @@ impl Verifier {
         if !digest.verify() {
             return false;
         }
-        match self.pinned_sharded {
+        match self.pinned {
             None => {
-                self.pinned_sharded = Some(ShardedPin {
+                self.pinned = Some(ShardedPin {
                     epoch: digest.epoch,
                     root: digest.root,
                 });
@@ -582,7 +549,7 @@ impl Verifier {
                 let moves_forward = digest.epoch > previous.epoch;
                 let same_point = digest.epoch == previous.epoch && digest.root == previous.root;
                 if moves_forward || same_point {
-                    self.pinned_sharded = Some(ShardedPin {
+                    self.pinned = Some(ShardedPin {
                         epoch: digest.epoch,
                         root: digest.root,
                     });
@@ -592,29 +559,6 @@ impl Verifier {
                 }
             }
         }
-    }
-
-    /// Online verification of a point read against the pinned digest.
-    ///
-    /// The proof must verify cryptographically *and* be anchored at a digest
-    /// that is not older than the pinned one.
-    pub fn verify_read(&mut self, key: &[u8], value: Option<&[u8]>, proof: &LedgerProof) -> bool {
-        if !proof.verify(key, value) {
-            return false;
-        }
-        self.observe_digest(proof.digest)
-    }
-
-    /// Online verification of a complete range read.
-    pub fn verify_range(
-        &mut self,
-        entries: &[(Vec<u8>, Vec<u8>)],
-        proof: &LedgerRangeProof,
-    ) -> bool {
-        if !proof.verify(entries) {
-            return false;
-        }
-        self.observe_digest(proof.digest)
     }
 
     /// Verification of a sharded point read against the pinned cross-shard
@@ -627,7 +571,7 @@ impl Verifier {
         value: Option<&[u8]>,
         proof: &ShardedProof,
     ) -> bool {
-        match self.pinned_sharded {
+        match self.pinned {
             Some(pin) => pin.root == proof.root && proof.verify(key, value),
             None => false,
         }
@@ -642,7 +586,7 @@ impl Verifier {
         items: &[(Vec<u8>, Option<Vec<u8>>)],
         proof: &ShardedMultiProof,
     ) -> bool {
-        match self.pinned_sharded {
+        match self.pinned {
             Some(pin) => pin.root == proof.root && proof.verify(items),
             None => false,
         }
@@ -664,76 +608,12 @@ impl Verifier {
         let combined = ShardedDigest::over(proof.shards.iter().map(|p| p.digest).collect());
         self.observe_sharded(&combined)
     }
-
-    /// Deferred verification: queue the result now, verify later in batch.
-    pub fn defer_read(&self, key: Vec<u8>, value: Option<Vec<u8>>, proof: LedgerProof) {
-        self.deferred.submit(key, value, proof);
-    }
-
-    /// Verify every deferred result queued so far.
-    pub fn flush_deferred(&self) -> VerificationReport {
-        self.deferred.verify_batch()
-    }
-
-    /// Number of reads queued for deferred verification.
-    pub fn deferred_pending(&self) -> usize {
-        self.deferred.pending_count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::SpitzDb;
     use crate::sharded::ShardedDb;
-
-    #[test]
-    fn online_verification_accepts_honest_server() {
-        let db = SpitzDb::in_memory();
-        db.put(b"k1", b"v1").unwrap();
-        db.put(b"k2", b"v2").unwrap();
-
-        let mut client = Verifier::new();
-        client.observe_digest(db.digest());
-
-        let (value, proof) = db.get_verified(b"k1").unwrap();
-        assert!(client.verify_read(b"k1", value.as_deref(), &proof));
-
-        let (entries, proof) = db.range_verified(b"k1", b"k3").unwrap();
-        assert_eq!(entries.len(), 2);
-        assert!(client.verify_range(&entries, &proof));
-    }
-
-    #[test]
-    fn forged_values_are_rejected() {
-        let db = SpitzDb::in_memory();
-        db.put(b"k", b"honest").unwrap();
-        let mut client = Verifier::new();
-        client.observe_digest(db.digest());
-        let (_, proof) = db.get_verified(b"k").unwrap();
-        assert!(!client.verify_read(b"k", Some(b"forged"), &proof));
-        assert!(!client.verify_read(b"k", None, &proof));
-    }
-
-    #[test]
-    fn digest_rollback_is_detected() {
-        let db = SpitzDb::in_memory();
-        db.put(b"a", b"1").unwrap();
-        let old_digest = db.digest();
-        db.put(b"b", b"2").unwrap();
-        let new_digest = db.digest();
-
-        let mut client = Verifier::new();
-        assert!(client.observe_digest(new_digest));
-        // A server trying to present an older state is refused.
-        assert!(!client.observe_digest(old_digest));
-        assert_eq!(client.pinned_digest().unwrap(), new_digest);
-
-        // Same height but a different block hash is also refused (fork).
-        let mut forked = new_digest;
-        forked.block_hash = spitz_crypto::sha256(b"fork");
-        assert!(!client.observe_digest(forked));
-    }
 
     #[test]
     fn sharded_rollback_is_detected() {
@@ -873,31 +753,5 @@ mod tests {
         assert!(client.observe_sharded(&db.digest()));
         assert!(client.verify_sharded_read(b"k", value.as_deref(), &proof));
         assert!(!client.verify_sharded_read(b"k", Some(b"forged"), &proof));
-    }
-
-    #[test]
-    fn deferred_verification_batches_work() {
-        let db = SpitzDb::in_memory();
-        let writes: Vec<_> = (0..40u32)
-            .map(|i| {
-                (
-                    format!("k{i:02}").into_bytes(),
-                    format!("v{i}").into_bytes(),
-                )
-            })
-            .collect();
-        db.put_batch(writes).unwrap();
-
-        let client = Verifier::new();
-        for i in 0..40u32 {
-            let key = format!("k{i:02}").into_bytes();
-            let (value, proof) = db.get_verified(&key).unwrap();
-            client.defer_read(key, value, proof);
-        }
-        assert_eq!(client.deferred_pending(), 40);
-        let report = client.flush_deferred();
-        assert_eq!(report.verified, 40);
-        assert!(report.all_ok());
-        assert_eq!(client.deferred_pending(), 0);
     }
 }

@@ -50,7 +50,7 @@ pub enum Value {
 
 impl Value {
     /// The column type this value belongs to.
-    pub fn column_type(&self) -> ColumnType {
+    pub(crate) fn column_type(&self) -> ColumnType {
         match self {
             Value::Integer(_) => ColumnType::Integer,
             Value::Text(_) => ColumnType::Text,
@@ -98,11 +98,11 @@ impl Value {
 
 /// Definition of one column.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ColumnDef {
+pub(crate) struct ColumnDef {
     /// Column name.
-    pub name: String,
+    pub(crate) name: String,
     /// Column type.
-    pub column_type: ColumnType,
+    pub(crate) column_type: ColumnType,
 }
 
 /// A table schema: an ordered list of typed columns. Column ids are the
@@ -111,9 +111,9 @@ pub struct ColumnDef {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Schema {
     /// Table name.
-    pub table: String,
+    pub(crate) table: String,
     /// Ordered column definitions.
-    pub columns: Vec<ColumnDef>,
+    pub(crate) columns: Vec<ColumnDef>,
 }
 
 impl Schema {
@@ -132,7 +132,7 @@ impl Schema {
     }
 
     /// The column id (universal-key component) of a named column.
-    pub fn column_id(&self, name: &str) -> Result<u32> {
+    pub(crate) fn column_id(&self, name: &str) -> Result<u32> {
         self.columns
             .iter()
             .position(|c| c.name == name)
@@ -140,13 +140,8 @@ impl Schema {
             .ok_or_else(|| DbError::UnknownColumn(name.to_string()))
     }
 
-    /// The definition of a column by id.
-    pub fn column(&self, id: u32) -> Option<&ColumnDef> {
-        self.columns.get(id as usize)
-    }
-
     /// Check that a record's values match the schema's column types.
-    pub fn validate(&self, record: &Record) -> Result<()> {
+    pub(crate) fn validate(&self, record: &Record) -> Result<()> {
         for (name, value) in &record.values {
             let id = self.column_id(name)?;
             let def = &self.columns[id as usize];
@@ -232,8 +227,6 @@ mod tests {
             s.column_id("missing"),
             Err(DbError::UnknownColumn(_))
         ));
-        assert_eq!(s.column(1).unwrap().name, "amount");
-        assert!(s.column(9).is_none());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   same content hash `spitz_txn`'s 2PC coordinator uses, so the mapping
 //!   is deterministic and client-recomputable.
 //! * **Single-key operations** (`put`/`get`/`get_verified`) route straight
-//!   to the owning shard and cost exactly what a single-ledger Spitz costs
-//!   — this is where the partitioned-journal shape gets its scaling: W
+//!   to the owning shard and cost what one shard's ledger costs (plus, for
+//!   a verified read, the audit path to the cross-shard root) — this is
+//!   where the partitioned-journal shape gets its scaling: W
 //!   writers spread over N shards contend on N ledgers and N commit
 //!   pipelines instead of one.
 //! * **Cross-shard batches** run real two-phase commit: every involved
@@ -33,7 +34,7 @@
 //!   read anywhere in the keyspace: the shard's ledger proof chains to the
 //!   shard digest, and an audit path chains the shard digest to the pinned
 //!   root ([`ShardedProof`]). The digest is recomputed per commit epoch and
-//!   persisted as the named root [`SHARDED_HEAD_ROOT`] through the same
+//!   persisted as the named root `spitz/sharded/head` through the same
 //!   log-embedded root-record path the per-shard ledger heads use.
 //! * **The epoch fence** makes [`ShardedDb::digest`] a true consistent cut
 //!   under concurrent writers: every commit path holds the fence shared,
@@ -57,7 +58,9 @@ use spitz_crypto::merkle::{AuditProof, MerkleTree};
 use spitz_crypto::Hash;
 use spitz_ledger::Digest;
 use spitz_obs::{Counter, TelemetryHandle, TelemetrySnapshot};
-use spitz_storage::{Chunk, ChunkKind, ChunkStore, CompactionReport, DurableConfig};
+use spitz_storage::{
+    real_io, Chunk, ChunkKind, ChunkStore, CompactionReport, DurableConfig, SegmentIoHandle,
+};
 use spitz_txn::TwoPhaseCoordinator;
 use spitz_txn::{CcScheme, Participant, PreparedApply, PreparedGlobal, TimestampOracle};
 
@@ -69,16 +72,17 @@ use crate::db::{ProofObs, SpitzConfig, SpitzDb};
 use crate::error::DbError;
 use crate::snapshot::ShardedSnapshot;
 use crate::staged::{StagedEntry, StagedLog};
+use crate::table::Tables;
 use crate::Result;
 
 /// Named root under which the latest cross-shard digest chunk is published
 /// (in shard 0's store), mirroring `spitz/ledger/head` one level up.
-pub const SHARDED_HEAD_ROOT: &str = "spitz/sharded/head";
+pub(crate) const SHARDED_HEAD_ROOT: &str = "spitz/sharded/head";
 
 /// Named root of the per-shard membership record: which shard index of how
 /// many this store is. Guards a sharded database against being reassembled
 /// with the wrong shard count or with shard directories swapped.
-pub const SHARD_MEMBER_ROOT: &str = "spitz/sharded/member";
+pub(crate) const SHARD_MEMBER_ROOT: &str = "spitz/sharded/member";
 
 /// Which shard of `shards` owns `key`. This is the routing function used by
 /// [`ShardedDb`], `spitz_txn`'s [`TwoPhaseCoordinator`] and verifying
@@ -97,8 +101,8 @@ pub struct ShardedConfig {
     /// telemetry).
     pub spitz: SpitzConfig,
     /// Per-shard storage tuning (segment size, cache budget, fsync
-    /// policy). Only [`ShardedDb::open`] uses it; in-memory and
-    /// caller-provided-store instances ignore it.
+    /// policy). Only [`ShardedDb::open`] and [`ShardedDb::open_with_io`]
+    /// use it; in-memory and caller-provided-store instances ignore it.
     pub durable: DurableConfig,
 }
 
@@ -167,12 +171,12 @@ impl ShardedDigest {
 
     /// Audit path proving that shard `shard`'s digest is a leaf of this
     /// root. `None` when the shard index is out of range.
-    pub fn membership_proof(&self, shard: usize) -> Option<AuditProof> {
+    pub(crate) fn membership_proof(&self, shard: usize) -> Option<AuditProof> {
         merkle_tree(&self.shards).audit_proof(shard)
     }
 
     /// Canonical byte encoding, stored as the payload of the
-    /// [`SHARDED_HEAD_ROOT`] digest chunk.
+    /// `spitz/sharded/head` digest chunk.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + 4 + self.shards.len() * DIGEST_ENCODED_LEN);
         out.extend_from_slice(&self.epoch.to_be_bytes());
@@ -383,10 +387,12 @@ pub struct ShardedDb {
     staged_logs: Vec<Arc<StagedLog>>,
     /// The coordinator's durable commit-decision log (shard 0's store).
     decisions: StagedLog,
-    /// Epoch of the last digest published to [`SHARDED_HEAD_ROOT`].
+    /// Epoch of the last digest published to `spitz/sharded/head`.
     /// Serializes publications and keeps a slower concurrent publisher
     /// from rolling the head back to a staler digest.
     published_epoch: parking_lot::Mutex<u64>,
+    /// The typed tables named in the catalog (see [`crate::table`]).
+    pub(crate) tables: Tables,
     /// Telemetry registry shared by every shard (and the 2PC coordinator).
     telemetry: TelemetryHandle,
     /// Sharded-layer instruments.
@@ -395,31 +401,18 @@ pub struct ShardedDb {
 
 impl ShardedDb {
     /// Create an in-memory sharded instance with `shards` shards and the
-    /// default per-shard configuration.
+    /// default per-shard configuration. One shard is the single-node
+    /// database of the paper's evaluation.
     pub fn in_memory(shards: usize) -> Self {
         Self::with_config(ShardedConfig::default().with_shards(shards))
     }
 
     /// Create an in-memory sharded instance with an explicit configuration.
     pub fn with_config(config: ShardedConfig) -> Self {
-        assert!(config.shards >= 1, "need at least one shard");
-        // One telemetry registry spans all shards: per-shard instruments
-        // aggregate into a single deployment-wide snapshot.
-        let telemetry = config.spitz.telemetry_handle();
-        let dbs: Vec<Arc<SpitzDb>> = (0..config.shards)
-            .map(|_| {
-                Arc::new(SpitzDb::with_config_and_telemetry(
-                    config.spitz,
-                    telemetry.clone(),
-                ))
-            })
-            .collect();
-        // In-memory membership records keep the invariants uniform across
-        // backends (and are exercised by `with_stores` round-trips).
-        for (i, db) in dbs.iter().enumerate() {
-            let _ = ensure_member(db.store(), i, config.shards, config.spitz);
-        }
-        Self::assemble(dbs, telemetry)
+        Self::build(config.shards, config.spitz, |_, telemetry| {
+            Ok(SpitzDb::in_memory(config.spitz, telemetry))
+        })
+        .expect("in-memory shards cannot fail to open")
     }
 
     /// Open (or create) a durable sharded instance under `path`: shard `i`
@@ -428,32 +421,10 @@ impl ShardedDb {
     /// every per-shard digest and therefore the identical cross-shard
     /// digest; reopening with a different shard count (or mixed-up shard
     /// directories) is rejected via the persisted membership records.
+    /// Writes go through each shard's group-commit pipeline under
+    /// `config.spitz.durability`.
     pub fn open(path: impl AsRef<Path>, config: ShardedConfig) -> Result<Self> {
-        assert!(config.shards >= 1, "need at least one shard");
-        let path = path.as_ref();
-        let telemetry = config.spitz.telemetry_handle();
-        let mut dbs = Vec::with_capacity(config.shards);
-        for i in 0..config.shards {
-            let dir = path.join(format!("shard-{i:03}"));
-            let db = Arc::new(SpitzDb::open_with_telemetry(
-                &dir,
-                config.spitz,
-                config.durable,
-                telemetry.clone(),
-            )?);
-            ensure_member(db.store(), i, config.shards, config.spitz)?;
-            dbs.push(db);
-        }
-        let db = Self::assemble(dbs, telemetry);
-        // Batches whose commit was durably decided before the previous
-        // process died are redone eagerly — their effects were promised, so
-        // a reopened database must show them without waiting for an
-        // explicit `recover()` call. Undecided staged entries are left for
-        // `recover()`: only the caller knows no coordinator still intends
-        // to decide them.
-        db.resolve_staged(false);
-        db.clear_settled_decisions();
-        Ok(db)
+        Self::open_with_io(path, config, real_io())
     }
 
     /// [`ShardedDb::open`] with a caller-supplied segment-I/O seam threaded
@@ -465,48 +436,60 @@ impl ShardedDb {
     pub fn open_with_io(
         path: impl AsRef<Path>,
         config: ShardedConfig,
-        io: spitz_storage::SegmentIoHandle,
+        io: SegmentIoHandle,
     ) -> Result<Self> {
-        assert!(config.shards >= 1, "need at least one shard");
         let path = path.as_ref();
-        let telemetry = config.spitz.telemetry_handle();
-        let mut dbs = Vec::with_capacity(config.shards);
-        for i in 0..config.shards {
+        Self::build(config.shards, config.spitz, |i, telemetry| {
             let dir = path.join(format!("shard-{i:03}"));
-            let db = Arc::new(SpitzDb::open_full(
+            SpitzDb::open(
                 &dir,
                 config.spitz,
                 config.durable,
-                telemetry.clone(),
+                telemetry,
                 Arc::clone(&io),
-            )?);
-            ensure_member(db.store(), i, config.shards, config.spitz)?;
-            dbs.push(db);
-        }
-        let db = Self::assemble(dbs, telemetry);
-        db.resolve_staged(false);
-        db.clear_settled_decisions();
-        Ok(db)
+            )
+        })
     }
 
     /// Build a sharded instance over caller-provided chunk stores, one per
     /// shard (the hook fault-injection tests use to wrap stores with
-    /// failpoints). Each store gets a full `SpitzDb` via
-    /// [`SpitzDb::with_store`].
+    /// failpoints), recovering whatever the stores already hold.
     pub fn with_stores(stores: Vec<Arc<dyn ChunkStore>>, spitz: SpitzConfig) -> Result<Self> {
-        assert!(!stores.is_empty(), "need at least one shard store");
+        Self::build(stores.len(), spitz, |i, telemetry| {
+            SpitzDb::with_store(Arc::clone(&stores[i]), spitz, telemetry)
+        })
+    }
+
+    /// The one construction path: open `shards` shards with `open_shard`
+    /// over one shared telemetry registry, check each shard's membership
+    /// record, wire the 2PC layer, redo durably decided batches and load
+    /// the table catalog.
+    fn build(
+        shards: usize,
+        spitz: SpitzConfig,
+        mut open_shard: impl FnMut(usize, &TelemetryHandle) -> Result<SpitzDb>,
+    ) -> Result<Self> {
+        assert!(shards >= 1, "need at least one shard");
+        // One telemetry registry spans all shards: per-shard instruments
+        // aggregate into a single deployment-wide snapshot.
         let telemetry = spitz.telemetry_handle();
-        let shards = stores.len();
         let mut dbs = Vec::with_capacity(shards);
-        for (i, store) in stores.into_iter().enumerate() {
-            ensure_member(&store, i, shards, spitz)?;
-            dbs.push(Arc::new(SpitzDb::with_store_and_telemetry(
-                store,
-                spitz,
-                telemetry.clone(),
-            )?));
+        for i in 0..shards {
+            let db = Arc::new(open_shard(i, &telemetry)?);
+            ensure_member(db.store(), i, shards, spitz)?;
+            dbs.push(db);
         }
-        Ok(Self::assemble(dbs, telemetry))
+        let db = Self::assemble(dbs, telemetry);
+        // Batches whose commit was durably decided before the previous
+        // process died are redone eagerly — their effects were promised, so
+        // a reopened database must show them without waiting for an
+        // explicit `recover()` call. Undecided staged entries are left for
+        // `recover()`: only the caller knows no coordinator still intends
+        // to decide them.
+        db.resolve_staged(false);
+        db.clear_settled_decisions();
+        db.reload_catalog()?;
+        Ok(db)
     }
 
     /// Wire the 2PC layer over already-opened shards. Participants use
@@ -567,6 +550,7 @@ impl ShardedDb {
             staged_logs,
             decisions,
             published_epoch: parking_lot::Mutex::new(0),
+            tables: Tables::default(),
             telemetry,
             obs,
         };
@@ -591,14 +575,23 @@ impl ShardedDb {
         &self.coordinator
     }
 
-    /// The health of one shard's backing store (see [`SpitzDb::health`]).
+    /// The health of one shard's backing store: [`HealthState::Healthy`] in
+    /// normal operation, [`HealthState::Degraded`] after exhausted transient
+    /// I/O retries or a fully salvaged quarantine, [`HealthState::ReadOnly`]
+    /// once its device is full, a write path failed unrecoverably or a scrub
+    /// lost data (reads keep serving; writes to the shard fail fast with
+    /// [`DbError::ReadOnly`]). In-memory shards are always healthy.
+    ///
+    /// [`HealthState::Healthy`]: spitz_storage::HealthState::Healthy
+    /// [`HealthState::Degraded`]: spitz_storage::HealthState::Degraded
+    /// [`HealthState::ReadOnly`]: spitz_storage::HealthState::ReadOnly
     pub fn shard_health(&self, index: usize) -> spitz_storage::HealthState {
         self.shards[index].health()
     }
 
     /// Why one shard's store is degraded or read-only (`None` while
-    /// healthy) — what a served front-end reports per shard in its health
-    /// endpoint (see [`SpitzDb::health_reason`]).
+    /// healthy, `None` on an in-memory shard) — what a served front-end
+    /// reports per shard in its health endpoint.
     pub fn shard_health_reason(&self, index: usize) -> Option<String> {
         self.shards[index].health_reason()
     }
@@ -649,7 +642,7 @@ impl ShardedDb {
     /// (use [`ShardedDb::digest`] for the combined one).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<Digest> {
         let _epoch = self.fence.read();
-        self.shards[self.route(key)].put(key, value)
+        self.shards[self.route(key)].commit(vec![(key.to_vec(), value.to_vec())], "PUT")
     }
 
     /// Write a batch atomically. A batch whose keys all land on one shard
@@ -663,7 +656,7 @@ impl ShardedDb {
             let _epoch = self.fence.read();
             let first = self.route(&writes[0].0);
             if writes.iter().all(|(key, _)| self.route(key) == first) {
-                self.shards[first].put_batch(writes)?;
+                self.shards[first].commit(writes, "PUT BATCH")?;
             } else {
                 // Split-phase 2PC with a durable commit decision between
                 // the phases, so a crash after the decision is redone (not
@@ -831,7 +824,7 @@ impl ShardedDb {
 
     /// Unverified point read, routed to the owning shard.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.shards[self.route(key)].get(key)
+        Ok(self.shards[self.route(key)].ledger().get(key))
     }
 
     /// The per-shard digests of the cut a live read was served from: a shard
@@ -843,7 +836,7 @@ impl ShardedDb {
         self.shards
             .iter()
             .enumerate()
-            .map(|(i, db)| proved(i).unwrap_or_else(|| db.digest()))
+            .map(|(i, db)| proved(i).unwrap_or_else(|| db.ledger().digest()))
             .collect()
     }
 
@@ -907,7 +900,7 @@ impl ShardedDb {
     pub fn range_unverified(&self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut entries = Vec::new();
         for shard in &self.shards {
-            entries.extend(shard.range(start, end)?);
+            entries.extend(shard.ledger().range(start, end));
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(entries)
@@ -963,7 +956,7 @@ impl ShardedDb {
     /// all its shards' leaves or not at all.
     pub fn digest(&self) -> ShardedDigest {
         let _cut = self.fence.write();
-        ShardedDigest::over(self.shards.iter().map(|db| db.digest()).collect())
+        ShardedDigest::over(self.shards.iter().map(|db| db.ledger().digest()).collect())
     }
 
     /// True when the live state matches a pinned cross-shard digest.
@@ -971,7 +964,7 @@ impl ShardedDb {
         pinned.verify() && self.digest().root == pinned.root
     }
 
-    /// The last cross-shard digest published to the [`SHARDED_HEAD_ROOT`]
+    /// The last cross-shard digest published to the `spitz/sharded/head`
     /// root (in shard 0's store), if any. After [`ShardedDb::flush`] this
     /// equals [`ShardedDb::digest`].
     pub fn published_head(&self) -> Result<Option<ShardedDigest>> {
@@ -985,15 +978,6 @@ impl ShardedDb {
             .ok_or(DbError::Storage(format!(
                 "corrupt cross-shard digest chunk {address}"
             )))
-    }
-
-    /// Commit epoch of the last digest this instance published to
-    /// [`SHARDED_HEAD_ROOT`] (0 before any publication). A cheap
-    /// monotone read — no epoch fence, no store access — that a served
-    /// front-end can poll for its digest-subscription fast path; the
-    /// authoritative consistent cut is still [`ShardedDb::digest`].
-    pub fn published_epoch(&self) -> u64 {
-        *self.published_epoch.lock()
     }
 
     /// Compact every durable shard's store (see [`SpitzDb::compact`]):
@@ -1018,7 +1002,7 @@ impl ShardedDb {
         Ok(digest)
     }
 
-    /// Publish a cross-shard digest chunk and advance [`SHARDED_HEAD_ROOT`]
+    /// Publish a cross-shard digest chunk and advance `spitz/sharded/head`
     /// through the existing root-record path. Publications are serialized
     /// and monotone by epoch: a concurrent publisher that lost the race
     /// with a newer digest leaves the newer head in place.

@@ -1,12 +1,12 @@
 //! The unified snapshot read path: pin once, verify many.
 //!
-//! Every verified read in Spitz is anchored at a digest. The types here make
-//! that anchor first-class: a [`Snapshot`] pins one ledger's digest and
-//! serves repeatable point/range reads whose proofs all verify against that
-//! pin, and a [`ShardedSnapshot`] pins a **consistent cut** across every
-//! shard (taken under the sharded database's epoch fence, so no cross-shard
-//! transaction is ever half-visible) and serves reads verified against the
-//! single cross-shard root.
+//! Every verified read in Spitz is anchored at a digest. A
+//! [`ShardedSnapshot`] makes that anchor first-class: it pins a
+//! **consistent cut** across every shard (taken under the sharded
+//! database's epoch fence, so no cross-shard transaction is ever
+//! half-visible) and serves repeatable reads verified against the single
+//! cross-shard root. Each shard's part of the cut is a snapshot of that
+//! shard's ledger.
 //!
 //! This is the snapshot-isolated analytical read path over the transactional
 //! write stream: writers keep committing while a snapshot holder scans, and
@@ -20,73 +20,13 @@
 
 use std::convert::Infallible;
 
-use spitz_ledger::{Digest, LedgerProof, LedgerSnapshot, VerifiedRange};
+use spitz_ledger::LedgerSnapshot;
 
 use crate::proof::{
     multi_by_shard, ShardedMultiProof, ShardedProof, ShardedRangeProof, ShardedVerifiedRange,
 };
 use crate::sharded::{shard_for, ShardedDigest};
 use crate::Result;
-
-/// A pinned, immutable view of one Spitz database at a single digest.
-///
-/// Obtained from `SpitzDb::snapshot` (or as a per-shard component of a
-/// [`ShardedSnapshot`]). All reads see exactly the pinned state; all proofs
-/// are anchored at [`Snapshot::digest`].
-#[derive(Debug)]
-pub struct Snapshot {
-    inner: LedgerSnapshot,
-}
-
-impl Snapshot {
-    pub(crate) fn new(inner: LedgerSnapshot) -> Self {
-        Snapshot { inner }
-    }
-
-    /// The digest this snapshot is pinned at.
-    pub fn digest(&self) -> Digest {
-        self.inner.digest()
-    }
-
-    /// Number of key/value entries visible in the snapshot.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Unverified point read against the pinned state.
-    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.inner.get(key)
-    }
-
-    /// Verified point read: value plus a proof anchored at the pinned
-    /// digest.
-    pub fn get_verified(&self, key: &[u8]) -> (Option<Vec<u8>>, LedgerProof) {
-        self.inner.get_with_proof(key)
-    }
-
-    /// Batched verified point read: one [`LedgerProof`] anchored at
-    /// the pinned digest covers all keys, sharing their common upper-tree
-    /// nodes.
-    pub fn get_multi_verified(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerProof) {
-        self.inner.get_multi_with_proof(keys)
-    }
-
-    /// Unverified range read against the pinned state.
-    pub fn range(&self, start: &[u8], end: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.inner.range(start, end)
-    }
-
-    /// Verified range read: entries plus a **complete** range proof
-    /// anchored at the pinned digest.
-    pub fn range_verified(&self, start: &[u8], end: &[u8]) -> VerifiedRange {
-        self.inner.range_with_proof(start, end)
-    }
-}
 
 /// A pinned, immutable, **consistent** view of a sharded Spitz database.
 ///
@@ -97,12 +37,12 @@ impl Snapshot {
 #[derive(Debug)]
 pub struct ShardedSnapshot {
     digest: ShardedDigest,
-    shards: Vec<Snapshot>,
+    shards: Vec<LedgerSnapshot>,
     taken_at: u64,
 }
 
 impl ShardedSnapshot {
-    pub(crate) fn new(digest: ShardedDigest, shards: Vec<Snapshot>, taken_at: u64) -> Self {
+    pub(crate) fn new(digest: ShardedDigest, shards: Vec<LedgerSnapshot>, taken_at: u64) -> Self {
         debug_assert_eq!(digest.shards.len(), shards.len());
         ShardedSnapshot {
             digest,
@@ -137,11 +77,6 @@ impl ShardedSnapshot {
         self.shards.len()
     }
 
-    /// One shard's pinned snapshot (diagnostics, tests).
-    pub fn shard(&self, index: usize) -> &Snapshot {
-        &self.shards[index]
-    }
-
     /// Unverified point read against the pinned cut.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         self.shards[shard_for(key, self.shards.len())].get(key)
@@ -151,7 +86,7 @@ impl ShardedSnapshot {
     /// serving shard's pinned proof to the pinned cross-shard root.
     pub fn get_verified(&self, key: &[u8]) -> (Option<Vec<u8>>, ShardedProof) {
         let shard = shard_for(key, self.shards.len());
-        let (value, ledger_proof) = self.shards[shard].get_verified(key);
+        let (value, ledger_proof) = self.shards[shard].get_with_proof(key);
         (
             value,
             ShardedProof::assemble(&self.digest, shard, ledger_proof),
@@ -159,7 +94,7 @@ impl ShardedSnapshot {
     }
 
     /// Batched verified point read against the pinned cut: keys sharing a
-    /// shard share one batched [`LedgerProof`], every group chains to the
+    /// shard share one batched ledger proof, every group chains to the
     /// pinned cross-shard root, and the `i`-th returned value answers
     /// `keys[i]`.
     pub fn get_multi_verified(
@@ -167,7 +102,7 @@ impl ShardedSnapshot {
         keys: &[Vec<u8>],
     ) -> (Vec<Option<Vec<u8>>>, ShardedMultiProof) {
         let Ok((values, proofs)) = multi_by_shard(self.shards.len(), keys, |shard, keys| {
-            Ok::<_, Infallible>(self.shards[shard].get_multi_verified(keys))
+            Ok::<_, Infallible>(self.shards[shard].get_multi_with_proof(keys))
         });
         (values, ShardedMultiProof::assemble(&self.digest, proofs))
     }
@@ -183,7 +118,7 @@ impl ShardedSnapshot {
         let parts = self
             .shards
             .iter()
-            .map(|shard| shard.range_verified(start, end))
+            .map(|shard| shard.range_with_proof(start, end))
             .collect();
         Ok(ShardedRangeProof::assemble(&self.digest, parts))
     }
@@ -191,7 +126,6 @@ impl ShardedSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::db::SpitzDb;
     use crate::proof::Verifier;
     use crate::sharded::ShardedDb;
 
@@ -200,32 +134,6 @@ mod tests {
             format!("key-{i:05}").into_bytes(),
             format!("value-{i}").into_bytes(),
         )
-    }
-
-    #[test]
-    fn single_db_snapshot_pins_and_serves_repeatable_verified_reads() {
-        let db = SpitzDb::in_memory();
-        db.put_batch((0..50).map(kv).collect()).unwrap();
-        let snapshot = db.snapshot().unwrap();
-        let pinned = snapshot.digest();
-
-        // The live database moves on; the snapshot does not.
-        db.put(b"key-00007", b"rewritten").unwrap();
-        assert_ne!(db.digest(), pinned);
-        assert_eq!(snapshot.get(b"key-00007"), Some(kv(7).1));
-
-        let mut client = Verifier::new();
-        client.observe_digest(pinned);
-        for i in [0u32, 7, 23, 49] {
-            let (k, v) = kv(i);
-            let (value, proof) = snapshot.get_verified(&k);
-            assert_eq!(value, Some(v));
-            assert!(client.verify_read(&k, value.as_deref(), &proof));
-        }
-        let (entries, proof) = snapshot.range_verified(&kv(10).0, &kv(20).0);
-        assert_eq!(entries.len(), 10);
-        assert!(client.verify_range(&entries, &proof));
-        assert_eq!(client.pinned_digest(), Some(pinned));
     }
 
     #[test]

@@ -28,10 +28,10 @@ use spitz_crypto::Hash;
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, StorageError};
 
 /// Named root of a shard's staged-batch list.
-pub const STAGED_ROOT: &str = "spitz/2pc/staged";
+pub(crate) const STAGED_ROOT: &str = "spitz/2pc/staged";
 
 /// Named root of the coordinator's commit-decision list (shard 0's store).
-pub const DECIDED_ROOT: &str = "spitz/2pc/decided";
+pub(crate) const DECIDED_ROOT: &str = "spitz/2pc/decided";
 
 const STAGED_MAGIC: &[u8] = b"spitz-2pc-staged-log\0";
 const DECIDED_MAGIC: &[u8] = b"spitz-2pc-decided-log\0";
@@ -39,14 +39,15 @@ const DECIDED_MAGIC: &[u8] = b"spitz-2pc-decided-log\0";
 /// One staged-but-unresolved batch on a shard: the global transaction id
 /// and the chunk address of the staged writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StagedEntry {
+pub(crate) struct StagedEntry {
     /// Global transaction id assigned by the coordinator.
-    pub global_txn_id: u64,
+    pub(crate) global_txn_id: u64,
     /// Address of the staged-writes chunk in the shard's store.
-    pub chunk: Hash,
+    pub(crate) chunk: Hash,
 }
 
-/// A durable, root-anchored list of [`StagedEntry`]s in one shard's store.
+/// A durable, root-anchored list of staged entries (transaction id and
+/// staged-writes chunk) in one shard's store.
 pub struct StagedLog {
     store: Arc<dyn ChunkStore>,
     root: &'static str,
@@ -57,7 +58,7 @@ pub struct StagedLog {
 
 impl StagedLog {
     /// The staged-batch log of a shard's store.
-    pub fn staged(store: Arc<dyn ChunkStore>) -> StagedLog {
+    pub(crate) fn staged(store: Arc<dyn ChunkStore>) -> StagedLog {
         StagedLog {
             store,
             root: STAGED_ROOT,
@@ -78,13 +79,13 @@ impl StagedLog {
     }
 
     /// The current entries, oldest first.
-    pub fn entries(&self) -> Result<Vec<StagedEntry>, StorageError> {
+    pub(crate) fn entries(&self) -> Result<Vec<StagedEntry>, StorageError> {
         let _guard = self.lock.lock();
         self.read_list()
     }
 
     /// True when the log records `global_txn_id`.
-    pub fn contains(&self, global_txn_id: u64) -> Result<bool, StorageError> {
+    pub(crate) fn contains(&self, global_txn_id: u64) -> Result<bool, StorageError> {
         Ok(self
             .entries()?
             .iter()
@@ -113,7 +114,7 @@ impl StagedLog {
     }
 
     /// Remove an entry. Removing an absent id is a no-op.
-    pub fn remove(&self, global_txn_id: u64) -> Result<(), StorageError> {
+    pub(crate) fn remove(&self, global_txn_id: u64) -> Result<(), StorageError> {
         let _guard = self.lock.lock();
         let mut list = self.read_list()?;
         let before = list.len();
@@ -148,7 +149,7 @@ impl StagedLog {
 /// list chunk itself is the root target, marked by the caller); other roots
 /// are ignored. In-doubt 2PC batches therefore survive compaction — their
 /// staged writes must stay readable for a later redo.
-pub fn collect_staged_references(
+pub(crate) fn collect_staged_references(
     store: &Arc<dyn ChunkStore>,
     root_name: &str,
     address: Hash,

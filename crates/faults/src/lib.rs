@@ -34,7 +34,7 @@
 //! | Fault | Detection point | Response | Preserved invariant |
 //! |---|---|---|---|
 //! | Torn record append (crash mid-write) | Injected append returns short; on reopen, the tail scan finds the partial record | Store flips `ReadOnly` immediately (the in-memory tail is no longer trustworthy); reopen truncates the torn tail | Only unacknowledged bytes are removed; every acked write + proof survives; recovery is deterministic |
-//! | Mid-segment silent corruption (bit flip) | Not on the write or cached read path: an explicit `SpitzDb::scrub()` (or the server's `SCRUB` admin opcode) re-verifies every sealed record CRC | Segment quarantined into `quarantine/` (evidence kept), intact chunks salvaged into fresh segments, store goes `ReadOnly` when any chunk is unsalvageable | Damaged chunk reads as `ChunkNotFound` (never wrong bytes); all other chunks survive; space accounting drops exactly the lost chunks; reopen is clean |
+//! | Mid-segment silent corruption (bit flip) | Not on the write or cached read path: an explicit `ShardedDb::shard(i).scrub()` (or the server's `SCRUB` admin opcode) re-verifies every sealed record CRC | Segment quarantined into `quarantine/` (evidence kept), intact chunks salvaged into fresh segments, store goes `ReadOnly` when any chunk is unsalvageable | Damaged chunk reads as `ChunkNotFound` (never wrong bytes); all other chunks survive; space accounting drops exactly the lost chunks; reopen is clean |
 //! | `ENOSPC` on append | Typed `IoError{kind: NoSpace}` surfaces from the write path | `HealthState::ReadOnly`; writes fail fast with `DbError::ReadOnly`, reads keep serving | Verified reads (and their proofs) unaffected; no partial commit becomes visible |
 //! | Transient `EIO` on append/fsync | Typed `IoError{kind: Transient}` | Up to 3 retries with 1/2/4 ms backoff; only exhaustion degrades (`Degraded`, still writable) | Retried op lands exactly once (a retry consumes a fresh injector op, so injected transients clear) |
 //! | fsync failure (non-transient) | Group/rotation/per-put fsync returns the typed error | `ReadOnly` fail-stop — after a failed fsync the page-cache state is unknowable, so no further writes are acknowledged | Commits acked before the failure stay readable. Publication contract: a commit whose fsync failed *after* it was published in memory is returned to its caller as an error, and may or may not be visible, now or after a crash; a commit whose append failed is never visible |

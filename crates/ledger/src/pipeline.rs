@@ -1,7 +1,7 @@
 //! Group-commit pipeline: coalesce concurrent commits into shared blocks
 //! and amortize `fsync` across them.
 //!
-//! Without the pipeline every `SpitzDb::put` seals its own ledger block and
+//! Without the pipeline every `ShardedDb::put` seals its own ledger block and
 //! pays the full durability ceremony (an `fsync` per commit in strict
 //! setups). A commit that finds the [`CommitPipeline`] idle — nothing
 //! queued, no block being sealed — seals its block on the caller's own

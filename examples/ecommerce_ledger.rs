@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example ecommerce_ledger`
 
 use spitz::txn::{CcScheme, IsolationLevel, MvccStore, TimestampOracle, TransactionManager};
-use spitz::{ColumnType, Record, Schema, SpitzDb, Value, Verifier};
+use spitz::{ColumnType, Record, Schema, ShardedDb, Value, Verifier};
 use std::sync::Arc;
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
     // ------------------------------------------------------------------
     // The order history lives in the verifiable database.
     // ------------------------------------------------------------------
-    let db = SpitzDb::in_memory();
+    let db = ShardedDb::in_memory(1);
     db.create_table(Schema::new(
         "orders",
         vec![
@@ -73,7 +73,7 @@ fn main() {
     }
     println!(
         "recorded 200 orders across {} ledger blocks",
-        db.digest().block_height + 1
+        db.digest().epoch
     );
 
     // Weakly isolated analytics: status report straight from the status
@@ -89,11 +89,12 @@ fn main() {
     // The auditor verifies what the merchant reports.
     // ------------------------------------------------------------------
     let mut auditor = Verifier::new();
-    auditor.observe_digest(db.digest());
+    assert!(auditor.observe_sharded(&db.digest()));
 
     // Verified range scan over a window of raw order cells.
-    let (entries, proof) = db.range_verified(&[0u8, 0, 0, 0], &[0u8, 0, 0, 1]).unwrap();
-    let ok = auditor.verify_range(&entries, &proof);
+    let (start, end) = ([0u8, 0, 0, 0], [0u8, 0, 0, 1]);
+    let (entries, proof) = db.range_verified(&start, &end).unwrap();
+    let ok = proof.answers(&start, &end) && auditor.verify_sharded_range(&entries, &proof);
     println!(
         "verified scan of the 'item' column: {} cells, verification {}",
         entries.len(),
@@ -101,7 +102,9 @@ fn main() {
     );
     assert!(ok);
 
-    // Deferred verification: queue a batch of reads, verify them together.
+    // Deferred verification: queue a batch of reads, verify them together
+    // against the pin.
+    let mut deferred = Vec::new();
     for i in 0..50 {
         let key = format!("order-{i:05}");
         let prefix = spitz::core::cell::UniversalKey::cell_prefix(0, key.as_bytes());
@@ -111,20 +114,21 @@ fn main() {
         if let Some((cell_key, value)) = cells.into_iter().next() {
             let (v, proof) = db.get_verified(&cell_key).unwrap();
             assert_eq!(v.as_ref(), Some(&value));
-            auditor.defer_read(cell_key, v, proof);
+            deferred.push((cell_key, v, proof));
         }
     }
-    let report = auditor.flush_deferred();
-    println!(
-        "deferred audit: {} verified, {} failed",
-        report.verified, report.failed
-    );
-    assert!(report.all_ok());
+    let verified = deferred
+        .iter()
+        .filter(|(key, value, proof)| auditor.verify_sharded_read(key, value.as_deref(), proof))
+        .count();
+    let failed = deferred.len() - verified;
+    println!("deferred audit: {verified} verified, {failed} failed");
+    assert_eq!(failed, 0);
 
     // A rollback attack (re-presenting an older digest) is refused.
     let old_digest = db.digest();
     db.put(b"orders/extra", b"late write").unwrap();
-    assert!(auditor.observe_digest(db.digest()));
-    assert!(!auditor.observe_digest(old_digest));
+    assert!(auditor.observe_sharded(&db.digest()));
+    assert!(!auditor.observe_sharded(&old_digest));
     println!("rollback to an older digest correctly refused");
 }

@@ -6,10 +6,13 @@
 //! Run with: `cargo run --example healthcare_records`
 
 use spitz::core::UniversalKey;
-use spitz::{ColumnType, Record, Schema, SpitzDb, Value};
+use spitz::{ColumnType, Record, Schema, ShardedDb, Value};
 
 fn main() {
-    let db = SpitzDb::in_memory();
+    // One shard: the whole history is one ledger, so the block numbers
+    // below are that ledger's heights.
+    let db = ShardedDb::in_memory(1);
+    let ledger = db.shard(0).ledger();
     db.create_table(Schema::new(
         "patients",
         vec![
@@ -28,7 +31,7 @@ fn main() {
             .with("physician", Value::Text(format!("dr-{}", i % 5)));
         db.insert_record("patients", &record).unwrap();
     }
-    let digest_icd9 = db.digest();
+    let digest_icd9 = ledger.digest();
     println!(
         "loaded 50 ICD-9 coded records; ledger at block #{}",
         digest_icd9.block_height
@@ -43,7 +46,7 @@ fn main() {
             .with("physician", Value::Text(format!("dr-{}", i % 5)));
         db.insert_record("patients", &record).unwrap();
     }
-    let digest_icd10 = db.digest();
+    let digest_icd10 = ledger.digest();
     println!(
         "recoded to ICD-10; ledger grew from block #{} to #{}",
         digest_icd9.block_height, digest_icd10.block_height
@@ -78,7 +81,7 @@ fn main() {
     // Point-in-time provenance: the pre-recoding ledger version can still be
     // opened and shows the ICD-9 data: the cells of the table's three
     // columns, ids 0..3 (the only table, so its column range starts at 0).
-    let historical = db.ledger().checkout(digest_icd9.block_height).unwrap();
+    let historical = ledger.checkout(digest_icd9.block_height).unwrap();
     let historical_entries = historical.range(
         &UniversalKey::column_prefix(0),
         &UniversalKey::column_prefix(3),
@@ -91,6 +94,6 @@ fn main() {
     assert!(!historical_entries.is_empty());
 
     // And the whole history audits clean.
-    assert_eq!(db.ledger().audit_chain(), None);
+    assert_eq!(ledger.audit_chain(), None);
     println!("provenance audit passed");
 }

@@ -3,12 +3,12 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use spitz::{SpitzDb, Verifier};
+use spitz::{ShardedDb, Verifier};
 
 fn main() {
-    // A Spitz instance with the paper's default configuration: a POS-Tree
-    // ledger index, every write one ledger commit.
-    let db = SpitzDb::in_memory();
+    // A one-shard Spitz instance with the paper's default configuration: a
+    // POS-Tree ledger index, every write one ledger commit.
+    let db = ShardedDb::in_memory(1);
 
     // Writes are sealed into ledger blocks; every write advances the digest.
     db.put(b"account/alice", b"balance=100").unwrap();
@@ -21,11 +21,12 @@ fn main() {
 
     // A verifying client pins the digest it trusts.
     let mut client = Verifier::new();
-    client.observe_digest(db.digest());
+    let digest = db.digest();
+    assert!(client.observe_sharded(&digest));
     println!(
-        "pinned digest: block #{} index root {}",
-        db.digest().block_height,
-        db.digest().index_root.short()
+        "pinned digest: epoch {} root {}",
+        digest.epoch,
+        digest.root.short()
     );
 
     // Unverified fast path.
@@ -37,18 +38,19 @@ fn main() {
 
     // Verified read: the proof is recomputed against the pinned digest.
     let (value, proof) = db.get_verified(b"account/bob").unwrap();
-    let ok = client.verify_read(b"account/bob", value.as_deref(), &proof);
+    let ok = client.verify_sharded_read(b"account/bob", value.as_deref(), &proof);
     println!(
         "bob (verified): {:?} — proof {} nodes, verification {}",
         String::from_utf8_lossy(value.as_deref().unwrap()),
-        proof.index_proof.len(),
+        proof.ledger_proof.index_proof.len(),
         if ok { "PASSED" } else { "FAILED" }
     );
     assert!(ok);
 
     // Verified range scan: one combined proof for the whole result.
-    let (entries, range_proof) = db.range_verified(b"account/a", b"account/z").unwrap();
-    let ok = client.verify_range(&entries, &range_proof);
+    let (start, end) = (b"account/a", b"account/z");
+    let (entries, range_proof) = db.range_verified(start, end).unwrap();
+    let ok = range_proof.answers(start, end) && client.verify_sharded_range(&entries, &range_proof);
     println!(
         "range scan returned {} accounts, verification {}",
         entries.len(),
@@ -57,7 +59,7 @@ fn main() {
     assert!(ok);
 
     // Tampering is detected: a forged value cannot pass verification.
-    let forged_ok = client.verify_read(b"account/bob", Some(b"balance=999999"), &proof);
+    let forged_ok = client.verify_sharded_read(b"account/bob", Some(b"balance=999999"), &proof);
     println!("forged balance accepted? {forged_ok}");
     assert!(!forged_ok);
 
@@ -66,17 +68,17 @@ fn main() {
     let snapshot = db.snapshot().unwrap();
     db.put(b"account/alice", b"balance=0").unwrap();
     let (value, proof) = snapshot.get_verified(b"account/alice");
-    assert!(client.verify_read(b"account/alice", value.as_deref(), &proof));
+    assert!(client.verify_sharded_read(b"account/alice", value.as_deref(), &proof));
     println!(
-        "snapshot still proves alice = {:?} at block #{} (live db moved on)",
+        "snapshot still proves alice = {:?} at epoch {} (live db moved on)",
         String::from_utf8_lossy(value.as_deref().unwrap()),
-        snapshot.digest().block_height,
+        snapshot.digest().epoch,
     );
 
     // The ledger's whole history can be audited.
-    assert_eq!(db.ledger().audit_chain(), None);
+    assert_eq!(db.shard(0).ledger().audit_chain(), None);
     println!(
         "ledger audit: chain of {} blocks is consistent",
-        db.digest().block_height + 1
+        db.digest().epoch
     );
 }

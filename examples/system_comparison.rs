@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example system_comparison`
 
 use spitz::baseline::{ImmutableKvs, NonIntrusiveVdb, QldbBaseline};
-use spitz::{SpitzDb, Verifier};
+use spitz::{ShardedDb, Verifier};
 use std::time::Instant;
 
 const RECORDS: usize = 20_000;
@@ -24,7 +24,7 @@ fn kops(count: usize, elapsed: std::time::Duration) -> f64 {
 fn main() {
     println!("loading {RECORDS} records into each system...");
     let kvs = ImmutableKvs::new();
-    let spitz = SpitzDb::in_memory();
+    let spitz = ShardedDb::in_memory(1);
     let qldb = QldbBaseline::new();
     let non_intrusive = NonIntrusiveVdb::new();
 
@@ -59,11 +59,11 @@ fn main() {
     );
 
     let mut client = Verifier::new();
-    client.observe_digest(spitz.digest());
+    assert!(client.observe_sharded(&spitz.digest()));
     let t = Instant::now();
     for k in &keys {
         let (value, proof) = spitz.get_verified(k).unwrap();
-        assert!(client.verify_read(k, value.as_deref(), &proof));
+        assert!(client.verify_sharded_read(k, value.as_deref(), &proof));
     }
     println!(
         "read  | Spitz + verification : {:8.1} kops/s",

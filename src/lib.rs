@@ -17,24 +17,25 @@
 //!   ([`spitz_baseline`]).
 //!
 //! The most common entry points are re-exported at the top level:
-//! [`SpitzDb`], [`Verifier`], [`Snapshot`], [`Schema`], [`Record`] and
-//! [`Value`].
+//! [`ShardedDb`] (the database: N ≥ 1 shards behind one digest),
+//! [`Verifier`] (the client that pins that digest), [`ShardedSnapshot`],
+//! [`Schema`], [`Record`] and [`Value`].
 //!
 //! ```
-//! use spitz::{SpitzDb, Verifier};
+//! use spitz::{ShardedDb, Verifier};
 //!
-//! let db = SpitzDb::in_memory();
+//! let db = ShardedDb::in_memory(1);
 //! db.put(b"invoice/2026-001", b"amount=1250;status=paid").unwrap();
 //!
 //! let mut client = Verifier::new();
-//! client.observe_digest(db.digest());
+//! assert!(client.observe_sharded(&db.digest()));
 //! let (value, proof) = db.get_verified(b"invoice/2026-001").unwrap();
-//! assert!(client.verify_read(b"invoice/2026-001", value.as_deref(), &proof));
+//! assert!(client.verify_sharded_read(b"invoice/2026-001", value.as_deref(), &proof));
 //!
 //! // Pin once, verify many: the snapshot read path.
 //! let snapshot = db.snapshot().unwrap();
 //! let (value, proof) = snapshot.get_verified(b"invoice/2026-001");
-//! assert!(client.verify_read(b"invoice/2026-001", value.as_deref(), &proof));
+//! assert!(client.verify_sharded_read(b"invoice/2026-001", value.as_deref(), &proof));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,11 +51,11 @@ pub use spitz_server as server;
 pub use spitz_storage as storage;
 pub use spitz_txn as txn;
 
-pub use spitz_core::db::{SpitzConfig, SpitzDb};
+pub use spitz_core::db::SpitzConfig;
 pub use spitz_core::proof::{ShardedProof, ShardedRangeProof, Verifier};
 pub use spitz_core::schema::{ColumnType, Record, Schema, Value};
 pub use spitz_core::sharded::{ShardedConfig, ShardedDb, ShardedDigest};
-pub use spitz_core::snapshot::{ShardedSnapshot, Snapshot};
+pub use spitz_core::snapshot::ShardedSnapshot;
 pub use spitz_crypto::Hash;
 pub use spitz_ledger::{CommitPipeline, Digest, DurabilityPolicy, Ledger};
 pub use spitz_obs::{TelemetryHandle, TelemetrySnapshot};
@@ -67,10 +68,11 @@ mod tests {
 
     #[test]
     fn facade_reexports_are_usable() {
-        let db = SpitzDb::in_memory();
-        db.put(b"k", b"v").unwrap();
+        let db = ShardedDb::in_memory(1);
+        let shard: Digest = db.put(b"k", b"v").unwrap();
         assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
-        let digest: Digest = db.digest();
-        assert_ne!(digest.index_root, Hash::ZERO);
+        let digest: ShardedDigest = db.digest();
+        assert_eq!(digest.shards, vec![shard]);
+        assert_ne!(digest.root, Hash::ZERO);
     }
 }

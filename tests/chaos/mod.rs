@@ -6,15 +6,16 @@
 //! replays from the printed seed alone. Four schedule families cover the
 //! fault surface:
 //!
-//! * [`run_kv_schedule`] — a full durable [`SpitzDb`] under seeded torn
-//!   writes, `ENOSPC`, transient I/O and fsync failures, with put /
-//!   batch / compact / flush cycles, a simulated crash
+//! * [`run_kv_schedule`] — a full durable [`ShardedDb`] of one or four
+//!   shards (by seed) under seeded torn writes, `ENOSPC`, transient I/O and
+//!   fsync failures, with put / batch / compact / flush cycles, a simulated
+//!   crash
 //!   (`std::mem::forget`) and a reopen *without* the injector. Invariants:
 //!   no acknowledged write is lost, recovery is deterministic (two
 //!   reopens agree byte-for-byte on the digest), every surviving key
 //!   serves a verifying proof, a pre-fault pinned proof still verifies
-//!   offline, and once the store flips read-only, writes fail fast with
-//!   the typed error while verified reads keep serving.
+//!   offline, and once a shard's store flips read-only, writes to it fail
+//!   fast with the typed error while verified reads keep serving.
 //! * [`run_scrub_schedule`] — storage-level silent corruption: a seeded
 //!   bit flip lands in a record that later seals, a scrub pass must
 //!   detect it, quarantine the segment, salvage every intact chunk, drop
@@ -48,11 +49,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use spitz::core::db::{SpitzConfig, SpitzDb};
+use spitz::core::db::SpitzConfig;
 use spitz::core::proof::Verifier;
 use spitz::core::sharded::{ShardedConfig, ShardedDb};
 use spitz::core::{DbError, HealthState};
-use spitz::ledger::{Digest, DurabilityPolicy, LedgerProof};
+use spitz::core::{ShardedDigest, ShardedProof};
+use spitz::ledger::DurabilityPolicy;
 use spitz::obs::TelemetryHandle;
 use spitz::server::protocol::ErrorCode;
 use spitz::server::{ClientError, ServerConfig, SpitzClient, SpitzServer};
@@ -63,7 +65,7 @@ use spitz::storage::{
 };
 use spitz_faults::{FailMode, FailpointStore, FaultInjector, FaultRates};
 
-use crate::common::TempDir;
+use crate::common::{key_on, TempDir, SHARD_COUNTS};
 
 /// What one schedule did; `tests/faults.rs` prints it after each run.
 #[derive(Debug, Clone)]
@@ -180,7 +182,7 @@ fn acceptable_of(
         || maybe.is_some_and(|values| values.iter().any(|m| acceptable(got, acked, Some(m))))
 }
 
-/// One seeded KV chaos schedule over a full durable [`SpitzDb`]. Panics
+/// One seeded KV chaos schedule over a full durable [`ShardedDb`]. Panics
 /// (with the seed in the message) on any invariant violation.
 pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
     let dir = TempDir::new(&format!("chaos-kv-{seed:x}"));
@@ -197,20 +199,22 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
             max_writes: 8,
         }
     };
-    let config = SpitzConfig::default().with_durability(durability);
-    let durable_config = DurableConfig {
-        segment_target_bytes: 8 * 1024,
-        ..DurableConfig::default()
-    };
+    let config = ShardedConfig::default()
+        .with_shards(SHARD_COUNTS[((seed >> 2) & 1) as usize])
+        .with_spitz(SpitzConfig::default().with_durability(durability))
+        .with_durable(DurableConfig {
+            segment_target_bytes: 8 * 1024,
+            ..DurableConfig::default()
+        });
     let mut report = ScheduleReport::default();
-    let db = match SpitzDb::open_with_io(dir.path(), config, durable_config, injector.handle()) {
+    let db = match ShardedDb::open_with_io(dir.path(), config, injector.handle()) {
         Ok(db) => db,
         Err(_) => {
             // A fault landed inside genesis. That aborts the schedule, but
             // the recovery invariant still holds: the directory must
             // reopen clean without the injector.
             report.faults_injected = injector.injected_faults();
-            SpitzDb::open(dir.path()).unwrap_or_else(|e| {
+            ShardedDb::open(dir.path(), config).unwrap_or_else(|e| {
                 panic!("[seed={seed:#x}] dir unrecoverable after faulted genesis: {e}")
             });
             return report;
@@ -224,12 +228,13 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
     let mut acked: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut maybe: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut any_write_failed = false;
-    let mut last_acked_digest: Option<Digest> = None;
+    let mut last_acked_digest: Option<ShardedDigest> = None;
     // (pinned digest, key, value at pin time, proof) — verified offline at
     // the end against the pre-fault pin.
-    type Pin = (Digest, Vec<u8>, Option<Vec<u8>>, LedgerProof);
+    type Pin = (ShardedDigest, Vec<u8>, Option<Vec<u8>>, ShardedProof);
     let mut pin: Option<Pin> = None;
-    let mut went_read_only = false;
+    // The shard whose store flipped read-only, if one did.
+    let mut went_read_only = None;
 
     for op in 0..160u64 {
         report.ops += 1;
@@ -238,10 +243,10 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
             let i = rng.below(48);
             let v = value(seed, op);
             match db.put(&key(i), &v) {
-                Ok(digest) => {
+                Ok(_) => {
                     acked.insert(i, v);
                     maybe.remove(&i);
-                    last_acked_digest = Some(digest);
+                    last_acked_digest = Some(db.digest());
                     Ok(())
                 }
                 Err(e) => {
@@ -273,7 +278,7 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
                 }
             }
         } else if roll < 85 {
-            db.flush()
+            db.flush().map(|_| ())
         } else if roll < 92 {
             // GC races the fault plan; a pass aborted by an injected
             // fault leaves the store untouched.
@@ -288,9 +293,9 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
                 "[seed={seed:#x}] key {i} lost or invented mid-schedule: {got:?}"
             );
             let mut client = Verifier::new();
-            assert!(client.observe_digest(db.digest()));
+            assert!(client.observe_sharded(&db.digest()));
             assert!(
-                client.verify_read(&key(i), got.as_deref(), &proof),
+                client.verify_sharded_read(&key(i), got.as_deref(), &proof),
                 "[seed={seed:#x}] live proof failed verification"
             );
             Ok(())
@@ -303,13 +308,20 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
             let (v, proof) = db
                 .get_verified(&key(i))
                 .unwrap_or_else(|e| panic!("[seed={seed:#x}] pin read failed: {e}"));
-            pin = Some((db.digest(), key(i), v, proof));
+            let cut = db.digest();
+            assert_eq!(
+                proof.root, cut.root,
+                "[seed={seed:#x}] no write is in flight"
+            );
+            pin = Some((cut, key(i), v, proof));
         }
 
         if let Err(err) = result {
             any_write_failed = true;
-            if matches!(err, DbError::ReadOnly(_)) || db.health() == HealthState::ReadOnly {
-                went_read_only = true;
+            let read_only =
+                (0..db.shard_count()).find(|&s| db.shard_health(s) == HealthState::ReadOnly);
+            if matches!(err, DbError::ReadOnly(_)) || read_only.is_some() {
+                went_read_only = read_only;
                 break;
             }
             // Any other injected failure just means the op was not
@@ -317,11 +329,11 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
         }
     }
 
-    if went_read_only {
+    if let Some(shard) = went_read_only {
         // Degraded-mode contract: writes fail fast with the typed error,
         // verified reads keep serving out of the read-only store.
         let err = db
-            .put(b"post-readonly", b"x")
+            .put(&key_on(&db, shard, "post-readonly"), b"x")
             .expect_err("store is read-only");
         assert!(
             matches!(err, DbError::ReadOnly(_)),
@@ -333,8 +345,8 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
                 .unwrap_or_else(|e| panic!("[seed={seed:#x}] read-only store must read: {e}"));
             assert!(acceptable(got.as_deref(), acked.get(&i), maybe.get(&i)));
             let mut client = Verifier::new();
-            assert!(client.observe_digest(db.digest()));
-            assert!(client.verify_read(&key(i), got.as_deref(), &proof));
+            assert!(client.observe_sharded(&db.digest()));
+            assert!(client.verify_sharded_read(&key(i), got.as_deref(), &proof));
         }
     }
 
@@ -348,7 +360,7 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
     // Recover WITHOUT the injector — twice; recovery must be deterministic.
     let mut digests = Vec::new();
     for round in 0..2 {
-        let reopened = SpitzDb::open(dir.path())
+        let reopened = ShardedDb::open(dir.path(), config)
             .unwrap_or_else(|e| panic!("[seed={seed:#x}] reopen round {round} failed: {e}"));
         digests.push(reopened.digest());
         for (i, expected) in &acked {
@@ -364,9 +376,9 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
                 "[seed={seed:#x}] key {i} recovered to a value nobody acknowledged"
             );
             let mut client = Verifier::new();
-            assert!(client.observe_digest(reopened.digest()));
+            assert!(client.observe_sharded(&reopened.digest()));
             assert!(
-                client.verify_read(&key(*i), got.as_deref(), &proof),
+                client.verify_sharded_read(&key(*i), got.as_deref(), &proof),
                 "[seed={seed:#x}] post-recovery proof failed verification"
             );
         }
@@ -390,9 +402,9 @@ pub fn run_kv_schedule(seed: u64) -> ScheduleReport {
         // The mid-schedule pin verifies offline, against the pinned digest
         // alone — faults and recovery cannot retroactively break it.
         let mut client = Verifier::new();
-        assert!(client.observe_digest(digest));
+        assert!(client.observe_sharded(&digest));
         assert!(
-            client.verify_read(&k, v.as_deref(), &proof),
+            client.verify_sharded_read(&k, v.as_deref(), &proof),
             "[seed={seed:#x}] pre-fault pinned proof no longer verifies"
         );
     }

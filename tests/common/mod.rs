@@ -43,3 +43,15 @@ pub fn segment_files(dir: &Path) -> Vec<PathBuf> {
     segments.sort();
     segments
 }
+
+/// The shard counts every test whose subject depends on the layout runs
+/// over: the one-shard database and a cross-shard one.
+pub const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+/// A key starting with `tag` that `db` routes to `shard`.
+pub fn key_on(db: &spitz::ShardedDb, shard: usize, tag: &str) -> Vec<u8> {
+    (0u32..)
+        .map(|j| format!("{tag}/{j}").into_bytes())
+        .find(|key| db.route(key) == shard)
+        .expect("some key routes to every shard")
+}

@@ -1,8 +1,8 @@
 //! Full-stack segment-compaction tests: mark-sweep GC over a live
-//! `SpitzDb`/`ShardedDb` must reclaim garbage without changing any digest,
-//! breaking any proof (including proofs against snapshots pinned *before*
-//! the pass), or losing in-doubt 2PC state — and a crash at either
-//! compaction crash point must reopen to byte-identical state.
+//! `ShardedDb` (one shard and four) must reclaim garbage without changing
+//! any digest, breaking any proof (including proofs against snapshots
+//! pinned *before* the pass), or losing in-doubt 2PC state — and a crash at
+//! either compaction crash point must reopen to byte-identical state.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -13,10 +13,10 @@ use spitz::core::staged::StagedLog;
 use spitz::index::SiriKind;
 use spitz::storage::durable::CompactionFault;
 use spitz::storage::DurableConfig;
-use spitz::{Hash, SpitzConfig, SpitzDb, Verifier};
+use spitz::{Hash, SpitzConfig, Verifier};
 
 mod common;
-use common::TempDir;
+use common::{TempDir, SHARD_COUNTS};
 
 /// Small segments so a handful of epochs spans many sealed segments.
 fn small_segments() -> DurableConfig {
@@ -26,17 +26,47 @@ fn small_segments() -> DurableConfig {
     }
 }
 
+/// `shards` durable shards of `siri` over segments scaled down by the
+/// shard count, so each shard's share of the data spans as many sealed
+/// segments as one shard holding it all.
+fn config(shards: usize, siri: SiriKind) -> ShardedConfig {
+    ShardedConfig::default()
+        .with_shards(shards)
+        .with_spitz(SpitzConfig {
+            siri,
+            ..SpitzConfig::default()
+        })
+        .with_durable(DurableConfig {
+            segment_target_bytes: small_segments().segment_target_bytes / shards as u64,
+            ..DurableConfig::default()
+        })
+}
+
 fn key(i: u32) -> Vec<u8> {
     format!("acct/{i:05}").into_bytes()
 }
 
 /// One commit epoch: overwrite all `n` keys (previous versions become
 /// garbage — superseded index nodes).
-fn epoch(db: &SpitzDb, e: u32, n: u32) {
+fn epoch(db: &ShardedDb, e: u32, n: u32) {
     let writes: Vec<_> = (0..n)
         .map(|i| (key(i), format!("epoch-{e}-value-{i}").into_bytes()))
         .collect();
     db.put_batch(writes).unwrap();
+}
+
+/// Disk and live bytes summed over every shard's store.
+fn disk_and_live_bytes(db: &ShardedDb) -> (u64, u64) {
+    (0..db.shard_count())
+        .map(|s| db.shard(s).storage_stats())
+        .fold((0, 0), |(disk, live), stats| {
+            (disk + stats.disk_bytes, live + stats.live_bytes)
+        })
+}
+
+/// True when every shard's hash chain audits clean.
+fn chains_audit_clean(db: &ShardedDb) -> bool {
+    (0..db.shard_count()).all(|s| db.shard(s).ledger().audit_chain().is_none())
 }
 
 /// Every supported index kind. MPT nodes are their own chunk kind,
@@ -50,19 +80,18 @@ const SIRI_KINDS: [SiriKind; 3] = [
 
 #[test]
 fn compaction_reclaims_garbage_and_preserves_digests_and_pinned_proofs() {
-    for siri in SIRI_KINDS {
-        compaction_case(siri);
+    for shards in SHARD_COUNTS {
+        for siri in SIRI_KINDS {
+            compaction_case(shards, siri);
+        }
     }
 }
 
-fn compaction_case(siri: SiriKind) {
-    let kind = siri.name();
-    let config = SpitzConfig {
-        siri,
-        ..SpitzConfig::default()
-    };
+fn compaction_case(shards: usize, siri: SiriKind) {
+    let kind = format!("{}, {shards} shards", siri.name());
+    let config = config(shards, siri);
     let dir = TempDir::new("compact-basic");
-    let db = SpitzDb::open_with_configs(dir.path(), config, small_segments()).unwrap();
+    let db = ShardedDb::open(dir.path(), config).unwrap();
 
     for e in 0..6 {
         epoch(&db, e, 50);
@@ -71,69 +100,67 @@ fn compaction_case(siri: SiriKind) {
     // pinned checkout must survive the sweep even though the live head has
     // long moved on.
     let pinned = db.snapshot().unwrap();
-    let pinned_digest = pinned.digest();
+    let pinned_digest = pinned.digest().clone();
     for e in 6..12 {
         epoch(&db, e, 50);
     }
-    db.flush().unwrap();
+    let pre = db.flush().unwrap();
 
-    let pre = db.digest();
-    let before = db.storage_stats();
+    let (disk_before, _) = disk_and_live_bytes(&db);
     // Compact with a reader racing the pass: the sweep never blocks
     // readers, and every read it serves meanwhile verifies.
     let done = AtomicBool::new(false);
     let reading = Barrier::new(2);
-    let report = std::thread::scope(|scope| {
+    let reports = std::thread::scope(|scope| {
         let reader = scope.spawn(|| {
             let mut client = Verifier::new();
-            assert!(client.observe_digest(pre));
+            assert!(client.observe_sharded(&pre));
             reading.wait();
             let mut reads = 0u32;
             while reads == 0 || !done.load(Ordering::Relaxed) {
                 let k = key(reads % 50);
                 let (value, proof) = db.get_verified(&k).expect("read during compaction");
                 assert!(
-                    client.verify_read(&k, value.as_deref(), &proof),
+                    client.verify_sharded_read(&k, value.as_deref(), &proof),
                     "{kind}: verified read failed during compaction"
                 );
                 reads += 1;
             }
         });
         reading.wait();
-        let report = db.compact();
+        let reports = db.compact();
         done.store(true, Ordering::Relaxed);
         reader.join().expect("reader thread");
-        report
+        reports
     });
-    let report = report
-        .unwrap()
-        .unwrap_or_else(|| panic!("{kind}: multiple sealed segments to compact"));
-    assert!(
-        report.chunks_dropped > 0,
-        "{kind}: overwrites must leave garbage"
-    );
-    assert!(report.bytes_reclaimed > 0, "{kind}");
-    assert!(!report.victim_segments.is_empty(), "{kind}");
+    for (s, report) in reports.unwrap().into_iter().enumerate() {
+        let report =
+            report.unwrap_or_else(|| panic!("{kind}: shard {s} has sealed segments to compact"));
+        assert!(
+            report.chunks_dropped > 0,
+            "{kind}: overwrites must leave garbage"
+        );
+        assert!(report.bytes_reclaimed > 0, "{kind}");
+        assert!(!report.victim_segments.is_empty(), "{kind}");
+    }
 
-    let after = db.storage_stats();
+    let (disk_after, live_after) = disk_and_live_bytes(&db);
     assert!(
-        after.disk_bytes < before.disk_bytes,
-        "{kind}: disk must shrink: {} -> {}",
-        before.disk_bytes,
-        after.disk_bytes
+        disk_after < disk_before,
+        "{kind}: disk must shrink: {disk_before} -> {disk_after}"
     );
-    assert!(
-        after.live_bytes > 0,
-        "{kind}: the mark pass measures live bytes"
-    );
-    assert!(after.dead_bytes() < after.disk_bytes, "{kind}");
+    assert!(live_after > 0, "{kind}: the mark pass measures live bytes");
+    for s in 0..shards {
+        let stats = db.shard(s).storage_stats();
+        assert!(stats.dead_bytes() < stats.disk_bytes, "{kind}");
+    }
 
     // The digest is untouched — compaction moves chunks, never alters them.
     assert_eq!(db.digest(), pre, "{kind}");
 
     // Live verified reads still verify against the current digest.
     let mut client = Verifier::new();
-    assert!(client.observe_digest(db.digest()));
+    assert!(client.observe_sharded(&db.digest()));
     for i in (0..50).step_by(7) {
         let (value, proof) = db.get_verified(&key(i)).unwrap();
         assert_eq!(
@@ -142,14 +169,14 @@ fn compaction_case(siri: SiriKind) {
             "{kind}"
         );
         assert!(
-            client.verify_read(&key(i), value.as_deref(), &proof),
+            client.verify_sharded_read(&key(i), value.as_deref(), &proof),
             "{kind}: key {i}"
         );
     }
 
     // The pre-compaction pin still serves repeatable verified reads.
     let mut pinned_client = Verifier::new();
-    assert!(pinned_client.observe_digest(pinned_digest));
+    assert!(pinned_client.observe_sharded(&pinned_digest));
     for i in (0..50).step_by(11) {
         let (value, proof) = pinned.get_verified(&key(i));
         assert_eq!(
@@ -158,7 +185,7 @@ fn compaction_case(siri: SiriKind) {
             "{kind}"
         );
         assert!(
-            pinned_client.verify_read(&key(i), value.as_deref(), &proof),
+            pinned_client.verify_sharded_read(&key(i), value.as_deref(), &proof),
             "{kind}: pinned key {i}"
         );
     }
@@ -166,71 +193,75 @@ fn compaction_case(siri: SiriKind) {
 
     // Reopen: byte-identical digest, proofs keep verifying.
     drop(db);
-    let db = SpitzDb::open_with_configs(dir.path(), config, small_segments()).unwrap();
+    let db = ShardedDb::open(dir.path(), config).unwrap();
     assert_eq!(db.digest(), pre, "{kind}");
     let (value, proof) = db.get_verified(&key(3)).unwrap();
     assert!(
-        client.verify_read(&key(3), value.as_deref(), &proof),
+        client.verify_sharded_read(&key(3), value.as_deref(), &proof),
         "{kind}"
     );
-    assert_eq!(db.ledger().audit_chain(), None, "{kind}");
+    assert!(chains_audit_clean(&db), "{kind}");
 }
 
 #[test]
 fn compaction_crash_points_reopen_to_identical_digests() {
-    for fault in [CompactionFault::BeforeSwap, CompactionFault::BeforeDelete] {
-        let dir = TempDir::new("compact-crash");
-        let pre;
-        let pinned_digest;
-        {
-            let db =
-                SpitzDb::open_with_configs(dir.path(), SpitzConfig::default(), small_segments())
-                    .unwrap();
-            for e in 0..10 {
-                epoch(&db, e, 40);
+    for shards in SHARD_COUNTS {
+        for fault in [CompactionFault::BeforeSwap, CompactionFault::BeforeDelete] {
+            let case = format!("{fault:?}, {shards} shards");
+            let config = config(shards, SiriKind::PosTree);
+            let dir = TempDir::new("compact-crash");
+            let pre;
+            let pinned_digest;
+            {
+                let db = ShardedDb::open(dir.path(), config).unwrap();
+                for e in 0..10 {
+                    epoch(&db, e, 40);
+                }
+                pre = db.flush().unwrap();
+                let snapshot = db.snapshot().unwrap();
+                pinned_digest = snapshot.digest().clone();
+
+                // Every shard's pass dies at the crash point.
+                for s in 0..shards {
+                    let shard = db.shard(s);
+                    let durable = Arc::clone(shard.durable_store().expect("durable instance"));
+                    let err = durable
+                        .compact_with_fault(|| shard.collect_live(), fault)
+                        .unwrap_err();
+                    assert!(err.to_string().contains("injected"), "{case}: {err}");
+                }
+                // The process dies mid-compaction: no graceful drop, no flush.
+                drop(snapshot);
+                std::mem::forget(db);
             }
+
+            let db = ShardedDb::open(dir.path(), config).unwrap();
+            assert_eq!(db.digest(), pre, "{case}: reopen must be identical");
+            assert_eq!(db.digest(), pinned_digest, "{case}");
+            let mut client = Verifier::new();
+            assert!(client.observe_sharded(&db.digest()));
+            for i in 0..40 {
+                let (value, proof) = db.get_verified(&key(i)).unwrap();
+                assert_eq!(
+                    value,
+                    Some(format!("epoch-9-value-{i}").into_bytes()),
+                    "{case}: key {i}"
+                );
+                assert!(client.verify_sharded_read(&key(i), value.as_deref(), &proof));
+            }
+            assert!(chains_audit_clean(&db), "{case}");
+
+            // The interrupted pass left nothing wedged: writes and a clean
+            // compaction still work.
+            epoch(&db, 10, 40);
             db.flush().unwrap();
-            pre = db.digest();
-            let snapshot = db.snapshot().unwrap();
-            pinned_digest = snapshot.digest();
-
-            let durable = Arc::clone(db.durable_store().expect("durable instance"));
-            let err = durable
-                .compact_with_fault(|| db.collect_live(), fault)
-                .unwrap_err();
-            assert!(err.to_string().contains("injected"), "{fault:?}: {err}");
-            // The process dies mid-compaction: no graceful drop, no flush.
-            drop(snapshot);
-            std::mem::forget(db);
-        }
-
-        let db = SpitzDb::open_with_configs(dir.path(), SpitzConfig::default(), small_segments())
-            .unwrap();
-        assert_eq!(db.digest(), pre, "{fault:?}: reopen must be identical");
-        assert_eq!(db.digest(), pinned_digest, "{fault:?}");
-        let mut client = Verifier::new();
-        assert!(client.observe_digest(db.digest()));
-        for i in 0..40 {
-            let (value, proof) = db.get_verified(&key(i)).unwrap();
+            db.compact().unwrap();
             assert_eq!(
-                value,
-                Some(format!("epoch-9-value-{i}").into_bytes()),
-                "{fault:?}: key {i}"
+                db.get(&key(0)).unwrap(),
+                Some(b"epoch-10-value-0".to_vec()),
+                "{case}"
             );
-            assert!(client.verify_read(&key(i), value.as_deref(), &proof));
         }
-        assert_eq!(db.ledger().audit_chain(), None, "{fault:?}");
-
-        // The interrupted pass left nothing wedged: writes and a clean
-        // compaction still work.
-        epoch(&db, 10, 40);
-        db.flush().unwrap();
-        db.compact().unwrap();
-        assert_eq!(
-            db.get(&key(0)).unwrap(),
-            Some(b"epoch-10-value-0".to_vec()),
-            "{fault:?}"
-        );
     }
 }
 
@@ -306,17 +337,13 @@ fn soak_disk_stays_within_twice_live_bytes_under_concurrent_readers() {
     const KEYS: u32 = 64;
     let segment_target = 32 * 1024u64;
     let dir = TempDir::new("compact-soak");
-    let db = Arc::new(
-        SpitzDb::open_with_configs(
-            dir.path(),
-            SpitzConfig::default(),
-            DurableConfig {
-                segment_target_bytes: segment_target,
-                ..DurableConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let config = ShardedConfig::default()
+        .with_shards(1)
+        .with_durable(DurableConfig {
+            segment_target_bytes: segment_target,
+            ..DurableConfig::default()
+        });
+    let db = Arc::new(ShardedDb::open(dir.path(), config).unwrap());
     epoch(&db, 0, KEYS);
 
     // Concurrent reader: pin a snapshot, serve verified reads from it, and
@@ -330,20 +357,20 @@ fn soak_disk_stays_within_twice_live_bytes_under_concurrent_readers() {
             while !stop.load(Ordering::Relaxed) {
                 let snapshot = db.snapshot().expect("snapshot");
                 let mut pinned = Verifier::new();
-                assert!(pinned.observe_digest(snapshot.digest()));
+                assert!(pinned.observe_sharded(snapshot.digest()));
                 for i in (0..KEYS).step_by(9) {
                     let (value, proof) = snapshot.get_verified(&key(i));
                     assert!(
-                        pinned.verify_read(&key(i), value.as_deref(), &proof),
+                        pinned.verify_sharded_read(&key(i), value.as_deref(), &proof),
                         "pinned proof failed mid-compaction"
                     );
                     assert!(value.is_some(), "seeded key vanished");
                 }
                 let mut live = Verifier::new();
+                assert!(live.observe_sharded(&db.digest()));
                 let (value, proof) = db.get_verified(&key(1)).expect("read");
-                assert!(live.observe_digest(proof.digest));
                 assert!(
-                    live.verify_read(&key(1), value.as_deref(), &proof),
+                    live.verify_sharded_read(&key(1), value.as_deref(), &proof),
                     "live verified read failed mid-compaction"
                 );
                 rounds += 1;
@@ -385,7 +412,7 @@ fn soak_disk_stays_within_twice_live_bytes_under_concurrent_readers() {
         "the compactor must keep completing passes during the soak, completed {passes}"
     );
     db.compact().unwrap();
-    let stats = db.storage_stats();
+    let stats = db.shard(0).storage_stats();
     assert!(stats.live_bytes > 0);
     // The acceptance bound: disk within 2× of live, modulo the segments
     // compaction cannot touch (the active one) or fills only partly (the
@@ -407,15 +434,7 @@ fn soak_disk_stays_within_twice_live_bytes_under_concurrent_readers() {
         );
     }
     drop(db);
-    let db = SpitzDb::open_with_configs(
-        dir.path(),
-        SpitzConfig::default(),
-        DurableConfig {
-            segment_target_bytes: segment_target,
-            ..DurableConfig::default()
-        },
-    )
-    .unwrap();
+    let db = ShardedDb::open(dir.path(), config).unwrap();
     assert_eq!(db.digest(), pre, "reopen after the soak must be identical");
-    assert_eq!(db.ledger().audit_chain(), None);
+    assert!(chains_audit_clean(&db));
 }

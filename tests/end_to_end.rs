@@ -7,9 +7,7 @@
 //! serve verified reads while recording nothing.
 
 use spitz::baseline::{ImmutableKvs, NonIntrusiveVdb, QldbBaseline};
-use spitz::{
-    ColumnType, Record, Schema, ShardedConfig, ShardedDb, SpitzConfig, SpitzDb, Value, Verifier,
-};
+use spitz::{ColumnType, Record, Schema, ShardedConfig, ShardedDb, SpitzConfig, Value, Verifier};
 
 mod common;
 use common::TempDir;
@@ -23,34 +21,38 @@ fn record(i: usize) -> (Vec<u8>, Vec<u8>) {
 
 #[test]
 fn spitz_end_to_end_write_read_verify() {
-    let db = SpitzDb::in_memory();
+    let db = ShardedDb::in_memory(1);
     let mut client = Verifier::new();
 
     for batch in (0..2_000).map(record).collect::<Vec<_>>().chunks(100) {
         let digest = db.put_batch(batch.to_vec()).unwrap();
-        assert!(client.observe_digest(digest), "digests must move forward");
+        assert!(client.observe_sharded(&digest), "digests must move forward");
     }
-    assert_eq!(db.digest().block_height, 19);
+    assert_eq!(db.digest().epoch, 20);
 
-    // Every key is readable, verifiable online and via deferred batches.
+    // Every key is readable, verifiable one by one and in one batch.
+    let mut sampled = Vec::new();
     for i in (0..2_000).step_by(97) {
         let (k, v) = record(i);
         assert_eq!(db.get(&k).unwrap(), Some(v.clone()));
         let (value, proof) = db.get_verified(&k).unwrap();
         assert_eq!(value, Some(v.clone()));
-        assert!(client.verify_read(&k, value.as_deref(), &proof));
-        client.defer_read(k, value, db.get_verified(&record(i).0).unwrap().1);
+        assert!(client.verify_sharded_read(&k, value.as_deref(), &proof));
+        sampled.push(k);
     }
-    assert!(client.flush_deferred().all_ok());
+    let (values, proof) = db.get_multi_verified(&sampled).unwrap();
+    let items: Vec<_> = sampled.into_iter().zip(values).collect();
+    assert!(client.verify_sharded_multi(&items, &proof));
 
     // Range scans with a single combined proof.
     let (entries, proof) = db.range_verified(&record(500).0, &record(600).0).unwrap();
     assert_eq!(entries.len(), 100);
-    assert!(client.verify_range(&entries, &proof));
+    assert!(client.verify_sharded_range(&entries, &proof));
 
     // The chain audits clean and historical versions stay readable.
-    assert_eq!(db.ledger().audit_chain(), None);
-    let old = db.ledger().checkout(4).unwrap();
+    let ledger = db.shard(0).ledger();
+    assert_eq!(ledger.audit_chain(), None);
+    let old = ledger.checkout(4).unwrap();
     assert_eq!(old.len(), 500);
     assert_eq!(old.get(&record(499).0), Some(record(499).1));
     assert_eq!(old.get(&record(501).0), None);
@@ -60,7 +62,7 @@ fn spitz_end_to_end_write_read_verify() {
 fn all_systems_return_identical_data_for_the_same_workload() {
     let records: Vec<_> = (0..1_000).map(record).collect();
 
-    let spitz = SpitzDb::in_memory();
+    let spitz = ShardedDb::in_memory(1);
     let kvs = ImmutableKvs::new();
     let qldb = QldbBaseline::new();
     let non_intrusive = NonIntrusiveVdb::new();
@@ -82,7 +84,7 @@ fn all_systems_return_identical_data_for_the_same_workload() {
     // Range results agree (same ordering, same contents).
     let start = record(100).0;
     let end = record(200).0;
-    let spitz_range = spitz.range(&start, &end).unwrap();
+    let spitz_range = spitz.range_unverified(&start, &end).unwrap();
     assert_eq!(spitz_range, kvs.range(&start, &end));
     assert_eq!(spitz_range, qldb.range(&start, &end));
     assert_eq!(spitz_range, non_intrusive.range(&start, &end));
@@ -91,6 +93,7 @@ fn all_systems_return_identical_data_for_the_same_workload() {
     // Verified reads succeed on every verifiable system.
     let (k, v) = record(321);
     let (value, proof) = spitz.get_verified(&k).unwrap();
+    assert_eq!(value.as_ref(), Some(&v));
     assert!(proof.verify(&k, value.as_deref()));
     let (value, proof) = qldb.get_verified(&k).unwrap();
     assert_eq!(value, v);
@@ -101,33 +104,34 @@ fn all_systems_return_identical_data_for_the_same_workload() {
 
 #[test]
 fn tampering_with_any_layer_is_detected() {
-    let db = SpitzDb::in_memory();
+    let db = ShardedDb::in_memory(1);
     db.put_batch((0..200).map(record).collect()).unwrap();
     let mut client = Verifier::new();
-    client.observe_digest(db.digest());
+    assert!(client.observe_sharded(&db.digest()));
 
     let (k, _) = record(42);
     let (value, proof) = db.get_verified(&k).unwrap();
+    assert!(client.verify_sharded_read(&k, value.as_deref(), &proof));
 
-    // Forged value, forged absence, stale digest, wrong key.
-    assert!(!client.verify_read(&k, Some(b"forged"), &proof));
-    assert!(!client.verify_read(&k, None, &proof));
-    assert!(!client.verify_read(&record(43).0, value.as_deref(), &proof));
+    // Forged value, forged absence, wrong key.
+    assert!(!client.verify_sharded_read(&k, Some(b"forged"), &proof));
+    assert!(!client.verify_sharded_read(&k, None, &proof));
+    assert!(!client.verify_sharded_read(&record(43).0, value.as_deref(), &proof));
 
     // A range result with an extra injected row fails.
     let (mut entries, range_proof) = db.range_verified(&record(10).0, &record(20).0).unwrap();
     entries.push((b"injected".to_vec(), b"row".to_vec()));
-    assert!(!client.verify_range(&entries, &range_proof));
+    assert!(!client.verify_sharded_range(&entries, &range_proof));
 
     // A range result with a modified row fails.
     let (mut entries, range_proof) = db.range_verified(&record(10).0, &record(20).0).unwrap();
     entries[0].1 = b"forged".to_vec();
-    assert!(!client.verify_range(&entries, &range_proof));
+    assert!(!client.verify_sharded_range(&entries, &range_proof));
 }
 
 #[test]
 fn typed_tables_flow_through_the_ledger() {
-    let db = SpitzDb::in_memory();
+    let db = ShardedDb::in_memory(1);
     db.create_table(Schema::new(
         "events",
         vec![("kind", ColumnType::Text), ("amount", ColumnType::Integer)],
@@ -146,7 +150,7 @@ fn typed_tables_flow_through_the_ledger() {
         .unwrap();
     }
     // Each record is one ledger block; analytics agree with the raw data.
-    assert_eq!(db.digest().block_height, 99);
+    assert_eq!(db.digest().epoch, 100);
     assert_eq!(
         db.query_eq("events", "kind", &Value::Text("credit".into()))
             .unwrap()
@@ -157,7 +161,7 @@ fn typed_tables_flow_through_the_ledger() {
         db.query_int_range("events", "amount", 0, 10).unwrap().len(),
         10
     );
-    assert_eq!(db.ledger().audit_chain(), None);
+    assert_eq!(db.shard(0).ledger().audit_chain(), None);
 
     let rec = db.get_record("events", "evt-0042").unwrap().unwrap();
     assert_eq!(rec.get("amount"), Some(&Value::Integer(42)));
@@ -167,20 +171,20 @@ fn typed_tables_flow_through_the_ledger() {
 fn storage_deduplication_bounds_ledger_growth() {
     // The Figure 1 / node-sharing property end to end: updating the same key
     // many times grows storage far slower than inserting distinct keys.
-    let updates = SpitzDb::in_memory();
+    let updates = ShardedDb::in_memory(1);
     for _ in 0..500usize {
         // Re-writing identical content: the ledger index reaches an identical
         // state each time, so its nodes are deduplicated by content address.
         updates.put(b"same-key", b"same-value").unwrap();
     }
-    let distinct = SpitzDb::in_memory();
+    let distinct = ShardedDb::in_memory(1);
     for i in 0..500usize {
         distinct
             .put(format!("key-{i}").as_bytes(), b"value")
             .unwrap();
     }
-    let u = updates.storage_stats();
-    let d = distinct.storage_stats();
+    let u = updates.shard(0).storage_stats();
+    let d = distinct.shard(0).storage_stats();
     assert!(u.physical_bytes > 0 && d.physical_bytes > 0);
     // Both retain all history (immutable), but dedup keeps repeated content
     // from being stored twice.
@@ -333,8 +337,10 @@ fn mixed_workload_exposes_every_required_instrument() {
 #[test]
 fn disabled_telemetry_serves_verified_reads_and_records_nothing() {
     let dir = TempDir::new("telemetry-off");
-    let config = SpitzConfig::default().with_telemetry(false);
-    let db = SpitzDb::open_with_config(dir.path(), config).expect("open durable db");
+    let config = ShardedConfig::default()
+        .with_shards(1)
+        .with_spitz(SpitzConfig::default().with_telemetry(false));
+    let db = ShardedDb::open(dir.path(), config).expect("open durable db");
     for i in 0..50u32 {
         let key = format!("key-{i:05}");
         db.put(key.as_bytes(), b"value").expect("put");

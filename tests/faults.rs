@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use spitz::core::db::{SpitzConfig, SpitzDb};
+use spitz::core::db::SpitzConfig;
 use spitz::core::proof::Verifier;
 use spitz::core::sharded::{ShardedConfig, ShardedDb};
 use spitz::core::{DbError, HealthState};
@@ -30,7 +30,7 @@ use spitz_faults::{FailMode, FailpointStore, FaultInjector, SeededRng};
 
 mod chaos;
 mod common;
-use common::TempDir;
+use common::{key_on, TempDir, SHARD_COUNTS};
 
 fn key(i: u32) -> Vec<u8> {
     format!("fault/{i:05}").into_bytes()
@@ -40,16 +40,18 @@ fn value(i: u32) -> Vec<u8> {
     format!("value-{i}").into_bytes()
 }
 
-/// A database under a seeded injector with `count` acknowledged writes.
-fn db_with_writes(dir: &TempDir, seed: u64, count: u32) -> (SpitzDb, Arc<FaultInjector>) {
+/// A `shards`-shard database under a seeded injector with `count`
+/// acknowledged writes.
+fn db_with_writes(
+    dir: &TempDir,
+    shards: usize,
+    seed: u64,
+    count: u32,
+) -> (ShardedDb, Arc<FaultInjector>) {
     let injector = Arc::new(FaultInjector::new(seed));
-    let db = SpitzDb::open_with_io(
-        dir.path(),
-        SpitzConfig::default(),
-        DurableConfig::default(),
-        injector.handle(),
-    )
-    .expect("open with injector");
+    let config = ShardedConfig::default().with_shards(shards);
+    let db =
+        ShardedDb::open_with_io(dir.path(), config, injector.handle()).expect("open with injector");
     for i in 0..count {
         db.put(&key(i), &value(i)).expect("pre-fault put");
     }
@@ -57,46 +59,53 @@ fn db_with_writes(dir: &TempDir, seed: u64, count: u32) -> (SpitzDb, Arc<FaultIn
 }
 
 /// Every key in `0..count` reads back verified out of `db`.
-fn assert_all_verified(db: &SpitzDb, count: u32) {
+fn assert_all_verified(db: &ShardedDb, count: u32) {
     let mut client = Verifier::new();
-    assert!(client.observe_digest(db.digest()));
+    assert!(client.observe_sharded(&db.digest()));
     for i in 0..count {
         let (got, proof) = db.get_verified(&key(i)).expect("verified read");
         assert_eq!(got.as_deref(), Some(value(i).as_ref()));
-        assert!(client.verify_read(&key(i), got.as_deref(), &proof));
+        assert!(client.verify_sharded_read(&key(i), got.as_deref(), &proof));
     }
 }
 
-/// The acceptance scenario: an injected `ENOSPC` flips the store to
-/// `ReadOnly`, where verified reads still succeed and writes return the
-/// typed [`DbError::ReadOnly`].
+/// The acceptance scenario: an injected `ENOSPC` flips the store of the
+/// shard it lands on to `ReadOnly`, where verified reads still succeed and
+/// writes return the typed [`DbError::ReadOnly`].
 #[test]
 fn enospc_flips_store_read_only_reads_keep_serving() {
-    let dir = TempDir::new("faults-enospc");
-    let (db, injector) = db_with_writes(&dir, 0xE05, 20);
-    assert_eq!(db.health(), HealthState::Healthy);
+    for shards in SHARD_COUNTS {
+        let dir = TempDir::new("faults-enospc");
+        let (db, injector) = db_with_writes(&dir, shards, 0xE05, 20);
+        assert_eq!(db.health(), HealthState::Healthy);
 
-    let (appends, _) = injector.ops();
-    injector.fail_append_at(appends, WriteOutcome::Fail(IoErrorKind::NoSpace));
-    db.put(b"fault/over", b"x").expect_err("device is full");
+        let (appends, _) = injector.ops();
+        injector.fail_append_at(appends, WriteOutcome::Fail(IoErrorKind::NoSpace));
+        db.put(b"fault/over", b"x").expect_err("device is full");
 
-    assert_eq!(db.health(), HealthState::ReadOnly);
-    let reason = db.health_reason().expect("durable store has a reason");
-    assert!(reason.contains("space"), "unexpected reason: {reason}");
+        let full = db.route(b"fault/over");
+        assert_eq!(db.shard_health(full), HealthState::ReadOnly, "{shards}");
+        let reason = db
+            .shard_health_reason(full)
+            .expect("durable store has a reason");
+        assert!(reason.contains("space"), "unexpected reason: {reason}");
 
-    // Writes fail fast with the typed error from now on.
-    let err = db.put(b"fault/after", b"x").expect_err("read-only");
-    assert!(matches!(err, DbError::ReadOnly(_)), "got {err}");
-    let err = db
-        .put_batch(vec![(b"fault/batch".to_vec(), b"x".to_vec())])
-        .expect_err("read-only");
-    assert!(matches!(err, DbError::ReadOnly(_)), "got {err}");
+        // Writes to the full shard fail fast with the typed error from now on.
+        let err = db
+            .put(&key_on(&db, full, "fault/after"), b"x")
+            .expect_err("read-only");
+        assert!(matches!(err, DbError::ReadOnly(_)), "got {err}");
+        let err = db
+            .put_batch(vec![(key_on(&db, full, "fault/batch"), b"x".to_vec())])
+            .expect_err("read-only");
+        assert!(matches!(err, DbError::ReadOnly(_)), "got {err}");
 
-    // Verified reads keep serving out of the degraded store.
-    assert_all_verified(&db, 20);
+        // Verified reads keep serving out of the degraded store.
+        assert_all_verified(&db, 20);
 
-    // The un-acknowledged write is not visible.
-    assert_eq!(db.get(b"fault/over").unwrap(), None);
+        // The un-acknowledged write is not visible.
+        assert_eq!(db.get(b"fault/over").unwrap(), None);
+    }
 }
 
 /// A torn append flips the store read-only (its in-memory tail is no
@@ -104,84 +113,100 @@ fn enospc_flips_store_read_only_reads_keep_serving() {
 /// tail and recovers every acknowledged write.
 #[test]
 fn torn_write_goes_read_only_and_reopen_recovers() {
-    let dir = TempDir::new("faults-torn");
-    let (db, injector) = db_with_writes(&dir, 0x7032, 20);
+    for shards in SHARD_COUNTS {
+        let dir = TempDir::new("faults-torn");
+        let (db, injector) = db_with_writes(&dir, shards, 0x7032, 20);
 
-    let (appends, _) = injector.ops();
-    injector.fail_append_at(appends, WriteOutcome::Torn { prefix: 11 });
-    db.put(b"fault/torn", b"x").expect_err("torn write");
+        let (appends, _) = injector.ops();
+        injector.fail_append_at(appends, WriteOutcome::Torn { prefix: 11 });
+        db.put(b"fault/torn", b"x").expect_err("torn write");
 
-    assert_eq!(db.health(), HealthState::ReadOnly);
-    assert_all_verified(&db, 20);
+        let torn = db.route(b"fault/torn");
+        assert_eq!(db.shard_health(torn), HealthState::ReadOnly, "{shards}");
+        assert_all_verified(&db, 20);
 
-    // Crash with the torn tail in place; the reopen scan truncates it.
-    std::mem::forget(db);
-    let reopened = SpitzDb::open(dir.path()).expect("reopen after torn tail");
-    assert_eq!(reopened.health(), HealthState::Healthy);
-    assert_all_verified(&reopened, 20);
-    assert_eq!(reopened.get(b"fault/torn").unwrap(), None);
+        // Crash with the torn tail in place; the reopen scan truncates it.
+        std::mem::forget(db);
+        let config = ShardedConfig::default().with_shards(shards);
+        let reopened = ShardedDb::open(dir.path(), config).expect("reopen after torn tail");
+        assert_eq!(reopened.health(), HealthState::Healthy);
+        assert_all_verified(&reopened, 20);
+        assert_eq!(reopened.get(b"fault/torn").unwrap(), None);
 
-    // The recovered database accepts writes again.
-    reopened
-        .put(b"fault/resumed", b"y")
-        .expect("writable again");
+        // The recovered database accepts writes again.
+        reopened
+            .put(&key_on(&reopened, torn, "fault/resumed"), b"y")
+            .expect("writable again");
+    }
 }
 
 /// A silently bit-flipped sealed segment is invisible to every write and
-/// to the cached read path; one explicit `scrub()` finds it and
-/// quarantines it.
+/// to the cached read path; one explicit `scrub()` of its shard finds it
+/// and quarantines it.
 #[test]
 fn explicit_scrub_quarantines_silent_bitflip() {
-    let dir = TempDir::new("faults-explicit-scrub");
-    let injector = Arc::new(FaultInjector::new(0x5C12B));
-    // A silent bit flip in an early chunk record (a put appends an index
-    // node, the block and the head-root record; append 4 is the second
-    // put's index node): the write reports success, and nothing on the hot
-    // path notices (the fresh chunk is served from cache). Only a CRC walk
-    // over the sealed segment can catch it, and a chunk that cannot be
-    // salvaged leaves the store read-only for good — a damaged root record
-    // would only degrade it until the next clean writes.
-    injector.fail_append_at(
-        4,
-        WriteOutcome::Corrupt {
-            offset: 21,
-            mask: 0x40,
-        },
-    );
-    let db = SpitzDb::open_with_io(
-        dir.path(),
-        SpitzConfig::default(),
-        DurableConfig {
-            segment_target_bytes: 2 * 1024,
-            ..DurableConfig::default()
-        },
-        injector.handle(),
-    )
-    .expect("open");
+    for shards in SHARD_COUNTS {
+        let dir = TempDir::new("faults-explicit-scrub");
+        let injector = Arc::new(FaultInjector::new(0x5C12B));
+        let config = ShardedConfig::default()
+            .with_shards(shards)
+            .with_durable(DurableConfig {
+                segment_target_bytes: 2 * 1024,
+                ..DurableConfig::default()
+            });
+        let db = ShardedDb::open_with_io(dir.path(), config, injector.handle()).expect("open");
+        db.put(&key(0), &value(0)).expect("first put");
+        // A silent bit flip in the next chunk record (a put appends an
+        // index node, the block and the head-root record, so the next
+        // append is the second put's index node): the write reports
+        // success, and nothing on the hot path notices (the fresh chunk is
+        // served from cache). Only a CRC walk over the sealed segment can
+        // catch it, and a chunk that cannot be salvaged leaves the store
+        // read-only for good — a damaged root record would only degrade it
+        // until the next clean writes.
+        let (appends, _) = injector.ops();
+        injector.fail_append_at(
+            appends,
+            WriteOutcome::Corrupt {
+                offset: 21,
+                mask: 0x40,
+            },
+        );
+        let damaged = db.route(&key(1));
 
-    // Enough writes that the damaged record's segment seals and rotates
-    // out of the active position (scrub only walks sealed segments).
-    for i in 0..60 {
-        db.put(&key(i), &value(i))
-            .expect("the flip is silent: every write succeeds");
+        // Enough writes that the damaged record's segment seals and
+        // rotates out of the active position (scrub only walks sealed
+        // segments).
+        for i in 1..60 * shards as u32 {
+            db.put(&key(i), &value(i))
+                .expect("the flip is silent: every write succeeds");
+        }
+        assert_eq!(db.health(), HealthState::Healthy);
+
+        let shard = db.shard(damaged);
+        let report = shard
+            .scrub()
+            .expect("scrub pass")
+            .expect("durable instance");
+        assert!(
+            !report.quarantined_segments.is_empty(),
+            "scrub must flag the corrupt segment: {report:?}"
+        );
+        assert_ne!(db.shard_health(damaged), HealthState::Healthy);
+
+        let quarantine = dir
+            .path()
+            .join(format!("shard-{damaged:03}"))
+            .join("quarantine");
+        let quarantined = std::fs::read_dir(quarantine)
+            .map(|entries| entries.count())
+            .unwrap_or(0);
+        assert!(
+            quarantined > 0,
+            "corrupt segment file must be preserved under quarantine/"
+        );
+        assert!(db.shard_health_reason(damaged).is_some());
     }
-    assert_eq!(db.health(), HealthState::Healthy);
-
-    let report = db.scrub().expect("scrub pass").expect("durable instance");
-    assert!(
-        !report.quarantined_segments.is_empty(),
-        "scrub must flag the corrupt segment: {report:?}"
-    );
-    assert_ne!(db.health(), HealthState::Healthy);
-
-    let quarantined = std::fs::read_dir(dir.path().join("quarantine"))
-        .map(|entries| entries.count())
-        .unwrap_or(0);
-    assert!(
-        quarantined > 0,
-        "corrupt segment file must be preserved under quarantine/"
-    );
-    assert!(db.health_reason().is_some());
 }
 
 /// A cross-shard batch of `n` keys from `start` guaranteed to span at
@@ -394,72 +419,92 @@ fn failed_append_soak() {
     }
 }
 
-/// A typed insert whose ledger commit fails leaves no trace in the table
-/// layer: a new key stays absent from `get_record` and every query, an
-/// updated key keeps serving its last committed version, and once the
-/// store recovers the same inserts go through.
+/// `shards` failpoint stores over fresh in-memory stores, and a database
+/// over them.
+fn failpoint_db(shards: usize) -> (ShardedDb, Vec<Arc<FailpointStore>>) {
+    let failpoints: Vec<Arc<FailpointStore>> = (0..shards)
+        .map(|_| FailpointStore::new(InMemoryChunkStore::shared() as Arc<dyn ChunkStore>))
+        .collect();
+    (reopen_over(&failpoints), failpoints)
+}
+
+/// A database over the failpoint stores, recovering what they hold.
+fn reopen_over(failpoints: &[Arc<FailpointStore>]) -> ShardedDb {
+    let stores = failpoints
+        .iter()
+        .map(|f| Arc::clone(f) as Arc<dyn ChunkStore>)
+        .collect();
+    ShardedDb::with_stores(stores, SpitzConfig::default()).expect("open over the failpoint stores")
+}
+
+/// A typed insert whose ledger commit (or two-phase commit) fails leaves
+/// no trace in the table layer: a new key stays absent from `get_record`
+/// and every query, an updated key keeps serving its last committed
+/// version, and once the stores recover the same inserts go through.
 #[test]
 fn failed_insert_record_is_not_indexed() {
     use spitz::{ColumnType, Record, Schema, Value};
 
-    let failpoint = FailpointStore::new(InMemoryChunkStore::shared() as Arc<dyn ChunkStore>);
-    let db = SpitzDb::with_store(
-        Arc::clone(&failpoint) as Arc<dyn ChunkStore>,
-        SpitzConfig::default(),
-    )
-    .expect("open over the failpoint store");
-    db.create_table(Schema::new(
-        "items",
-        vec![("name", ColumnType::Text), ("stock", ColumnType::Integer)],
-    ))
-    .unwrap();
-    let item = |pk: &str, name: &str, stock: i64| {
-        Record::new(pk)
-            .with("name", Value::Text(name.into()))
-            .with("stock", Value::Integer(stock))
-    };
-    let committed = item("kept", "widget", 10);
-    db.insert_record("items", &committed).unwrap();
-    let digest = db.digest();
+    for shards in SHARD_COUNTS {
+        let (db, failpoints) = failpoint_db(shards);
+        db.create_table(Schema::new(
+            "items",
+            vec![("name", ColumnType::Text), ("stock", ColumnType::Integer)],
+        ))
+        .unwrap();
+        let item = |pk: &str, name: &str, stock: i64| {
+            Record::new(pk)
+                .with("name", Value::Text(name.into()))
+                .with("stock", Value::Integer(stock))
+        };
+        let committed = item("kept", "widget", 10);
+        db.insert_record("items", &committed).unwrap();
+        let digest = db.digest();
 
-    failpoint.arm(0, FailMode::Error);
-    db.insert_record("items", &item("fresh", "gadget", 20))
-        .expect_err("a new key's commit fails");
-    db.insert_record("items", &item("kept", "widget-v2", 30))
-        .expect_err("an update's commit fails");
-    failpoint.disarm();
-    assert!(failpoint.injected_failures() > 0);
-    assert_eq!(db.digest(), digest, "a failed insert moved the digest");
+        for failpoint in &failpoints {
+            failpoint.arm(0, FailMode::Error);
+        }
+        db.insert_record("items", &item("fresh", "gadget", 20))
+            .expect_err("a new key's commit fails");
+        db.insert_record("items", &item("kept", "widget-v2", 30))
+            .expect_err("an update's commit fails");
+        for failpoint in &failpoints {
+            failpoint.disarm();
+        }
+        let injected: u64 = failpoints.iter().map(|f| f.injected_failures()).sum();
+        assert!(injected > 0);
+        assert_eq!(db.digest(), digest, "a failed insert moved the digest");
 
-    assert_eq!(db.get_record("items", "fresh").unwrap(), None);
-    assert_eq!(db.get_record("items", "kept").unwrap(), Some(committed));
-    for name in ["gadget", "widget-v2"] {
-        let hits = db.query_eq("items", "name", &Value::Text(name.into()));
-        assert!(hits.unwrap().is_empty(), "{name} was never committed");
+        assert_eq!(db.get_record("items", "fresh").unwrap(), None);
+        assert_eq!(db.get_record("items", "kept").unwrap(), Some(committed));
+        for name in ["gadget", "widget-v2"] {
+            let hits = db.query_eq("items", "name", &Value::Text(name.into()));
+            assert!(hits.unwrap().is_empty(), "{name} was never committed");
+        }
+        assert!(db
+            .query_int_range("items", "stock", 11, 100)
+            .unwrap()
+            .is_empty());
+        assert_eq!(
+            db.query_int_range("items", "stock", i64::MIN, i64::MAX)
+                .unwrap(),
+            vec!["kept".to_string()]
+        );
+
+        // The recovered stores take the same inserts.
+        db.insert_record("items", &item("fresh", "gadget", 20))
+            .unwrap();
+        db.insert_record("items", &item("kept", "widget-v2", 30))
+            .unwrap();
+        assert_eq!(
+            db.get_record("items", "kept").unwrap(),
+            Some(item("kept", "widget-v2", 30))
+        );
+        assert_eq!(
+            db.query_int_range("items", "stock", 11, 100).unwrap(),
+            vec!["fresh".to_string(), "kept".to_string()]
+        );
     }
-    assert!(db
-        .query_int_range("items", "stock", 11, 100)
-        .unwrap()
-        .is_empty());
-    assert_eq!(
-        db.query_int_range("items", "stock", i64::MIN, i64::MAX)
-            .unwrap(),
-        vec!["kept".to_string()]
-    );
-
-    // The recovered store takes the same inserts.
-    db.insert_record("items", &item("fresh", "gadget", 20))
-        .unwrap();
-    db.insert_record("items", &item("kept", "widget-v2", 30))
-        .unwrap();
-    assert_eq!(
-        db.get_record("items", "kept").unwrap(),
-        Some(item("kept", "widget-v2", 30))
-    );
-    assert_eq!(
-        db.query_int_range("items", "stock", 11, 100).unwrap(),
-        vec!["fresh".to_string(), "kept".to_string()]
-    );
 }
 
 /// A failed insert leaves no timestamp behind that outlives the process:
@@ -468,29 +513,27 @@ fn failed_insert_record_is_not_indexed() {
 fn failed_insert_then_reopen_keeps_the_next_update_newest() {
     use spitz::{ColumnType, Record, Schema, Value};
 
-    let failpoint = FailpointStore::new(InMemoryChunkStore::shared() as Arc<dyn ChunkStore>);
-    let open = || {
-        SpitzDb::with_store(
-            Arc::clone(&failpoint) as Arc<dyn ChunkStore>,
-            SpitzConfig::default(),
-        )
-        .expect("open over the failpoint store")
-    };
-    let item = |stock: i64| Record::new("kept").with("stock", Value::Integer(stock));
-    let db = open();
-    db.create_table(Schema::new("items", vec![("stock", ColumnType::Integer)]))
-        .unwrap();
-    db.insert_record("items", &item(10)).unwrap();
-    failpoint.arm(0, FailMode::Error);
-    db.insert_record("items", &item(20))
-        .expect_err("the update's commit fails");
-    failpoint.disarm();
-    drop(db);
+    for shards in SHARD_COUNTS {
+        let item = |stock: i64| Record::new("kept").with("stock", Value::Integer(stock));
+        let (db, failpoints) = failpoint_db(shards);
+        db.create_table(Schema::new("items", vec![("stock", ColumnType::Integer)]))
+            .unwrap();
+        db.insert_record("items", &item(10)).unwrap();
+        for failpoint in &failpoints {
+            failpoint.arm(0, FailMode::Error);
+        }
+        db.insert_record("items", &item(20))
+            .expect_err("the update's commit fails");
+        for failpoint in &failpoints {
+            failpoint.disarm();
+        }
+        drop(db);
 
-    let db = open();
-    assert_eq!(db.get_record("items", "kept").unwrap(), Some(item(10)));
-    db.insert_record("items", &item(30)).unwrap();
-    assert_eq!(db.get_record("items", "kept").unwrap(), Some(item(30)));
+        let db = reopen_over(&failpoints);
+        assert_eq!(db.get_record("items", "kept").unwrap(), Some(item(10)));
+        db.insert_record("items", &item(30)).unwrap();
+        assert_eq!(db.get_record("items", "kept").unwrap(), Some(item(30)));
+    }
 }
 
 /// An in-memory store whose `sync` fails while `fail_sync` is set: a
@@ -536,67 +579,79 @@ impl ChunkStore for SyncFailStore {
 }
 
 /// A typed insert whose Strict commit fails only at the fsync has its
-/// block published in the ledger, so the table layer indexes it too:
-/// `get_record` and the queries agree with the ledger before and after a
-/// reopen.
+/// block published in the ledger (on every shard its two-phase commit
+/// applies to), so the table layer indexes it too: `get_record` and the
+/// queries agree with the ledger before and after a reopen.
 #[test]
 fn insert_record_whose_fsync_fails_is_indexed() {
     use spitz::{ColumnType, Record, Schema, Value};
 
-    let store = Arc::new(SyncFailStore::default());
-    let open = || {
-        SpitzDb::with_store(
-            Arc::clone(&store) as Arc<dyn ChunkStore>,
-            SpitzConfig::default().with_durability(DurabilityPolicy::Strict),
-        )
-        .expect("open over the sync-failing store")
-    };
-    let item = |pk: &str, name: &str, stock: i64| {
-        Record::new(pk)
-            .with("name", Value::Text(name.into()))
-            .with("stock", Value::Integer(stock))
-    };
-    let check = |db: &SpitzDb, context: &str| {
-        for pk in ["fresh", "kept"] {
-            let expected = item(pk, &format!("{pk}-v2"), 30);
+    for shards in SHARD_COUNTS {
+        let stores: Vec<Arc<SyncFailStore>> = (0..shards)
+            .map(|_| Arc::new(SyncFailStore::default()))
+            .collect();
+        let open = || {
+            ShardedDb::with_stores(
+                stores
+                    .iter()
+                    .map(|s| Arc::clone(s) as Arc<dyn ChunkStore>)
+                    .collect(),
+                SpitzConfig::default().with_durability(DurabilityPolicy::Strict),
+            )
+            .expect("open over the sync-failing stores")
+        };
+        let fail_sync = |fail: bool| {
+            for store in &stores {
+                store.fail_sync.store(fail, Ordering::SeqCst);
+            }
+        };
+        let item = |pk: &str, name: &str, stock: i64| {
+            Record::new(pk)
+                .with("name", Value::Text(name.into()))
+                .with("stock", Value::Integer(stock))
+        };
+        let check = |db: &ShardedDb, context: &str| {
+            for pk in ["fresh", "kept"] {
+                let expected = item(pk, &format!("{pk}-v2"), 30);
+                assert_eq!(
+                    db.get_record("items", pk).unwrap(),
+                    Some(expected),
+                    "{context}, {shards} shards"
+                );
+            }
             assert_eq!(
-                db.get_record("items", pk).unwrap(),
-                Some(expected),
-                "{context}"
+                db.query_eq("items", "name", &Value::Text("fresh-v2".into()))
+                    .unwrap(),
+                vec!["fresh".to_string()],
+                "{context}, {shards} shards"
             );
-        }
-        assert_eq!(
-            db.query_eq("items", "name", &Value::Text("fresh-v2".into()))
-                .unwrap(),
-            vec!["fresh".to_string()],
-            "{context}"
-        );
-        assert_eq!(
-            db.query_int_range("items", "stock", 11, 100).unwrap(),
-            vec!["fresh".to_string(), "kept".to_string()],
-            "{context}"
-        );
-    };
+            assert_eq!(
+                db.query_int_range("items", "stock", 11, 100).unwrap(),
+                vec!["fresh".to_string(), "kept".to_string()],
+                "{context}, {shards} shards"
+            );
+        };
 
-    let db = open();
-    db.create_table(Schema::new(
-        "items",
-        vec![("name", ColumnType::Text), ("stock", ColumnType::Integer)],
-    ))
-    .unwrap();
-    db.insert_record("items", &item("kept", "kept-v1", 10))
+        let db = open();
+        db.create_table(Schema::new(
+            "items",
+            vec![("name", ColumnType::Text), ("stock", ColumnType::Integer)],
+        ))
         .unwrap();
+        db.insert_record("items", &item("kept", "kept-v1", 10))
+            .unwrap();
 
-    store.fail_sync.store(true, Ordering::SeqCst);
-    db.insert_record("items", &item("fresh", "fresh-v2", 30))
-        .expect_err("a new key's fsync fails");
-    db.insert_record("items", &item("kept", "kept-v2", 30))
-        .expect_err("an update's fsync fails");
-    store.fail_sync.store(false, Ordering::SeqCst);
-    check(&db, "live");
+        fail_sync(true);
+        db.insert_record("items", &item("fresh", "fresh-v2", 30))
+            .expect_err("a new key's fsync fails");
+        db.insert_record("items", &item("kept", "kept-v2", 30))
+            .expect_err("an update's fsync fails");
+        fail_sync(false);
+        check(&db, "live");
 
-    drop(db);
-    check(&open(), "reopened");
+        drop(db);
+        check(&open(), "reopened");
+    }
 }
 
 /// Run schedule `i` of a seeded chaos sweep: the four families of

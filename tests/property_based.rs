@@ -14,11 +14,12 @@ use spitz::index::{PosTree, SiriKind};
 use spitz::storage::{ChunkStore, Chunker, ChunkerConfig, InMemoryChunkStore, VBlob};
 use spitz::txn::MvccStore;
 use spitz::{
-    ColumnType, DurabilityPolicy, Ledger, Record, Schema, ShardedDb, SpitzConfig, SpitzDb, Value,
+    ColumnType, DurabilityPolicy, Ledger, Record, Schema, ShardedConfig, ShardedDb, SpitzConfig,
+    Value,
 };
 
 mod common;
-use common::TempDir;
+use common::{TempDir, SHARD_COUNTS};
 
 /// Text values that share prefixes with each other (and the empty string).
 const TEXT_PREFIXES: [&str; 4] = ["", "icd", "icd10/", "icd10/E11"];
@@ -38,7 +39,7 @@ fn model_integer(choice: u8, payload: i64) -> i64 {
 
 /// `db`'s typed reads and queries over table `t` equal a naive scan of
 /// `versions`, every committed record in commit order.
-fn assert_table_matches_model(db: &SpitzDb, versions: &[Record], context: &str) {
+fn assert_table_matches_model(db: &ShardedDb, versions: &[Record], context: &str) {
     let latest: BTreeMap<&String, &Record> = versions.iter().map(|r| (&r.primary_key, r)).collect();
     for (pk, record) in &latest {
         let got = db.get_record("t", pk).unwrap();
@@ -175,8 +176,8 @@ proptest! {
         }
     }
 
-    /// The key/value API of SpitzDb is consistent with a plain map for any
-    /// sequence of unique-key puts.
+    /// The key/value API of a one-shard database is consistent with a plain
+    /// map for any sequence of unique-key puts.
     #[test]
     fn spitz_matches_a_model_map(
         entries in proptest::collection::btree_map(
@@ -185,7 +186,7 @@ proptest! {
             1..40,
         )
     ) {
-        let db = SpitzDb::in_memory();
+        let db = ShardedDb::in_memory(1);
         for (k, v) in &entries {
             db.put(k.as_bytes(), v).unwrap();
         }
@@ -195,7 +196,7 @@ proptest! {
         prop_assert_eq!(db.get(b"@not-a-key").unwrap(), None);
         // The range over the full keyspace returns exactly the model's
         // entries in sorted order.
-        let all = db.range(&[], &[0xffu8; 16]).unwrap();
+        let all = db.range_unverified(&[], &[0xffu8; 16]).unwrap();
         let model: Vec<(Vec<u8>, Vec<u8>)> = entries
             .iter()
             .map(|(k, v)| (k.as_bytes().to_vec(), v.clone()))
@@ -318,7 +319,7 @@ proptest! {
         for (k, v) in &model {
             prop_assert_eq!(db.get(k).unwrap().as_ref(), Some(v));
             prop_assert_eq!(
-                db.shard(db.route(k)).get(k).unwrap().as_ref(),
+                db.shard(db.route(k)).ledger().get(k).as_ref(),
                 Some(v)
             );
         }
@@ -426,7 +427,8 @@ proptest! {
     /// random `insert_record`s (repeated primary keys, integers at the
     /// edges of `i64`, texts sharing prefixes), `get_record`, `query_eq`
     /// and `query_int_range` equal a naive scan of the committed versions,
-    /// both live and after the durable store is reopened.
+    /// on one shard and on four, both live and after the durable stores are
+    /// reopened.
     #[test]
     fn table_queries_match_a_naive_scan(
         inserts in proptest::collection::vec(
@@ -442,23 +444,27 @@ proptest! {
                     .with("n", Value::Integer(model_integer(*choice, *payload)))
             })
             .collect();
-        for kind in [SiriKind::PosTree, SiriKind::MerklePatriciaTrie, SiriKind::MerkleBucketTree] {
-            let dir = TempDir::new("table-model");
-            let config = SpitzConfig { siri: kind, ..SpitzConfig::default() }
-                .with_durability(DurabilityPolicy::Os);
-            let db = SpitzDb::open_with_config(dir.path(), config).unwrap();
-            db.create_table(Schema::new(
-                "t",
-                vec![("name", ColumnType::Text), ("n", ColumnType::Integer)],
-            ))
-            .unwrap();
-            for record in &versions {
-                db.insert_record("t", record).unwrap();
+        for shards in SHARD_COUNTS {
+            for kind in [SiriKind::PosTree, SiriKind::MerklePatriciaTrie, SiriKind::MerkleBucketTree] {
+                let case = format!("{}, {shards} shards", kind.name());
+                let dir = TempDir::new("table-model");
+                let spitz = SpitzConfig { siri: kind, ..SpitzConfig::default() }
+                    .with_durability(DurabilityPolicy::Os);
+                let config = ShardedConfig::default().with_shards(shards).with_spitz(spitz);
+                let db = ShardedDb::open(dir.path(), config).unwrap();
+                db.create_table(Schema::new(
+                    "t",
+                    vec![("name", ColumnType::Text), ("n", ColumnType::Integer)],
+                ))
+                .unwrap();
+                for record in &versions {
+                    db.insert_record("t", record).unwrap();
+                }
+                assert_table_matches_model(&db, &versions, &format!("{case} live"));
+                drop(db);
+                let db = ShardedDb::open(dir.path(), config).unwrap();
+                assert_table_matches_model(&db, &versions, &format!("{case} reopened"));
             }
-            assert_table_matches_model(&db, &versions, &format!("{} live", kind.name()));
-            drop(db);
-            let db = SpitzDb::open_with_config(dir.path(), config).unwrap();
-            assert_table_matches_model(&db, &versions, &format!("{} reopened", kind.name()));
         }
     }
 }

@@ -62,7 +62,7 @@ fn cross_shard_batch_is_all_or_nothing() {
     db.put_batch(writes.clone()).unwrap();
     for (k, v) in &writes {
         assert_eq!(db.get(k).unwrap(), Some(v.clone()));
-        assert_eq!(db.shard(db.route(k)).get(k).unwrap(), Some(v.clone()));
+        assert_eq!(db.shard(db.route(k)).ledger().get(k), Some(v.clone()));
     }
 
     // Abort path: a prepared-then-aborted batch leaves nothing anywhere.

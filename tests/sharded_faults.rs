@@ -211,8 +211,8 @@ fn staged_batches_survive_a_kill_and_reopen_and_recover_to_abort() {
 
 /// Kill-and-reopen after the commit *decision*: a batch whose commit was
 /// decided (durable decision record) but whose apply failed on one shard
-/// must be **redone** — not aborted — by a restarted process, preserving
-/// all-or-nothing across the crash.
+/// must be **redone** — not aborted — by the reopen over the same stores,
+/// preserving all-or-nothing across the crash.
 #[test]
 fn decided_batches_survive_a_kill_and_reopen_and_recover_to_commit() {
     let failpoints: Vec<Arc<FailpointStore>> = (0..3)
@@ -241,13 +241,13 @@ fn decided_batches_survive_a_kill_and_reopen_and_recover_to_commit() {
     }
 
     let db = ShardedDb::with_stores(stores, SpitzConfig::default()).unwrap();
-    // The decision was made, so a restarted recovery must redo shard 1's
-    // part from its staged chunk — every write becomes visible.
-    assert!(db.recover() >= 1, "the decided batch must be redone");
+    // The decision was made, so the reopen itself redoes shard 1's part
+    // from its staged chunk — every write is visible before any explicit
+    // recovery, which then finds nothing left to resolve.
     for (k, v) in &writes {
         assert_eq!(db.get(k).unwrap(), Some(v.clone()), "redo must complete");
     }
-    assert_eq!(db.recover(), 0, "recovery is idempotent");
+    assert_eq!(db.recover(), 0, "the reopen already redid the batch");
     for s in 0..3 {
         assert_eq!(db.shard(s).ledger().audit_chain(), None);
     }

@@ -11,13 +11,13 @@ use spitz::ledger::block::records_merkle_root;
 use spitz::ledger::Block;
 use spitz::storage::durable::format::{crc32, RECORD_OVERHEAD, SEGMENT_HEADER_LEN};
 use spitz::storage::{ChunkStore, DurableChunkStore};
-use spitz::{SpitzDb, Verifier};
+use spitz::{ShardedConfig, ShardedDb, ShardedDigest, Verifier};
 
 mod common;
-use common::{segment_files, TempDir};
+use common::{segment_files, TempDir, SHARD_COUNTS};
 
-fn populated_db() -> SpitzDb {
-    let db = SpitzDb::in_memory();
+fn populated_db() -> ShardedDb {
+    let db = ShardedDb::in_memory(1);
     let writes: Vec<_> = (0..50)
         .map(|i| {
             (
@@ -34,9 +34,13 @@ fn populated_db() -> SpitzDb {
 fn corrupting_one_byte_of_a_committed_block_is_detected() {
     let db = populated_db();
     let mut client = Verifier::new();
-    assert!(client.observe_digest(db.digest()));
+    assert!(client.observe_sharded(&db.digest()));
 
-    let honest = db.ledger().block(0).expect("block 0 was committed");
+    let honest = db
+        .shard(0)
+        .ledger()
+        .block(0)
+        .expect("block 0 was committed");
     assert!(honest.verify_records());
 
     // Flip one byte of one committed record.
@@ -63,27 +67,75 @@ fn corrupting_one_byte_of_a_committed_block_is_detected() {
     assert_ne!(resealed.hash(), honest.hash());
 
     // Layer 3: a digest carrying the forged block hash is refused by the
-    // client (same height, different hash = fork).
-    let mut forged_digest = db.digest();
-    forged_digest.block_hash = resealed.hash();
-    assert!(!client.observe_digest(forged_digest));
+    // client (same epoch, different root = fork).
+    let mut forged_leaves = db.digest().shards;
+    forged_leaves[0].block_hash = resealed.hash();
+    assert!(!client.observe_sharded(&ShardedDigest::over(forged_leaves)));
 
     // Layer 4: a read proof anchored at the forged digest fails client
     // verification even though the value itself is honest.
     let (value, honest_proof) = db.get_verified(b"acct/007").unwrap();
     let mut forged_proof = honest_proof.clone();
-    forged_proof.digest.block_hash = resealed.hash();
-    assert!(!client.verify_read(b"acct/007", value.as_deref(), &forged_proof));
+    forged_proof.ledger_proof.digest.block_hash = resealed.hash();
+    assert!(!client.verify_sharded_read(b"acct/007", value.as_deref(), &forged_proof));
 
     // A forged index root (an attacker rewriting history wholesale) is
     // equally rejected, because the proof no longer recomputes to it.
     let mut forged_root_proof = honest_proof.clone();
-    forged_root_proof.digest.index_root = resealed.hash();
-    assert!(!client.verify_read(b"acct/007", value.as_deref(), &forged_root_proof));
+    forged_root_proof.ledger_proof.digest.index_root = resealed.hash();
+    assert!(!client.verify_sharded_read(b"acct/007", value.as_deref(), &forged_root_proof));
 
     // Sanity: the honest proof still verifies and the pin is intact.
-    assert!(client.verify_read(b"acct/007", value.as_deref(), &honest_proof));
-    assert_eq!(client.pinned_digest().unwrap(), db.digest());
+    assert!(client.verify_sharded_read(b"acct/007", value.as_deref(), &honest_proof));
+    assert_eq!(client.pinned_sharded_root(), Some(db.digest().root));
+}
+
+/// A genuine proof from another history — a second database with more
+/// commits over the same keys and other values — neither satisfies nor
+/// moves a client's pin: its point and batched proofs verify on their own
+/// and are refused against the pin, over one shard and over four.
+#[test]
+fn another_historys_proofs_cannot_satisfy_or_move_a_pin() {
+    let keys: Vec<Vec<u8>> = (0..20)
+        .map(|i| format!("acct/{i:03}").into_bytes())
+        .collect();
+    let load = |db: &ShardedDb, tag: &str| {
+        for key in &keys {
+            db.put(key, format!("{tag}-{key:?}").as_bytes()).unwrap();
+        }
+    };
+    for shards in SHARD_COUNTS {
+        let ours = ShardedDb::in_memory(shards);
+        load(&ours, "ours");
+        let theirs = ShardedDb::in_memory(shards);
+        load(&theirs, "theirs-1");
+        load(&theirs, "theirs-2");
+        assert!(theirs.digest().epoch > ours.digest().epoch);
+
+        let mut client = Verifier::new();
+        assert!(client.observe_sharded(&ours.digest()));
+        let pinned = client.pinned_sharded_root();
+
+        let (value, proof) = theirs.get_verified(&keys[3]).unwrap();
+        assert!(proof.verify(&keys[3], value.as_deref()), "{shards} shards");
+        assert!(
+            !client.verify_sharded_read(&keys[3], value.as_deref(), &proof),
+            "{shards} shards: another history's point proof"
+        );
+
+        let (values, proof) = theirs.get_multi_verified(&keys[..8]).unwrap();
+        let items: Vec<_> = keys[..8].iter().cloned().zip(values).collect();
+        assert!(proof.verify(&items), "{shards} shards");
+        assert!(
+            !client.verify_sharded_multi(&items, &proof),
+            "{shards} shards: another history's batched proof"
+        );
+        assert_eq!(client.pinned_sharded_root(), pinned, "{shards} shards");
+
+        // The pin still accepts its own history.
+        let (value, proof) = ours.get_verified(&keys[3]).unwrap();
+        assert!(client.verify_sharded_read(&keys[3], value.as_deref(), &proof));
+    }
 }
 
 fn first_segment_file(dir: &Path) -> PathBuf {
@@ -96,8 +148,9 @@ fn first_segment_file(dir: &Path) -> PathBuf {
 #[test]
 fn flipping_one_bit_on_disk_is_caught_by_crc_at_open() {
     let dir = TempDir::new("bitflip-open");
+    let config = ShardedConfig::default().with_shards(1);
     {
-        let db = SpitzDb::open(dir.path()).unwrap();
+        let db = ShardedDb::open(dir.path(), config).unwrap();
         let writes: Vec<_> = (0..40)
             .map(|i| {
                 (
@@ -113,13 +166,13 @@ fn flipping_one_bit_on_disk_is_caught_by_crc_at_open() {
     // Flip one bit inside the first record of the first segment — a
     // mid-file flip, so recovery must refuse the segment rather than
     // "recover" around it.
-    let segment = first_segment_file(dir.path());
+    let segment = first_segment_file(&dir.path().join("shard-000"));
     let mut bytes = std::fs::read(&segment).unwrap();
     let index = SEGMENT_HEADER_LEN as usize + 10;
     bytes[index] ^= 0x40;
     std::fs::write(&segment, &bytes).unwrap();
 
-    let result = SpitzDb::open(dir.path());
+    let result = ShardedDb::open(dir.path(), config);
     assert!(
         matches!(
             result.as_ref().err(),
@@ -167,7 +220,7 @@ fn crc_consistent_on_disk_rewrite_is_caught_by_audit() {
 #[test]
 fn every_record_byte_is_covered_by_the_records_root() {
     let db = populated_db();
-    let honest = db.ledger().block(0).unwrap();
+    let honest = db.shard(0).ledger().block(0).unwrap();
 
     // Corrupt each field of a few records in turn; the root must move.
     for i in [0usize, 13, 49] {
