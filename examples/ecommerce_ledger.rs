@@ -102,9 +102,10 @@ fn main() {
     );
     assert!(ok);
 
-    // Deferred verification: queue a batch of reads, verify them together
-    // against the pin.
-    let mut deferred = Vec::new();
+    // Deferred verification: collect a batch of order cells, fetch them
+    // with one multi-key proof and verify the batch against the pin.
+    let mut cell_keys = Vec::new();
+    let mut expected = Vec::new();
     for i in 0..50 {
         let key = format!("order-{i:05}");
         let prefix = spitz::core::cell::UniversalKey::cell_prefix(0, key.as_bytes());
@@ -112,16 +113,19 @@ fn main() {
         end.push(0xff);
         let (cells, _) = db.range_verified(&prefix, &end).unwrap();
         if let Some((cell_key, value)) = cells.into_iter().next() {
-            let (v, proof) = db.get_verified(&cell_key).unwrap();
-            assert_eq!(v.as_ref(), Some(&value));
-            deferred.push((cell_key, v, proof));
+            cell_keys.push(cell_key);
+            expected.push(Some(value));
         }
     }
-    let verified = deferred
-        .iter()
-        .filter(|(key, value, proof)| auditor.verify_sharded_read(key, value.as_deref(), proof))
-        .count();
-    let failed = deferred.len() - verified;
+    let (values, proof) = db.get_multi_verified(&cell_keys).unwrap();
+    assert_eq!(values, expected);
+    let items: Vec<_> = cell_keys.into_iter().zip(values).collect();
+    let verified = if auditor.verify_sharded_multi(&items, &proof) {
+        items.len()
+    } else {
+        0
+    };
+    let failed = items.len() - verified;
     println!("deferred audit: {verified} verified, {failed} failed");
     assert_eq!(failed, 0);
 

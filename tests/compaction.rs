@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use spitz::core::sharded::{ShardedConfig, ShardedDb};
+use spitz::core::sharded::{ShardedConfig, ShardedDb, ShardedDigest};
 use spitz::core::staged::StagedLog;
 use spitz::index::SiriKind;
 use spitz::storage::durable::CompactionFault;
@@ -366,9 +366,11 @@ fn soak_disk_stays_within_twice_live_bytes_under_concurrent_readers() {
                     );
                     assert!(value.is_some(), "seeded key vanished");
                 }
-                let mut live = Verifier::new();
-                assert!(live.observe_sharded(&db.digest()));
+                // Pin the cut the proof was served at: writers keep
+                // committing, so a separately read `digest()` may be older.
                 let (value, proof) = db.get_verified(&key(1)).expect("read");
+                let mut live = Verifier::new();
+                assert!(live.observe_sharded(&ShardedDigest::over(vec![proof.ledger_proof.digest])));
                 assert!(
                     live.verify_sharded_read(&key(1), value.as_deref(), &proof),
                     "live verified read failed mid-compaction"
