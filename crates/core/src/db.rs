@@ -157,7 +157,7 @@ pub struct SpitzDb {
 
 impl SpitzDb {
     /// An in-memory shard. It commits without a pipeline: there is no
-    /// fsync to amortize, and even the pipeline's idle path (which seals on
+    /// fsync to amortize, and even the pipeline's free path (which seals on
     /// the caller's thread) would add a lock and a policy check to the hot
     /// path the paper's figures measure.
     pub(crate) fn in_memory(config: SpitzConfig, telemetry: &TelemetryHandle) -> Self {
@@ -390,9 +390,9 @@ impl SpitzDb {
 
 impl Drop for SpitzDb {
     fn drop(&mut self) {
-        // Drain queued commits, fsync outstanding work and join the
-        // committer thread before the store closes, so a clean exit never
-        // loses acknowledged writes under any durability policy.
+        // Wait for queued commits to be sealed, fsync on this thread and
+        // stop the `Grouped` timer before the store closes, so a clean exit
+        // never loses acknowledged writes under any durability policy.
         if let Some(pipeline) = &self.pipeline {
             pipeline.shutdown();
         }

@@ -66,16 +66,6 @@ impl Hash {
         self.to_hex()[..8].to_string()
     }
 
-    /// XOR-combine two hashes. Used only for order-independent fingerprints
-    /// in tests and statistics; not for authenticated structures.
-    pub fn xor(&self, other: &Hash) -> Hash {
-        let mut out = [0u8; HASH_LEN];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(other.0.iter())) {
-            *o = a ^ b;
-        }
-        Hash(out)
-    }
-
     /// Interpret the first 8 bytes as a big-endian u64, e.g. for sharding or
     /// bucket selection in the Merkle Bucket Tree.
     pub fn prefix_u64(&self) -> u64 {
@@ -178,14 +168,6 @@ mod tests {
     fn zero_sentinel() {
         assert!(Hash::ZERO.is_zero());
         assert!(!sha256(b"x").is_zero());
-    }
-
-    #[test]
-    fn xor_is_self_inverse() {
-        let a = sha256(b"a");
-        let b = sha256(b"b");
-        assert_eq!(a.xor(&b).xor(&b), a);
-        assert_eq!(a.xor(&a), Hash::ZERO);
     }
 
     #[test]

@@ -46,17 +46,6 @@ pub fn sha256(data: &[u8]) -> Hash {
     hasher.finalize()
 }
 
-/// Hash the concatenation of two byte slices.
-///
-/// Used pervasively for building Merkle interior nodes, hash chains and
-/// universal keys where the two parts must be bound together.
-pub fn sha256_pair(left: &[u8], right: &[u8]) -> Hash {
-    let mut hasher = Sha256::new();
-    hasher.update(left);
-    hasher.update(right);
-    hasher.finalize()
-}
-
 /// Domain-separated leaf hash (`0x00 || data`), as used by transparency logs
 /// to prevent second-preimage attacks that confuse leaves with interior nodes.
 pub fn leaf_hash(data: &[u8]) -> Hash {
@@ -85,11 +74,6 @@ mod tests {
             sha256(b"").to_hex(),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         );
-    }
-
-    #[test]
-    fn pair_matches_concatenation() {
-        assert_eq!(sha256_pair(b"foo", b"bar"), sha256(b"foobar"));
     }
 
     #[test]

@@ -512,8 +512,8 @@ impl Ledger {
             }
         }
         // Index-node puts route through `try_put`: disk full while
-        // persisting an index node is an error, not a panic inside the
-        // committer, and the apply publishes nothing unless it completes.
+        // persisting an index node is an error, not a panic in the sealing
+        // caller, and the apply publishes nothing unless it completes.
         let (nodes_before, bytes_before) = inner.index.node_writes();
         let was_new = inner.index.try_apply(writes)?;
         let (nodes_after, bytes_after) = inner.index.node_writes();

@@ -3,18 +3,16 @@
 //!
 //! Without the pipeline every `ShardedDb::put` seals its own ledger block and
 //! pays the full durability ceremony (an `fsync` per commit in strict
-//! setups). A commit that finds the [`CommitPipeline`] idle — nothing
-//! queued, no block being sealed — seals its block on the caller's own
-//! thread: there is nothing to coalesce it with, and a hop to another
-//! thread and back would cost two scheduler wake-ups. Commits that arrive
-//! while a block is being sealed enqueue their writes and park on a ticket,
-//! and a background *committer* thread drains everything queued into
-//! **one** sealed block per flush (one index-root update, one block chunk,
-//! one head-root record in the storage log — see `spitz_storage::durable`
-//! for the log-embedded root publication that replaced the per-commit
-//! manifest rewrite). Every caller of the flush wakes with the same
-//! published [`Digest`]. The committer also times the `Grouped` fsync
-//! deadline and runs the shutdown drain.
+//! setups). Group commit is leader/follower around one *seal role*. A
+//! commit, fence or flush that finds the role free takes it and seals on its
+//! own thread: a hop to another thread and back would cost two scheduler
+//! wake-ups. A caller that finds it taken queues its writes (or a barrier)
+//! and parks on a ticket. The role is handed on, never dropped: a holder
+//! that finishes with callers queued wakes the head of the queue, which
+//! takes the whole queue and seals it as **one** block (one index-root
+//! update, one block chunk, one head-root record in the storage log — see
+//! `spitz_storage::durable`), settles the durability policy and wakes the
+//! rest of the batch with the same published [`Digest`].
 //!
 //! When a commit additionally waits for stable storage is governed by a
 //! [`DurabilityPolicy`]:
@@ -30,11 +28,15 @@
 //! * [`DurabilityPolicy::Os`] — never fsync from the pipeline; the OS page
 //!   cache decides (fastest, weakest).
 //!
-//! [`CommitPipeline::flush`] inserts a barrier that drains the queue and
-//! forces an fsync regardless of policy; [`CommitPipeline::shutdown`]
-//! drains, syncs and joins the committer (also run on drop), so a clean
-//! process exit never loses acknowledged work under any policy.
+//! [`CommitPipeline::flush`] forces an fsync regardless of policy;
+//! [`CommitPipeline::shutdown`] (also run on drop) takes the role and syncs
+//! on the caller's thread, so a clean exit never loses acknowledged work.
+//! Only `Grouped` runs a thread, and it only keeps time: it takes the role
+//! to fsync when a deadline passes with no commit to carry it. Every
+//! decision is a `PipelineState` method that takes no lock and does no I/O;
+//! the tests check them over every interleaving of a few callers.
 
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,6 +49,7 @@ use crate::ledger::{CommitGroup, Digest, Ledger};
 /// When a commit acknowledged by the pipeline is guaranteed to be on stable
 /// storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[cfg_attr(test, derive(Hash))]
 pub enum DurabilityPolicy {
     /// `fsync` after every flush, before acknowledging: an acknowledged
     /// commit is never lost. Concurrent commits share the fsync.
@@ -57,7 +60,8 @@ pub enum DurabilityPolicy {
     /// that window. The commit that reaches `max_writes`, or is sealed
     /// after the deadline has passed, waits for that fsync before it is
     /// acknowledged; a deadline that passes with no commit to carry it is
-    /// met by the committer thread.
+    /// met by the pipeline's timer thread, which takes the seal role to
+    /// fsync.
     Grouped {
         /// Longest time an acknowledged commit may sit unfsynced.
         max_delay: Duration,
@@ -89,73 +93,194 @@ impl DurabilityPolicy {
     }
 }
 
-/// A parked caller's rendezvous: the committer fills the slot, the caller
+/// What a parked caller is woken with.
+enum Wake {
+    /// The seal role is handed to it: take the queue and seal it.
+    Seal,
+    /// Its commit or barrier was sealed with this outcome.
+    Done(Result<Digest, StorageError>),
+}
+
+/// A parked caller's rendezvous: the waker fills the slot, the caller
 /// sleeps on the condvar until it does.
+#[derive(Default)]
 struct Ticket {
-    slot: Mutex<Option<Result<Digest, StorageError>>>,
+    slot: Mutex<Option<Wake>>,
     ready: Condvar,
 }
 
 impl Ticket {
-    fn new() -> Arc<Ticket> {
-        Arc::new(Ticket {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fulfill(&self, result: Result<Digest, StorageError>) {
-        let mut slot = lock(&self.slot);
-        *slot = Some(result);
+    fn wake(&self, wake: Wake) {
+        *lock(&self.slot) = Some(wake);
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> Result<Digest, StorageError> {
-        let mut slot = lock(&self.slot);
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = wait(&self.ready, slot);
-        }
+    fn wait(&self) -> Wake {
+        let slot = self
+            .ready
+            .wait_while(lock(&self.slot), |slot| slot.is_none());
+        let mut slot = slot.unwrap_or_else(|poison| poison.into_inner());
+        slot.take().expect("woken with a value")
     }
 }
 
-/// One enqueued commit (or flush/fence barrier) awaiting the committer. A
-/// barrier carries no writes and is not counted as a commit; it is
-/// fulfilled with the digest at the quiesced point after everything queued
-/// before it has been sealed.
-struct Pending {
-    writes: Vec<(Vec<u8>, Vec<u8>)>,
-    statement: String,
-    ticket: Arc<Ticket>,
-    /// Forces an fsync when this entry's batch flushes (flush barriers;
+/// One commit or barrier: a leader's own, or queued behind the role.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+struct Pending<W> {
+    /// Whom to wake: a ticket (a caller id in the model check).
+    waiter: W,
+    /// The writes and statement; `None` for a fence or flush barrier.
+    commit: Option<CommitGroup>,
+    /// Forces an fsync when this entry's batch is sealed (flush barriers;
     /// fence barriers quiesce without paying for durability).
     sync: bool,
 }
 
+/// What [`PipelineState::arrive`] (or `close`) tells a caller to do.
+enum Arrival<W> {
+    /// Shut down (or, to a shutdown, shut down already): refuse.
+    Closed,
+    /// A fence on a free pipeline: nothing is half-sealed, so read the
+    /// digest now, under the state lock.
+    Answer,
+    /// The role is the caller's: seal this batch.
+    Lead(Vec<Pending<W>>),
+    Follow,
+}
+
+/// What a role holder does with the role when it is done.
+enum Release<W> {
+    /// Wake this waiter with [`Wake::Seal`]; the role stays taken.
+    Handoff(W),
+    /// The role is free; wake the timer if (`true`) a deadline passed
+    /// while it was held.
+    Free(bool),
+}
+
+/// What the timer thread does next.
+enum Tick {
+    Exit,
+    /// Sleep this long (until the deadline), or until woken.
+    Sleep(Duration),
+    /// The role is the timer's: fsync, then release.
+    Sync,
+}
+
+/// Every decision the pipeline makes, over the state it guards. No method
+/// locks or does I/O; callers hold the state lock around each one.
 #[derive(Default)]
-struct PipelineState {
-    queue: Vec<Pending>,
-    /// A block is being sealed — by a caller on its own thread or by the
-    /// committer — or the committer is syncing. Whoever set it clears it.
-    in_flight: bool,
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+struct PipelineState<W> {
+    policy: DurabilityPolicy,
+    /// Callers parked behind the role, in arrival order.
+    queue: Vec<Pending<W>>,
+    /// The seal role is taken: by a caller sealing or syncing, by the queue
+    /// head it was handed to, by the timer syncing or by shutdown. A free
+    /// role means an empty queue.
+    sealing: bool,
     shutdown: bool,
+    /// A shutdown waiting for the role.
+    closer: Option<W>,
     /// Commits acknowledged but not yet fsynced (Grouped only), and the
     /// wall-clock deadline by which they must be.
     unsynced: usize,
     sync_deadline: Option<Instant>,
 }
 
-impl PipelineState {
-    /// Nothing queued, nothing in flight, not shut down: the caller may
-    /// act on its own thread.
-    fn idle(&self) -> bool {
-        self.queue.is_empty() && !self.in_flight && !self.shutdown
-    }
-
+impl<W: Clone> PipelineState<W> {
     fn sync_due(&self, now: Instant) -> bool {
         self.sync_deadline.is_some_and(|deadline| now >= deadline)
+    }
+
+    /// A commit, fence or flush arrives: refused after shutdown, queued
+    /// behind a holder, answered at once (a free fence) or given the role.
+    fn arrive(&mut self, pending: Pending<W>) -> Arrival<W> {
+        if self.shutdown {
+            Arrival::Closed
+        } else if self.sealing {
+            self.queue.push(pending);
+            Arrival::Follow
+        } else if pending.commit.is_none() && !pending.sync {
+            Arrival::Answer
+        } else {
+            self.sealing = true;
+            Arrival::Lead(vec![pending])
+        }
+    }
+
+    /// Count `commits` just sealed against the policy. Returns whether to
+    /// fsync before acknowledging (`force`: a flush demands it), and whether
+    /// a deadline was armed that the timer must be woken to keep.
+    fn settle(&mut self, commits: usize, force: bool, now: Instant) -> (bool, bool) {
+        match self.policy {
+            DurabilityPolicy::Strict => (commits > 0 || force, false),
+            DurabilityPolicy::Os => (force, false),
+            DurabilityPolicy::Grouped {
+                max_delay,
+                max_writes,
+            } => {
+                self.unsynced += commits;
+                let arm = self.unsynced > 0 && self.sync_deadline.is_none();
+                if arm {
+                    self.sync_deadline = Some(now + max_delay);
+                }
+                let sync = force || self.unsynced >= max_writes || self.sync_due(now);
+                (sync, arm)
+            }
+        }
+    }
+
+    /// An fsync that began with `covered` commits unsynced succeeded.
+    fn synced(&mut self, covered: usize) {
+        // Subtract rather than zero: a commit counted once the fsync had
+        // started is not covered by it.
+        self.unsynced -= covered;
+        if self.unsynced == 0 {
+            self.sync_deadline = None;
+        }
+    }
+
+    /// The holder is done: hand the role to the head of the queue, else to
+    /// a waiting shutdown, else free it.
+    fn release(&mut self, now: Instant) -> Release<W> {
+        if let Some(head) = self.queue.first() {
+            Release::Handoff(head.waiter.clone())
+        } else if let Some(closer) = self.closer.take() {
+            Release::Handoff(closer)
+        } else {
+            self.sealing = false;
+            Release::Free(self.sync_due(now))
+        }
+    }
+
+    /// The timer is awake: exit after shutdown, take the free role once the
+    /// deadline has passed, or sleep (until a release wakes it, if held).
+    fn tick(&mut self, now: Instant) -> Tick {
+        if self.shutdown {
+            Tick::Exit
+        } else if !self.sync_due(now) {
+            Tick::Sleep(self.sync_deadline.map_or(Duration::MAX, |at| at - now))
+        } else if self.sealing {
+            Tick::Sleep(Duration::MAX)
+        } else {
+            self.sealing = true;
+            Tick::Sync
+        }
+    }
+
+    /// Shutdown begins: later arrivals are refused, and the role is taken
+    /// now or handed over once everything accepted is sealed.
+    fn close(&mut self, closer: W) -> Arrival<W> {
+        if self.shutdown {
+            return Arrival::Closed;
+        }
+        self.shutdown = true;
+        if self.sealing {
+            self.closer = Some(closer);
+            return Arrival::Follow;
+        }
+        self.sealing = true;
+        Arrival::Lead(Vec::new())
     }
 }
 
@@ -188,6 +313,7 @@ struct PipelineObs {
     policy_flushes: Arc<spitz_obs::Counter>,
     group_size: Arc<spitz_obs::Histogram>,
     flush_nanos: Arc<spitz_obs::Histogram>,
+    /// Parked callers, summed over the pipelines sharing the handle.
     queue_depth: Arc<spitz_obs::Gauge>,
     /// What each sealed block cost ([`crate::ledger::BlockCost`]): writes
     /// applied, index nodes put and their bytes. Nodes per write well below
@@ -217,35 +343,48 @@ impl PipelineObs {
 
 struct Shared {
     ledger: Arc<Ledger>,
-    policy: DurabilityPolicy,
-    state: Mutex<PipelineState>,
-    /// Signals the committer that work, a sync deadline or shutdown is
-    /// pending.
-    work: Condvar,
+    state: Mutex<PipelineState<Arc<Ticket>>>,
+    /// Wakes the timer: a deadline armed, a passed one freed, or shutdown.
+    timer: Condvar,
     stats: AtomicPipelineStats,
     obs: PipelineObs,
 }
 
 impl Shared {
-    fn count_commit(&self) {
-        self.stats
-            .commits
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.obs.commits.inc();
+    /// Hold the role for `batch`: seal it as one block, settle the policy,
+    /// hand the role on, then wake the batch behind its head (the caller).
+    fn lead(&self, mut batch: Vec<Pending<Arc<Ticket>>>) -> Result<Digest, StorageError> {
+        // The payloads are moved out of the pendings (only the tickets are
+        // needed afterwards), so coalescing copies no write bytes.
+        let groups: Vec<CommitGroup> = batch
+            .iter_mut()
+            .filter_map(|p| p.commit.take().filter(|(writes, _)| !writes.is_empty()))
+            .collect();
+        let force = batch.iter().any(|p| p.sync);
+        let result = self.flush(groups, force);
+        self.release();
+        for pending in batch.drain(1..) {
+            pending.waiter.wake(Wake::Done(result.clone()));
+        }
+        result
     }
 
     /// Seal `groups` into one block (none: just read the digest) and apply
     /// the durability policy before anyone is acknowledged. `force` (a
-    /// flush barrier or shutdown) demands an fsync. The caller holds
-    /// `in_flight`.
+    /// flush barrier) demands an fsync.
     fn flush(&self, groups: Vec<CommitGroup>, force: bool) -> Result<Digest, StorageError> {
         let commits = groups.len();
-        let digest = if commits == 0 {
-            self.ledger.digest()
-        } else {
-            self.seal(groups)?
+        let digest = match commits {
+            0 => self.ledger.digest(),
+            _ => self.seal(groups)?,
         };
-        self.settle(commits, force)?;
+        let (sync, wake_timer) = lock(&self.state).settle(commits, force, Instant::now());
+        if wake_timer {
+            self.timer.notify_one();
+        }
+        if sync {
+            self.sync()?;
+        }
         Ok(digest)
     }
 
@@ -253,13 +392,10 @@ impl Shared {
     /// writes route through `try_put`, but a corrupt node read or a bug in
     /// an index implementation can still unwind) are contained: a poisoned
     /// commit must surface as an error to every caller it carries, never
-    /// as a dead committer thread that would leave all present and future
-    /// callers parked forever, nor as a caller that never releases
-    /// `in_flight`.
+    /// as a role holder that unwinds without handing the role on, which
+    /// would leave all present and future callers parked forever.
     fn seal(&self, groups: Vec<CommitGroup>) -> Result<Digest, StorageError> {
-        self.stats
-            .flushes
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.flushes.fetch_add(1, Relaxed);
         self.obs.flushes.inc();
         self.obs.policy_flushes.inc();
         self.obs.group_size.record(groups.len() as u64);
@@ -292,94 +428,42 @@ impl Shared {
         result
     }
 
-    /// Count `commits` just sealed against the policy and fsync if it
-    /// says so.
-    fn settle(&self, commits: usize, force: bool) -> Result<(), StorageError> {
-        let need_sync = match self.policy {
-            DurabilityPolicy::Strict => commits > 0 || force,
-            DurabilityPolicy::Os => force,
-            DurabilityPolicy::Grouped {
-                max_delay,
-                max_writes,
-            } => {
-                let now = Instant::now();
-                let mut state = lock(&self.state);
-                state.unsynced += commits;
-                if state.unsynced > 0 && state.sync_deadline.is_none() {
-                    state.sync_deadline = Some(now + max_delay);
-                    // The committer times the deadline in case no later
-                    // commit arrives to meet it.
-                    self.work.notify_one();
-                }
-                force || state.unsynced >= max_writes || state.sync_due(now)
-            }
-        };
-        if need_sync {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
     /// `fsync` the store and retire the commits it covers.
     fn sync(&self) -> Result<(), StorageError> {
         let covered = lock(&self.state).unsynced;
         self.ledger.store().sync()?;
-        self.stats
-            .syncs
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.syncs.fetch_add(1, Relaxed);
         self.obs.syncs.inc();
-        let mut state = lock(&self.state);
-        // Subtract rather than zero: a commit counted once the fsync had
-        // started is not covered by it.
-        state.unsynced -= covered;
-        if state.unsynced == 0 {
-            state.sync_deadline = None;
-        }
+        lock(&self.state).synced(covered);
         Ok(())
     }
 
-    /// Clear `in_flight` after a caller-thread commit, and hand the
-    /// committer whatever arrived meanwhile: queued commits, a shutdown
-    /// waiting for this seal, or a sync deadline that passed during it.
+    /// Give the role up: to the next waiter, or back to the pipeline.
     fn release(&self) {
-        let mut state = lock(&self.state);
-        state.in_flight = false;
-        if !state.queue.is_empty() || state.shutdown || state.sync_due(Instant::now()) {
-            self.work.notify_one();
+        let release = lock(&self.state).release(Instant::now());
+        match release {
+            Release::Handoff(ticket) => ticket.wake(Wake::Seal),
+            Release::Free(true) => self.timer.notify_one(),
+            Release::Free(false) => {}
         }
-    }
-}
-
-/// Releases `in_flight` when a caller-thread commit ends, however it ends.
-struct InlineCommit<'a>(&'a Shared);
-
-impl Drop for InlineCommit<'_> {
-    fn drop(&mut self) {
-        self.0.release();
     }
 }
 
 /// Group-commit pipeline over a [`Ledger`].
 pub struct CommitPipeline {
     shared: Arc<Shared>,
-    committer: Mutex<Option<JoinHandle<()>>>,
+    /// The `Grouped` deadline timer; `None` under every other policy.
+    timer: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// Lock a mutex, transparently recovering from poisoning (a panicked
-/// committer must not wedge every caller).
+/// holder must not wedge every caller).
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// Condvar wait with the same poison recovery.
-fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    condvar
-        .wait(guard)
-        .unwrap_or_else(|poison| poison.into_inner())
-}
-
 impl CommitPipeline {
-    /// Spawn the committer thread over `ledger` with the given policy.
+    /// A pipeline over `ledger` with the given policy.
     pub fn new(ledger: Arc<Ledger>, policy: DurabilityPolicy) -> Arc<CommitPipeline> {
         Self::with_telemetry(ledger, policy, TelemetryHandle::disabled())
     }
@@ -394,33 +478,31 @@ impl CommitPipeline {
     ) -> Arc<CommitPipeline> {
         let shared = Arc::new(Shared {
             ledger,
-            policy,
-            state: Mutex::new(PipelineState::default()),
-            work: Condvar::new(),
+            state: Mutex::new(PipelineState {
+                policy,
+                ..PipelineState::default()
+            }),
+            timer: Condvar::new(),
             stats: AtomicPipelineStats::default(),
             obs: PipelineObs::new(&telemetry, policy),
         });
-        let committer = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("spitz-committer".into())
-                .spawn(move || committer_loop(shared))
-                .expect("spawn committer thread")
+        let timer = match policy {
+            DurabilityPolicy::Grouped { max_delay, .. } => {
+                let shared = Arc::clone(&shared);
+                let spawn = std::thread::Builder::new().name("spitz-sync-timer".into());
+                let timer = spawn.spawn(move || keep_time(&shared, max_delay));
+                Some(timer.expect("spawn the sync timer"))
+            }
+            DurabilityPolicy::Strict | DurabilityPolicy::Os => None,
         };
         Arc::new(CommitPipeline {
             shared,
-            committer: Mutex::new(Some(committer)),
+            timer: Mutex::new(timer),
         })
-    }
-
-    /// The policy the pipeline was built with.
-    pub fn policy(&self) -> DurabilityPolicy {
-        self.shared.policy
     }
 
     /// Counters since creation.
     pub fn stats(&self) -> PipelineStats {
-        use std::sync::atomic::Ordering::Relaxed;
         PipelineStats {
             commits: self.shared.stats.commits.load(Relaxed),
             flushes: self.shared.stats.flushes.load(Relaxed),
@@ -429,7 +511,7 @@ impl CommitPipeline {
     }
 
     /// Commit a batch of writes, blocking until it is published (and, under
-    /// [`DurabilityPolicy::Strict`], durable). On an idle pipeline the block
+    /// [`DurabilityPolicy::Strict`], durable). On a free pipeline the block
     /// is sealed on the calling thread; concurrent callers are coalesced
     /// into one sealed block, and every caller of that block receives the
     /// same digest.
@@ -448,30 +530,14 @@ impl CommitPipeline {
         writes: Vec<(Vec<u8>, Vec<u8>)>,
         statement: &str,
     ) -> Result<Digest, StorageError> {
-        let mut state = lock(&self.shared.state);
-        if !state.idle() {
-            drop(state);
-            return self.enqueue(writes, statement, false, false).wait();
-        }
-        state.in_flight = true;
-        drop(state);
-        self.shared.count_commit();
-        let _release = InlineCommit(&self.shared);
-        let groups = if writes.is_empty() {
-            Vec::new()
-        } else {
-            vec![(writes, statement.to_string())]
-        };
-        self.shared.flush(groups, false)
+        self.arrive(Some((writes, statement.to_string())), false)
     }
 
     /// Drain every queued commit and force an `fsync`, regardless of
     /// policy. On return, everything committed before this call is on
     /// stable storage.
     pub fn flush(&self) -> Result<(), StorageError> {
-        self.enqueue(Vec::new(), "FLUSH", true, true)
-            .wait()
-            .map(|_| ())
+        self.arrive(None, true).map(|_| ())
     }
 
     /// Epoch fence: drain every commit queued before this call and return
@@ -484,65 +550,69 @@ impl CommitPipeline {
     /// The sharded database fences every shard pipeline inside one epoch to
     /// snapshot a consistent cross-shard cut.
     ///
-    /// An idle pipeline (nothing queued, no batch in flight) is already
-    /// quiesced, so the fence answers from the calling thread: a hop to the
-    /// committer and back costs two scheduler wake-ups, and on a read-mostly
-    /// store that wait — not the work — decided every snapshot's latency.
+    /// A free pipeline (nothing queued, nothing being sealed) is already
+    /// quiesced, so the fence reads the digest under the state lock and
+    /// returns: on a read-mostly store a hop to another thread and back —
+    /// not the work — would decide every snapshot's latency.
     pub fn fence(&self) -> Result<Digest, StorageError> {
-        {
-            // Holding the state lock keeps a commit from slipping in between
-            // the idleness check and the digest read.
-            let state = lock(&self.shared.state);
-            if state.idle() {
-                return Ok(self.shared.ledger.digest());
-            }
-        }
-        self.enqueue(Vec::new(), "FENCE", true, false).wait()
+        self.arrive(None, false)
     }
 
-    fn enqueue(
-        &self,
-        writes: Vec<(Vec<u8>, Vec<u8>)>,
-        statement: &str,
-        barrier: bool,
-        sync: bool,
-    ) -> FlushWait {
-        let ticket = Ticket::new();
+    /// Arrive with a commit or a barrier (`sync`: a flush); lead or follow.
+    fn arrive(&self, commit: Option<CommitGroup>, sync: bool) -> Result<Digest, StorageError> {
+        let (counted, ticket) = (commit.is_some(), Arc::<Ticket>::default());
+        let waiter = Arc::clone(&ticket);
         let mut state = lock(&self.shared.state);
-        if state.shutdown {
-            ticket.fulfill(Err(StorageError::Closed));
-        } else {
-            if !barrier {
-                self.shared.count_commit();
+        let arrival = state.arrive(Pending {
+            waiter,
+            commit,
+            sync,
+        });
+        if counted && !matches!(arrival, Arrival::Closed) {
+            self.shared.stats.commits.fetch_add(1, Relaxed);
+            self.shared.obs.commits.inc();
+        }
+        match arrival {
+            Arrival::Closed => Err(StorageError::Closed),
+            Arrival::Answer => Ok(self.shared.ledger.digest()),
+            Arrival::Lead(batch) => {
+                drop(state);
+                self.shared.lead(batch)
             }
-            state.queue.push(Pending {
-                writes,
-                statement: statement.to_string(),
-                ticket: Arc::clone(&ticket),
-                sync,
-            });
-            self.shared.obs.queue_depth.set(state.queue.len() as i64);
-            // Whoever holds `in_flight` hands the queue on when done.
-            if !state.in_flight {
-                self.shared.work.notify_one();
+            Arrival::Follow => {
+                self.shared.obs.queue_depth.add(1);
+                drop(state);
+                match ticket.wait() {
+                    Wake::Done(result) => result,
+                    Wake::Seal => {
+                        // Handed the role: take the whole queue, headed by
+                        // this caller's own entry.
+                        let batch = std::mem::take(&mut lock(&self.shared.state).queue);
+                        self.shared.obs.queue_depth.sub(batch.len() as i64);
+                        self.shared.lead(batch)
+                    }
+                }
             }
         }
-        drop(state);
-        FlushWait(ticket)
     }
 
-    /// Drain the queue, fsync outstanding work and stop the committer
-    /// thread. A commit already being sealed on a caller's thread finishes
-    /// first; further commits fail with [`StorageError::Closed`].
-    /// Idempotent; also invoked on drop.
+    /// Wait for everything accepted to be sealed, fsync on the calling
+    /// thread and stop the timer. Commits arriving meanwhile fail with
+    /// [`StorageError::Closed`]. Idempotent; also invoked on drop.
     pub fn shutdown(&self) {
-        {
-            let mut state = lock(&self.shared.state);
-            state.shutdown = true;
-            self.shared.work.notify_one();
+        let ticket: Arc<Ticket> = Arc::default();
+        let close = lock(&self.shared.state).close(Arc::clone(&ticket));
+        self.shared.timer.notify_one();
+        match close {
+            Arrival::Closed | Arrival::Answer => return,
+            Arrival::Follow => drop(ticket.wait()),
+            Arrival::Lead(_) => {}
         }
-        if let Some(handle) = lock(&self.committer).take() {
-            let _ = handle.join();
+        // Best effort: the store's drop-time flush retries once more.
+        let _ = self.shared.sync();
+        self.shared.release();
+        if let Some(timer) = lock(&self.timer).take() {
+            let _ = timer.join();
         }
     }
 }
@@ -556,112 +626,36 @@ impl Drop for CommitPipeline {
 impl std::fmt::Debug for CommitPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CommitPipeline")
-            .field("policy", &self.shared.policy)
+            .field("policy", &lock(&self.shared.state).policy)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
-/// Handle returned by `enqueue`; waits for the committer to fulfill the
-/// ticket.
-struct FlushWait(Arc<Ticket>);
-
-impl FlushWait {
-    fn wait(self) -> Result<Digest, StorageError> {
-        self.0.wait()
-    }
-}
-
-/// How long to wait before retrying a failed background fsync.
-fn sync_retry_delay(policy: DurabilityPolicy) -> Duration {
-    match policy {
-        DurabilityPolicy::Grouped { max_delay, .. } => max_delay,
-        _ => Duration::from_millis(100),
-    }
-}
-
-/// The committer: drain → seal one block → apply the durability policy →
-/// wake the batch. It takes the queue only while no caller is sealing on
-/// its own thread.
-fn committer_loop(shared: Arc<Shared>) {
+/// The `Grouped` timer: when a deadline passes with no commit to carry it,
+/// take the role to fsync; retry a failed fsync `retry` later.
+fn keep_time(shared: &Shared, retry: Duration) {
+    let mut state = lock(&shared.state);
     loop {
-        // Wait for work, a shutdown, or (Grouped) a sync deadline.
-        let (mut batch, shutting_down) = {
-            let mut state = lock(&shared.state);
-            loop {
-                let now = Instant::now();
-                if !state.in_flight
-                    && (!state.queue.is_empty() || state.shutdown || state.sync_due(now))
-                {
-                    state.in_flight = true;
-                    break (std::mem::take(&mut state.queue), state.shutdown);
+        state = match state.tick(Instant::now()) {
+            Tick::Exit => return,
+            Tick::Sleep(timeout) => {
+                let slept = shared.timer.wait_timeout(state, timeout);
+                slept.unwrap_or_else(|poison| poison.into_inner()).0
+            }
+            Tick::Sync => {
+                drop(state);
+                if shared.sync().is_err() {
+                    // Keep the unsynced count and retry after a delay:
+                    // resetting it would silently void the bounded-loss
+                    // guarantee. A flush (or the next batch's forced sync)
+                    // surfaces the error to a caller.
+                    lock(&shared.state).sync_deadline = Some(Instant::now() + retry);
                 }
-                // Time the deadline even while a caller seals; once it has
-                // passed, that caller's release wakes us.
-                state = match state.sync_deadline {
-                    Some(deadline) if now < deadline => {
-                        shared
-                            .work
-                            .wait_timeout(state, deadline - now)
-                            .unwrap_or_else(|poison| poison.into_inner())
-                            .0
-                    }
-                    _ => wait(&shared.work, state),
-                };
+                shared.release();
+                lock(&shared.state)
             }
         };
-
-        if batch.is_empty() {
-            // Deadline-only wakeup, or shutdown (which always takes a final
-            // sync, so even Os-policy work is on disk after a clean exit).
-            match shared.sync() {
-                Ok(()) => {}
-                Err(_) if !shutting_down => {
-                    // Keep the unsynced count and retry after a delay:
-                    // resetting it here would silently void the
-                    // bounded-loss guarantee. A flush() barrier (or the
-                    // next batch's forced sync) surfaces the error to a
-                    // caller.
-                    lock(&shared.state).sync_deadline =
-                        Some(Instant::now() + sync_retry_delay(shared.policy));
-                }
-                // Shutting down: best effort; the store's drop-time flush
-                // retries once more.
-                Err(_) => {}
-            }
-            lock(&shared.state).in_flight = false;
-            if shutting_down {
-                return;
-            }
-            continue;
-        }
-        shared.obs.queue_depth.set(0);
-
-        // Seal every queued commit into one block. The payloads are moved
-        // out of the pendings (only the tickets are needed afterwards), so
-        // coalescing copies no write bytes.
-        let groups: Vec<CommitGroup> = batch
-            .iter_mut()
-            .filter(|p| !p.writes.is_empty())
-            .map(|p| {
-                (
-                    std::mem::take(&mut p.writes),
-                    std::mem::take(&mut p.statement),
-                )
-            })
-            .collect();
-        let force = shutting_down || batch.iter().any(|p| p.sync);
-        let result = shared.flush(groups, force);
-
-        // Free the pipeline before waking the batch, so a woken caller's
-        // next commit finds it idle.
-        lock(&shared.state).in_flight = false;
-        for pending in batch {
-            pending.ticket.fulfill(result.clone());
-        }
-        if shutting_down {
-            return;
-        }
     }
 }
 
@@ -670,6 +664,8 @@ mod tests {
     use super::*;
     use spitz_crypto::Hash;
     use spitz_storage::{Chunk, InMemoryChunkStore, StoreStats};
+    use std::collections::HashSet;
+    use std::hash::{BuildHasher, RandomState};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn kv(i: u32) -> (Vec<u8>, Vec<u8>) {
@@ -736,10 +732,16 @@ mod tests {
         }
     }
 
-    fn probed(policy: DurabilityPolicy) -> (Arc<Probe>, Arc<Ledger>, Arc<CommitPipeline>) {
+    type Probed = (Arc<Probe>, Arc<Ledger>, Arc<CommitPipeline>);
+
+    fn probed(policy: DurabilityPolicy) -> Probed {
+        probed_with(policy, TelemetryHandle::disabled())
+    }
+
+    fn probed_with(policy: DurabilityPolicy, telemetry: TelemetryHandle) -> Probed {
         let probe = Arc::new(Probe::default());
         let ledger = Arc::new(Ledger::new(Arc::clone(&probe) as Arc<dyn ChunkStore>));
-        let pipeline = CommitPipeline::new(Arc::clone(&ledger), policy);
+        let pipeline = CommitPipeline::with_telemetry(Arc::clone(&ledger), policy, telemetry);
         lock(&probe.log).clear();
         (probe, ledger, pipeline)
     }
@@ -753,15 +755,33 @@ mod tests {
         }
     }
 
+    fn this_thread() -> Option<String> {
+        std::thread::current().name().map(str::to_string)
+    }
+
     #[test]
-    fn an_idle_pipeline_commits_on_the_callers_thread() {
+    fn a_free_pipeline_commits_on_the_callers_thread() {
         let (probe, _ledger, pipeline) = probed(DurabilityPolicy::Strict);
-        let caller = std::thread::current().name().map(str::to_string);
+        assert!(lock(&pipeline.timer).is_none(), "Strict runs no thread");
         pipeline.commit(vec![kv(1)], "PUT").unwrap();
         let log = lock(&probe.log).clone();
         assert!(log.iter().any(|(event, _)| *event == "sync"), "{log:?}");
-        assert!(log.iter().all(|(_, thread)| *thread == caller), "{log:?}");
+        assert!(log.iter().all(|(_, t)| *t == this_thread()), "{log:?}");
         assert_eq!(pipeline.stats().syncs, 1);
+    }
+
+    #[test]
+    fn a_flush_on_a_free_pipeline_syncs_on_the_callers_thread() {
+        let policy = DurabilityPolicy::Grouped {
+            max_delay: Duration::from_secs(3600),
+            max_writes: 1000,
+        };
+        let (probe, _ledger, pipeline) = probed(policy);
+        pipeline.commit(vec![kv(1)], "PUT").unwrap();
+        lock(&probe.log).clear();
+        pipeline.flush().unwrap();
+        assert_eq!(*lock(&probe.log), vec![("sync", this_thread())]);
+        assert_eq!(lock(&pipeline.shared.state).unsynced, 0);
     }
 
     #[test]
@@ -773,7 +793,7 @@ mod tests {
             matches!(&failed, Err(e) if e.to_string().contains("probe put")),
             "{failed:?}"
         );
-        assert!(lock(&pipeline.shared.state).idle(), "in_flight released");
+        assert!(!lock(&pipeline.shared.state).sealing, "the role is free");
         let digest = pipeline.commit(vec![kv(2)], "PUT").unwrap();
         assert_eq!(digest.block_height, 0);
         assert_eq!(ledger.get(&kv(1).0), None);
@@ -782,32 +802,34 @@ mod tests {
     }
 
     #[test]
-    fn the_committer_meets_the_deadline_of_a_lone_inline_commit() {
+    fn the_timer_meets_the_deadline_of_a_lone_commit() {
         let policy = DurabilityPolicy::Grouped {
             max_delay: Duration::from_millis(5),
             max_writes: 1000,
         };
         let (probe, _ledger, pipeline) = probed(policy);
-        // A barrier round trip first, so the committer is already waiting
-        // with no deadline when the inline commit arms one.
-        pipeline.flush().unwrap();
-        lock(&probe.log).clear();
-        let before = pipeline.stats().syncs;
-        pipeline.commit(vec![kv(1)], "PUT").unwrap();
-        eventually("the deadline sync", || pipeline.stats().syncs > before);
-        let log = lock(&probe.log).clone();
-        let (_, syncer) = log.iter().find(|(event, _)| *event == "sync").unwrap();
-        assert_eq!(syncer.as_deref(), Some("spitz-committer"), "{log:?}");
-        assert_eq!(lock(&pipeline.shared.state).unsynced, 0);
+        // The second round finds the timer asleep with no deadline: only the
+        // wake-up that arming one sends gets it to the sync.
+        for round in 1..=2 {
+            lock(&probe.log).clear();
+            pipeline.commit(vec![kv(round)], "PUT").unwrap();
+            eventually("the deadline sync", || {
+                pipeline.stats().syncs == u64::from(round)
+                    && lock(&pipeline.shared.state).unsynced == 0
+            });
+            let log = lock(&probe.log).clone();
+            let (_, syncer) = log.iter().find(|(event, _)| *event == "sync").unwrap();
+            assert_eq!(syncer.as_deref(), Some("spitz-sync-timer"), "{log:?}");
+        }
     }
 
     #[test]
-    fn shutdown_waits_for_an_inline_seal_before_its_final_sync() {
+    fn shutdown_waits_for_a_seal_before_its_final_sync() {
         let (probe, ledger, pipeline) = probed(DurabilityPolicy::Os);
         let held = lock(&probe.hold);
         std::thread::scope(|scope| {
             let sealing = scope.spawn(|| pipeline.commit(vec![kv(1)], "PUT"));
-            eventually("the inline seal", || !lock(&probe.log).is_empty());
+            eventually("the seal", || !lock(&probe.log).is_empty());
             let closing = scope.spawn(|| pipeline.shutdown());
             eventually("shutdown", || lock(&pipeline.shared.state).shutdown);
             assert!(
@@ -827,6 +849,29 @@ mod tests {
         assert_eq!(pipeline.stats().syncs, 1);
         assert_eq!(ledger.get(&kv(1).0), Some(kv(1).1));
         assert_eq!(ledger.get(&kv(2).0), None);
+    }
+
+    #[test]
+    fn queue_depth_sums_parked_followers_across_pipelines() {
+        let telemetry = TelemetryHandle::new();
+        let shards: Vec<Probed> = (0..2)
+            .map(|_| probed_with(DurabilityPolicy::Os, telemetry.clone()))
+            .collect();
+        let held: Vec<_> = shards.iter().map(|(probe, ..)| lock(&probe.hold)).collect();
+        std::thread::scope(|scope| {
+            for (probe, _, pipeline) in &shards {
+                scope.spawn(move || pipeline.commit(vec![kv(1)], "PUT").unwrap());
+                eventually("the leader's seal", || !lock(&probe.log).is_empty());
+                scope.spawn(move || pipeline.commit(vec![kv(2)], "PUT").unwrap());
+                eventually("a parked follower", || {
+                    lock(&pipeline.shared.state).queue.len() == 1
+                });
+            }
+            let depth = telemetry.snapshot().gauge("pipeline.queue_depth");
+            drop(held);
+            assert_eq!(depth, Some(2), "one follower parked on each pipeline");
+        });
+        assert_eq!(telemetry.snapshot().gauge("pipeline.queue_depth"), Some(0));
     }
 
     #[test]
@@ -885,6 +930,7 @@ mod tests {
             pipeline.commit(vec![kv(2)], "PUT"),
             Err(StorageError::Closed)
         ));
+        assert!(matches!(pipeline.fence(), Err(StorageError::Closed)));
         // Idempotent.
         pipeline.shutdown();
     }
@@ -910,55 +956,673 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fence_returns_a_quiesced_digest_without_forcing_a_sync() {
-        let (ledger, pipeline) = pipeline(DurabilityPolicy::Os);
-        // Enqueue a burst of commits from several threads, then fence: the
-        // returned digest must be the exact digest of the drained ledger.
-        std::thread::scope(|scope| {
-            for t in 0..4u32 {
-                let pipeline = &pipeline;
-                scope.spawn(move || {
-                    for i in 0..25 {
-                        pipeline.commit(vec![kv(t * 25 + i)], "PUT").unwrap();
-                    }
-                });
+    // ---------------------------------------------------------------------
+    // Model check: the `PipelineState` decisions over every interleaving.
+    //
+    // Each caller, the timer thread and a shutdown are modelled by where
+    // they are in the code above. Every step between two lock acquisitions
+    // is one move, and every I/O (seal, fsync) may succeed or fail within a
+    // budget. A depth-first search visits every reachable state and checks
+    // the invariants after each move and at each dead end.
+    // ---------------------------------------------------------------------
+
+    /// The model's `Grouped` policy: two commits force an fsync.
+    const MODEL_GROUPED: DurabilityPolicy = DurabilityPolicy::Grouped {
+        max_delay: Duration::from_millis(2),
+        max_writes: 2,
+    };
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Op {
+        Commit,
+        Fence,
+        Flush,
+    }
+
+    /// One search: a policy, each caller's operations in order, and
+    /// whether a shutdown runs alongside them.
+    #[derive(Debug)]
+    struct Scenario {
+        policy: DurabilityPolicy,
+        scripts: Vec<Vec<Op>>,
+        shutdown: bool,
+    }
+
+    /// An operation's result; a digest is modelled by its block height.
+    type Outcome = Result<u32, ()>;
+
+    /// What a model ticket holds ([`Wake`] without the digest).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Woken {
+        Seal,
+        Done(Outcome),
+    }
+
+    /// A role holder's place in `Shared::lead`: seal, settle, fsync,
+    /// release, then (no longer holding) acknowledge.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Stage {
+        Seal,
+        Settle,
+        Sync,
+        Release,
+        Ack,
+    }
+
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    enum Caller {
+        Idle,
+        Parked,
+        Leading(Stage, Vec<Pending<usize>>, Outcome),
+    }
+
+    /// The timer's place in `keep_time`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Timer {
+        Awake,
+        Asleep(Option<Instant>),
+        Sync,
+        Release,
+        Exited,
+    }
+
+    /// The shutdown's place in `CommitPipeline::shutdown`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Closer {
+        Idle,
+        Parked,
+        Sync,
+        Release,
+        Join,
+        Done,
+    }
+
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Model {
+        state: PipelineState<usize>,
+        now: Instant,
+        /// Per caller: its next operation, its place, and the highest
+        /// commit acknowledged when its current operation began.
+        callers: Vec<(usize, Caller, u32)>,
+        /// Each caller's ticket, then the shutdown's.
+        tickets: Vec<Option<Woken>>,
+        timer: Option<Timer>,
+        closer: Option<Closer>,
+        /// Blocks sealed, the height the last fsync covered, and the
+        /// highest commit acknowledged.
+        height: u32,
+        durable: u32,
+        acked: u32,
+        /// Commits counted toward `unsynced`, and commits fsyncs retired.
+        counted: usize,
+        retired: usize,
+        final_sync: bool,
+        /// What is left to spend on deadline passes and on failed I/O (a
+        /// seal that errs or panics, or an fsync that errs).
+        deadlines: u8,
+        faults: u8,
+    }
+
+    type Move = ((&'static str, usize), Result<Model, String>);
+
+    impl Model {
+        fn new(scenario: &Scenario, now: Instant) -> Model {
+            let callers = scenario.scripts.len();
+            let grouped = matches!(scenario.policy, DurabilityPolicy::Grouped { .. });
+            Model {
+                state: PipelineState {
+                    policy: scenario.policy,
+                    ..PipelineState::default()
+                },
+                now,
+                callers: vec![(0, Caller::Idle, 0); callers],
+                tickets: vec![None; callers + 1],
+                // As after its first tick: it learns of a deadline only by
+                // being woken, the case a missing wake-up strands.
+                timer: grouped.then_some(Timer::Asleep(None)),
+                closer: scenario.shutdown.then_some(Closer::Idle),
+                height: 0,
+                durable: 0,
+                acked: 0,
+                counted: 0,
+                retired: 0,
+                final_sync: false,
+                deadlines: 2,
+                faults: 1,
             }
-        });
-        let before = pipeline.stats().syncs;
-        let fenced = pipeline.fence().unwrap();
-        assert_eq!(fenced, ledger.digest(), "fence must quiesce the queue");
-        assert_eq!(ledger.len(), 100);
-        assert_eq!(
-            pipeline.stats().syncs,
-            before,
-            "a fence must not pay for an fsync"
+        }
+
+        fn closer_id(&self) -> usize {
+            self.callers.len()
+        }
+
+        fn grouped(&self) -> bool {
+            matches!(self.state.policy, DurabilityPolicy::Grouped { .. })
+        }
+
+        fn wake_timer(&mut self) {
+            if let Some(Timer::Asleep(_)) = self.timer {
+                self.timer = Some(Timer::Awake);
+            }
+        }
+
+        fn release(&mut self) -> Result<(), String> {
+            match self.state.release(self.now) {
+                Release::Handoff(waiter) if self.tickets[waiter].is_some() => {
+                    Err(format!("the role was handed to {waiter}, already woken"))
+                }
+                Release::Handoff(waiter) => {
+                    self.tickets[waiter] = Some(Woken::Seal);
+                    Ok(())
+                }
+                Release::Free(wake_timer) => {
+                    if wake_timer {
+                        self.wake_timer();
+                    }
+                    Ok(())
+                }
+            }
+        }
+
+        /// One fsync, as `Shared::sync` runs it. Only the role holder
+        /// counts or retires commits, so reading `covered` and retiring it
+        /// can be one move.
+        fn sync(&mut self, fails: bool) -> Result<bool, String> {
+            if self.final_sync {
+                return Err("an fsync ran after shutdown's final sync".into());
+            }
+            if fails {
+                self.faults -= 1;
+                return Ok(false);
+            }
+            let covered = self.state.unsynced;
+            self.state.synced(covered);
+            self.retired += covered;
+            self.durable = self.height;
+            Ok(true)
+        }
+
+        /// Caller `i`'s current operation returns `outcome`.
+        fn finish(
+            &mut self,
+            scenario: &Scenario,
+            i: usize,
+            outcome: Outcome,
+        ) -> Result<(), String> {
+            let (next, _, floor) = self.callers[i];
+            match (scenario.scripts[i][next], outcome) {
+                (Op::Commit, Ok(height)) => {
+                    if self.state.policy == DurabilityPolicy::Strict && self.durable < height {
+                        return Err(format!("caller {i}: Strict acknowledged before its fsync"));
+                    }
+                    self.acked = self.acked.max(height);
+                }
+                (Op::Fence, Ok(height)) if height < floor => {
+                    return Err(format!(
+                        "caller {i}: a fence returned height {height}, older than \
+                         commit {floor} acknowledged before it began"
+                    ));
+                }
+                (Op::Flush, Ok(_)) if self.durable < floor => {
+                    return Err(format!(
+                        "caller {i}: a flush returned before commit {floor} was fsynced"
+                    ));
+                }
+                _ => {}
+            }
+            self.callers[i] = (next + 1, Caller::Idle, 0);
+            Ok(())
+        }
+
+        fn arrive(&mut self, scenario: &Scenario, i: usize, op: Op) -> Result<(), String> {
+            // A model commit carries no bytes: only `Some` makes it a commit.
+            let commit = (op == Op::Commit).then(|| (Vec::new(), String::new()));
+            let pending = Pending {
+                waiter: i,
+                commit,
+                sync: op == Op::Flush,
+            };
+            self.callers[i].2 = self.acked;
+            let closing = !matches!(self.closer, None | Some(Closer::Idle));
+            match self.state.arrive(pending) {
+                Arrival::Closed if closing => self.finish(scenario, i, Err(())),
+                Arrival::Closed => Err(format!("caller {i}: refused before shutdown")),
+                _ if closing => Err(format!("caller {i}: {op:?} accepted after shutdown")),
+                Arrival::Answer => {
+                    let height = self.height;
+                    self.finish(scenario, i, Ok(height))
+                }
+                Arrival::Lead(batch) => {
+                    self.callers[i].1 = Caller::Leading(Stage::Seal, batch, Ok(0));
+                    Ok(())
+                }
+                Arrival::Follow => {
+                    self.callers[i].1 = Caller::Parked;
+                    Ok(())
+                }
+            }
+        }
+
+        fn moves(&self, scenario: &Scenario) -> Vec<Move> {
+            let mut out = Vec::new();
+            for i in 0..self.callers.len() {
+                self.caller_moves(scenario, i, &mut out);
+            }
+            self.timer_moves(&mut out);
+            self.closer_moves(&mut out);
+            if let Some(deadline) = self.state.sync_deadline {
+                if self.deadlines > 0 && deadline > self.now {
+                    let mut m = self.clone();
+                    m.now = deadline;
+                    m.deadlines -= 1;
+                    if let Some(Timer::Asleep(Some(until))) = m.timer {
+                        if until <= m.now {
+                            m.timer = Some(Timer::Awake);
+                        }
+                    }
+                    out.push((("deadline passes", 0), Ok(m)));
+                }
+            }
+            out
+        }
+
+        fn caller_moves(&self, scenario: &Scenario, i: usize, out: &mut Vec<Move>) {
+            let (next, caller, _) = &self.callers[i];
+            match (caller, self.tickets[i]) {
+                (Caller::Idle, _) if *next == scenario.scripts[i].len() => return,
+                (Caller::Parked, None) => return,
+                (Caller::Leading(stage, batch, outcome), _) => {
+                    return self.lead_moves(i, *stage, batch, *outcome, scenario, out);
+                }
+                _ => {}
+            }
+            let mut m = self.clone();
+            let result = match (caller, self.tickets[i]) {
+                (Caller::Parked, Some(Woken::Done(outcome))) => {
+                    m.tickets[i] = None;
+                    m.finish(scenario, i, outcome)
+                }
+                (Caller::Parked, Some(Woken::Seal)) => {
+                    m.tickets[i] = None;
+                    let batch = std::mem::take(&mut m.state.queue);
+                    if batch.first().map(|head| head.waiter) == Some(i) {
+                        m.callers[i].1 = Caller::Leading(Stage::Seal, batch, Ok(0));
+                        Ok(())
+                    } else {
+                        Err(format!("caller {i} was handed the role but heads no queue"))
+                    }
+                }
+                _ => m.arrive(scenario, i, scenario.scripts[i][*next]),
+            };
+            out.push((("caller", i), result.map(|()| m)));
+        }
+
+        fn lead_moves(
+            &self,
+            i: usize,
+            stage: Stage,
+            batch: &[Pending<usize>],
+            outcome: Outcome,
+            scenario: &Scenario,
+            out: &mut Vec<Move>,
+        ) {
+            let commits = batch.iter().filter(|p| p.commit.is_some()).count();
+            let force = batch.iter().any(|p| p.sync);
+            let at = |m: &mut Model, stage, outcome| {
+                m.callers[i].1 = Caller::Leading(stage, batch.to_vec(), outcome);
+            };
+            let can_fail = match stage {
+                Stage::Seal => commits > 0 && self.faults > 0,
+                Stage::Sync => self.faults > 0,
+                _ => false,
+            };
+            for fails in [false, true] {
+                if fails && !can_fail {
+                    break;
+                }
+                let mut m = self.clone();
+                let result = match stage {
+                    Stage::Seal if self.final_sync => {
+                        Err("a block was sealed after shutdown".into())
+                    }
+                    Stage::Seal if fails => {
+                        m.faults -= 1;
+                        at(&mut m, Stage::Release, Err(()));
+                        Ok(())
+                    }
+                    Stage::Seal => {
+                        m.height += u32::from(commits > 0);
+                        let height = m.height;
+                        at(&mut m, Stage::Settle, Ok(height));
+                        Ok(())
+                    }
+                    Stage::Settle => {
+                        let (sync, arm) = m.state.settle(commits, force, m.now);
+                        if m.grouped() {
+                            m.counted += commits;
+                        }
+                        if arm {
+                            m.wake_timer();
+                        }
+                        if sync && commits == 0 && !force && !m.grouped() {
+                            Err("a fence paid for an fsync".into())
+                        } else {
+                            at(
+                                &mut m,
+                                if sync { Stage::Sync } else { Stage::Release },
+                                outcome,
+                            );
+                            Ok(())
+                        }
+                    }
+                    Stage::Sync => m.sync(fails).map(|synced| {
+                        at(
+                            &mut m,
+                            Stage::Release,
+                            if synced { outcome } else { Err(()) },
+                        );
+                    }),
+                    Stage::Release => m.release().map(|()| at(&mut m, Stage::Ack, outcome)),
+                    Stage::Ack
+                        if scenario.policy == DurabilityPolicy::Strict
+                            && commits > 0
+                            && outcome.is_ok_and(|height| m.durable < height) =>
+                    {
+                        Err("Strict acknowledged a batch before its fsync".into())
+                    }
+                    Stage::Ack => {
+                        for pending in &batch[1..] {
+                            m.tickets[pending.waiter] = Some(Woken::Done(outcome));
+                        }
+                        m.finish(scenario, i, outcome)
+                    }
+                };
+                out.push((
+                    (if fails { "lead, failing" } else { "lead" }, i),
+                    result.map(|()| m),
+                ));
+            }
+        }
+
+        fn timer_moves(&self, out: &mut Vec<Move>) {
+            let can_fail = match self.timer {
+                Some(Timer::Sync) => self.faults > 0,
+                Some(Timer::Awake | Timer::Release) => false,
+                _ => return,
+            };
+            for fails in [false, true] {
+                if fails && !can_fail {
+                    break;
+                }
+                let mut m = self.clone();
+                let result = match self.timer {
+                    Some(Timer::Sync) => m.sync(fails).map(|synced| {
+                        if !synced {
+                            m.state.sync_deadline = Some(m.now + Duration::from_millis(2));
+                        }
+                        m.timer = Some(Timer::Release);
+                    }),
+                    Some(Timer::Awake) => {
+                        m.timer = Some(match m.state.tick(m.now) {
+                            Tick::Exit => Timer::Exited,
+                            Tick::Sleep(timeout) => Timer::Asleep(m.now.checked_add(timeout)),
+                            Tick::Sync => Timer::Sync,
+                        });
+                        Ok(())
+                    }
+                    _ => m.release().map(|()| m.timer = Some(Timer::Awake)),
+                };
+                out.push((("timer", 0), result.map(|()| m)));
+            }
+        }
+
+        fn closer_moves(&self, out: &mut Vec<Move>) {
+            let id = self.closer_id();
+            let can_fail = match self.closer {
+                Some(Closer::Sync) => self.faults > 0,
+                Some(Closer::Parked) if self.tickets[id].is_none() => return,
+                Some(Closer::Join) if !matches!(self.timer, None | Some(Timer::Exited)) => return,
+                Some(Closer::Done) | None => return,
+                _ => false,
+            };
+            for fails in [false, true] {
+                if fails && !can_fail {
+                    break;
+                }
+                let mut m = self.clone();
+                let result = match self.closer {
+                    Some(Closer::Sync) => m.sync(fails).map(|_| {
+                        m.final_sync = true;
+                        m.closer = Some(Closer::Release);
+                    }),
+                    Some(Closer::Idle) => {
+                        let arrival = m.state.close(id);
+                        m.wake_timer();
+                        m.closer = match arrival {
+                            Arrival::Lead(_) => Some(Closer::Sync),
+                            Arrival::Follow => Some(Closer::Parked),
+                            Arrival::Closed | Arrival::Answer => None,
+                        };
+                        match m.closer {
+                            Some(_) => Ok(()),
+                            None => Err("a lone shutdown was refused".into()),
+                        }
+                    }
+                    Some(Closer::Parked) => match self.tickets[id] {
+                        Some(Woken::Seal) => {
+                            m.tickets[id] = None;
+                            m.closer = Some(Closer::Sync);
+                            Ok(())
+                        }
+                        _ => Err("shutdown was acknowledged, not handed the role".into()),
+                    },
+                    Some(Closer::Release) => match m.state.release(m.now) {
+                        Release::Free(wake_timer) => {
+                            if wake_timer {
+                                m.wake_timer();
+                            }
+                            m.closer = Some(Closer::Join);
+                            Ok(())
+                        }
+                        Release::Handoff(waiter) => Err(format!(
+                            "shutdown handed the role to {waiter} after its final sync"
+                        )),
+                    },
+                    _ => {
+                        m.closer = Some(Closer::Done);
+                        Ok(())
+                    }
+                };
+                out.push((("shutdown", id), result.map(|()| m)));
+            }
+        }
+
+        /// The invariants every reachable state keeps.
+        fn check(&self) -> Result<(), String> {
+            let handed = |id: usize| self.tickets[id] == Some(Woken::Seal);
+            let mut holders = Vec::new();
+            for (i, (_, caller, _)) in self.callers.iter().enumerate() {
+                match caller {
+                    Caller::Leading(stage, ..) if *stage != Stage::Ack => holders.push(i),
+                    Caller::Parked if handed(i) => holders.push(i),
+                    _ => {}
+                }
+            }
+            if matches!(self.timer, Some(Timer::Sync | Timer::Release)) {
+                holders.push(usize::MAX);
+            }
+            let id = self.closer_id();
+            match self.closer {
+                Some(Closer::Sync | Closer::Release) => holders.push(id),
+                Some(Closer::Parked) if handed(id) => holders.push(id),
+                _ => {}
+            }
+            if holders.len() > 1 {
+                return Err(format!("more than one role holder: {holders:?}"));
+            }
+            if self.state.sealing != (holders.len() == 1) {
+                return Err(format!(
+                    "the role flag disagrees with its holders {holders:?}"
+                ));
+            }
+            if !self.state.sealing && !self.state.queue.is_empty() {
+                return Err("the role is free while callers are queued".into());
+            }
+            if self.grouped() && self.state.unsynced != self.counted - self.retired {
+                return Err(format!(
+                    "unsynced is {} but {} counted commits were never fsynced",
+                    self.state.unsynced,
+                    self.counted - self.retired
+                ));
+            }
+            if self.state.unsynced > 0 && self.state.sync_deadline.is_none() {
+                return Err("unsynced commits with no deadline".into());
+            }
+            Ok(())
+        }
+
+        /// What must hold once nothing can move.
+        fn check_end(&self) -> Result<(), String> {
+            if let Some(i) = self.callers.iter().position(|(_, c, _)| *c != Caller::Idle) {
+                return Err(format!("caller {i} is stranded"));
+            }
+            if self.closer.is_some_and(|closer| closer != Closer::Done) {
+                return Err("shutdown is stranded".into());
+            }
+            if !self.state.shutdown && self.state.sync_due(self.now) {
+                return Err("a passed deadline was never met".into());
+            }
+            Ok(())
+        }
+    }
+
+    struct Search<'a> {
+        scenario: &'a Scenario,
+        /// The 64-bit hashes of the states visited (cheaper than the states
+        /// in a debug build; a collision would skip one state).
+        seen: HashSet<u64>,
+        hasher: RandomState,
+        path: Vec<(&'static str, usize)>,
+        /// The most commits one seal carried, and the hand-offs taken.
+        widest_batch: usize,
+        handoffs: usize,
+    }
+
+    impl Search<'_> {
+        fn visit(&mut self, model: Model) {
+            let moves = model.moves(self.scenario);
+            if moves.is_empty() {
+                if let Err(broken) = model.check_end() {
+                    self.fail(&broken, &model);
+                }
+            }
+            for (label, next) in moves {
+                self.path.push(label);
+                match next.and_then(|next| next.check().map(|()| next)) {
+                    Err(broken) => self.fail(&broken, &model),
+                    Ok(next) if self.seen.insert(self.hasher.hash_one(&next)) => {
+                        for (_, caller, _) in &next.callers {
+                            if let Caller::Leading(Stage::Seal, batch, _) = caller {
+                                let commits = batch.iter().filter(|p| p.commit.is_some()).count();
+                                self.widest_batch = self.widest_batch.max(commits);
+                            }
+                        }
+                        if next.tickets.contains(&Some(Woken::Seal)) {
+                            self.handoffs += 1;
+                        }
+                        self.visit(next);
+                    }
+                    Ok(_) => {}
+                }
+                self.path.pop();
+            }
+        }
+
+        fn fail(&self, broken: &str, model: &Model) -> ! {
+            panic!(
+                "{broken}\nin {:?}\nafter {:?}\nfrom {model:#?}",
+                self.scenario, self.path
+            );
+        }
+    }
+
+    /// Each policy runs four caller scripts, two of them also with a
+    /// shutdown alongside: there it meets every kind of operation, and a
+    /// caller whose second commit comes after it.
+    fn scenarios() -> Vec<Scenario> {
+        use Op::{Commit, Fence, Flush};
+        let scripts = [
+            (vec![vec![Commit], vec![Commit], vec![Commit]], false),
+            (vec![vec![Commit], vec![Fence], vec![Flush]], true),
+            (vec![vec![Commit, Fence], vec![Commit, Flush]], false),
+            (vec![vec![Commit, Commit], vec![Fence, Commit]], true),
+        ];
+        let mut scenarios = Vec::new();
+        for policy in [
+            DurabilityPolicy::Strict,
+            MODEL_GROUPED,
+            DurabilityPolicy::Os,
+        ] {
+            for (scripts, with_shutdown) in &scripts {
+                let shutdowns: &[bool] = if *with_shutdown {
+                    &[false, true]
+                } else {
+                    &[false]
+                };
+                for &shutdown in shutdowns {
+                    scenarios.push(Scenario {
+                        policy,
+                        scripts: scripts.clone(),
+                        shutdown,
+                    });
+                }
+            }
+        }
+        scenarios
+    }
+
+    /// Every interleaving of 2–3 callers (commits, fences, flushes), the
+    /// timer, a shutdown, one failing (or panicking) seal or failing fsync
+    /// and two deadline passes keeps these invariants:
+    ///
+    /// * at most one role holder, and the role flag names it;
+    /// * no caller or shutdown is left parked (nor the queue left behind a
+    ///   free role);
+    /// * no `Strict` acknowledgement before its fsync, and no flush
+    ///   returns before the commits acknowledged ahead of it are fsynced;
+    /// * `unsynced` equals the counted commits no fsync has retired;
+    /// * no commit, fence or flush is accepted after shutdown, and no seal
+    ///   or fsync follows shutdown's final sync;
+    /// * a fence never returns a digest older than a commit acknowledged
+    ///   before the fence began, and never pays for an fsync;
+    /// * a passed deadline is always met, by a commit or by the timer.
+    #[test]
+    fn every_interleaving_keeps_the_pipeline_invariants() {
+        let start = Instant::now();
+        let (mut states, mut widest_batch, mut handoffs) = (0, 0, 0);
+        let scenarios = scenarios();
+        for scenario in &scenarios {
+            let model = Model::new(scenario, start);
+            let hasher = RandomState::new();
+            let mut search = Search {
+                scenario,
+                seen: HashSet::from([hasher.hash_one(&model)]),
+                hasher,
+                path: Vec::new(),
+                widest_batch: 0,
+                handoffs: 0,
+            };
+            search.visit(model);
+            states += search.seen.len();
+            widest_batch = widest_batch.max(search.widest_batch);
+            handoffs += search.handoffs;
+        }
+        println!(
+            "pipeline model: {states} states over {} scenarios in {:?}",
+            scenarios.len(),
+            start.elapsed()
         );
-        // Fences are not commits.
-        assert_eq!(pipeline.stats().commits, 100);
-    }
-
-    #[test]
-    fn fence_never_predates_an_acknowledged_commit() {
-        let (ledger, pipeline) = pipeline(DurabilityPolicy::Os);
-        assert_eq!(pipeline.fence().unwrap(), ledger.digest());
-        // The committer may or may not have gone idle again when the fence
-        // arrives, so both the direct answer and the barrier are exercised.
-        for i in 0..50 {
-            let acked = pipeline.commit(vec![kv(i)], "PUT").unwrap();
-            assert_eq!(pipeline.fence().unwrap(), acked);
-        }
-        pipeline.shutdown();
-        assert!(matches!(pipeline.fence(), Err(StorageError::Closed)));
-    }
-
-    #[test]
-    fn strict_policy_syncs_every_flush() {
-        let (_ledger, pipeline) = pipeline(DurabilityPolicy::Strict);
-        for i in 0..5 {
-            pipeline.commit(vec![kv(i)], "PUT").unwrap();
-        }
-        let stats = pipeline.stats();
-        assert_eq!(stats.syncs, stats.flushes);
+        assert!(widest_batch >= 2, "no interleaving coalesced two commits");
+        assert!(handoffs > 0, "no interleaving handed the role on");
     }
 }

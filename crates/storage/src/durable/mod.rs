@@ -44,12 +44,15 @@
 //! later root record, and that recovery lands on the newest root whose log
 //! prefix survived. The trade-offs, briefly:
 //!
-//! * **Strict** — one `fsync` per commit batch, after the root record. An
-//!   acknowledged commit is never lost; slowest for a single writer.
+//! * **Strict** — one `fsync` per commit batch, after the root record, on
+//!   the thread of the caller that sealed the batch. An acknowledged commit
+//!   is never lost; slowest for a single writer.
 //! * **Grouped** — commits are acknowledged at *publication* (root record
-//!   appended) and fsynced together at least every `max_delay`/`max_writes`.
-//!   A crash loses at most that window; recovery is still clean because the
-//!   log prefix property above holds at every byte.
+//!   appended) and fsynced together at least every `max_delay`/`max_writes`:
+//!   by the commit that crosses the bound, or by the pipeline's timer thread
+//!   when a deadline passes with no commit to carry it. A crash loses at
+//!   most that window; recovery is still clean because the log prefix
+//!   property above holds at every byte.
 //! * **Os** — durability is left to the page cache (fastest; a crash loses
 //!   whatever the OS had not written back, recovery behaves as for Grouped).
 //!

@@ -31,16 +31,6 @@ impl MvccStore {
         MvccStore::default()
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// Total number of versions across all keys.
-    pub fn version_count(&self) -> usize {
-        self.inner.read().values().map(|v| v.len()).sum()
-    }
-
     /// Install a committed version. Versions must be installed with
     /// monotonically increasing timestamps per key (enforced by the
     /// transaction manager); out-of-order installs are inserted at the right
@@ -88,7 +78,6 @@ mod tests {
         let store = MvccStore::new();
         assert_eq!(store.read_latest(b"k"), None);
         assert_eq!(store.read_at(b"k", 10), None);
-        assert_eq!(store.key_count(), 0);
     }
 
     #[test]
@@ -105,7 +94,6 @@ mod tests {
         assert_eq!(store.read_at(b"balance", 99).unwrap().value, b"50");
         assert_eq!(store.read_latest(b"balance").unwrap().commit_ts, 30);
         assert_eq!(store.latest_commit_ts(b"balance"), Some(30));
-        assert_eq!(store.version_count(), 3);
         assert_eq!(store.history(b"balance").len(), 3);
     }
 
@@ -134,7 +122,6 @@ mod tests {
                 ts.to_string().into_bytes()
             );
         }
-        assert_eq!(store.version_count(), 100);
     }
 
     #[test]
@@ -142,7 +129,6 @@ mod tests {
         let store = MvccStore::new();
         store.install(b"a", 1, b"1".to_vec());
         store.install(b"b", 2, b"2".to_vec());
-        assert_eq!(store.key_count(), 2);
         assert_eq!(store.read_latest(b"a").unwrap().value, b"1");
         assert_eq!(store.read_latest(b"b").unwrap().value, b"2");
     }

@@ -349,7 +349,7 @@ impl TwoPhaseCoordinator {
     }
 
     /// The participant owning `key`.
-    pub fn participant_for(&self, key: &[u8]) -> &Arc<Participant> {
+    fn participant_for(&self, key: &[u8]) -> &Arc<Participant> {
         &self.participants[self.route(key)]
     }
 
@@ -448,18 +448,7 @@ impl TwoPhaseCoordinator {
     /// Execute a distributed write transaction: partition the writes by
     /// owner, run 2PC, and return the global transaction id on success.
     pub fn execute(&self, writes: Vec<(Vec<u8>, Vec<u8>)>) -> Result<u64, TxnError> {
-        self.execute_with_statement(writes, "2PC")
-    }
-
-    /// [`TwoPhaseCoordinator::execute`] with an explicit provenance
-    /// statement, recorded by any wired [`PreparedApply`] sink (and thus in
-    /// the shard ledgers' transaction records).
-    pub fn execute_with_statement(
-        &self,
-        writes: Vec<(Vec<u8>, Vec<u8>)>,
-        statement: &str,
-    ) -> Result<u64, TxnError> {
-        let prepared = self.prepare(writes, statement)?;
+        let prepared = self.prepare(writes, "2PC")?;
         self.commit_prepared(prepared)
     }
 

@@ -38,7 +38,8 @@
 //!
 //! On a *failed* commit the stack promises the write is either fully
 //! rolled back (append failure) or fully published but possibly
-//! non-durable (fsync-only failure — see `spitz::ledger::CommitPipeline`).
+//! non-durable (fsync-only failure — see `spitz::ledger::CommitPipeline`,
+//! whose sealing caller reports either to every commit in its batch).
 //! The KV schedule therefore holds every key to "last acknowledged value,
 //! or the one value a failed commit may have published" — never a torn
 //! mixture, never a value nobody wrote.

@@ -667,7 +667,10 @@ fn server_soak_64_clients_mixed_ops() {
         })
         .collect();
     for handle in clients {
-        handle.join().expect("soak client thread");
+        // Re-raise a client's own panic, so a failure names its cause.
+        if let Err(panic) = handle.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     let ops = total_ops.load(Ordering::Relaxed);

@@ -505,9 +505,22 @@ fn contended_puts_to_one_key_all_commit() {
     }
 }
 
+/// The long soak, in memory and on a durable `Grouped` store: the
+/// durable run drives the commit pipeline's leader/follower hand-off.
 #[test]
 #[ignore = "long soak; run explicitly with `cargo test -- --ignored`"]
 fn concurrency_soak_long() {
-    let db = ShardedDb::in_memory(4);
+    soak(&ShardedDb::in_memory(4), 8, 400);
+    let dir = TempDir::new("sharded-soak-long");
+    let config = ShardedConfig::default()
+        .with_shards(4)
+        .with_spitz(SpitzConfig::default().with_durability(DurabilityPolicy::grouped_default()));
+    let db = ShardedDb::open(dir.path(), config).unwrap();
     soak(&db, 8, 400);
+    let digest = db.digest();
+    drop(db);
+    assert_eq!(
+        ShardedDb::open(dir.path(), config).unwrap().digest(),
+        digest
+    );
 }
