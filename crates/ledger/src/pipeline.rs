@@ -361,7 +361,7 @@ impl Shared {
             .filter_map(|p| p.commit.take().filter(|(writes, _)| !writes.is_empty()))
             .collect();
         let force = batch.iter().any(|p| p.sync);
-        let result = self.flush(groups, force);
+        let result = contain("commit", || self.flush(groups, force));
         self.release();
         for pending in batch.drain(1..) {
             pending.waiter.wake(Wake::Done(result.clone()));
@@ -391,16 +391,14 @@ impl Shared {
     /// Seal `groups` into one block. Panics that escape the append (index
     /// writes route through `try_put`, but a corrupt node read or a bug in
     /// an index implementation can still unwind) are contained: a poisoned
-    /// commit must surface as an error to every caller it carries, never
-    /// as a role holder that unwinds without handing the role on, which
-    /// would leave all present and future callers parked forever.
+    /// commit must surface as an error to every caller it carries.
     fn seal(&self, groups: Vec<CommitGroup>) -> Result<Digest, StorageError> {
         self.stats.flushes.fetch_add(1, Relaxed);
         self.obs.flushes.inc();
         self.obs.policy_flushes.inc();
         self.obs.group_size.record(groups.len() as u64);
         let flush_start = self.obs.flush_nanos.start();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let result = contain("commit", || {
             self.ledger.try_append_groups(groups).map(|(digest, cost)| {
                 self.obs.block_writes.record(cost.writes as u64);
                 self.obs
@@ -411,18 +409,6 @@ impl Shared {
                     .record(cost.index_bytes_written);
                 digest
             })
-        }))
-        .unwrap_or_else(|panic| {
-            let reason = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "commit panicked".to_string());
-            Err(StorageError::io_synthetic(
-                spitz_storage::IoErrorKind::Other,
-                "commit",
-                format!("commit aborted: {reason}"),
-            ))
         });
         self.obs.flush_nanos.finish(flush_start);
         result
@@ -431,7 +417,7 @@ impl Shared {
     /// `fsync` the store and retire the commits it covers.
     fn sync(&self) -> Result<(), StorageError> {
         let covered = lock(&self.state).unsynced;
-        self.ledger.store().sync()?;
+        contain("fsync", || self.ledger.store().sync())?;
         self.stats.syncs.fetch_add(1, Relaxed);
         self.obs.syncs.inc();
         lock(&self.state).synced(covered);
@@ -460,6 +446,24 @@ pub struct CommitPipeline {
 /// holder must not wedge every caller).
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
+/// Run `what`, turning a panic into an error: a role holder (caller, timer
+/// or shutdown) that unwinds would leave every caller parked forever.
+fn contain<T>(
+    what: &'static str,
+    run: impl FnOnce() -> Result<T, StorageError>,
+) -> Result<T, StorageError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+        let reason = panic.downcast_ref::<&str>().map(|s| s.to_string());
+        let reason = reason.or_else(|| panic.downcast_ref::<String>().cloned());
+        let reason = reason.unwrap_or_else(|| format!("{what} panicked"));
+        Err(StorageError::io_synthetic(
+            spitz_storage::IoErrorKind::Other,
+            what,
+            format!("{what} aborted: {reason}"),
+        ))
+    })
 }
 
 impl CommitPipeline {
@@ -666,7 +670,6 @@ mod tests {
     use spitz_storage::{Chunk, InMemoryChunkStore, StoreStats};
     use std::collections::HashSet;
     use std::hash::{BuildHasher, RandomState};
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn kv(i: u32) -> (Vec<u8>, Vec<u8>) {
         (
@@ -683,19 +686,25 @@ mod tests {
 
     /// An in-memory store that logs each put and sync with the thread that
     /// made it, can hold a put while `hold` is locked, and can panic in
-    /// the next put.
+    /// the next put or sync (`panic_in`).
     #[derive(Default)]
     struct Probe {
         inner: InMemoryChunkStore,
         log: Mutex<Vec<(&'static str, Option<String>)>>,
         hold: Mutex<()>,
-        panic_next: AtomicBool,
+        panic_in: Mutex<Option<&'static str>>,
     }
 
     impl Probe {
         fn record(&self, event: &'static str) {
             let thread = std::thread::current().name().map(str::to_string);
             lock(&self.log).push((event, thread));
+            if lock(&self.panic_in)
+                .take_if(|next| *next == event)
+                .is_some()
+            {
+                panic!("probe {event}");
+            }
         }
     }
 
@@ -703,9 +712,6 @@ mod tests {
         fn put(&self, chunk: Chunk) -> Hash {
             self.record("put");
             drop(lock(&self.hold));
-            if self.panic_next.swap(false, Ordering::SeqCst) {
-                panic!("probe put");
-            }
             self.inner.put(chunk)
         }
         fn get(&self, address: &Hash) -> Result<Arc<Chunk>, StorageError> {
@@ -787,7 +793,7 @@ mod tests {
     #[test]
     fn a_panic_in_a_callers_seal_is_an_error_and_frees_the_pipeline() {
         let (probe, ledger, pipeline) = probed(DurabilityPolicy::Strict);
-        probe.panic_next.store(true, Ordering::SeqCst);
+        *lock(&probe.panic_in) = Some("put");
         let failed = pipeline.commit(vec![kv(1)], "PUT");
         assert!(
             matches!(&failed, Err(e) if e.to_string().contains("probe put")),
@@ -799,6 +805,39 @@ mod tests {
         assert_eq!(ledger.get(&kv(1).0), None);
         assert_eq!(ledger.get(&kv(2).0), Some(kv(2).1));
         assert_eq!(ledger.audit_chain(), None);
+    }
+
+    #[test]
+    fn a_panic_in_an_fsync_is_an_error_and_frees_the_pipeline() {
+        // A caller's fsync: the block is published, the commit fails.
+        let (probe, _ledger, pipeline) = probed(DurabilityPolicy::Strict);
+        *lock(&probe.panic_in) = Some("sync");
+        let failed = pipeline.commit(vec![kv(1)], "PUT");
+        assert!(
+            matches!(&failed, Err(e) if e.to_string().contains("probe sync")),
+            "{failed:?}"
+        );
+        assert!(!lock(&pipeline.shared.state).sealing, "the role is free");
+        assert_eq!(pipeline.commit(vec![kv(2)], "PUT").unwrap().block_height, 1);
+        // Shutdown's final fsync.
+        *lock(&probe.panic_in) = Some("sync");
+        pipeline.shutdown();
+
+        // The timer's fsync: the role is freed and the deadline retried.
+        let policy = DurabilityPolicy::Grouped {
+            max_delay: Duration::from_millis(5),
+            max_writes: 1000,
+        };
+        let (probe, _ledger, pipeline) = probed(policy);
+        *lock(&probe.panic_in) = Some("sync");
+        pipeline.commit(vec![kv(1)], "PUT").unwrap();
+        eventually("the retried deadline sync", || {
+            pipeline.stats().syncs == 1 && lock(&pipeline.shared.state).unsynced == 0
+        });
+        let log = lock(&probe.log).clone();
+        let syncs = log.iter().filter(|(event, _)| *event == "sync").count();
+        assert_eq!(syncs, 2, "one panicked, one retried: {log:?}");
+        pipeline.commit(vec![kv(2)], "PUT").unwrap();
     }
 
     #[test]
@@ -930,7 +969,6 @@ mod tests {
             pipeline.commit(vec![kv(2)], "PUT"),
             Err(StorageError::Closed)
         ));
-        assert!(matches!(pipeline.fence(), Err(StorageError::Closed)));
         // Idempotent.
         pipeline.shutdown();
     }
@@ -954,6 +992,99 @@ mod tests {
             stats.syncs < stats.commits,
             "grouped syncs must be amortized: {stats:?}"
         );
+    }
+
+    /// Run each of `followers` on its own thread, queued in this order
+    /// behind a commit whose seal is held, then let the seal go. Returns
+    /// the followers' results (a flush's: the digest after it).
+    fn behind_a_held_seal(probed: &Probed, followers: &[Op]) -> Vec<Result<Digest, StorageError>> {
+        let (probe, ledger, pipeline) = probed;
+        let key = ledger.len() as u32;
+        let held = lock(&probe.hold);
+        lock(&probe.log).clear();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| pipeline.commit(vec![kv(key)], "PUT"));
+            eventually("the leader's seal", || !lock(&probe.log).is_empty());
+            let parked: Vec<_> = (1..)
+                .zip(followers)
+                .map(|(n, &op)| {
+                    let follower = scope.spawn(move || match op {
+                        Op::Commit => pipeline.commit(vec![kv(key + n)], "PUT"),
+                        Op::Fence => pipeline.fence(),
+                        Op::Flush => pipeline.flush().map(|()| ledger.digest()),
+                    });
+                    eventually("a parked follower", || {
+                        lock(&pipeline.shared.state).queue.len() == n as usize
+                    });
+                    follower
+                })
+                .collect();
+            drop(held);
+            leader.join().unwrap().unwrap();
+            parked.into_iter().map(|f| f.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn fence_returns_a_quiesced_digest_without_forcing_a_sync() {
+        let probed = probed(DurabilityPolicy::Strict);
+        let (_, ledger, pipeline) = &probed;
+        // Queued behind a commit, a fence is sealed in the commit's batch
+        // and returns that block's digest.
+        let queued = behind_a_held_seal(&probed, &[Op::Commit, Op::Fence]);
+        let fenced = queued[1].clone().unwrap();
+        assert_eq!(fenced, ledger.digest(), "fence must quiesce the queue");
+        assert_eq!(queued[0].as_ref().ok(), Some(&fenced));
+        // A batch of fences alone seals nothing and pays no fsync.
+        for fenced in behind_a_held_seal(&probed, &[Op::Fence, Op::Fence]) {
+            assert_eq!(fenced.unwrap(), ledger.digest());
+        }
+        // Fences are not commits; each Strict block pays one fsync.
+        let stats = pipeline.stats();
+        assert_eq!((stats.commits, stats.flushes, stats.syncs), (3, 3, 3));
+        // Nor are flushes, which pay one more.
+        behind_a_held_seal(&probed, &[Op::Flush])[0]
+            .clone()
+            .unwrap();
+        let stats = pipeline.stats();
+        assert_eq!((stats.commits, stats.flushes, stats.syncs), (4, 4, 5));
+    }
+
+    #[test]
+    fn fence_never_predates_an_acknowledged_commit() {
+        let (ledger, pipeline) = pipeline(DurabilityPolicy::Os);
+        assert_eq!(pipeline.fence().unwrap(), ledger.digest());
+        // Each fence finds the pipeline free and reads the digest directly;
+        // `fence_returns_a_quiesced_digest_without_forcing_a_sync` queues
+        // fences behind a seal.
+        for i in 0..50 {
+            let acked = pipeline.commit(vec![kv(i)], "PUT").unwrap();
+            assert_eq!(pipeline.fence().unwrap(), acked);
+        }
+        pipeline.shutdown();
+        assert!(matches!(pipeline.fence(), Err(StorageError::Closed)));
+    }
+
+    #[test]
+    fn strict_policy_syncs_every_flush() {
+        let (_ledger, pipeline) = pipeline(DurabilityPolicy::Strict);
+        // Concurrent commits and fences: a block sealed for a follower's
+        // batch pays its fsync as a leader's does, and a fence-only batch
+        // seals no block.
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let pipeline = &pipeline;
+                scope.spawn(move || {
+                    for i in 0..10 {
+                        pipeline.commit(vec![kv(t * 10 + i)], "PUT").unwrap();
+                        pipeline.fence().unwrap();
+                    }
+                });
+            }
+        });
+        let stats = pipeline.stats();
+        assert_eq!(stats.commits, 40);
+        assert_eq!(stats.syncs, stats.flushes);
     }
 
     // ---------------------------------------------------------------------
@@ -1594,7 +1725,9 @@ mod tests {
     /// * no commit, fence or flush is accepted after shutdown, and no seal
     ///   or fsync follows shutdown's final sync;
     /// * a fence never returns a digest older than a commit acknowledged
-    ///   before the fence began, and never pays for an fsync;
+    ///   before the fence began, and never pays for an fsync under `Strict`
+    ///   or `Os` (under `Grouped` a fence-only batch may pay for the fsync
+    ///   of a deadline that has passed);
     /// * a passed deadline is always met, by a commit or by the timer.
     #[test]
     fn every_interleaving_keeps_the_pipeline_invariants() {

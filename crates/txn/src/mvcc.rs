@@ -78,6 +78,7 @@ mod tests {
         let store = MvccStore::new();
         assert_eq!(store.read_latest(b"k"), None);
         assert_eq!(store.read_at(b"k", 10), None);
+        assert!(store.history(b"k").is_empty());
     }
 
     #[test]
@@ -122,6 +123,7 @@ mod tests {
                 ts.to_string().into_bytes()
             );
         }
+        assert_eq!(store.history(b"k").len(), 100);
     }
 
     #[test]
@@ -129,6 +131,8 @@ mod tests {
         let store = MvccStore::new();
         store.install(b"a", 1, b"1".to_vec());
         store.install(b"b", 2, b"2".to_vec());
+        assert_eq!(store.history(b"a").len(), 1);
+        assert_eq!(store.history(b"b").len(), 1);
         assert_eq!(store.read_latest(b"a").unwrap().value, b"1");
         assert_eq!(store.read_latest(b"b").unwrap().value, b"2");
     }

@@ -444,14 +444,18 @@ fn concurrency_soak_short() {
 
 #[test]
 fn concurrency_soak_durable_short() {
-    let dir = TempDir::new("sharded-soak");
+    durable_soak("sharded-soak", 3, 15);
+}
+
+/// [`soak`] on a durable `Grouped` 4-shard store, then check that a reopen
+/// reproduces the digest (the durability of the flush barrier).
+fn durable_soak(name: &str, writers: u32, ops: u32) {
+    let dir = TempDir::new(name);
     let config = ShardedConfig::default()
         .with_shards(4)
         .with_spitz(SpitzConfig::default().with_durability(DurabilityPolicy::grouped_default()));
     let db = ShardedDb::open(dir.path(), config).unwrap();
-    soak(&db, 3, 15);
-
-    // Durability of the flush barrier: reopen reproduces the digest.
+    soak(&db, writers, ops);
     let digest = db.digest();
     drop(db);
     let reopened = ShardedDb::open(dir.path(), config).unwrap();
@@ -511,16 +515,5 @@ fn contended_puts_to_one_key_all_commit() {
 #[ignore = "long soak; run explicitly with `cargo test -- --ignored`"]
 fn concurrency_soak_long() {
     soak(&ShardedDb::in_memory(4), 8, 400);
-    let dir = TempDir::new("sharded-soak-long");
-    let config = ShardedConfig::default()
-        .with_shards(4)
-        .with_spitz(SpitzConfig::default().with_durability(DurabilityPolicy::grouped_default()));
-    let db = ShardedDb::open(dir.path(), config).unwrap();
-    soak(&db, 8, 400);
-    let digest = db.digest();
-    drop(db);
-    assert_eq!(
-        ShardedDb::open(dir.path(), config).unwrap().digest(),
-        digest
-    );
+    durable_soak("sharded-soak-long", 8, 400);
 }
