@@ -342,6 +342,11 @@ impl ShardedMultiProof {
 /// verifier recomputes the cross-shard Merkle root (and commit epoch)
 /// directly from the leaves, which both authenticates each per-shard proof
 /// and guarantees no shard's contribution was withheld.
+///
+/// No entry of the answer travels twice: each shard's proof leaves out what
+/// the client can compute from that shard's part of the answer (on the
+/// POS-tree, the leaves inside the range and the in-range entries of the
+/// two leaves astride its bounds; see [`LedgerRangeProof`]).
 #[derive(Debug, Clone)]
 pub struct ShardedRangeProof {
     /// Total shard count (needed to recompute the routing).
@@ -449,8 +454,14 @@ impl ShardedRangeProof {
     /// against its own partition of the entries (so nothing is forged *or*
     /// omitted on any shard).
     pub fn verify(&self, entries: &[(Vec<u8>, Vec<u8>)]) -> bool {
+        self.verified_cut(entries).is_some()
+    }
+
+    /// [`ShardedRangeProof::verify`], returning the cut the revealed shard
+    /// digests recompute — the one a verifier pins — when it passes.
+    fn verified_cut(&self, entries: &[(Vec<u8>, Vec<u8>)]) -> Option<ShardedDigest> {
         if self.shard_count == 0 || self.shards.len() != self.shard_count {
-            return false;
+            return None;
         }
         let start = &self.shards[0].start;
         let end = &self.shards[0].end;
@@ -459,28 +470,35 @@ impl ShardedRangeProof {
             .iter()
             .all(|p| &p.start == start && &p.end == end)
         {
-            return false;
+            return None;
         }
         if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            return false;
+            return None;
         }
         // Recompute root and epoch from the revealed shard digests: this is
         // what binds the per-shard proofs to the single pinned root and
         // makes withholding a shard impossible.
         let combined = ShardedDigest::over(self.shards.iter().map(|p| p.digest).collect());
         if combined.root != self.root || combined.epoch != self.epoch {
-            return false;
+            return None;
         }
-        // Partition the merged entries back onto their shards and verify
-        // each shard's complete range proof against its exact partition.
-        let mut split: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); self.shard_count];
-        for (key, value) in entries {
-            split[shard_for(key, self.shard_count)].push((key.clone(), value.clone()));
-        }
-        self.shards
-            .iter()
-            .zip(split.iter())
-            .all(|(proof, part)| proof.verify(part))
+        // Partition the merged entries back onto their shards, by
+        // reference, and verify each shard's complete range proof against
+        // its exact partition. Routing binds each entry to its shard; one
+        // shard owns every key, so it needs no routing hash.
+        let verified = if self.shard_count == 1 {
+            self.shards[0].verify(entries)
+        } else {
+            let mut split: Vec<Vec<&(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); self.shard_count];
+            for entry in entries {
+                split[shard_for(&entry.0, self.shard_count)].push(entry);
+            }
+            self.shards
+                .iter()
+                .zip(&split)
+                .all(|(proof, part)| proof.verify(part))
+        };
+        verified.then_some(combined)
     }
 
     /// True when every shard's proof is over exactly the requested
@@ -534,31 +552,24 @@ impl Verifier {
     /// consistent and must not rewind the commit epoch; a different root at
     /// the pinned epoch is a fork and is refused.
     pub fn observe_sharded(&mut self, digest: &ShardedDigest) -> bool {
-        if !digest.verify() {
-            return false;
+        digest.verify() && self.advance(digest)
+    }
+
+    /// Move the pin to a digest already known to be self-consistent, unless
+    /// that would rewind it or fork it.
+    fn advance(&mut self, digest: &ShardedDigest) -> bool {
+        let next = ShardedPin {
+            epoch: digest.epoch,
+            root: digest.root,
+        };
+        let accepted = match self.pinned {
+            None => true,
+            Some(previous) => next.epoch > previous.epoch || next == previous,
+        };
+        if accepted {
+            self.pinned = Some(next);
         }
-        match self.pinned {
-            None => {
-                self.pinned = Some(ShardedPin {
-                    epoch: digest.epoch,
-                    root: digest.root,
-                });
-                true
-            }
-            Some(previous) => {
-                let moves_forward = digest.epoch > previous.epoch;
-                let same_point = digest.epoch == previous.epoch && digest.root == previous.root;
-                if moves_forward || same_point {
-                    self.pinned = Some(ShardedPin {
-                        epoch: digest.epoch,
-                        root: digest.root,
-                    });
-                    true
-                } else {
-                    false
-                }
-            }
-        }
+        accepted
     }
 
     /// Verification of a sharded point read against the pinned cross-shard
@@ -602,11 +613,10 @@ impl Verifier {
         entries: &[(Vec<u8>, Vec<u8>)],
         proof: &ShardedRangeProof,
     ) -> bool {
-        if !proof.verify(entries) {
-            return false;
+        match proof.verified_cut(entries) {
+            Some(cut) => self.advance(&cut),
+            None => false,
         }
-        let combined = ShardedDigest::over(proof.shards.iter().map(|p| p.digest).collect());
-        self.observe_sharded(&combined)
     }
 }
 

@@ -14,6 +14,7 @@
 //! hash-partitioned structures, and one of the effects the `ablation_siri`
 //! benchmark shows.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -299,11 +300,11 @@ impl MerkleBucketTree {
     /// requiring nothing to be left over; then it checks that the claimed
     /// entries are exactly the revealed buckets' contents restricted to
     /// `start <= key < end`. An empty tree or range has an empty proof.
-    pub fn verify_range_proof(
+    pub(crate) fn verify_range_proof<E: Borrow<(Vec<u8>, Vec<u8>)>>(
         root: Hash,
         start: &[u8],
         end: &[u8],
-        entries: &[(Vec<u8>, Vec<u8>)],
+        entries: &[E],
         proof: &IndexProof,
     ) -> bool {
         if root.is_zero() || start >= end {
@@ -343,7 +344,7 @@ impl MerkleBucketTree {
             .filter(|(k, _)| k.as_slice() >= start && k.as_slice() < end)
             .collect();
         in_range.sort_by(|a, b| a.0.cmp(&b.0));
-        in_range == entries
+        in_range.iter().eq(entries.iter().map(Borrow::borrow))
     }
 }
 

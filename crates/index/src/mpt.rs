@@ -51,6 +51,7 @@
 //! value), `vtag = 2` when none does (non-canonical), lying bitmaps (the
 //! subtree fold breaks), and trailing bytes.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use spitz_crypto::{smt16_empty, smt16_node, Hash, SMT16_LEVELS};
@@ -569,11 +570,11 @@ impl MerklePatriciaTrie {
     /// once — a withheld, extra, duplicated or undecodable node all fail —
     /// and the claimed entries are exactly the collected entries restricted
     /// to `start <= key < end`.
-    pub fn verify_range_proof(
+    pub(crate) fn verify_range_proof<E: Borrow<(Vec<u8>, Vec<u8>)>>(
         root: Hash,
         start: &[u8],
         end: &[u8],
-        entries: &[(Vec<u8>, Vec<u8>)],
+        entries: &[E],
         proof: &IndexProof,
     ) -> bool {
         if root.is_zero() || start >= end {
@@ -591,7 +592,7 @@ impl MerklePatriciaTrie {
             .filter(|(k, _)| k.as_slice() >= start && k.as_slice() < end)
             .collect();
         in_range.sort_by(|a, b| a.0.cmp(&b.0));
-        in_range == entries
+        in_range.iter().eq(entries.iter().map(Borrow::borrow))
     }
 }
 
@@ -1318,7 +1319,7 @@ mod tests {
 
         // An empty trie proves an empty range only with an empty proof.
         let empty_range = |p: &IndexProof| {
-            MerklePatriciaTrie::verify_range_proof(Hash::ZERO, &start, &end, &[], p)
+            MerklePatriciaTrie::verify_range_proof(Hash::ZERO, &start, &end, &entries[..0], p)
         };
         assert!(empty_range(&IndexProof::empty()));
         assert!(!empty_range(&proof));

@@ -17,6 +17,7 @@
 //! verify without holding the server's index), exposed uniformly through
 //! [`verify_proof`].
 
+use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -298,6 +299,20 @@ pub fn verify_range_proof(
     start: &[u8],
     end: &[u8],
     entries: &[(Vec<u8>, Vec<u8>)],
+    proof: &IndexProof,
+) -> bool {
+    verify_range_entries(kind, root, start, end, entries, proof)
+}
+
+/// [`verify_range_proof`] over entries held by value or by reference, so a
+/// caller that splits one answer into parts (a cross-shard merge) borrows
+/// each entry instead of copying it.
+pub fn verify_range_entries<E: Borrow<(Vec<u8>, Vec<u8>)>>(
+    kind: SiriKind,
+    root: Hash,
+    start: &[u8],
+    end: &[u8],
+    entries: &[E],
     proof: &IndexProof,
 ) -> bool {
     match kind {

@@ -21,13 +21,16 @@
 //! 5.3); the block hash and journal root are fields of the digest the client
 //! already pinned, so a read proof carries nothing for them.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use spitz_crypto::{leaf_hash, Hash, MerkleTree};
 use spitz_index::codec;
-use spitz_index::siri::{collect_reachable, verify_proof, verify_range_proof, SiriIndex, SiriKind};
+use spitz_index::siri::{
+    collect_reachable, verify_proof, verify_range_entries, SiriIndex, SiriKind,
+};
 use spitz_index::{verify_multi_proof, IndexProof, MerkleBucketTree, MerklePatriciaTrie, PosTree};
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, StorageError};
 
@@ -143,13 +146,19 @@ pub struct BlockCost {
 /// **complete**: the claimed entries must be exactly the ledger's contents
 /// in `start <= key < end` — a server can neither forge an entry nor
 /// silently omit one.
+///
+/// The index proof carries only what the client cannot compute from the
+/// answer. For the default POS-tree that is the internal nodes of the
+/// scan's descent and, of each leaf astride `start` or `end`, its entries
+/// outside the range; the verifier rebuilds every leaf from the answer
+/// (see `spitz_index::pos_tree`). MPT and MBT proofs reveal whole nodes.
 #[derive(Debug, Clone)]
 pub struct LedgerRangeProof {
     /// Inclusive lower bound of the proven range.
     pub start: Vec<u8>,
     /// Exclusive upper bound of the proven range.
     pub end: Vec<u8>,
-    /// Combined Merkle paths for all returned entries.
+    /// The index nodes of the scan, less what the entries already say.
     pub index_proof: IndexProof,
     /// The digest the proof was generated against.
     pub digest: Digest,
@@ -260,9 +269,10 @@ impl LedgerRangeProof {
 
     /// Client-side verification of a verified range read: the entries must
     /// be exactly the contiguous `start <= key < end` contents under the
-    /// proof's digest (completeness included).
-    pub fn verify(&self, entries: &[(Vec<u8>, Vec<u8>)]) -> bool {
-        verify_range_proof(
+    /// proof's digest (completeness included). The entries may be held by
+    /// value or borrowed from a larger answer.
+    pub fn verify<E: Borrow<(Vec<u8>, Vec<u8>)>>(&self, entries: &[E]) -> bool {
+        verify_range_entries(
             self.digest.index_kind,
             self.digest.index_root,
             &self.start,

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! u32 BE  body length (not counting these 4 bytes)
-//! u8      protocol version (currently 3)
+//! u8      protocol version (currently 4)
 //! u8      opcode
 //! u64 BE  request id (echoed verbatim in the response)
 //! ...     opcode-specific payload
@@ -32,7 +32,11 @@ use spitz_index::codec::{self, Reader};
 /// so the two versions refuse each other at the frame header instead.
 /// Version 3 dropped the journal proof (and its presence tag) from every
 /// point and multi proof: the digest they carry already pins the journal.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// Version 4 ships a POS-tree leaf astride a range's bounds as its
+/// out-of-range entries only; a version-3 peer would rebuild the wrong
+/// leaf and read an honest range proof as tampering, so it is refused at
+/// the frame header like every other mismatch.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Hard cap on a frame body. Anything larger is rejected from the header
 /// alone — the body is never read or allocated.

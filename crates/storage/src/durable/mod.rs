@@ -101,13 +101,14 @@
 //! The store is built so the hot read path never touches the writer lock:
 //! statistics are atomics, the read cache has its own mutex, and cold reads
 //! take the inner lock only briefly (shared) to resolve an address before
-//! reading through a per-segment handle. Steady-state `fsync` calls
-//! ([`ChunkStore::sync`]) go through dedicated file handles held outside
-//! every lock, so they stall neither readers nor the cache. The one exception is the rotation fsync of a segment being
-//! sealed: it runs under the writer lock *before* the successor segment is
-//! created, because nothing may be appended after a sealed segment until
-//! that segment is durable (a crash must only ever tear the *last*
-//! segment). Rotation happens once per [`DurableConfig::segment_target_bytes`].
+//! reading positionally through the segment's one file handle. Steady-state
+//! `fsync` calls ([`ChunkStore::sync`]) run on those handles outside every
+//! lock, so they stall neither readers nor the cache. The one exception is
+//! the rotation fsync of a segment being sealed: it runs under the writer
+//! lock *before* the successor segment is created, because nothing may be
+//! appended after a sealed segment until that segment is durable (a crash
+//! must only ever tear the *last* segment). Rotation happens once per
+//! [`DurableConfig::segment_target_bytes`].
 //!
 //! # Compaction
 //!
@@ -514,7 +515,7 @@ impl DurableChunkStore {
         stats.chunk_count = 0;
         stats.physical_bytes = 0;
         for (position, &id) in segment_ids.iter().enumerate() {
-            let segment = Segment::open_with_io(&dir, id, Arc::clone(&io))?;
+            let segment = Segment::open(&dir, id, Arc::clone(&io))?;
             let is_last = position + 1 == segment_ids.len();
             let outcome = segment.scan(is_last)?;
             inner.torn_bytes_recovered += outcome.torn_bytes;
@@ -536,7 +537,7 @@ impl DurableChunkStore {
         if inner.segments.is_empty() {
             inner
                 .segments
-                .push(Arc::new(Segment::create_with_io(&dir, 0, Arc::clone(&io))?));
+                .push(Arc::new(Segment::create(&dir, 0, Arc::clone(&io))?));
         }
         inner.next_segment = inner.segments.last().map(|s| s.id + 1).unwrap_or(1);
         // A stale manifest can under-count logical writes after a crash;
@@ -951,9 +952,7 @@ impl DurableChunkStore {
                     inner.next_segment += 1;
                     id
                 };
-                outputs.push(Segment::create_with_io(&staging, id, {
-                    Arc::clone(&self.io)
-                })?);
+                outputs.push(Segment::create(&staging, id, Arc::clone(&self.io))?);
             }
             let out = outputs.last().expect("an output segment was just ensured");
             let new_location = out.append(address, &chunk)?;
@@ -1007,17 +1006,21 @@ impl DurableChunkStore {
                 let from = staging.join(segment_file_name(out.id));
                 let to = self.dir.join(segment_file_name(out.id));
                 std::fs::rename(&from, &to).map_err(|e| StorageError::io("compact", &to, e))?;
-                published.push(Arc::new(Segment::open_with_io(&self.dir, out.id, {
-                    Arc::clone(&self.io)
-                })?));
+                published.push(Arc::new(Segment::open(
+                    &self.dir,
+                    out.id,
+                    Arc::clone(&self.io),
+                )?));
             }
             let _ = std::fs::remove_dir_all(&staging);
 
             let new_active_id = inner.next_segment;
             inner.next_segment += 1;
-            let new_active = Arc::new(Segment::create_with_io(&self.dir, new_active_id, {
-                Arc::clone(&self.io)
-            })?);
+            let new_active = Arc::new(Segment::create(
+                &self.dir,
+                new_active_id,
+                Arc::clone(&self.io),
+            )?);
 
             // Repoint surviving entries into the outputs. Entries that
             // left their victim during the pass (revived by `try_put`)
@@ -1268,9 +1271,7 @@ impl DurableChunkStore {
                     inner.next_segment += 1;
                     id
                 };
-                outputs.push(Segment::create_with_io(&staging, id, {
-                    Arc::clone(&self.io)
-                })?);
+                outputs.push(Segment::create(&staging, id, Arc::clone(&self.io))?);
             }
             let out = outputs.last().expect("an output segment was just ensured");
             moved.insert(*address, out.append(address, &chunk)?);
@@ -1300,17 +1301,21 @@ impl DurableChunkStore {
                 let from = staging.join(segment_file_name(out.id));
                 let to = self.dir.join(segment_file_name(out.id));
                 std::fs::rename(&from, &to).map_err(|e| StorageError::io("scrub", &to, e))?;
-                published.push(Arc::new(Segment::open_with_io(&self.dir, out.id, {
-                    Arc::clone(&self.io)
-                })?));
+                published.push(Arc::new(Segment::open(
+                    &self.dir,
+                    out.id,
+                    Arc::clone(&self.io),
+                )?));
             }
             let _ = std::fs::remove_dir_all(&staging);
 
             let new_active_id = inner.next_segment;
             inner.next_segment += 1;
-            let new_active = Arc::new(Segment::create_with_io(&self.dir, new_active_id, {
-                Arc::clone(&self.io)
-            })?);
+            let new_active = Arc::new(Segment::create(
+                &self.dir,
+                new_active_id,
+                Arc::clone(&self.io),
+            )?);
 
             inner.index.retain(|address, location| {
                 if !corrupt_ids.contains(&location.segment) {
@@ -1484,7 +1489,7 @@ impl ChunkStore for DurableChunkStore {
                 );
                 let id = inner.next_segment;
                 inner.next_segment += 1;
-                inner.segments.push(Arc::new(Segment::create_with_io(
+                inner.segments.push(Arc::new(Segment::create(
                     &self.dir,
                     id,
                     Arc::clone(&self.io),

@@ -1,22 +1,20 @@
 //! Segment files: append-only carriers of chunk and root records.
 //!
-//! A [`Segment`] wraps one open file handle shared by the appender (the
-//! active segment) and by random-access readers (all segments). The handle
-//! sits behind a per-segment mutex, so readers of *different* segments — and
-//! cache hits, which never reach a segment at all — proceed in parallel;
-//! only a cold read racing another cold read of the same segment serializes.
-//! A second independent handle serves `fsync`, so flushing a segment to
-//! stable storage never blocks its readers (`fsync` is per-inode, not
-//! per-descriptor). Appends are additionally serialized by the store's
-//! writer lock; the mutex only protects the seek position from interleaved
-//! reads.
+//! A [`Segment`] wraps one open file handle, its only descriptor, shared by
+//! the appender (the active segment), by random-access readers (all
+//! segments) and by `fsync`. Reads are positional (`pread`), so they move
+//! no shared seek position and take no lock: readers of one segment, of
+//! different segments, and cache hits, which never reach a segment at all,
+//! all proceed in parallel, and a sync in progress blocks none of them.
+//! The handle is opened for appending, so every write lands at the end of
+//! the file; appends are serialized by the store's writer lock.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
 use spitz_crypto::Hash;
 
 use crate::chunk::{Chunk, ChunkKind};
@@ -27,7 +25,7 @@ use super::format::{
     decode_record, decode_segment_header, encode_record, encode_root_record, encode_segment_header,
     RecordBody, SEGMENT_HEADER_LEN,
 };
-use super::io::{real_io, FsyncOutcome, SegmentIoHandle, WriteOutcome};
+use super::io::{FsyncOutcome, SegmentIoHandle, WriteOutcome};
 
 /// Location of one chunk record inside the segment set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,13 +42,13 @@ pub struct ChunkLocation {
 }
 
 /// File name of segment `id` (fixed width so lexicographic = numeric order).
-pub fn segment_file_name(id: u64) -> String {
+pub(crate) fn segment_file_name(id: u64) -> String {
     format!("seg-{id:010}.spitz")
 }
 
 /// Parse a segment id back out of a file name produced by
 /// [`segment_file_name`].
-pub fn parse_segment_file_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_segment_file_name(name: &str) -> Option<u64> {
     name.strip_prefix("seg-")?
         .strip_suffix(".spitz")?
         .parse()
@@ -63,12 +61,8 @@ pub struct Segment {
     /// Segment id (position in the manifest's segment order).
     pub id: u64,
     path: PathBuf,
-    /// Read/append handle; the mutex keeps one reader's seek+read atomic
-    /// with respect to other readers and the appender.
-    file: Mutex<File>,
-    /// Separate handle used only for `fsync`, so a sync in progress never
-    /// holds the lock readers need.
-    sync_file: File,
+    /// The one handle: positional reads, appends and `fsync`.
+    file: File,
     /// Current file length; the append offset for the active segment.
     len: AtomicU64,
     /// Fault-injection seam consulted before every append and fsync; the
@@ -90,13 +84,9 @@ pub struct ScanOutcome {
 }
 
 impl Segment {
-    /// Create a fresh segment file (fails if it already exists).
-    pub fn create(dir: &Path, id: u64) -> Result<Segment> {
-        Segment::create_with_io(dir, id, real_io())
-    }
-
-    /// [`Segment::create`] with an explicit fault-injection seam.
-    pub fn create_with_io(dir: &Path, id: u64, io: SegmentIoHandle) -> Result<Segment> {
+    /// Create a fresh segment file (fails if it already exists), writing
+    /// through the fault-injection seam `io`.
+    pub(crate) fn create(dir: &Path, id: u64, io: SegmentIoHandle) -> Result<Segment> {
         let path = dir.join(segment_file_name(id));
         let mut file = OpenOptions::new()
             .create_new(true)
@@ -107,33 +97,26 @@ impl Segment {
         let header = encode_segment_header(id);
         file.write_all(&header)
             .map_err(|e| StorageError::io("create", &path, e))?;
-        let sync_file = File::open(&path).map_err(|e| StorageError::io("create", &path, e))?;
         Ok(Segment {
             id,
             path,
-            file: Mutex::new(file),
-            sync_file,
+            file,
             len: AtomicU64::new(SEGMENT_HEADER_LEN),
             io,
         })
     }
 
-    /// Open an existing segment file and validate its header.
-    pub fn open(dir: &Path, id: u64) -> Result<Segment> {
-        Segment::open_with_io(dir, id, real_io())
-    }
-
-    /// [`Segment::open`] with an explicit fault-injection seam.
-    pub fn open_with_io(dir: &Path, id: u64, io: SegmentIoHandle) -> Result<Segment> {
+    /// Open an existing segment file and validate its header; writes go
+    /// through the fault-injection seam `io`.
+    pub(crate) fn open(dir: &Path, id: u64, io: SegmentIoHandle) -> Result<Segment> {
         let path = dir.join(segment_file_name(id));
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .append(true)
             .open(&path)
             .map_err(|e| StorageError::io("open", &path, e))?;
         let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
-        file.seek(SeekFrom::Start(0))
-            .and_then(|_| file.read_exact(&mut header))
+        file.read_exact_at(&mut header, 0)
             .map_err(|e| StorageError::io("open", &path, e))?;
         match decode_segment_header(&header) {
             Some(found) if found == id => {}
@@ -149,30 +132,23 @@ impl Segment {
             .metadata()
             .map_err(|e| StorageError::io("open", &path, e))?
             .len();
-        let sync_file = File::open(&path).map_err(|e| StorageError::io("open", &path, e))?;
         Ok(Segment {
             id,
             path,
-            file: Mutex::new(file),
-            sync_file,
+            file,
             len: AtomicU64::new(len),
             io,
         })
     }
 
     /// Path of the backing file (used by quarantine to move it aside).
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 
     /// Current file length (the append offset for the active segment).
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len.load(Ordering::Acquire)
-    }
-
-    /// True when the segment holds no records (header only).
-    pub fn is_empty(&self) -> bool {
-        self.len() <= SEGMENT_HEADER_LEN
     }
 
     /// Append pre-encoded record bytes; returns the offset they start at.
@@ -183,7 +159,7 @@ impl Segment {
     /// refusing further appends, and the reopen scan truncates the tail).
     fn append_bytes(&self, record: &[u8]) -> Result<u64> {
         let offset = self.len.load(Ordering::Acquire);
-        let mut file = self.file.lock();
+        let mut file = &self.file;
         match self.io.on_append(self.id, record.len()) {
             WriteOutcome::Full => {
                 if let Err(e) = file.write_all(record) {
@@ -223,7 +199,7 @@ impl Segment {
     }
 
     /// Append one encoded chunk record; returns its location.
-    pub fn append(&self, address: &Hash, chunk: &Chunk) -> Result<ChunkLocation> {
+    pub(crate) fn append(&self, address: &Hash, chunk: &Chunk) -> Result<ChunkLocation> {
         let record = encode_record(address, chunk);
         let offset = self.append_bytes(&record)?;
         Ok(ChunkLocation {
@@ -235,20 +211,17 @@ impl Segment {
     }
 
     /// Append one root-publication record ("root `name` → `hash`").
-    pub fn append_root(&self, name: &str, hash: &Hash) -> Result<()> {
+    pub(crate) fn append_root(&self, name: &str, hash: &Hash) -> Result<()> {
         self.append_bytes(&encode_root_record(name, hash))
             .map(|_| ())
     }
 
     /// Read back and validate the chunk record at `location`.
-    pub fn read(&self, location: &ChunkLocation) -> Result<Chunk> {
+    pub(crate) fn read(&self, location: &ChunkLocation) -> Result<Chunk> {
         let mut buf = vec![0u8; location.len as usize];
-        {
-            let mut file = self.file.lock();
-            file.seek(SeekFrom::Start(location.offset))
-                .and_then(|_| file.read_exact(&mut buf))
-                .map_err(|e| StorageError::io("read", &self.path, e))?;
-        }
+        self.file
+            .read_exact_at(&mut buf, location.offset)
+            .map_err(|e| StorageError::io("read", &self.path, e))?;
         let corrupt = |reason: String| StorageError::SegmentCorrupt {
             segment: self.id,
             offset: location.offset,
@@ -263,12 +236,12 @@ impl Segment {
         }
     }
 
-    /// Flush file contents to stable storage (`fsync`). Uses the dedicated
-    /// sync handle, so concurrent readers of this segment are not blocked.
-    pub fn sync(&self) -> Result<()> {
+    /// Flush file contents to stable storage (`fsync`). Readers take no
+    /// lock, so a sync in progress blocks none of them.
+    pub(crate) fn sync(&self) -> Result<()> {
         match self.io.on_fsync(self.id) {
             FsyncOutcome::Ok => self
-                .sync_file
+                .file
                 .sync_all()
                 .map_err(|e| StorageError::io("fsync", &self.path, e)),
             FsyncOutcome::Fail(kind) => Err(StorageError::io_synthetic(
@@ -288,14 +261,11 @@ impl Segment {
     /// back to the last intact record and the scan succeeds. The same damage
     /// anywhere else (or in a sealed segment) is corruption and fails the
     /// open.
-    pub fn scan(&self, tolerate_torn_tail: bool) -> Result<ScanOutcome> {
-        let mut bytes = Vec::new();
-        {
-            let mut file = self.file.lock();
-            file.seek(SeekFrom::Start(0))
-                .and_then(|_| file.read_to_end(&mut bytes))
-                .map_err(|e| StorageError::io("scan", &self.path, e))?;
-        }
+    pub(crate) fn scan(&self, tolerate_torn_tail: bool) -> Result<ScanOutcome> {
+        let io_error = |e| StorageError::io("scan", &self.path, e);
+        let len = self.file.metadata().map_err(io_error)?.len();
+        let mut bytes = vec![0u8; len as usize];
+        self.file.read_exact_at(&mut bytes, 0).map_err(io_error)?;
         if decode_segment_header(&bytes).is_none() {
             return Err(StorageError::SegmentCorrupt {
                 segment: self.id,
@@ -356,8 +326,8 @@ impl Segment {
 
     /// Cut the file back to `len` bytes (dropping a torn tail record).
     fn truncate_to(&self, len: u64) -> Result<()> {
-        let file = self.file.lock();
-        file.set_len(len)
+        self.file
+            .set_len(len)
             .map_err(|e| StorageError::io("truncate", &self.path, e))?;
         self.len.store(len, Ordering::Release);
         Ok(())
@@ -375,6 +345,7 @@ fn record_claimed_end(bytes: &[u8], offset: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::io::real_io;
     use crate::durable::testutil::TempDir;
 
     fn blob(data: &[u8]) -> Chunk {
@@ -384,7 +355,7 @@ mod tests {
     #[test]
     fn append_scan_read_roundtrip() {
         let dir = TempDir::new("segment-roundtrip");
-        let segment = Segment::create(dir.path(), 0).unwrap();
+        let segment = Segment::create(dir.path(), 0, real_io()).unwrap();
         let chunks: Vec<Chunk> = (0..10u8).map(|i| blob(&[i; 33])).collect();
         let mut locations = Vec::new();
         for chunk in &chunks {
@@ -394,7 +365,7 @@ mod tests {
             assert_eq!(&segment.read(location).unwrap(), chunk);
         }
 
-        let reopened = Segment::open(dir.path(), 0).unwrap();
+        let reopened = Segment::open(dir.path(), 0, real_io()).unwrap();
         let outcome = reopened.scan(true).unwrap();
         assert_eq!(outcome.torn_bytes, 0);
         assert_eq!(outcome.records.len(), 10);
@@ -408,7 +379,7 @@ mod tests {
     #[test]
     fn root_records_interleave_with_chunks_and_replay_in_order() {
         let dir = TempDir::new("segment-roots");
-        let segment = Segment::create(dir.path(), 0).unwrap();
+        let segment = Segment::create(dir.path(), 0, real_io()).unwrap();
         let chunk1 = blob(b"block one");
         let chunk2 = blob(b"block two");
         segment.append(&chunk1.address(), &chunk1).unwrap();
@@ -417,7 +388,7 @@ mod tests {
         segment.append_root("head", &chunk2.address()).unwrap();
         segment.append_root("other", &chunk1.address()).unwrap();
 
-        let reopened = Segment::open(dir.path(), 0).unwrap();
+        let reopened = Segment::open(dir.path(), 0, real_io()).unwrap();
         let outcome = reopened.scan(true).unwrap();
         assert_eq!(outcome.records.len(), 2);
         assert_eq!(
@@ -433,7 +404,7 @@ mod tests {
     #[test]
     fn reading_a_root_record_as_a_chunk_fails() {
         let dir = TempDir::new("segment-root-read");
-        let segment = Segment::create(dir.path(), 0).unwrap();
+        let segment = Segment::create(dir.path(), 0, real_io()).unwrap();
         let offset = segment.len();
         let hash = spitz_crypto::sha256(b"target");
         segment.append_root("head", &hash).unwrap();
@@ -452,7 +423,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_only_when_tolerated() {
         let dir = TempDir::new("segment-torn");
-        let segment = Segment::create(dir.path(), 3).unwrap();
+        let segment = Segment::create(dir.path(), 3, real_io()).unwrap();
         for i in 0..5u8 {
             let chunk = blob(&[i; 50]);
             segment.append(&chunk.address(), &chunk).unwrap();
@@ -466,13 +437,13 @@ mod tests {
         file.set_len(full_len - 20).unwrap();
         drop(file);
 
-        let sealed = Segment::open(dir.path(), 3).unwrap();
+        let sealed = Segment::open(dir.path(), 3, real_io()).unwrap();
         assert!(matches!(
             sealed.scan(false),
             Err(StorageError::SegmentCorrupt { segment: 3, .. })
         ));
 
-        let tail = Segment::open(dir.path(), 3).unwrap();
+        let tail = Segment::open(dir.path(), 3, real_io()).unwrap();
         let outcome = tail.scan(true).unwrap();
         assert_eq!(outcome.records.len(), 4);
         assert!(outcome.torn_bytes > 0);
@@ -481,7 +452,10 @@ mod tests {
         let chunk = blob(b"after recovery");
         let location = tail.append(&chunk.address(), &chunk).unwrap();
         assert_eq!(tail.read(&location).unwrap(), chunk);
-        let rescanned = Segment::open(dir.path(), 3).unwrap().scan(true).unwrap();
+        let rescanned = Segment::open(dir.path(), 3, real_io())
+            .unwrap()
+            .scan(true)
+            .unwrap();
         assert_eq!(rescanned.records.len(), 5);
         assert_eq!(rescanned.torn_bytes, 0);
     }
@@ -489,7 +463,7 @@ mod tests {
     #[test]
     fn torn_root_record_is_dropped_like_any_tail() {
         let dir = TempDir::new("segment-torn-root");
-        let segment = Segment::create(dir.path(), 0).unwrap();
+        let segment = Segment::create(dir.path(), 0, real_io()).unwrap();
         let chunk = blob(b"data before the root");
         segment.append(&chunk.address(), &chunk).unwrap();
         segment.append_root("head", &chunk.address()).unwrap();
@@ -501,7 +475,7 @@ mod tests {
         file.set_len(full_len - 2).unwrap(); // tear the root record's CRC
         drop(file);
 
-        let tail = Segment::open(dir.path(), 0).unwrap();
+        let tail = Segment::open(dir.path(), 0, real_io()).unwrap();
         let outcome = tail.scan(true).unwrap();
         assert_eq!(outcome.records.len(), 1, "the data record survives");
         assert!(outcome.roots.is_empty(), "the torn root must not replay");
@@ -511,7 +485,7 @@ mod tests {
     #[test]
     fn mid_file_corruption_fails_even_with_tolerance() {
         let dir = TempDir::new("segment-midflip");
-        let segment = Segment::create(dir.path(), 0).unwrap();
+        let segment = Segment::create(dir.path(), 0, real_io()).unwrap();
         for i in 0..5u8 {
             let chunk = blob(&[i; 50]);
             segment.append(&chunk.address(), &chunk).unwrap();
@@ -525,11 +499,39 @@ mod tests {
         bytes[index] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
-        let reopened = Segment::open(dir.path(), 0).unwrap();
+        let reopened = Segment::open(dir.path(), 0, real_io()).unwrap();
         assert!(matches!(
             reopened.scan(true),
             Err(StorageError::SegmentCorrupt { .. })
         ));
+    }
+
+    /// A segment holds exactly one descriptor on its file, through appends,
+    /// syncs, reads and a reopen scan.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_segment_holds_one_descriptor() {
+        fn descriptors(path: &Path) -> usize {
+            let path = std::fs::canonicalize(path).unwrap();
+            std::fs::read_dir("/proc/self/fd")
+                .unwrap()
+                .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+                .filter(|target| *target == path)
+                .count()
+        }
+        let dir = TempDir::new("segment-descriptors");
+        let segment = Segment::create(dir.path(), 0, real_io()).unwrap();
+        let chunk = blob(b"one descriptor");
+        let location = segment.append(&chunk.address(), &chunk).unwrap();
+        segment.sync().unwrap();
+        assert_eq!(segment.read(&location).unwrap(), chunk);
+        assert_eq!(descriptors(segment.path()), 1);
+        drop(segment);
+
+        let reopened = Segment::open(dir.path(), 0, real_io()).unwrap();
+        assert_eq!(reopened.scan(true).unwrap().records.len(), 1);
+        assert_eq!(reopened.read(&location).unwrap(), chunk);
+        assert_eq!(descriptors(reopened.path()), 1);
     }
 
     #[test]

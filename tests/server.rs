@@ -509,7 +509,7 @@ fn graceful_shutdown_fails_parked_subscriptions() {
 /// promises (spot checks of constants the README documents).
 #[test]
 fn protocol_constants_hold() {
-    assert_eq!(protocol::PROTOCOL_VERSION, 3);
+    assert_eq!(protocol::PROTOCOL_VERSION, 4);
     assert_eq!(protocol::MIN_BODY_LEN, 10);
     assert_eq!(protocol::MAX_FRAME_LEN, 4 * 1024 * 1024);
     assert!(ErrorCode::BadFrame.is_fatal());

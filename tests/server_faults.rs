@@ -421,9 +421,11 @@ fn runt_frames_and_bad_versions_are_typed_fatal() {
 }
 
 /// A version-1 client would read a version-2 POS-tree range proof (covered
-/// leaves travel in the answer only) as tampering, and a version-2 client
-/// would read a version-3 point proof (no journal proof) as truncated, so
-/// an older peer's request is refused with the typed version error and the
+/// leaves travel in the answer only) as tampering, a version-2 client
+/// would read a version-3 point proof (no journal proof) as truncated, and
+/// a version-3 client would read a version-4 range proof (a leaf astride a
+/// bound ships its out-of-range entries only) as tampering, so an older
+/// peer's request is refused with the typed version error and the
 /// connection closed — the server never answers it with a proof it cannot
 /// check.
 #[test]
@@ -434,8 +436,8 @@ fn version_1_range_request_is_refused_not_answered() {
     payload.extend_from_slice(b"z");
     let range = protocol::encode_frame(op::RANGE_VERIFIED, 7, &payload);
     let point = protocol::encode_frame(op::GET_VERIFIED, 8, b"a");
-    for (mut frame, old) in [(range, 1), (point, 2)] {
-        assert_eq!(frame[4], 3, "this build speaks version 3");
+    for (mut frame, old) in [(range.clone(), 1), (point, 2), (range, 3)] {
+        assert_eq!(frame[4], 4, "this build speaks version 4");
         frame[4] = old;
         let mut sock = TcpStream::connect(server.local_addr()).unwrap();
         sock.write_all(&frame).unwrap();

@@ -288,14 +288,17 @@ fn mutated_shard_range_response_is_rejected_by_the_merge() {
     assert!(!narrowed.verify(&entries));
 }
 
-/// A POS-tree range proof reveals the root, the internal nodes and the
-/// leaves that straddle a bound; a leaf wholly inside the range travels in
-/// the answer only and the verifier rebuilds it from there. Against an
-/// honest 500-entry answer every tampering below — of the answer, or of
-/// the revealed node list — must be refused, over one shard and over four.
+/// A POS-tree range proof reveals the root and the internal nodes whole.
+/// A leaf wholly inside the range travels in the answer only, and a leaf
+/// astride a bound as its out-of-range entries only; the verifier rebuilds
+/// both from the answer. Against an honest 500-entry answer every tampering
+/// below — of the answer, of the revealed node list, or of what a boundary
+/// leaf ships — must be refused, over one shard and over four. No honest
+/// proof, of any shape, ships an entry of its own answer.
 #[test]
 fn pos_range_proofs_bind_the_answer_that_stands_in_for_covered_leaves() {
     use spitz::core::proof::ShardedRangeProof;
+    use spitz::index::codec::{put_bytes, put_u32, Reader};
     type Entries = Vec<(Vec<u8>, Vec<u8>)>;
 
     fn key(i: usize) -> Vec<u8> {
@@ -303,6 +306,37 @@ fn pos_range_proofs_bind_the_answer_that_stands_in_for_covered_leaves() {
     }
     fn is_leaf(node: &[u8]) -> bool {
         node[0] == 0
+    }
+    fn leaf_entries(node: &[u8]) -> Entries {
+        let mut r = Reader::new(node);
+        assert_eq!(r.u8(), Some(0), "a leaf");
+        let entries = (0..r.u32().unwrap())
+            .map(|_| (r.bytes().unwrap().to_vec(), r.bytes().unwrap().to_vec()))
+            .collect();
+        assert!(r.is_exhausted());
+        entries
+    }
+    fn leaf_node(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+        let mut out = vec![0];
+        put_u32(&mut out, entries.len() as u32);
+        for (k, v) in entries {
+            put_bytes(&mut out, k);
+            put_bytes(&mut out, v);
+        }
+        out
+    }
+    /// True when no leaf the proof reveals holds a key of its range.
+    fn ships_no_answer(proof: &ShardedRangeProof) -> bool {
+        proof.shards.iter().all(|shard| {
+            let (start, end) = (&shard.start, &shard.end);
+            shard
+                .index_proof
+                .nodes
+                .iter()
+                .filter(|n| is_leaf(n))
+                .flat_map(|n| leaf_entries(n))
+                .all(|(k, _)| k < *start || k >= *end)
+        })
     }
 
     for shards in [1usize, 4] {
@@ -313,12 +347,14 @@ fn pos_range_proofs_bind_the_answer_that_stands_in_for_covered_leaves() {
         let mut pin = Verifier::new();
         assert!(pin.observe_sharded(&db.digest()));
 
-        let (honest, proof) = snapshot.range_verified(&key(700), &key(1200)).unwrap();
+        let (start, end) = (key(700), key(1200));
+        let (honest, proof) = snapshot.range_verified(&start, &end).unwrap();
         assert_eq!(honest.len(), 500);
         assert!(pin.verify_sharded_range(&honest, &proof), "{shards} shards");
-        // The proof no longer repeats the answer: well under half of it.
+        assert!(ships_no_answer(&proof), "{shards} shards");
+        // The proof does not repeat the answer: well under a third of it.
         let answer_bytes: usize = honest.iter().map(|(k, v)| k.len() + v.len()).sum();
-        assert!(proof.encoded_len() < answer_bytes / 2, "{shards} shards");
+        assert!(proof.encoded_len() < answer_bytes / 3, "{shards} shards");
 
         // The victim shard, the positions of its entries in the merged
         // answer, and the leaf (and that leaf's parent) each one lives in.
@@ -332,7 +368,24 @@ fn pos_range_proofs_bind_the_answer_that_stands_in_for_covered_leaves() {
         };
         let revealed = &proof.shards[victim].index_proof.nodes;
         assert!(!is_leaf(&revealed[0]), "the victim's root is internal");
-        let covered = |i: usize| !revealed.contains(path_of(i).last().unwrap());
+        // The victim's two boundary leaves: the first and the last one its
+        // part of the answer touches, shipped as their out-of-range entries.
+        let (first_leaf, last_leaf) = (
+            revealed.iter().position(|n| is_leaf(n)).unwrap(),
+            revealed.iter().rposition(|n| is_leaf(n)).unwrap(),
+        );
+        assert!(first_leaf < last_leaf);
+        let whole_first = leaf_entries(path_of(mine[0]).last().unwrap());
+        let below: Entries = whole_first
+            .iter()
+            .filter(|(k, _)| *k < start)
+            .cloned()
+            .collect();
+        assert_eq!(leaf_entries(&revealed[first_leaf]), below);
+        let boundary = |i: usize| {
+            path_of(i).last() == path_of(mine[0]).last()
+                || path_of(i).last() == path_of(*mine.last().unwrap()).last()
+        };
         // Two neighbours inside one covered leaf, and two on either side of
         // a boundary between two covered leaves, away from the bounds.
         let middle = mine.len() / 4..3 * mine.len() / 4;
@@ -341,14 +394,29 @@ fn pos_range_proofs_bind_the_answer_that_stands_in_for_covered_leaves() {
                 .clone()
                 .map(|j| (mine[j], mine[j + 1]))
                 .find(|&(a, b)| {
-                    covered(a)
-                        && covered(b)
+                    !boundary(a)
+                        && !boundary(b)
                         && (path_of(a).last() == path_of(b).last()) == same_leaf
                 })
                 .expect("a 125-entry part has both kinds of neighbours")
         };
         let (inside_a, inside_b) = pair(true);
         let (last_of_leaf, first_of_next) = pair(false);
+        // A key just above the one at `at` that lands on the victim.
+        let extra_after = |entries: &mut Entries, at: usize| {
+            let mut extra = entries[at].clone();
+            extra.0.push(0);
+            while db.route(&extra.0) != victim {
+                *extra.0.last_mut().unwrap() += 1;
+            }
+            entries.insert(at + 1, extra);
+        };
+        let ship = |proof: &mut ShardedRangeProof, leaf: usize, f: &dyn Fn(&mut Entries)| {
+            let node = &mut proof.shards[victim].index_proof.nodes[leaf];
+            let mut shipped = leaf_entries(node);
+            f(&mut shipped);
+            *node = leaf_node(&shipped);
+        };
 
         type Tamper<'a> = Box<dyn Fn(&mut Entries, &mut ShardedRangeProof) + 'a>;
         let cases: Vec<(&str, Tamper)> = vec![
@@ -370,25 +438,39 @@ fn pos_range_proofs_bind_the_answer_that_stands_in_for_covered_leaves() {
             ),
             (
                 "an extra in-range entry claimed",
-                Box::new(|entries, _| {
-                    // A key just above a real one that lands on the victim.
-                    let mut extra = entries[inside_a].clone();
-                    extra.0.push(0);
-                    while db.route(&extra.0) != victim {
-                        *extra.0.last_mut().unwrap() += 1;
-                    }
-                    entries.insert(inside_a + 1, extra);
+                Box::new(|entries, _| extra_after(entries, inside_a)),
+            ),
+            (
+                "a value bit flipped in a boundary leaf's part of the answer",
+                Box::new(|entries, _| entries[mine[0]].1[77] ^= 0x10),
+            ),
+            (
+                "a boundary leaf that also ships an in-range entry",
+                // The leaf's last entry, moved out of the answer and into
+                // the shipped part, where it would rebuild the same leaf.
+                Box::new(|entries, proof| {
+                    let moved = whole_first.last().unwrap().clone();
+                    assert!(moved.0 >= start);
+                    entries.retain(|e| *e != moved);
+                    ship(proof, first_leaf, &|shipped| shipped.push(moved.clone()));
                 }),
+            ),
+            (
+                "a boundary leaf that drops an out-of-range entry",
+                Box::new(|_, proof| ship(proof, last_leaf, &|shipped| drop(shipped.remove(0)))),
+            ),
+            (
+                "a boundary leaf paired with one claimed entry fewer",
+                Box::new(|entries, _| drop(entries.remove(mine[0]))),
+            ),
+            (
+                "a boundary leaf paired with one claimed entry more",
+                Box::new(|entries, _| extra_after(entries, mine[0])),
             ),
             (
                 "a straddling leaf omitted",
                 Box::new(|_, proof| {
-                    let nodes = &mut proof.shards[victim].index_proof.nodes;
-                    let leaf = nodes
-                        .iter()
-                        .position(|n| is_leaf(n))
-                        .expect("a revealed leaf");
-                    nodes.remove(leaf);
+                    drop(proof.shards[victim].index_proof.nodes.remove(first_leaf))
                 }),
             ),
             (
@@ -427,23 +509,54 @@ fn pos_range_proofs_bind_the_answer_that_stands_in_for_covered_leaves() {
             );
         }
 
-        // A covered leaf revealed as well, wherever it is put: at the place
-        // the scan would have met it only the canonical-form rule objects.
+        // Something shipped for a covered leaf, wherever it is put: the
+        // leaf itself, or the empty leaf a boundary leaf with nothing out
+        // of range ships. At the place the scan would have met it only the
+        // canonical-form rule objects.
         let leaf = path_of(first_of_next).pop().unwrap();
         for at in 1..=revealed.len() {
-            let mut padded = proof.clone();
-            padded.shards[victim]
-                .index_proof
-                .nodes
-                .insert(at, leaf.clone());
-            assert!(
-                !padded.verify(&honest),
-                "{shards} shards: a covered leaf also revealed, as node {at}"
-            );
+            for stowaway in [&leaf, &leaf_node(&[])] {
+                let mut padded = proof.clone();
+                padded.shards[victim]
+                    .index_proof
+                    .nodes
+                    .insert(at, stowaway.clone());
+                assert!(
+                    !padded.verify(&honest),
+                    "{shards} shards: a node shipped for a covered leaf, as node {at}"
+                );
+            }
         }
 
-        // Honest answers of every shape are accepted: nothing in range, a
-        // range inside one leaf, the whole tree.
+        // A leaf astride both bounds ships its entries on either side, the
+        // ones below `start` first; the same entries the other way round
+        // are refused.
+        let wide = middle
+            .clone()
+            .map(|j| leaf_entries(path_of(mine[j]).last().unwrap()))
+            .find(|leaf| leaf.len() >= 3)
+            .expect("a leaf of three entries");
+        let (lo, hi) = (&wide[1].0, &wide[wide.len() - 1].0);
+        let (entries, narrow) = snapshot.range_verified(lo, hi).unwrap();
+        assert!(
+            pin.verify_sharded_range(&entries, &narrow),
+            "{shards} shards"
+        );
+        let revealed = &narrow.shards[victim].index_proof.nodes;
+        let astride = revealed.iter().position(|n| is_leaf(n)).unwrap();
+        let shipped = leaf_entries(&revealed[astride]);
+        assert_eq!(shipped, [wide[0].clone(), wide[wide.len() - 1].clone()]);
+        let mut swapped = narrow.clone();
+        swapped.shards[victim].index_proof.nodes[astride] =
+            leaf_node(&[wide[wide.len() - 1].clone(), wide[0].clone()]);
+        assert!(
+            !swapped.verify(&entries),
+            "{shards} shards: shipped entries swapped"
+        );
+
+        // Honest answers of every shape are accepted and ship none of
+        // their own entries: nothing in range, a range inside one leaf,
+        // the whole tree.
         let (a, b) = (&honest[inside_a].0, &honest[inside_b].0);
         let mut gap = a.clone();
         gap.push(0);
@@ -469,18 +582,21 @@ fn pos_range_proofs_bind_the_answer_that_stands_in_for_covered_leaves() {
                 pin.verify_sharded_range(&entries, &proof),
                 "{shards} shards: {name}"
             );
+            assert!(ships_no_answer(&proof), "{shards} shards: {name}");
         }
 
-        // A tree whose root is a leaf: the root is always revealed.
+        // A tree whose root is a leaf: the root is always revealed, as its
+        // out-of-range entries.
         let small = spitz::ShardedDb::in_memory(shards);
         small
             .put_batch((0..3).map(|i| (key(i), vec![7; 16])).collect())
             .unwrap();
-        let (entries, proof) = small.range_verified(&key(0), &key(9)).unwrap();
-        assert_eq!(entries.len(), 3);
+        let (entries, proof) = small.range_verified(&key(1), &key(9)).unwrap();
+        assert_eq!(entries.len(), 2);
         assert!(proof.verify(&entries), "{shards} shards: root is a leaf");
+        assert!(ships_no_answer(&proof), "{shards} shards: root is a leaf");
         assert!(
-            !proof.verify(&entries[..2]),
+            !proof.verify(&entries[..1]),
             "{shards} shards: root is a leaf"
         );
     }
