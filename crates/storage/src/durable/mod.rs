@@ -110,36 +110,40 @@
 //! must only ever tear the *last* segment). Rotation happens once per
 //! [`DurableConfig::segment_target_bytes`].
 //!
-//! # Compaction
+//! # Compaction and scrub
 //!
 //! The log is append-only, so superseded index nodes, rolled-back blocks
 //! and aborted staging chunks accumulate until
-//! [`DurableChunkStore::compact_with`] sweeps them. The pass is mark-sweep
-//! over *sealed* segments:
+//! [`DurableChunkStore::compact_with`] sweeps them, and a segment that fails
+//! its CRC walk stays in place until [`DurableChunkStore::scrub`] excises
+//! it. Both passes retire *sealed* segments — **victims** — through one
+//! excision routine:
 //!
-//! 1. Every sealed segment becomes a **victim**; re-appends of
-//!    victim-resident chunks start diverting to the active segment (see
-//!    `DurableInner::compacting`) *before* the caller-supplied mark closure
-//!    computes the live set, so a chunk resurrected mid-pass can never be
-//!    lost.
-//! 2. Live victim chunks are rewritten into fresh, fsynced output segments
+//! 1. Re-appends of victim-resident chunks start diverting to the active
+//!    segment (see `DurableInner::compacting`) *before* the pass plans what
+//!    to carry — compaction plans from its caller-supplied mark closure —
+//!    so a chunk resurrected mid-pass can never be lost.
+//! 2. The planned chunks are rewritten into fresh, fsynced output segments
 //!    staged in a subdirectory (`compact-tmp/`), keeping the store
 //!    directory's "only the last segment may be torn" invariant intact at
-//!    every crash point.
-//! 3. Under the writer lock: the active segment is sealed and fsynced like
-//!    a rotation, the outputs are renamed into the store directory, a new
-//!    active segment with the highest id is created, and the index is
-//!    repointed (entries whose only copy was unreachable are dropped).
-//!    Readers that already resolved a victim location keep their
-//!    `Arc<Segment>` and its open file descriptor, so they are never
-//!    blocked or broken.
+//!    every crash point. A record that no longer reads back fails
+//!    compaction; for scrub it is a lost chunk.
+//! 3. Under the writer lock: the active segment is sealed exactly like a
+//!    rotation (fsync, then a new active segment with the highest id), the
+//!    outputs are renamed into the store directory, and the index is
+//!    repointed (entries with no rewritten copy are dropped). Readers that
+//!    already resolved a victim location keep their `Arc<Segment>` and its
+//!    open file descriptor, so they are never blocked or broken.
 //! 4. The manifest — now listing the outputs and carrying the victims as
-//!    `condemned` — is made durable (fsync + rename + directory fsync);
-//!    **only then** are the victim files deleted. A crash anywhere earlier
+//!    `condemned` (compaction) or `quarantined` (scrub) — is made durable
+//!    (fsync + rename + directory fsync); **only then** are the victim
+//!    files deleted or moved into `quarantine/`. A crash anywhere earlier
 //!    reopens from the old manifest with the victims intact (outputs are
 //!    redundant copies, adopted harmlessly or discarded); a crash after the
-//!    manifest but before deletion has the open path delete the condemned
-//!    files itself.
+//!    manifest has the open path finish the disposal itself.
+//!
+//! A failure after the seal leaves the files and the in-memory state out
+//! of step, so it turns the store read-only until a reopen.
 
 pub mod cache;
 pub mod format;
@@ -147,6 +151,7 @@ pub mod io;
 pub mod manifest;
 pub mod segment;
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -156,7 +161,7 @@ use parking_lot::{Mutex, RwLock};
 use spitz_crypto::Hash;
 use spitz_obs::TelemetryHandle;
 
-use crate::chunk::{Chunk, ChunkKind};
+use crate::chunk::Chunk;
 use crate::error::{IoErrorKind, StorageError};
 use crate::store::{ChunkStore, HealthState, StoreStats};
 use crate::Result;
@@ -166,13 +171,89 @@ use io::{real_io, SegmentIoHandle};
 use manifest::Manifest;
 use segment::{parse_segment_file_name, segment_file_name, ChunkLocation, Segment};
 
-/// Subdirectory where compaction stages its output segments until the swap.
+/// Subdirectory where compaction and scrub stage their output segments
+/// until the swap.
 const COMPACT_STAGING_DIR: &str = "compact-tmp";
 
 /// Subdirectory where scrub moves corrupt segment files. Unlike condemned
 /// segments (deleted — their contents live on elsewhere), quarantined files
 /// are *evidence* of corruption and are preserved for offline forensics.
 const QUARANTINE_DIR: &str = "quarantine";
+
+/// How a pass retires its victim segments: the one thing compaction and
+/// scrub do differently once they share [`DurableChunkStore::excise`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Retire {
+    /// Compaction: the victims are intact, so an unreadable record fails
+    /// the pass, and their files are deleted (`condemned`).
+    Condemn,
+    /// Scrub: the victims are corrupt, so an unreadable record is a lost
+    /// chunk, and their files move into [`QUARANTINE_DIR`] (`quarantined`).
+    Quarantine,
+}
+
+impl Retire {
+    /// Operation name carried by errors and health reasons.
+    fn op(self) -> &'static str {
+        match self {
+            Retire::Condemn => "compact",
+            Retire::Quarantine => "scrub",
+        }
+    }
+
+    /// Excised segments of this kind whose files may still be in the store
+    /// directory.
+    fn pending(self, inner: &mut DurableInner) -> &mut Vec<u64> {
+        match self {
+            Retire::Condemn => &mut inner.condemned,
+            Retire::Quarantine => &mut inner.quarantined,
+        }
+    }
+
+    /// Delete or quarantine the files of excised segments `ids` — only ever
+    /// once a durable manifest has dropped them — and return the ids whose
+    /// file is still in place, for a later pass or open to retry.
+    fn dispose(self, dir: &Path, mut ids: Vec<u64>) -> Vec<u64> {
+        ids.retain(|&id| {
+            let path = dir.join(segment_file_name(id));
+            let disposed = match self {
+                Retire::Condemn => std::fs::remove_file(&path),
+                Retire::Quarantine => {
+                    let quarantine = dir.join(QUARANTINE_DIR);
+                    std::fs::create_dir_all(&quarantine).and_then(|()| {
+                        std::fs::rename(&path, quarantine.join(segment_file_name(id)))
+                    })
+                }
+            };
+            matches!(disposed, Err(e) if e.kind() != std::io::ErrorKind::NotFound)
+        });
+        ids
+    }
+}
+
+/// What one [`DurableChunkStore::excise`] did.
+struct Excision {
+    /// Ids of the output segments the carried chunks were rewritten into.
+    outputs: Vec<u64>,
+    /// Chunks rewritten into the outputs.
+    moved: u64,
+    /// Record bytes written into the outputs.
+    bytes_rewritten: u64,
+    /// Size of the output files, headers included.
+    output_bytes: u64,
+    /// Index entries dropped with the victims (no rewritten copy).
+    dropped: u64,
+}
+
+/// Lowers the revive guard (`DurableInner::compacting`) however an
+/// excision ends.
+struct ReviveGuard<'a>(&'a RwLock<DurableInner>);
+
+impl Drop for ReviveGuard<'_> {
+    fn drop(&mut self) {
+        self.0.write().compacting = None;
+    }
+}
 
 /// Maximum retries of a transiently-failing append or fsync (on top of the
 /// initial attempt), with 1/2/4 ms exponential backoff between them.
@@ -257,21 +338,19 @@ struct DurableInner {
     roots: std::collections::BTreeMap<String, Hash>,
     /// Bytes dropped as torn tail records during the last open.
     torn_bytes_recovered: u64,
-    /// Victims of a completed compaction whose files may still exist: the
-    /// durable manifest no longer lists them as segments, but the process
-    /// may die between that manifest landing and the files being deleted.
-    /// The open path deletes them and never adopts them.
+    /// Victims of a completed compaction (`condemned`, to be deleted) or
+    /// scrub (`quarantined`, to be moved into the quarantine directory)
+    /// whose files may still exist: the durable manifest no longer lists
+    /// them as segments, but the process may die before the disposal. The
+    /// open path finishes it and never adopts them.
     condemned: Vec<u64>,
-    /// While a compaction pass runs: the ids of its victim segments.
-    /// `try_put` consults this so a dedup hit on a chunk whose only copy
-    /// sits in a victim re-appends the chunk to the active segment instead
-    /// of reviving a location the sweep may be about to delete.
-    compacting: Option<HashSet<u64>>,
-    /// Segments a scrub excised whose files have not yet been moved into
-    /// the quarantine directory. Mirrors `condemned`: the durable manifest
-    /// no longer lists them as segments, and the open path finishes the
-    /// move if this process dies first.
     quarantined: Vec<u64>,
+    /// While a compaction or scrub pass runs: the ids of its victim
+    /// segments (the revive guard). `try_put` consults this so a dedup hit
+    /// on a chunk whose only copy sits in a victim re-appends the chunk to
+    /// the active segment instead of reviving a location the pass may be
+    /// about to excise.
+    compacting: Option<HashSet<u64>>,
 }
 
 /// An fsync slower than this is rare enough — and operationally important
@@ -409,7 +488,7 @@ pub enum CompactionFault {
     /// Fail after rewriting live chunks but before the manifest swap.
     BeforeSwap,
     /// Fail after the swapped manifest is durable but before the victim
-    /// segment files are deleted.
+    /// segment files are deleted (or, for scrub, quarantined).
     BeforeDelete,
 }
 
@@ -426,24 +505,16 @@ impl DurableChunkStore {
 
     /// Open (or create) a store in `dir` with explicit tuning.
     pub fn open_with_config(dir: impl AsRef<Path>, config: DurableConfig) -> Result<Self> {
-        Self::open_with_telemetry(dir, config, TelemetryHandle::disabled())
+        Self::open_with_io(dir, config, TelemetryHandle::disabled(), real_io())
     }
 
-    /// [`Self::open_with_config`], recording into `telemetry`: append/read
+    /// [`Self::open_with_config`], recording into `telemetry` (append/read
     /// latency, cache hit/miss, fsync latency, space amplification, and
-    /// rare events (torn-tail recoveries, compaction passes, slow fsyncs).
-    pub fn open_with_telemetry(
-        dir: impl AsRef<Path>,
-        config: DurableConfig,
-        telemetry: TelemetryHandle,
-    ) -> Result<Self> {
-        Self::open_with_io(dir, config, telemetry, real_io())
-    }
-
-    /// [`Self::open_with_telemetry`] with an explicit [`io::SegmentIo`]
-    /// seam installed under every segment file — the entry point fault
-    /// schedules use to exercise torn writes, bit flips, `ENOSPC`,
-    /// transient `EIO` and fsync failures against the real recovery code.
+    /// rare events: torn-tail recoveries, compaction passes, slow fsyncs)
+    /// with an explicit [`io::SegmentIo`] seam installed under every
+    /// segment file — the entry point fault schedules use to exercise torn
+    /// writes, bit flips, `ENOSPC`, transient `EIO` and fsync failures
+    /// against the real recovery code.
     pub fn open_with_io(
         dir: impl AsRef<Path>,
         config: DurableConfig,
@@ -460,53 +531,27 @@ impl DurableChunkStore {
 
         let manifest = Manifest::load(&dir)?.unwrap_or_default();
 
-        // Clean up after a compaction the previous process did not finish.
-        // Staged outputs never made it into the manifest, so they hold
-        // nothing the surviving segments do not; condemned files are the
-        // opposite — the manifest already dropped them, only their deletion
-        // was interrupted. Ids that still cannot be deleted stay condemned
-        // so a later open retries.
+        // Clean up after a compaction or scrub the previous process did not
+        // finish. Staged outputs never made it into the manifest, so they
+        // hold nothing the surviving segments do not; excised victims are
+        // the opposite — the manifest already dropped them, only their
+        // disposal was interrupted. Ids whose disposal still fails stay
+        // listed so a later open retries.
         let staging = dir.join(COMPACT_STAGING_DIR);
         if staging.exists() {
             std::fs::remove_dir_all(&staging).map_err(|e| StorageError::io("open", &staging, e))?;
         }
-        let mut condemned = manifest.condemned.clone();
-        condemned.retain(|&id| {
-            let path = dir.join(segment_file_name(id));
-            match std::fs::remove_file(&path) {
-                Ok(()) => false,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
-                Err(_) => true,
-            }
-        });
-        // Finish an interrupted quarantine the same way: the manifest
-        // already dropped these segments, only the move into `quarantine/`
-        // was cut short. Ids whose move still fails stay listed for retry.
-        let mut quarantined = manifest.quarantined.clone();
-        quarantined.retain(|&id| {
-            let from = dir.join(segment_file_name(id));
-            if !from.exists() {
-                return false;
-            }
-            let quarantine = dir.join(QUARANTINE_DIR);
-            if std::fs::create_dir_all(&quarantine).is_err() {
-                return true;
-            }
-            std::fs::rename(&from, quarantine.join(segment_file_name(id))).is_err()
-        });
-
-        let segment_ids = discover_segments(&dir, &manifest)?;
-
         let mut inner = DurableInner {
             index: HashMap::new(),
             segments: Vec::new(),
             next_segment: 0,
             roots: manifest.roots.clone(),
             torn_bytes_recovered: 0,
-            condemned,
+            condemned: Retire::Condemn.dispose(&dir, manifest.condemned.clone()),
+            quarantined: Retire::Quarantine.dispose(&dir, manifest.quarantined.clone()),
             compacting: None,
-            quarantined,
         };
+        let segment_ids = discover_segments(&dir, &manifest)?;
         let mut stats = manifest.stats;
 
         // Rebuild the address index by scanning every segment and replay
@@ -522,7 +567,8 @@ impl DurableChunkStore {
             for (address, location) in outcome.records {
                 // Later duplicates of an address are re-appends of identical
                 // content; keep the first location.
-                if inner.index.try_insert_location(address, location) {
+                if let Entry::Vacant(slot) = inner.index.entry(address) {
+                    slot.insert(location);
                     stats.chunk_count += 1;
                     stats.physical_bytes += location_storage_size(&location);
                 }
@@ -565,15 +611,9 @@ impl DurableChunkStore {
         };
         store.stats.store(stats);
         store.obs.health.set(HealthState::Healthy as i64);
-        if stats.live_bytes > 0 {
-            // A previous process ran a mark pass; carry its measurement
-            // into the gauge so the ratio is meaningful from reopen.
-            let disk: u64 = store.inner.read().segments.iter().map(|s| s.len()).sum();
-            store
-                .obs
-                .space_amp
-                .set(disk as f64 / stats.live_bytes as f64);
-        }
+        // A previous process may have run a mark pass; carry its
+        // measurement into the gauge so the ratio is meaningful from reopen.
+        store.record_space_amp();
         let torn = store.inner.read().torn_bytes_recovered;
         if torn > 0 {
             store.obs.telemetry.event(
@@ -591,14 +631,9 @@ impl DurableChunkStore {
     }
 
     /// The telemetry handle the store records into (inert unless the store
-    /// was opened via [`Self::open_with_telemetry`]).
+    /// was opened via [`Self::open_with_io`] with a live handle).
     pub fn telemetry(&self) -> &TelemetryHandle {
         &self.obs.telemetry
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The configuration the store was opened with.
@@ -619,17 +654,6 @@ impl DurableChunkStore {
     /// `(hits, misses)` of the read-through cache since open.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.lock().hit_stats()
-    }
-
-    /// Total number of distinct chunks of a particular kind (diagnostics,
-    /// mirrors [`crate::store::InMemoryChunkStore::count_kind`]).
-    pub fn count_kind(&self, kind: ChunkKind) -> usize {
-        self.inner
-            .read()
-            .index
-            .values()
-            .filter(|location| location.kind == kind)
-            .count()
     }
 
     /// Force segment contents and the manifest to stable storage.
@@ -774,12 +798,54 @@ impl DurableChunkStore {
                     &format!("transient I/O retries exhausted during {context}"),
                 );
             }
-            IoErrorKind::Other => {
-                self.raise_health(
-                    HealthState::ReadOnly,
-                    &format!("{context} failed ({e}); refusing further writes"),
-                );
-            }
+            IoErrorKind::Other => self.fail_stop(err, context),
+        }
+    }
+
+    /// Refuse further writes after `err` left the files and the in-memory
+    /// state out of step. Reads keep serving; a reopen re-establishes the
+    /// invariants.
+    fn fail_stop(&self, err: &StorageError, context: &str) {
+        self.raise_health(
+            HealthState::ReadOnly,
+            &format!("{context} failed ({err}); refusing further writes"),
+        );
+    }
+
+    /// Seal the active segment under the writer lock: fsync it (transient
+    /// failures retried, others fail-stop the store), advance
+    /// `first_unsynced` past it, and make a fresh segment with the next id
+    /// the active one. Nothing may be appended above a segment until it is
+    /// durable, or a crash could tear a segment that is not the last.
+    /// Rotation and both passes' swaps seal here; a failure once the fsync
+    /// succeeded fail-stops the store.
+    fn seal_active(&self, inner: &mut DurableInner, context: &str) -> Result<()> {
+        let active = Arc::clone(inner.segments.last().expect("active segment exists"));
+        self.retry_transient(|| active.sync())
+            .inspect_err(|e| self.note_write_failure(e, context))?;
+        let id = inner.next_segment;
+        inner.next_segment += 1;
+        // Ids between the two belong to a pass's staged outputs, which are
+        // fsynced before they are published.
+        let _ = self.first_unsynced.compare_exchange(
+            active.id,
+            id,
+            Ordering::AcqRel,
+            Ordering::Relaxed,
+        );
+        let successor = Segment::create(&self.dir, id, Arc::clone(&self.io))
+            .inspect_err(|e| self.fail_stop(e, context))?;
+        inner.segments.push(Arc::new(successor));
+        Ok(())
+    }
+
+    /// Refresh the space-amplification gauge from the last mark pass's
+    /// live bytes (nothing to report before the first one).
+    fn record_space_amp(&self) {
+        let live_bytes = self.stats.live_bytes.load(Ordering::Relaxed);
+        if live_bytes > 0 {
+            let disk: u64 = self.inner.read().segments.iter().map(|s| s.len()).sum();
+            self.obs.space_amp.set(disk as f64 / live_bytes as f64);
         }
     }
 
@@ -863,48 +929,20 @@ impl DurableChunkStore {
         self.ensure_writable()?;
         let _serialize = self.compaction.lock();
 
-        // Fix the victim set — every sealed segment — and install the
-        // revive guard *before* `mark` runs, closing the window where a
-        // dedup hit could resurrect a chunk the sweep is about to drop.
-        let victims: Vec<Arc<Segment>> = {
-            let mut inner = self.inner.write();
-            if inner.segments.len() <= 1 {
-                return Ok(None);
-            }
-            let victims = inner.segments[..inner.segments.len() - 1].to_vec();
-            inner.compacting = Some(victims.iter().map(|s| s.id).collect());
-            victims
+        // Every sealed segment is a victim.
+        let victims: Vec<Arc<Segment>> = match self.inner.read().segments.split_last() {
+            Some((_active, sealed)) if !sealed.is_empty() => sealed.to_vec(),
+            _ => return Ok(None),
         };
-        let result = self.compact_victims(&victims, mark, fault);
-        if result.is_err() {
-            // Leave the store writable: stop diverting re-appends. After a
-            // successful swap this is already `None`; on a pre-swap error
-            // nothing was swapped and the victims stay live.
-            self.inner.write().compacting = None;
-        }
-        result
-    }
-
-    fn compact_victims<F>(
-        &self,
-        victims: &[Arc<Segment>],
-        mark: F,
-        fault: CompactionFault,
-    ) -> Result<Option<CompactionReport>>
-    where
-        F: FnOnce() -> Result<HashSet<Hash>>,
-    {
-        let victim_ids: HashSet<u64> = victims.iter().map(|s| s.id).collect();
         let victim_bytes: u64 = victims.iter().map(|s| s.len()).sum();
 
         // Mark: compute reachability, then plan which victim records must
         // move. The store-wide live-byte count falls out of the same walk.
-        let live = mark()?;
-        let (plan, live_bytes) = {
-            let inner = self.inner.read();
+        let plan = |victim_ids: &HashSet<u64>| {
+            let live = mark()?;
             let mut plan: Vec<(Hash, ChunkLocation)> = Vec::new();
             let mut live_bytes = 0u64;
-            for (address, location) in &inner.index {
+            for (address, location) in &self.inner.read().index {
                 if !live.contains(address) {
                     continue;
                 }
@@ -913,207 +951,22 @@ impl DurableChunkStore {
                     plan.push((*address, *location));
                 }
             }
-            // Sequential read order within each victim file.
-            plan.sort_unstable_by_key(|(_, location)| (location.segment, location.offset));
-            (plan, live_bytes)
+            self.stats.live_bytes.store(live_bytes, Ordering::Relaxed);
+            self.record_space_amp();
+            Ok(plan)
         };
-        self.stats.live_bytes.store(live_bytes, Ordering::Relaxed);
-        if live_bytes > 0 {
-            let disk: u64 = self.inner.read().segments.iter().map(|s| s.len()).sum();
-            self.obs.space_amp.set(disk as f64 / live_bytes as f64);
-        }
+        let excision = self.excise(&victims, plan, Retire::Condemn, fault)?;
 
-        // Sweep, step 1 — rewrite live victim chunks into fsynced output
-        // segments staged in a subdirectory: until the swap they are
-        // invisible to segment discovery, so the store directory keeps its
-        // "only the last segment may be torn" invariant at every crash
-        // point. Output ids come from `next_segment` so they are unique,
-        // but a rotation can interleave — ids stay globally ordered either
-        // way.
-        let staging = self.dir.join(COMPACT_STAGING_DIR);
-        let _ = std::fs::remove_dir_all(&staging);
-        std::fs::create_dir_all(&staging).map_err(|e| StorageError::io("compact", &staging, e))?;
-        let mut outputs: Vec<Segment> = Vec::new();
-        let mut moved: HashMap<Hash, ChunkLocation> = HashMap::new();
-        let mut bytes_rewritten = 0u64;
-        for (address, location) in &plan {
-            let position = victims
-                .binary_search_by_key(&location.segment, |s| s.id)
-                .expect("plan entries point into victim segments");
-            let chunk = victims[position].read(location)?;
-            let needs_new_output = match outputs.last() {
-                Some(out) => out.len() >= self.config.segment_target_bytes,
-                None => true,
-            };
-            if needs_new_output {
-                let id = {
-                    let mut inner = self.inner.write();
-                    let id = inner.next_segment;
-                    inner.next_segment += 1;
-                    id
-                };
-                outputs.push(Segment::create(&staging, id, Arc::clone(&self.io))?);
-            }
-            let out = outputs.last().expect("an output segment was just ensured");
-            let new_location = out.append(address, &chunk)?;
-            bytes_rewritten += new_location.len as u64;
-            moved.insert(*address, new_location);
-        }
-        for out in &outputs {
-            out.sync()?;
-        }
-        let output_bytes: u64 = outputs.iter().map(|s| s.len()).sum();
-        if fault == CompactionFault::BeforeSwap {
-            return Err(StorageError::io_synthetic(
-                IoErrorKind::Other,
-                "compact",
-                "injected compaction fault before manifest swap",
-            ));
-        }
-
-        // Sweep, step 2 — the swap, under the writer lock. The active
-        // segment is sealed and fsynced exactly like a rotation (nothing
-        // may be appended above a non-durable segment), the outputs are
-        // renamed into the store directory, a fresh active segment with
-        // the highest id is created, and the index is repointed. A crash
-        // anywhere in here reopens from the *old* manifest: victims are
-        // still listed, outputs are adopted as redundant copies that the
-        // first-wins scan ignores, and only the highest-numbered segment
-        // can carry a torn tail.
-        let mut report = CompactionReport {
+        let report = CompactionReport {
             victim_segments: victims.iter().map(|s| s.id).collect(),
-            output_segments: outputs.iter().map(|s| s.id).collect(),
-            live_chunks_rewritten: plan.len() as u64,
-            bytes_rewritten,
-            bytes_reclaimed: victim_bytes.saturating_sub(output_bytes),
-            ..CompactionReport::default()
+            output_segments: excision.outputs,
+            live_chunks_rewritten: excision.moved,
+            chunks_dropped: excision.dropped,
+            bytes_rewritten: excision.bytes_rewritten,
+            bytes_reclaimed: victim_bytes.saturating_sub(excision.output_bytes),
         };
-        let mut dropped: Vec<Hash> = Vec::new();
-        let mut dropped_bytes = 0u64;
-        {
-            let mut inner = self.inner.write();
-            let active = Arc::clone(inner.segments.last().expect("active segment exists"));
-            active.sync()?;
-            let _ = self.first_unsynced.compare_exchange(
-                active.id,
-                active.id + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
-
-            let mut published: Vec<Arc<Segment>> = Vec::new();
-            for out in &outputs {
-                let from = staging.join(segment_file_name(out.id));
-                let to = self.dir.join(segment_file_name(out.id));
-                std::fs::rename(&from, &to).map_err(|e| StorageError::io("compact", &to, e))?;
-                published.push(Arc::new(Segment::open(
-                    &self.dir,
-                    out.id,
-                    Arc::clone(&self.io),
-                )?));
-            }
-            let _ = std::fs::remove_dir_all(&staging);
-
-            let new_active_id = inner.next_segment;
-            inner.next_segment += 1;
-            let new_active = Arc::new(Segment::create(
-                &self.dir,
-                new_active_id,
-                Arc::clone(&self.io),
-            )?);
-
-            // Repoint surviving entries into the outputs. Entries that
-            // left their victim during the pass (revived by `try_put`)
-            // already point elsewhere and pass through untouched; entries
-            // still in a victim with no moved copy are unreachable.
-            inner.index.retain(|address, location| {
-                if !victim_ids.contains(&location.segment) {
-                    return true;
-                }
-                match moved.get(address) {
-                    Some(new_location) => {
-                        *location = *new_location;
-                        true
-                    }
-                    None => {
-                        dropped.push(*address);
-                        dropped_bytes += location_storage_size(location);
-                        false
-                    }
-                }
-            });
-
-            let mut segments: Vec<Arc<Segment>> = inner
-                .segments
-                .iter()
-                .filter(|s| !victim_ids.contains(&s.id))
-                .cloned()
-                .collect();
-            segments.extend(published);
-            segments.push(new_active);
-            segments.sort_unstable_by_key(|s| s.id);
-            inner.segments = segments;
-            inner.condemned.extend(victim_ids.iter().copied());
-            inner.condemned.sort_unstable();
-            inner.condemned.dedup();
-            inner.compacting = None;
-            self.first_unsynced
-                .fetch_max(new_active_id, Ordering::AcqRel);
-        }
-        report.chunks_dropped = dropped.len() as u64;
-        self.stats
-            .chunk_count
-            .fetch_sub(dropped.len() as u64, Ordering::Relaxed);
-        self.stats
-            .physical_bytes
-            .fetch_sub(dropped_bytes, Ordering::Relaxed);
-        {
-            // Stale cache entries for swept chunks must go: the store no
-            // longer holds them, so the cache must not serve them either.
-            let mut cache = self.cache.lock();
-            for address in &dropped {
-                cache.remove(address);
-            }
-        }
-
-        // Sweep, step 3 — make the swap durable, then delete the victims.
-        // The new manifest no longer lists the victims as segments and
-        // records them as condemned; their files may only disappear once
-        // that manifest (and the renamed output files' directory entries)
-        // are on stable storage.
-        std::fs::File::open(&self.dir)
-            .and_then(|d| d.sync_all())
-            .map_err(|e| StorageError::io("compact", &self.dir, e))?;
-        self.write_manifest()?;
-        if fault == CompactionFault::BeforeDelete {
-            return Err(StorageError::io_synthetic(
-                IoErrorKind::Other,
-                "compact",
-                "injected compaction fault before victim deletion",
-            ));
-        }
-        let mut deleted: Vec<u64> = Vec::new();
-        for &id in &report.victim_segments {
-            let path = self.dir.join(segment_file_name(id));
-            match std::fs::remove_file(&path) {
-                Ok(()) => deleted.push(id),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => deleted.push(id),
-                // Keep it condemned; the next pass or open retries.
-                Err(_) => {}
-            }
-        }
-        {
-            let mut inner = self.inner.write();
-            inner.condemned.retain(|id| !deleted.contains(id));
-        }
-        self.write_manifest()?;
-
         self.obs.compactions.inc();
-        let live_bytes = self.stats.live_bytes.load(Ordering::Relaxed);
-        if live_bytes > 0 {
-            let disk: u64 = self.inner.read().segments.iter().map(|s| s.len()).sum();
-            self.obs.space_amp.set(disk as f64 / live_bytes as f64);
-        }
+        self.record_space_amp();
         self.obs.telemetry.event(
             "compaction",
             format!(
@@ -1136,12 +989,11 @@ impl DurableChunkStore {
     /// A corrupt segment is **quarantined**, not abandoned: every indexed
     /// chunk still living in it is re-read record by record (the per-record
     /// CRC decides salvageable vs lost), intact chunks are rewritten into
-    /// fresh fsynced segments through the same staged-swap path compaction
-    /// uses, and the damaged file is then moved into `quarantine/` for
-    /// forensics. The swap follows the condemned-manifest protocol — the
-    /// manifest drops the segment and records it as quarantined *before*
-    /// the file moves, so a crash at any point either reopens with the
-    /// segment intact or finishes the move on open, never both copies.
+    /// fresh fsynced segments through the same staged swap compaction uses,
+    /// and the damaged file is then moved into `quarantine/` for forensics.
+    /// The manifest drops the segment and records it as quarantined
+    /// *before* the file moves, so a crash at any point either reopens with
+    /// the segment intact or finishes the move on open, never both copies.
     ///
     /// Chunks whose records are damaged are dropped from the index (reads
     /// return [`StorageError::ChunkNotFound`] instead of a misleading
@@ -1153,6 +1005,11 @@ impl DurableChunkStore {
     /// Serialized with compaction (both rewrite the segment set); readers
     /// are never blocked for longer than one segment's CRC walk.
     pub fn scrub(&self) -> Result<ScrubReport> {
+        self.scrub_with_fault(CompactionFault::None)
+    }
+
+    /// [`Self::scrub`] with an injected crash point.
+    fn scrub_with_fault(&self, fault: CompactionFault) -> Result<ScrubReport> {
         // Same gate as compaction: quarantine rewrites the segment set and
         // seals the active segment, neither of which a read-only store may
         // do (and a desynced active tail must stay *last* so reopen can
@@ -1160,16 +1017,9 @@ impl DurableChunkStore {
         self.ensure_writable()?;
         let _serialize = self.compaction.lock();
 
-        let sealed: Vec<Arc<Segment>> = {
-            let inner = self.inner.read();
-            match inner.segments.split_last() {
-                Some((_active, sealed)) => sealed.to_vec(),
-                None => Vec::new(),
-            }
-        };
-        let mut report = ScrubReport {
-            segments_scanned: sealed.len() as u64,
-            ..ScrubReport::default()
+        let sealed: Vec<Arc<Segment>> = match self.inner.read().segments.split_last() {
+            Some((_active, sealed)) => sealed.to_vec(),
+            None => Vec::new(),
         };
         let mut corrupt: Vec<Arc<Segment>> = Vec::new();
         for segment in &sealed {
@@ -1183,25 +1033,43 @@ impl DurableChunkStore {
             }
         }
         self.obs.scrub_passes.inc();
+        let mut report = ScrubReport {
+            segments_scanned: sealed.len() as u64,
+            ..ScrubReport::default()
+        };
         if corrupt.is_empty() {
             return Ok(report);
         }
 
-        // Divert dedup hits away from the corrupt segments for the length
-        // of the salvage, exactly like compaction's revive guard: a put
-        // whose only existing copy sits in a segment about to be excised
-        // must re-append, not trust a location that may be lost.
-        let corrupt_ids: HashSet<u64> = corrupt.iter().map(|s| s.id).collect();
-        {
-            let mut inner = self.inner.write();
-            inner.compacting = Some(corrupt_ids.clone());
-        }
-        let result = self.salvage(&corrupt, &mut report);
-        if result.is_err() {
-            self.inner.write().compacting = None;
-        }
-        result?;
+        // Carry every indexed chunk still located in a corrupt segment.
+        // Chunks that already moved (revived by a racing put) point
+        // elsewhere and are not the scrub's business.
+        let plan = |victim_ids: &HashSet<u64>| {
+            Ok(self
+                .inner
+                .read()
+                .index
+                .iter()
+                .filter(|(_, location)| victim_ids.contains(&location.segment))
+                .map(|(address, location)| (*address, *location))
+                .collect())
+        };
+        let excision = self.excise(&corrupt, plan, Retire::Quarantine, fault)?;
 
+        report.quarantined_segments = corrupt.iter().map(|s| s.id).collect();
+        report.chunks_salvaged = excision.moved;
+        report.chunks_lost = excision.dropped;
+        self.obs.scrub_salvaged_chunks.add(report.chunks_salvaged);
+        self.obs.scrub_lost_chunks.add(report.chunks_lost);
+        for &id in &report.quarantined_segments {
+            self.obs.telemetry.event(
+                "segment_quarantined",
+                format!(
+                    "segment {id} excised to quarantine ({} salvaged, {} lost store-wide)",
+                    report.chunks_salvaged, report.chunks_lost
+                ),
+            );
+        }
         if report.chunks_lost > 0 {
             self.raise_health(
                 HealthState::ReadOnly,
@@ -1222,103 +1090,103 @@ impl DurableChunkStore {
         Ok(report)
     }
 
-    /// The excision half of [`Self::scrub`]: rewrite what survives out of
-    /// `corrupt` segments, swap them out of the store, and move their files
-    /// into the quarantine directory. Caller holds the compaction mutex and
-    /// has installed the revive guard.
-    fn salvage(&self, corrupt: &[Arc<Segment>], report: &mut ScrubReport) -> Result<()> {
-        let corrupt_ids: HashSet<u64> = corrupt.iter().map(|s| s.id).collect();
+    /// Retire the sealed segments `victims` (in id order) — the one
+    /// crash-consistency protocol behind compaction and scrub; see the
+    /// module docs. Raises the revive guard, runs `plan` for the victim
+    /// records to carry, rewrites them into staged, fsynced outputs, swaps
+    /// the outputs in and the victims out under the writer lock (index
+    /// entries left in a victim with no rewritten copy are dropped), makes
+    /// that manifest durable, and only then disposes of the victim files
+    /// as `retire` says. Caller holds the compaction mutex.
+    fn excise(
+        &self,
+        victims: &[Arc<Segment>],
+        plan: impl FnOnce(&HashSet<u64>) -> Result<Vec<(Hash, ChunkLocation)>>,
+        retire: Retire,
+        fault: CompactionFault,
+    ) -> Result<Excision> {
+        let op = retire.op();
+        let victim_ids: HashSet<u64> = victims.iter().map(|s| s.id).collect();
+        self.inner.write().compacting = Some(victim_ids.clone());
+        let _revive_guard = ReviveGuard(&self.inner);
+        let mut plan = plan(&victim_ids)?;
+        // Sequential read order within each victim file.
+        plan.sort_unstable_by_key(|(_, location)| (location.segment, location.offset));
 
-        // Every indexed chunk still located in a corrupt segment, in file
-        // order. Chunks that already moved (revived by a racing put) point
-        // elsewhere and are not the scrub's business.
-        let plan: Vec<(Hash, ChunkLocation)> = {
-            let inner = self.inner.read();
-            let mut plan: Vec<(Hash, ChunkLocation)> = inner
-                .index
-                .iter()
-                .filter(|(_, location)| corrupt_ids.contains(&location.segment))
-                .map(|(address, location)| (*address, *location))
-                .collect();
-            plan.sort_unstable_by_key(|(_, location)| (location.segment, location.offset));
-            plan
-        };
-
-        // Re-read record by record: the CRC decides what is salvageable.
-        // Intact chunks are rewritten into staged output segments (fsynced
-        // before the swap, like compaction outputs).
+        // Step 1 — rewrite the planned chunks into output segments staged
+        // where segment discovery cannot see them. Output ids come from
+        // `next_segment`, so they stay unique and ordered even when a
+        // rotation interleaves.
         let staging = self.dir.join(COMPACT_STAGING_DIR);
         let _ = std::fs::remove_dir_all(&staging);
-        std::fs::create_dir_all(&staging).map_err(|e| StorageError::io("scrub", &staging, e))?;
+        std::fs::create_dir_all(&staging).map_err(|e| StorageError::io(op, &staging, e))?;
         let mut outputs: Vec<Segment> = Vec::new();
         let mut moved: HashMap<Hash, ChunkLocation> = HashMap::new();
+        let mut bytes_rewritten = 0u64;
         for (address, location) in &plan {
-            let position = corrupt
+            let position = victims
                 .binary_search_by_key(&location.segment, |s| s.id)
-                .expect("plan entries point into corrupt segments");
-            let chunk = match corrupt[position].read(location) {
+                .expect("plan entries point into victim segments");
+            let chunk = match victims[position].read(location) {
                 Ok(chunk) => chunk,
-                Err(_) => continue, // lost; dropped from the index below
+                // Lost; dropped from the index at the swap.
+                Err(_) if retire == Retire::Quarantine => continue,
+                Err(e) => return Err(e),
             };
-            let needs_new_output = match outputs.last() {
-                Some(out) => out.len() >= self.config.segment_target_bytes,
-                None => true,
-            };
-            if needs_new_output {
+            if outputs
+                .last()
+                .is_none_or(|out| out.len() >= self.config.segment_target_bytes)
+            {
                 let id = {
                     let mut inner = self.inner.write();
-                    let id = inner.next_segment;
                     inner.next_segment += 1;
-                    id
+                    inner.next_segment - 1
                 };
                 outputs.push(Segment::create(&staging, id, Arc::clone(&self.io))?);
             }
             let out = outputs.last().expect("an output segment was just ensured");
-            moved.insert(*address, out.append(address, &chunk)?);
+            let new_location = out.append(address, &chunk)?;
+            bytes_rewritten += new_location.len as u64;
+            moved.insert(*address, new_location);
         }
         for out in &outputs {
             out.sync()?;
         }
+        if fault == CompactionFault::BeforeSwap {
+            return Err(StorageError::io_synthetic(
+                IoErrorKind::Other,
+                op,
+                "injected fault before the manifest swap",
+            ));
+        }
 
-        // The swap, mirroring compaction: seal + fsync the active segment,
-        // rename the outputs in, excise the corrupt segments, fresh active
-        // on top so only the highest-numbered segment can ever be torn.
-        let mut lost: Vec<Hash> = Vec::new();
-        let mut lost_bytes = 0u64;
+        // Step 2 — the swap, under the writer lock. Sealing first puts the
+        // new active segment above every output. A crash anywhere in here
+        // reopens from the *old* manifest: victims are still listed, and
+        // outputs are adopted as redundant copies the first-wins scan
+        // ignores.
+        let mut dropped: Vec<Hash> = Vec::new();
+        let mut dropped_bytes = 0u64;
         {
             let mut inner = self.inner.write();
-            let active = Arc::clone(inner.segments.last().expect("active segment exists"));
-            active.sync()?;
-            let _ = self.first_unsynced.compare_exchange(
-                active.id,
-                active.id + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
-
-            let mut published: Vec<Arc<Segment>> = Vec::new();
-            for out in &outputs {
-                let from = staging.join(segment_file_name(out.id));
-                let to = self.dir.join(segment_file_name(out.id));
-                std::fs::rename(&from, &to).map_err(|e| StorageError::io("scrub", &to, e))?;
-                published.push(Arc::new(Segment::open(
-                    &self.dir,
-                    out.id,
-                    Arc::clone(&self.io),
-                )?));
-            }
+            self.seal_active(&mut inner, op)?;
+            let published = outputs
+                .iter()
+                .map(|out| {
+                    let to = self.dir.join(segment_file_name(out.id));
+                    std::fs::rename(staging.join(segment_file_name(out.id)), &to)
+                        .map_err(|e| StorageError::io(op, &to, e))?;
+                    Segment::open(&self.dir, out.id, Arc::clone(&self.io)).map(Arc::new)
+                })
+                .collect::<Result<Vec<_>>>()
+                .inspect_err(|e| self.fail_stop(e, op))?;
             let _ = std::fs::remove_dir_all(&staging);
 
-            let new_active_id = inner.next_segment;
-            inner.next_segment += 1;
-            let new_active = Arc::new(Segment::create(
-                &self.dir,
-                new_active_id,
-                Arc::clone(&self.io),
-            )?);
-
+            // Repoint victim entries into the outputs. Entries revived by
+            // `try_put` during the pass already point elsewhere and pass
+            // through untouched.
             inner.index.retain(|address, location| {
-                if !corrupt_ids.contains(&location.segment) {
+                if !victim_ids.contains(&location.segment) {
                     return true;
                 }
                 match moved.get(address) {
@@ -1327,88 +1195,61 @@ impl DurableChunkStore {
                         true
                     }
                     None => {
-                        lost.push(*address);
-                        lost_bytes += location_storage_size(location);
+                        dropped.push(*address);
+                        dropped_bytes += location_storage_size(location);
                         false
                     }
                 }
             });
-
-            let mut segments: Vec<Arc<Segment>> = inner
-                .segments
-                .iter()
-                .filter(|s| !corrupt_ids.contains(&s.id))
-                .cloned()
-                .collect();
-            segments.extend(published);
-            segments.push(new_active);
-            segments.sort_unstable_by_key(|s| s.id);
-            inner.segments = segments;
-            inner.quarantined.extend(corrupt_ids.iter().copied());
-            inner.quarantined.sort_unstable();
-            inner.quarantined.dedup();
-            inner.compacting = None;
-            self.first_unsynced
-                .fetch_max(new_active_id, Ordering::AcqRel);
+            inner.segments.retain(|s| !victim_ids.contains(&s.id));
+            inner.segments.extend(published);
+            inner.segments.sort_unstable_by_key(|s| s.id);
+            let pending = retire.pending(&mut inner);
+            pending.extend(&victim_ids);
+            pending.sort_unstable();
+            pending.dedup();
         }
         self.stats
             .chunk_count
-            .fetch_sub(lost.len() as u64, Ordering::Relaxed);
+            .fetch_sub(dropped.len() as u64, Ordering::Relaxed);
         self.stats
             .physical_bytes
-            .fetch_sub(lost_bytes, Ordering::Relaxed);
+            .fetch_sub(dropped_bytes, Ordering::Relaxed);
         {
-            // The store no longer holds the lost chunks; the cache must not
-            // keep serving them either.
+            // The store no longer holds the dropped chunks, so the cache
+            // must not serve them either.
             let mut cache = self.cache.lock();
-            for address in &lost {
+            for address in &dropped {
                 cache.remove(address);
             }
         }
 
-        // Make the excision durable, then move the damaged files aside.
-        // The manifest lists the segments as quarantined before the rename,
-        // so a crash in between has the open path finish the move.
+        // Step 3 — make the swap durable (the outputs' directory entries,
+        // then the manifest), and only then dispose of the victim files.
         std::fs::File::open(&self.dir)
             .and_then(|d| d.sync_all())
-            .map_err(|e| StorageError::io("scrub", &self.dir, e))?;
-        self.write_manifest()?;
-        let quarantine = self.dir.join(QUARANTINE_DIR);
-        std::fs::create_dir_all(&quarantine)
-            .map_err(|e| StorageError::io("scrub", &quarantine, e))?;
-        let mut quarantined_now: Vec<u64> = Vec::new();
-        for segment in corrupt {
-            let to = quarantine.join(segment_file_name(segment.id));
-            // On rename failure keep it listed; the next open retries the move.
-            if std::fs::rename(segment.path(), &to).is_ok() {
-                quarantined_now.push(segment.id);
-            }
+            .map_err(|e| StorageError::io(op, &self.dir, e))
+            .and_then(|()| self.write_manifest())
+            .inspect_err(|e| self.fail_stop(e, op))?;
+        if fault == CompactionFault::BeforeDelete {
+            return Err(StorageError::io_synthetic(
+                IoErrorKind::Other,
+                op,
+                "injected fault before the victims' disposal",
+            ));
         }
-        {
-            let mut inner = self.inner.write();
-            inner.quarantined.retain(|id| !quarantined_now.contains(id));
-        }
+        let pending = retire.pending(&mut self.inner.write()).clone();
+        let kept = retire.dispose(&self.dir, pending);
+        *retire.pending(&mut self.inner.write()) = kept;
         self.write_manifest()?;
 
-        report.quarantined_segments = {
-            let mut ids: Vec<u64> = corrupt_ids.iter().copied().collect();
-            ids.sort_unstable();
-            ids
-        };
-        report.chunks_salvaged = moved.len() as u64;
-        report.chunks_lost = lost.len() as u64;
-        self.obs.scrub_salvaged_chunks.add(moved.len() as u64);
-        self.obs.scrub_lost_chunks.add(lost.len() as u64);
-        for &id in &report.quarantined_segments {
-            self.obs.telemetry.event(
-                "segment_quarantined",
-                format!(
-                    "segment {id} excised to quarantine ({} salvaged, {} lost store-wide)",
-                    report.chunks_salvaged, report.chunks_lost
-                ),
-            );
-        }
-        Ok(())
+        Ok(Excision {
+            outputs: outputs.iter().map(|s| s.id).collect(),
+            moved: moved.len() as u64,
+            bytes_rewritten,
+            output_bytes: outputs.iter().map(|s| s.len()).sum(),
+            dropped: dropped.len() as u64,
+        })
     }
 }
 
@@ -1470,30 +1311,16 @@ impl ChunkStore for DurableChunkStore {
             inner.index.insert(address, location);
 
             if active.len() >= self.config.segment_target_bytes {
-                // Seal and fsync *before* the successor segment exists —
-                // still under the writer lock. This is the one fsync that
-                // must stay inside: appends are serialized by this lock, so
-                // nothing can land in the new segment (and possibly reach
-                // disk via writeback) until the sealed file is durable;
-                // otherwise a crash could tear a *non-last* segment, which
-                // recovery rightly refuses to open. Rotation is rare (once
-                // per `segment_target_bytes`) and cache hits don't take
-                // this lock.
-                self.retry_transient(|| active.sync())
-                    .inspect_err(|e| self.note_write_failure(e, "rotation fsync"))?;
-                let _ = self.first_unsynced.compare_exchange(
-                    active.id,
-                    active.id + 1,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                );
-                let id = inner.next_segment;
-                inner.next_segment += 1;
-                inner.segments.push(Arc::new(Segment::create(
-                    &self.dir,
-                    id,
-                    Arc::clone(&self.io),
-                )?));
+                // Seal *before* the successor segment exists — still under
+                // the writer lock. This is the one fsync that must stay
+                // inside: appends are serialized by this lock, so nothing
+                // can land in the new segment (and possibly reach disk via
+                // writeback) until the sealed file is durable; otherwise a
+                // crash could tear a *non-last* segment, which recovery
+                // rightly refuses to open. Rotation is rare (once per
+                // `segment_target_bytes`) and cache hits don't take this
+                // lock.
+                self.seal_active(&mut inner, "rotation fsync")?;
                 rotated = true;
             }
         }
@@ -1582,8 +1409,10 @@ impl ChunkStore for DurableChunkStore {
         self.inner.read().roots.get(name).copied()
     }
 
-    /// The store's current writability, raised (never lowered — recovery is
-    /// a reopen) by write-path failures and scrub findings. See
+    /// The store's current writability, raised by write-path failures and
+    /// scrub findings. `Degraded` returns to `Healthy` after
+    /// [`DEGRADED_RECOVERY_OPS`] consecutive clean write-path operations;
+    /// `ReadOnly` lasts until a reopen. See
     /// [`DurableChunkStore::health_reason`] for the human-readable cause.
     fn health(&self) -> HealthState {
         match self.health.load(Ordering::Acquire) {
@@ -1666,31 +1495,10 @@ fn discover_segments(dir: &Path, manifest: &Manifest) -> Result<Vec<u64>> {
     }
     ids.sort_unstable();
     ids.dedup();
-    // Condemned files are superseded by a durable manifest swap — never
-    // adopt one, even when its deletion keeps failing. Quarantined files
-    // are likewise excised by a durable swap — never adopt one, even when
-    // the move into `quarantine/` keeps failing.
-    ids.retain(|id| !manifest.condemned.contains(id));
-    ids.retain(|id| !manifest.quarantined.contains(id));
+    // Condemned and quarantined files were excised by a durable manifest
+    // swap — never adopt one, even when its disposal keeps failing.
+    ids.retain(|id| !manifest.condemned.contains(id) && !manifest.quarantined.contains(id));
     Ok(ids)
-}
-
-/// Tiny extension so the open-time scan can count only first occurrences.
-trait TryInsertLocation {
-    fn try_insert_location(&mut self, address: Hash, location: ChunkLocation) -> bool;
-}
-
-impl TryInsertLocation for HashMap<Hash, ChunkLocation> {
-    fn try_insert_location(&mut self, address: Hash, location: ChunkLocation) -> bool {
-        use std::collections::hash_map::Entry;
-        match self.entry(address) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert(location);
-                true
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1727,6 +1535,7 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ChunkKind;
     use testutil::TempDir;
 
     fn blob(data: &[u8]) -> Chunk {
@@ -1874,7 +1683,14 @@ mod tests {
         assert_eq!(stats.physical_bytes, stats_before.physical_bytes);
         assert_eq!(stats.logical_bytes, stats_before.logical_bytes);
         assert_eq!(stats.dedup_hits, stats_before.dedup_hits);
-        assert_eq!(store.count_kind(ChunkKind::Blob), 200);
+        let blobs = store
+            .inner
+            .read()
+            .index
+            .values()
+            .filter(|location| location.kind == ChunkKind::Blob)
+            .count();
+        assert_eq!(blobs, 200);
         assert!(store.audit().is_empty());
     }
 
@@ -2115,12 +1931,18 @@ mod tests {
         assert!(store.audit().is_empty());
     }
 
-    #[test]
-    fn compaction_crash_points_recover_cleanly() {
+    /// Kill a pass at each crash point, then reopen: every root and every
+    /// chunk the pass kept reads back, swept or lost chunks are gone,
+    /// nothing stray is left on disk, and the audit is clean. `retire`
+    /// picks the pass: compaction keeps every other chunk; scrub runs after
+    /// one record of a sealed segment was damaged on disk.
+    fn crash_points_recover_cleanly(retire: Retire) {
         for fault in [CompactionFault::BeforeSwap, CompactionFault::BeforeDelete] {
-            let dir = TempDir::new("durable-compact-crash");
+            let case = format!("{retire:?}, {fault:?}");
+            let dir = TempDir::new("durable-crash");
             let addresses;
             let live: HashSet<Hash>;
+            let mut corrupt = None;
             let head = spitz_crypto::sha256(b"crash head");
             {
                 let store =
@@ -2130,67 +1952,171 @@ mod tests {
                 assert!(store.segment_count() > 1);
                 store.flush().unwrap();
 
-                live = addresses.iter().step_by(2).copied().collect();
-                let keep = live.clone();
-                let err = store
-                    .compact_with_fault(move || Ok(keep), fault)
-                    .unwrap_err();
-                assert!(err.to_string().contains("injected"), "{fault:?}: {err}");
+                let err = match retire {
+                    Retire::Condemn => {
+                        live = addresses.iter().step_by(2).copied().collect();
+                        let keep = live.clone();
+                        store
+                            .compact_with_fault(move || Ok(keep), fault)
+                            .unwrap_err()
+                    }
+                    Retire::Quarantine => {
+                        // Flip a payload byte (past the length, kind and
+                        // address fields) of a record in the first sealed
+                        // segment.
+                        let lost = addresses[3];
+                        let location = store.inner.read().index[&lost];
+                        let path = dir.path().join(segment_file_name(location.segment));
+                        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+                        std::os::unix::fs::FileExt::write_all_at(&file, b"!", location.offset + 40)
+                            .unwrap();
+                        corrupt = Some(location.segment);
+                        live = addresses.iter().copied().filter(|a| *a != lost).collect();
+                        store.scrub_with_fault(fault).unwrap_err()
+                    }
+                };
+                assert!(err.to_string().contains("injected"), "{case}: {err}");
                 // The process dies here: no Drop, no flush.
                 std::mem::forget(store);
             }
 
-            let store = DurableChunkStore::open_with_config(dir.path(), small_config()).unwrap();
-            assert_eq!(store.root("head"), Some(head), "{fault:?}");
+            let staging = dir.path().join(COMPACT_STAGING_DIR);
+            let quarantine = dir.path().join(QUARANTINE_DIR);
+            let reopened = DurableChunkStore::open_with_config(dir.path(), small_config());
+            if let (Some(segment), CompactionFault::BeforeSwap) = (corrupt, fault) {
+                // Nothing was excised: the corrupt segment is still the
+                // store's, and the open refuses it as it would have before
+                // the scrub began (recovery rule 2).
+                assert!(
+                    matches!(reopened, Err(StorageError::SegmentCorrupt { segment: s, .. }) if s == segment),
+                    "{case}: {reopened:?}"
+                );
+                assert!(!staging.exists() && !quarantine.exists(), "{case}");
+                continue;
+            }
+            let store = reopened.unwrap();
+            assert_eq!(store.root("head"), Some(head), "{case}");
             let mut swept = 0u32;
             for (i, address) in addresses.iter().enumerate() {
-                let reachable = live.contains(address);
-                match (fault, reachable) {
-                    // Before the swap nothing was deleted: everything is
-                    // still readable after recovery.
-                    (CompactionFault::BeforeSwap, _) | (_, true) => {
-                        assert_eq!(
-                            store.get(address).unwrap().data(),
-                            (i as u32).to_be_bytes().repeat(8),
-                            "{fault:?}"
-                        );
-                    }
-                    // After the durable swap, dropped victim chunks are
-                    // gone for good even though the victim files outlived
-                    // the crash (the open path deletes condemned files);
-                    // garbage that sat in the still-active segment is
-                    // untouched and must read back intact.
-                    (CompactionFault::BeforeDelete, false) => {
-                        if store.contains(address) {
-                            assert_eq!(
-                                store.get(address).unwrap().data(),
-                                (i as u32).to_be_bytes().repeat(8),
-                                "{fault:?}"
-                            );
-                        } else {
-                            swept += 1;
-                        }
-                    }
-                    (CompactionFault::None, _) => unreachable!(),
+                // Before the swap nothing was excised. After the durable
+                // swap, dropped victim chunks are gone for good even though
+                // the victim files outlived the crash (the open path
+                // disposes of them); garbage that sat in the still-active
+                // segment is untouched and must read back intact.
+                let kept = fault == CompactionFault::BeforeSwap || live.contains(address);
+                if kept || store.contains(address) {
+                    assert_eq!(
+                        store.get(address).unwrap().data(),
+                        (i as u32).to_be_bytes().repeat(8),
+                        "{case}"
+                    );
+                } else {
+                    assert!(
+                        matches!(store.get(address), Err(StorageError::ChunkNotFound(_))),
+                        "{case}"
+                    );
+                    swept += 1;
                 }
             }
             if fault == CompactionFault::BeforeDelete {
-                assert!(swept > 0, "the durable swap must have swept garbage");
+                assert!(
+                    swept > 0,
+                    "{case}: the durable swap must have dropped chunks"
+                );
             }
-            assert!(store.audit().is_empty(), "{fault:?}");
-            assert!(!dir.path().join(COMPACT_STAGING_DIR).exists());
-            // No condemned leftovers: a fresh open deleted them.
+            assert!(store.audit().is_empty(), "{case}");
+            assert!(!staging.exists(), "{case}");
+            // No excised leftovers: a fresh open disposed of them, and the
+            // corrupt file sits in quarantine/ exactly once.
             for path in std::fs::read_dir(dir.path()).unwrap() {
                 let name = path.unwrap().file_name();
                 let name = name.to_str().unwrap();
                 if let Some(id) = parse_segment_file_name(name) {
                     assert!(
                         store.inner.read().segments.iter().any(|s| s.id == id),
-                        "{fault:?}: stray segment file {name}"
+                        "{case}: stray segment file {name}"
                     );
                 }
             }
+            let quarantined: Vec<String> = std::fs::read_dir(&quarantine)
+                .map(|entries| {
+                    entries
+                        .map(|e| e.unwrap().file_name().into_string().unwrap())
+                        .collect()
+                })
+                .unwrap_or_default();
+            let expected: Vec<String> = corrupt.map(segment_file_name).into_iter().collect();
+            assert_eq!(quarantined, expected, "{case}");
         }
+    }
+
+    #[test]
+    fn compaction_crash_points_recover_cleanly() {
+        crash_points_recover_cleanly(Retire::Condemn);
+    }
+
+    #[test]
+    fn scrub_crash_points_recover_cleanly() {
+        crash_points_recover_cleanly(Retire::Quarantine);
+    }
+
+    /// Fails every fsync of one segment, chosen once the store is open.
+    #[derive(Debug)]
+    struct FailFsyncOf(AtomicU64);
+
+    impl crate::SegmentIo for FailFsyncOf {
+        fn on_fsync(&self, segment: u64) -> crate::FsyncOutcome {
+            if segment == self.0.load(Ordering::Relaxed) {
+                crate::FsyncOutcome::Fail(IoErrorKind::Other)
+            } else {
+                crate::FsyncOutcome::Ok
+            }
+        }
+    }
+
+    #[test]
+    fn failed_swap_fsync_fails_stop_and_reopen_restores_everything() {
+        let dir = TempDir::new("durable-swap-fsync");
+        let io = Arc::new(FailFsyncOf(AtomicU64::new(u64::MAX)));
+        let head = spitz_crypto::sha256(b"swap head");
+        let addresses;
+        {
+            let store = DurableChunkStore::open_with_io(
+                dir.path(),
+                small_config(),
+                TelemetryHandle::disabled(),
+                Arc::clone(&io) as SegmentIoHandle,
+            )
+            .unwrap();
+            addresses = populate(&store, 100);
+            store.set_root("head", head);
+            assert!(store.segment_count() > 1);
+
+            // The swap's seal fsyncs the active segment, and that fsync
+            // fails: its page-cache state is now unknowable.
+            let active = store.inner.read().segments.last().unwrap().id;
+            io.0.store(active, Ordering::Relaxed);
+            let keep: HashSet<Hash> = addresses.iter().step_by(2).copied().collect();
+            let err = store.compact_with(move || Ok(keep)).unwrap_err();
+            assert!(matches!(err, StorageError::Io(_)), "{err}");
+            assert_eq!(store.health(), HealthState::ReadOnly);
+            assert!(!store.health_reason().is_empty());
+            assert!(matches!(
+                store.try_put(blob(b"after the failed seal")),
+                Err(StorageError::ReadOnly(_))
+            ));
+        }
+
+        let store = DurableChunkStore::open_with_config(dir.path(), small_config()).unwrap();
+        assert_eq!(store.health(), HealthState::Healthy);
+        assert_eq!(store.root("head"), Some(head));
+        for (i, address) in addresses.iter().enumerate() {
+            assert_eq!(
+                store.get(address).unwrap().data(),
+                (i as u32).to_be_bytes().repeat(8)
+            );
+        }
+        assert!(store.audit().is_empty());
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl Segment {
         })
     }
 
-    /// Path of the backing file (used by quarantine to move it aside).
-    pub(crate) fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Current file length (the append offset for the active segment).
     pub(crate) fn len(&self) -> u64 {
         self.len.load(Ordering::Acquire)
@@ -520,18 +515,19 @@ mod tests {
                 .count()
         }
         let dir = TempDir::new("segment-descriptors");
+        let path = dir.path().join(segment_file_name(0));
         let segment = Segment::create(dir.path(), 0, real_io()).unwrap();
         let chunk = blob(b"one descriptor");
         let location = segment.append(&chunk.address(), &chunk).unwrap();
         segment.sync().unwrap();
         assert_eq!(segment.read(&location).unwrap(), chunk);
-        assert_eq!(descriptors(segment.path()), 1);
+        assert_eq!(descriptors(&path), 1);
         drop(segment);
 
         let reopened = Segment::open(dir.path(), 0, real_io()).unwrap();
         assert_eq!(reopened.scan(true).unwrap().records.len(), 1);
         assert_eq!(reopened.read(&location).unwrap(), chunk);
-        assert_eq!(descriptors(reopened.path()), 1);
+        assert_eq!(descriptors(&path), 1);
     }
 
     #[test]
