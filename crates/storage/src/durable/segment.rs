@@ -224,7 +224,7 @@ impl Segment {
         };
         let (decoded, _) = decode_record(&buf).map_err(|e| corrupt(format!("{e:?}")))?;
         match decoded.body {
-            RecordBody::Chunk(chunk) => Ok(chunk),
+            RecordBody::Chunk { kind, payload } => Ok(Chunk::new(kind, payload)),
             RecordBody::Root { .. } => {
                 Err(corrupt("root record where a chunk was expected".into()))
             }
@@ -276,16 +276,16 @@ impl Segment {
             match decode_record(&bytes[offset..]) {
                 Ok((decoded, consumed)) => {
                     match decoded.body {
-                        RecordBody::Chunk(chunk) => records.push((
+                        RecordBody::Chunk { kind, .. } => records.push((
                             decoded.address,
                             ChunkLocation {
                                 segment: self.id,
                                 offset: offset as u64,
                                 len: consumed as u32,
-                                kind: chunk.kind(),
+                                kind,
                             },
                         )),
-                        RecordBody::Root { name } => roots.push((name, decoded.address)),
+                        RecordBody::Root { name } => roots.push((name.to_owned(), decoded.address)),
                     }
                     offset += consumed;
                 }
