@@ -126,12 +126,12 @@ pub type VerifiedRange = (Vec<(Vec<u8>, Vec<u8>)>, LedgerRangeProof);
 /// One commit group sealed into a shared block by
 /// [`Ledger::try_append_groups`]: a batch of key/value writes plus the
 /// provenance statement recorded with each of them.
-pub type CommitGroup = (Vec<(Vec<u8>, Vec<u8>)>, String);
+pub(crate) type CommitGroup = (Vec<(Vec<u8>, Vec<u8>)>, String);
 
 /// What sealing one block wrote, as reported by
 /// [`Ledger::try_append_groups`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockCost {
+pub(crate) struct BlockCost {
     /// Key/value writes applied (over all of the block's groups).
     pub writes: usize,
     /// Index nodes the block's one apply put.
@@ -499,7 +499,7 @@ impl Ledger {
     /// live index back to the pre-append root. Retrying the same writes is
     /// safe: identical chunks deduplicate, so a successful retry
     /// reproduces the block a non-failing commit would have sealed.
-    pub fn try_append_groups(
+    pub(crate) fn try_append_groups(
         &self,
         groups: Vec<CommitGroup>,
     ) -> Result<(Digest, BlockCost), StorageError> {

@@ -32,7 +32,6 @@ pub mod pipeline;
 pub use block::{Block, BlockHeader, TxnRecord, WriteOp};
 pub use deferred::{DeferredVerifier, VerificationReport};
 pub use ledger::{
-    BlockCost, CommitGroup, Digest, Ledger, LedgerProof, LedgerRangeProof, LedgerSnapshot,
-    VerifiedRange, LEDGER_HEAD_ROOT,
+    Digest, Ledger, LedgerProof, LedgerRangeProof, LedgerSnapshot, VerifiedRange, LEDGER_HEAD_ROOT,
 };
 pub use pipeline::{CommitPipeline, DurabilityPolicy, PipelineStats};

@@ -14,8 +14,8 @@
 //! `spitz_storage::durable`), settles the durability policy and wakes the
 //! rest of the batch with the same published [`Digest`].
 //!
-//! When a commit additionally waits for stable storage is governed by a
-//! [`DurabilityPolicy`]:
+//! When a commit additionally waits for stable storage is governed by one
+//! of two [`DurabilityPolicy`]s:
 //!
 //! * [`DurabilityPolicy::Strict`] — every flush is fsynced before it is
 //!   acknowledged. An acknowledged commit survives any crash. Concurrent
@@ -25,16 +25,23 @@
 //!   least every `max_writes` commits or `max_delay` of wall clock. A crash
 //!   loses at most that window, and recovery lands on the last fsynced
 //!   root with the chain intact.
-//! * [`DurabilityPolicy::Os`] — never fsync from the pipeline; the OS page
-//!   cache decides (fastest, weakest).
 //!
 //! [`CommitPipeline::flush`] forces an fsync regardless of policy;
 //! [`CommitPipeline::shutdown`] (also run on drop) takes the role and syncs
 //! on the caller's thread, so a clean exit never loses acknowledged work.
 //! Only `Grouped` runs a thread, and it only keeps time: it takes the role
-//! to fsync when a deadline passes with no commit to carry it. Every
-//! decision is a `PipelineState` method that takes no lock and does no I/O;
-//! the tests check them over every interleaving of a few callers.
+//! to fsync when a deadline passes with no commit to carry it.
+//!
+//! # Steps
+//!
+//! A caller (the role holder, while it leads a batch), the timer and
+//! shutdown are each written once, as a step function: under the state
+//! lock it takes the state and what the actor's last I/O returned, and
+//! decides the next I/O — seal a batch, read the digest, fsync, park,
+//! sleep, wake a waiter or the timer, join, or return an outcome. A thread
+//! performs that I/O outside the lock, with the ledger, the store and the
+//! tickets. The tests' model check performs a simulated one, so it
+//! searches the product's own order of steps over every interleaving.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -68,9 +75,6 @@ pub enum DurabilityPolicy {
         /// Most commits that may accumulate before an fsync is forced.
         max_writes: usize,
     },
-    /// Never `fsync` from the pipeline; durability is up to the OS page
-    /// cache (and to explicit [`CommitPipeline::flush`] calls).
-    Os,
 }
 
 impl DurabilityPolicy {
@@ -88,34 +92,34 @@ impl DurabilityPolicy {
         match self {
             DurabilityPolicy::Strict => "strict",
             DurabilityPolicy::Grouped { .. } => "grouped",
-            DurabilityPolicy::Os => "os",
         }
     }
 }
 
 /// What a parked caller is woken with.
-enum Wake {
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+enum Wake<D, E> {
     /// The seal role is handed to it: take the queue and seal it.
     Seal,
     /// Its commit or barrier was sealed with this outcome.
-    Done(Result<Digest, StorageError>),
+    Done(Result<D, E>),
 }
 
 /// A parked caller's rendezvous: the waker fills the slot, the caller
 /// sleeps on the condvar until it does.
 #[derive(Default)]
 struct Ticket {
-    slot: Mutex<Option<Wake>>,
+    slot: Mutex<Option<Wake<Digest, StorageError>>>,
     ready: Condvar,
 }
 
 impl Ticket {
-    fn wake(&self, wake: Wake) {
+    fn wake(&self, wake: Wake<Digest, StorageError>) {
         *lock(&self.slot) = Some(wake);
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> Wake {
+    fn wait(&self) -> Wake<Digest, StorageError> {
         let slot = self
             .ready
             .wait_while(lock(&self.slot), |slot| slot.is_none());
@@ -136,38 +140,18 @@ struct Pending<W> {
     sync: bool,
 }
 
-/// What [`PipelineState::arrive`] (or `close`) tells a caller to do.
-enum Arrival<W> {
-    /// Shut down (or, to a shutdown, shut down already): refuse.
-    Closed,
-    /// A fence on a free pipeline: nothing is half-sealed, so read the
-    /// digest now, under the state lock.
-    Answer,
-    /// The role is the caller's: seal this batch.
-    Lead(Vec<Pending<W>>),
-    Follow,
+/// Whom giving the role up wakes.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+struct Release<W> {
+    /// The waiter the role is handed to (`Wake::Seal`), if any.
+    handoff: Option<W>,
+    /// The timer: the holder armed a deadline, or one passed while the role
+    /// was held.
+    timer: bool,
 }
 
-/// What a role holder does with the role when it is done.
-enum Release<W> {
-    /// Wake this waiter with [`Wake::Seal`]; the role stays taken.
-    Handoff(W),
-    /// The role is free; wake the timer if (`true`) a deadline passed
-    /// while it was held.
-    Free(bool),
-}
-
-/// What the timer thread does next.
-enum Tick {
-    Exit,
-    /// Sleep this long (until the deadline), or until woken.
-    Sleep(Duration),
-    /// The role is the timer's: fsync, then release.
-    Sync,
-}
-
-/// Every decision the pipeline makes, over the state it guards. No method
-/// locks or does I/O; callers hold the state lock around each one.
+/// The state every step decides over. Threads hold the state lock around
+/// each step; nothing here locks or does I/O.
 #[derive(Default)]
 #[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
 struct PipelineState<W> {
@@ -192,29 +176,12 @@ impl<W: Clone> PipelineState<W> {
         self.sync_deadline.is_some_and(|deadline| now >= deadline)
     }
 
-    /// A commit, fence or flush arrives: refused after shutdown, queued
-    /// behind a holder, answered at once (a free fence) or given the role.
-    fn arrive(&mut self, pending: Pending<W>) -> Arrival<W> {
-        if self.shutdown {
-            Arrival::Closed
-        } else if self.sealing {
-            self.queue.push(pending);
-            Arrival::Follow
-        } else if pending.commit.is_none() && !pending.sync {
-            Arrival::Answer
-        } else {
-            self.sealing = true;
-            Arrival::Lead(vec![pending])
-        }
-    }
-
     /// Count `commits` just sealed against the policy. Returns whether to
     /// fsync before acknowledging (`force`: a flush demands it), and whether
     /// a deadline was armed that the timer must be woken to keep.
     fn settle(&mut self, commits: usize, force: bool, now: Instant) -> (bool, bool) {
         match self.policy {
             DurabilityPolicy::Strict => (commits > 0 || force, false),
-            DurabilityPolicy::Os => (force, false),
             DurabilityPolicy::Grouped {
                 max_delay,
                 max_writes,
@@ -230,64 +197,260 @@ impl<W: Clone> PipelineState<W> {
         }
     }
 
-    /// An fsync that began with `covered` commits unsynced succeeded.
-    fn synced(&mut self, covered: usize) {
-        // Subtract rather than zero: a commit counted once the fsync had
-        // started is not covered by it.
-        self.unsynced -= covered;
-        if self.unsynced == 0 {
-            self.sync_deadline = None;
-        }
+    /// The holder's fsync succeeded. It covers every commit counted so
+    /// far: only a role holder counts them.
+    fn synced(&mut self) {
+        self.unsynced = 0;
+        self.sync_deadline = None;
     }
 
     /// The holder is done: hand the role to the head of the queue, else to
-    /// a waiting shutdown, else free it.
-    fn release(&mut self, now: Instant) -> Release<W> {
-        if let Some(head) = self.queue.first() {
-            Release::Handoff(head.waiter.clone())
-        } else if let Some(closer) = self.closer.take() {
-            Release::Handoff(closer)
-        } else {
-            self.sealing = false;
-            Release::Free(self.sync_due(now))
+    /// a waiting shutdown, else free it. `armed`: the holder armed a
+    /// deadline, which the timer must be woken to learn of.
+    fn release(&mut self, now: Instant, armed: bool) -> Release<W> {
+        let handoff = match self.queue.first() {
+            Some(head) => Some(head.waiter.clone()),
+            None => self.closer.take(),
+        };
+        self.sealing = handoff.is_some();
+        let timer = armed || (!self.sealing && self.sync_due(now));
+        Release { handoff, timer }
+    }
+}
+
+/// What an actor's last I/O returned: the input of its next step.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+enum Event<D, E> {
+    /// Begin, or (the timer) wake up.
+    Go,
+    /// A parked caller or shutdown was handed the role.
+    Handed,
+    Sealed(Result<D, E>),
+    Synced(Result<(), E>),
+}
+
+/// The I/O a step decides on, performed outside the state lock.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+enum Io<W, D, E> {
+    /// Refuse: the pipeline is shut down.
+    Closed,
+    /// Return the digest. The role is free, so nothing is half-sealed: the
+    /// thread reads it before it lets the state lock go.
+    Answer,
+    /// Park on the actor's ticket. It brings the outcome, or the role.
+    Park,
+    /// `Seal(groups, commits)`: seal `groups` as one block (none: read the
+    /// digest); the batch carries `commits` commits, for the counters.
+    Seal(Vec<CommitGroup>, usize),
+    Sync,
+    /// `Ack(release, batch, outcome)`: wake whom `release` names, then the
+    /// batch behind its head with `outcome`, and return it.
+    Ack(Release<W>, Vec<Pending<W>>, Result<D, E>),
+    /// Hand the role to this waiter, then step on.
+    Handoff(W),
+    /// Sleep this long, or until woken, then step on.
+    Sleep(Duration),
+    /// Wake the timer and join it.
+    Join,
+    Exit,
+}
+
+/// A commit, fence or flush from arrival to outcome: refused, answered at
+/// once, parked behind the role, or holding it for a batch.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+enum Caller<W, D, E> {
+    Arriving(Pending<W>),
+    Parked,
+    Holding(Holder<W, D, E>),
+}
+
+impl<W: Clone, D, E> Caller<W, D, E> {
+    fn step(
+        &mut self,
+        state: &mut PipelineState<W>,
+        event: Event<D, E>,
+        now: Instant,
+    ) -> Io<W, D, E> {
+        if let Caller::Holding(holder) = self {
+            return holder.step(state, event, now);
         }
+        let batch = match (std::mem::replace(self, Caller::Parked), event) {
+            (Caller::Arriving(pending), Event::Go) => {
+                if state.shutdown {
+                    return Io::Closed;
+                }
+                if state.sealing {
+                    state.queue.push(pending);
+                    return Io::Park;
+                }
+                if pending.commit.is_none() && !pending.sync {
+                    return Io::Answer;
+                }
+                state.sealing = true;
+                vec![pending]
+            }
+            // Handed the role: take the whole queue, headed by this
+            // caller's own entry.
+            (Caller::Parked, Event::Handed) => std::mem::take(&mut state.queue),
+            _ => unreachable!("a caller stepped out of order"),
+        };
+        let (holder, io) = Holder::seal(batch);
+        *self = Caller::Holding(holder);
+        io
+    }
+}
+
+/// The role holder for one batch: seal it as one block, settle the policy,
+/// fsync if it must, release the role, then acknowledge the batch.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+struct Holder<W, D, E> {
+    batch: Vec<Pending<W>>,
+    /// Commits sealed, and whether the batch holds a flush.
+    sealed: usize,
+    force: bool,
+    /// Settling armed a deadline.
+    armed: bool,
+    outcome: Option<Result<D, E>>,
+}
+
+impl<W: Clone, D, E> Holder<W, D, E> {
+    fn seal(mut batch: Vec<Pending<W>>) -> (Self, Io<W, D, E>) {
+        let commits = batch.iter().filter(|p| p.commit.is_some()).count();
+        let force = batch.iter().any(|p| p.sync);
+        // The payloads are moved out of the pendings (only the waiters are
+        // needed afterwards), so coalescing copies no write bytes.
+        let groups: Vec<CommitGroup> = batch
+            .iter_mut()
+            .filter_map(|p| p.commit.take().filter(|(writes, _)| !writes.is_empty()))
+            .collect();
+        let holder = Holder {
+            batch,
+            sealed: groups.len(),
+            force,
+            armed: false,
+            outcome: None,
+        };
+        (holder, Io::Seal(groups, commits))
     }
 
-    /// The timer is awake: exit after shutdown, take the free role once the
-    /// deadline has passed, or sleep (until a release wakes it, if held).
-    fn tick(&mut self, now: Instant) -> Tick {
-        if self.shutdown {
-            Tick::Exit
-        } else if !self.sync_due(now) {
-            Tick::Sleep(self.sync_deadline.map_or(Duration::MAX, |at| at - now))
-        } else if self.sealing {
-            Tick::Sleep(Duration::MAX)
+    fn step(
+        &mut self,
+        state: &mut PipelineState<W>,
+        event: Event<D, E>,
+        now: Instant,
+    ) -> Io<W, D, E> {
+        match event {
+            Event::Sealed(outcome) => {
+                let mut sync = false;
+                if outcome.is_ok() {
+                    (sync, self.armed) = state.settle(self.sealed, self.force, now);
+                }
+                self.outcome = Some(outcome);
+                if sync {
+                    return Io::Sync;
+                }
+            }
+            Event::Synced(Ok(())) => state.synced(),
+            Event::Synced(Err(error)) => self.outcome = Some(Err(error)),
+            _ => unreachable!("a role holder stepped out of order"),
+        }
+        let release = state.release(now, self.armed);
+        let outcome = self.outcome.take().expect("sealed before acknowledging");
+        Io::Ack(release, std::mem::take(&mut self.batch), outcome)
+    }
+}
+
+/// The `Grouped` timer: sleeps until a deadline passes with no commit to
+/// carry it, then takes the free role to fsync. A failed fsync is retried
+/// `retry` later.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+struct Timer {
+    retry: Duration,
+}
+
+impl Timer {
+    fn step<W: Clone, D, E>(
+        &mut self,
+        state: &mut PipelineState<W>,
+        event: Event<D, E>,
+        now: Instant,
+    ) -> Io<W, D, E> {
+        match event {
+            Event::Go => {}
+            Event::Synced(result) => {
+                match result {
+                    Ok(()) => state.synced(),
+                    // Keep the unsynced count and retry after a delay:
+                    // resetting it would silently void the bounded-loss
+                    // guarantee. A flush (or the next batch's forced sync)
+                    // surfaces the error to a caller.
+                    Err(_) => state.sync_deadline = Some(now + self.retry),
+                }
+                if let Some(waiter) = state.release(now, false).handoff {
+                    return Io::Handoff(waiter);
+                }
+            }
+            _ => unreachable!("the timer stepped out of order"),
+        }
+        if state.shutdown {
+            Io::Exit
+        } else if !state.sync_due(now) {
+            Io::Sleep(state.sync_deadline.map_or(Duration::MAX, |at| at - now))
+        } else if state.sealing {
+            // The holder's release wakes the timer.
+            Io::Sleep(Duration::MAX)
         } else {
-            self.sealing = true;
-            Tick::Sync
+            state.sealing = true;
+            Io::Sync
         }
     }
+}
 
-    /// Shutdown begins: later arrivals are refused, and the role is taken
-    /// now or handed over once everything accepted is sealed.
-    fn close(&mut self, closer: W) -> Arrival<W> {
-        if self.shutdown {
-            return Arrival::Closed;
+/// Shutdown: refuse later arrivals, take the role once everything accepted
+/// is sealed, fsync, release it and stop the timer.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+struct Closer<W> {
+    waiter: W,
+}
+
+impl<W: Clone> Closer<W> {
+    fn step<D, E>(
+        &mut self,
+        state: &mut PipelineState<W>,
+        event: Event<D, E>,
+        now: Instant,
+    ) -> Io<W, D, E> {
+        match event {
+            Event::Go if state.shutdown => return Io::Exit,
+            Event::Go => {
+                state.shutdown = true;
+                if state.sealing {
+                    state.closer = Some(self.waiter.clone());
+                    return Io::Park;
+                }
+                state.sealing = true;
+            }
+            Event::Handed => {}
+            // Best effort: the store's drop-time flush retries once more.
+            // Nothing is queued any more, so the release frees the role.
+            Event::Synced(result) => {
+                if result.is_ok() {
+                    state.synced();
+                }
+                state.release(now, false);
+                return Io::Join;
+            }
+            Event::Sealed(_) => unreachable!("shutdown seals nothing"),
         }
-        self.shutdown = true;
-        if self.sealing {
-            self.closer = Some(closer);
-            return Arrival::Follow;
-        }
-        self.sealing = true;
-        Arrival::Lead(Vec::new())
+        Io::Sync
     }
 }
 
 /// Counters the pipeline exposes for benches and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Commits accepted (each `commit` call counts once).
+    /// Commits accepted (each `commit` call counts once, when its batch is
+    /// sealed).
     pub commits: u64,
     /// Blocks sealed (each coalesces ≥ 1 commit).
     pub flushes: u64,
@@ -308,9 +471,6 @@ struct PipelineObs {
     commits: Arc<spitz_obs::Counter>,
     flushes: Arc<spitz_obs::Counter>,
     syncs: Arc<spitz_obs::Counter>,
-    /// `pipeline.policy.<name>.flushes`: attributes flushes to the policy
-    /// the pipeline runs, so mixed-policy deployments can tell them apart.
-    policy_flushes: Arc<spitz_obs::Counter>,
     group_size: Arc<spitz_obs::Histogram>,
     flush_nanos: Arc<spitz_obs::Histogram>,
     /// Parked callers, summed over the pipelines sharing the handle.
@@ -324,13 +484,11 @@ struct PipelineObs {
 }
 
 impl PipelineObs {
-    fn new(telemetry: &TelemetryHandle, policy: DurabilityPolicy) -> PipelineObs {
+    fn new(telemetry: &TelemetryHandle) -> PipelineObs {
         PipelineObs {
             commits: telemetry.counter("pipeline.commits"),
             flushes: telemetry.counter("pipeline.flushes"),
             syncs: telemetry.counter("pipeline.syncs"),
-            policy_flushes: telemetry
-                .counter(&format!("pipeline.policy.{}.flushes", policy.name())),
             group_size: telemetry.histogram("pipeline.group_size"),
             flush_nanos: telemetry.histogram("pipeline.flush_nanos"),
             queue_depth: telemetry.gauge("pipeline.queue_depth"),
@@ -351,86 +509,57 @@ struct Shared {
 }
 
 impl Shared {
-    /// Hold the role for `batch`: seal it as one block, settle the policy,
-    /// hand the role on, then wake the batch behind its head (the caller).
-    fn lead(&self, mut batch: Vec<Pending<Arc<Ticket>>>) -> Result<Digest, StorageError> {
-        // The payloads are moved out of the pendings (only the tickets are
-        // needed afterwards), so coalescing copies no write bytes.
-        let groups: Vec<CommitGroup> = batch
-            .iter_mut()
-            .filter_map(|p| p.commit.take().filter(|(writes, _)| !writes.is_empty()))
-            .collect();
-        let force = batch.iter().any(|p| p.sync);
-        let result = contain("commit", || self.flush(groups, force));
-        self.release();
-        for pending in batch.drain(1..) {
-            pending.waiter.wake(Wake::Done(result.clone()));
+    /// Perform a role holder's seal or fsync, or the timer's hand-off, and
+    /// count what the step decided. A panic that escapes the ledger or the
+    /// store (index writes route through `try_put`, but a corrupt node read
+    /// or a bug in an index implementation can still unwind) is contained
+    /// here: a holder that unwinds would leave every caller parked forever,
+    /// so it surfaces as an error to every caller the holder carries.
+    fn perform(&self, io: Io<Arc<Ticket>, Digest, StorageError>) -> Event<Digest, StorageError> {
+        match io {
+            Io::Seal(groups, commits) => {
+                self.stats.commits.fetch_add(commits as u64, Relaxed);
+                self.obs.commits.add(commits as u64);
+                if groups.is_empty() {
+                    return Event::Sealed(contain("commit", || Ok(self.ledger.digest())));
+                }
+                self.stats.flushes.fetch_add(1, Relaxed);
+                self.obs.flushes.inc();
+                self.obs.group_size.record(groups.len() as u64);
+                let flush_start = self.obs.flush_nanos.start();
+                let sealed = contain("commit", || {
+                    let (digest, cost) = self.ledger.try_append_groups(groups)?;
+                    let obs = &self.obs;
+                    obs.block_writes.record(cost.writes as u64);
+                    obs.index_nodes_written.record(cost.index_nodes_written);
+                    obs.index_bytes_written.record(cost.index_bytes_written);
+                    Ok(digest)
+                });
+                self.obs.flush_nanos.finish(flush_start);
+                Event::Sealed(sealed)
+            }
+            Io::Sync => {
+                let synced = contain("fsync", || self.ledger.store().sync());
+                if synced.is_ok() {
+                    self.stats.syncs.fetch_add(1, Relaxed);
+                    self.obs.syncs.inc();
+                }
+                Event::Synced(synced)
+            }
+            Io::Handoff(ticket) => {
+                ticket.wake(Wake::Seal);
+                Event::Go
+            }
+            _ => unreachable!("not a role holder's I/O"),
         }
-        result
     }
 
-    /// Seal `groups` into one block (none: just read the digest) and apply
-    /// the durability policy before anyone is acknowledged. `force` (a
-    /// flush barrier) demands an fsync.
-    fn flush(&self, groups: Vec<CommitGroup>, force: bool) -> Result<Digest, StorageError> {
-        let commits = groups.len();
-        let digest = match commits {
-            0 => self.ledger.digest(),
-            _ => self.seal(groups)?,
-        };
-        let (sync, wake_timer) = lock(&self.state).settle(commits, force, Instant::now());
-        if wake_timer {
+    fn wake(&self, release: Release<Arc<Ticket>>) {
+        if let Some(ticket) = release.handoff {
+            ticket.wake(Wake::Seal);
+        }
+        if release.timer {
             self.timer.notify_one();
-        }
-        if sync {
-            self.sync()?;
-        }
-        Ok(digest)
-    }
-
-    /// Seal `groups` into one block. Panics that escape the append (index
-    /// writes route through `try_put`, but a corrupt node read or a bug in
-    /// an index implementation can still unwind) are contained: a poisoned
-    /// commit must surface as an error to every caller it carries.
-    fn seal(&self, groups: Vec<CommitGroup>) -> Result<Digest, StorageError> {
-        self.stats.flushes.fetch_add(1, Relaxed);
-        self.obs.flushes.inc();
-        self.obs.policy_flushes.inc();
-        self.obs.group_size.record(groups.len() as u64);
-        let flush_start = self.obs.flush_nanos.start();
-        let result = contain("commit", || {
-            self.ledger.try_append_groups(groups).map(|(digest, cost)| {
-                self.obs.block_writes.record(cost.writes as u64);
-                self.obs
-                    .index_nodes_written
-                    .record(cost.index_nodes_written);
-                self.obs
-                    .index_bytes_written
-                    .record(cost.index_bytes_written);
-                digest
-            })
-        });
-        self.obs.flush_nanos.finish(flush_start);
-        result
-    }
-
-    /// `fsync` the store and retire the commits it covers.
-    fn sync(&self) -> Result<(), StorageError> {
-        let covered = lock(&self.state).unsynced;
-        contain("fsync", || self.ledger.store().sync())?;
-        self.stats.syncs.fetch_add(1, Relaxed);
-        self.obs.syncs.inc();
-        lock(&self.state).synced(covered);
-        Ok(())
-    }
-
-    /// Give the role up: to the next waiter, or back to the pipeline.
-    fn release(&self) {
-        let release = lock(&self.state).release(Instant::now());
-        match release {
-            Release::Handoff(ticket) => ticket.wake(Wake::Seal),
-            Release::Free(true) => self.timer.notify_one(),
-            Release::Free(false) => {}
         }
     }
 }
@@ -438,7 +567,7 @@ impl Shared {
 /// Group-commit pipeline over a [`Ledger`].
 pub struct CommitPipeline {
     shared: Arc<Shared>,
-    /// The `Grouped` deadline timer; `None` under every other policy.
+    /// The `Grouped` deadline timer; `None` under `Strict`.
     timer: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -448,8 +577,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// Run `what`, turning a panic into an error: a role holder (caller, timer
-/// or shutdown) that unwinds would leave every caller parked forever.
+/// Run `what`, turning a panic into an error.
 fn contain<T>(
     what: &'static str,
     run: impl FnOnce() -> Result<T, StorageError>,
@@ -473,8 +601,8 @@ impl CommitPipeline {
     }
 
     /// [`Self::new`], recording into `telemetry`: commit/flush/sync
-    /// counters (attributed to the policy), group-size and flush-latency
-    /// histograms, and a queue-depth gauge.
+    /// counters, group-size and flush-latency histograms, and a queue-depth
+    /// gauge.
     pub fn with_telemetry(
         ledger: Arc<Ledger>,
         policy: DurabilityPolicy,
@@ -488,7 +616,7 @@ impl CommitPipeline {
             }),
             timer: Condvar::new(),
             stats: AtomicPipelineStats::default(),
-            obs: PipelineObs::new(&telemetry, policy),
+            obs: PipelineObs::new(&telemetry),
         });
         let timer = match policy {
             DurabilityPolicy::Grouped { max_delay, .. } => {
@@ -497,7 +625,7 @@ impl CommitPipeline {
                 let timer = spawn.spawn(move || keep_time(&shared, max_delay));
                 Some(timer.expect("spawn the sync timer"))
             }
-            DurabilityPolicy::Strict | DurabilityPolicy::Os => None,
+            DurabilityPolicy::Strict => None,
         };
         Arc::new(CommitPipeline {
             shared,
@@ -562,41 +690,50 @@ impl CommitPipeline {
         self.arrive(None, false)
     }
 
-    /// Arrive with a commit or a barrier (`sync`: a flush); lead or follow.
+    /// Run a caller with a commit or a barrier (`sync`: a flush) to its
+    /// outcome.
     fn arrive(&self, commit: Option<CommitGroup>, sync: bool) -> Result<Digest, StorageError> {
-        let (counted, ticket) = (commit.is_some(), Arc::<Ticket>::default());
+        let shared = &self.shared;
+        let ticket = Arc::<Ticket>::default();
         let waiter = Arc::clone(&ticket);
-        let mut state = lock(&self.shared.state);
-        let arrival = state.arrive(Pending {
+        let mut caller = Caller::Arriving(Pending {
             waiter,
             commit,
             sync,
         });
-        if counted && !matches!(arrival, Arrival::Closed) {
-            self.shared.stats.commits.fetch_add(1, Relaxed);
-            self.shared.obs.commits.inc();
-        }
-        match arrival {
-            Arrival::Closed => Err(StorageError::Closed),
-            Arrival::Answer => Ok(self.shared.ledger.digest()),
-            Arrival::Lead(batch) => {
-                drop(state);
-                self.shared.lead(batch)
+        let mut event = Event::Go;
+        loop {
+            let mut state = lock(&shared.state);
+            let queued = state.queue.len();
+            let io = caller.step(&mut state, event, Instant::now());
+            // The gauge follows the queue, under the lock that changes it.
+            if state.queue.len() != queued {
+                let depth = state.queue.len() as i64 - queued as i64;
+                shared.obs.queue_depth.add(depth);
             }
-            Arrival::Follow => {
-                self.shared.obs.queue_depth.add(1);
-                drop(state);
-                match ticket.wait() {
-                    Wake::Done(result) => result,
-                    Wake::Seal => {
-                        // Handed the role: take the whole queue, headed by
-                        // this caller's own entry.
-                        let batch = std::mem::take(&mut lock(&self.shared.state).queue);
-                        self.shared.obs.queue_depth.sub(batch.len() as i64);
-                        self.shared.lead(batch)
+            event = match io {
+                Io::Closed => return Err(StorageError::Closed),
+                Io::Answer => return Ok(shared.ledger.digest()),
+                Io::Park => {
+                    drop(state);
+                    match ticket.wait() {
+                        Wake::Done(outcome) => return outcome,
+                        Wake::Seal => Event::Handed,
                     }
                 }
-            }
+                Io::Ack(release, batch, outcome) => {
+                    drop(state);
+                    shared.wake(release);
+                    for pending in batch.into_iter().skip(1) {
+                        pending.waiter.wake(Wake::Done(outcome.clone()));
+                    }
+                    return outcome;
+                }
+                io => {
+                    drop(state);
+                    shared.perform(io)
+                }
+            };
         }
     }
 
@@ -605,18 +742,26 @@ impl CommitPipeline {
     /// [`StorageError::Closed`]. Idempotent; also invoked on drop.
     pub fn shutdown(&self) {
         let ticket: Arc<Ticket> = Arc::default();
-        let close = lock(&self.shared.state).close(Arc::clone(&ticket));
-        self.shared.timer.notify_one();
-        match close {
-            Arrival::Closed | Arrival::Answer => return,
-            Arrival::Follow => drop(ticket.wait()),
-            Arrival::Lead(_) => {}
-        }
-        // Best effort: the store's drop-time flush retries once more.
-        let _ = self.shared.sync();
-        self.shared.release();
-        if let Some(timer) = lock(&self.timer).take() {
-            let _ = timer.join();
+        let waiter = Arc::clone(&ticket);
+        let mut closer = Closer { waiter };
+        let mut event = Event::Go;
+        loop {
+            let io = closer.step(&mut lock(&self.shared.state), event, Instant::now());
+            event = match io {
+                Io::Exit => return,
+                Io::Park => {
+                    drop(ticket.wait());
+                    Event::Handed
+                }
+                Io::Join => {
+                    self.shared.timer.notify_one();
+                    if let Some(timer) = lock(&self.timer).take() {
+                        let _ = timer.join();
+                    }
+                    return;
+                }
+                io => self.shared.perform(io),
+            };
         }
     }
 }
@@ -636,33 +781,29 @@ impl std::fmt::Debug for CommitPipeline {
     }
 }
 
-/// The `Grouped` timer: when a deadline passes with no commit to carry it,
-/// take the role to fsync; retry a failed fsync `retry` later.
+/// Run the `Grouped` timer until shutdown.
 fn keep_time(shared: &Shared, retry: Duration) {
+    let mut timer = Timer { retry };
+    let mut event = Event::Go;
     let mut state = lock(&shared.state);
     loop {
-        state = match state.tick(Instant::now()) {
-            Tick::Exit => return,
-            Tick::Sleep(timeout) => {
+        (state, event) = match timer.step(&mut state, event, Instant::now()) {
+            Io::Exit => return,
+            // Letting the lock go and sleeping are one step, so no wake-up
+            // sent after this step is lost.
+            Io::Sleep(timeout) => {
                 let slept = shared.timer.wait_timeout(state, timeout);
-                slept.unwrap_or_else(|poison| poison.into_inner()).0
+                let state = slept.unwrap_or_else(|poison| poison.into_inner()).0;
+                (state, Event::Go)
             }
-            Tick::Sync => {
+            io => {
                 drop(state);
-                if shared.sync().is_err() {
-                    // Keep the unsynced count and retry after a delay:
-                    // resetting it would silently void the bounded-loss
-                    // guarantee. A flush (or the next batch's forced sync)
-                    // surfaces the error to a caller.
-                    lock(&shared.state).sync_deadline = Some(Instant::now() + retry);
-                }
-                shared.release();
-                lock(&shared.state)
+                let event = shared.perform(io);
+                (lock(&shared.state), event)
             }
         };
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,6 +906,12 @@ mod tests {
         std::thread::current().name().map(str::to_string)
     }
 
+    /// A `Grouped` policy that never fsyncs on its own within a test.
+    const QUIET: DurabilityPolicy = DurabilityPolicy::Grouped {
+        max_delay: Duration::from_secs(3600),
+        max_writes: 1_000_000,
+    };
+
     #[test]
     fn a_free_pipeline_commits_on_the_callers_thread() {
         let (probe, _ledger, pipeline) = probed(DurabilityPolicy::Strict);
@@ -778,11 +925,7 @@ mod tests {
 
     #[test]
     fn a_flush_on_a_free_pipeline_syncs_on_the_callers_thread() {
-        let policy = DurabilityPolicy::Grouped {
-            max_delay: Duration::from_secs(3600),
-            max_writes: 1000,
-        };
-        let (probe, _ledger, pipeline) = probed(policy);
+        let (probe, _ledger, pipeline) = probed(QUIET);
         pipeline.commit(vec![kv(1)], "PUT").unwrap();
         lock(&probe.log).clear();
         pipeline.flush().unwrap();
@@ -864,7 +1007,7 @@ mod tests {
 
     #[test]
     fn shutdown_waits_for_a_seal_before_its_final_sync() {
-        let (probe, ledger, pipeline) = probed(DurabilityPolicy::Os);
+        let (probe, ledger, pipeline) = probed(QUIET);
         let held = lock(&probe.hold);
         std::thread::scope(|scope| {
             let sealing = scope.spawn(|| pipeline.commit(vec![kv(1)], "PUT"));
@@ -894,7 +1037,7 @@ mod tests {
     fn queue_depth_sums_parked_followers_across_pipelines() {
         let telemetry = TelemetryHandle::new();
         let shards: Vec<Probed> = (0..2)
-            .map(|_| probed_with(DurabilityPolicy::Os, telemetry.clone()))
+            .map(|_| probed_with(QUIET, telemetry.clone()))
             .collect();
         let held: Vec<_> = shards.iter().map(|(probe, ..)| lock(&probe.hold)).collect();
         std::thread::scope(|scope| {
@@ -958,7 +1101,7 @@ mod tests {
 
     #[test]
     fn flush_forces_a_sync_and_shutdown_rejects_later_commits() {
-        let (_ledger, pipeline) = pipeline(DurabilityPolicy::Os);
+        let (_ledger, pipeline) = pipeline(QUIET);
         pipeline.commit(vec![kv(1)], "PUT").unwrap();
         let before = pipeline.stats().syncs;
         pipeline.flush().unwrap();
@@ -1052,7 +1195,7 @@ mod tests {
 
     #[test]
     fn fence_never_predates_an_acknowledged_commit() {
-        let (ledger, pipeline) = pipeline(DurabilityPolicy::Os);
+        let (ledger, pipeline) = pipeline(QUIET);
         assert_eq!(pipeline.fence().unwrap(), ledger.digest());
         // Each fence finds the pipeline free and reads the digest directly;
         // `fence_returns_a_quiesced_digest_without_forcing_a_sync` queues
@@ -1088,13 +1231,14 @@ mod tests {
     }
 
     // ---------------------------------------------------------------------
-    // Model check: the `PipelineState` decisions over every interleaving.
+    // Model check: the step functions over every interleaving.
     //
-    // Each caller, the timer thread and a shutdown are modelled by where
-    // they are in the code above. Every step between two lock acquisitions
-    // is one move, and every I/O (seal, fsync) may succeed or fail within a
-    // budget. A depth-first search visits every reachable state and checks
-    // the invariants after each move and at each dead end.
+    // Each caller, the timer and a shutdown is its step machine and the I/O
+    // it performs next. A move performs one actor's I/O, simulated, then
+    // runs the actor's next step on the state, as its thread does; a seal
+    // or an fsync may succeed or fail within a budget. A depth-first search
+    // visits every reachable state and checks the invariants after each
+    // move and at each dead end.
     // ---------------------------------------------------------------------
 
     /// The model's `Grouped` policy: two commits force an fsync.
@@ -1119,74 +1263,56 @@ mod tests {
         shutdown: bool,
     }
 
-    /// An operation's result; a digest is modelled by its block height.
-    type Outcome = Result<u32, ()>;
-
-    /// What a model ticket holds ([`Wake`] without the digest).
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-    enum Woken {
-        Seal,
-        Done(Outcome),
-    }
-
-    /// A role holder's place in `Shared::lead`: seal, settle, fsync,
-    /// release, then (no longer holding) acknowledge.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-    enum Stage {
-        Seal,
-        Settle,
-        Sync,
-        Release,
-        Ack,
-    }
+    /// In the model a waiter is an actor id, a digest is a block height,
+    /// and every failure is alike.
+    type ModelIo = Io<usize, u32, ()>;
 
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-    enum Caller {
-        Idle,
-        Parked,
-        Leading(Stage, Vec<Pending<usize>>, Outcome),
+    enum Actor {
+        Caller(Caller<usize, u32, ()>),
+        Timer(Timer),
+        Closer(Closer<usize>),
     }
 
-    /// The timer's place in `keep_time`.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-    enum Timer {
-        Awake,
-        Asleep(Option<Instant>),
-        Sync,
-        Release,
-        Exited,
-    }
-
-    /// The shutdown's place in `CommitPipeline::shutdown`.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-    enum Closer {
-        Idle,
-        Parked,
-        Sync,
-        Release,
-        Join,
-        Done,
+    impl Actor {
+        fn step(
+            &mut self,
+            state: &mut PipelineState<usize>,
+            event: Event<u32, ()>,
+            now: Instant,
+        ) -> ModelIo {
+            match self {
+                Actor::Caller(caller) => caller.step(state, event, now),
+                Actor::Timer(timer) => timer.step(state, event, now),
+                Actor::Closer(closer) => closer.step(state, event, now),
+            }
+        }
     }
 
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct Model {
         state: PipelineState<usize>,
         now: Instant,
-        /// Per caller: its next operation, its place, and the highest
-        /// commit acknowledged when its current operation began.
-        callers: Vec<(usize, Caller, u32)>,
-        /// Each caller's ticket, then the shutdown's.
-        tickets: Vec<Option<Woken>>,
-        timer: Option<Timer>,
-        closer: Option<Closer>,
+        /// The callers, shutdown, then the timer: each one's step machine
+        /// and next I/O (`None` between a caller's operations, and before
+        /// shutdown begins).
+        actors: Vec<Option<(Actor, ModelIo)>>,
+        /// Per caller: its next operation's index, its current operation,
+        /// and the highest commit acknowledged when that began.
+        scripts: Vec<(usize, Op, u32)>,
+        /// Each caller's ticket, then shutdown's.
+        tickets: Vec<Option<Wake<u32, ()>>>,
+        /// When the timer's sleep ends unless it is woken first.
+        alarm: Option<Instant>,
         /// Blocks sealed, the height the last fsync covered, and the
         /// highest commit acknowledged.
         height: u32,
         durable: u32,
         acked: u32,
-        /// Commits counted toward `unsynced`, and commits fsyncs retired.
+        /// Commits sealed under `Grouped` since the last fsync, and commits
+        /// the counters counted that have not yet returned.
+        unretired: usize,
         counted: usize,
-        retired: usize,
         final_sync: bool,
         /// What is left to spend on deadline passes and on failed I/O (a
         /// seal that errs or panics, or an fsync that errs).
@@ -1199,24 +1325,28 @@ mod tests {
     impl Model {
         fn new(scenario: &Scenario, now: Instant) -> Model {
             let callers = scenario.scripts.len();
-            let grouped = matches!(scenario.policy, DurabilityPolicy::Grouped { .. });
+            let mut actors = vec![None; callers + 2];
+            if let DurabilityPolicy::Grouped { max_delay, .. } = scenario.policy {
+                // As after its first step: it learns of a deadline only by
+                // being woken, the case a missing wake-up strands.
+                let timer = Actor::Timer(Timer { retry: max_delay });
+                actors[callers + 1] = Some((timer, Io::Sleep(Duration::MAX)));
+            }
             Model {
                 state: PipelineState {
                     policy: scenario.policy,
                     ..PipelineState::default()
                 },
                 now,
-                callers: vec![(0, Caller::Idle, 0); callers],
+                actors,
+                scripts: vec![(0, Op::Commit, 0); callers],
                 tickets: vec![None; callers + 1],
-                // As after its first tick: it learns of a deadline only by
-                // being woken, the case a missing wake-up strands.
-                timer: grouped.then_some(Timer::Asleep(None)),
-                closer: scenario.shutdown.then_some(Closer::Idle),
+                alarm: None,
                 height: 0,
                 durable: 0,
                 acked: 0,
+                unretired: 0,
                 counted: 0,
-                retired: 0,
                 final_sync: false,
                 deadlines: 2,
                 faults: 1,
@@ -1224,370 +1354,232 @@ mod tests {
         }
 
         fn closer_id(&self) -> usize {
-            self.callers.len()
+            self.scripts.len()
         }
 
-        fn grouped(&self) -> bool {
-            matches!(self.state.policy, DurabilityPolicy::Grouped { .. })
-        }
-
-        fn wake_timer(&mut self) {
-            if let Some(Timer::Asleep(_)) = self.timer {
-                self.timer = Some(Timer::Awake);
-            }
-        }
-
-        fn release(&mut self) -> Result<(), String> {
-            match self.state.release(self.now) {
-                Release::Handoff(waiter) if self.tickets[waiter].is_some() => {
-                    Err(format!("the role was handed to {waiter}, already woken"))
-                }
-                Release::Handoff(waiter) => {
-                    self.tickets[waiter] = Some(Woken::Seal);
-                    Ok(())
-                }
-                Release::Free(wake_timer) => {
-                    if wake_timer {
-                        self.wake_timer();
-                    }
-                    Ok(())
-                }
-            }
-        }
-
-        /// One fsync, as `Shared::sync` runs it. Only the role holder
-        /// counts or retires commits, so reading `covered` and retiring it
-        /// can be one move.
-        fn sync(&mut self, fails: bool) -> Result<bool, String> {
-            if self.final_sync {
-                return Err("an fsync ran after shutdown's final sync".into());
-            }
-            if fails {
-                self.faults -= 1;
-                return Ok(false);
-            }
-            let covered = self.state.unsynced;
-            self.state.synced(covered);
-            self.retired += covered;
-            self.durable = self.height;
-            Ok(true)
-        }
-
-        /// Caller `i`'s current operation returns `outcome`.
-        fn finish(
-            &mut self,
-            scenario: &Scenario,
-            i: usize,
-            outcome: Outcome,
-        ) -> Result<(), String> {
-            let (next, _, floor) = self.callers[i];
-            match (scenario.scripts[i][next], outcome) {
-                (Op::Commit, Ok(height)) => {
-                    if self.state.policy == DurabilityPolicy::Strict && self.durable < height {
-                        return Err(format!("caller {i}: Strict acknowledged before its fsync"));
-                    }
-                    self.acked = self.acked.max(height);
-                }
-                (Op::Fence, Ok(height)) if height < floor => {
-                    return Err(format!(
-                        "caller {i}: a fence returned height {height}, older than \
-                         commit {floor} acknowledged before it began"
-                    ));
-                }
-                (Op::Flush, Ok(_)) if self.durable < floor => {
-                    return Err(format!(
-                        "caller {i}: a flush returned before commit {floor} was fsynced"
-                    ));
-                }
-                _ => {}
-            }
-            self.callers[i] = (next + 1, Caller::Idle, 0);
-            Ok(())
-        }
-
-        fn arrive(&mut self, scenario: &Scenario, i: usize, op: Op) -> Result<(), String> {
-            // A model commit carries no bytes: only `Some` makes it a commit.
-            let commit = (op == Op::Commit).then(|| (Vec::new(), String::new()));
-            let pending = Pending {
-                waiter: i,
-                commit,
-                sync: op == Op::Flush,
-            };
-            self.callers[i].2 = self.acked;
-            let closing = !matches!(self.closer, None | Some(Closer::Idle));
-            match self.state.arrive(pending) {
-                Arrival::Closed if closing => self.finish(scenario, i, Err(())),
-                Arrival::Closed => Err(format!("caller {i}: refused before shutdown")),
-                _ if closing => Err(format!("caller {i}: {op:?} accepted after shutdown")),
-                Arrival::Answer => {
-                    let height = self.height;
-                    self.finish(scenario, i, Ok(height))
-                }
-                Arrival::Lead(batch) => {
-                    self.callers[i].1 = Caller::Leading(Stage::Seal, batch, Ok(0));
-                    Ok(())
-                }
-                Arrival::Follow => {
-                    self.callers[i].1 = Caller::Parked;
-                    Ok(())
-                }
-            }
+        fn timer_id(&self) -> usize {
+            self.scripts.len() + 1
         }
 
         fn moves(&self, scenario: &Scenario) -> Vec<Move> {
             let mut out = Vec::new();
-            for i in 0..self.callers.len() {
-                self.caller_moves(scenario, i, &mut out);
+            for id in 0..self.actors.len() {
+                for fails in [false, true] {
+                    if let Some(next) = self.perform(scenario, id, fails) {
+                        out.push(((if fails { "failing" } else { "move" }, id), next));
+                    }
+                }
             }
-            self.timer_moves(&mut out);
-            self.closer_moves(&mut out);
             if let Some(deadline) = self.state.sync_deadline {
                 if self.deadlines > 0 && deadline > self.now {
                     let mut m = self.clone();
                     m.now = deadline;
                     m.deadlines -= 1;
-                    if let Some(Timer::Asleep(Some(until))) = m.timer {
-                        if until <= m.now {
-                            m.timer = Some(Timer::Awake);
-                        }
-                    }
                     out.push((("deadline passes", 0), Ok(m)));
                 }
             }
             out
         }
 
-        fn caller_moves(&self, scenario: &Scenario, i: usize, out: &mut Vec<Move>) {
-            let (next, caller, _) = &self.callers[i];
-            match (caller, self.tickets[i]) {
-                (Caller::Idle, _) if *next == scenario.scripts[i].len() => return,
-                (Caller::Parked, None) => return,
-                (Caller::Leading(stage, batch, outcome), _) => {
-                    return self.lead_moves(i, *stage, batch, *outcome, scenario, out);
+        /// Actor `id`'s move, if it has one: begin its next operation, or
+        /// perform its I/O (`fails`: as a failure), simulated, and step on.
+        fn perform(
+            &self,
+            scenario: &Scenario,
+            id: usize,
+            fails: bool,
+        ) -> Option<Result<Model, String>> {
+            let Some((actor, io)) = &self.actors[id] else {
+                return (!fails).then(|| self.begin(scenario, id)).flatten();
+            };
+            let ready = match io {
+                Io::Park => self.tickets[id].is_some(),
+                Io::Sleep(_) => self.alarm.is_some_and(|at| at <= self.now),
+                Io::Seal(groups, _) if fails => self.faults > 0 && !groups.is_empty(),
+                Io::Sync => !fails || self.faults > 0,
+                Io::Exit => false,
+                _ => !fails,
+            };
+            ready.then(|| {
+                let mut m = self.clone();
+                m.run(id, actor.clone(), io.clone(), fails).map(|()| m)
+            })
+        }
+
+        fn begin(&self, scenario: &Scenario, id: usize) -> Option<Result<Model, String>> {
+            let op = match scenario.scripts.get(id) {
+                Some(script) => Some(*script.get(self.scripts[id].0)?),
+                None if id == self.closer_id() && scenario.shutdown => None,
+                None => return None,
+            };
+            let mut m = self.clone();
+            let closing = m.actors[m.closer_id()].is_some();
+            let mut actor = match op {
+                Some(op) => {
+                    m.scripts[id] = (m.scripts[id].0, op, m.acked);
+                    // One write: a commit of none seals nothing.
+                    let commit =
+                        (op == Op::Commit).then(|| (vec![Default::default()], String::new()));
+                    let sync = op == Op::Flush;
+                    Actor::Caller(Caller::Arriving(Pending {
+                        waiter: id,
+                        commit,
+                        sync,
+                    }))
+                }
+                None => Actor::Closer(Closer { waiter: id }),
+            };
+            let begun = match actor.step(&mut m.state, Event::Go, m.now) {
+                Io::Exit => Err("a lone shutdown was refused".into()),
+                Io::Closed if closing => m.finish(id, None),
+                Io::Closed => Err(format!("caller {id}: refused before shutdown")),
+                io if closing && id != m.closer_id() => {
+                    Err(format!("caller {id}: {io:?} after shutdown began"))
+                }
+                io => m.land(id, actor, io),
+            };
+            Some(begun.map(|()| m))
+        }
+
+        fn run(
+            &mut self,
+            id: usize,
+            mut actor: Actor,
+            io: ModelIo,
+            fails: bool,
+        ) -> Result<(), String> {
+            let event = match io {
+                Io::Seal(..) | Io::Sync if self.final_sync => {
+                    return Err(format!("{io:?} after shutdown's final sync"));
+                }
+                Io::Park => match self.tickets[id].take() {
+                    Some(Wake::Done(outcome)) => return self.finish(id, Some(outcome)),
+                    _ => Event::Handed,
+                },
+                Io::Seal(groups, commits) => {
+                    self.counted += commits;
+                    if fails {
+                        self.faults -= 1;
+                        Event::Sealed(Err(()))
+                    } else {
+                        self.height += u32::from(!groups.is_empty());
+                        if self.state.policy != DurabilityPolicy::Strict {
+                            self.unretired += groups.len();
+                        }
+                        Event::Sealed(Ok(self.height))
+                    }
+                }
+                Io::Sync => {
+                    if let Actor::Caller(Caller::Holding(holder)) = &actor {
+                        let fence = holder.sealed == 0 && !holder.force;
+                        if fence && self.state.policy == DurabilityPolicy::Strict {
+                            return Err("a fence paid for an fsync".into());
+                        }
+                    }
+                    self.final_sync = matches!(actor, Actor::Closer(_));
+                    if fails {
+                        self.faults -= 1;
+                        Event::Synced(Err(()))
+                    } else {
+                        (self.durable, self.unretired) = (self.height, 0);
+                        Event::Synced(Ok(()))
+                    }
+                }
+                Io::Ack(release, batch, outcome) => {
+                    if let Some(waiter) = release.handoff {
+                        self.hand_over(waiter)?;
+                    }
+                    if release.timer {
+                        self.wake_timer();
+                    }
+                    for pending in &batch[1..] {
+                        self.tickets[pending.waiter] = Some(Wake::Done(outcome));
+                    }
+                    return self.finish(id, Some(outcome));
+                }
+                Io::Handoff(waiter) => self.hand_over(waiter).map(|()| Event::Go)?,
+                Io::Join => {
+                    self.wake_timer();
+                    self.actors[id] = Some((actor, Io::Exit));
+                    return Ok(());
+                }
+                _ => Event::Go,
+            };
+            let io = actor.step(&mut self.state, event, self.now);
+            self.land(id, actor, io)
+        }
+
+        /// Keep the I/O a step decided on; a free fence is answered at
+        /// once, under the state lock.
+        fn land(&mut self, id: usize, actor: Actor, io: ModelIo) -> Result<(), String> {
+            match io {
+                Io::Answer => return self.finish(id, Some(Ok(self.height))),
+                Io::Sleep(timeout) => self.alarm = self.now.checked_add(timeout),
+                _ if id == self.timer_id() => self.alarm = None,
+                _ => {}
+            }
+            self.actors[id] = Some((actor, io));
+            Ok(())
+        }
+
+        fn hand_over(&mut self, waiter: usize) -> Result<(), String> {
+            match self.tickets[waiter].replace(Wake::Seal) {
+                Some(_) => Err(format!("the role was handed to {waiter}, already woken")),
+                None => Ok(()),
+            }
+        }
+
+        fn wake_timer(&mut self) {
+            if let Some((_, Io::Sleep(_))) = self.actors[self.timer_id()] {
+                self.alarm = Some(self.now);
+            }
+        }
+
+        /// Caller `i`'s current operation returns `outcome` (`None`:
+        /// refused).
+        fn finish(&mut self, i: usize, outcome: Option<Result<u32, ()>>) -> Result<(), String> {
+            let (_, op, floor) = self.scripts[i];
+            match (op, outcome) {
+                (Op::Commit, Some(Ok(height))) => {
+                    if self.state.policy == DurabilityPolicy::Strict && self.durable < height {
+                        return Err(format!("caller {i}: Strict acknowledged before its fsync"));
+                    }
+                    self.acked = self.acked.max(height);
+                }
+                (Op::Fence, Some(Ok(height))) if height < floor => {
+                    return Err(format!(
+                        "caller {i}: a fence returned height {height}, older than \
+                         commit {floor} acknowledged before it began"
+                    ));
+                }
+                (Op::Flush, Some(Ok(_))) if self.durable < floor => {
+                    return Err(format!(
+                        "caller {i}: a flush returned before commit {floor} was fsynced"
+                    ));
                 }
                 _ => {}
             }
-            let mut m = self.clone();
-            let result = match (caller, self.tickets[i]) {
-                (Caller::Parked, Some(Woken::Done(outcome))) => {
-                    m.tickets[i] = None;
-                    m.finish(scenario, i, outcome)
-                }
-                (Caller::Parked, Some(Woken::Seal)) => {
-                    m.tickets[i] = None;
-                    let batch = std::mem::take(&mut m.state.queue);
-                    if batch.first().map(|head| head.waiter) == Some(i) {
-                        m.callers[i].1 = Caller::Leading(Stage::Seal, batch, Ok(0));
-                        Ok(())
-                    } else {
-                        Err(format!("caller {i} was handed the role but heads no queue"))
-                    }
-                }
-                _ => m.arrive(scenario, i, scenario.scripts[i][*next]),
-            };
-            out.push((("caller", i), result.map(|()| m)));
-        }
-
-        fn lead_moves(
-            &self,
-            i: usize,
-            stage: Stage,
-            batch: &[Pending<usize>],
-            outcome: Outcome,
-            scenario: &Scenario,
-            out: &mut Vec<Move>,
-        ) {
-            let commits = batch.iter().filter(|p| p.commit.is_some()).count();
-            let force = batch.iter().any(|p| p.sync);
-            let at = |m: &mut Model, stage, outcome| {
-                m.callers[i].1 = Caller::Leading(stage, batch.to_vec(), outcome);
-            };
-            let can_fail = match stage {
-                Stage::Seal => commits > 0 && self.faults > 0,
-                Stage::Sync => self.faults > 0,
-                _ => false,
-            };
-            for fails in [false, true] {
-                if fails && !can_fail {
-                    break;
-                }
-                let mut m = self.clone();
-                let result = match stage {
-                    Stage::Seal if self.final_sync => {
-                        Err("a block was sealed after shutdown".into())
-                    }
-                    Stage::Seal if fails => {
-                        m.faults -= 1;
-                        at(&mut m, Stage::Release, Err(()));
-                        Ok(())
-                    }
-                    Stage::Seal => {
-                        m.height += u32::from(commits > 0);
-                        let height = m.height;
-                        at(&mut m, Stage::Settle, Ok(height));
-                        Ok(())
-                    }
-                    Stage::Settle => {
-                        let (sync, arm) = m.state.settle(commits, force, m.now);
-                        if m.grouped() {
-                            m.counted += commits;
-                        }
-                        if arm {
-                            m.wake_timer();
-                        }
-                        if sync && commits == 0 && !force && !m.grouped() {
-                            Err("a fence paid for an fsync".into())
-                        } else {
-                            at(
-                                &mut m,
-                                if sync { Stage::Sync } else { Stage::Release },
-                                outcome,
-                            );
-                            Ok(())
-                        }
-                    }
-                    Stage::Sync => m.sync(fails).map(|synced| {
-                        at(
-                            &mut m,
-                            Stage::Release,
-                            if synced { outcome } else { Err(()) },
-                        );
-                    }),
-                    Stage::Release => m.release().map(|()| at(&mut m, Stage::Ack, outcome)),
-                    Stage::Ack
-                        if scenario.policy == DurabilityPolicy::Strict
-                            && commits > 0
-                            && outcome.is_ok_and(|height| m.durable < height) =>
-                    {
-                        Err("Strict acknowledged a batch before its fsync".into())
-                    }
-                    Stage::Ack => {
-                        for pending in &batch[1..] {
-                            m.tickets[pending.waiter] = Some(Woken::Done(outcome));
-                        }
-                        m.finish(scenario, i, outcome)
-                    }
-                };
-                out.push((
-                    (if fails { "lead, failing" } else { "lead" }, i),
-                    result.map(|()| m),
-                ));
+            if op == Op::Commit && outcome.is_some() {
+                self.counted = self.counted.checked_sub(1).ok_or_else(|| {
+                    format!("caller {i}: a commit returned that the counters never counted")
+                })?;
             }
-        }
-
-        fn timer_moves(&self, out: &mut Vec<Move>) {
-            let can_fail = match self.timer {
-                Some(Timer::Sync) => self.faults > 0,
-                Some(Timer::Awake | Timer::Release) => false,
-                _ => return,
-            };
-            for fails in [false, true] {
-                if fails && !can_fail {
-                    break;
-                }
-                let mut m = self.clone();
-                let result = match self.timer {
-                    Some(Timer::Sync) => m.sync(fails).map(|synced| {
-                        if !synced {
-                            m.state.sync_deadline = Some(m.now + Duration::from_millis(2));
-                        }
-                        m.timer = Some(Timer::Release);
-                    }),
-                    Some(Timer::Awake) => {
-                        m.timer = Some(match m.state.tick(m.now) {
-                            Tick::Exit => Timer::Exited,
-                            Tick::Sleep(timeout) => Timer::Asleep(m.now.checked_add(timeout)),
-                            Tick::Sync => Timer::Sync,
-                        });
-                        Ok(())
-                    }
-                    _ => m.release().map(|()| m.timer = Some(Timer::Awake)),
-                };
-                out.push((("timer", 0), result.map(|()| m)));
-            }
-        }
-
-        fn closer_moves(&self, out: &mut Vec<Move>) {
-            let id = self.closer_id();
-            let can_fail = match self.closer {
-                Some(Closer::Sync) => self.faults > 0,
-                Some(Closer::Parked) if self.tickets[id].is_none() => return,
-                Some(Closer::Join) if !matches!(self.timer, None | Some(Timer::Exited)) => return,
-                Some(Closer::Done) | None => return,
-                _ => false,
-            };
-            for fails in [false, true] {
-                if fails && !can_fail {
-                    break;
-                }
-                let mut m = self.clone();
-                let result = match self.closer {
-                    Some(Closer::Sync) => m.sync(fails).map(|_| {
-                        m.final_sync = true;
-                        m.closer = Some(Closer::Release);
-                    }),
-                    Some(Closer::Idle) => {
-                        let arrival = m.state.close(id);
-                        m.wake_timer();
-                        m.closer = match arrival {
-                            Arrival::Lead(_) => Some(Closer::Sync),
-                            Arrival::Follow => Some(Closer::Parked),
-                            Arrival::Closed | Arrival::Answer => None,
-                        };
-                        match m.closer {
-                            Some(_) => Ok(()),
-                            None => Err("a lone shutdown was refused".into()),
-                        }
-                    }
-                    Some(Closer::Parked) => match self.tickets[id] {
-                        Some(Woken::Seal) => {
-                            m.tickets[id] = None;
-                            m.closer = Some(Closer::Sync);
-                            Ok(())
-                        }
-                        _ => Err("shutdown was acknowledged, not handed the role".into()),
-                    },
-                    Some(Closer::Release) => match m.state.release(m.now) {
-                        Release::Free(wake_timer) => {
-                            if wake_timer {
-                                m.wake_timer();
-                            }
-                            m.closer = Some(Closer::Join);
-                            Ok(())
-                        }
-                        Release::Handoff(waiter) => Err(format!(
-                            "shutdown handed the role to {waiter} after its final sync"
-                        )),
-                    },
-                    _ => {
-                        m.closer = Some(Closer::Done);
-                        Ok(())
-                    }
-                };
-                out.push((("shutdown", id), result.map(|()| m)));
-            }
+            self.scripts[i].0 += 1;
+            self.actors[i] = None;
+            Ok(())
         }
 
         /// The invariants every reachable state keeps.
         fn check(&self) -> Result<(), String> {
-            let handed = |id: usize| self.tickets[id] == Some(Woken::Seal);
-            let mut holders = Vec::new();
-            for (i, (_, caller, _)) in self.callers.iter().enumerate() {
-                match caller {
-                    Caller::Leading(stage, ..) if *stage != Stage::Ack => holders.push(i),
-                    Caller::Parked if handed(i) => holders.push(i),
-                    _ => {}
-                }
-            }
-            if matches!(self.timer, Some(Timer::Sync | Timer::Release)) {
-                holders.push(usize::MAX);
-            }
-            let id = self.closer_id();
-            match self.closer {
-                Some(Closer::Sync | Closer::Release) => holders.push(id),
-                Some(Closer::Parked) if handed(id) => holders.push(id),
-                _ => {}
-            }
+            let holders: Vec<usize> = (0..self.actors.len())
+                .filter(|&id| match &self.actors[id] {
+                    Some((_, Io::Seal(..) | Io::Sync | Io::Handoff(_))) => true,
+                    // Given up, on its way to the next holder.
+                    Some((_, Io::Ack(release, ..))) => release.handoff.is_some(),
+                    Some((_, Io::Park)) => self.tickets[id] == Some(Wake::Seal),
+                    _ => false,
+                })
+                .collect();
             if holders.len() > 1 {
                 return Err(format!("more than one role holder: {holders:?}"));
             }
@@ -1599,11 +1591,10 @@ mod tests {
             if !self.state.sealing && !self.state.queue.is_empty() {
                 return Err("the role is free while callers are queued".into());
             }
-            if self.grouped() && self.state.unsynced != self.counted - self.retired {
+            if self.state.unsynced != self.unretired {
                 return Err(format!(
-                    "unsynced is {} but {} counted commits were never fsynced",
-                    self.state.unsynced,
-                    self.counted - self.retired
+                    "unsynced is {} but {} sealed commits were never fsynced",
+                    self.state.unsynced, self.unretired
                 ));
             }
             if self.state.unsynced > 0 && self.state.sync_deadline.is_none() {
@@ -1612,16 +1603,27 @@ mod tests {
             Ok(())
         }
 
-        /// What must hold once nothing can move.
+        /// What must hold once nothing can move: every caller and shutdown
+        /// done, and the timer asleep, or gone after shutdown.
         fn check_end(&self) -> Result<(), String> {
-            if let Some(i) = self.callers.iter().position(|(_, c, _)| *c != Caller::Idle) {
-                return Err(format!("caller {i} is stranded"));
-            }
-            if self.closer.is_some_and(|closer| closer != Closer::Done) {
-                return Err("shutdown is stranded".into());
+            for (id, actor) in self.actors.iter().enumerate() {
+                let done = match actor {
+                    Some((_, Io::Sleep(_))) => id == self.timer_id() && !self.state.shutdown,
+                    Some((_, io)) => id >= self.closer_id() && *io == Io::Exit,
+                    None => true,
+                };
+                if !done {
+                    return Err(format!("actor {id} is stranded: {actor:?}"));
+                }
             }
             if !self.state.shutdown && self.state.sync_due(self.now) {
                 return Err("a passed deadline was never met".into());
+            }
+            if self.counted > 0 {
+                return Err(format!(
+                    "the counters counted {} commits no caller made",
+                    self.counted
+                ));
             }
             Ok(())
         }
@@ -1652,13 +1654,12 @@ mod tests {
                 match next.and_then(|next| next.check().map(|()| next)) {
                     Err(broken) => self.fail(&broken, &model),
                     Ok(next) if self.seen.insert(self.hasher.hash_one(&next)) => {
-                        for (_, caller, _) in &next.callers {
-                            if let Caller::Leading(Stage::Seal, batch, _) = caller {
-                                let commits = batch.iter().filter(|p| p.commit.is_some()).count();
-                                self.widest_batch = self.widest_batch.max(commits);
+                        for actor in next.actors.iter().flatten() {
+                            if let (Actor::Caller(Caller::Holding(holder)), Io::Seal(..)) = actor {
+                                self.widest_batch = self.widest_batch.max(holder.sealed);
                             }
                         }
-                        if next.tickets.contains(&Some(Woken::Seal)) {
+                        if next.tickets.contains(&Some(Wake::Seal)) {
                             self.handoffs += 1;
                         }
                         self.visit(next);
@@ -1689,18 +1690,12 @@ mod tests {
             (vec![vec![Commit, Commit], vec![Fence, Commit]], true),
         ];
         let mut scenarios = Vec::new();
-        for policy in [
-            DurabilityPolicy::Strict,
-            MODEL_GROUPED,
-            DurabilityPolicy::Os,
-        ] {
+        for policy in [DurabilityPolicy::Strict, MODEL_GROUPED] {
             for (scripts, with_shutdown) in &scripts {
-                let shutdowns: &[bool] = if *with_shutdown {
-                    &[false, true]
-                } else {
-                    &[false]
-                };
-                for &shutdown in shutdowns {
+                for shutdown in [false, true] {
+                    if shutdown && !with_shutdown {
+                        continue;
+                    }
                     scenarios.push(Scenario {
                         policy,
                         scripts: scripts.clone(),
@@ -1714,19 +1709,21 @@ mod tests {
 
     /// Every interleaving of 2–3 callers (commits, fences, flushes), the
     /// timer, a shutdown, one failing (or panicking) seal or failing fsync
-    /// and two deadline passes keeps these invariants:
+    /// and two deadline passes, run through the pipeline's own step
+    /// functions, keeps these invariants:
     ///
     /// * at most one role holder, and the role flag names it;
     /// * no caller or shutdown is left parked (nor the queue left behind a
     ///   free role);
     /// * no `Strict` acknowledgement before its fsync, and no flush
     ///   returns before the commits acknowledged ahead of it are fsynced;
-    /// * `unsynced` equals the counted commits no fsync has retired;
+    /// * `unsynced` equals the commits sealed since the last fsync, and
+    ///   the commit counter counts each accepted commit once;
     /// * no commit, fence or flush is accepted after shutdown, and no seal
     ///   or fsync follows shutdown's final sync;
     /// * a fence never returns a digest older than a commit acknowledged
-    ///   before the fence began, and never pays for an fsync under `Strict`
-    ///   or `Os` (under `Grouped` a fence-only batch may pay for the fsync
+    ///   before the fence began, and never pays for an fsync under
+    ///   `Strict` (under `Grouped` a fence-only batch may pay for the fsync
     ///   of a deadline that has passed);
     /// * a passed deadline is always met, by a commit or by the timer.
     #[test]

@@ -39,7 +39,7 @@
 //!
 //! When a commit must actually be on stable storage is a policy question
 //! that lives one layer up, in `spitz-ledger`'s `CommitPipeline`
-//! (`DurabilityPolicy::{Strict, Grouped, Os}`); this store only promises
+//! (`DurabilityPolicy::{Strict, Grouped}`); this store only promises
 //! that [`ChunkStore::sync`] orders everything appended so far before any
 //! later root record, and that recovery lands on the newest root whose log
 //! prefix survived. The trade-offs, briefly:
@@ -53,8 +53,6 @@
 //!   when a deadline passes with no commit to carry it. A crash loses at
 //!   most that window; recovery is still clean because the log prefix
 //!   property above holds at every byte.
-//! * **Os** — durability is left to the page cache (fastest; a crash loses
-//!   whatever the OS had not written back, recovery behaves as for Grouped).
 //!
 //! # Recovery rules
 //!

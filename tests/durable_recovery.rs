@@ -302,7 +302,6 @@ fn torn_root_record_recovers_to_previous_root_under_every_policy() {
         for policy in [
             DurabilityPolicy::Strict,
             DurabilityPolicy::grouped_default(),
-            DurabilityPolicy::Os,
         ] {
             let case = format!("{}, {shards} shards", policy.name());
             let dir = TempDir::new("crash-torn-root");
@@ -348,7 +347,6 @@ fn concurrent_pipeline_writers_commit_every_record_exactly_once() {
         for policy in [
             DurabilityPolicy::Strict,
             DurabilityPolicy::grouped_default(),
-            DurabilityPolicy::Os,
         ] {
             let case = format!("{}, {shards} shards", policy.name());
             let dir = TempDir::new("pipeline-concurrency");

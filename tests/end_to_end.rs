@@ -207,7 +207,6 @@ const REQUIRED: &[&str] = &[
     "pipeline.commits",
     "pipeline.flushes",
     "pipeline.syncs",
-    "pipeline.policy.strict.flushes",
     "pipeline.group_size",
     "pipeline.flush_nanos",
     "pipeline.queue_depth",

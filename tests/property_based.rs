@@ -449,7 +449,7 @@ proptest! {
                 let case = format!("{}, {shards} shards", kind.name());
                 let dir = TempDir::new("table-model");
                 let spitz = SpitzConfig { siri: kind, ..SpitzConfig::default() }
-                    .with_durability(DurabilityPolicy::Os);
+                    .with_durability(DurabilityPolicy::grouped_default());
                 let config = ShardedConfig::default().with_shards(shards).with_spitz(spitz);
                 let db = ShardedDb::open(dir.path(), config).unwrap();
                 db.create_table(Schema::new(
