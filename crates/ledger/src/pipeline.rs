@@ -27,18 +27,18 @@
 //!   root with the chain intact.
 //!
 //! [`CommitPipeline::flush`] forces an fsync regardless of policy;
-//! [`CommitPipeline::shutdown`] (also run on drop) takes the role and syncs
-//! on the caller's thread, so a clean exit never loses acknowledged work.
+//! [`CommitPipeline::shutdown`] (also run on drop) is a flush that closes
+//! the pipeline, so a clean exit never loses acknowledged work.
 //! Only `Grouped` runs a thread, and it only keeps time: it takes the role
 //! to fsync when a deadline passes with no commit to carry it.
 //!
 //! # Steps
 //!
-//! A caller (the role holder, while it leads a batch), the timer and
-//! shutdown are each written once, as a step function: under the state
-//! lock it takes the state and what the actor's last I/O returned, and
-//! decides the next I/O — seal a batch, read the digest, fsync, park,
-//! sleep, wake a waiter or the timer, join, or return an outcome. A thread
+//! A caller (a commit, fence, flush or shutdown; the role holder while it
+//! leads a batch) and the timer are each written once, as a step function:
+//! under the state lock it takes the state and what the actor's last I/O
+//! returned, and decides the next I/O — seal a batch, read the digest,
+//! fsync, park, sleep, wake a waiter or the timer, or return an outcome. A thread
 //! performs that I/O outside the lock, with the ledger, the store and the
 //! tickets. The tests' model check performs a simulated one, so it
 //! searches the product's own order of steps over every interleaving.
@@ -140,13 +140,12 @@ struct Pending<W> {
     sync: bool,
 }
 
-/// Whom giving the role up wakes.
+/// Whom a holder wakes: the waiter it hands the role to (`Wake::Seal`),
+/// and the timer (to learn of a deadline it armed or that passed while it
+/// held the role, or of shutdown).
 #[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
 struct Release<W> {
-    /// The waiter the role is handed to (`Wake::Seal`), if any.
     handoff: Option<W>,
-    /// The timer: the holder armed a deadline, or one passed while the role
-    /// was held.
     timer: bool,
 }
 
@@ -159,12 +158,10 @@ struct PipelineState<W> {
     /// Callers parked behind the role, in arrival order.
     queue: Vec<Pending<W>>,
     /// The seal role is taken: by a caller sealing or syncing, by the queue
-    /// head it was handed to, by the timer syncing or by shutdown. A free
-    /// role means an empty queue.
+    /// head it was handed to, or by the timer syncing. A free role means an
+    /// empty queue.
     sealing: bool,
     shutdown: bool,
-    /// A shutdown waiting for the role.
-    closer: Option<W>,
     /// Commits acknowledged but not yet fsynced (Grouped only), and the
     /// wall-clock deadline by which they must be.
     unsynced: usize,
@@ -204,16 +201,12 @@ impl<W: Clone> PipelineState<W> {
         self.sync_deadline = None;
     }
 
-    /// The holder is done: hand the role to the head of the queue, else to
-    /// a waiting shutdown, else free it. `armed`: the holder armed a
-    /// deadline, which the timer must be woken to learn of.
-    fn release(&mut self, now: Instant, armed: bool) -> Release<W> {
-        let handoff = match self.queue.first() {
-            Some(head) => Some(head.waiter.clone()),
-            None => self.closer.take(),
-        };
+    /// The holder is done: hand the role to the head of the queue, else
+    /// free it. A free role after shutdown wakes the timer to exit.
+    fn release(&mut self, now: Instant) -> Release<W> {
+        let handoff = self.queue.first().map(|head| head.waiter.clone());
         self.sealing = handoff.is_some();
-        let timer = armed || (!self.sealing && self.sync_due(now));
+        let timer = !self.sealing && (self.shutdown || self.sync_due(now));
         Release { handoff, timer }
     }
 }
@@ -223,7 +216,7 @@ impl<W: Clone> PipelineState<W> {
 enum Event<D, E> {
     /// Begin, or (the timer) wake up.
     Go,
-    /// A parked caller or shutdown was handed the role.
+    /// A parked caller was handed the role.
     Handed,
     Sealed(Result<D, E>),
     Synced(Result<(), E>),
@@ -243,23 +236,23 @@ enum Io<W, D, E> {
     /// digest); the batch carries `commits` commits, for the counters.
     Seal(Vec<CommitGroup>, usize),
     Sync,
+    /// Wake whom `release` names, then step on.
+    Wake(Release<W>),
     /// `Ack(release, batch, outcome)`: wake whom `release` names, then the
     /// batch behind its head with `outcome`, and return it.
     Ack(Release<W>, Vec<Pending<W>>, Result<D, E>),
-    /// Hand the role to this waiter, then step on.
-    Handoff(W),
     /// Sleep this long, or until woken, then step on.
     Sleep(Duration),
-    /// Wake the timer and join it.
-    Join,
     Exit,
 }
 
-/// A commit, fence or flush from arrival to outcome: refused, answered at
-/// once, parked behind the role, or holding it for a batch.
+/// A commit, fence, flush or shutdown from arrival to outcome: refused,
+/// answered at once, parked behind the role, or holding it for a batch.
 #[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
 enum Caller<W, D, E> {
-    Arriving(Pending<W>),
+    /// With its commit or barrier, and whether it closes the pipeline (a
+    /// shutdown's final flush).
+    Arriving(Pending<W>, bool),
     Parked,
     Holding(Holder<W, D, E>),
 }
@@ -275,10 +268,11 @@ impl<W: Clone, D, E> Caller<W, D, E> {
             return holder.step(state, event, now);
         }
         let batch = match (std::mem::replace(self, Caller::Parked), event) {
-            (Caller::Arriving(pending), Event::Go) => {
+            (Caller::Arriving(pending, close), Event::Go) => {
                 if state.shutdown {
                     return Io::Closed;
                 }
+                state.shutdown = close;
                 if state.sealing {
                     state.queue.push(pending);
                     return Io::Park;
@@ -308,8 +302,8 @@ struct Holder<W, D, E> {
     /// Commits sealed, and whether the batch holds a flush.
     sealed: usize,
     force: bool,
-    /// Settling armed a deadline.
-    armed: bool,
+    /// Settling decided to fsync.
+    sync: bool,
     outcome: Option<Result<D, E>>,
 }
 
@@ -327,7 +321,7 @@ impl<W: Clone, D, E> Holder<W, D, E> {
             batch,
             sealed: groups.len(),
             force,
-            armed: false,
+            sync: false,
             outcome: None,
         };
         (holder, Io::Seal(groups, commits))
@@ -341,20 +335,31 @@ impl<W: Clone, D, E> Holder<W, D, E> {
     ) -> Io<W, D, E> {
         match event {
             Event::Sealed(outcome) => {
-                let mut sync = false;
+                let mut armed = false;
                 if outcome.is_ok() {
-                    (sync, self.armed) = state.settle(self.sealed, self.force, now);
+                    (self.sync, armed) = state.settle(self.sealed, self.force, now);
                 }
                 self.outcome = Some(outcome);
-                if sync {
+                // The timer learns of a deadline armed here only by being
+                // woken: it sleeps without one.
+                if armed {
+                    let timer = Release {
+                        handoff: None,
+                        timer: true,
+                    };
+                    return Io::Wake(timer);
+                }
+                if self.sync {
                     return Io::Sync;
                 }
             }
+            Event::Go if self.sync => return Io::Sync,
+            Event::Go => {}
             Event::Synced(Ok(())) => state.synced(),
             Event::Synced(Err(error)) => self.outcome = Some(Err(error)),
             _ => unreachable!("a role holder stepped out of order"),
         }
-        let release = state.release(now, self.armed);
+        let release = state.release(now);
         let outcome = self.outcome.take().expect("sealed before acknowledging");
         Io::Ack(release, std::mem::take(&mut self.batch), outcome)
     }
@@ -386,8 +391,9 @@ impl Timer {
                     // surfaces the error to a caller.
                     Err(_) => state.sync_deadline = Some(now + self.retry),
                 }
-                if let Some(waiter) = state.release(now, false).handoff {
-                    return Io::Handoff(waiter);
+                let release = state.release(now);
+                if release.handoff.is_some() {
+                    return Io::Wake(release);
                 }
             }
             _ => unreachable!("the timer stepped out of order"),
@@ -403,46 +409,6 @@ impl Timer {
             state.sealing = true;
             Io::Sync
         }
-    }
-}
-
-/// Shutdown: refuse later arrivals, take the role once everything accepted
-/// is sealed, fsync, release it and stop the timer.
-#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
-struct Closer<W> {
-    waiter: W,
-}
-
-impl<W: Clone> Closer<W> {
-    fn step<D, E>(
-        &mut self,
-        state: &mut PipelineState<W>,
-        event: Event<D, E>,
-        now: Instant,
-    ) -> Io<W, D, E> {
-        match event {
-            Event::Go if state.shutdown => return Io::Exit,
-            Event::Go => {
-                state.shutdown = true;
-                if state.sealing {
-                    state.closer = Some(self.waiter.clone());
-                    return Io::Park;
-                }
-                state.sealing = true;
-            }
-            Event::Handed => {}
-            // Best effort: the store's drop-time flush retries once more.
-            // Nothing is queued any more, so the release frees the role.
-            Event::Synced(result) => {
-                if result.is_ok() {
-                    state.synced();
-                }
-                state.release(now, false);
-                return Io::Join;
-            }
-            Event::Sealed(_) => unreachable!("shutdown seals nothing"),
-        }
-        Io::Sync
     }
 }
 
@@ -509,8 +475,8 @@ struct Shared {
 }
 
 impl Shared {
-    /// Perform a role holder's seal or fsync, or the timer's hand-off, and
-    /// count what the step decided. A panic that escapes the ledger or the
+    /// Perform a role holder's seal, fsync or wake-up, and count what the
+    /// step decided. A panic that escapes the ledger or the
     /// store (index writes route through `try_put`, but a corrupt node read
     /// or a bug in an index implementation can still unwind) is contained
     /// here: a holder that unwinds would leave every caller parked forever,
@@ -546,8 +512,8 @@ impl Shared {
                 }
                 Event::Synced(synced)
             }
-            Io::Handoff(ticket) => {
-                ticket.wake(Wake::Seal);
+            Io::Wake(release) => {
+                self.wake(release);
                 Event::Go
             }
             _ => unreachable!("not a role holder's I/O"),
@@ -662,14 +628,14 @@ impl CommitPipeline {
         writes: Vec<(Vec<u8>, Vec<u8>)>,
         statement: &str,
     ) -> Result<Digest, StorageError> {
-        self.arrive(Some((writes, statement.to_string())), false)
+        self.arrive(Some((writes, statement.to_string())), false, false)
     }
 
     /// Drain every queued commit and force an `fsync`, regardless of
     /// policy. On return, everything committed before this call is on
     /// stable storage.
     pub fn flush(&self) -> Result<(), StorageError> {
-        self.arrive(None, true).map(|_| ())
+        self.arrive(None, true, false).map(|_| ())
     }
 
     /// Epoch fence: drain every commit queued before this call and return
@@ -687,20 +653,26 @@ impl CommitPipeline {
     /// returns: on a read-mostly store a hop to another thread and back —
     /// not the work — would decide every snapshot's latency.
     pub fn fence(&self) -> Result<Digest, StorageError> {
-        self.arrive(None, false)
+        self.arrive(None, false, false)
     }
 
-    /// Run a caller with a commit or a barrier (`sync`: a flush) to its
-    /// outcome.
-    fn arrive(&self, commit: Option<CommitGroup>, sync: bool) -> Result<Digest, StorageError> {
+    /// Run a caller with a commit or a barrier (`sync`: a flush; `close`:
+    /// shutdown's flush) to its outcome.
+    fn arrive(
+        &self,
+        commit: Option<CommitGroup>,
+        sync: bool,
+        close: bool,
+    ) -> Result<Digest, StorageError> {
         let shared = &self.shared;
         let ticket = Arc::<Ticket>::default();
         let waiter = Arc::clone(&ticket);
-        let mut caller = Caller::Arriving(Pending {
+        let pending = Pending {
             waiter,
             commit,
             sync,
-        });
+        };
+        let mut caller = Caller::Arriving(pending, close);
         let mut event = Event::Go;
         loop {
             let mut state = lock(&shared.state);
@@ -737,31 +709,15 @@ impl CommitPipeline {
         }
     }
 
-    /// Wait for everything accepted to be sealed, fsync on the calling
-    /// thread and stop the timer. Commits arriving meanwhile fail with
-    /// [`StorageError::Closed`]. Idempotent; also invoked on drop.
+    /// Wait for everything accepted to be sealed and fsync it, then stop
+    /// the timer. Shutdown is a flush that closes the pipeline: commits
+    /// arriving after it fail with [`StorageError::Closed`]. Idempotent;
+    /// also invoked on drop.
     pub fn shutdown(&self) {
-        let ticket: Arc<Ticket> = Arc::default();
-        let waiter = Arc::clone(&ticket);
-        let mut closer = Closer { waiter };
-        let mut event = Event::Go;
-        loop {
-            let io = closer.step(&mut lock(&self.shared.state), event, Instant::now());
-            event = match io {
-                Io::Exit => return,
-                Io::Park => {
-                    drop(ticket.wait());
-                    Event::Handed
-                }
-                Io::Join => {
-                    self.shared.timer.notify_one();
-                    if let Some(timer) = lock(&self.timer).take() {
-                        let _ = timer.join();
-                    }
-                    return;
-                }
-                io => self.shared.perform(io),
-            };
+        // Best effort: the store's drop-time flush retries once more.
+        let _ = self.arrive(None, true, true);
+        if let Some(timer) = lock(&self.timer).take() {
+            let _ = timer.join();
         }
     }
 }
@@ -1155,6 +1111,7 @@ mod tests {
                         Op::Commit => pipeline.commit(vec![kv(key + n)], "PUT"),
                         Op::Fence => pipeline.fence(),
                         Op::Flush => pipeline.flush().map(|()| ledger.digest()),
+                        Op::Close => unreachable!("a shutdown is not queued here"),
                     });
                     eventually("a parked follower", || {
                         lock(&pipeline.shared.state).queue.len() == n as usize
@@ -1233,12 +1190,12 @@ mod tests {
     // ---------------------------------------------------------------------
     // Model check: the step functions over every interleaving.
     //
-    // Each caller, the timer and a shutdown is its step machine and the I/O
-    // it performs next. A move performs one actor's I/O, simulated, then
-    // runs the actor's next step on the state, as its thread does; a seal
-    // or an fsync may succeed or fail within a budget. A depth-first search
-    // visits every reachable state and checks the invariants after each
-    // move and at each dead end.
+    // Each caller (a shutdown among them) and the timer is its step machine
+    // and the I/O it performs next. A move performs one actor's I/O,
+    // simulated, then runs the actor's next step on the state, as its
+    // thread does; a seal or an fsync may succeed or fail within a budget.
+    // A depth-first search visits every reachable state and checks the
+    // invariants after each move and at each dead end.
     // ---------------------------------------------------------------------
 
     /// The model's `Grouped` policy: two commits force an fsync.
@@ -1252,15 +1209,15 @@ mod tests {
         Commit,
         Fence,
         Flush,
+        /// `shutdown`.
+        Close,
     }
 
-    /// One search: a policy, each caller's operations in order, and
-    /// whether a shutdown runs alongside them.
+    /// One search: a policy and each caller's operations in order.
     #[derive(Debug)]
     struct Scenario {
         policy: DurabilityPolicy,
         scripts: Vec<Vec<Op>>,
-        shutdown: bool,
     }
 
     /// In the model a waiter is an actor id, a digest is a block height,
@@ -1271,36 +1228,18 @@ mod tests {
     enum Actor {
         Caller(Caller<usize, u32, ()>),
         Timer(Timer),
-        Closer(Closer<usize>),
-    }
-
-    impl Actor {
-        fn step(
-            &mut self,
-            state: &mut PipelineState<usize>,
-            event: Event<u32, ()>,
-            now: Instant,
-        ) -> ModelIo {
-            match self {
-                Actor::Caller(caller) => caller.step(state, event, now),
-                Actor::Timer(timer) => timer.step(state, event, now),
-                Actor::Closer(closer) => closer.step(state, event, now),
-            }
-        }
     }
 
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct Model {
         state: PipelineState<usize>,
         now: Instant,
-        /// The callers, shutdown, then the timer: each one's step machine
-        /// and next I/O (`None` between a caller's operations, and before
-        /// shutdown begins).
+        /// The callers, then the timer: each one's step machine and next
+        /// I/O (`None` between a caller's operations).
         actors: Vec<Option<(Actor, ModelIo)>>,
         /// Per caller: its next operation's index, its current operation,
         /// and the highest commit acknowledged when that began.
         scripts: Vec<(usize, Op, u32)>,
-        /// Each caller's ticket, then shutdown's.
         tickets: Vec<Option<Wake<u32, ()>>>,
         /// When the timer's sleep ends unless it is woken first.
         alarm: Option<Instant>,
@@ -1313,7 +1252,8 @@ mod tests {
         /// the counters counted that have not yet returned.
         unretired: usize,
         counted: usize,
-        final_sync: bool,
+        /// A shutdown has returned.
+        closed: bool,
         /// What is left to spend on deadline passes and on failed I/O (a
         /// seal that errs or panics, or an fsync that errs).
         deadlines: u8,
@@ -1325,12 +1265,12 @@ mod tests {
     impl Model {
         fn new(scenario: &Scenario, now: Instant) -> Model {
             let callers = scenario.scripts.len();
-            let mut actors = vec![None; callers + 2];
+            let mut actors = vec![None; callers + 1];
             if let DurabilityPolicy::Grouped { max_delay, .. } = scenario.policy {
                 // As after its first step: it learns of a deadline only by
                 // being woken, the case a missing wake-up strands.
                 let timer = Actor::Timer(Timer { retry: max_delay });
-                actors[callers + 1] = Some((timer, Io::Sleep(Duration::MAX)));
+                actors[callers] = Some((timer, Io::Sleep(Duration::MAX)));
             }
             Model {
                 state: PipelineState {
@@ -1340,25 +1280,21 @@ mod tests {
                 now,
                 actors,
                 scripts: vec![(0, Op::Commit, 0); callers],
-                tickets: vec![None; callers + 1],
+                tickets: vec![None; callers],
                 alarm: None,
                 height: 0,
                 durable: 0,
                 acked: 0,
                 unretired: 0,
                 counted: 0,
-                final_sync: false,
+                closed: false,
                 deadlines: 2,
                 faults: 1,
             }
         }
 
-        fn closer_id(&self) -> usize {
-            self.scripts.len()
-        }
-
         fn timer_id(&self) -> usize {
-            self.scripts.len() + 1
+            self.scripts.len()
         }
 
         fn moves(&self, scenario: &Scenario) -> Vec<Move> {
@@ -1407,36 +1343,24 @@ mod tests {
         }
 
         fn begin(&self, scenario: &Scenario, id: usize) -> Option<Result<Model, String>> {
-            let op = match scenario.scripts.get(id) {
-                Some(script) => Some(*script.get(self.scripts[id].0)?),
-                None if id == self.closer_id() && scenario.shutdown => None,
-                None => return None,
-            };
+            let op = *scenario.scripts.get(id)?.get(self.scripts[id].0)?;
             let mut m = self.clone();
-            let closing = m.actors[m.closer_id()].is_some();
-            let mut actor = match op {
-                Some(op) => {
-                    m.scripts[id] = (m.scripts[id].0, op, m.acked);
-                    // One write: a commit of none seals nothing.
-                    let commit =
-                        (op == Op::Commit).then(|| (vec![Default::default()], String::new()));
-                    let sync = op == Op::Flush;
-                    Actor::Caller(Caller::Arriving(Pending {
-                        waiter: id,
-                        commit,
-                        sync,
-                    }))
-                }
-                None => Actor::Closer(Closer { waiter: id }),
+            let closing = m.state.shutdown;
+            m.scripts[id] = (m.scripts[id].0, op, m.acked);
+            // One write: a commit of none seals nothing.
+            let commit = (op == Op::Commit).then(|| (vec![Default::default()], String::new()));
+            let sync = matches!(op, Op::Flush | Op::Close);
+            let pending = Pending {
+                waiter: id,
+                commit,
+                sync,
             };
-            let begun = match actor.step(&mut m.state, Event::Go, m.now) {
-                Io::Exit => Err("a lone shutdown was refused".into()),
-                Io::Closed if closing => m.finish(id, None),
-                Io::Closed => Err(format!("caller {id}: refused before shutdown")),
-                io if closing && id != m.closer_id() => {
-                    Err(format!("caller {id}: {io:?} after shutdown began"))
-                }
-                io => m.land(id, actor, io),
+            let mut caller = Caller::Arriving(pending, op == Op::Close);
+            let begun = match caller.step(&mut m.state, Event::Go, m.now) {
+                Io::Closed if op == Op::Close => Err("a lone shutdown was refused".into()),
+                Io::Closed => m.finish(id, None),
+                io if closing => Err(format!("caller {id}: {io:?} after shutdown began")),
+                io => m.land(id, Actor::Caller(caller), io),
             };
             Some(begun.map(|()| m))
         }
@@ -1449,8 +1373,8 @@ mod tests {
             fails: bool,
         ) -> Result<(), String> {
             let event = match io {
-                Io::Seal(..) | Io::Sync if self.final_sync => {
-                    return Err(format!("{io:?} after shutdown's final sync"));
+                Io::Seal(..) | Io::Sync if self.closed => {
+                    return Err(format!("{io:?} after shutdown returned"));
                 }
                 Io::Park => match self.tickets[id].take() {
                     Some(Wake::Done(outcome)) => return self.finish(id, Some(outcome)),
@@ -1476,7 +1400,6 @@ mod tests {
                             return Err("a fence paid for an fsync".into());
                         }
                     }
-                    self.final_sync = matches!(actor, Actor::Closer(_));
                     if fails {
                         self.faults -= 1;
                         Event::Synced(Err(()))
@@ -1486,26 +1409,19 @@ mod tests {
                     }
                 }
                 Io::Ack(release, batch, outcome) => {
-                    if let Some(waiter) = release.handoff {
-                        self.hand_over(waiter)?;
-                    }
-                    if release.timer {
-                        self.wake_timer();
-                    }
+                    self.wake(release)?;
                     for pending in &batch[1..] {
                         self.tickets[pending.waiter] = Some(Wake::Done(outcome));
                     }
                     return self.finish(id, Some(outcome));
                 }
-                Io::Handoff(waiter) => self.hand_over(waiter).map(|()| Event::Go)?,
-                Io::Join => {
-                    self.wake_timer();
-                    self.actors[id] = Some((actor, Io::Exit));
-                    return Ok(());
-                }
+                Io::Wake(release) => self.wake(release).map(|()| Event::Go)?,
                 _ => Event::Go,
             };
-            let io = actor.step(&mut self.state, event, self.now);
+            let io = match &mut actor {
+                Actor::Caller(caller) => caller.step(&mut self.state, event, self.now),
+                Actor::Timer(timer) => timer.step(&mut self.state, event, self.now),
+            };
             self.land(id, actor, io)
         }
 
@@ -1522,16 +1438,19 @@ mod tests {
             Ok(())
         }
 
-        fn hand_over(&mut self, waiter: usize) -> Result<(), String> {
-            match self.tickets[waiter].replace(Wake::Seal) {
-                Some(_) => Err(format!("the role was handed to {waiter}, already woken")),
-                None => Ok(()),
-            }
-        }
-
-        fn wake_timer(&mut self) {
-            if let Some((_, Io::Sleep(_))) = self.actors[self.timer_id()] {
+        fn wake(&mut self, release: Release<usize>) -> Result<(), String> {
+            let asleep = matches!(self.actors[self.timer_id()], Some((_, Io::Sleep(_))));
+            if release.timer && asleep {
                 self.alarm = Some(self.now);
+            }
+            match release
+                .handoff
+                .map(|waiter| (waiter, self.tickets[waiter].replace(Wake::Seal)))
+            {
+                Some((waiter, Some(_))) => {
+                    Err(format!("the role was handed to {waiter}, already woken"))
+                }
+                _ => Ok(()),
             }
         }
 
@@ -1552,9 +1471,9 @@ mod tests {
                          commit {floor} acknowledged before it began"
                     ));
                 }
-                (Op::Flush, Some(Ok(_))) if self.durable < floor => {
+                (Op::Flush | Op::Close, Some(Ok(_))) if self.durable < floor => {
                     return Err(format!(
-                        "caller {i}: a flush returned before commit {floor} was fsynced"
+                        "caller {i}: {op:?} returned before commit {floor} was fsynced"
                     ));
                 }
                 _ => {}
@@ -1564,7 +1483,8 @@ mod tests {
                     format!("caller {i}: a commit returned that the counters never counted")
                 })?;
             }
-            self.scripts[i].0 += 1;
+            self.closed |= op == Op::Close;
+            self.scripts[i] = (self.scripts[i].0 + 1, op, 0);
             self.actors[i] = None;
             Ok(())
         }
@@ -1573,7 +1493,7 @@ mod tests {
         fn check(&self) -> Result<(), String> {
             let holders: Vec<usize> = (0..self.actors.len())
                 .filter(|&id| match &self.actors[id] {
-                    Some((_, Io::Seal(..) | Io::Sync | Io::Handoff(_))) => true,
+                    Some((_, Io::Seal(..) | Io::Sync | Io::Wake(_))) => true,
                     // Given up, on its way to the next holder.
                     Some((_, Io::Ack(release, ..))) => release.handoff.is_some(),
                     Some((_, Io::Park)) => self.tickets[id] == Some(Wake::Seal),
@@ -1603,13 +1523,13 @@ mod tests {
             Ok(())
         }
 
-        /// What must hold once nothing can move: every caller and shutdown
-        /// done, and the timer asleep, or gone after shutdown.
+        /// What must hold once nothing can move: every caller done, and the
+        /// timer asleep, or gone after shutdown.
         fn check_end(&self) -> Result<(), String> {
             for (id, actor) in self.actors.iter().enumerate() {
                 let done = match actor {
                     Some((_, Io::Sleep(_))) => id == self.timer_id() && !self.state.shutdown,
-                    Some((_, io)) => id >= self.closer_id() && *io == Io::Exit,
+                    Some((_, io)) => id == self.timer_id() && *io == Io::Exit,
                     None => true,
                 };
                 if !done {
@@ -1682,7 +1602,7 @@ mod tests {
     /// shutdown alongside: there it meets every kind of operation, and a
     /// caller whose second commit comes after it.
     fn scenarios() -> Vec<Scenario> {
-        use Op::{Commit, Fence, Flush};
+        use Op::{Close, Commit, Fence, Flush};
         let scripts = [
             (vec![vec![Commit], vec![Commit], vec![Commit]], false),
             (vec![vec![Commit], vec![Fence], vec![Flush]], true),
@@ -1692,15 +1612,14 @@ mod tests {
         let mut scenarios = Vec::new();
         for policy in [DurabilityPolicy::Strict, MODEL_GROUPED] {
             for (scripts, with_shutdown) in &scripts {
-                for shutdown in [false, true] {
-                    if shutdown && !with_shutdown {
-                        continue;
-                    }
-                    scenarios.push(Scenario {
-                        policy,
-                        scripts: scripts.clone(),
-                        shutdown,
-                    });
+                scenarios.push(Scenario {
+                    policy,
+                    scripts: scripts.clone(),
+                });
+                if *with_shutdown {
+                    let mut scripts = scripts.clone();
+                    scripts.push(vec![Close]);
+                    scenarios.push(Scenario { policy, scripts });
                 }
             }
         }
@@ -1714,13 +1633,14 @@ mod tests {
     ///
     /// * at most one role holder, and the role flag names it;
     /// * no caller or shutdown is left parked (nor the queue left behind a
-    ///   free role);
-    /// * no `Strict` acknowledgement before its fsync, and no flush
-    ///   returns before the commits acknowledged ahead of it are fsynced;
+    ///   free role), and the timer exits after shutdown;
+    /// * no `Strict` acknowledgement before its fsync, and no flush or
+    ///   shutdown returns before the commits acknowledged ahead of it are
+    ///   fsynced;
     /// * `unsynced` equals the commits sealed since the last fsync, and
     ///   the commit counter counts each accepted commit once;
-    /// * no commit, fence or flush is accepted after shutdown, and no seal
-    ///   or fsync follows shutdown's final sync;
+    /// * no commit, fence or flush is accepted after shutdown begins, and
+    ///   nothing is sealed or fsynced after it returns;
     /// * a fence never returns a digest older than a commit acknowledged
     ///   before the fence began, and never pays for an fsync under
     ///   `Strict` (under `Grouped` a fence-only batch may pay for the fsync
