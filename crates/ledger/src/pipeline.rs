@@ -34,14 +34,15 @@
 //!
 //! # Steps
 //!
-//! A caller (a commit, fence, flush or shutdown; the role holder while it
-//! leads a batch) and the timer are each written once, as a step function:
-//! under the state lock it takes the state and what the actor's last I/O
-//! returned, and decides the next I/O — seal a batch, read the digest,
-//! fsync, park, sleep, wake a waiter or the timer, or return an outcome. A thread
-//! performs that I/O outside the lock, with the ledger, the store and the
-//! tickets. The tests' model check performs a simulated one, so it
-//! searches the product's own order of steps over every interleaving.
+//! A caller (a commit, fence, flush or shutdown), the role holder it
+//! becomes while it leads a batch, and the timer are each written once, as
+//! a step function: under the state lock it takes the state and what the
+//! actor's last I/O returned, and decides the next I/O — seal a batch, read
+//! the digest, fsync, park, sleep, wake a waiter or the timer, or return an
+//! outcome. A thread performs that I/O outside the lock, with the ledger,
+//! the store and the tickets. The tests' model check performs a simulated
+//! one, so it searches the product's own order of steps over every
+//! interleaving.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
