@@ -42,7 +42,10 @@ impl ImmutableKvs {
 
     /// Write a key/value pair (a new immutable version of the index).
     pub fn put(&self, key: &[u8], value: &[u8]) {
-        self.index.write().insert(key.to_vec(), value.to_vec());
+        self.index
+            .write()
+            .try_insert(key.to_vec(), value.to_vec())
+            .expect("the KVS baseline persists its index node");
     }
 
     /// Point read.

@@ -11,8 +11,7 @@
 //! database (a full [`spitz_ledger::Ledger`]). Each hop between them crosses
 //! a system boundary, modelled by serializing the request and response the
 //! way an RPC would — the interaction cost the paper attributes to this
-//! design. The simulated per-hop byte copy can be widened with
-//! [`NonIntrusiveVdb::with_interaction_cost`] to model slower links.
+//! design, plus a simulated per-hop envelope copy (64 bytes by default).
 
 use std::sync::Arc;
 
@@ -46,7 +45,7 @@ impl NonIntrusiveVdb {
 
     /// Create an instance with `envelope_bytes` of additional per-hop
     /// envelope copying (models heavier RPC stacks).
-    pub fn with_interaction_cost(envelope_bytes: usize) -> Self {
+    pub(crate) fn with_interaction_cost(envelope_bytes: usize) -> Self {
         Self::with_stores(
             InMemoryChunkStore::shared(),
             InMemoryChunkStore::shared(),
@@ -94,7 +93,8 @@ impl NonIntrusiveVdb {
         // Hop 2: ledger database.
         self.cross_system_hop(&payload);
         self.ledger
-            .append_block(vec![(key.to_vec(), value.to_vec())], "PUT")
+            .try_append_block(vec![(key.to_vec(), value.to_vec())], "PUT")
+            .expect("the ledger database persists its block")
     }
 
     /// Unverified read: only the underlying database is consulted, but the

@@ -36,7 +36,9 @@ fn siri_ablation(records: usize) {
     ] {
         let ledger = Ledger::with_kind(InMemoryChunkStore::shared(), kind);
         let write = measure_throughput(workload.records.len(), |i| {
-            ledger.append_block(vec![workload.records[i].clone()], "PUT");
+            ledger
+                .try_append_block(vec![workload.records[i].clone()], "PUT")
+                .expect("append block");
         });
         let read = measure_throughput(keys.len(), |i| {
             std::hint::black_box(ledger.get(&keys[i]));
@@ -126,7 +128,9 @@ fn proof_size_ablation(records: usize, budget: Option<&str>) -> bool {
     ] {
         let ledger = Ledger::with_kind(InMemoryChunkStore::shared(), kind);
         for batch in workload.records.chunks(256) {
-            ledger.append_block(batch.to_vec(), "load");
+            ledger
+                .try_append_block(batch.to_vec(), "load")
+                .expect("load block");
         }
         let mut total = 0usize;
         let mut index_total = 0usize;
@@ -141,7 +145,9 @@ fn proof_size_ablation(records: usize, budget: Option<&str>) -> bool {
 
         let dense_ledger = Ledger::with_kind(InMemoryChunkStore::shared(), kind);
         for batch in dense.chunks(256) {
-            dense_ledger.append_block(batch.to_vec(), "load");
+            dense_ledger
+                .try_append_block(batch.to_vec(), "load")
+                .expect("load block");
         }
         let mut dense_total = 0usize;
         for key in &dense_sample {
@@ -269,7 +275,9 @@ fn verification_ablation(records: usize) {
     let workload = KeyValueWorkload::generate(WorkloadConfig::with_records(records));
     let ledger = Ledger::new(InMemoryChunkStore::shared());
     for batch in workload.records.chunks(256) {
-        ledger.append_block(batch.to_vec(), "load");
+        ledger
+            .try_append_block(batch.to_vec(), "load")
+            .expect("load block");
     }
     let keys = workload.read_keys(5_000);
 

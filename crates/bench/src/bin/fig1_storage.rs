@@ -17,8 +17,8 @@ fn main() {
         vec!["Storage-ForkBase", "Storage"],
     );
 
-    let store = InMemoryChunkStore::shared();
-    let versions = VersionManager::new(std::sync::Arc::clone(&store));
+    let versions = VersionManager::new(InMemoryChunkStore::new());
+    let store = versions.store();
     let mut wiki = WikiWorkload::paper_default();
     let chunker = ChunkerConfig::default();
 
@@ -30,8 +30,10 @@ fn main() {
     let mut results = Vec::new();
 
     for (i, page) in wiki.pages.iter().enumerate() {
-        let blob = VBlob::write(&store, page, &chunker).expect("store page");
-        versions.commit(&format!("page-{i}"), blob.root(), "initial version");
+        let blob = VBlob::write(store, page, &chunker).expect("store page");
+        versions
+            .commit(&format!("page-{i}"), blob.root(), "initial version")
+            .expect("commit version");
     }
     naive_bytes += wiki.logical_bytes() as u64;
     committed_versions += 1;
@@ -40,8 +42,10 @@ fn main() {
     for target in versions_axis {
         while committed_versions < target {
             let edited = wiki.next_version();
-            let blob = VBlob::write(&store, &wiki.pages[edited], &chunker).expect("store page");
-            versions.commit(&format!("page-{edited}"), blob.root(), "edit");
+            let blob = VBlob::write(store, &wiki.pages[edited], &chunker).expect("store page");
+            versions
+                .commit(&format!("page-{edited}"), blob.root(), "edit")
+                .expect("commit version");
             // A naive immutable store keeps a full snapshot of every page for
             // the new database version.
             naive_bytes += wiki.logical_bytes() as u64;

@@ -265,9 +265,9 @@ impl SpitzDb {
     /// The GC mark phase: every chunk address this database can still
     /// reach. The set spans the ledger (block chain, head index version,
     /// index roots pinned by live snapshots — see `Ledger::collect_live`),
-    /// the target chunk of every named root (catalog, shard membership,
-    /// cross-shard head, 2PC logs), and the staged-writes chunks referenced
-    /// by the 2PC staged/decision logs. Everything else in the store is
+    /// the target chunk of every named root (ledger head, shard membership,
+    /// 2PC staged and decision logs, catalog), and the staged-writes chunks
+    /// referenced by the 2PC logs. Everything else in the store is
     /// reclaimable garbage.
     ///
     /// Only meaningful on durable instances; returns an error when called

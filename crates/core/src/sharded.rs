@@ -33,9 +33,8 @@
 //!   per-shard [`Digest`]s. A client pins the single root and can verify a
 //!   read anywhere in the keyspace: the shard's ledger proof chains to the
 //!   shard digest, and an audit path chains the shard digest to the pinned
-//!   root ([`ShardedProof`]). The digest is recomputed per commit epoch and
-//!   persisted as the named root `spitz/sharded/head` through the same
-//!   log-embedded root-record path the per-shard ledger heads use.
+//!   root ([`ShardedProof`]). The digest is recomputed from the per-shard
+//!   ledger heads, so nothing beyond those heads is persisted for it.
 //! * **The epoch fence** makes [`ShardedDb::digest`] a true consistent cut
 //!   under concurrent writers: every commit path holds the fence shared,
 //!   and a cut takes it exclusively (draining any in-flight commits) before
@@ -74,10 +73,6 @@ use crate::snapshot::ShardedSnapshot;
 use crate::staged::{StagedEntry, StagedLog};
 use crate::table::Tables;
 use crate::Result;
-
-/// Named root under which the latest cross-shard digest chunk is published
-/// (in shard 0's store), mirroring `spitz/ledger/head` one level up.
-pub(crate) const SHARDED_HEAD_ROOT: &str = "spitz/sharded/head";
 
 /// Named root of the per-shard membership record: which shard index of how
 /// many this store is. Guards a sharded database against being reassembled
@@ -175,8 +170,8 @@ impl ShardedDigest {
         merkle_tree(&self.shards).audit_proof(shard)
     }
 
-    /// Canonical byte encoding, stored as the payload of the
-    /// `spitz/sharded/head` digest chunk.
+    /// Canonical byte encoding: what the server sends a client that asks
+    /// for the digest it should pin.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + 4 + self.shards.len() * DIGEST_ENCODED_LEN);
         out.extend_from_slice(&self.epoch.to_be_bytes());
@@ -387,10 +382,6 @@ pub struct ShardedDb {
     staged_logs: Vec<Arc<StagedLog>>,
     /// The coordinator's durable commit-decision log (shard 0's store).
     decisions: StagedLog,
-    /// Epoch of the last digest published to `spitz/sharded/head`.
-    /// Serializes publications and keeps a slower concurrent publisher
-    /// from rolling the head back to a staler digest.
-    published_epoch: parking_lot::Mutex<u64>,
     /// The typed tables named in the catalog (see [`crate::table`]).
     pub(crate) tables: Tables,
     /// Telemetry registry shared by every shard (and the 2PC coordinator).
@@ -543,21 +534,16 @@ impl ShardedDb {
         let coordinator =
             TwoPhaseCoordinator::with_telemetry(participants, oracle, telemetry.clone());
         let obs = ShardedObs::new(&telemetry);
-        let db = ShardedDb {
+        ShardedDb {
             shards: dbs,
             coordinator,
             fence: parking_lot::RwLock::new(()),
             staged_logs,
             decisions,
-            published_epoch: parking_lot::Mutex::new(0),
             tables: Tables::default(),
             telemetry,
             obs,
-        };
-        if let Ok(Some(head)) = db.published_head() {
-            *db.published_epoch.lock() = head.epoch;
         }
-        db
     }
 
     /// Number of shards.
@@ -650,7 +636,7 @@ impl ShardedDb {
     /// two-phase commit across the involved shards (all-or-nothing: either
     /// every shard's ledger seals its part, or no shard's does). On success
     /// the refreshed cross-shard digest — a fenced consistent cut — is
-    /// published and returned.
+    /// returned.
     pub fn put_batch(&self, writes: Vec<(Vec<u8>, Vec<u8>)>) -> Result<ShardedDigest> {
         if !writes.is_empty() {
             let _epoch = self.fence.read();
@@ -665,9 +651,7 @@ impl ShardedDb {
                 self.finish_decided(prepared)?;
             }
         }
-        let digest = self.digest();
-        self.publish_head(&digest)?;
-        Ok(digest)
+        Ok(self.digest())
     }
 
     /// Phase 1 only of a cross-shard batch: prepare every involved shard
@@ -687,9 +671,7 @@ impl ShardedDb {
             let _epoch = self.fence.read();
             self.finish_decided(prepared.0)?;
         }
-        let digest = self.digest();
-        self.publish_head(&digest)?;
-        Ok(digest)
+        Ok(self.digest())
     }
 
     /// Record the commit decision durably, drive phase 2, and clear the
@@ -943,11 +925,7 @@ impl ShardedDb {
             shards.push(db.snapshot()?);
         }
         let digest = ShardedDigest::over(shards.iter().map(|s| s.digest()).collect());
-        // The snapshot epoch comes from the same oracle that numbers 2PC
-        // transactions: allocated inside the exclusive fence, it totally
-        // orders this cut against every cross-shard commit.
-        let taken_at = self.coordinator.oracle().allocate();
-        Ok(ShardedSnapshot::new(digest, shards, taken_at))
+        Ok(ShardedSnapshot::new(digest, shards))
     }
 
     /// The current cross-shard digest (what clients pin). Taken under the
@@ -964,22 +942,6 @@ impl ShardedDb {
         pinned.verify() && self.digest().root == pinned.root
     }
 
-    /// The last cross-shard digest published to the `spitz/sharded/head`
-    /// root (in shard 0's store), if any. After [`ShardedDb::flush`] this
-    /// equals [`ShardedDb::digest`].
-    pub fn published_head(&self) -> Result<Option<ShardedDigest>> {
-        let store = self.shards[0].store();
-        let Some(address) = store.root(SHARDED_HEAD_ROOT) else {
-            return Ok(None);
-        };
-        let chunk = store.get_kind(&address, ChunkKind::Meta)?;
-        ShardedDigest::decode(chunk.data())
-            .map(Some)
-            .ok_or(DbError::Storage(format!(
-                "corrupt cross-shard digest chunk {address}"
-            )))
-    }
-
     /// Compact every durable shard's store (see [`SpitzDb::compact`]):
     /// per-shard mark-sweep over that shard's roots, staged logs included,
     /// so in-doubt 2PC batches survive. Shards compact independently —
@@ -990,32 +952,15 @@ impl ShardedDb {
         self.shards.iter().map(|db| db.compact()).collect()
     }
 
-    /// Drain every shard's commit pipeline, force everything onto stable
-    /// storage, and publish the resulting cross-shard digest durably.
+    /// Drain every shard's commit pipeline and force everything onto
+    /// stable storage, then return the cross-shard digest of that state.
+    /// The digest needs no record of its own: a reopen recomputes it from
+    /// the per-shard ledger heads each shard's flush made durable.
     pub fn flush(&self) -> Result<ShardedDigest> {
         for shard in &self.shards {
             shard.flush()?;
         }
-        let digest = self.digest();
-        self.publish_head(&digest)?;
-        self.shards[0].store().sync()?;
-        Ok(digest)
-    }
-
-    /// Publish a cross-shard digest chunk and advance `spitz/sharded/head`
-    /// through the existing root-record path. Publications are serialized
-    /// and monotone by epoch: a concurrent publisher that lost the race
-    /// with a newer digest leaves the newer head in place.
-    fn publish_head(&self, digest: &ShardedDigest) -> Result<()> {
-        let mut published = self.published_epoch.lock();
-        if digest.epoch < *published {
-            return Ok(());
-        }
-        let store = self.shards[0].store();
-        let address = store.try_put(Chunk::new(ChunkKind::Meta, digest.encode()))?;
-        store.try_set_root(SHARDED_HEAD_ROOT, address)?;
-        *published = digest.epoch;
-        Ok(())
+        Ok(self.digest())
     }
 }
 
@@ -1087,7 +1032,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_batch_commits_atomically_and_publishes_head() {
+    fn cross_shard_batch_commits_atomically() {
         let db = ShardedDb::in_memory(3);
         let writes: Vec<_> = (0..60).map(kv).collect();
         let digest = db.put_batch(writes.clone()).unwrap();
@@ -1095,7 +1040,6 @@ mod tests {
         for (k, v) in &writes {
             assert_eq!(db.get(k).unwrap(), Some(v.clone()));
         }
-        assert_eq!(db.published_head().unwrap().unwrap().root, digest.root);
         assert!(db.verify(&digest));
     }
 

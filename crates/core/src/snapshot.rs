@@ -38,32 +38,17 @@ use crate::Result;
 pub struct ShardedSnapshot {
     digest: ShardedDigest,
     shards: Vec<LedgerSnapshot>,
-    taken_at: u64,
 }
 
 impl ShardedSnapshot {
-    pub(crate) fn new(digest: ShardedDigest, shards: Vec<LedgerSnapshot>, taken_at: u64) -> Self {
+    pub(crate) fn new(digest: ShardedDigest, shards: Vec<LedgerSnapshot>) -> Self {
         debug_assert_eq!(digest.shards.len(), shards.len());
-        ShardedSnapshot {
-            digest,
-            shards,
-            taken_at,
-        }
+        ShardedSnapshot { digest, shards }
     }
 
     /// The consistent-cut cross-shard digest this snapshot is pinned at.
     pub fn digest(&self) -> &ShardedDigest {
         &self.digest
-    }
-
-    /// The snapshot epoch: a timestamp allocated from the same strictly
-    /// monotonic oracle the 2PC coordinator assigns global transaction ids
-    /// from, taken inside the exclusive epoch fence. Snapshots therefore
-    /// order totally against each other *and* against every cross-shard
-    /// transaction: a transaction with a larger id committed after this
-    /// cut and cannot be visible in it.
-    pub fn taken_at(&self) -> u64 {
-        self.taken_at
     }
 
     /// The pinned cross-shard root (what a verifying client compares

@@ -280,8 +280,8 @@ mod tests {
         let mut bytes = store.get(&address).unwrap().data().to_vec();
         let count = STAGED_MAGIC.len();
         bytes[count..count + 4].copy_from_slice(&u32::MAX.to_be_bytes());
-        let patched = store.put(Chunk::new(ChunkKind::Meta, bytes));
-        store.set_root(STAGED_ROOT, patched);
+        let patched = store.try_put(Chunk::new(ChunkKind::Meta, bytes)).unwrap();
+        store.try_set_root(STAGED_ROOT, patched).unwrap();
         assert!(matches!(
             log.entries(),
             Err(StorageError::CorruptChunk(at)) if at == patched

@@ -445,8 +445,8 @@ mod tests {
         let mut bytes = store.get(&address).unwrap().data().to_vec();
         let count = CATALOG_MAGIC.len();
         bytes[count..count + 4].copy_from_slice(&u32::MAX.to_be_bytes());
-        let patched = store.put(Chunk::new(ChunkKind::Meta, bytes));
-        store.set_root(CATALOG_ROOT, patched);
+        let patched = store.try_put(Chunk::new(ChunkKind::Meta, bytes)).unwrap();
+        store.try_set_root(CATALOG_ROOT, patched).unwrap();
 
         let reopened = over(&store);
         assert!(
@@ -460,7 +460,12 @@ mod tests {
         let schema = Schema::new("t", vec![("n", ColumnType::Integer)]);
         let mut bytes = CATALOG_MAGIC_V1.to_vec();
         bytes.extend_from_slice(&encode_catalog(&[(&schema, 0)])[CATALOG_MAGIC.len()..]);
-        store.set_root(CATALOG_ROOT, store.put(Chunk::new(ChunkKind::Meta, bytes)));
+        store
+            .try_set_root(
+                CATALOG_ROOT,
+                store.try_put(Chunk::new(ChunkKind::Meta, bytes)).unwrap(),
+            )
+            .unwrap();
 
         let reopened = over(&store);
         assert!(
@@ -483,10 +488,12 @@ mod tests {
         // `create_table` allocates under the same bound.
         let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
         let catalog = encode_catalog(&[(&schema("t", &["a"]), last - 1)]);
-        store.set_root(
-            CATALOG_ROOT,
-            store.put(Chunk::new(ChunkKind::Meta, catalog)),
-        );
+        store
+            .try_set_root(
+                CATALOG_ROOT,
+                store.try_put(Chunk::new(ChunkKind::Meta, catalog)).unwrap(),
+            )
+            .unwrap();
         let db = over(&store).unwrap();
         assert!(matches!(
             db.create_table(schema("u", &["a", "b"])),

@@ -110,11 +110,6 @@ impl FailpointStore {
 }
 
 impl ChunkStore for FailpointStore {
-    fn put(&self, chunk: Chunk) -> Hash {
-        self.try_put(chunk)
-            .expect("injected failure surfaced through infallible put")
-    }
-
     fn try_put(&self, chunk: Chunk) -> Result<Hash, StorageError> {
         self.write_gate()?;
         self.inner.try_put(chunk)
@@ -135,11 +130,6 @@ impl ChunkStore for FailpointStore {
 
     fn audit(&self) -> Vec<Hash> {
         self.inner.audit()
-    }
-
-    fn set_root(&self, name: &str, hash: Hash) {
-        self.try_set_root(name, hash)
-            .expect("injected failure surfaced through infallible set_root")
     }
 
     fn try_set_root(&self, name: &str, hash: Hash) -> Result<(), StorageError> {

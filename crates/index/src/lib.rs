@@ -19,8 +19,8 @@
 //!
 //! let store = InMemoryChunkStore::shared();
 //! let mut tree = PosTree::new(store);
-//! tree.insert(b"k1".to_vec(), b"v1".to_vec());
-//! tree.insert(b"k2".to_vec(), b"v2".to_vec());
+//! tree.try_insert(b"k1".to_vec(), b"v1".to_vec()).unwrap();
+//! tree.try_insert(b"k2".to_vec(), b"v2".to_vec()).unwrap();
 //!
 //! let (value, proof) = tree.get_with_proof(b"k1");
 //! assert_eq!(value.as_deref(), Some(b"v1".as_ref()));

@@ -599,7 +599,7 @@ mod tests {
     fn insert_get_roundtrip() {
         let mut tree = new_tree();
         for i in 0..400u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         assert_eq!(tree.len(), 400);
         for i in 0..400u32 {
@@ -611,8 +611,8 @@ mod tests {
     #[test]
     fn overwrite_keeps_len() {
         let mut tree = new_tree();
-        tree.insert(b"k".to_vec(), b"v1".to_vec());
-        tree.insert(b"k".to_vec(), b"v2".to_vec());
+        tree.try_insert(b"k".to_vec(), b"v1".to_vec()).unwrap();
+        tree.try_insert(b"k".to_vec(), b"v2".to_vec()).unwrap();
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.get(b"k"), Some(b"v2".to_vec()));
     }
@@ -622,13 +622,13 @@ mod tests {
         let keys: Vec<u32> = (0..300).collect();
         let mut t1 = new_tree();
         for &i in &keys {
-            t1.insert(key(i), value(i));
+            t1.try_insert(key(i), value(i)).unwrap();
         }
         let mut shuffled = keys.clone();
         shuffled.shuffle(&mut StdRng::seed_from_u64(9));
         let mut t2 = new_tree();
         for &i in &shuffled {
-            t2.insert(key(i), value(i));
+            t2.try_insert(key(i), value(i)).unwrap();
         }
         assert_eq!(t1.root(), t2.root());
     }
@@ -637,7 +637,7 @@ mod tests {
     fn proofs_verify_and_detect_tampering() {
         let mut tree = new_tree();
         for i in 0..200u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let root = tree.root();
         let (v, proof) = tree.get_with_proof(&key(42));
@@ -674,7 +674,7 @@ mod tests {
     fn point_proof_is_exactly_the_path() {
         let mut tree = new_tree();
         for i in 0..200u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let root = tree.root();
         let (v, proof) = tree.get_with_proof(&key(42));
@@ -707,7 +707,7 @@ mod tests {
     fn absence_proofs_for_missing_and_empty_buckets() {
         let mut tree = new_tree();
         for i in 0..50u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let root = tree.root();
         // A key that is absent (its bucket may or may not be empty).
@@ -731,7 +731,7 @@ mod tests {
     fn range_scans_return_sorted_results_with_proofs() {
         let mut tree = new_tree();
         for i in 0..300u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let (start, end) = (key(100), key(120));
         let (entries, proof) = tree.range_with_proof(&start, &end);
@@ -771,10 +771,10 @@ mod tests {
         let store = InMemoryChunkStore::shared();
         let mut tree = MerkleBucketTree::new(Arc::clone(&store) as Arc<dyn ChunkStore>);
         for i in 0..50u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let root_v1 = tree.root();
-        tree.insert(b"extra".to_vec(), b"x".to_vec());
+        tree.try_insert(b"extra".to_vec(), b"x".to_vec()).unwrap();
         assert_ne!(tree.root(), root_v1);
 
         let old = tree.checkout(root_v1).unwrap();

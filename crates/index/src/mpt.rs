@@ -1151,7 +1151,7 @@ mod tests {
     fn insert_get_roundtrip() {
         let mut trie = new_trie();
         for i in 0..300u32 {
-            trie.insert(key(i), value(i));
+            trie.try_insert(key(i), value(i)).unwrap();
         }
         assert_eq!(trie.len(), 300);
         for i in 0..300u32 {
@@ -1163,10 +1163,10 @@ mod tests {
     #[test]
     fn prefix_keys_coexist() {
         let mut trie = new_trie();
-        trie.insert(b"a".to_vec(), b"1".to_vec());
-        trie.insert(b"ab".to_vec(), b"2".to_vec());
-        trie.insert(b"abc".to_vec(), b"3".to_vec());
-        trie.insert(b"abd".to_vec(), b"4".to_vec());
+        trie.try_insert(b"a".to_vec(), b"1".to_vec()).unwrap();
+        trie.try_insert(b"ab".to_vec(), b"2".to_vec()).unwrap();
+        trie.try_insert(b"abc".to_vec(), b"3".to_vec()).unwrap();
+        trie.try_insert(b"abd".to_vec(), b"4".to_vec()).unwrap();
         assert_eq!(trie.get(b"a"), Some(b"1".to_vec()));
         assert_eq!(trie.get(b"ab"), Some(b"2".to_vec()));
         assert_eq!(trie.get(b"abc"), Some(b"3".to_vec()));
@@ -1179,8 +1179,8 @@ mod tests {
     #[test]
     fn overwrite_keeps_len() {
         let mut trie = new_trie();
-        trie.insert(b"k".to_vec(), b"v1".to_vec());
-        trie.insert(b"k".to_vec(), b"v2".to_vec());
+        trie.try_insert(b"k".to_vec(), b"v1".to_vec()).unwrap();
+        trie.try_insert(b"k".to_vec(), b"v2".to_vec()).unwrap();
         assert_eq!(trie.len(), 1);
         assert_eq!(trie.get(b"k"), Some(b"v2".to_vec()));
     }
@@ -1190,13 +1190,13 @@ mod tests {
         let keys: Vec<u32> = (0..200).collect();
         let mut t1 = new_trie();
         for &i in &keys {
-            t1.insert(key(i), value(i));
+            t1.try_insert(key(i), value(i)).unwrap();
         }
         let mut shuffled = keys.clone();
         shuffled.shuffle(&mut StdRng::seed_from_u64(3));
         let mut t2 = new_trie();
         for &i in &shuffled {
-            t2.insert(key(i), value(i));
+            t2.try_insert(key(i), value(i)).unwrap();
         }
         assert_eq!(t1.root(), t2.root());
     }
@@ -1205,7 +1205,7 @@ mod tests {
     fn proofs_verify_and_detect_tampering() {
         let mut trie = new_trie();
         for i in 0..200u32 {
-            trie.insert(key(i), value(i));
+            trie.try_insert(key(i), value(i)).unwrap();
         }
         let root = trie.root();
         let (v, proof) = trie.get_with_proof(&key(77));
@@ -1249,7 +1249,7 @@ mod tests {
     fn range_returns_sorted_window_with_valid_proof() {
         let mut trie = new_trie();
         for i in 0..300u32 {
-            trie.insert(key(i), value(i));
+            trie.try_insert(key(i), value(i)).unwrap();
         }
         let (start, end) = (key(50), key(60));
         let (entries, proof) = trie.range_with_proof(&start, &end);
@@ -1295,7 +1295,9 @@ mod tests {
 
         // An extra node that is a valid trie node from another trie.
         let mut other = new_trie();
-        other.insert(b"elsewhere".to_vec(), b"x".to_vec());
+        other
+            .try_insert(b"elsewhere".to_vec(), b"x".to_vec())
+            .unwrap();
         let (_, foreign) = other.range_with_proof(b"a", b"z");
         let mut extra = proof.nodes.clone();
         extra.extend(foreign.nodes);
@@ -1330,8 +1332,8 @@ mod tests {
         // "a" = [6,1]; "ab" = [6,1,6,2]: extension [6,1] → branch that
         // stores "a"'s value and has exactly one child (nibble 6).
         let mut trie = new_trie();
-        trie.insert(b"a".to_vec(), b"1".to_vec());
-        trie.insert(b"ab".to_vec(), b"2".to_vec());
+        trie.try_insert(b"a".to_vec(), b"1".to_vec()).unwrap();
+        trie.try_insert(b"ab".to_vec(), b"2".to_vec()).unwrap();
         let root = trie.root();
         for (k, v) in [
             (&b"a"[..], Some(&b"1"[..])),
@@ -1362,7 +1364,7 @@ mod tests {
         // branch node); the compact step carries at most 4.
         let mut trie = new_trie();
         for n in 0..16u8 {
-            trie.insert(vec![n << 4], vec![n]);
+            trie.try_insert(vec![n << 4], vec![n]).unwrap();
         }
         let root = trie.root();
         for n in 0..16u8 {
@@ -1387,8 +1389,8 @@ mod tests {
         // covering it; "abd…" diverges inside the extension path and the
         // proof prunes the subtree to its commitment.
         let mut trie = new_trie();
-        trie.insert(b"abc1".to_vec(), b"1".to_vec());
-        trie.insert(b"abc2".to_vec(), b"2".to_vec());
+        trie.try_insert(b"abc1".to_vec(), b"1".to_vec()).unwrap();
+        trie.try_insert(b"abc2".to_vec(), b"2".to_vec()).unwrap();
         let root = trie.root();
         let (v, proof) = trie.get_with_proof(b"abd1");
         assert!(v.is_none());
@@ -1411,18 +1413,18 @@ mod tests {
         let store = InMemoryChunkStore::shared();
         let mut trie = MerklePatriciaTrie::new(Arc::clone(&store) as Arc<dyn ChunkStore>);
         for i in 0..50u32 {
-            trie.insert(key(i), value(i));
+            trie.try_insert(key(i), value(i)).unwrap();
         }
         let root = trie.root();
         let mut reopened =
             MerklePatriciaTrie::open(Arc::clone(&store) as Arc<dyn ChunkStore>, root).unwrap();
         assert_eq!(reopened.root(), root);
         assert_eq!(reopened.len(), 50);
-        reopened.insert(key(50), value(50));
+        reopened.try_insert(key(50), value(50)).unwrap();
 
         let mut fresh = new_trie();
         for i in 0..51u32 {
-            fresh.insert(key(i), value(i));
+            fresh.try_insert(key(i), value(i)).unwrap();
         }
         assert_eq!(reopened.root(), fresh.root());
     }
@@ -1439,7 +1441,7 @@ mod tests {
         }
         .encode();
         let legacy = Chunk::new(ChunkKind::IndexNode, payload.clone());
-        let legacy_addr = store.put(legacy);
+        let legacy_addr = store.try_put(legacy).unwrap();
         assert_eq!(legacy_addr, crate::proof::hash_index_node(&payload));
         assert_eq!(
             store
@@ -1450,7 +1452,9 @@ mod tests {
         );
         // The same payload stored as an MptNode lives at its commitment —
         // a different address — so the two schemes coexist in one store.
-        let modern_addr = store.put(Chunk::new(ChunkKind::MptNode, payload.clone()));
+        let modern_addr = store
+            .try_put(Chunk::new(ChunkKind::MptNode, payload.clone()))
+            .unwrap();
         assert_ne!(modern_addr, legacy_addr);
         assert_eq!(modern_addr, mpt_commitment(&payload).unwrap());
     }
@@ -1459,7 +1463,7 @@ mod tests {
     fn multi_proof_verifies_and_shares_upper_nodes() {
         let mut trie = new_trie();
         for i in 0..200u32 {
-            trie.insert(key(i), value(i));
+            trie.try_insert(key(i), value(i)).unwrap();
         }
         let root = trie.root();
         let keys: Vec<Vec<u8>> = (0..16u32).map(|i| key(i * 12)).collect();
@@ -1535,7 +1539,7 @@ mod tests {
     fn mutated_proof_blobs_are_rejected() {
         let mut trie = new_trie();
         for i in 0..64u32 {
-            trie.insert(key(i), value(i));
+            trie.try_insert(key(i), value(i)).unwrap();
         }
         let root = trie.root();
         let keys: Vec<Vec<u8>> = vec![key(1), key(20), key(63)];
@@ -1580,9 +1584,9 @@ mod tests {
     fn historical_roots_remain_readable() {
         let store = InMemoryChunkStore::shared();
         let mut trie = MerklePatriciaTrie::new(Arc::clone(&store) as Arc<dyn ChunkStore>);
-        trie.insert(b"a".to_vec(), b"1".to_vec());
+        trie.try_insert(b"a".to_vec(), b"1".to_vec()).unwrap();
         let root1 = trie.root();
-        trie.insert(b"b".to_vec(), b"2".to_vec());
+        trie.try_insert(b"b".to_vec(), b"2".to_vec()).unwrap();
 
         let old = trie.checkout(root1).unwrap();
         assert_eq!(old.len(), 1);
@@ -1591,7 +1595,7 @@ mod tests {
 
         // A checkout of the head proves byte-identically to the live trie.
         for i in 0..100u32 {
-            trie.insert(key(i), value(i));
+            trie.try_insert(key(i), value(i)).unwrap();
         }
         let head = trie.checkout(trie.root()).unwrap();
         assert_eq!(head.len(), 102);

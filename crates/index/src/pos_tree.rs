@@ -926,7 +926,7 @@ mod tests {
     fn insert_get_roundtrip() {
         let mut tree = new_tree();
         for i in 0..500u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         assert_eq!(tree.len(), 500);
         for i in 0..500u32 {
@@ -938,8 +938,8 @@ mod tests {
     #[test]
     fn overwrite_updates_value_without_growing() {
         let mut tree = new_tree();
-        tree.insert(b"k".to_vec(), b"v1".to_vec());
-        tree.insert(b"k".to_vec(), b"v2".to_vec());
+        tree.try_insert(b"k".to_vec(), b"v1".to_vec()).unwrap();
+        tree.try_insert(b"k".to_vec(), b"v2".to_vec()).unwrap();
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.get(b"k"), Some(b"v2".to_vec()));
     }
@@ -951,14 +951,14 @@ mod tests {
 
         let mut t1 = new_tree();
         for &i in &keys {
-            t1.insert(key(i), value(i));
+            t1.try_insert(key(i), value(i)).unwrap();
         }
 
         let mut shuffled = keys.clone();
         shuffled.shuffle(&mut rng);
         let mut t2 = new_tree();
         for &i in &shuffled {
-            t2.insert(key(i), value(i));
+            t2.try_insert(key(i), value(i)).unwrap();
         }
 
         assert_eq!(t1.root(), t2.root());
@@ -970,13 +970,13 @@ mod tests {
         let store = InMemoryChunkStore::shared();
         let mut tree = PosTree::new(Arc::clone(&store) as Arc<dyn ChunkStore>);
         for i in 0..2000u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let root_v1 = tree.root();
         let nodes_before = tree.node_count();
         let physical_before = store.stats().physical_bytes;
 
-        tree.insert(key(999_999), value(7));
+        tree.try_insert(key(999_999), value(7)).unwrap();
         let root_v2 = tree.root();
         assert_ne!(root_v1, root_v2);
 
@@ -1000,7 +1000,7 @@ mod tests {
     fn point_proofs_verify_and_detect_tampering() {
         let mut tree = new_tree();
         for i in 0..300u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let root = tree.root();
 
@@ -1045,7 +1045,7 @@ mod tests {
     fn range_scan_returns_sorted_window() {
         let mut tree = new_tree();
         for i in 0..1000u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let start = key(100);
         let end = key(200);
@@ -1064,7 +1064,7 @@ mod tests {
     fn range_proofs_cover_all_returned_entries() {
         let mut tree = new_tree();
         for i in 0..800u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let root = tree.root();
         let (start, end) = (key(300), key(340));
@@ -1116,7 +1116,7 @@ mod tests {
     fn a_path_to_another_leaf_proves_nothing_about_the_key() {
         let mut tree = new_tree();
         for i in 0..300u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let root = tree.root();
         let (_, own) = tree.get_with_proof(&key(123));
@@ -1144,7 +1144,7 @@ mod tests {
     fn an_empty_truncated_or_unrooted_point_proof_is_rejected() {
         let mut tree = new_tree();
         for i in 0..300u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let root = tree.root();
         for (k, claim) in [(key(123), Some(value(123))), (key(123_456), None)] {
@@ -1184,7 +1184,7 @@ mod tests {
     fn multi_proof_is_the_first_use_union_of_the_keys_paths() {
         let mut tree = new_tree();
         for i in 0..2000u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let keys: Vec<Vec<u8>> = [7u32, 8, 9, 1500, 8, 400_000]
             .into_iter()
@@ -1213,7 +1213,7 @@ mod tests {
     fn range_proofs_omit_covered_leaves_and_are_canonical() {
         let mut tree = new_tree();
         for i in 0..3000u32 {
-            tree.insert(key(i), vec![i as u8; 128]);
+            tree.try_insert(key(i), vec![i as u8; 128]).unwrap();
         }
         let root = tree.root();
         let (start, end) = (key(1000), key(1500));
@@ -1331,7 +1331,7 @@ mod tests {
         let mut targets: Vec<u32> = (0..5000).collect();
         targets.shuffle(&mut rng);
         for &i in &targets[..200] {
-            tree.insert(key(i), vec![!(i as u8); 128]);
+            tree.try_insert(key(i), vec![!(i as u8); 128]).unwrap();
         }
         let mean = (tree.node_writes().1 - before) / 200;
         assert!(mean <= 5200, "mean bytes per single-key update: {mean}");
@@ -1341,9 +1341,9 @@ mod tests {
     fn checkout_reopens_historical_roots() {
         let store = InMemoryChunkStore::shared();
         let mut tree = PosTree::new(Arc::clone(&store) as Arc<dyn ChunkStore>);
-        tree.insert(b"a".to_vec(), b"1".to_vec());
+        tree.try_insert(b"a".to_vec(), b"1".to_vec()).unwrap();
         let root1 = tree.root();
-        tree.insert(b"b".to_vec(), b"2".to_vec());
+        tree.try_insert(b"b".to_vec(), b"2".to_vec()).unwrap();
 
         let old = tree.checkout(root1).unwrap();
         assert_eq!(old.len(), 1);
@@ -1356,7 +1356,7 @@ mod tests {
     fn large_tree_proof_depth_is_logarithmic() {
         let mut tree = new_tree();
         for i in 0..5000u32 {
-            tree.insert(key(i), value(i));
+            tree.try_insert(key(i), value(i)).unwrap();
         }
         let (_, proof) = tree.get_with_proof(&key(2500));
         assert!(proof.len() >= 2, "tree of 5000 should have depth >= 2");
@@ -1414,7 +1414,7 @@ mod tests {
             .unwrap();
         let calls = |tree: &mut PosTree, k: Vec<u8>| {
             BOUNDARY_TESTS.with(|c| c.set(0));
-            tree.insert(k, b"new".to_vec());
+            tree.try_insert(k, b"new".to_vec()).unwrap();
             BOUNDARY_TESTS.with(Cell::get)
         };
         for i in (0..5000u32).step_by(37).chain([0, 4999]) {

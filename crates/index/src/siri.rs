@@ -124,14 +124,6 @@ pub trait SiriIndex: Send + Sync {
     /// wrote.
     fn node_writes(&self) -> (u64, u64);
 
-    /// Insert or overwrite a key/value pair. Panics on a storage failure;
-    /// fallible callers (the ledger's commit path) use
-    /// [`SiriIndex::try_insert`].
-    fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        self.try_insert(key, value)
-            .expect("persisting an index node failed; use try_insert to handle it")
-    }
-
     /// Point lookup.
     fn get(&self, key: &[u8]) -> Option<Vec<u8>>;
 
@@ -279,7 +271,7 @@ pub fn verify_multi_proof(
 /// The chunk kind an index of `kind` stores its nodes under. MPT nodes use
 /// the commitment-addressed [`ChunkKind::MptNode`]; the other SIRI
 /// structures use plain payload-hashed [`ChunkKind::IndexNode`] chunks.
-pub fn node_chunk_kind(kind: SiriKind) -> ChunkKind {
+pub(crate) fn node_chunk_kind(kind: SiriKind) -> ChunkKind {
     match kind {
         SiriKind::MerklePatriciaTrie => ChunkKind::MptNode,
         SiriKind::PosTree | SiriKind::MerkleBucketTree => ChunkKind::IndexNode,
@@ -589,10 +581,12 @@ mod tests {
             let store: Arc<dyn ChunkStore> = Arc::new(InMemoryChunkStore::new());
             let mut index = new_index(kind, &store);
             for i in 0..100u32 {
-                index.insert(
-                    format!("key-{i:04}").into_bytes(),
-                    format!("value-{i}").into_bytes(),
-                );
+                index
+                    .try_insert(
+                        format!("key-{i:04}").into_bytes(),
+                        format!("value-{i}").into_bytes(),
+                    )
+                    .unwrap();
             }
             let old_root = index.root();
             let mut old_live = HashSet::new();
@@ -600,7 +594,9 @@ mod tests {
             assert!(!old_live.is_empty(), "{kind:?}");
 
             // A newer version shares unchanged subtrees with the old one.
-            index.insert(b"key-0000".to_vec(), b"changed".to_vec());
+            index
+                .try_insert(b"key-0000".to_vec(), b"changed".to_vec())
+                .unwrap();
             let mut both = HashSet::new();
             collect_reachable(&store, kind, index.root(), &mut both).unwrap();
             collect_reachable(&store, kind, old_root, &mut both).unwrap();

@@ -34,19 +34,12 @@ impl VerificationReport {
     pub fn all_ok(&self) -> bool {
         self.failed == 0
     }
-
-    /// Merge another report into this one.
-    pub fn merge(&mut self, other: VerificationReport) {
-        self.verified += other.verified;
-        self.failed += other.failed;
-    }
 }
 
 /// Client-side deferred verifier: queue proofs now, verify in batch later.
 #[derive(Default)]
 pub struct DeferredVerifier {
     pending: Mutex<Vec<PendingItem>>,
-    report: Mutex<VerificationReport>,
 }
 
 impl DeferredVerifier {
@@ -65,8 +58,7 @@ impl DeferredVerifier {
         self.pending.lock().len()
     }
 
-    /// Verify everything queued so far and fold the outcome into the running
-    /// report. Returns the report for this batch.
+    /// Verify everything queued so far. Returns the report for this batch.
     pub fn verify_batch(&self) -> VerificationReport {
         let items = std::mem::take(&mut *self.pending.lock());
         let mut report = VerificationReport::default();
@@ -77,13 +69,7 @@ impl DeferredVerifier {
                 report.failed += 1;
             }
         }
-        self.report.lock().merge(report);
         report
-    }
-
-    /// Cumulative report across all batches verified so far.
-    pub fn total_report(&self) -> VerificationReport {
-        *self.report.lock()
     }
 }
 
@@ -103,7 +89,9 @@ mod tests {
     #[test]
     fn batch_verification_of_honest_proofs() {
         let ledger = Ledger::new(InMemoryChunkStore::shared());
-        ledger.append_block((0..100).map(kv).collect(), "load");
+        ledger
+            .try_append_block((0..100).map(kv).collect(), "load")
+            .unwrap();
 
         let verifier = DeferredVerifier::new();
         for i in 0..50u32 {
@@ -122,7 +110,9 @@ mod tests {
     #[test]
     fn tampered_results_are_caught_at_batch_time() {
         let ledger = Ledger::new(InMemoryChunkStore::shared());
-        ledger.append_block((0..20).map(kv).collect(), "load");
+        ledger
+            .try_append_block((0..20).map(kv).collect(), "load")
+            .unwrap();
 
         let verifier = DeferredVerifier::new();
         let (k, _) = kv(3);
@@ -136,9 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn reports_accumulate_across_batches() {
+    fn each_batch_reports_its_own_proofs() {
         let ledger = Ledger::new(InMemoryChunkStore::shared());
-        ledger.append_block((0..10).map(kv).collect(), "load");
+        ledger
+            .try_append_block((0..10).map(kv).collect(), "load")
+            .unwrap();
         let verifier = DeferredVerifier::new();
         for round in 0..3 {
             for i in 0..10u32 {
@@ -148,8 +140,7 @@ mod tests {
             }
             let report = verifier.verify_batch();
             assert_eq!(report.verified, 10, "round {round}");
+            assert_eq!(report.failed, 0, "round {round}");
         }
-        assert_eq!(verifier.total_report().verified, 30);
-        assert_eq!(verifier.total_report().failed, 0);
     }
 }

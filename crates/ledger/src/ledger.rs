@@ -464,16 +464,9 @@ impl Ledger {
     /// Commit a batch of writes as one block. Returns the new digest.
     ///
     /// `statement` records the query text for provenance (stored in every
-    /// transaction record of the block). Panics if persisting the block
-    /// fails; fallible callers use [`Ledger::try_append_block`].
-    pub fn append_block(&self, writes: Vec<(Vec<u8>, Vec<u8>)>, statement: &str) -> Digest {
-        self.try_append_block(writes, statement)
-            .expect("persisting the ledger block failed; use try_append_block to handle it")
-    }
-
-    /// Fallible variant of [`Ledger::append_block`]: a storage failure
-    /// (disk full while persisting the block chunk or publishing the head
-    /// root) surfaces as an error instead of a panic.
+    /// transaction record of the block). A storage failure (disk full while
+    /// persisting the block chunk or publishing the head root) surfaces as
+    /// an error.
     pub fn try_append_block(
         &self,
         writes: Vec<(Vec<u8>, Vec<u8>)>,
@@ -931,7 +924,7 @@ mod tests {
         let ledger = ledger();
         for batch in 0..10u32 {
             let writes: Vec<_> = (0..20).map(|i| kv(batch * 20 + i)).collect();
-            ledger.append_block(writes, "INSERT");
+            ledger.try_append_block(writes, "INSERT").unwrap();
         }
         assert_eq!(ledger.height(), 10);
         assert_eq!(ledger.len(), 200);
@@ -945,10 +938,14 @@ mod tests {
     #[test]
     fn collect_live_marks_head_version_and_pinned_snapshots() {
         let ledger = ledger();
-        ledger.append_block((0..50).map(kv).collect(), "load");
+        ledger
+            .try_append_block((0..50).map(kv).collect(), "load")
+            .unwrap();
         let snapshot = ledger.snapshot().unwrap();
         let old_root = snapshot.digest().index_root;
-        ledger.append_block((50..100).map(kv).collect(), "more");
+        ledger
+            .try_append_block((50..100).map(kv).collect(), "more")
+            .unwrap();
         assert_ne!(old_root, ledger.digest().index_root);
 
         // While the snapshot is alive, its root is a GC root.
@@ -979,7 +976,9 @@ mod tests {
     #[test]
     fn point_proofs_verify_against_digest() {
         let ledger = ledger();
-        ledger.append_block((0..100).map(kv).collect(), "load");
+        ledger
+            .try_append_block((0..100).map(kv).collect(), "load")
+            .unwrap();
         let (k, v) = kv(42);
         let (value, proof) = ledger.get_with_proof(&k);
         assert_eq!(value, Some(v.clone()));
@@ -997,7 +996,9 @@ mod tests {
     #[test]
     fn range_proofs_ride_along_the_scan() {
         let ledger = ledger();
-        ledger.append_block((0..500).map(kv).collect(), "load");
+        ledger
+            .try_append_block((0..500).map(kv).collect(), "load")
+            .unwrap();
         let (start, _) = kv(100);
         let (end, _) = kv(150);
         let (entries, proof) = ledger.range_with_proof(&start, &end);
@@ -1014,7 +1015,7 @@ mod tests {
         let ledger = ledger();
         let mut digests = Vec::new();
         for i in 0..20u32 {
-            digests.push(ledger.append_block(vec![kv(i)], "put"));
+            digests.push(ledger.try_append_block(vec![kv(i)], "put").unwrap());
         }
         for pair in digests.windows(2) {
             assert_ne!(pair[0].block_hash, pair[1].block_hash);
@@ -1029,14 +1030,16 @@ mod tests {
     #[test]
     fn snapshot_pins_a_digest_while_the_ledger_moves_on() {
         let ledger = ledger();
-        ledger.append_block((0..100).map(kv).collect(), "load");
+        ledger
+            .try_append_block((0..100).map(kv).collect(), "load")
+            .unwrap();
         let snapshot = ledger.snapshot().unwrap();
         let pinned = snapshot.digest();
         assert_eq!(pinned, ledger.digest());
 
         // Writers move the live ledger; the snapshot stays put.
-        ledger.append_block(vec![kv(7)], "overwrite");
-        ledger.append_block(vec![kv(999)], "insert");
+        ledger.try_append_block(vec![kv(7)], "overwrite").unwrap();
+        ledger.try_append_block(vec![kv(999)], "insert").unwrap();
         assert_ne!(ledger.digest(), pinned);
         assert_eq!(snapshot.digest(), pinned);
         assert_eq!(snapshot.len(), 100);
@@ -1070,11 +1073,13 @@ mod tests {
         let store = InMemoryChunkStore::shared();
         let ledger = Ledger::new(Arc::clone(&store) as Arc<dyn ChunkStore>);
         // Build a sizable base version.
-        ledger.append_block((0..2000).map(kv).collect(), "load");
+        ledger
+            .try_append_block((0..2000).map(kv).collect(), "load")
+            .unwrap();
         let base_bytes = store.stats().physical_bytes;
         // Each subsequent block changes a single record.
         for i in 0..50u32 {
-            ledger.append_block(vec![kv(i)], "update");
+            ledger.try_append_block(vec![kv(i)], "update").unwrap();
         }
         let growth = store.stats().physical_bytes - base_bytes;
         assert!(
@@ -1086,8 +1091,12 @@ mod tests {
     #[test]
     fn historical_checkout_reads_old_versions() {
         let ledger = ledger();
-        ledger.append_block(vec![(b"acct".to_vec(), b"100".to_vec())], "open");
-        ledger.append_block(vec![(b"acct".to_vec(), b"250".to_vec())], "deposit");
+        ledger
+            .try_append_block(vec![(b"acct".to_vec(), b"100".to_vec())], "open")
+            .unwrap();
+        ledger
+            .try_append_block(vec![(b"acct".to_vec(), b"250".to_vec())], "deposit")
+            .unwrap();
         assert_eq!(ledger.get(b"acct"), Some(b"250".to_vec()));
 
         let v0 = ledger.checkout(0).unwrap();
@@ -1102,7 +1111,9 @@ mod tests {
         let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
         let first = Ledger::new(Arc::clone(&store));
         for batch in 0..6u32 {
-            first.append_block((batch * 30..(batch + 1) * 30).map(kv).collect(), "load");
+            first
+                .try_append_block((batch * 30..(batch + 1) * 30).map(kv).collect(), "load")
+                .unwrap();
         }
         let digest = first.digest();
         let blocks: Vec<_> = (0..6).map(|h| first.block(h).unwrap()).collect();
@@ -1123,7 +1134,9 @@ mod tests {
         assert!(proof.verify(&key, Some(&value)));
 
         // The reopened ledger keeps appending on the same chain.
-        let digest2 = reopened.append_block(vec![kv(999)], "post-reopen");
+        let digest2 = reopened
+            .try_append_block(vec![kv(999)], "post-reopen")
+            .unwrap();
         assert_eq!(digest2.block_height, 6);
         assert_eq!(reopened.audit_chain(), None);
         let reread = Ledger::open(store).unwrap();
@@ -1138,7 +1151,7 @@ mod tests {
         let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
         let live = Ledger::new(Arc::clone(&store));
         for i in 0..1000u32 {
-            live.append_block(vec![kv(i % 97)], "put");
+            live.try_append_block(vec![kv(i % 97)], "put").unwrap();
         }
         let block_hashes: Vec<Hash> = (0..1000).map(|h| live.block(h).unwrap().hash()).collect();
         let rebuilt = MerkleTree::from_leaves(block_hashes.iter().map(|h| h.as_bytes().as_slice()));
@@ -1234,7 +1247,9 @@ mod tests {
         for kind in [SiriKind::PosTree, SiriKind::MerkleBucketTree] {
             let store = InMemoryChunkStore::shared();
             let ledger = Ledger::with_kind(Arc::clone(&store) as Arc<dyn ChunkStore>, kind);
-            ledger.append_block((0..5000).map(|i| kv(2 * i)).collect(), "load");
+            ledger
+                .try_append_block((0..5000).map(|i| kv(2 * i)).collect(), "load")
+                .unwrap();
             let adjacent: Vec<_> = (0..64).map(|j| kv(4001 + 2 * j)).collect();
             let mixed: Vec<_> = [10, 2500, 6200, 9998]
                 .into_iter()
@@ -1273,7 +1288,7 @@ mod tests {
         let ledger = Ledger::open(InMemoryChunkStore::shared()).unwrap();
         assert!(ledger.is_empty());
         assert_eq!(ledger.height(), 0);
-        ledger.append_block(vec![kv(1)], "first");
+        ledger.try_append_block(vec![kv(1)], "first").unwrap();
         assert_eq!(ledger.height(), 1);
     }
 
@@ -1281,17 +1296,23 @@ mod tests {
     fn open_rejects_a_tampered_block_chain() {
         let store = InMemoryChunkStore::shared();
         let ledger = Ledger::new(Arc::clone(&store) as Arc<dyn ChunkStore>);
-        ledger.append_block((0..10).map(kv).collect(), "load");
-        ledger.append_block((10..20).map(kv).collect(), "load");
+        ledger
+            .try_append_block((0..10).map(kv).collect(), "load")
+            .unwrap();
+        ledger
+            .try_append_block((10..20).map(kv).collect(), "load")
+            .unwrap();
         drop(ledger);
 
         // Forge the head pointer to an unrelated chunk: the walk must fail
         // rather than silently produce a different history.
-        let bogus = ChunkStore::put(
-            &store,
-            spitz_storage::Chunk::new(ChunkKind::Block, b"not a block".to_vec()),
-        );
-        store.set_root(LEDGER_HEAD_ROOT, bogus);
+        let bogus = store
+            .try_put(spitz_storage::Chunk::new(
+                ChunkKind::Block,
+                b"not a block".to_vec(),
+            ))
+            .unwrap();
+        store.try_set_root(LEDGER_HEAD_ROOT, bogus).unwrap();
         assert!(matches!(
             Ledger::open(Arc::clone(&store) as Arc<dyn ChunkStore>),
             Err(StorageError::CorruptChunk(_))
@@ -1307,7 +1328,9 @@ mod tests {
         ] {
             let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
             let ledger = Ledger::with_kind(Arc::clone(&store), kind);
-            ledger.append_block((0..40).map(kv).collect(), "load");
+            ledger
+                .try_append_block((0..40).map(kv).collect(), "load")
+                .unwrap();
             let digest = ledger.digest();
             drop(ledger);
 
@@ -1328,7 +1351,9 @@ mod tests {
             SiriKind::MerkleBucketTree,
         ] {
             let ledger = Ledger::with_kind(InMemoryChunkStore::shared(), kind);
-            ledger.append_block((0..100).map(kv).collect(), "load");
+            ledger
+                .try_append_block((0..100).map(kv).collect(), "load")
+                .unwrap();
 
             // A batch mixing present and absent keys, with duplicates.
             let mut keys: Vec<Vec<u8>> = (0..8).map(|i| kv(i * 11).0).collect();
@@ -1372,7 +1397,7 @@ mod tests {
             // Snapshots pin batched proofs at the snapshot digest.
             let snapshot = ledger.snapshot().unwrap();
             let pinned = snapshot.digest();
-            ledger.append_block(vec![kv(0)], "move on");
+            ledger.try_append_block(vec![kv(0)], "move on").unwrap();
             let (values, proof) = snapshot.get_multi_with_proof(&keys);
             assert_eq!(proof.digest, pinned, "{}", kind.name());
             let items: Vec<_> = keys.iter().cloned().zip(values).collect();
@@ -1388,7 +1413,9 @@ mod tests {
             SiriKind::MerkleBucketTree,
         ] {
             let ledger = Ledger::with_kind(InMemoryChunkStore::shared(), kind);
-            ledger.append_block((0..50).map(kv).collect(), "load");
+            ledger
+                .try_append_block((0..50).map(kv).collect(), "load")
+                .unwrap();
             let (k, v) = kv(7);
             let (value, proof) = ledger.get_with_proof(&k);
             assert_eq!(value, Some(v.clone()), "{}", kind.name());

@@ -50,7 +50,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spitz_obs::TelemetryHandle;
-use spitz_storage::{ChunkStore, StorageError};
+use spitz_storage::StorageError;
 
 use crate::ledger::{CommitGroup, Digest, Ledger};
 
@@ -765,7 +765,7 @@ fn keep_time(shared: &Shared, retry: Duration) {
 mod tests {
     use super::*;
     use spitz_crypto::Hash;
-    use spitz_storage::{Chunk, InMemoryChunkStore, StoreStats};
+    use spitz_storage::{Chunk, ChunkStore, InMemoryChunkStore, StoreStats};
     use std::collections::HashSet;
     use std::hash::{BuildHasher, RandomState};
 
@@ -807,10 +807,10 @@ mod tests {
     }
 
     impl ChunkStore for Probe {
-        fn put(&self, chunk: Chunk) -> Hash {
+        fn try_put(&self, chunk: Chunk) -> Result<Hash, StorageError> {
             self.record("put");
             drop(lock(&self.hold));
-            self.inner.put(chunk)
+            self.inner.try_put(chunk)
         }
         fn get(&self, address: &Hash) -> Result<Arc<Chunk>, StorageError> {
             self.inner.get(address)
@@ -824,8 +824,8 @@ mod tests {
         fn audit(&self) -> Vec<Hash> {
             self.inner.audit()
         }
-        fn set_root(&self, name: &str, hash: Hash) {
-            self.inner.set_root(name, hash)
+        fn try_set_root(&self, name: &str, hash: Hash) -> Result<(), StorageError> {
+            self.inner.try_set_root(name, hash)
         }
         fn root(&self, name: &str) -> Option<Hash> {
             self.inner.root(name)
@@ -1032,7 +1032,10 @@ mod tests {
     fn concurrent_commits_coalesce_and_all_writes_land() {
         const THREADS: u32 = 8;
         const PUTS: u32 = 40;
-        let (ledger, pipeline) = pipeline(DurabilityPolicy::grouped_default());
+        let (probe, ledger, pipeline) = probed(DurabilityPolicy::grouped_default());
+        // Hold the first seal until every other thread has parked behind
+        // it, so that commits overlap a seal on every run.
+        let held = lock(&probe.hold);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let pipeline = &pipeline;
@@ -1042,6 +1045,10 @@ mod tests {
                     }
                 });
             }
+            eventually("every other thread parked behind the seal", || {
+                lock(&pipeline.shared.state).queue.len() == THREADS as usize - 1
+            });
+            drop(held);
         });
         assert_eq!(ledger.len() as u32, THREADS * PUTS);
         for i in 0..THREADS * PUTS {

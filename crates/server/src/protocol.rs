@@ -118,7 +118,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Decode a wire byte.
-    pub fn from_u8(v: u8) -> Option<ErrorCode> {
+    pub(crate) fn from_u8(v: u8) -> Option<ErrorCode> {
         Some(match v {
             1 => ErrorCode::BadFrame,
             2 => ErrorCode::UnsupportedVersion,
@@ -196,7 +196,7 @@ impl ProtocolError {
 
 /// Validate a declared body length from a frame header **before** reading
 /// or allocating the body.
-pub fn check_body_len(len: usize) -> Result<(), ProtocolError> {
+pub(crate) fn check_body_len(len: usize) -> Result<(), ProtocolError> {
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::TooLarge(len));
     }

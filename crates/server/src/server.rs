@@ -31,8 +31,7 @@ use spitz_obs::{Counter, Gauge, Histogram, TelemetryHandle};
 use spitz_storage::HealthState;
 
 use crate::protocol::{
-    self, encode_error, encode_frame, op, ErrorCode, MAX_FRAME_LEN, MIN_BODY_LEN, PROTOCOL_VERSION,
-    RESPONSE_BIT,
+    self, encode_error, encode_frame, op, ErrorCode, PROTOCOL_VERSION, RESPONSE_BIT,
 };
 
 /// Requests a connection may have queued (accepted but not yet executing);
@@ -471,14 +470,7 @@ fn reader_loop(
         // Validate the declared length before allocating a single body
         // byte; an oversized or runt header is fatal to the connection
         // because the stream can no longer be framed.
-        let header_error = if len > MAX_FRAME_LEN {
-            Some(protocol::ProtocolError::TooLarge(len))
-        } else if len < MIN_BODY_LEN {
-            Some(protocol::ProtocolError::BadFrame)
-        } else {
-            None
-        };
-        if let Some(e) = header_error {
+        if let Err(e) = protocol::check_body_len(len) {
             shared.obs.protocol_errors.inc();
             send_frame(writer, shared, &encode_error(0, e.code(), &e.message()));
             return;

@@ -75,8 +75,8 @@
 //!    still loud, not silent — the head root pointer stops resolving and
 //!    the reopen fails.
 //! 3. A record whose CRC passes but whose stored address does not hash to
-//!    its contents is caught by [`ChunkStore::audit`] (and by
-//!    [`crate::store::VerifyingStore`] at read time).
+//!    its contents is caught by [`ChunkStore::audit`]; at read time a
+//!    client's proof check refuses whatever the chunk would have it accept.
 //! 4. Root pointers start from the manifest snapshot and are then
 //!    overwritten by every intact root record, replayed in segment order —
 //!    the final state is the newest published root that survived.
@@ -1252,15 +1252,8 @@ impl DurableChunkStore {
 }
 
 impl ChunkStore for DurableChunkStore {
-    /// Store a chunk, appending it to the active segment; panics on an I/O
-    /// failure. Fallible callers should use [`ChunkStore::try_put`].
-    fn put(&self, chunk: Chunk) -> Hash {
-        self.try_put(chunk)
-            .expect("append to active segment failed; use try_put to handle I/O errors")
-    }
-
-    /// Store a chunk, surfacing I/O failures (disk full, EIO) as
-    /// [`StorageError`] instead of panicking.
+    /// Store a chunk by appending it to the active segment, surfacing I/O
+    /// failures (disk full, EIO) as [`StorageError`].
     fn try_put(&self, chunk: Chunk) -> Result<Hash> {
         self.ensure_writable()?;
         let _append_span = self.obs.append_nanos.span();
@@ -1379,13 +1372,6 @@ impl ChunkStore for DurableChunkStore {
             }
         }
         failures
-    }
-
-    /// Publish a root pointer; panics on an I/O failure. Fallible callers
-    /// should use [`ChunkStore::try_set_root`].
-    fn set_root(&self, name: &str, hash: Hash) {
-        self.try_set_root(name, hash)
-            .expect("root record append failed; use try_set_root to handle I/O errors")
     }
 
     /// Publish a root pointer by appending a root record to the active
@@ -1584,7 +1570,7 @@ mod tests {
         )
         .unwrap();
 
-        store.put(blob(b"pre-burst"));
+        store.try_put(blob(b"pre-burst")).unwrap();
         assert_eq!(store.health(), HealthState::Healthy);
         assert!(store.try_put(blob(b"hits the burst")).is_err());
         assert_eq!(store.health(), HealthState::Degraded);
@@ -1592,16 +1578,16 @@ mod tests {
 
         // One clean op short of the threshold: still degraded.
         for i in 0..DEGRADED_RECOVERY_OPS - 1 {
-            store.put(blob(&(1000 + i).to_be_bytes()));
+            store.try_put(blob(&(1000 + i).to_be_bytes())).unwrap();
         }
         assert_eq!(store.health(), HealthState::Degraded);
 
         // The threshold-crossing op flips the store back to healthy.
-        store.put(blob(b"the recovering op"));
+        store.try_put(blob(b"the recovering op")).unwrap();
         assert_eq!(store.health(), HealthState::Healthy);
         assert_eq!(store.health_reason(), "");
         // And the store keeps accepting writes afterwards.
-        store.put(blob(b"after recovery"));
+        store.try_put(blob(b"after recovery")).unwrap();
         assert_eq!(store.health(), HealthState::Healthy);
 
         // ReadOnly is final: no volume of clean ops recovers it in place.
@@ -1619,7 +1605,7 @@ mod tests {
             io,
         )
         .unwrap();
-        store.put(blob(b"pre-enospc"));
+        store.try_put(blob(b"pre-enospc")).unwrap();
         assert!(store.try_put(blob(b"hits enospc")).is_err());
         assert_eq!(store.health(), HealthState::ReadOnly);
         for _ in 0..2 * DEGRADED_RECOVERY_OPS {
@@ -1632,12 +1618,12 @@ mod tests {
     fn put_get_roundtrip_and_dedup() {
         let dir = TempDir::new("durable-roundtrip");
         let store = DurableChunkStore::open(dir.path()).unwrap();
-        let addr = store.put(blob(b"hello durable"));
+        let addr = store.try_put(blob(b"hello durable")).unwrap();
         assert!(store.contains(&addr));
         assert_eq!(store.get(&addr).unwrap().data(), b"hello durable");
 
         for _ in 0..5 {
-            assert_eq!(store.put(blob(b"hello durable")), addr);
+            assert_eq!(store.try_put(blob(b"hello durable")).unwrap(), addr);
         }
         let stats = store.stats();
         assert_eq!(stats.chunk_count, 1);
@@ -1661,10 +1647,10 @@ mod tests {
         {
             let store = DurableChunkStore::open_with_config(dir.path(), small_config()).unwrap();
             for i in 0..200u32 {
-                addresses.push(store.put(blob(&i.to_be_bytes())));
+                addresses.push(store.try_put(blob(&i.to_be_bytes())).unwrap());
             }
-            store.put(blob(&0u32.to_be_bytes())); // one dedup hit
-            store.set_root("ledger/head", head);
+            store.try_put(blob(&0u32.to_be_bytes())).unwrap(); // one dedup hit
+            store.try_set_root("ledger/head", head).unwrap();
             stats_before = store.stats();
             assert!(store.segment_count() > 1, "rotation must have happened");
         }
@@ -1699,9 +1685,9 @@ mod tests {
         let newer = spitz_crypto::sha256(b"newer head");
         {
             let store = DurableChunkStore::open(dir.path()).unwrap();
-            store.put(blob(b"payload"));
-            store.set_root("head", older);
-            store.set_root("head", newer);
+            store.try_put(blob(b"payload")).unwrap();
+            store.try_set_root("head", older).unwrap();
+            store.try_set_root("head", newer).unwrap();
             // Simulate a crash: no flush, no manifest rewrite. The root
             // records are already in the segment log (page cache), so a
             // reopen must recover them by replay alone.
@@ -1719,7 +1705,7 @@ mod tests {
             ..small_config()
         };
         let store = DurableChunkStore::open_with_config(dir.path(), config).unwrap();
-        let addr = store.put(blob(b"hot chunk"));
+        let addr = store.try_put(blob(b"hot chunk")).unwrap();
         for _ in 0..10 {
             store.get(&addr).unwrap();
         }
@@ -1738,7 +1724,7 @@ mod tests {
             let store = Arc::clone(&store);
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u32 {
-                    store.put(blob(&i.to_be_bytes()));
+                    store.try_put(blob(&i.to_be_bytes())).unwrap();
                 }
             }));
         }
@@ -1760,7 +1746,7 @@ mod tests {
         let store = Arc::new(DurableChunkStore::open_with_config(dir.path(), config).unwrap());
         let addresses: Arc<Vec<Hash>> = Arc::new(
             (0..100u32)
-                .map(|i| store.put(blob(&i.to_be_bytes().repeat(8))))
+                .map(|i| store.try_put(blob(&i.to_be_bytes().repeat(8))).unwrap())
                 .collect(),
         );
         let mut handles = Vec::new();
@@ -1778,7 +1764,7 @@ mod tests {
             let store = Arc::clone(&store);
             handles.push(std::thread::spawn(move || {
                 for i in 100..200u32 {
-                    store.put(blob(&i.to_be_bytes().repeat(8)));
+                    store.try_put(blob(&i.to_be_bytes().repeat(8))).unwrap();
                 }
             }));
         }
@@ -1793,7 +1779,7 @@ mod tests {
     /// config, and return their addresses.
     fn populate(store: &DurableChunkStore, count: u32) -> Vec<Hash> {
         (0..count)
-            .map(|i| store.put(blob(&i.to_be_bytes().repeat(8))))
+            .map(|i| store.try_put(blob(&i.to_be_bytes().repeat(8))).unwrap())
             .collect()
     }
 
@@ -1803,7 +1789,7 @@ mod tests {
         let store = DurableChunkStore::open_with_config(dir.path(), small_config()).unwrap();
         let addresses = populate(&store, 200);
         let head = spitz_crypto::sha256(b"head");
-        store.set_root("head", head);
+        store.try_set_root("head", head).unwrap();
         assert!(store.segment_count() > 1, "need sealed segments");
         let before = store.stats();
 
@@ -1872,7 +1858,7 @@ mod tests {
     fn compaction_with_single_segment_is_a_noop() {
         let dir = TempDir::new("durable-compact-noop");
         let store = DurableChunkStore::open(dir.path()).unwrap();
-        store.put(blob(b"only"));
+        store.try_put(blob(b"only")).unwrap();
         assert_eq!(store.compact_with(|| Ok(HashSet::new())).unwrap(), None);
         assert!(store.contains(&blob(b"only").address()));
     }
@@ -1894,7 +1880,7 @@ mod tests {
             assert!(store.contains(address));
         }
         // The revive guard was released: plain dedup works again.
-        store.put(blob(&0u32.to_be_bytes().repeat(8)));
+        store.try_put(blob(&0u32.to_be_bytes().repeat(8))).unwrap();
         assert!(store.stats().dedup_hits > before.dedup_hits);
     }
 
@@ -1914,7 +1900,7 @@ mod tests {
         let writer = Arc::clone(&store);
         let report = store
             .compact_with(move || {
-                writer.put(blob(&0u32.to_be_bytes().repeat(8)));
+                writer.try_put(blob(&0u32.to_be_bytes().repeat(8))).unwrap();
                 Ok(HashSet::new())
             })
             .unwrap()
@@ -1946,7 +1932,7 @@ mod tests {
                 let store =
                     DurableChunkStore::open_with_config(dir.path(), small_config()).unwrap();
                 addresses = populate(&store, 150);
-                store.set_root("head", head);
+                store.try_set_root("head", head).unwrap();
                 assert!(store.segment_count() > 1);
                 store.flush().unwrap();
 
@@ -2087,7 +2073,7 @@ mod tests {
             )
             .unwrap();
             addresses = populate(&store, 100);
-            store.set_root("head", head);
+            store.try_set_root("head", head).unwrap();
             assert!(store.segment_count() > 1);
 
             // The swap's seal fsyncs the active segment, and that fsync
@@ -2128,9 +2114,11 @@ mod tests {
         for round in 0..20u32 {
             round_addresses = (0..40u32)
                 .map(|i| {
-                    store.put(blob(
-                        &[round.to_be_bytes(), i.to_be_bytes()].concat().repeat(8),
-                    ))
+                    store
+                        .try_put(blob(
+                            &[round.to_be_bytes(), i.to_be_bytes()].concat().repeat(8),
+                        ))
+                        .unwrap()
                 })
                 .collect();
             let keep: HashSet<Hash> = round_addresses.iter().copied().collect();

@@ -22,7 +22,7 @@ pub enum IoErrorKind {
 
 impl IoErrorKind {
     /// Classify a raw OS error.
-    pub fn classify(err: &std::io::Error) -> IoErrorKind {
+    pub(crate) fn classify(err: &std::io::Error) -> IoErrorKind {
         use std::io::ErrorKind as K;
         match err.kind() {
             K::StorageFull | K::QuotaExceeded => IoErrorKind::NoSpace,
@@ -104,13 +104,6 @@ pub enum StorageError {
     },
     /// A named branch/key was not found in the version manager.
     KeyNotFound(String),
-    /// A requested version number does not exist for the key.
-    VersionNotFound {
-        /// The logical key.
-        key: String,
-        /// The requested version number.
-        version: u64,
-    },
     /// Invalid configuration (e.g. chunker min size larger than max size).
     InvalidConfig(String),
     /// An operating-system I/O failure in a durable store, with the failing
@@ -184,9 +177,6 @@ impl fmt::Display for StorageError {
                 "integrity violation: requested {expected}, content hashes to {actual}"
             ),
             StorageError::KeyNotFound(k) => write!(f, "key {k:?} not found"),
-            StorageError::VersionNotFound { key, version } => {
-                write!(f, "version {version} of key {key:?} not found")
-            }
             StorageError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             StorageError::Io(e) => write!(f, "{e}"),
             StorageError::ReadOnly(reason) => {
@@ -219,12 +209,6 @@ mod tests {
         assert!(StorageError::CorruptChunk(h)
             .to_string()
             .contains("corrupt"));
-        let e = StorageError::VersionNotFound {
-            key: "acct".into(),
-            version: 3,
-        };
-        assert!(e.to_string().contains("version 3"));
-        assert!(e.to_string().contains("acct"));
     }
 
     #[test]

@@ -31,12 +31,12 @@ impl VBlob {
         let chunker = Chunker::new(*config)?;
         let mut entries: Vec<(Hash, u32)> = Vec::new();
         for piece in chunker.split(data) {
-            let addr = store.put(Chunk::new(ChunkKind::Blob, piece.to_vec()));
+            let addr = store.try_put(Chunk::new(ChunkKind::Blob, piece.to_vec()))?;
             entries.push((addr, piece.len() as u32));
         }
 
         let meta = encode_meta(&entries, data.len() as u64);
-        let root = store.put(Chunk::new(ChunkKind::Meta, meta));
+        let root = store.try_put(Chunk::new(ChunkKind::Meta, meta))?;
         Ok(VBlob {
             root,
             len: data.len() as u64,
@@ -84,11 +84,6 @@ impl VBlob {
     /// True when the blob is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The chunk addresses (and sizes) making up this blob.
-    pub fn chunk_entries(&self) -> &[(Hash, u32)] {
-        &self.chunks
     }
 }
 
@@ -183,24 +178,21 @@ mod tests {
         let b2 = VBlob::write(&store, &edited, &cfg).unwrap();
         assert_ne!(b1.root(), b2.root());
 
-        let set1: std::collections::HashSet<_> =
-            b1.chunk_entries().iter().map(|(h, _)| *h).collect();
-        let shared = b2
-            .chunk_entries()
-            .iter()
-            .filter(|(h, _)| set1.contains(h))
-            .count();
+        let set1: std::collections::HashSet<_> = b1.chunks.iter().map(|(h, _)| *h).collect();
+        let shared = b2.chunks.iter().filter(|(h, _)| set1.contains(h)).count();
         assert!(
-            shared * 2 >= b2.chunk_entries().len(),
+            shared * 2 >= b2.chunks.len(),
             "expected chunk sharing, got {shared}/{}",
-            b2.chunk_entries().len()
+            b2.chunks.len()
         );
     }
 
     #[test]
     fn load_rejects_wrong_kind() {
         let store = InMemoryChunkStore::new();
-        let addr = store.put(Chunk::new(ChunkKind::Blob, &b"not a meta node"[..]));
+        let addr = store
+            .try_put(Chunk::new(ChunkKind::Blob, &b"not a meta node"[..]))
+            .unwrap();
         assert!(matches!(
             VBlob::load(&store, &addr),
             Err(StorageError::WrongChunkKind { .. })
@@ -210,7 +202,9 @@ mod tests {
     #[test]
     fn load_rejects_corrupt_meta() {
         let store = InMemoryChunkStore::new();
-        let addr = store.put(Chunk::new(ChunkKind::Meta, vec![1, 2, 3]));
+        let addr = store
+            .try_put(Chunk::new(ChunkKind::Meta, vec![1, 2, 3]))
+            .unwrap();
         assert!(matches!(
             VBlob::load(&store, &addr),
             Err(StorageError::CorruptChunk(_))

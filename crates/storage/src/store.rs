@@ -60,9 +60,9 @@ pub struct StoreStats {
     /// Bytes physically retained (sum of [`Chunk::storage_size`] over
     /// distinct chunks).
     pub physical_bytes: u64,
-    /// Bytes logically written (every `put`, including duplicates).
+    /// Bytes logically written (every `try_put`, including duplicates).
     pub logical_bytes: u64,
-    /// Number of `put` calls that were absorbed by deduplication.
+    /// Number of `try_put` calls that were absorbed by deduplication.
     pub dedup_hits: u64,
     /// Number of `get` calls served.
     pub reads: u64,
@@ -102,16 +102,10 @@ impl StoreStats {
 /// nodes all write through the same store.
 pub trait ChunkStore: Send + Sync {
     /// Store a chunk and return its content address. Storing an identical
-    /// chunk twice is a no-op for physical storage.
-    fn put(&self, chunk: Chunk) -> Hash;
-
-    /// Fallible variant of [`ChunkStore::put`]: surfaces storage failures
-    /// (disk full, I/O errors in a durable backend) as a [`StorageError`]
-    /// instead of panicking. The default forwards to `put`, which cannot
-    /// fail for in-memory stores.
-    fn try_put(&self, chunk: Chunk) -> Result<Hash> {
-        Ok(self.put(chunk))
-    }
+    /// chunk twice is a no-op for physical storage. Storage failures (disk
+    /// full, I/O errors in a durable backend) surface as a
+    /// [`StorageError`].
+    fn try_put(&self, chunk: Chunk) -> Result<Hash>;
 
     /// Fetch a chunk by address.
     fn get(&self, address: &Hash) -> Result<Arc<Chunk>>;
@@ -133,25 +127,11 @@ pub trait ChunkStore: Send + Sync {
     ///
     /// Root pointers are the only mutable cells in the otherwise
     /// content-addressed store — the same role git refs play over its object
-    /// database. Stores without durability may keep them in memory; the
-    /// default implementation discards them.
-    fn set_root(&self, name: &str, hash: Hash) {
-        let _ = (name, hash);
-    }
+    /// database. A durable backend can fail to append the root record.
+    fn try_set_root(&self, name: &str, hash: Hash) -> Result<()>;
 
-    /// Fallible variant of [`ChunkStore::set_root`] (a durable backend can
-    /// fail to append the root record). The default forwards to `set_root`.
-    fn try_set_root(&self, name: &str, hash: Hash) -> Result<()> {
-        self.set_root(name, hash);
-        Ok(())
-    }
-
-    /// Read back a named root pointer. The default implementation knows no
-    /// roots.
-    fn root(&self, name: &str) -> Option<Hash> {
-        let _ = name;
-        None
-    }
+    /// Read back a named root pointer.
+    fn root(&self, name: &str) -> Option<Hash>;
 
     /// Force everything written so far to stable storage. A no-op for
     /// stores without a durability notion (the default); a durable backend
@@ -221,7 +201,7 @@ impl InMemoryChunkStore {
 }
 
 impl ChunkStore for InMemoryChunkStore {
-    fn put(&self, chunk: Chunk) -> Hash {
+    fn try_put(&self, chunk: Chunk) -> Result<Hash> {
         let address = chunk.address();
         let mut inner = self.inner.write();
         inner.stats.logical_bytes += chunk.storage_size() as u64;
@@ -232,7 +212,7 @@ impl ChunkStore for InMemoryChunkStore {
             inner.stats.physical_bytes += chunk.storage_size() as u64;
             inner.chunks.insert(address, Arc::new(chunk));
         }
-        address
+        Ok(address)
     }
 
     fn get(&self, address: &Hash) -> Result<Arc<Chunk>> {
@@ -269,186 +249,13 @@ impl ChunkStore for InMemoryChunkStore {
             .collect()
     }
 
-    fn set_root(&self, name: &str, hash: Hash) {
+    fn try_set_root(&self, name: &str, hash: Hash) -> Result<()> {
         self.inner.write().roots.insert(name.to_string(), hash);
+        Ok(())
     }
 
     fn root(&self, name: &str) -> Option<Hash> {
         self.inner.read().roots.get(name).copied()
-    }
-}
-
-/// A chunk store wrapper that verifies content addresses on every read,
-/// turning silent tampering of the underlying store into an explicit
-/// [`StorageError::IntegrityViolation`].
-#[derive(Debug)]
-pub struct VerifyingStore<S> {
-    inner: S,
-}
-
-impl<S: ChunkStore> VerifyingStore<S> {
-    /// Wrap a store with read-time verification.
-    pub fn new(inner: S) -> Self {
-        VerifyingStore { inner }
-    }
-
-    /// Access the wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: ChunkStore> ChunkStore for VerifyingStore<S> {
-    fn put(&self, chunk: Chunk) -> Hash {
-        self.inner.put(chunk)
-    }
-
-    fn try_put(&self, chunk: Chunk) -> Result<Hash> {
-        self.inner.try_put(chunk)
-    }
-
-    fn get(&self, address: &Hash) -> Result<Arc<Chunk>> {
-        let chunk = self.inner.get(address)?;
-        let actual = chunk.address();
-        if actual != *address {
-            return Err(StorageError::IntegrityViolation {
-                expected: *address,
-                actual,
-            });
-        }
-        Ok(chunk)
-    }
-
-    fn contains(&self, address: &Hash) -> bool {
-        self.inner.contains(address)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn audit(&self) -> Vec<Hash> {
-        self.inner.audit()
-    }
-
-    fn set_root(&self, name: &str, hash: Hash) {
-        self.inner.set_root(name, hash)
-    }
-
-    fn try_set_root(&self, name: &str, hash: Hash) -> Result<()> {
-        self.inner.try_set_root(name, hash)
-    }
-
-    fn root(&self, name: &str) -> Option<Hash> {
-        self.inner.root(name)
-    }
-
-    fn sync(&self) -> Result<()> {
-        self.inner.sync()
-    }
-
-    fn health(&self) -> HealthState {
-        self.inner.health()
-    }
-}
-
-impl<S: ChunkStore + ?Sized> ChunkStore for &S {
-    fn put(&self, chunk: Chunk) -> Hash {
-        (**self).put(chunk)
-    }
-
-    fn try_put(&self, chunk: Chunk) -> Result<Hash> {
-        (**self).try_put(chunk)
-    }
-
-    fn get(&self, address: &Hash) -> Result<Arc<Chunk>> {
-        (**self).get(address)
-    }
-
-    fn contains(&self, address: &Hash) -> bool {
-        (**self).contains(address)
-    }
-
-    fn stats(&self) -> StoreStats {
-        (**self).stats()
-    }
-
-    fn audit(&self) -> Vec<Hash> {
-        (**self).audit()
-    }
-
-    fn set_root(&self, name: &str, hash: Hash) {
-        (**self).set_root(name, hash)
-    }
-
-    fn try_set_root(&self, name: &str, hash: Hash) -> Result<()> {
-        (**self).try_set_root(name, hash)
-    }
-
-    fn root(&self, name: &str) -> Option<Hash> {
-        (**self).root(name)
-    }
-
-    fn sync(&self) -> Result<()> {
-        (**self).sync()
-    }
-
-    fn get_kind(&self, address: &Hash, expected: ChunkKind) -> Result<Arc<Chunk>> {
-        (**self).get_kind(address, expected)
-    }
-
-    fn health(&self) -> HealthState {
-        (**self).health()
-    }
-}
-
-impl<S: ChunkStore + ?Sized> ChunkStore for Arc<S> {
-    fn put(&self, chunk: Chunk) -> Hash {
-        (**self).put(chunk)
-    }
-
-    fn try_put(&self, chunk: Chunk) -> Result<Hash> {
-        (**self).try_put(chunk)
-    }
-
-    fn get(&self, address: &Hash) -> Result<Arc<Chunk>> {
-        (**self).get(address)
-    }
-
-    fn contains(&self, address: &Hash) -> bool {
-        (**self).contains(address)
-    }
-
-    fn stats(&self) -> StoreStats {
-        (**self).stats()
-    }
-
-    fn audit(&self) -> Vec<Hash> {
-        (**self).audit()
-    }
-
-    fn set_root(&self, name: &str, hash: Hash) {
-        (**self).set_root(name, hash)
-    }
-
-    fn try_set_root(&self, name: &str, hash: Hash) -> Result<()> {
-        (**self).try_set_root(name, hash)
-    }
-
-    fn root(&self, name: &str) -> Option<Hash> {
-        (**self).root(name)
-    }
-
-    fn sync(&self) -> Result<()> {
-        (**self).sync()
-    }
-
-    fn get_kind(&self, address: &Hash, expected: ChunkKind) -> Result<Arc<Chunk>> {
-        (**self).get_kind(address, expected)
-    }
-
-    fn health(&self) -> HealthState {
-        (**self).health()
     }
 }
 
@@ -463,7 +270,7 @@ mod tests {
     #[test]
     fn put_get_roundtrip() {
         let store = InMemoryChunkStore::new();
-        let addr = store.put(blob(b"hello"));
+        let addr = store.try_put(blob(b"hello")).unwrap();
         let fetched = store.get(&addr).unwrap();
         assert_eq!(fetched.data(), b"hello");
         assert_eq!(fetched.kind(), ChunkKind::Blob);
@@ -479,10 +286,10 @@ mod tests {
     #[test]
     fn duplicate_puts_do_not_grow_physical_storage() {
         let store = InMemoryChunkStore::new();
-        store.put(blob(b"same"));
+        store.try_put(blob(b"same")).unwrap();
         let s1 = store.stats();
         for _ in 0..10 {
-            store.put(blob(b"same"));
+            store.try_put(blob(b"same")).unwrap();
         }
         let s2 = store.stats();
         assert_eq!(s1.physical_bytes, s2.physical_bytes);
@@ -496,7 +303,7 @@ mod tests {
     fn distinct_chunks_accumulate() {
         let store = InMemoryChunkStore::new();
         for i in 0..100u32 {
-            store.put(blob(&i.to_be_bytes()));
+            store.try_put(blob(&i.to_be_bytes())).unwrap();
         }
         let stats = store.stats();
         assert_eq!(stats.chunk_count, 100);
@@ -511,7 +318,7 @@ mod tests {
         // No live-byte measurement yet: nothing is known to be dead.
         assert_eq!(empty.dead_bytes(), 0);
 
-        store.put(blob(b"hello"));
+        store.try_put(blob(b"hello")).unwrap();
         let stats = store.stats();
         assert_eq!(stats.disk_bytes, stats.physical_bytes);
         assert_eq!(stats.live_bytes, stats.physical_bytes);
@@ -528,7 +335,7 @@ mod tests {
     #[test]
     fn get_kind_checks_kind() {
         let store = InMemoryChunkStore::new();
-        let addr = store.put(blob(b"x"));
+        let addr = store.try_put(blob(b"x")).unwrap();
         assert!(store.get_kind(&addr, ChunkKind::Blob).is_ok());
         let err = store.get_kind(&addr, ChunkKind::Meta).unwrap_err();
         assert!(matches!(err, StorageError::WrongChunkKind { .. }));
@@ -537,8 +344,10 @@ mod tests {
     #[test]
     fn contains_and_count_kind() {
         let store = InMemoryChunkStore::new();
-        let addr = store.put(blob(b"x"));
-        store.put(Chunk::new(ChunkKind::Meta, &b"m"[..]));
+        let addr = store.try_put(blob(b"x")).unwrap();
+        store
+            .try_put(Chunk::new(ChunkKind::Meta, &b"m"[..]))
+            .unwrap();
         assert!(store.contains(&addr));
         assert!(!store.contains(&spitz_crypto::sha256(b"other")));
         assert_eq!(store.count_kind(ChunkKind::Blob), 1);
@@ -550,7 +359,7 @@ mod tests {
     fn audit_of_honest_store_is_clean() {
         let store = InMemoryChunkStore::new();
         for i in 0..10u8 {
-            store.put(blob(&[i]));
+            store.try_put(blob(&[i])).unwrap();
         }
         assert!(store.audit().is_empty());
     }
@@ -561,33 +370,17 @@ mod tests {
         assert_eq!(store.root("ledger/head"), None);
         let h1 = spitz_crypto::sha256(b"head-1");
         let h2 = spitz_crypto::sha256(b"head-2");
-        store.set_root("ledger/head", h1);
+        store.try_set_root("ledger/head", h1).unwrap();
         assert_eq!(store.root("ledger/head"), Some(h1));
-        store.set_root("ledger/head", h2);
+        store.try_set_root("ledger/head", h2).unwrap();
         assert_eq!(store.root("ledger/head"), Some(h2));
         assert_eq!(store.root("other"), None);
     }
 
     #[test]
-    fn verifying_store_passes_through_honest_reads() {
-        let store = VerifyingStore::new(InMemoryChunkStore::new());
-        let addr = store.put(blob(b"v"));
-        assert_eq!(store.get(&addr).unwrap().data(), b"v");
-        assert!(store.contains(&addr));
-        assert_eq!(store.stats().chunk_count, 1);
-    }
-
-    #[test]
-    fn arc_store_is_usable_through_trait() {
-        let store = InMemoryChunkStore::shared();
-        let addr = ChunkStore::put(&store, blob(b"arc"));
-        assert_eq!(store.get(&addr).unwrap().data(), b"arc");
-    }
-
-    #[test]
     fn gets_share_the_read_lock_and_count_exactly() {
         let store = InMemoryChunkStore::shared();
-        let addr = store.put(blob(b"x"));
+        let addr = store.try_put(blob(b"x")).unwrap();
         // While another reader holds the store's lock shared, gets must
         // still complete: counting a read takes no exclusive lock.
         let held = store.inner.read();
@@ -625,7 +418,9 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..500u32 {
                     // Every thread writes the same 500 chunks.
-                    store.put(Chunk::new(ChunkKind::Blob, i.to_be_bytes().to_vec()));
+                    store
+                        .try_put(Chunk::new(ChunkKind::Blob, i.to_be_bytes().to_vec()))
+                        .unwrap();
                 }
                 t
             }));

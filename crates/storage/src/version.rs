@@ -114,7 +114,7 @@ impl<S: ChunkStore> VersionManager<S> {
 
     /// Record a new version of `key` whose content root is `root`.
     /// Returns the commit describing the new head.
-    pub fn commit(&self, key: &str, root: Hash, message: &str) -> Commit {
+    pub fn commit(&self, key: &str, root: Hash, message: &str) -> Result<Commit> {
         let mut heads = self.heads.write();
         let (prev_version, parent) = heads.get(key).copied().unwrap_or((0, Hash::ZERO));
         let commit = Commit {
@@ -126,9 +126,9 @@ impl<S: ChunkStore> VersionManager<S> {
         };
         let address = self
             .store
-            .put(Chunk::new(ChunkKind::Commit, commit.encode()));
+            .try_put(Chunk::new(ChunkKind::Commit, commit.encode()))?;
         heads.insert(key.to_string(), (commit.version, address));
-        commit
+        Ok(commit)
     }
 
     /// The latest version number of `key`, if it has ever been committed.
@@ -146,23 +146,6 @@ impl<S: ChunkStore> VersionManager<S> {
                 .ok_or_else(|| StorageError::KeyNotFound(key.to_string()))?
         };
         self.load_commit(&address)
-    }
-
-    /// Fetch a specific version of `key` by walking the parent chain from the
-    /// head. Version numbers start at 1.
-    pub fn get_version(&self, key: &str, version: u64) -> Result<Commit> {
-        let head = self.head(key)?;
-        if version == 0 || version > head.version {
-            return Err(StorageError::VersionNotFound {
-                key: key.to_string(),
-                version,
-            });
-        }
-        let mut current = head;
-        while current.version > version {
-            current = self.load_commit(&current.parent)?;
-        }
-        Ok(current)
     }
 
     /// Full history of `key`, newest first.
@@ -207,7 +190,9 @@ mod tests {
     #[test]
     fn commit_and_head() {
         let vm = manager();
-        let c1 = vm.commit("patient-1", sha256(b"v1"), "initial record");
+        let c1 = vm
+            .commit("patient-1", sha256(b"v1"), "initial record")
+            .unwrap();
         assert_eq!(c1.version, 1);
         assert_eq!(c1.parent, Hash::ZERO);
         let head = vm.head("patient-1").unwrap();
@@ -217,24 +202,24 @@ mod tests {
     #[test]
     fn versions_increment_and_link() {
         let vm = manager();
-        vm.commit("k", sha256(b"v1"), "first");
-        vm.commit("k", sha256(b"v2"), "second");
-        let c3 = vm.commit("k", sha256(b"v3"), "third");
+        vm.commit("k", sha256(b"v1"), "first").unwrap();
+        vm.commit("k", sha256(b"v2"), "second").unwrap();
+        let c3 = vm.commit("k", sha256(b"v3"), "third").unwrap();
         assert_eq!(c3.version, 3);
         assert_eq!(vm.latest_version("k"), Some(3));
 
-        let v2 = vm.get_version("k", 2).unwrap();
-        assert_eq!(v2.root, sha256(b"v2"));
-        let v1 = vm.get_version("k", 1).unwrap();
-        assert_eq!(v1.root, sha256(b"v1"));
-        assert_eq!(v1.parent, Hash::ZERO);
+        let history = vm.history("k").unwrap();
+        assert_eq!(history[1].root, sha256(b"v2"));
+        assert_eq!(history[2].root, sha256(b"v1"));
+        assert_eq!(history[2].parent, Hash::ZERO);
     }
 
     #[test]
     fn history_is_newest_first_and_complete() {
         let vm = manager();
         for i in 1..=5u64 {
-            vm.commit("k", sha256(&i.to_be_bytes()), &format!("v{i}"));
+            vm.commit("k", sha256(&i.to_be_bytes()), &format!("v{i}"))
+                .unwrap();
         }
         let history = vm.history("k").unwrap();
         assert_eq!(history.len(), 5);
@@ -246,27 +231,18 @@ mod tests {
     }
 
     #[test]
-    fn missing_key_and_version_errors() {
+    fn missing_key_errors() {
         let vm = manager();
         assert!(matches!(vm.head("nope"), Err(StorageError::KeyNotFound(_))));
-        vm.commit("k", sha256(b"v1"), "");
-        assert!(matches!(
-            vm.get_version("k", 0),
-            Err(StorageError::VersionNotFound { .. })
-        ));
-        assert!(matches!(
-            vm.get_version("k", 2),
-            Err(StorageError::VersionNotFound { .. })
-        ));
         assert_eq!(vm.latest_version("nope"), None);
     }
 
     #[test]
     fn keys_are_tracked_independently() {
         let vm = manager();
-        vm.commit("a", sha256(b"1"), "");
-        vm.commit("b", sha256(b"2"), "");
-        vm.commit("a", sha256(b"3"), "");
+        vm.commit("a", sha256(b"1"), "").unwrap();
+        vm.commit("b", sha256(b"2"), "").unwrap();
+        vm.commit("a", sha256(b"3"), "").unwrap();
         assert_eq!(vm.keys(), vec!["a".to_string(), "b".to_string()]);
         assert_eq!(vm.latest_version("a"), Some(2));
         assert_eq!(vm.latest_version("b"), Some(1));
@@ -275,7 +251,9 @@ mod tests {
     #[test]
     fn commit_roundtrips_through_storage() {
         let vm = manager();
-        let c = vm.commit("key-with-unicode-ключ", sha256(b"root"), "message ✓");
+        let c = vm
+            .commit("key-with-unicode-ключ", sha256(b"root"), "message ✓")
+            .unwrap();
         let head = vm.head("key-with-unicode-ключ").unwrap();
         assert_eq!(head, c);
         assert_eq!(head.message, "message ✓");
@@ -284,8 +262,8 @@ mod tests {
     #[test]
     fn identical_commits_for_different_keys_do_not_collide() {
         let vm = manager();
-        vm.commit("a", sha256(b"same"), "same");
-        vm.commit("b", sha256(b"same"), "same");
+        vm.commit("a", sha256(b"same"), "same").unwrap();
+        vm.commit("b", sha256(b"same"), "same").unwrap();
         assert_eq!(vm.head("a").unwrap().key, "a");
         assert_eq!(vm.head("b").unwrap().key, "b");
     }

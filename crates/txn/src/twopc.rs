@@ -335,14 +335,6 @@ impl TwoPhaseCoordinator {
         &self.participants
     }
 
-    /// The shared timestamp oracle. Global transaction ids and snapshot
-    /// epochs are allocated from the same strictly monotonic sequence, so
-    /// a snapshot taken between two transactions orders between their
-    /// timestamps.
-    pub fn oracle(&self) -> &Arc<TimestampOracle> {
-        &self.oracle
-    }
-
     /// Which participant owns a key.
     pub fn route(&self, key: &[u8]) -> usize {
         (spitz_crypto::sha256(key).prefix_u64() % self.participants.len() as u64) as usize

@@ -87,8 +87,8 @@ fn reopen_reproduces_digest_chain_and_proofs(shards: usize) {
         load(&db);
         // A deterministic dedup event: the identical chunk stored twice.
         let shard = db.shard(0);
-        let probe = shard.store().put(blob(b"dedup-probe"));
-        assert_eq!(shard.store().put(blob(b"dedup-probe")), probe);
+        let probe = shard.store().try_put(blob(b"dedup-probe")).unwrap();
+        assert_eq!(shard.store().try_put(blob(b"dedup-probe")).unwrap(), probe);
         assert!(client.observe_sharded(&db.digest()));
         (
             db.digest(),
@@ -141,7 +141,7 @@ fn reopen_reproduces_digest_chain_and_proofs(shards: usize) {
     assert_eq!(stats2.physical_bytes, stats.physical_bytes);
     assert_eq!(stats2.logical_bytes, stats.logical_bytes);
     assert_eq!(stats2.dedup_hits, stats.dedup_hits);
-    shard.store().put(blob(b"dedup-probe"));
+    shard.store().try_put(blob(b"dedup-probe")).unwrap();
     assert!(
         shard.storage_stats().dedup_hits > stats.dedup_hits,
         "re-storing a persisted chunk must hit dedup after reopen"
@@ -167,7 +167,11 @@ fn torn_tail_record_is_dropped_and_the_rest_survives() {
     let addresses: Vec<_> = {
         let store = DurableChunkStore::open_with_config(dir.path(), config).unwrap();
         (0..20u32)
-            .map(|i| store.put(blob(format!("record payload {i:04}").as_bytes())))
+            .map(|i| {
+                store
+                    .try_put(blob(format!("record payload {i:04}").as_bytes()))
+                    .unwrap()
+            })
             .collect()
     };
 
@@ -203,7 +207,7 @@ fn torn_tail_record_is_dropped_and_the_rest_survives() {
 
     // The store keeps working: the dropped chunk can be rewritten and the
     // rewrite is durable.
-    let rewritten = store.put(blob(b"record payload 0019"));
+    let rewritten = store.try_put(blob(b"record payload 0019")).unwrap();
     assert_eq!(rewritten, addresses[19]);
     drop(store);
     let store = DurableChunkStore::open_with_config(dir.path(), config).unwrap();
@@ -442,10 +446,50 @@ fn explicit_flush_makes_grouped_commits_durable() {
 
         let db = open(dir.path(), shards);
         assert_eq!(db.digest(), digest, "flushed commits must survive a crash");
-        assert_eq!(db.published_head().unwrap(), Some(digest));
         assert_eq!(db.get(b"k2").unwrap(), Some(b"v2".to_vec()));
         for s in 0..shards {
             assert_eq!(db.shard(s).ledger().audit_chain(), None);
+        }
+    }
+}
+
+/// Every named root a shard's store keeps has a reader: the ledger head,
+/// the membership record, the 2PC staged and decision logs and the table
+/// catalog. Single puts, a cross-shard batch, a table write and a flush
+/// publish no other root.
+#[test]
+fn a_store_keeps_only_roots_that_something_reads() {
+    use spitz::{ColumnType, Record, Schema, Value};
+
+    let dir = TempDir::new("read-roots");
+    let db = open(dir.path(), 2);
+    let (a, b) = (key_on(&db, 0, "a"), key_on(&db, 1, "b"));
+    db.put(&a, b"1").unwrap();
+    db.put(&b, b"2").unwrap();
+    db.put_batch(vec![(a, b"3".to_vec()), (b, b"4".to_vec())])
+        .unwrap();
+    db.create_table(Schema::new("t", vec![("n", ColumnType::Integer)]))
+        .unwrap();
+    db.insert_record("t", &Record::new("pk").with("n", Value::Integer(1)))
+        .unwrap();
+    db.flush().unwrap();
+
+    let read = [
+        "spitz/ledger/head",
+        "spitz/sharded/member",
+        "spitz/2pc/staged",
+        "spitz/2pc/decided",
+        "spitz/catalog",
+    ];
+    for s in 0..db.shard_count() {
+        let store = db.shard(s).durable_store().expect("a durable shard");
+        let names: Vec<String> = store.roots().into_iter().map(|(name, _)| name).collect();
+        assert!(
+            names.contains(&"spitz/ledger/head".to_string()),
+            "{names:?}"
+        );
+        for name in &names {
+            assert!(read.contains(&name.as_str()), "shard {s} keeps {name}");
         }
     }
 }
@@ -461,10 +505,10 @@ fn stats_and_roots_survive_segment_rotation() {
     let (stats, segments) = {
         let store = DurableChunkStore::open_with_config(dir.path(), config).unwrap();
         for i in 0..100u32 {
-            store.put(blob(&i.to_be_bytes().repeat(16)));
+            store.try_put(blob(&i.to_be_bytes().repeat(16))).unwrap();
         }
         for i in 0..50u32 {
-            store.put(blob(&i.to_be_bytes().repeat(16))); // dedup hits
+            store.try_put(blob(&i.to_be_bytes().repeat(16))).unwrap(); // dedup hits
         }
         (store.stats(), store.segment_count())
     };
@@ -783,8 +827,8 @@ impl CountingStore {
 }
 
 impl ChunkStore for CountingStore {
-    fn put(&self, chunk: Chunk) -> spitz::Hash {
-        self.inner.put(chunk)
+    fn try_put(&self, chunk: Chunk) -> Result<spitz::Hash, StorageError> {
+        self.inner.try_put(chunk)
     }
     fn get(&self, address: &spitz::Hash) -> Result<Arc<Chunk>, StorageError> {
         self.gets.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -799,8 +843,8 @@ impl ChunkStore for CountingStore {
     fn audit(&self) -> Vec<spitz::Hash> {
         self.inner.audit()
     }
-    fn set_root(&self, name: &str, hash: spitz::Hash) {
-        self.inner.set_root(name, hash)
+    fn try_set_root(&self, name: &str, hash: spitz::Hash) -> Result<(), StorageError> {
+        self.inner.try_set_root(name, hash)
     }
     fn root(&self, name: &str) -> Option<spitz::Hash> {
         self.inner.root(name)
@@ -809,9 +853,9 @@ impl ChunkStore for CountingStore {
 
 /// Opening a database with tables reads the ledgers and a fixed number of
 /// chunks besides, however many records the tables hold: no table history
-/// is replayed. On one shard those are the three named roots it resolves:
-/// the membership record, the published cross-shard head and the catalog
-/// (more shards add their membership records and the 2PC logs).
+/// is replayed. On one shard those are the two named roots it resolves: the
+/// membership record and the catalog (more shards add their membership
+/// records and the 2PC logs).
 #[test]
 fn open_reads_the_catalog_chunk_and_no_table_history() {
     use spitz::{ColumnType, Ledger, Record, Schema, Value};
@@ -867,7 +911,7 @@ fn open_reads_the_catalog_chunk_and_no_table_history() {
         }
         assert_eq!(extra_gets[0], extra_gets[1], "{shards} shards");
         if shards == 1 {
-            assert_eq!(extra_gets[0], 3);
+            assert_eq!(extra_gets[0], 2);
         }
     }
 }

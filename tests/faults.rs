@@ -344,8 +344,8 @@ fn failed_append_case(kind: SiriKind, seed: u64) -> u64 {
     let loaded = rng.range(100, 400) as u32;
     for chunk in (0..loaded).collect::<Vec<_>>().chunks(64) {
         let load: Vec<_> = chunk.iter().map(|&i| (key(3 * i), value(i))).collect();
-        ledger.append_block(load.clone(), "load");
-        reference.append_block(load, "load");
+        ledger.try_append_block(load.clone(), "load").unwrap();
+        reference.try_append_block(load, "load").unwrap();
     }
     let mut batch: Vec<_> = (0..31)
         .map(|j| {
@@ -361,7 +361,9 @@ fn failed_append_case(kind: SiriKind, seed: u64) -> u64 {
         })
         .collect();
 
-    let expected = reference.append_block(batch.clone(), "PUT BATCH");
+    let expected = reference
+        .try_append_block(batch.clone(), "PUT BATCH")
+        .unwrap();
     let (digest, len) = (ledger.digest(), ledger.len());
     let reads: Vec<_> = sampled.iter().map(|k| ledger.get(k)).collect();
     for k in 0.. {
@@ -545,8 +547,8 @@ struct SyncFailStore {
 }
 
 impl ChunkStore for SyncFailStore {
-    fn put(&self, chunk: Chunk) -> Hash {
-        self.inner.put(chunk)
+    fn try_put(&self, chunk: Chunk) -> Result<Hash, StorageError> {
+        self.inner.try_put(chunk)
     }
     fn get(&self, address: &Hash) -> Result<Arc<Chunk>, StorageError> {
         self.inner.get(address)
@@ -560,8 +562,8 @@ impl ChunkStore for SyncFailStore {
     fn audit(&self) -> Vec<Hash> {
         self.inner.audit()
     }
-    fn set_root(&self, name: &str, hash: Hash) {
-        self.inner.set_root(name, hash)
+    fn try_set_root(&self, name: &str, hash: Hash) -> Result<(), StorageError> {
+        self.inner.try_set_root(name, hash)
     }
     fn root(&self, name: &str) -> Option<Hash> {
         self.inner.root(name)

@@ -114,7 +114,7 @@ proptest! {
 
         let mut forward = PosTree::new(InMemoryChunkStore::shared());
         for (k, v) in &entries {
-            forward.insert(k.clone(), v.clone());
+            forward.try_insert(k.clone(), v.clone()).unwrap();
         }
         let mut shuffled = entries.clone();
         // Deterministic shuffle from the seed.
@@ -124,7 +124,7 @@ proptest! {
         }
         let mut reordered = PosTree::new(InMemoryChunkStore::shared());
         for (k, v) in &shuffled {
-            reordered.insert(k.clone(), v.clone());
+            reordered.try_insert(k.clone(), v.clone()).unwrap();
         }
         prop_assert_eq!(forward.root(), reordered.root());
 
@@ -149,7 +149,7 @@ proptest! {
     ) {
         let ledger = Ledger::new(InMemoryChunkStore::shared());
         let writes: Vec<_> = entries.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        ledger.append_block(writes, "proptest");
+        ledger.try_append_block(writes, "proptest").unwrap();
         for (k, v) in entries.iter().take(12) {
             let (value, proof) = ledger.get_with_proof(k);
             prop_assert_eq!(value.as_ref(), Some(v));

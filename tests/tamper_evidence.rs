@@ -189,10 +189,12 @@ fn crc_consistent_on_disk_rewrite_is_caught_by_audit() {
     let payload = b"the payload an attacker rewrites".to_vec();
     let address = {
         let store = DurableChunkStore::open(dir.path()).unwrap();
-        store.put(spitz::storage::Chunk::new(
-            spitz::storage::ChunkKind::Blob,
-            payload.clone(),
-        ))
+        store
+            .try_put(spitz::storage::Chunk::new(
+                spitz::storage::ChunkKind::Blob,
+                payload.clone(),
+            ))
+            .unwrap()
     };
 
     // A smarter attacker flips a payload byte AND fixes the record CRC, so
