@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use spitz_bench::workload::{KeyValueWorkload, WorkloadConfig};
-use spitz_bench::{measure_throughput, FigureTable};
+use spitz_bench::{measure_throughput, median_throughput, FigureTable};
 use spitz_index::SiriKind;
 use spitz_ledger::{DeferredVerifier, Ledger};
 use spitz_storage::InMemoryChunkStore;
@@ -35,19 +35,20 @@ fn siri_ablation(records: usize) {
         SiriKind::MerkleBucketTree,
     ] {
         let ledger = Ledger::with_kind(InMemoryChunkStore::shared(), kind);
+        // One pass: each write appends a block.
         let write = measure_throughput(workload.records.len(), |i| {
             ledger
                 .try_append_block(vec![workload.records[i].clone()], "PUT")
                 .expect("append block");
         });
-        let read = measure_throughput(keys.len(), |i| {
+        let read = median_throughput(keys.len(), |i| {
             std::hint::black_box(ledger.get(&keys[i]));
         });
-        let verify = measure_throughput(keys.len(), |i| {
+        let verify = median_throughput(keys.len(), |i| {
             let (value, proof) = ledger.get_with_proof(&keys[i]);
             assert!(proof.verify(&keys[i], value.as_deref()));
         });
-        let range = measure_throughput(ranges.len(), |i| {
+        let range = median_throughput(ranges.len(), |i| {
             std::hint::black_box(ledger.range(&ranges[i].0, &ranges[i].1));
         });
         write_row.push(write);

@@ -16,6 +16,16 @@ pub fn measure_throughput<F: FnMut(usize)>(count: usize, mut op: F) -> f64 {
     (count as f64 / elapsed) / 1_000.0
 }
 
+/// [`measure_throughput`] for a pass that leaves its data as it found it (a
+/// read): one untimed warm-up pass, then the median of five timed passes, so
+/// that one short pass's scheduling noise does not decide the figure.
+pub fn median_throughput<F: FnMut(usize)>(count: usize, mut op: F) -> f64 {
+    (0..count).for_each(&mut op);
+    let mut passes: Vec<f64> = (0..5).map(|_| measure_throughput(count, &mut op)).collect();
+    passes.sort_by(f64::total_cmp);
+    passes[2]
+}
+
 /// A table of results printed in the same layout as a paper figure: one row
 /// per x-axis point, one column per plotted series.
 #[derive(Debug, Clone)]
@@ -88,6 +98,13 @@ mod tests {
         assert!(fast > 0.0);
         assert!(slow > 0.0);
         assert!(fast > slow);
+    }
+
+    #[test]
+    fn median_throughput_warms_up_then_times_five_passes() {
+        let mut calls = 0;
+        assert!(median_throughput(100, |_| calls += 1) > 0.0);
+        assert_eq!(calls, 600);
     }
 
     #[test]

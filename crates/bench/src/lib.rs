@@ -24,5 +24,5 @@ pub mod harness;
 pub mod systems;
 pub mod workload;
 
-pub use harness::{measure_throughput, FigureTable};
+pub use harness::{measure_throughput, median_throughput, FigureTable};
 pub use workload::{KeyValueWorkload, WikiWorkload, WorkloadConfig};

@@ -1,9 +1,9 @@
 //! One shard of a [`ShardedDb`](crate::ShardedDb): a chunk store and the
 //! unified ledger over it.
 //!
-//! `SpitzDb` owns a chunk store and the unified ledger (behind a
-//! group-commit pipeline on durable instances). Every write is one ledger
-//! commit. The sharded database routes each key to one `SpitzDb`, and its
+//! `SpitzDb` owns a chunk store and the unified ledger behind a group-commit
+//! pipeline. Every write is one ledger commit, sealed through that pipeline
+//! on in-memory and durable shards alike. The sharded database routes each key to one `SpitzDb`, and its
 //! verified reads chain the shard's ledger proofs to the cross-shard root;
 //! what stays public here is what a caller reaches through
 //! [`ShardedDb::shard`](crate::ShardedDb::shard): storage, ledger, pipeline,
@@ -15,9 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spitz_crypto::Hash;
-use spitz_ledger::{
-    CommitPipeline, Digest, DurabilityPolicy, Ledger, LedgerProof, LedgerSnapshot, VerifiedRange,
-};
+use spitz_ledger::{CommitPipeline, Digest, DurabilityPolicy, Ledger, LedgerProof, VerifiedRange};
 use spitz_obs::{Histogram, TelemetryHandle};
 use spitz_storage::{
     ChunkStore, CompactionReport, DurableChunkStore, DurableConfig, HealthState,
@@ -39,7 +37,8 @@ pub struct SpitzConfig {
     /// Durability policy of the commit pipeline that durable instances
     /// route writes through (see [`DurabilityPolicy`] for the trade-offs).
     /// Purely in-memory instances ([`ShardedDb::in_memory`] /
-    /// [`ShardedDb::with_config`]) commit inline and ignore this field.
+    /// [`ShardedDb::with_config`]) commit through the same pipeline under
+    /// [`DurabilityPolicy::Strict`] and ignore this field.
     ///
     /// [`ShardedDb::in_memory`]: crate::ShardedDb::in_memory
     /// [`ShardedDb::with_config`]: crate::ShardedDb::with_config
@@ -139,13 +138,13 @@ impl ProofObs {
 }
 
 /// One shard of a [`ShardedDb`](crate::ShardedDb): its chunk store, its
-/// unified ledger and, on durable shards, its group-commit pipeline.
+/// unified ledger and its group-commit pipeline.
 pub struct SpitzDb {
     store: Arc<dyn ChunkStore>,
     ledger: Arc<Ledger>,
-    /// Present on durable instances: the group-commit pipeline writes are
-    /// routed through. Shut down (drained + synced) when the db drops.
-    pipeline: Option<Arc<CommitPipeline>>,
+    /// The group-commit pipeline every write is routed through. Shut down
+    /// (drained + synced) when the db drops.
+    pipeline: Arc<CommitPipeline>,
     /// Present on instances opened over a [`DurableChunkStore`]: the
     /// concrete store handle that compaction and scrub need (the trait
     /// object in `store` cannot run a mark-sweep pass).
@@ -156,14 +155,13 @@ pub struct SpitzDb {
 }
 
 impl SpitzDb {
-    /// An in-memory shard. It commits without a pipeline: there is no
-    /// fsync to amortize, and even the pipeline's free path (which seals on
-    /// the caller's thread) would add a lock and a policy check to the hot
-    /// path the paper's figures measure.
-    pub(crate) fn in_memory(config: SpitzConfig, telemetry: &TelemetryHandle) -> Self {
-        let store: Arc<dyn ChunkStore> = InMemoryChunkStore::shared();
-        let ledger = Arc::new(Ledger::with_kind(Arc::clone(&store), config.siri));
-        Self::assemble(store, ledger, config, false, telemetry)
+    /// An in-memory shard. Its pipeline runs under
+    /// [`DurabilityPolicy::Strict`] whatever `config.durability` says: an
+    /// in-memory store has nothing to fsync, so a Strict "fsync" is the
+    /// store's no-op, and no `Grouped` timer thread runs for nothing.
+    pub(crate) fn in_memory(config: SpitzConfig, telemetry: &TelemetryHandle) -> Result<Self> {
+        let config = config.with_durability(DurabilityPolicy::Strict);
+        Self::with_store(InMemoryChunkStore::shared(), config, telemetry)
     }
 
     /// A durable shard persisted under `path`, with `io` beneath the
@@ -200,45 +198,31 @@ impl SpitzDb {
         telemetry: &TelemetryHandle,
     ) -> Result<Self> {
         let ledger = Arc::new(Ledger::open_with_kind(Arc::clone(&store), config.siri)?);
-        Ok(Self::assemble(store, ledger, config, true, telemetry))
-    }
-
-    fn assemble(
-        store: Arc<dyn ChunkStore>,
-        ledger: Arc<Ledger>,
-        config: SpitzConfig,
-        group_commit: bool,
-        telemetry: &TelemetryHandle,
-    ) -> Self {
-        let pipeline = group_commit.then(|| {
-            CommitPipeline::with_telemetry(
-                Arc::clone(&ledger),
-                config.durability,
-                telemetry.clone(),
-            )
-        });
-        SpitzDb {
+        let pipeline = CommitPipeline::with_telemetry(
+            Arc::clone(&ledger),
+            config.durability,
+            telemetry.clone(),
+        );
+        Ok(SpitzDb {
             store,
             ledger,
             pipeline,
             durable: None,
             proof_obs: ProofObs::new(telemetry, ""),
-        }
+        })
     }
 
-    /// The group-commit pipeline, present on durable instances.
+    /// The group-commit pipeline. Every shard has one, so this is always
+    /// `Some`; the `Option` keeps the signature the benchmark crate pins
+    /// (`benchmark/README.md`).
     pub fn pipeline(&self) -> Option<&Arc<CommitPipeline>> {
-        self.pipeline.as_ref()
+        Some(&self.pipeline)
     }
 
-    /// Drain the commit pipeline (if any) and force everything written so
-    /// far onto stable storage, regardless of the durability policy.
+    /// Drain the commit pipeline and force everything written so far onto
+    /// stable storage, regardless of the durability policy.
     pub(crate) fn flush(&self) -> Result<()> {
-        match &self.pipeline {
-            Some(pipeline) => pipeline.flush()?,
-            None => self.store.sync()?,
-        }
-        Ok(())
+        Ok(self.pipeline.flush()?)
     }
 
     /// The unified ledger.
@@ -329,30 +313,17 @@ impl SpitzDb {
         Ok(Some(durable.scrub()?))
     }
 
-    /// Pin the current state: quiesce the commit pipeline (when one
-    /// exists), then capture the digest and an index checkout in one step
-    /// (this shard's part of a [`ShardedSnapshot`](crate::ShardedSnapshot)).
-    pub(crate) fn snapshot(&self) -> Result<LedgerSnapshot> {
-        if let Some(pipeline) = &self.pipeline {
-            pipeline.fence()?;
-        }
-        Ok(self.ledger.snapshot()?)
-    }
-
     /// The one write path (Section 5.1): seal `writes` into the ledger as
-    /// one block labelled `statement` — through the group-commit pipeline
-    /// when one exists, inline otherwise — and return the new digest. A
-    /// failed seal (disk full, read-only store) leaves nothing readable:
-    /// the ledger rolls its index back before the error surfaces.
+    /// one block labelled `statement`, through the group-commit pipeline,
+    /// and return the new digest. A failed seal (disk full, read-only
+    /// store) leaves nothing readable: the ledger rolls its index back
+    /// before the error surfaces.
     pub(crate) fn commit(
         &self,
         writes: Vec<(Vec<u8>, Vec<u8>)>,
         statement: &str,
     ) -> Result<Digest> {
-        match &self.pipeline {
-            Some(pipeline) => Ok(pipeline.commit(writes, statement)?),
-            None => Ok(self.ledger.try_append_block(writes, statement)?),
-        }
+        Ok(self.pipeline.commit(writes, statement)?)
     }
 
     /// Verified point read: value plus ledger proof.
@@ -393,9 +364,7 @@ impl Drop for SpitzDb {
         // Wait for queued commits to be sealed, fsync on this thread and
         // stop the `Grouped` timer before the store closes, so a clean exit
         // never loses acknowledged writes under any durability policy.
-        if let Some(pipeline) = &self.pipeline {
-            pipeline.shutdown();
-        }
+        self.pipeline.shutdown();
     }
 }
 
@@ -404,7 +373,7 @@ mod tests {
     use super::*;
 
     fn shard() -> SpitzDb {
-        SpitzDb::in_memory(SpitzConfig::default(), &TelemetryHandle::new())
+        SpitzDb::in_memory(SpitzConfig::default(), &TelemetryHandle::new()).unwrap()
     }
 
     #[test]

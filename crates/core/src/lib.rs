@@ -9,7 +9,7 @@
 //!   [`spitz_ledger::Ledger`] whose SIRI index holds them and serves both
 //!   queries and verification;
 //! * a **write path** that is one ledger commit per put or batch, routed
-//!   through the ledger's group-commit pipeline on durable instances, with
+//!   through each shard's group-commit pipeline, with
 //!   two-phase commit over `spitz-txn` participants for batches that span
 //!   shards;
 //! * a **snapshot read path**: a [`ShardedSnapshot`] pins a consistent-cut

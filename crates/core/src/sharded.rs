@@ -401,7 +401,7 @@ impl ShardedDb {
     /// Create an in-memory sharded instance with an explicit configuration.
     pub fn with_config(config: ShardedConfig) -> Self {
         Self::build(config.shards, config.spitz, |_, telemetry| {
-            Ok(SpitzDb::in_memory(config.spitz, telemetry))
+            SpitzDb::in_memory(config.spitz, telemetry)
         })
         .expect("in-memory shards cannot fail to open")
     }
@@ -913,16 +913,22 @@ impl ShardedDb {
         Ok((entries, proof))
     }
 
-    /// Pin a fenced consistent cut as a [`ShardedSnapshot`]: all shard
-    /// pipelines are quiesced inside one epoch, each shard's state is
-    /// checked out at its digest, and the combined digest covers exactly
-    /// that cut. Reads against the snapshot are repeatable and all verify
-    /// against the single pinned root while writers move on.
+    /// Pin a fenced consistent cut as a [`ShardedSnapshot`]: under the
+    /// exclusive epoch fence each shard's state is checked out at its
+    /// digest, and the combined digest covers exactly that cut. Reads
+    /// against the snapshot are repeatable and all verify against the
+    /// single pinned root while writers move on.
+    ///
+    /// The fence alone quiesces every shard: each commit path holds it
+    /// shared until its block is sealed, so while a cut holds it no commit
+    /// is queued or being sealed. A pipeline may still hold its seal role
+    /// for a flush or a `Grouped` timer fsync, and neither moves a ledger
+    /// head.
     pub fn snapshot(&self) -> Result<ShardedSnapshot> {
         let _cut = self.fence.write();
         let mut shards = Vec::with_capacity(self.shards.len());
         for db in &self.shards {
-            shards.push(db.snapshot()?);
+            shards.push(db.ledger().snapshot()?);
         }
         let digest = ShardedDigest::over(shards.iter().map(|s| s.digest()).collect());
         Ok(ShardedSnapshot::new(digest, shards))

@@ -30,9 +30,9 @@ use crate::Result;
 
 /// A pinned, immutable, **consistent** view of a sharded Spitz database.
 ///
-/// Obtained from `ShardedDb::snapshot`, which fences every shard's commit
-/// pipeline inside one epoch before pinning the per-shard digests — so the
-/// cut can never show one half of a cross-shard transaction. Every read is
+/// Obtained from `ShardedDb::snapshot`, which pins the per-shard digests
+/// under the exclusive epoch fence that every commit path holds shared — so
+/// the cut can never show one half of a cross-shard transaction. Every read is
 /// verified against the single pinned cross-shard root.
 #[derive(Debug)]
 pub struct ShardedSnapshot {

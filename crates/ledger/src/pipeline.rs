@@ -4,8 +4,8 @@
 //! Without the pipeline every `ShardedDb::put` seals its own ledger block and
 //! pays the full durability ceremony (an `fsync` per commit in strict
 //! setups). Group commit is leader/follower around one *seal role*. A
-//! commit, fence or flush that finds the role free takes it and seals on its
-//! own thread: a hop to another thread and back would cost two scheduler
+//! commit, flush or shutdown that finds the role free takes it and seals on
+//! its own thread: a hop to another thread and back would cost two scheduler
 //! wake-ups. A caller that finds it taken queues its writes (or a barrier)
 //! and parks on a ticket. The role is handed on, never dropped: a holder
 //! that finishes with callers queued wakes the head of the queue, which
@@ -34,7 +34,7 @@
 //!
 //! # Steps
 //!
-//! A caller (a commit, fence, flush or shutdown), the role holder it
+//! A caller (a commit, flush or shutdown), the role holder it
 //! becomes while it leads a batch, and the timer are each written once, as
 //! a step function: under the state lock it takes the state and what the
 //! actor's last I/O returned, and decides the next I/O — seal a batch, read
@@ -134,11 +134,9 @@ impl Ticket {
 struct Pending<W> {
     /// Whom to wake: a ticket (a caller id in the model check).
     waiter: W,
-    /// The writes and statement; `None` for a fence or flush barrier.
+    /// The writes and statement; `None` for a barrier (a flush, or
+    /// shutdown's), which forces an fsync when its batch is sealed.
     commit: Option<CommitGroup>,
-    /// Forces an fsync when this entry's batch is sealed (flush barriers;
-    /// fence barriers quiesce without paying for durability).
-    sync: bool,
 }
 
 /// Whom a holder wakes: the waiter it hands the role to (`Wake::Seal`),
@@ -179,7 +177,7 @@ impl<W: Clone> PipelineState<W> {
     /// a deadline was armed that the timer must be woken to keep.
     fn settle(&mut self, commits: usize, force: bool, now: Instant) -> (bool, bool) {
         match self.policy {
-            DurabilityPolicy::Strict => (commits > 0 || force, false),
+            DurabilityPolicy::Strict => (true, false),
             DurabilityPolicy::Grouped {
                 max_delay,
                 max_writes,
@@ -228,9 +226,6 @@ enum Event<D, E> {
 enum Io<W, D, E> {
     /// Refuse: the pipeline is shut down.
     Closed,
-    /// Return the digest. The role is free, so nothing is half-sealed: the
-    /// thread reads it before it lets the state lock go.
-    Answer,
     /// Park on the actor's ticket. It brings the outcome, or the role.
     Park,
     /// `Seal(groups, commits)`: seal `groups` as one block (none: read the
@@ -247,8 +242,8 @@ enum Io<W, D, E> {
     Exit,
 }
 
-/// A commit, fence, flush or shutdown from arrival to outcome: refused,
-/// answered at once, parked behind the role, or holding it for a batch.
+/// A commit, flush or shutdown from arrival to outcome: refused, parked
+/// behind the role, or holding it for a batch.
 #[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
 enum Caller<W, D, E> {
     /// With its commit or barrier, and whether it closes the pipeline (a
@@ -277,9 +272,6 @@ impl<W: Clone, D, E> Caller<W, D, E> {
                 if state.sealing {
                     state.queue.push(pending);
                     return Io::Park;
-                }
-                if pending.commit.is_none() && !pending.sync {
-                    return Io::Answer;
                 }
                 state.sealing = true;
                 vec![pending]
@@ -311,7 +303,7 @@ struct Holder<W, D, E> {
 impl<W: Clone, D, E> Holder<W, D, E> {
     fn seal(mut batch: Vec<Pending<W>>) -> (Self, Io<W, D, E>) {
         let commits = batch.iter().filter(|p| p.commit.is_some()).count();
-        let force = batch.iter().any(|p| p.sync);
+        let force = batch.iter().any(|p| p.commit.is_none());
         // The payloads are moved out of the pendings (only the waiters are
         // needed afterwards), so coalescing copies no write bytes.
         let groups: Vec<CommitGroup> = batch
@@ -629,50 +621,23 @@ impl CommitPipeline {
         writes: Vec<(Vec<u8>, Vec<u8>)>,
         statement: &str,
     ) -> Result<Digest, StorageError> {
-        self.arrive(Some((writes, statement.to_string())), false, false)
+        self.arrive(Some((writes, statement.to_string())), false)
     }
 
     /// Drain every queued commit and force an `fsync`, regardless of
     /// policy. On return, everything committed before this call is on
     /// stable storage.
     pub fn flush(&self) -> Result<(), StorageError> {
-        self.arrive(None, true, false).map(|_| ())
+        self.arrive(None, false).map(|_| ())
     }
 
-    /// Epoch fence: drain every commit queued before this call and return
-    /// the digest at that quiesced point. The returned digest is a *published
-    /// prefix* of the commit order — its `(index_root, journal_root,
-    /// block_height)` triple corresponds to exactly the blocks sealed so far,
-    /// with no commit half-applied. Unlike [`CommitPipeline::flush`], a fence
-    /// does not force an fsync: it buys a consistent cut, not durability.
-    ///
-    /// The sharded database fences every shard pipeline inside one epoch to
-    /// snapshot a consistent cross-shard cut.
-    ///
-    /// A free pipeline (nothing queued, nothing being sealed) is already
-    /// quiesced, so the fence reads the digest under the state lock and
-    /// returns: on a read-mostly store a hop to another thread and back —
-    /// not the work — would decide every snapshot's latency.
-    pub fn fence(&self) -> Result<Digest, StorageError> {
-        self.arrive(None, false, false)
-    }
-
-    /// Run a caller with a commit or a barrier (`sync`: a flush; `close`:
-    /// shutdown's flush) to its outcome.
-    fn arrive(
-        &self,
-        commit: Option<CommitGroup>,
-        sync: bool,
-        close: bool,
-    ) -> Result<Digest, StorageError> {
+    /// Run a caller with a commit or a flush barrier (`close`: shutdown's
+    /// flush) to its outcome.
+    fn arrive(&self, commit: Option<CommitGroup>, close: bool) -> Result<Digest, StorageError> {
         let shared = &self.shared;
         let ticket = Arc::<Ticket>::default();
         let waiter = Arc::clone(&ticket);
-        let pending = Pending {
-            waiter,
-            commit,
-            sync,
-        };
+        let pending = Pending { waiter, commit };
         let mut caller = Caller::Arriving(pending, close);
         let mut event = Event::Go;
         loop {
@@ -686,7 +651,6 @@ impl CommitPipeline {
             }
             event = match io {
                 Io::Closed => return Err(StorageError::Closed),
-                Io::Answer => return Ok(shared.ledger.digest()),
                 Io::Park => {
                     drop(state);
                     match ticket.wait() {
@@ -716,7 +680,7 @@ impl CommitPipeline {
     /// also invoked on drop.
     pub fn shutdown(&self) {
         // Best effort: the store's drop-time flush retries once more.
-        let _ = self.arrive(None, true, true);
+        let _ = self.arrive(None, true);
         if let Some(timer) = lock(&self.timer).take() {
             let _ = timer.join();
         }
@@ -1101,91 +1065,17 @@ mod tests {
         );
     }
 
-    /// Run each of `followers` on its own thread, queued in this order
-    /// behind a commit whose seal is held, then let the seal go. Returns
-    /// the followers' results (a flush's: the digest after it).
-    fn behind_a_held_seal(probed: &Probed, followers: &[Op]) -> Vec<Result<Digest, StorageError>> {
-        let (probe, ledger, pipeline) = probed;
-        let key = ledger.len() as u32;
-        let held = lock(&probe.hold);
-        lock(&probe.log).clear();
-        std::thread::scope(|scope| {
-            let leader = scope.spawn(|| pipeline.commit(vec![kv(key)], "PUT"));
-            eventually("the leader's seal", || !lock(&probe.log).is_empty());
-            let parked: Vec<_> = (1..)
-                .zip(followers)
-                .map(|(n, &op)| {
-                    let follower = scope.spawn(move || match op {
-                        Op::Commit => pipeline.commit(vec![kv(key + n)], "PUT"),
-                        Op::Fence => pipeline.fence(),
-                        Op::Flush => pipeline.flush().map(|()| ledger.digest()),
-                        Op::Close => unreachable!("a shutdown is not queued here"),
-                    });
-                    eventually("a parked follower", || {
-                        lock(&pipeline.shared.state).queue.len() == n as usize
-                    });
-                    follower
-                })
-                .collect();
-            drop(held);
-            leader.join().unwrap().unwrap();
-            parked.into_iter().map(|f| f.join().unwrap()).collect()
-        })
-    }
-
-    #[test]
-    fn fence_returns_a_quiesced_digest_without_forcing_a_sync() {
-        let probed = probed(DurabilityPolicy::Strict);
-        let (_, ledger, pipeline) = &probed;
-        // Queued behind a commit, a fence is sealed in the commit's batch
-        // and returns that block's digest.
-        let queued = behind_a_held_seal(&probed, &[Op::Commit, Op::Fence]);
-        let fenced = queued[1].clone().unwrap();
-        assert_eq!(fenced, ledger.digest(), "fence must quiesce the queue");
-        assert_eq!(queued[0].as_ref().ok(), Some(&fenced));
-        // A batch of fences alone seals nothing and pays no fsync.
-        for fenced in behind_a_held_seal(&probed, &[Op::Fence, Op::Fence]) {
-            assert_eq!(fenced.unwrap(), ledger.digest());
-        }
-        // Fences are not commits; each Strict block pays one fsync.
-        let stats = pipeline.stats();
-        assert_eq!((stats.commits, stats.flushes, stats.syncs), (3, 3, 3));
-        // Nor are flushes, which pay one more.
-        behind_a_held_seal(&probed, &[Op::Flush])[0]
-            .clone()
-            .unwrap();
-        let stats = pipeline.stats();
-        assert_eq!((stats.commits, stats.flushes, stats.syncs), (4, 4, 5));
-    }
-
-    #[test]
-    fn fence_never_predates_an_acknowledged_commit() {
-        let (ledger, pipeline) = pipeline(QUIET);
-        assert_eq!(pipeline.fence().unwrap(), ledger.digest());
-        // Each fence finds the pipeline free and reads the digest directly;
-        // `fence_returns_a_quiesced_digest_without_forcing_a_sync` queues
-        // fences behind a seal.
-        for i in 0..50 {
-            let acked = pipeline.commit(vec![kv(i)], "PUT").unwrap();
-            assert_eq!(pipeline.fence().unwrap(), acked);
-        }
-        pipeline.shutdown();
-        assert!(matches!(pipeline.fence(), Err(StorageError::Closed)));
-    }
-
     #[test]
     fn strict_policy_syncs_every_flush() {
         let (_ledger, pipeline) = pipeline(DurabilityPolicy::Strict);
-        // Concurrent commits and fences: a block sealed for a follower's
-        // batch pays its fsync as a leader's does, and a fence-only batch
-        // seals no block.
+        // Concurrent commits: a block sealed for a follower's batch pays its
+        // fsync as a leader's does.
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let pipeline = &pipeline;
                 scope.spawn(move || {
                     for i in 0..10 {
                         pipeline.commit(vec![kv(t * 10 + i)], "PUT").unwrap();
-                        pipeline.fence().unwrap();
                     }
                 });
             }
@@ -1206,16 +1096,17 @@ mod tests {
     // invariants after each move and at each dead end.
     // ---------------------------------------------------------------------
 
-    /// The model's `Grouped` policy: two commits force an fsync.
+    /// The model's `Grouped` policy: three commits force an fsync, so a
+    /// batch of one commit and a flush behind an acknowledged, unsynced
+    /// commit reaches no threshold and is fsynced for its flush alone.
     const MODEL_GROUPED: DurabilityPolicy = DurabilityPolicy::Grouped {
         max_delay: Duration::from_millis(2),
-        max_writes: 2,
+        max_writes: 3,
     };
 
     #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
     enum Op {
         Commit,
-        Fence,
         Flush,
         /// `shutdown`.
         Close,
@@ -1357,12 +1248,7 @@ mod tests {
             m.scripts[id] = (m.scripts[id].0, op, m.acked);
             // One write: a commit of none seals nothing.
             let commit = (op == Op::Commit).then(|| (vec![Default::default()], String::new()));
-            let sync = matches!(op, Op::Flush | Op::Close);
-            let pending = Pending {
-                waiter: id,
-                commit,
-                sync,
-            };
+            let pending = Pending { waiter: id, commit };
             let mut caller = Caller::Arriving(pending, op == Op::Close);
             let begun = match caller.step(&mut m.state, Event::Go, m.now) {
                 Io::Closed if op == Op::Close => Err("a lone shutdown was refused".into()),
@@ -1402,12 +1288,6 @@ mod tests {
                     }
                 }
                 Io::Sync => {
-                    if let Actor::Caller(Caller::Holding(holder)) = &actor {
-                        let fence = holder.sealed == 0 && !holder.force;
-                        if fence && self.state.policy == DurabilityPolicy::Strict {
-                            return Err("a fence paid for an fsync".into());
-                        }
-                    }
                     if fails {
                         self.faults -= 1;
                         Event::Synced(Err(()))
@@ -1433,11 +1313,9 @@ mod tests {
             self.land(id, actor, io)
         }
 
-        /// Keep the I/O a step decided on; a free fence is answered at
-        /// once, under the state lock.
+        /// Keep the I/O a step decided on.
         fn land(&mut self, id: usize, actor: Actor, io: ModelIo) -> Result<(), String> {
             match io {
-                Io::Answer => return self.finish(id, Some(Ok(self.height))),
                 Io::Sleep(timeout) => self.alarm = self.now.checked_add(timeout),
                 _ if id == self.timer_id() => self.alarm = None,
                 _ => {}
@@ -1472,12 +1350,6 @@ mod tests {
                         return Err(format!("caller {i}: Strict acknowledged before its fsync"));
                     }
                     self.acked = self.acked.max(height);
-                }
-                (Op::Fence, Some(Ok(height))) if height < floor => {
-                    return Err(format!(
-                        "caller {i}: a fence returned height {height}, older than \
-                         commit {floor} acknowledged before it began"
-                    ));
                 }
                 (Op::Flush | Op::Close, Some(Ok(_))) if self.durable < floor => {
                     return Err(format!(
@@ -1610,12 +1482,12 @@ mod tests {
     /// shutdown alongside: there it meets every kind of operation, and a
     /// caller whose second commit comes after it.
     fn scenarios() -> Vec<Scenario> {
-        use Op::{Close, Commit, Fence, Flush};
+        use Op::{Close, Commit, Flush};
         let scripts = [
             (vec![vec![Commit], vec![Commit], vec![Commit]], false),
-            (vec![vec![Commit], vec![Fence], vec![Flush]], true),
-            (vec![vec![Commit, Fence], vec![Commit, Flush]], false),
-            (vec![vec![Commit, Commit], vec![Fence, Commit]], true),
+            (vec![vec![Commit], vec![Flush], vec![Flush]], true),
+            (vec![vec![Commit, Flush], vec![Commit, Flush]], false),
+            (vec![vec![Commit, Commit], vec![Flush, Commit]], true),
         ];
         let mut scenarios = Vec::new();
         for policy in [DurabilityPolicy::Strict, MODEL_GROUPED] {
@@ -1634,7 +1506,7 @@ mod tests {
         scenarios
     }
 
-    /// Every interleaving of 2–3 callers (commits, fences, flushes), the
+    /// Every interleaving of 2–3 callers (commits and flushes), the
     /// timer, a shutdown, one failing (or panicking) seal or failing fsync
     /// and two deadline passes, run through the pipeline's own step
     /// functions, keeps these invariants:
@@ -1647,12 +1519,8 @@ mod tests {
     ///   fsynced;
     /// * `unsynced` equals the commits sealed since the last fsync, and
     ///   the commit counter counts each accepted commit once;
-    /// * no commit, fence or flush is accepted after shutdown begins, and
-    ///   nothing is sealed or fsynced after it returns;
-    /// * a fence never returns a digest older than a commit acknowledged
-    ///   before the fence began, and never pays for an fsync under
-    ///   `Strict` (under `Grouped` a fence-only batch may pay for the fsync
-    ///   of a deadline that has passed);
+    /// * no commit or flush is accepted after shutdown begins, and nothing
+    ///   is sealed or fsynced after it returns;
     /// * a passed deadline is always met, by a commit or by the timer.
     #[test]
     fn every_interleaving_keeps_the_pipeline_invariants() {

@@ -390,13 +390,7 @@ fn concurrent_pipeline_writers_commit_every_record_exactly_once() {
                 }
                 assert!(clean_chains(&db), "{case}");
                 let commits: u64 = (0..shards)
-                    .map(|s| {
-                        let pipeline = db.shard(s).pipeline();
-                        pipeline
-                            .expect("durable db commits via pipeline")
-                            .stats()
-                            .commits
-                    })
+                    .map(|s| db.shard(s).pipeline().unwrap().stats().commits)
                     .sum();
                 assert_eq!(commits, (WRITERS * PUTS) as u64, "{case}");
 

@@ -21,6 +21,14 @@ fn kv(i: u32) -> (Vec<u8>, Vec<u8>) {
     )
 }
 
+/// A durable configuration of `shards` shards under the default `Grouped`
+/// policy, whose timer fsyncs hold the seal role on their own.
+fn grouped(shards: usize) -> ShardedConfig {
+    ShardedConfig::default()
+        .with_shards(shards)
+        .with_spitz(SpitzConfig::default().with_durability(DurabilityPolicy::grouped_default()))
+}
+
 /// A batch of `n` keys guaranteed to span at least two shards.
 fn cross_shard_batch(db: &ShardedDb, start: u32, n: u32) -> Vec<(Vec<u8>, Vec<u8>)> {
     let writes: Vec<_> = (start..start + n).map(kv).collect();
@@ -158,9 +166,7 @@ fn digest_changes_iff_some_shard_changes() {
 #[test]
 fn durable_sharded_db_reopens_to_the_identical_digest() {
     let dir = TempDir::new("sharded-reopen");
-    let config = ShardedConfig::default()
-        .with_shards(3)
-        .with_spitz(SpitzConfig::default().with_durability(DurabilityPolicy::grouped_default()));
+    let config = grouped(3);
 
     let digest = {
         let db = ShardedDb::open(dir.path(), config).unwrap();
@@ -199,8 +205,9 @@ fn durable_sharded_db_reopens_to_the_identical_digest() {
 /// multi-key (cross-shard, given more than one shard) batches each,
 /// retrying on conflicts.
 /// Asserts termination (no deadlock), a serializable outcome per key (the
-/// final value of every key is the value of its last committed write), and
-/// digest/head consistency after a full-stop flush.
+/// final value of every key is the value of its last committed write),
+/// digest/head consistency after a full-stop flush, and that every block was
+/// sealed by its shard's commit pipeline.
 fn soak(db: &ShardedDb, writers: u32, ops: u32) {
     // Every committed write (key -> value) in commit order per key. A
     // global mutex around the log would serialize the writers we are trying
@@ -285,18 +292,35 @@ fn soak(db: &ShardedDb, writers: u32, ops: u32) {
         assert_eq!(db.shard(s).ledger().audit_chain(), None);
     }
     assert_eq!(db.recover(), 0, "no transaction may be left in doubt");
+    let shards = 0..db.shard_count();
+    let sealed: u64 = shards
+        .clone()
+        .map(|s| db.shard(s).pipeline().unwrap().stats().flushes)
+        .sum();
+    let height: u64 = shards.map(|s| db.shard(s).ledger().height()).sum();
+    assert_eq!(sealed, height, "a block was sealed outside the pipeline");
 }
 
-/// The consistent-cut acceptance test: writers continuously commit
-/// cross-shard 2PC batches that write the *same* sequence number to two
-/// keys on *different* shards. Any digest, snapshot or one-shot verified
-/// read taken concurrently must reflect each batch entirely or not at all —
-/// a torn cut would show the two marks disagreeing.
+/// The consistent-cut acceptance test, in memory and on a durable
+/// `Grouped` store (where a timer fsync or a flush may hold a shard's seal
+/// role while a cut is taken): see [`consistent_cut`].
 #[test]
 fn digest_is_a_consistent_cut_under_concurrent_writers() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    consistent_cut(&ShardedDb::in_memory(4));
+    let dir = TempDir::new("sharded-cut");
+    consistent_cut(&ShardedDb::open(dir.path(), grouped(4)).unwrap());
+}
 
-    let db = ShardedDb::in_memory(4);
+/// A writer continuously commits cross-shard 2PC batches that write the
+/// *same* sequence number to two keys on *different* shards. Any digest,
+/// snapshot or one-shot verified read taken concurrently must reflect each
+/// batch entirely or not at all — a torn cut would show the two marks
+/// disagreeing — and a snapshot must never predate a batch whose
+/// `put_batch` returned before it was taken.
+fn consistent_cut(db: &ShardedDb) {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    let seq = |v: &Option<Vec<u8>>| u64::from_be_bytes(v.as_deref().unwrap().try_into().unwrap());
     // Two marker keys guaranteed to live on different shards.
     let mark_a = b"cut-mark-a".to_vec();
     let mark_b = (0..)
@@ -310,16 +334,16 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
     .unwrap();
 
     let stop = AtomicBool::new(false);
-    // Set once the writer has a batch through: the checker's cuts take a
-    // few milliseconds in a release build and must not all predate it.
-    let wrote = AtomicBool::new(false);
+    // The sequence number of the last batch whose `put_batch` returned: 0
+    // until the writer has a batch through. The checker's cuts take a few
+    // milliseconds in a release build and must not all predate it.
+    let returned_seq = AtomicU64::new(0);
     std::thread::scope(|scope| {
         // Writer: atomic cross-shard batches bumping both marks together,
         // plus unrelated single-key noise on every shard.
         let writer = {
-            let db = &db;
             let (mark_a, mark_b) = (mark_a.clone(), mark_b.clone());
-            let (stop, wrote) = (&stop, &wrote);
+            let (stop, returned_seq) = (&stop, &returned_seq);
             scope.spawn(move || {
                 let mut seq = 1u64;
                 let mut published = Vec::new();
@@ -331,7 +355,7 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
                         ])
                         .unwrap();
                     published.push(digest);
-                    wrote.store(true, Ordering::Relaxed);
+                    returned_seq.store(seq, Ordering::SeqCst);
                     db.put(format!("noise-{seq}").as_bytes(), b"x").unwrap();
                     seq += 1;
                 }
@@ -346,12 +370,9 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
         // can never be behind the mark read first.
         let hammers: Vec<_> = (0..2)
             .map(|_| {
-                let (db, stop) = (&db, &stop);
+                let stop = &stop;
                 let (mark_a, mark_b) = (mark_a.clone(), mark_b.clone());
                 scope.spawn(move || {
-                    let seq = |v: &Option<Vec<u8>>| {
-                        u64::from_be_bytes(v.as_deref().unwrap().try_into().unwrap())
-                    };
                     let mut reads = 0u32;
                     while !stop.load(Ordering::Relaxed) || reads < 20 {
                         let (va, pa) = db.get_verified(&mark_a).unwrap();
@@ -376,10 +397,15 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
 
         // Checker: repeatedly pin a snapshot and read both marks through
         // the verified snapshot path. A torn cut shows different sequence
-        // numbers; a fenced cut never does.
+        // numbers; a fenced cut never does. Nor does it miss a batch that
+        // returned before the snapshot was taken.
         let mut cuts = 0u32;
         let mut client = spitz::Verifier::new();
-        while cuts < 40 || !wrote.load(Ordering::Relaxed) {
+        loop {
+            let floor = returned_seq.load(Ordering::SeqCst);
+            if cuts >= 40 && floor > 0 {
+                break;
+            }
             let snapshot = db.snapshot().unwrap();
             assert!(snapshot.digest().verify());
             assert!(
@@ -392,6 +418,10 @@ fn digest_is_a_consistent_cut_under_concurrent_writers() {
                 va, vb,
                 "cut {cuts} is torn: the two halves of an atomic cross-shard \
                  batch disagree"
+            );
+            assert!(
+                seq(&va) >= floor && seq(&vb) >= floor,
+                "cut {cuts} predates batch {floor}, which returned before it"
             );
             assert!(client.verify_sharded_read(&mark_a, va.as_deref(), &pa));
             assert!(client.verify_sharded_read(&mark_b, vb.as_deref(), &pb));
@@ -437,9 +467,7 @@ fn concurrency_soak_durable_short() {
 /// reproduces the digest (the durability of the flush barrier).
 fn durable_soak(name: &str, writers: u32, ops: u32) {
     let dir = TempDir::new(name);
-    let config = ShardedConfig::default()
-        .with_shards(4)
-        .with_spitz(SpitzConfig::default().with_durability(DurabilityPolicy::grouped_default()));
+    let config = grouped(4);
     let db = ShardedDb::open(dir.path(), config).unwrap();
     soak(&db, writers, ops);
     let digest = db.digest();
