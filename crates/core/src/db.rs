@@ -3,11 +3,11 @@
 //!
 //! `SpitzDb` owns a chunk store and the unified ledger behind a group-commit
 //! pipeline. Every write is one ledger commit, sealed through that pipeline
-//! on in-memory and durable shards alike. The sharded database routes each key to one `SpitzDb`, and its
-//! verified reads chain the shard's ledger proofs to the cross-shard root;
-//! what stays public here is what a caller reaches through
-//! [`ShardedDb::shard`](crate::ShardedDb::shard): storage, ledger, pipeline,
-//! health, scrub and compaction.
+//! on in-memory and durable shards alike. The sharded database routes each
+//! key to one `SpitzDb`, and its verified reads chain the shard's ledger
+//! proofs to the cross-shard root; what stays public here is what a caller
+//! reaches through [`ShardedDb::shard`](crate::ShardedDb::shard): storage,
+//! ledger, pipeline, health, scrub and compaction.
 
 use std::collections::HashSet;
 use std::path::Path;

@@ -9,9 +9,8 @@
 //!   [`spitz_ledger::Ledger`] whose SIRI index holds them and serves both
 //!   queries and verification;
 //! * a **write path** that is one ledger commit per put or batch, routed
-//!   through each shard's group-commit pipeline, with
-//!   two-phase commit over `spitz-txn` participants for batches that span
-//!   shards;
+//!   through each shard's group-commit pipeline, with two-phase commit over
+//!   `spitz-txn` participants for batches that span shards;
 //! * a **snapshot read path**: a [`ShardedSnapshot`] pins a consistent-cut
 //!   digest once and serves repeatable verified reads against that pin;
 //! * a **table layer**: typed records and their analytical

@@ -32,8 +32,8 @@ use crate::Result;
 ///
 /// Obtained from `ShardedDb::snapshot`, which pins the per-shard digests
 /// under the exclusive epoch fence that every commit path holds shared — so
-/// the cut can never show one half of a cross-shard transaction. Every read is
-/// verified against the single pinned cross-shard root.
+/// the cut can never show one half of a cross-shard transaction. Every read
+/// is verified against the single pinned cross-shard root.
 #[derive(Debug)]
 pub struct ShardedSnapshot {
     digest: ShardedDigest,

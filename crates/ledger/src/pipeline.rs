@@ -34,11 +34,11 @@
 //!
 //! # Steps
 //!
-//! A caller (a commit, flush or shutdown), the role holder it
-//! becomes while it leads a batch, and the timer are each written once, as
-//! a step function: under the state lock it takes the state and what the
-//! actor's last I/O returned, and decides the next I/O — seal a batch, read
-//! the digest, fsync, park, sleep, wake a waiter or the timer, or return an
+//! A caller (a commit, flush or shutdown), the role holder it becomes while
+//! it leads a batch, and the timer are each written once, as a step
+//! function: under the state lock it takes the state and what the actor's
+//! last I/O returned, and decides the next I/O — seal a batch, read the
+//! digest, fsync, park, sleep, wake a waiter or the timer, or return an
 //! outcome. A thread performs that I/O outside the lock, with the ledger,
 //! the store and the tickets. The tests' model check performs a simulated
 //! one, so it searches the product's own order of steps over every
@@ -173,8 +173,9 @@ impl<W: Clone> PipelineState<W> {
     }
 
     /// Count `commits` just sealed against the policy. Returns whether to
-    /// fsync before acknowledging (`force`: a flush demands it), and whether
-    /// a deadline was armed that the timer must be woken to keep.
+    /// fsync before acknowledging (`force`: a flush demands it; under
+    /// `Strict` every batch holds a commit or a flush, so always), and
+    /// whether a deadline was armed that the timer must be woken to keep.
     fn settle(&mut self, commits: usize, force: bool, now: Instant) -> (bool, bool) {
         match self.policy {
             DurabilityPolicy::Strict => (true, false),
