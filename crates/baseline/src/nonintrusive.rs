@@ -136,7 +136,11 @@ impl NonIntrusiveVdb {
             })
             .collect();
         self.cross_system_hop(&shipped);
-        let (_, proof) = self.ledger.range_with_proof(start, end);
+        let (_, proof) = self
+            .ledger
+            .snapshot()
+            .expect("a head pin reads nothing from the store")
+            .range_with_proof(start, end);
         (entries, proof)
     }
 

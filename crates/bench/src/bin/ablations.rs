@@ -158,9 +158,10 @@ fn proof_size_ablation(records: usize, budget: Option<&str>) -> bool {
         }
         let dense_point = dense_total as f64 / dense_sample.len() as f64;
 
+        let snapshot = ledger.snapshot().expect("head pin");
         let (mut multi16, mut singles4, mut singles16) = (0usize, 0usize, 0usize);
         for keys in &windows {
-            let (values, multi) = ledger.get_multi_with_proof(keys);
+            let (values, multi) = snapshot.get_multi_with_proof(keys);
             let items: Vec<(Vec<u8>, Option<Vec<u8>>)> = keys.iter().cloned().zip(values).collect();
             assert!(multi.verify_batch(&items));
             multi16 += multi.encoded_len();
@@ -173,7 +174,7 @@ fn proof_size_ablation(records: usize, budget: Option<&str>) -> bool {
         }
         let per_window = |total: usize| total as f64 / windows.len() as f64;
 
-        let (entries, range_proof) = ledger.range_with_proof(scan_start, scan_end);
+        let (entries, range_proof) = snapshot.range_with_proof(scan_start, scan_end);
         assert_eq!(entries.len(), 500);
         assert!(range_proof.verify(&entries));
         let range_per_entry = range_proof.encoded_len() as f64 / entries.len() as f64;

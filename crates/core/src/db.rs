@@ -4,19 +4,19 @@
 //! `SpitzDb` owns a chunk store and the unified ledger behind a group-commit
 //! pipeline. Every write is one ledger commit, sealed through that pipeline
 //! on in-memory and durable shards alike. The sharded database routes each
-//! key to one `SpitzDb`, and its verified reads chain the shard's ledger
-//! proofs to the cross-shard root; what stays public here is what a caller
-//! reaches through [`ShardedDb::shard`](crate::ShardedDb::shard): storage,
-//! ledger, pipeline, health, scrub and compaction.
+//! key to one `SpitzDb`; a shard has no read method of its own, since every
+//! verified read is served by a snapshot of each shard's ledger
+//! ([`ShardedSnapshot`](crate::ShardedSnapshot)). What stays public here is
+//! what a caller reaches through [`ShardedDb::shard`](crate::ShardedDb::shard):
+//! storage, ledger, pipeline, health, scrub and compaction.
 
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 use spitz_crypto::Hash;
-use spitz_ledger::{CommitPipeline, Digest, DurabilityPolicy, Ledger, LedgerProof, VerifiedRange};
-use spitz_obs::{Histogram, TelemetryHandle};
+use spitz_ledger::{CommitPipeline, Digest, DurabilityPolicy, Ledger};
+use spitz_obs::TelemetryHandle;
 use spitz_storage::{
     ChunkStore, CompactionReport, DurableChunkStore, DurableConfig, HealthState,
     InMemoryChunkStore, ScrubReport, SegmentIoHandle, StorageError, StoreStats,
@@ -86,57 +86,6 @@ impl SpitzConfig {
     }
 }
 
-/// Build-latency and encoded-size histograms of one proof kind.
-pub(crate) struct ProofMeter {
-    build_nanos: Arc<Histogram>,
-    bytes: Arc<Histogram>,
-}
-
-impl ProofMeter {
-    fn new(telemetry: &TelemetryHandle, kind: &str) -> Self {
-        ProofMeter {
-            build_nanos: telemetry.histogram(&format!("proof.{kind}_build_nanos")),
-            bytes: telemetry.histogram(&format!("proof.{kind}_bytes")),
-        }
-    }
-
-    /// Start timing one proof build (`None`, no clock read, when telemetry
-    /// is disabled).
-    pub(crate) fn start(&self) -> Option<Instant> {
-        self.build_nanos.start()
-    }
-
-    /// Record the build latency since [`ProofMeter::start`] and the proof's
-    /// size. `encoded_len` is only evaluated when something records it.
-    pub(crate) fn finish(&self, start: Option<Instant>, encoded_len: impl FnOnce() -> usize) {
-        if start.is_some() {
-            self.build_nanos.finish(start);
-            self.bytes.record(encoded_len() as u64);
-        }
-    }
-}
-
-/// Proof-layer instruments, resolved once at construction so the verified
-/// read paths never touch the registry maps: `proof.<level>point_*`,
-/// `proof.<level>range_*` and `proof.<level>multi_*`, where `level` is empty
-/// for a shard's ledger proofs and `sharded_` for the cross-shard proofs
-/// that carry them.
-pub(crate) struct ProofObs {
-    pub(crate) point: ProofMeter,
-    pub(crate) range: ProofMeter,
-    pub(crate) multi: ProofMeter,
-}
-
-impl ProofObs {
-    pub(crate) fn new(telemetry: &TelemetryHandle, level: &str) -> Self {
-        ProofObs {
-            point: ProofMeter::new(telemetry, &format!("{level}point")),
-            range: ProofMeter::new(telemetry, &format!("{level}range")),
-            multi: ProofMeter::new(telemetry, &format!("{level}multi")),
-        }
-    }
-}
-
 /// One shard of a [`ShardedDb`](crate::ShardedDb): its chunk store, its
 /// unified ledger and its group-commit pipeline.
 pub struct SpitzDb {
@@ -149,9 +98,6 @@ pub struct SpitzDb {
     /// concrete store handle that compaction and scrub need (the trait
     /// object in `store` cannot run a mark-sweep pass).
     durable: Option<Arc<DurableChunkStore>>,
-    /// Proof-layer instruments (build latency and proof bytes), in the
-    /// registry the sharded database shares across its shards.
-    proof_obs: ProofObs,
 }
 
 impl SpitzDb {
@@ -208,7 +154,6 @@ impl SpitzDb {
             ledger,
             pipeline,
             durable: None,
-            proof_obs: ProofObs::new(telemetry, ""),
         })
     }
 
@@ -325,38 +270,6 @@ impl SpitzDb {
     ) -> Result<Digest> {
         Ok(self.pipeline.commit(writes, statement)?)
     }
-
-    /// Verified point read: value plus ledger proof.
-    pub(crate) fn get_verified(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, LedgerProof)> {
-        let timer = self.proof_obs.point.start();
-        let (value, proof) = self.ledger.get_with_proof(key);
-        self.proof_obs.point.finish(timer, || proof.encoded_len());
-        Ok((value, proof))
-    }
-
-    /// Batched verified point read: all keys are resolved against one
-    /// consistent ledger state and covered by a single
-    /// [`LedgerProof`] that shares the keys' common upper-tree nodes,
-    /// so a k-key batch costs less on the wire than k independent
-    /// [`SpitzDb::get_verified`] calls.
-    pub(crate) fn get_multi_verified(
-        &self,
-        keys: &[Vec<u8>],
-    ) -> Result<(Vec<Option<Vec<u8>>>, LedgerProof)> {
-        let timer = self.proof_obs.multi.start();
-        let (values, proof) = self.ledger.get_multi_with_proof(keys);
-        self.proof_obs.multi.finish(timer, || proof.encoded_len());
-        Ok((values, proof))
-    }
-
-    /// Verified range read: entries plus a combined proof from the unified
-    /// index traversal.
-    pub(crate) fn range_verified(&self, start: &[u8], end: &[u8]) -> Result<VerifiedRange> {
-        let timer = self.proof_obs.range.start();
-        let (entries, proof) = self.ledger.range_with_proof(start, end);
-        self.proof_obs.range.finish(timer, || proof.encoded_len());
-        Ok((entries, proof))
-    }
 }
 
 impl Drop for SpitzDb {
@@ -386,7 +299,7 @@ mod tests {
         assert_eq!(db.ledger().get(b"alpha"), Some(b"1".to_vec()));
         assert_eq!(db.ledger().get(b"missing"), None);
 
-        let (value, proof) = db.get_verified(b"beta").unwrap();
+        let (value, proof) = db.ledger().get_with_proof(b"beta");
         assert_eq!(value, Some(b"2".to_vec()));
         assert!(proof.verify(b"beta", value.as_deref()));
 
@@ -411,7 +324,11 @@ mod tests {
         let entries = db.ledger().range(b"key-00050", b"key-00060");
         assert_eq!(entries.len(), 10);
 
-        let (entries, proof) = db.range_verified(b"key-00050", b"key-00060").unwrap();
+        let (entries, proof) = db
+            .ledger()
+            .snapshot()
+            .unwrap()
+            .range_with_proof(b"key-00050", b"key-00060");
         assert_eq!(entries.len(), 10);
         assert!(proof.verify(&entries));
     }

@@ -28,7 +28,7 @@ use spitz_crypto::Hash;
 use spitz_index::codec;
 use spitz_ledger::{LedgerProof, LedgerRangeProof, VerifiedRange};
 
-use crate::sharded::{shard_for, ShardedDigest};
+use crate::sharded::{shard_for, Cut, ShardedDigest};
 
 /// Proof returned with a verified sharded point read: the serving shard's
 /// ledger proof plus the audit path from that shard's digest up to the
@@ -51,18 +51,16 @@ pub struct ShardedProof {
 
 impl ShardedProof {
     /// Chain `shard`'s ledger proof to the root of `cut`. The proof must
-    /// have been built at that shard's leaf of the cut — from a pinned
-    /// snapshot, or from the live ledger with the epoch fence held.
-    pub(crate) fn assemble(cut: &ShardedDigest, shard: usize, ledger_proof: LedgerProof) -> Self {
-        debug_assert_eq!(ledger_proof.digest, cut.shards[shard]);
+    /// have been built at that shard's leaf of the cut, by the snapshot
+    /// that pinned it.
+    pub(crate) fn assemble(cut: &Cut, shard: usize, ledger_proof: LedgerProof) -> Self {
+        debug_assert_eq!(ledger_proof.digest, cut.digest.shards[shard]);
         ShardedProof {
             shard,
-            shard_count: cut.shards.len(),
+            shard_count: cut.digest.shards.len(),
             ledger_proof,
-            membership: cut
-                .membership_proof(shard)
-                .expect("shard index is in range"),
-            root: cut.root,
+            membership: cut.membership(shard),
+            root: cut.digest.root,
         }
     }
 
@@ -178,11 +176,11 @@ pub(crate) type MultiRead<P> = (Vec<Option<Vec<u8>>>, P);
 /// ledger proof, and put the values back in input order. Returns the values
 /// and the `(shard, proof)` pairs in ascending shard order, ready for
 /// [`ShardedMultiProof::assemble`].
-pub(crate) fn multi_by_shard<E>(
+pub(crate) fn multi_by_shard(
     shard_count: usize,
     keys: &[Vec<u8>],
-    mut prove: impl FnMut(usize, &[Vec<u8>]) -> Result<MultiRead<LedgerProof>, E>,
-) -> Result<MultiRead<Vec<(usize, LedgerProof)>>, E> {
+    mut prove: impl FnMut(usize, &[Vec<u8>]) -> MultiRead<LedgerProof>,
+) -> MultiRead<Vec<(usize, LedgerProof)>> {
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
     for (i, key) in keys.iter().enumerate() {
         parts[shard_for(key, shard_count)].push(i);
@@ -194,35 +192,33 @@ pub(crate) fn multi_by_shard<E>(
             continue;
         }
         let shard_keys: Vec<Vec<u8>> = positions.iter().map(|&i| keys[i].clone()).collect();
-        let (shard_values, proof) = prove(shard, &shard_keys)?;
+        let (shard_values, proof) = prove(shard, &shard_keys);
         for (&position, value) in positions.iter().zip(shard_values) {
             values[position] = value;
         }
         proofs.push((shard, proof));
     }
-    Ok((values, proofs))
+    (values, proofs)
 }
 
 impl ShardedMultiProof {
     /// Chain each involved shard's batched ledger proof to the root of
     /// `cut` (same contract as [`ShardedProof::assemble`]).
-    pub(crate) fn assemble(cut: &ShardedDigest, proofs: Vec<(usize, LedgerProof)>) -> Self {
+    pub(crate) fn assemble(cut: &Cut, proofs: Vec<(usize, LedgerProof)>) -> Self {
         let groups = proofs
             .into_iter()
             .map(|(shard, ledger_proof)| {
-                debug_assert_eq!(ledger_proof.digest, cut.shards[shard]);
+                debug_assert_eq!(ledger_proof.digest, cut.digest.shards[shard]);
                 ShardMultiGroup {
                     shard,
                     ledger_proof,
-                    membership: cut
-                        .membership_proof(shard)
-                        .expect("shard index is in range"),
+                    membership: cut.membership(shard),
                 }
             })
             .collect();
         ShardedMultiProof {
-            shard_count: cut.shards.len(),
-            root: cut.root,
+            shard_count: cut.digest.shards.len(),
+            root: cut.digest.root,
             groups,
         }
     }

@@ -36,19 +36,21 @@
 //!   root ([`ShardedProof`]). The digest is recomputed from the per-shard
 //!   ledger heads, so nothing beyond those heads is persisted for it.
 //! * **The epoch fence** makes [`ShardedDb::digest`] a true consistent cut
-//!   under concurrent writers: every commit path holds the fence shared,
-//!   and a cut takes it exclusively (draining any in-flight commits) before
-//!   snapshotting the per-shard digests — so a published root can never mix
-//!   one half of a cross-shard transaction with the other half missing.
-//!   [`ShardedDb::snapshot`] pins such a cut as a
-//!   [`crate::snapshot::ShardedSnapshot`] for repeatable verified reads,
-//!   including verified cross-shard ranges ([`ShardedRangeProof`]).
-//! * **One verified-read path**: take a cut, then prove. The one-shot
-//!   [`ShardedDb::get_verified`] / [`ShardedDb::get_multi_verified`] /
-//!   [`ShardedDb::range_verified`] read the live ledgers under the fence,
-//!   a [`ShardedSnapshot`] reads its pinned ones, and both hand the
-//!   per-shard ledger proofs to the same `assemble` constructors in
-//!   [`crate::proof`].
+//!   under concurrent writers: every commit path holds the fence shared
+//!   until its block is sealed, and a cut takes it exclusively (draining
+//!   any in-flight commits) before reading the per-shard heads — so a
+//!   published root can never mix one half of a cross-shard transaction
+//!   with the other half missing. [`ShardedDb::snapshot`] pins such a cut
+//!   as a [`crate::snapshot::ShardedSnapshot`] for repeatable verified
+//!   reads, including verified cross-shard ranges ([`ShardedRangeProof`]).
+//! * **One verified-read path**: take a cut, then prove from it. Pinning a
+//!   shard's ledger at its head reads nothing from the store, for every
+//!   index kind, so the one-shot [`ShardedDb::get_verified`] /
+//!   [`ShardedDb::get_multi_verified`] / [`ShardedDb::range_verified`] take
+//!   the cut exactly as [`ShardedDb::snapshot`] does and answer through the
+//!   [`ShardedSnapshot`]'s methods, which alone assemble cross-shard
+//!   proofs. They hold the fence until the proof is built; releasing it
+//!   right after the pin would only narrow one guard's scope.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -65,11 +67,9 @@ use spitz_txn::{CcScheme, Participant, PreparedApply, PreparedGlobal, TimestampO
 
 pub use crate::proof::{ShardMultiGroup, ShardedMultiProof, ShardedProof, ShardedRangeProof};
 
-use crate::proof::multi_by_shard;
-
-use crate::db::{ProofObs, SpitzConfig, SpitzDb};
+use crate::db::{SpitzConfig, SpitzDb};
 use crate::error::DbError;
-use crate::snapshot::ShardedSnapshot;
+use crate::snapshot::{ProofObs, ShardedSnapshot};
 use crate::staged::{StagedEntry, StagedLog};
 use crate::table::Tables;
 use crate::Result;
@@ -148,12 +148,7 @@ pub struct ShardedDigest {
 impl ShardedDigest {
     /// Compute the digest over per-shard digests, in shard order.
     pub fn over(shards: Vec<Digest>) -> ShardedDigest {
-        let epoch = shards.iter().map(block_count).sum();
-        ShardedDigest {
-            epoch,
-            root: merkle_tree(&shards).root(),
-            shards,
-        }
+        Cut::over(shards).digest
     }
 
     /// Self-consistency: the root and epoch really are the ones implied by
@@ -162,12 +157,6 @@ impl ShardedDigest {
         !self.shards.is_empty()
             && self.root == merkle_tree(&self.shards).root()
             && self.epoch == self.shards.iter().map(block_count).sum::<u64>()
-    }
-
-    /// Audit path proving that shard `shard`'s digest is a leaf of this
-    /// root. `None` when the shard index is out of range.
-    pub(crate) fn membership_proof(&self, shard: usize) -> Option<AuditProof> {
-        merkle_tree(&self.shards).audit_proof(shard)
     }
 
     /// Canonical byte encoding: what the server sends a client that asks
@@ -220,6 +209,35 @@ fn block_count(digest: &Digest) -> u64 {
 fn merkle_tree(shards: &[Digest]) -> MerkleTree {
     let leaves: Vec<Vec<u8>> = shards.iter().map(|d| d.encode()).collect();
     MerkleTree::from_leaves(leaves.iter().map(|l| l.as_slice()))
+}
+
+/// A consistent cut as its proofs read it: the cross-shard digest, and the
+/// Merkle tree over its leaves that every shard's audit path is taken
+/// from, built once when the cut is taken.
+pub(crate) struct Cut {
+    pub(crate) digest: ShardedDigest,
+    tree: MerkleTree,
+}
+
+impl Cut {
+    /// The cut over per-shard digests, in shard order.
+    pub(crate) fn over(shards: Vec<Digest>) -> Cut {
+        let tree = merkle_tree(&shards);
+        let digest = ShardedDigest {
+            epoch: shards.iter().map(block_count).sum(),
+            root: tree.root(),
+            shards,
+        };
+        Cut { digest, tree }
+    }
+
+    /// Audit path proving that shard `shard`'s digest is a leaf of the
+    /// cut's root.
+    pub(crate) fn membership(&self, shard: usize) -> AuditProof {
+        self.tree
+            .audit_proof(shard)
+            .expect("shard index is in range")
+    }
 }
 
 /// A cross-shard batch prepared on every involved shard but not yet
@@ -351,8 +369,9 @@ fn encode_member(shard: usize, shards: usize, kind_tag: u8) -> Vec<u8> {
 /// Sharded-layer instruments: cross-shard proof sizes/latencies and
 /// decision-log truncations, resolved once at construction.
 struct ShardedObs {
-    /// `proof.sharded_{point,range,multi}_{build_nanos,bytes}`.
-    proofs: ProofObs,
+    /// `proof.sharded_{point,range,multi}_{build_nanos,bytes}`, recorded
+    /// by every [`ShardedSnapshot`] this database pins.
+    proofs: Arc<ProofObs>,
     /// Commit-decision log entries removed after their batch fully settled
     /// (the decision no longer protects anything).
     decision_truncations: Arc<Counter>,
@@ -361,7 +380,7 @@ struct ShardedObs {
 impl ShardedObs {
     fn new(telemetry: &TelemetryHandle) -> Self {
         ShardedObs {
-            proofs: ProofObs::new(telemetry, "sharded_"),
+            proofs: Arc::new(ProofObs::new(telemetry)),
             decision_truncations: telemetry.counter("twopc.decision_truncations"),
         }
     }
@@ -809,41 +828,33 @@ impl ShardedDb {
         Ok(self.shards[self.route(key)].ledger().get(key))
     }
 
-    /// The per-shard digests of the cut a live read was served from: a shard
-    /// the read proved against contributes its proof-time digest, every
-    /// other shard its current one. The caller holds the epoch fence
-    /// exclusively — no commit is in flight, so together they are one
+    /// Take the cut: every shard's ledger pinned at its head, which reads
+    /// nothing from the stores. The caller holds the epoch fence
+    /// exclusively, so no commit is in flight and the heads are one
     /// consistent cut.
-    fn cut_leaves(&self, proved: impl Fn(usize) -> Option<Digest>) -> Vec<Digest> {
-        self.shards
+    fn pin_heads(&self) -> Result<ShardedSnapshot> {
+        let shards = self
+            .shards
             .iter()
-            .enumerate()
-            .map(|(i, db)| proved(i).unwrap_or_else(|| db.ledger().digest()))
-            .collect()
+            .map(|db| db.ledger().snapshot())
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        Ok(ShardedSnapshot::new(shards, Arc::clone(&self.obs.proofs)))
     }
 
     /// Verified point read: the value plus a [`ShardedProof`] chaining the
     /// shard's ledger proof up to the cross-shard root of a fenced
-    /// consistent cut.
+    /// consistent cut. Served by the cut's [`ShardedSnapshot`], so it is
+    /// the proof a snapshot pinned at the same cut returns.
     ///
     /// Each call takes the epoch fence exclusively (the price of a
-    /// consistent cut per read) while it reads the live ledgers; hashing
-    /// the cut up to the cross-shard root happens after the fence is
-    /// released. Read-heavy workloads should pin a [`ShardedDb::snapshot`]
-    /// once and serve many `get_verified` calls from it instead — one
-    /// fence, repeatable reads, same proofs.
+    /// consistent cut per read) and holds it until the proof is built. A
+    /// caller that reads many keys at one cut can pin a
+    /// [`ShardedDb::snapshot`] instead: one fence, repeatable reads, the
+    /// same proofs.
     pub fn get_verified(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, ShardedProof)> {
-        let timer = self.obs.proofs.point.start();
-        let shard = self.route(key);
-        let (value, ledger_proof, leaves) = {
-            let _cut = self.fence.write();
-            let (value, ledger_proof) = self.shards[shard].get_verified(key)?;
-            let leaves = self.cut_leaves(|i| (i == shard).then_some(ledger_proof.digest));
-            (value, ledger_proof, leaves)
-        };
-        let proof = ShardedProof::assemble(&ShardedDigest::over(leaves), shard, ledger_proof);
-        self.obs.proofs.point.finish(timer, || proof.encoded_len());
-        Ok((value, proof))
+        let _cut = self.fence.write();
+        let pinned = self.pin_heads()?;
+        Ok(pinned.get_verified(key))
     }
 
     /// Batched verified point read: every key is resolved against one
@@ -851,26 +862,14 @@ impl ShardedDb {
     /// batched [`spitz_ledger::LedgerProof`] (and its upper-tree nodes), and
     /// the whole batch chains to a single cross-shard root through one
     /// audit path per involved shard. The `i`-th returned value answers
-    /// `keys[i]`.
+    /// `keys[i]`. Fenced and served like [`ShardedDb::get_verified`].
     pub fn get_multi_verified(
         &self,
         keys: &[Vec<u8>],
     ) -> Result<(Vec<Option<Vec<u8>>>, ShardedMultiProof)> {
-        let timer = self.obs.proofs.multi.start();
-        let (values, proofs, leaves) = {
-            let _cut = self.fence.write();
-            let (values, proofs) = multi_by_shard(self.shards.len(), keys, |shard, keys| {
-                self.shards[shard].get_multi_verified(keys)
-            })?;
-            let leaves = self.cut_leaves(|i| {
-                let proved = proofs.iter().find(|(shard, _)| *shard == i);
-                proved.map(|(_, proof)| proof.digest)
-            });
-            (values, proofs, leaves)
-        };
-        let proof = ShardedMultiProof::assemble(&ShardedDigest::over(leaves), proofs);
-        self.obs.proofs.multi.finish(timer, || proof.encoded_len());
-        Ok((values, proof))
+        let _cut = self.fence.write();
+        let pinned = self.pin_heads()?;
+        Ok(pinned.get_multi_verified(keys))
     }
 
     /// **Unverified** range read over `start <= key < end`, merged across
@@ -891,31 +890,21 @@ impl ShardedDb {
     /// Verified range read over `start <= key < end` against a fenced
     /// consistent cut: per-shard complete SIRI range proofs, chained
     /// through the shard-digest leaves to the single cross-shard root.
-    /// Equivalent to `self.snapshot()?.range_verified(start, end)` but
-    /// without pinning index checkouts.
+    /// Fenced and served like [`ShardedDb::get_verified`].
     pub fn range_verified(
         &self,
         start: &[u8],
         end: &[u8],
     ) -> Result<crate::proof::ShardedVerifiedRange> {
-        let timer = self.obs.proofs.range.start();
-        let parts = {
-            let _cut = self.fence.write();
-            self.shards
-                .iter()
-                .map(|shard| shard.range_verified(start, end))
-                .collect::<Result<Vec<_>>>()?
-        };
-        // A range proof reveals every shard's digest: the proofs are the cut.
-        let cut = ShardedDigest::over(parts.iter().map(|(_, proof)| proof.digest).collect());
-        let (entries, proof) = ShardedRangeProof::assemble(&cut, parts);
-        self.obs.proofs.range.finish(timer, || proof.encoded_len());
-        Ok((entries, proof))
+        let _cut = self.fence.write();
+        let pinned = self.pin_heads()?;
+        pinned.range_verified(start, end)
     }
 
     /// Pin a fenced consistent cut as a [`ShardedSnapshot`]: under the
-    /// exclusive epoch fence each shard's state is checked out at its
-    /// digest, and the combined digest covers exactly that cut. Reads
+    /// exclusive epoch fence each shard's ledger is pinned at its head (a
+    /// checkout that reads nothing from the store, for every index kind),
+    /// and the combined digest covers exactly that cut. Reads
     /// against the snapshot are repeatable and all verify against the
     /// single pinned root while writers move on.
     ///
@@ -926,12 +915,7 @@ impl ShardedDb {
     /// head.
     pub fn snapshot(&self) -> Result<ShardedSnapshot> {
         let _cut = self.fence.write();
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for db in &self.shards {
-            shards.push(db.ledger().snapshot()?);
-        }
-        let digest = ShardedDigest::over(shards.iter().map(|s| s.digest()).collect());
-        Ok(ShardedSnapshot::new(digest, shards))
+        self.pin_heads()
     }
 
     /// The current cross-shard digest (what clients pin). Taken under the

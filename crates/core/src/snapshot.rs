@@ -9,24 +9,78 @@
 //! shard's ledger.
 //!
 //! This is the snapshot-isolated analytical read path over the transactional
-//! write stream: writers keep committing while a snapshot holder scans, and
-//! node sharing between index versions makes the pinned instance cheap (the
-//! checkout reuses every unchanged node of the live index).
+//! write stream: writers keep committing while a snapshot holder scans. A
+//! pin reads nothing from the store, for every index kind: each shard's
+//! instance is checked out at its own head root, which copies that root and
+//! the entry count, and later versions share every unchanged node.
 //!
-//! Cross-shard proofs are assembled by the `assemble` constructors in
-//! [`crate::proof`], the same ones the sharded database's one-shot
-//! `*_verified` reads call, so a one-shot read, a snapshot read and a served
-//! read of one cut are byte-for-byte the same proof.
+//! It is also the only place cross-shard proofs are assembled: the sharded
+//! database's one-shot `*_verified` reads (and so the served reads) take a
+//! cut and answer through it, so a one-shot read, a snapshot read and a
+//! served read of one cut are byte-for-byte the same proof. The cut's
+//! Merkle tree is built once, when the snapshot is taken, and every audit
+//! path comes from it.
 
-use std::convert::Infallible;
+use std::sync::Arc;
+use std::time::Instant;
 
 use spitz_ledger::LedgerSnapshot;
+use spitz_obs::{Histogram, TelemetryHandle};
 
 use crate::proof::{
     multi_by_shard, ShardedMultiProof, ShardedProof, ShardedRangeProof, ShardedVerifiedRange,
 };
-use crate::sharded::{shard_for, ShardedDigest};
+use crate::sharded::{shard_for, Cut, ShardedDigest};
 use crate::Result;
+
+/// Build-latency and encoded-size histograms of one proof kind.
+struct ProofMeter {
+    build_nanos: Arc<Histogram>,
+    bytes: Arc<Histogram>,
+}
+
+impl ProofMeter {
+    fn new(telemetry: &TelemetryHandle, kind: &str) -> Self {
+        ProofMeter {
+            build_nanos: telemetry.histogram(&format!("proof.sharded_{kind}_build_nanos")),
+            bytes: telemetry.histogram(&format!("proof.sharded_{kind}_bytes")),
+        }
+    }
+
+    /// Start timing one proof build (`None`, no clock read, when telemetry
+    /// is disabled).
+    fn start(&self) -> Option<Instant> {
+        self.build_nanos.start()
+    }
+
+    /// Record the build latency since [`ProofMeter::start`] and the proof's
+    /// size. `encoded_len` is only evaluated when something records it.
+    fn finish(&self, start: Option<Instant>, encoded_len: impl FnOnce() -> usize) {
+        if start.is_some() {
+            self.build_nanos.finish(start);
+            self.bytes.record(encoded_len() as u64);
+        }
+    }
+}
+
+/// Proof-layer instruments, resolved once at construction so the verified
+/// read paths never touch the registry maps:
+/// `proof.sharded_{point,range,multi}_{build_nanos,bytes}`.
+pub(crate) struct ProofObs {
+    point: ProofMeter,
+    range: ProofMeter,
+    multi: ProofMeter,
+}
+
+impl ProofObs {
+    pub(crate) fn new(telemetry: &TelemetryHandle) -> Self {
+        ProofObs {
+            point: ProofMeter::new(telemetry, "point"),
+            range: ProofMeter::new(telemetry, "range"),
+            multi: ProofMeter::new(telemetry, "multi"),
+        }
+    }
+}
 
 /// A pinned, immutable, **consistent** view of a sharded Spitz database.
 ///
@@ -34,27 +88,29 @@ use crate::Result;
 /// under the exclusive epoch fence that every commit path holds shared — so
 /// the cut can never show one half of a cross-shard transaction. Every read
 /// is verified against the single pinned cross-shard root.
-#[derive(Debug)]
 pub struct ShardedSnapshot {
-    digest: ShardedDigest,
+    cut: Cut,
     shards: Vec<LedgerSnapshot>,
+    obs: Arc<ProofObs>,
 }
 
 impl ShardedSnapshot {
-    pub(crate) fn new(digest: ShardedDigest, shards: Vec<LedgerSnapshot>) -> Self {
-        debug_assert_eq!(digest.shards.len(), shards.len());
-        ShardedSnapshot { digest, shards }
+    /// The cut over per-shard ledger snapshots taken together, in shard
+    /// order, recording its proofs in `obs`.
+    pub(crate) fn new(shards: Vec<LedgerSnapshot>, obs: Arc<ProofObs>) -> Self {
+        let cut = Cut::over(shards.iter().map(LedgerSnapshot::digest).collect());
+        ShardedSnapshot { cut, shards, obs }
     }
 
     /// The consistent-cut cross-shard digest this snapshot is pinned at.
     pub fn digest(&self) -> &ShardedDigest {
-        &self.digest
+        &self.cut.digest
     }
 
     /// The pinned cross-shard root (what a verifying client compares
     /// against).
     pub fn root(&self) -> spitz_crypto::Hash {
-        self.digest.root
+        self.cut.digest.root
     }
 
     /// Number of shards in the cut.
@@ -70,12 +126,12 @@ impl ShardedSnapshot {
     /// Verified point read: value plus a [`ShardedProof`] chaining the
     /// serving shard's pinned proof to the pinned cross-shard root.
     pub fn get_verified(&self, key: &[u8]) -> (Option<Vec<u8>>, ShardedProof) {
+        let timer = self.obs.point.start();
         let shard = shard_for(key, self.shards.len());
         let (value, ledger_proof) = self.shards[shard].get_with_proof(key);
-        (
-            value,
-            ShardedProof::assemble(&self.digest, shard, ledger_proof),
-        )
+        let proof = ShardedProof::assemble(&self.cut, shard, ledger_proof);
+        self.obs.point.finish(timer, || proof.encoded_len());
+        (value, proof)
     }
 
     /// Batched verified point read against the pinned cut: keys sharing a
@@ -86,10 +142,13 @@ impl ShardedSnapshot {
         &self,
         keys: &[Vec<u8>],
     ) -> (Vec<Option<Vec<u8>>>, ShardedMultiProof) {
-        let Ok((values, proofs)) = multi_by_shard(self.shards.len(), keys, |shard, keys| {
-            Ok::<_, Infallible>(self.shards[shard].get_multi_with_proof(keys))
+        let timer = self.obs.multi.start();
+        let (values, proofs) = multi_by_shard(self.shards.len(), keys, |shard, keys| {
+            self.shards[shard].get_multi_with_proof(keys)
         });
-        (values, ShardedMultiProof::assemble(&self.digest, proofs))
+        let proof = ShardedMultiProof::assemble(&self.cut, proofs);
+        self.obs.multi.finish(timer, || proof.encoded_len());
+        (values, proof)
     }
 
     /// Verified cross-shard range read over `start <= key < end`.
@@ -100,12 +159,24 @@ impl ShardedSnapshot {
     /// root. [`ShardedRangeProof::verify`] re-checks all of it client-side:
     /// nothing forged, nothing omitted, no shard withheld.
     pub fn range_verified(&self, start: &[u8], end: &[u8]) -> Result<ShardedVerifiedRange> {
+        let timer = self.obs.range.start();
         let parts = self
             .shards
             .iter()
             .map(|shard| shard.range_with_proof(start, end))
             .collect();
-        Ok(ShardedRangeProof::assemble(&self.digest, parts))
+        let (entries, proof) = ShardedRangeProof::assemble(&self.cut.digest, parts);
+        self.obs.range.finish(timer, || proof.encoded_len());
+        Ok((entries, proof))
+    }
+}
+
+impl std::fmt::Debug for ShardedSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedSnapshot")
+            .field("digest", &self.cut.digest)
+            .field("shards", &self.shards)
+            .finish()
     }
 }
 

@@ -36,8 +36,10 @@ pub struct MerkleBucketTree {
     /// `levels[0]` holds the bucket hashes (Hash::ZERO for an empty bucket);
     /// each higher level holds the hashes of internal nodes over
     /// `TREE_FANOUT` children of the level below; the last level has one
-    /// entry — the root.
-    levels: Vec<Vec<Hash>>,
+    /// entry — the root. Shared with the instances
+    /// [`SiriIndex::checkout`] copies from this one at its own root, and
+    /// copied on the first write after such a copy.
+    levels: Arc<Vec<Vec<Hash>>>,
     len: usize,
     written: NodeTally,
 }
@@ -113,7 +115,7 @@ impl MerkleBucketTree {
     pub fn new(store: Arc<dyn ChunkStore>) -> Self {
         let mut tree = MerkleBucketTree {
             store,
-            levels: Vec::new(),
+            levels: Arc::default(),
             len: 0,
             written: NodeTally::default(),
         };
@@ -158,7 +160,7 @@ impl MerkleBucketTree {
         }
         Some(MerkleBucketTree {
             store,
-            levels: top_down,
+            levels: Arc::new(top_down),
             len,
             written: NodeTally::default(),
         })
@@ -180,7 +182,7 @@ impl MerkleBucketTree {
             }
             levels.push(level);
         }
-        self.levels = levels;
+        self.levels = Arc::new(levels);
     }
 
     fn internal_hash(&self, children: &[Hash]) -> Result<Hash, StorageError> {
@@ -499,7 +501,7 @@ impl SiriIndex for MerkleBucketTree {
         }
         pending.push(changed);
 
-        for (level, changes) in self.levels.iter_mut().zip(pending) {
+        for (level, changes) in Arc::make_mut(&mut self.levels).iter_mut().zip(pending) {
             for (position, hash) in changes {
                 level[position] = hash;
             }
@@ -562,6 +564,14 @@ impl SiriIndex for MerkleBucketTree {
     }
 
     fn checkout(&self, root: Hash) -> Option<Box<dyn SiriIndex>> {
+        if root == self.root() {
+            return Some(Box::new(MerkleBucketTree {
+                store: Arc::clone(&self.store),
+                levels: Arc::clone(&self.levels),
+                len: self.len,
+                written: NodeTally::default(),
+            }));
+        }
         MerkleBucketTree::open(Arc::clone(&self.store), root)
             .map(|t| Box::new(t) as Box<dyn SiriIndex>)
     }

@@ -1113,6 +1113,14 @@ impl SiriIndex for MerklePatriciaTrie {
     }
 
     fn checkout(&self, root: Hash) -> Option<Box<dyn SiriIndex>> {
+        if root == self.root {
+            return Some(Box::new(MerklePatriciaTrie {
+                store: Arc::clone(&self.store),
+                root,
+                len: self.len,
+                written: NodeTally::default(),
+            }));
+        }
         let trie = Self::open(Arc::clone(&self.store), root)?;
         Some(Box::new(trie))
     }

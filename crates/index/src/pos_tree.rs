@@ -818,6 +818,14 @@ impl SiriIndex for PosTree {
     }
 
     fn checkout(&self, root: Hash) -> Option<Box<dyn SiriIndex>> {
+        if root == self.root {
+            return Some(Box::new(PosTree {
+                store: Arc::clone(&self.store),
+                root,
+                len: self.len,
+                written: NodeTally::default(),
+            }));
+        }
         PosTree::open(Arc::clone(&self.store), root).map(|t| Box::new(t) as Box<dyn SiriIndex>)
     }
 }

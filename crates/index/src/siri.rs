@@ -160,8 +160,11 @@ pub trait SiriIndex: Send + Sync {
     /// proofs "ride along" the scan (Section 6.2.2 of the paper).
     fn range_with_proof(&self, start: &[u8], end: &[u8]) -> (IndexEntries, IndexProof);
 
-    /// Re-open the index at a historical root (a previous block's instance).
-    /// Returns `None` if the root is unknown to the backing store.
+    /// An instance at `root`. This instance's own root is copied without
+    /// a store read (the copy carries `len`, and starts a fresh
+    /// [`SiriIndex::node_writes`] tally); any other root, such as a previous
+    /// block's instance, is re-opened from the store. Returns `None` if the
+    /// root is unknown to the backing store.
     fn checkout(&self, root: Hash) -> Option<Box<dyn SiriIndex>>;
 }
 

@@ -584,7 +584,9 @@ impl Ledger {
     /// checked-out index instance at that digest's root are captured under
     /// one lock, so repeated reads against the snapshot stay mutually
     /// consistent (and verifiable against the pinned digest) while writers
-    /// move the live ledger forward.
+    /// move the live ledger forward. The checkout is of the live index's
+    /// own root, so it reads nothing from the store, for every index kind;
+    /// the error is only that contract being broken.
     pub fn snapshot(&self) -> Result<LedgerSnapshot, StorageError> {
         let inner = self.inner.read();
         let digest = digest_of(&inner, self.kind);
@@ -652,28 +654,16 @@ impl Ledger {
     }
 
     /// Verified point read: value plus the proof obtained from the same
-    /// index traversal.
+    /// index traversal, read from a head [`LedgerSnapshot`].
     pub fn get_with_proof(&self, key: &[u8]) -> (Option<Vec<u8>>, LedgerProof) {
-        live_view(&self.inner.read(), self.kind).get_with_proof(key)
-    }
-
-    /// Batched verified point read: all keys are resolved against one
-    /// consistent index instance and covered by a single [`IndexProof`],
-    /// sharing upper-tree nodes between the keys' Merkle paths. The `i`-th
-    /// returned value answers `keys[i]`.
-    pub fn get_multi_with_proof(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerProof) {
-        live_view(&self.inner.read(), self.kind).get_multi_with_proof(keys)
+        self.snapshot()
+            .expect("a head pin reads nothing from the store")
+            .get_with_proof(key)
     }
 
     /// Unverified range read over `start <= key < end`.
     pub fn range(&self, start: &[u8], end: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.inner.read().index.range(start, end)
-    }
-
-    /// Verified range read: the proofs of the resultant records are returned
-    /// simultaneously with the scan, using the unified index.
-    pub fn range_with_proof(&self, start: &[u8], end: &[u8]) -> VerifiedRange {
-        live_view(&self.inner.read(), self.kind).range_with_proof(start, end)
     }
 
     /// The block at `height`, if sealed.
@@ -743,67 +733,12 @@ fn digest_of(inner: &LedgerInner, kind: SiriKind) -> Digest {
     }
 }
 
-/// One ledger state to read from: a digest and the index instance at that
-/// digest's root. Every verified read — against the live ledger (under its
-/// read lock) or a pinned [`LedgerSnapshot`] — is built here, so a value and
-/// its proof always come out of one traversal of one index against one
-/// digest.
-struct LedgerView<'a> {
-    digest: Digest,
-    index: &'a dyn SiriIndex,
-}
-
-/// The live ledger's current state. The digest and the index come from the
-/// same lock scope, or a concurrent writer could move the root between the
-/// two.
-fn live_view(inner: &LedgerInner, kind: SiriKind) -> LedgerView<'_> {
-    LedgerView {
-        digest: digest_of(inner, kind),
-        index: inner.index.as_ref(),
-    }
-}
-
-impl LedgerView<'_> {
-    fn get_with_proof(self, key: &[u8]) -> (Option<Vec<u8>>, LedgerProof) {
-        let (value, index_proof) = self.index.get_with_proof(key);
-        (
-            value,
-            LedgerProof {
-                index_proof,
-                digest: self.digest,
-            },
-        )
-    }
-
-    fn get_multi_with_proof(self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerProof) {
-        let (values, index_proof) = self.index.multi_get_with_proof(keys);
-        (
-            values,
-            LedgerProof {
-                index_proof,
-                digest: self.digest,
-            },
-        )
-    }
-
-    fn range_with_proof(self, start: &[u8], end: &[u8]) -> VerifiedRange {
-        let (entries, index_proof) = self.index.range_with_proof(start, end);
-        (
-            entries,
-            LedgerRangeProof {
-                start: start.to_vec(),
-                end: end.to_vec(),
-                index_proof,
-                digest: self.digest,
-            },
-        )
-    }
-}
-
-/// A pinned, immutable view of a ledger at one digest: the unit of the
-/// snapshot read path. All reads are served from the checked-out index
-/// instance (node sharing makes the checkout cheap for the POS-Tree), and
-/// every proof is anchored at the pinned digest — "pin once, verify many".
+/// A pinned, immutable view of a ledger at one digest: the one verified-read
+/// path of the ledger. All reads are served from the checked-out index
+/// instance (a head checkout copies the live instance's root and length and
+/// reads nothing from the store, for every index kind), and every proof
+/// comes out of one traversal of that instance, anchored at the pinned
+/// digest — "pin once, verify many".
 pub struct LedgerSnapshot {
     digest: Digest,
     index: Box<dyn SiriIndex>,
@@ -833,23 +768,18 @@ impl LedgerSnapshot {
         self.index.get(key)
     }
 
-    fn view(&self) -> LedgerView<'_> {
-        LedgerView {
-            digest: self.digest,
-            index: self.index.as_ref(),
-        }
-    }
-
     /// Verified point read: the proof is anchored at the pinned digest, so
     /// a client holding that digest verifies without further round trips.
     pub fn get_with_proof(&self, key: &[u8]) -> (Option<Vec<u8>>, LedgerProof) {
-        self.view().get_with_proof(key)
+        let (value, index_proof) = self.index.get_with_proof(key);
+        (value, self.proof(index_proof))
     }
 
     /// Batched verified point read against the pinned state: one
     /// [`IndexProof`] anchored at the pinned digest covers all keys.
     pub fn get_multi_with_proof(&self, keys: &[Vec<u8>]) -> (Vec<Option<Vec<u8>>>, LedgerProof) {
-        self.view().get_multi_with_proof(keys)
+        let (values, index_proof) = self.index.multi_get_with_proof(keys);
+        (values, self.proof(index_proof))
     }
 
     /// Unverified range read against the pinned state.
@@ -860,7 +790,23 @@ impl LedgerSnapshot {
     /// Verified range read against the pinned state, with a complete range
     /// proof anchored at the pinned digest.
     pub fn range_with_proof(&self, start: &[u8], end: &[u8]) -> VerifiedRange {
-        self.view().range_with_proof(start, end)
+        let (entries, index_proof) = self.index.range_with_proof(start, end);
+        (
+            entries,
+            LedgerRangeProof {
+                start: start.to_vec(),
+                end: end.to_vec(),
+                index_proof,
+                digest: self.digest,
+            },
+        )
+    }
+
+    fn proof(&self, index_proof: IndexProof) -> LedgerProof {
+        LedgerProof {
+            index_proof,
+            digest: self.digest,
+        }
     }
 }
 
@@ -1001,7 +947,7 @@ mod tests {
             .unwrap();
         let (start, _) = kv(100);
         let (end, _) = kv(150);
-        let (entries, proof) = ledger.range_with_proof(&start, &end);
+        let (entries, proof) = ledger.snapshot().unwrap().range_with_proof(&start, &end);
         assert_eq!(entries.len(), 50);
         assert!(proof.verify(&entries));
 
@@ -1359,7 +1305,7 @@ mod tests {
             let mut keys: Vec<Vec<u8>> = (0..8).map(|i| kv(i * 11).0).collect();
             keys.push(b"no-such-key".to_vec());
             keys.push(kv(0).0);
-            let (values, proof) = ledger.get_multi_with_proof(&keys);
+            let (values, proof) = ledger.snapshot().unwrap().get_multi_with_proof(&keys);
             assert_eq!(values.len(), keys.len(), "{}", kind.name());
             assert_eq!(values[8], None, "{}", kind.name());
             assert_eq!(values[9], Some(kv(0).1), "{}", kind.name());
@@ -1389,7 +1335,7 @@ mod tests {
 
             // A batch against the empty ledger proves all-absent.
             let fresh = Ledger::with_kind(InMemoryChunkStore::shared(), kind);
-            let (values, proof) = fresh.get_multi_with_proof(&keys);
+            let (values, proof) = fresh.snapshot().unwrap().get_multi_with_proof(&keys);
             assert!(values.iter().all(Option::is_none), "{}", kind.name());
             let items: Vec<_> = keys.iter().cloned().zip(values).collect();
             assert!(proof.verify_batch(&items), "{}", kind.name());

@@ -87,18 +87,6 @@ pub struct Transaction {
     finished: bool,
 }
 
-impl Transaction {
-    /// Number of buffered writes.
-    pub fn write_count(&self) -> usize {
-        self.write_set.len()
-    }
-
-    /// Number of recorded reads.
-    pub fn read_count(&self) -> usize {
-        self.read_set.len()
-    }
-}
-
 #[derive(Default)]
 struct TimestampTable {
     /// Per key: largest start timestamp that has read it, and largest commit

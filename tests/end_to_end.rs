@@ -222,16 +222,10 @@ const REQUIRED: &[&str] = &[
     "twopc.in_doubt",
     "twopc.decision_truncations",
     // proof layer
-    "proof.point_build_nanos",
-    "proof.point_bytes",
-    "proof.range_build_nanos",
-    "proof.range_bytes",
     "proof.sharded_point_build_nanos",
     "proof.sharded_point_bytes",
     "proof.sharded_range_build_nanos",
     "proof.sharded_range_bytes",
-    "proof.multi_build_nanos",
-    "proof.multi_bytes",
     "proof.sharded_multi_build_nanos",
     "proof.sharded_multi_bytes",
 ];
@@ -321,7 +315,13 @@ fn mixed_workload_exposes_every_required_instrument() {
     );
     assert!(snapshot.counter("twopc.prepares").unwrap() > 0);
     assert!(snapshot.counter("twopc.commits").unwrap() > 0);
-    assert!(snapshot.histogram("proof.point_bytes").unwrap().count > 0);
+    assert!(
+        snapshot
+            .histogram("proof.sharded_point_bytes")
+            .unwrap()
+            .count
+            > 0
+    );
     let sharded_ranges = snapshot.histogram("proof.sharded_range_bytes").unwrap();
     assert!(sharded_ranges.count > 0);
 

@@ -8,6 +8,7 @@ use std::sync::Mutex;
 
 use spitz::core::sharded::shard_for;
 use spitz::core::SpitzConfig;
+use spitz::index::SiriKind;
 use spitz::ledger::DurabilityPolicy;
 use spitz::{ShardedConfig, ShardedDb};
 
@@ -296,6 +297,73 @@ fn soak(db: &ShardedDb, writers: u32, ops: u32) {
         assert_eq!(sealed, shard.ledger().height(), "shard {s}");
     }
     assert_eq!(db.recover(), 0, "no transaction may be left in doubt");
+}
+
+/// A pin at the head copies each index instance's root and entry count:
+/// neither a shard ledger's snapshot nor a sharded cut reads a chunk, for
+/// every index kind. Writes after the pin leave what it reads untouched
+/// (the MBT's cached levels are copied on the first write).
+#[test]
+fn a_head_pin_reads_nothing_from_the_store() {
+    for siri in [
+        SiriKind::PosTree,
+        SiriKind::MerklePatriciaTrie,
+        SiriKind::MerkleBucketTree,
+    ] {
+        let spitz = SpitzConfig {
+            siri,
+            ..SpitzConfig::default()
+        };
+        let db = ShardedDb::with_config(ShardedConfig::default().with_shards(2).with_spitz(spitz));
+        db.put_batch((0..64).map(kv).collect()).unwrap();
+        let reads = || -> u64 { (0..2).map(|i| db.shard(i).store().stats().reads).sum() };
+
+        let before = reads();
+        let ledger = db.shard(0).ledger().snapshot().unwrap();
+        let cut = db.snapshot().unwrap();
+        assert_eq!(reads(), before, "{}", siri.name());
+        assert_eq!(ledger.len(), db.shard(0).ledger().len(), "{}", siri.name());
+        assert_eq!(ledger.digest(), cut.digest().shards[0], "{}", siri.name());
+
+        db.put_batch((0..80).map(|i| (kv(i).0, b"moved".to_vec())).collect())
+            .unwrap();
+        for i in [0, 17, 63, 70] {
+            let (key, value) = kv(i);
+            let expected = (i < 64).then_some(value);
+            let (read, proof) = cut.get_verified(&key);
+            assert_eq!(read, expected, "{} key {i}", siri.name());
+            assert!(
+                proof.verify(&key, read.as_deref()),
+                "{} key {i}",
+                siri.name()
+            );
+        }
+    }
+}
+
+/// Every verified read of a pinned snapshot records its
+/// `proof.sharded_*` meter, one sample per read.
+#[test]
+fn snapshot_reads_record_the_sharded_proof_meters() {
+    let db = ShardedDb::in_memory(4);
+    db.put_batch((0..100).map(kv).collect()).unwrap();
+    let snapshot = db.snapshot().unwrap();
+    let counts = || {
+        let telemetry = db.telemetry();
+        ["point", "multi", "range"].map(|kind| {
+            telemetry
+                .histogram(&format!("proof.sharded_{kind}_bytes"))
+                .map_or(0, |h| h.count)
+        })
+    };
+
+    let before = counts();
+    snapshot.get_verified(&kv(3).0);
+    assert_eq!(counts(), [before[0] + 1, before[1], before[2]]);
+    snapshot.get_multi_verified(&[kv(4).0, kv(5).0]);
+    assert_eq!(counts(), [before[0] + 1, before[1] + 1, before[2]]);
+    snapshot.range_verified(&kv(10).0, &kv(20).0).unwrap();
+    assert_eq!(counts(), [before[0] + 1, before[1] + 1, before[2] + 1]);
 }
 
 /// The consistent-cut acceptance test, in memory and on a durable
